@@ -149,7 +149,7 @@ void BM_AttentionForward(benchmark::State& state) {
   tensor::Tensor mask = tensor::Tensor::Ones({200, k});
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        attn.Forward(q, kv, kv, mask, k)->value.at(0));
+        attn.Forward(q, {kv}, mask, k)->value.at(0));
   }
   state.SetItemsProcessed(state.iterations() * 200 * k);
 }

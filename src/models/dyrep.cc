@@ -5,7 +5,6 @@ namespace benchtemp::models {
 using graph::TemporalNeighbor;
 using tensor::ConcatCols;
 using tensor::ConcatRows;
-using tensor::Constant;
 using tensor::Tensor;
 using tensor::Var;
 
@@ -24,7 +23,6 @@ DyRep::DyRep(const graph::TemporalGraph* graph, ModelConfig config)
 Var DyRep::AggregateNeighborhood(const std::vector<MemoryEvent>& events) {
   const int64_t n = static_cast<int64_t>(events.size());
   const int64_t k = config_.num_neighbors;
-  const int64_t d = config_.embedding_dim;
   tensor::CheckOrDie(finder_ != nullptr, "DyRep: neighbor finder not set");
 
   std::vector<int32_t> flat_neighbors(static_cast<size_t>(n * k), 0);
@@ -42,19 +40,16 @@ Var DyRep::AggregateNeighborhood(const std::vector<MemoryEvent>& events) {
       mask.at(i, static_cast<int64_t>(j)) = 1.0f;
     }
   }
-  // Keys/values: neighbor memory ‖ time encoding of the recency gap.
-  Tensor nbr_memory({n * k, d});
-  for (int64_t r = 0; r < n * k; ++r) {
-    const int32_t node = flat_neighbors[static_cast<size_t>(r)];
-    for (int64_t c = 0; c < d; ++c) nbr_memory.at(r, c) = memory().at(node, c);
-  }
-  Var keys = ConcatCols(
-      {Constant(std::move(nbr_memory)), time_encoder_.Encode(flat_dts)});
   std::vector<int32_t> others;
   others.reserve(events.size());
   for (const MemoryEvent& e : events) others.push_back(e.other);
   Var queries = GatherMemory(others);
-  return neighbor_attention_.Forward(queries, keys, keys, mask, k);
+  // Keys/values: neighbor memory (detached rows of the memory table) ‖
+  // time encoding of the recency gap.
+  return neighbor_attention_.Forward(
+      queries,
+      {tensor::Rows(memory(), flat_neighbors), time_encoder_.Encode(flat_dts)},
+      mask, k);
 }
 
 Var DyRep::ComputeMemoryUpdate(const std::vector<MemoryEvent>& events,

@@ -16,21 +16,6 @@ void TgnnModel::InitPredictor(int64_t dim_src, int64_t dim_dst,
       dim_src, dim_dst, config_.embedding_dim, 1, rng);
 }
 
-Var TgnnModel::NodeFeatureBlock(const std::vector<int32_t>& nodes) const {
-  const Tensor& features = graph_->node_features();
-  tensor::CheckOrDie(features.rank() == 2,
-                     "NodeFeatureBlock: node features not initialized");
-  const int64_t d = features.shape()[1];
-  Tensor block({static_cast<int64_t>(nodes.size()), d});
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    const int64_t row = nodes[i];
-    for (int64_t c = 0; c < d; ++c) {
-      block.at(static_cast<int64_t>(i), c) = features.at(row, c);
-    }
-  }
-  return tensor::Constant(std::move(block));
-}
-
 Var TgnnModel::ScoreEdges(const std::vector<int32_t>& srcs,
                           const std::vector<int32_t>& dsts,
                           const std::vector<double>& ts) {

@@ -184,8 +184,6 @@ class TgnnModel {
  protected:
   /// Creates the MergeLayer edge scorer once the embedding width is known.
   void InitPredictor(int64_t dim_src, int64_t dim_dst, tensor::Rng& rng);
-  /// Gathers a [n, d] block of rows from the graph's node feature matrix.
-  tensor::Var NodeFeatureBlock(const std::vector<int32_t>& nodes) const;
 
   const graph::TemporalGraph* graph_;
   const graph::NeighborFinder* finder_ = nullptr;

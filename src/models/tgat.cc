@@ -1,13 +1,13 @@
 #include "models/tgat.h"
 
 #include <algorithm>
+#include <string>
 
 namespace benchtemp::models {
 
 using graph::TemporalNeighbor;
 using tensor::ConcatCols;
-using tensor::ConcatRows;
-using tensor::Constant;
+using tensor::Rows;
 using tensor::Tensor;
 using tensor::Var;
 namespace expr = tensor::expr;
@@ -119,7 +119,7 @@ std::unique_ptr<PreparedInputs> Tgat::PrepareBatch(
 Var Tgat::EmbedLayer(const std::vector<int32_t>& nodes,
                      const std::vector<double>& ts, int64_t layer) {
   if (layer == 0) {
-    return feature_proj_.Forward(NodeFeatureBlock(nodes));
+    return feature_proj_.Forward({Rows(graph_->node_features(), nodes)});
   }
   tensor::CheckOrDie(finder_ != nullptr, "TGAT: neighbor finder not set");
   const int64_t n = static_cast<int64_t>(nodes.size());
@@ -127,11 +127,20 @@ Var Tgat::EmbedLayer(const std::vector<int32_t>& nodes,
 
   // Pipelined path: pop the next precomputed neighborhood; both sync and
   // async modes install identical prepared inputs, so consumption order —
-  // and therefore every sampled neighbor — is mode-independent.
+  // and therefore every sampled neighbor — is mode-independent. Running
+  // past the end would mean drawing from the member RNG instead, which
+  // breaks that equality, so it is fatal.
   SampledNeighborhood local;
   const SampledNeighborhood* nb = nullptr;
   const auto* tp = dynamic_cast<const TgatPreparedInputs*>(prepared_);
-  if (tp != nullptr && tp->cursor < tp->fifo.size()) {
+  if (tp != nullptr) {
+    if (tp->cursor >= tp->fifo.size()) {
+      const std::string message =
+          "TGAT: prepared neighborhoods exhausted at layer " +
+          std::to_string(layer) + " (cursor " + std::to_string(tp->cursor) +
+          " of " + std::to_string(tp->fifo.size()) + ")";
+      tensor::CheckOrDie(false, message.c_str());
+    }
     nb = &tp->fifo[tp->cursor++];
     tensor::CheckOrDie(nb->num_queries == n,
                        "TGAT: prepared neighborhood shape mismatch");
@@ -150,24 +159,14 @@ Var Tgat::EmbedLayer(const std::vector<int32_t>& nodes,
   Var query = ConcatCols(
       {self_prev, time_encoder_.Encode(std::vector<float>(
                       static_cast<size_t>(n), 0.0f))});
-  Var keys = ConcatCols({nbr_prev, /*edge features*/
-                         [this, nb] {
-                           const Tensor& ef = graph_->edge_features();
-                           const int64_t d = graph_->edge_feature_dim();
-                           const auto& flat_edges = nb->flat_edges;
-                           Tensor block(
-                               {static_cast<int64_t>(flat_edges.size()), d});
-                           for (size_t r = 0; r < flat_edges.size(); ++r) {
-                             for (int64_t c = 0; c < d; ++c) {
-                               block.at(static_cast<int64_t>(r), c) =
-                                   ef.at(flat_edges[r], c);
-                             }
-                           }
-                           return Constant(std::move(block));
-                         }(),
-                         time_encoder_.Encode(nb->flat_dts)});
+  // Keys: neighbor embedding ‖ edge features ‖ time_enc(t - t_e); the edge
+  // rows are gathered from the constant feature table and projected once
+  // per distinct edge.
   Var attended = layers_[static_cast<size_t>(layer - 1)]->Forward(
-      query, keys, keys, nb->mask, k);
+      query,
+      {nbr_prev, Rows(graph_->edge_features(), nb->flat_edges),
+       time_encoder_.Encode(nb->flat_dts)},
+      nb->mask, k);
   // Bias-add and ReLU of the layer-output projection fuse into one pass.
   return expr::Relu(layer_out_[static_cast<size_t>(layer - 1)]->ForwardEx(
       ConcatCols({attended, self_prev})));

@@ -56,10 +56,12 @@ Var Tgn::ComputeEmbeddings(const std::vector<int32_t>& nodes,
       mask.at(i, static_cast<int64_t>(j)) = 1.0f;
     }
   }
-  Var nbr_memory = GatherMemory(flat_neighbors);
-  Var keys = ConcatCols({nbr_memory, EdgeFeatureBlock(flat_edges),
-                         time_encoder_.Encode(flat_dts)});
-  Var attended = attention_.Forward(query, keys, keys, mask, k);
+  Var attended = attention_.Forward(
+      query,
+      {GatherMemory(flat_neighbors),
+       tensor::Rows(graph_->edge_features(), flat_edges),
+       time_encoder_.Encode(flat_dts)},
+      mask, k);
   // Residual combine with the node's own memory.
   (void)d;
   return out_.Forward(ConcatCols({attended, memory}));

@@ -21,7 +21,8 @@ constexpr const char* kCounterNames[kNumCounters] = {
     "sweep.jobs_failed",    "kernels.flops",        "arena.bytes",
     "arena.resets",         "robustness.ckpt_fallbacks", "io.retries",
     "csv.rows_quarantined", "sampler.collisions_rejected",
-    "sampler.pool_fallbacks",
+    "sampler.pool_fallbacks", "tensor.project_rows",
+    "tensor.project_unique_rows",
 };
 
 /// -1 = derive from the environment; 0/1 = forced by a test.

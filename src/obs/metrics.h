@@ -72,8 +72,10 @@ enum class Counter : int {
                                // colliding with the true destination
   kSamplerPoolFallbacks,       // pool-based draws that fell back to uniform
                                // (empty history / unseen pool / shortfall)
+  kProjectRows,         // feature-table rows gathered by tensor::Rows
+  kProjectUniqueRows,   // distinct rows among them (projected once each)
 };
-inline constexpr int kNumCounters = 21;
+inline constexpr int kNumCounters = 23;
 
 /// Stable dotted name of a counter ("train.batches", ...).
 const char* CounterName(Counter counter);

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <unordered_set>
 
+#include "obs/metrics.h"
 #include "runtime/grain.h"
 #include "runtime/thread_pool.h"
 #include "tensor/debug_check.h"
@@ -528,6 +529,140 @@ Var GatherRows(const Var& table, const std::vector<int64_t>& indices) {
                       kernels::Add(g + idx * d, sg + r * d, d);
                     }
                   });
+}
+
+// ---------------------------------------------------------------------------
+// Projection over gathered feature rows.
+// ---------------------------------------------------------------------------
+
+std::shared_ptr<const GatheredRows> Rows(
+    const Tensor& table, const std::vector<int32_t>& indices) {
+  CheckOrDie(table.rank() == 2 || table.empty(),
+             "Rows: rank-2 table required");
+  const int64_t w = table.rank() == 2 ? table.cols() : 0;
+  const int64_t n = static_cast<int64_t>(indices.size());
+  auto rows = std::make_shared<GatheredRows>();
+  rows->slot.reserve(indices.size());
+  int32_t max_idx = -1;
+  for (const int32_t idx : indices) {
+    CheckOrDie(idx >= 0 && (w == 0 || idx < table.rows()),
+               "Rows: index range");
+    max_idx = std::max(max_idx, idx);
+  }
+  // Dense first-occurrence index: slot_of[idx] is idx's position in
+  // `unique`, or -1 before idx is first seen.
+  std::vector<int32_t> unique;
+  std::vector<int32_t> slot_of(static_cast<size_t>(max_idx) + 1, -1);
+  for (const int32_t idx : indices) {
+    int32_t& s = slot_of[static_cast<size_t>(idx)];
+    if (s < 0) {
+      s = NarrowId(static_cast<int64_t>(unique.size()), "Rows: row count");
+      unique.push_back(idx);
+    }
+    rows->slot.push_back(s);
+  }
+  const int64_t u = static_cast<int64_t>(unique.size());
+  rows->unique = kernels::NewTensor({u, w});
+  for (int64_t i = 0; i < u && w > 0; ++i) {
+    kernels::Set(rows->unique.data() + i * w,
+                 table.data() + unique[static_cast<size_t>(i)] * w, w);
+  }
+  obs::MetricRegistry& registry = obs::MetricRegistry::Global();
+  registry.Add(obs::Counter::kProjectRows, n);
+  registry.Add(obs::Counter::kProjectUniqueRows, u);
+  return rows;
+}
+
+int64_t ColBlock::rows() const {
+  return dense != nullptr ? dense->value.rows()
+                          : static_cast<int64_t>(gathered->slot.size());
+}
+
+int64_t ColBlock::cols() const {
+  return dense != nullptr ? dense->value.cols() : gathered->unique.cols();
+}
+
+Var Project(const std::vector<ColBlock>& blocks, const Var& weight) {
+  const Tensor& wv = weight->value;
+  CheckOrDie(!blocks.empty() && wv.rank() == 2,
+             "Project: need blocks and a rank-2 weight");
+  const int64_t n = blocks[0].rows(), m = wv.cols();
+  int64_t width = 0;
+  for (const ColBlock& b : blocks) {
+    CheckOrDie(b.rows() == n, "Project: block row count mismatch");
+    width += b.cols();
+  }
+  CheckOrDie(wv.rows() == width,
+             "Project: weight rows must equal the summed block width");
+  Tensor out = kernels::NewTensor({n, m});
+  // Blocks accumulate into `out` in order. A dense block's Gemm continues
+  // each output element's increasing-k sum; a gathered block adds its
+  // precomputed per-row projection in one step.
+  std::vector<Var> parents = {weight};
+  std::vector<std::shared_ptr<const GatheredRows>> gathered;
+  std::vector<int64_t> widths;
+  int64_t offset = 0;
+  for (const ColBlock& b : blocks) {
+    const int64_t w = b.cols();
+    const float* wp = wv.data() + offset * m;
+    if (b.dense != nullptr) {
+      kernels::Gemm(b.dense->value.data(), wp, out.data(), n, w, m);
+      parents.push_back(b.dense);
+    } else {
+      const GatheredRows& g = *b.gathered;
+      const int64_t u = g.unique.rows();
+      Tensor proj = kernels::NewTensor({u, m});
+      kernels::Gemm(g.unique.data(), wp, proj.data(), u, w, m);
+      const float* pp = proj.data();
+      const int32_t* slot = g.slot.data();
+      float* op = out.data();
+      kernels::CountFlops(n * m);
+      runtime::ParallelFor(0, n, RowGrain(m), [&](int64_t r0, int64_t r1) {
+        for (int64_t r = r0; r < r1; ++r) {
+          kernels::Add(op + r * m, pp + int64_t{slot[r]} * m, m);
+        }
+      });
+    }
+    gathered.push_back(b.gathered);
+    widths.push_back(w);
+    offset += w;
+  }
+  return MakeNode(
+      "Project", std::move(out), std::move(parents),
+      [n, m, gathered, widths](VarNode& self) {
+        VarNode& pw = *self.parents[0];
+        const float* sg = self.grad.data();
+        float* gw = pw.requires_grad ? pw.EnsureGrad().data() : nullptr;
+        size_t next_parent = 1;
+        int64_t offset = 0;
+        for (size_t i = 0; i < widths.size(); ++i) {
+          const int64_t w = widths[i];
+          if (gathered[i] == nullptr) {
+            VarNode& pa = *self.parents[next_parent++];
+            if (gw != nullptr) {
+              kernels::GemmTN(pa.value.data(), sg, gw + offset * m, n, w, m);
+            }
+            if (pa.requires_grad) {
+              kernels::GemmNT(sg, pw.value.data() + offset * m,
+                              pa.EnsureGrad().data(), n, w, m);
+            }
+          } else if (gw != nullptr) {
+            // dW slice = unique^T · dU, where dU sums dOut over the rows
+            // sharing a table row, in ascending row order.
+            const GatheredRows& g = *gathered[i];
+            const int64_t u = g.unique.rows();
+            Tensor du = kernels::NewTensor({u, m});
+            float* dp = du.data();
+            kernels::CountFlops(n * m);
+            for (int64_t r = 0; r < n; ++r) {
+              kernels::Add(dp + int64_t{g.slot[static_cast<size_t>(r)]} * m,
+                           sg + r * m, m);
+            }
+            kernels::GemmTN(g.unique.data(), dp, gw + offset * m, u, w, m);
+          }
+          offset += w;
+        }
+      });
 }
 
 // ---------------------------------------------------------------------------

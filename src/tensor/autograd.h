@@ -102,6 +102,44 @@ Var Reshape(const Var& a, std::vector<int64_t> shape);
 Var GatherRows(const Var& table, const std::vector<int64_t>& indices);
 
 // ---------------------------------------------------------------------------
+// Projection over gathered feature rows.
+// ---------------------------------------------------------------------------
+
+/// Rows of a constant feature table gathered at some indices, stored once
+/// per distinct row: `unique` holds the distinct rows in first-occurrence
+/// order and gathered row r is `unique` row `slot[r]`.
+struct GatheredRows {
+  Tensor unique;              // [U, w]
+  std::vector<int32_t> slot;  // [n], each in [0, U)
+};
+
+/// Deduplicates `table` rows at `indices`. Build it once and pass it to
+/// every projection of the same rows (attention keys and values) so they
+/// share the index. A rank-0 (absent) table gathers zero-width rows.
+std::shared_ptr<const GatheredRows> Rows(const Tensor& table,
+                                         const std::vector<int32_t>& indices);
+
+/// One column block of a `Project` input: a tape value, or gathered rows of
+/// a constant table (which never receive a gradient).
+struct ColBlock {
+  /*implicit*/ ColBlock(Var value) : dense(std::move(value)) {}
+  /*implicit*/ ColBlock(std::shared_ptr<const GatheredRows> rows)
+      : gathered(std::move(rows)) {}
+
+  int64_t rows() const;
+  int64_t cols() const;
+
+  Var dense;
+  std::shared_ptr<const GatheredRows> gathered;
+};
+
+/// [B_1 | ... | B_n] · weight without building the concatenation. Each
+/// block multiplies its own contiguous row slice of `weight`. A gathered
+/// block is projected once per distinct row and each output row adds its
+/// row's projection, so its work scales with U rather than n.
+Var Project(const std::vector<ColBlock>& blocks, const Var& weight);
+
+// ---------------------------------------------------------------------------
 // Nonlinearities.
 // ---------------------------------------------------------------------------
 

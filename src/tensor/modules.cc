@@ -29,6 +29,12 @@ Var Linear::Forward(const Var& x) const {
   return y;
 }
 
+Var Linear::Forward(const std::vector<ColBlock>& blocks) const {
+  Var y = Project(blocks, weight_);
+  if (bias_ != nullptr) y = Add(y, bias_);
+  return y;
+}
+
 expr::Ex Linear::ForwardEx(const Var& x) const {
   expr::Ex y(MatMul(x, weight_));
   if (bias_ != nullptr) y = expr::Add(y, expr::Ex(bias_));
@@ -201,17 +207,19 @@ MultiHeadAttention::MultiHeadAttention(int64_t q_dim, int64_t kv_dim,
              "(the paper's Formula (1) constraint)");
 }
 
-Var MultiHeadAttention::Forward(const Var& queries, const Var& keys,
-                                const Var& values, const Tensor& mask,
-                                int64_t num_keys) const {
+Var MultiHeadAttention::Forward(const Var& queries,
+                                const std::vector<ColBlock>& keys,
+                                const Tensor& mask, int64_t num_keys) const {
   const int64_t batch = queries->value.rows();
-  CheckOrDie(keys->value.rows() == batch * num_keys,
+  CheckOrDie(!keys.empty() && keys[0].rows() == batch * num_keys,
              "MultiHeadAttention: key block shape");
   CheckOrDie(mask.size() == batch * num_keys,
              "MultiHeadAttention: mask shape");
-  Var q = q_proj_.Forward(queries);   // [B, model]
-  Var k = k_proj_.Forward(keys);      // [B*K, model]
-  Var v = v_proj_.Forward(values);    // [B*K, model]
+  Var q = q_proj_.Forward(queries);  // [B, model]
+  // Keys double as values: both projections read the same blocks, so a
+  // gathered block's unique-row index is shared by the two.
+  Var k = k_proj_.Forward(keys);  // [B*K, model]
+  Var v = v_proj_.Forward(keys);  // [B*K, model]
   const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
   std::vector<Var> head_outputs;
   head_outputs.reserve(static_cast<size_t>(num_heads_));

@@ -30,6 +30,9 @@ class Linear : public Module {
   Linear(int64_t in_dim, int64_t out_dim, Rng& rng, bool bias = true);
 
   Var Forward(const Var& x) const;
+  /// [B_1 | ... | B_n] W + b over column blocks (tensor::Project), so
+  /// gathered feature rows are projected once per distinct row.
+  Var Forward(const std::vector<ColBlock>& blocks) const;
   /// Lazy variant: the GEMM runs eagerly (it is not elementwise) but the
   /// bias add is returned as an open expression, so callers can keep
   /// chaining elementwise ops (activation, gate sums) into one fused pass
@@ -131,15 +134,17 @@ class TimeEncoder : public Module {
 
 /// Multi-head scaled dot-product attention over per-query neighbor blocks.
 ///
-/// Queries are [B, q_dim]; each query attends over `num_keys` keys/values
-/// stored flat as [B*K, kv_dim]. `mask` ([B, K]) zeroes out padding
-/// neighbors. Output is [B, out_dim] (the concatenated heads projected).
+/// Queries are [B, q_dim]; each query attends over `num_keys` keys stored
+/// flat as [B*K, kv_dim], given as column blocks whose widths sum to
+/// kv_dim. The keys also serve as the values. `mask` ([B, K]) zeroes out
+/// padding neighbors. Output is [B, out_dim] (the concatenated heads
+/// projected).
 class MultiHeadAttention : public Module {
  public:
   MultiHeadAttention(int64_t q_dim, int64_t kv_dim, int64_t model_dim,
                      int64_t num_heads, Rng& rng);
 
-  Var Forward(const Var& queries, const Var& keys, const Var& values,
+  Var Forward(const Var& queries, const std::vector<ColBlock>& keys,
               const Tensor& mask, int64_t num_keys) const;
   std::vector<Var> Parameters() const override;
 

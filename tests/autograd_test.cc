@@ -1,12 +1,18 @@
 #include "tensor/autograd.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
+#include "runtime/thread_pool.h"
 #include "tensor/expr.h"
+#include "tensor/kernels/simd.h"
+#include "tensor/numeric.h"
 #include "tensor/random.h"
 #include "tensor/tensor.h"
 
@@ -353,6 +359,217 @@ TEST(AutogradTest, MaskedSoftmaxRowsGolden) {
               1e-6f);
   EXPECT_FLOAT_EQ(s->value.at(0, 1), 0.0f);
   EXPECT_NEAR(s->value.at(0, 2), static_cast<float>(1.0 / z), 1e-6f);
+}
+
+// ---------------------------------------------------------------------------
+// Project: [B_1 | ... | B_n] · W over dense and gathered column blocks,
+// checked against a ConcatCols + MatMul oracle and finite differences.
+// ---------------------------------------------------------------------------
+
+/// Inputs of one Project case: blocks {a, rows, c, rows} where `a` is a
+/// trainable dense block, `c` a constant dense block and `rows` the
+/// `table` rows at `idx` (used twice, sharing one index).
+struct ProjectInputs {
+  Tensor a, c, table, w, g;
+  std::vector<int32_t> idx;
+};
+
+ProjectInputs MakeProjectInputs(std::vector<int32_t> idx, int64_t table_rows,
+                                int64_t dense_w, int64_t table_w, int64_t m,
+                                uint64_t seed) {
+  Rng rng(seed);
+  const int64_t n = static_cast<int64_t>(idx.size());
+  ProjectInputs in;
+  in.a = Tensor::Randn({n, dense_w}, rng);
+  in.c = Tensor::Randn({n, 2}, rng);
+  in.table = Tensor::Randn({table_rows, table_w}, rng);
+  in.w = Tensor::Randn({dense_w + 2 + 2 * table_w, m}, rng, 0.3f);
+  in.g = Tensor::Randn({n, m}, rng);
+  in.idx = std::move(idx);
+  return in;
+}
+
+struct ProjectRun {
+  Tensor out, dw, da;
+};
+
+/// Forward + backward of Sum(tanh(out) * g), through Project or through
+/// the oracle that materializes the gathered block and the concatenation.
+ProjectRun RunProject(const ProjectInputs& in, bool oracle) {
+  Var a = Parameter(in.a);
+  Var c = Constant(in.c);
+  Var w = Parameter(in.w);
+  Var out;
+  if (oracle) {
+    const int64_t tw = in.table.cols();
+    Tensor gathered({static_cast<int64_t>(in.idx.size()), tw});
+    for (size_t r = 0; r < in.idx.size(); ++r) {
+      for (int64_t j = 0; j < tw; ++j) {
+        gathered.at(static_cast<int64_t>(r), j) = in.table.at(in.idx[r], j);
+      }
+    }
+    Var rows = Constant(std::move(gathered));
+    out = MatMul(ConcatCols({a, rows, c, rows}), w);
+  } else {
+    const auto rows = Rows(in.table, in.idx);
+    out = Project({a, rows, c, rows}, w);
+  }
+  Backward(Sum(Mul(Tanh(out), Constant(in.g))));
+  EXPECT_EQ(c->grad.size(), 0);
+  return {out->value, w->grad, a->grad};
+}
+
+/// max |got - want| <= tol * max |want| (scale-relative, so entries near
+/// zero do not demand more than float32 reassociation can give).
+void ExpectRelClose(const Tensor& got, const Tensor& want, const char* what,
+                    float tol = 1e-5f) {
+  ASSERT_EQ(got.shape(), want.shape()) << what;
+  float scale = 0.0f, err = 0.0f;
+  for (int64_t i = 0; i < want.size(); ++i) {
+    scale = std::max(scale, std::fabs(want.at(i)));
+    err = std::max(err, std::fabs(got.at(i) - want.at(i)));
+  }
+  EXPECT_LE(err, tol * scale) << what;
+}
+
+struct IndexPattern {
+  const char* name;
+  std::vector<int32_t> idx;
+};
+
+class ProjectPatternTest : public ::testing::TestWithParam<IndexPattern> {};
+
+TEST_P(ProjectPatternTest, MatchesConcatMatMulOracle) {
+  const ProjectInputs in =
+      MakeProjectInputs(GetParam().idx, 12, 3, 5, 4, /*seed=*/50);
+  const ProjectRun got = RunProject(in, /*oracle=*/false);
+  const ProjectRun want = RunProject(in, /*oracle=*/true);
+  ExpectRelClose(got.out, want.out, "forward");
+  ExpectRelClose(got.dw, want.dw, "dW");
+  ExpectRelClose(got.da, want.da, "dense-block grad");
+}
+
+std::vector<int32_t> HeavyDuplicates() {
+  Rng rng(51);
+  std::vector<int32_t> idx(40);
+  for (int32_t& i : idx) i = NarrowId(2 + 3 * rng.UniformInt(3), "row");
+  return idx;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Patterns, ProjectPatternTest,
+    ::testing::Values(
+        IndexPattern{"AllDistinct", {3, 7, 1, 11, 0, 5, 9, 2}},
+        IndexPattern{"HeavyDuplicates", HeavyDuplicates()},
+        IndexPattern{"OneRepeatedRow", std::vector<int32_t>(9, 4)},
+        IndexPattern{"PaddingZero", {0, 6, 0, 0, 3, 0, 6, 0}},
+        IndexPattern{"ZeroRows", {}}),
+    [](const ::testing::TestParamInfo<IndexPattern>& info) {
+      return std::string(info.param.name);
+    });
+
+TEST(AutogradTest, ProjectGradcheck) {
+  const ProjectInputs in =
+      MakeProjectInputs({4, 0, 4, 9, 0, 4}, 10, 3, 4, 3, /*seed=*/52);
+  Var a = Parameter(in.a);
+  Var c = Constant(in.c);
+  Var w = Parameter(in.w);
+  const auto rows = Rows(in.table, in.idx);
+  auto loss = [&] {
+    return Sum(Mul(Tanh(Project({a, rows, c, rows}, w)), Constant(in.g)));
+  };
+  CheckGradient(w, loss);
+  CheckGradient(a, loss);
+}
+
+TEST(AutogradTest, ProjectGatheredTableNeverReceivesGradient) {
+  const ProjectInputs in =
+      MakeProjectInputs({1, 1, 0, 5}, 6, 2, 3, 4, /*seed=*/53);
+  const Tensor table_before = in.table;
+  Var a = Parameter(in.a);
+  Var w = Parameter(in.w);
+  Var c = Constant(in.c);
+  const auto rows = Rows(in.table, in.idx);
+  Var out = Project({a, rows, c, rows}, w);
+  // The weight and the dense blocks are the only tape parents: nothing a
+  // gradient could flow into stands behind the gathered rows.
+  ASSERT_EQ(out->parents.size(), 3u);
+  EXPECT_EQ(out->parents[0], w);
+  EXPECT_EQ(out->parents[1], a);
+  EXPECT_EQ(out->parents[2], c);
+  Backward(Sum(out));
+  EXPECT_EQ(w->grad.size(), w->value.size());
+  EXPECT_EQ(a->grad.size(), a->value.size());
+  EXPECT_EQ(c->grad.size(), 0);
+  EXPECT_EQ(std::memcmp(in.table.data(), table_before.data(),
+                        static_cast<size_t>(in.table.size()) * 4),
+            0);
+}
+
+TEST(AutogradTest, ProjectBitIdenticalAcrossThreadsAndSimd) {
+  Rng rng(54);
+  std::vector<int32_t> idx(300);
+  for (int32_t& i : idx) i = NarrowId(rng.UniformInt(64), "row");
+  const ProjectInputs in = MakeProjectInputs(idx, 64, 24, 40, 24, 55);
+  runtime::ThreadPool& pool = runtime::ThreadPool::Global();
+  const int original_threads = pool.num_threads();
+  std::vector<ProjectRun> runs;
+  for (const int threads : {1, 8}) {
+    for (const int simd : {0, 1}) {
+      pool.SetNumThreads(threads);
+      kernels::SetSimdEnabledForTest(simd);
+      runs.push_back(RunProject(in, /*oracle=*/false));
+    }
+  }
+  pool.SetNumThreads(original_threads);
+  kernels::SetSimdEnabledForTest(-1);
+  auto same_bits = [](const Tensor& x, const Tensor& y) {
+    return x.size() == y.size() &&
+           std::memcmp(x.data(), y.data(),
+                       static_cast<size_t>(x.size()) * 4) == 0;
+  };
+  for (size_t i = 1; i < runs.size(); ++i) {
+    EXPECT_TRUE(same_bits(runs[i].out, runs[0].out)) << "config " << i;
+    EXPECT_TRUE(same_bits(runs[i].dw, runs[0].dw)) << "config " << i;
+    EXPECT_TRUE(same_bits(runs[i].da, runs[0].da)) << "config " << i;
+  }
+}
+
+TEST(AutogradTest, RowsCountsGatheredAndUniqueRows) {
+  obs::MetricRegistry& registry = obs::MetricRegistry::Global();
+  obs::MetricRegistry::OverrideEnabledForTest(1);
+  registry.Reset();
+  Rng rng(56);
+  const Tensor table = Tensor::Randn({8, 3}, rng);
+  const auto rows = Rows(table, {5, 0, 5, 7, 0, 5});
+  EXPECT_EQ(rows->unique.rows(), 3);
+  EXPECT_EQ(rows->slot, (std::vector<int32_t>{0, 1, 0, 2, 1, 0}));
+  EXPECT_EQ(rows->unique.at(2, 1), table.at(7, 1));
+  EXPECT_EQ(registry.value(obs::Counter::kProjectRows), 6);
+  EXPECT_EQ(registry.value(obs::Counter::kProjectUniqueRows), 3);
+  obs::MetricRegistry::OverrideEnabledForTest(-1);
+  registry.Reset();
+}
+
+TEST(AutogradTest, RowsOfAbsentTableAreZeroWidth) {
+  // A graph loaded without edge features has a rank-0 table; its rows
+  // contribute nothing, so Project reduces to the dense blocks' product.
+  Rng rng(57);
+  Var a = Constant(Tensor::Randn({3, 2}, rng));
+  Var w = Parameter(Tensor::Randn({2, 4}, rng));
+  const auto rows = Rows(Tensor(), {9, 0, 9});
+  EXPECT_EQ(rows->unique.cols(), 0);
+  const Tensor got = Project({a, rows}, w)->value;
+  const Tensor want = MatMul(a, w)->value;
+  ASSERT_EQ(got.shape(), want.shape());
+  EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                        static_cast<size_t>(got.size()) * 4),
+            0);
+}
+
+TEST(AutogradTest, RowsRejectsOutOfRangeIndex) {
+  const Tensor table({4, 2});
+  EXPECT_DEATH((void)Rows(table, {0, 4}), "Rows: index range");
 }
 
 }  // namespace

@@ -262,6 +262,29 @@ TEST(TgatTest, TimeWindowTriggersRuntimeError) {
   EXPECT_EQ(healthy.status(), ModelStatus::kOk);
 }
 
+TEST(TgatTest, ExhaustedPreparedInputsAreFatal) {
+  // Prepared inputs hold exactly the neighborhoods of one batch; asking for
+  // more must fail loudly rather than fall back to the member RNG, which
+  // would silently make prefetched and inline preparation disagree.
+  TemporalGraph g = MakeGraph();
+  NeighborFinder finder(g);
+  Tgat model(&g, SmallConfig());
+  model.SetNeighborFinder(&finder);
+  const Batch batch = FirstBatch(g, 8);
+  std::unique_ptr<PreparedInputs> prepared =
+      model.PrepareBatch(batch, batch.dsts, /*seed=*/7);
+  auto* fifo = dynamic_cast<TgatPreparedInputs*>(prepared.get());
+  ASSERT_NE(fifo, nullptr);
+  fifo->fifo.resize(fifo->fifo.size() - 1);  // one neighborhood short
+  model.SetPreparedInputs(prepared.get());
+  EXPECT_DEATH(
+      {
+        (void)model.ScoreEdges(batch.srcs, batch.dsts, batch.ts);
+        (void)model.ScoreEdges(batch.srcs, batch.dsts, batch.ts);
+      },
+      "exhausted at layer 1 \\(cursor 11 of 11\\)");
+}
+
 TEST(EdgeBankTest, MemorizesSeenEdges) {
   TemporalGraph g = MakeGraph();
   EdgeBank model(&g, SmallConfig());

@@ -108,7 +108,7 @@ TEST(ModulesTest, AttentionShapeAndMasking) {
   Var kv = Constant(Tensor::Randn({3 * k, 5}, rng));
   Tensor mask({3, k});
   mask.Fill(1.0f);
-  Var out = attn.Forward(q, kv, kv, mask, k);
+  Var out = attn.Forward(q, {kv}, mask, k);
   EXPECT_EQ(out->value.shape(), (std::vector<int64_t>{3, 8}));
 }
 
@@ -121,11 +121,39 @@ TEST(ModulesTest, AttentionIgnoresMaskedKeys) {
   // Run once with key 2 masked, then change key 2 wildly: output must not
   // move.
   Tensor mask = Tensor::FromVector({1, k}, {1, 1, 0});
-  Var out1 = attn.Forward(q, Constant(kv_data), Constant(kv_data), mask, k);
+  Var out1 = attn.Forward(q, {Constant(kv_data)}, mask, k);
   for (int64_t c = 0; c < 4; ++c) kv_data.at(2, c) = 1000.0f;
-  Var out2 = attn.Forward(q, Constant(kv_data), Constant(kv_data), mask, k);
+  Var out2 = attn.Forward(q, {Constant(kv_data)}, mask, k);
   for (int64_t i = 0; i < out1->value.size(); ++i) {
     EXPECT_NEAR(out1->value.at(i), out2->value.at(i), 1e-4f);
+  }
+}
+
+TEST(ModulesTest, AttentionOverGatheredKeysMatchesConcatenatedKeys) {
+  // Keys given as {dense, gathered rows} blocks must attend like the same
+  // keys concatenated into one dense block, up to float reassociation.
+  const int64_t b = 3, k = 4;
+  Rng rng(12);
+  MultiHeadAttention attn(6, 5 + 7, 8, 2, rng);
+  Var q = Constant(Tensor::Randn({b, 6}, rng));
+  Var dense = Constant(Tensor::Randn({b * k, 5}, rng));
+  const Tensor table = Tensor::Randn({6, 7}, rng);
+  const std::vector<int32_t> idx = {0, 2, 2, 5, 0, 0, 1, 2, 5, 5, 0, 3};
+  Tensor gathered({b * k, 7});
+  for (int64_t r = 0; r < b * k; ++r) {
+    for (int64_t c = 0; c < 7; ++c) {
+      gathered.at(r, c) = table.at(idx[static_cast<size_t>(r)], c);
+    }
+  }
+  Tensor mask({b, k});
+  mask.Fill(1.0f);
+  mask.at(1, 3) = 0.0f;
+  Var blocks_out = attn.Forward(q, {dense, Rows(table, idx)}, mask, k);
+  Var concat_out = attn.Forward(
+      q, {ConcatCols({dense, Constant(std::move(gathered))})}, mask, k);
+  ASSERT_EQ(blocks_out->value.shape(), concat_out->value.shape());
+  for (int64_t i = 0; i < blocks_out->value.size(); ++i) {
+    EXPECT_NEAR(blocks_out->value.at(i), concat_out->value.at(i), 1e-5f);
   }
 }
 
