@@ -253,9 +253,9 @@ BENCHMARK(BM_KernelReduceDot)->Arg(64)->Arg(4096);
 // Fusion-layer microbenchmarks (BM_Fusion*; `--fusion` runs only these and
 // emits BENCH_fusion.json). Each chain is the elementwise tail of a model
 // hot path at its training shape. The same expr:: source builds both sides:
-// Arg(0) replays it through the eager per-op tape (the BENCHTEMP_FUSION=0
-// escape hatch — one tensor + one tape node per op), Arg(1) through the
-// fused expression layer (one pass forward, one pass backward).
+// Arg(0) replays it through the eager per-op tape (the fusion-off oracle —
+// one tensor + one tape node per op), Arg(1) through the fused expression
+// layer (one pass forward, one pass backward).
 // ---------------------------------------------------------------------------
 
 namespace fusion {
@@ -313,7 +313,7 @@ tensor::Var FeatureAggregate(const tensor::Var& msg, const tensor::Var& mem,
 }  // namespace fusion
 
 void BM_FusionGruGate(benchmark::State& state) {
-  tensor::expr::SetFusionEnabledForTest(state.range(0) == 0 ? 0 : 1);
+  tensor::expr::SetFusionEnabledForTest(state.range(0) != 0);
   const int64_t rows = state.range(1);
   tensor::Rng rng(1);
   tensor::Var z =
@@ -328,7 +328,7 @@ void BM_FusionGruGate(benchmark::State& state) {
     tensor::Backward(loss);
     benchmark::DoNotOptimize(loss->value.at(0));
   }
-  tensor::expr::SetFusionEnabledForTest(-1);
+  tensor::expr::SetFusionEnabledForTest(true);
   state.SetItemsProcessed(state.iterations() * rows * fusion::kCols);
 }
 BENCHMARK(BM_FusionGruGate)
@@ -338,7 +338,7 @@ BENCHMARK(BM_FusionGruGate)
     ->Args({1, fusion::kMemBoundRows});
 
 void BM_FusionOdeStep(benchmark::State& state) {
-  tensor::expr::SetFusionEnabledForTest(state.range(0) == 0 ? 0 : 1);
+  tensor::expr::SetFusionEnabledForTest(state.range(0) != 0);
   const int64_t rows = state.range(1);
   tensor::Rng rng(1);
   tensor::Var h =
@@ -354,7 +354,7 @@ void BM_FusionOdeStep(benchmark::State& state) {
     tensor::Backward(loss);
     benchmark::DoNotOptimize(loss->value.at(0));
   }
-  tensor::expr::SetFusionEnabledForTest(-1);
+  tensor::expr::SetFusionEnabledForTest(true);
   state.SetItemsProcessed(state.iterations() * rows * fusion::kCols);
 }
 BENCHMARK(BM_FusionOdeStep)
@@ -362,7 +362,7 @@ BENCHMARK(BM_FusionOdeStep)
     ->Args({1, fusion::kRows});
 
 void BM_FusionBiasRelu(benchmark::State& state) {
-  tensor::expr::SetFusionEnabledForTest(state.range(0) == 0 ? 0 : 1);
+  tensor::expr::SetFusionEnabledForTest(state.range(0) != 0);
   const int64_t rows = state.range(1);
   tensor::Rng rng(1);
   tensor::Var x =
@@ -375,7 +375,7 @@ void BM_FusionBiasRelu(benchmark::State& state) {
     tensor::Backward(loss);
     benchmark::DoNotOptimize(loss->value.at(0));
   }
-  tensor::expr::SetFusionEnabledForTest(-1);
+  tensor::expr::SetFusionEnabledForTest(true);
   state.SetItemsProcessed(state.iterations() * rows * fusion::kCols);
 }
 BENCHMARK(BM_FusionBiasRelu)
@@ -385,7 +385,7 @@ BENCHMARK(BM_FusionBiasRelu)
     ->Args({1, fusion::kMemBoundRows});
 
 void BM_FusionFeatureAggregate(benchmark::State& state) {
-  tensor::expr::SetFusionEnabledForTest(state.range(0) == 0 ? 0 : 1);
+  tensor::expr::SetFusionEnabledForTest(state.range(0) != 0);
   const int64_t rows = state.range(1);
   tensor::Rng rng(1);
   tensor::Var msg =
@@ -403,7 +403,7 @@ void BM_FusionFeatureAggregate(benchmark::State& state) {
     tensor::Backward(loss);
     benchmark::DoNotOptimize(loss->value.at(0));
   }
-  tensor::expr::SetFusionEnabledForTest(-1);
+  tensor::expr::SetFusionEnabledForTest(true);
   state.SetItemsProcessed(state.iterations() * rows * fusion::kCols);
 }
 BENCHMARK(BM_FusionFeatureAggregate)
@@ -495,7 +495,7 @@ void RecordFusionRuns() {
   };
   for (const Chain& chain : chains) {
     for (int mode = 0; mode <= 1; ++mode) {
-      expr::SetFusionEnabledForTest(mode);
+      expr::SetFusionEnabledForTest(mode != 0);
       // Trainer-shaped pass: leaves are persistent parameters (heap, like a
       // model's weights — their grads are heap too, surviving the scope),
       // while every intermediate of the pass comes from the tape arena and
@@ -533,7 +533,7 @@ void RecordFusionRuns() {
           static_cast<double>(record.state_bytes));
     }
   }
-  expr::SetFusionEnabledForTest(-1);
+  expr::SetFusionEnabledForTest(true);
 }
 
 void BM_RocAuc(benchmark::State& state) {

@@ -263,6 +263,47 @@ void FinishPipelineStats(int depth, EfficiencyStats* eff) {
   }
 }
 
+/// The self-supervised link-prediction loss: the mean of the BCE over the
+/// positive scores (target 1) and over the negative scores (target 0).
+Var PairBceLoss(const Var& pos, const Var& neg) {
+  Tensor ones({pos->value.size()});
+  ones.Fill(1.0f);
+  Tensor zeros({neg->value.size()});
+  // Averaging the two BCE halves is a fused 2-op pass: one tape node
+  // instead of an eager Add node plus a ScalarMul node.
+  return expr::ScalarMul(expr::Add(expr::Ex(BceWithLogits(pos, ones)),
+                                   expr::Ex(BceWithLogits(neg, zeros))),
+                         0.5f);
+}
+
+/// One optimizer step on `loss`, guarded by three NaN/Inf sentinels.
+/// Returns false when the step diverged: then the caller must not
+/// continue from the current parameters.
+bool GuardedStep(const Var& loss, const std::vector<Var>& params,
+                 float grad_clip_norm, tensor::Adam* optimizer) {
+  bool finite = true;
+  {
+    obs::ScopedPhaseTimer timer(obs::Phase::kForward);
+    // Sentinel 1: a non-finite loss means this step would poison the
+    // parameters — bail out before touching them.
+    finite = tensor::AllFinite(loss->value);
+  }
+  if (base::FaultInjector::Global().Fire(base::FaultSite::kNanLoss)) {
+    finite = false;
+  }
+  if (!finite) return false;
+  obs::ScopedPhaseTimer timer(obs::Phase::kBackward);
+  optimizer->ZeroGrad();
+  Backward(loss);
+  // Sentinel 2: gradients can overflow even under a finite loss.
+  if (!tensor::GradsFinite(params)) return false;
+  tensor::ClipGradNorm(params, grad_clip_norm);
+  optimizer->Step();
+  // Sentinel 3: the Adam update itself (tiny v̂, large m̂) can still push a
+  // parameter out of range.
+  return tensor::ParamsFinite(params);
+}
+
 }  // namespace
 
 double MaxRssGb() {
@@ -497,47 +538,15 @@ LinkPredictionResult RunLinkPrediction(const LinkPredictionJob& job) {
           return result;
         }
         if (model->trainable()) {
-          bool finite = true;
           Var loss;
           {
             obs::ScopedPhaseTimer timer(obs::Phase::kForward);
-            Tensor ones({pos->value.size()});
-            ones.Fill(1.0f);
-            Tensor zeros({neg->value.size()});
-            // Averaging the two BCE halves is a fused 2-op pass: one tape
-            // node instead of an eager Add node plus a ScalarMul node.
-            loss = expr::ScalarMul(
-                expr::Add(expr::Ex(BceWithLogits(pos, ones)),
-                          expr::Ex(BceWithLogits(neg, zeros))),
-                0.5f);
-            // NaN/Inf sentinel 1: a non-finite loss means this step would
-            // poison the parameters — bail out before touching them.
-            finite = tensor::AllFinite(loss->value);
+            loss = PairBceLoss(pos, neg);
           }
-          if (base::FaultInjector::Global().Fire(
-                  base::FaultSite::kNanLoss)) {
-            finite = false;
-          }
-          if (!finite) {
+          if (!GuardedStep(loss, params, tc.grad_clip_norm, &optimizer)) {
             nan_event = true;
             break;
           }
-          {
-            obs::ScopedPhaseTimer timer(obs::Phase::kBackward);
-            optimizer.ZeroGrad();
-            Backward(loss);
-            // Sentinel 2: gradients can overflow even under a finite loss.
-            if (!tensor::GradsFinite(params)) {
-              nan_event = true;
-            } else {
-              tensor::ClipGradNorm(params, tc.grad_clip_norm);
-              optimizer.Step();
-              // Sentinel 3: the Adam update itself (tiny v̂, large m̂) can
-              // still push a parameter out of range.
-              if (!tensor::ParamsFinite(params)) nan_event = true;
-            }
-          }
-          if (nan_event) break;
         }
         {
           obs::ScopedPhaseTimer timer(obs::Phase::kMemoryUpdate);
@@ -786,7 +795,8 @@ NodeClassificationResult RunNodeClassification(
   model_config.seed = tc.seed + 17;
   auto model =
       models::CreateModel(job.kind, &graph, model_config, job.num_users);
-  tensor::Adam optimizer(model->Parameters(), tc.learning_rate);
+  const std::vector<Var> params = model->Parameters();
+  tensor::Adam optimizer(params, tc.learning_rate);
   RandomEdgeSampler train_sampler(dst_lo, dst_hi, tc.seed + 1);
 
   const std::vector<Batch> train_batches =
@@ -853,20 +863,13 @@ NodeClassificationResult RunNodeClassification(
       Var loss;
       {
         obs::ScopedPhaseTimer timer(obs::Phase::kForward);
-        Tensor ones({pos->value.size()});
-        ones.Fill(1.0f);
-        Tensor zeros({neg->value.size()});
-        loss = expr::ScalarMul(
-            expr::Add(expr::Ex(BceWithLogits(pos, ones)),
-                      expr::Ex(BceWithLogits(neg, zeros))),
-            0.5f);
+        loss = PairBceLoss(pos, neg);
       }
-      {
-        obs::ScopedPhaseTimer timer(obs::Phase::kBackward);
-        optimizer.ZeroGrad();
-        Backward(loss);
-        tensor::ClipGradNorm(model->Parameters(), tc.grad_clip_norm);
-        optimizer.Step();
+      if (!GuardedStep(loss, params, tc.grad_clip_norm, &optimizer)) {
+        // Pretraining diverged: the embeddings would be NaN, so report
+        // the paper's non-convergence marker instead of fitting a decoder.
+        result.annotation = "x";
+        return result;
       }
       {
         obs::ScopedPhaseTimer timer(obs::Phase::kMemoryUpdate);

@@ -1,8 +1,6 @@
 #include "tensor/expr.h"
 
 #include <atomic>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -20,14 +18,8 @@ using kernels::fused::Instr;
 using kernels::fused::OpKind;
 using kernels::fused::Program;
 
-/// -1 = derive from the environment; 0/1 = forced by a test.
 // btlint: allow(mutable-static) — atomic test hook, relaxed loads only.
-std::atomic<int> g_fusion_override{-1};
-
-bool FusionFromEnv() {
-  const char* v = std::getenv("BENCHTEMP_FUSION");
-  return v == nullptr || *v == '\0' || std::strcmp(v, "0") != 0;
-}
+std::atomic<bool> g_fusion_enabled{true};
 
 /// Fused op names live on tape nodes (`VarNode::op` is a `const char*`),
 /// so composed names are interned once and never freed.
@@ -116,7 +108,7 @@ Bcast ClassifyBinary(const char* mismatch_message, const Ex& a, const Ex& b,
 }
 
 // ---------------------------------------------------------------------------
-// Eager replay (BENCHTEMP_FUSION=0): reproduces the per-op tape exactly.
+// Eager replay (fusion off): reproduces the per-op tape exactly.
 // ---------------------------------------------------------------------------
 
 Var Replay(const Ex::Node* n, std::unordered_map<const Ex::Node*, Var>& memo) {
@@ -306,14 +298,11 @@ Var Fuse(const NodePtr& root) {
 }  // namespace
 
 bool FusionEnabled() {
-  const int forced = g_fusion_override.load(std::memory_order_relaxed);
-  if (forced >= 0) return forced != 0;
-  static const bool from_env = FusionFromEnv();
-  return from_env;
+  return g_fusion_enabled.load(std::memory_order_relaxed);
 }
 
-void SetFusionEnabledForTest(int enabled) {
-  g_fusion_override.store(enabled, std::memory_order_relaxed);
+void SetFusionEnabledForTest(bool enabled) {
+  g_fusion_enabled.store(enabled, std::memory_order_relaxed);
 }
 
 Ex::Ex(const Var& v) : node_(MakeLeaf(v)) {}

@@ -33,10 +33,10 @@
 // recorded under (exactly like calling the eager ops directly). The fused
 // node's value/grad come from kernels::NewTensor like any eager node.
 //
-// BENCHTEMP_FUSION=0 (or SetFusionEnabledForTest(0)) routes Materialize()
-// back through the eager per-op tape path; results are bit-identical
-// either way, at any thread count, either BENCHTEMP_SIMD setting — the
-// digest-matrix tests assert this on whole training runs.
+// SetFusionEnabledForTest(false) routes Materialize() back through the
+// eager per-op tape path — the oracle the fused evaluator is tested and
+// benchmarked against. Results are bit-identical either way, at any thread
+// count; the digest-matrix tests assert this on whole training runs.
 
 namespace benchtemp::tensor::expr {
 
@@ -87,12 +87,12 @@ Ex Exp(const Ex& a);
 Ex Cos(const Ex& a);
 Ex Sin(const Ex& a);
 
-/// True unless BENCHTEMP_FUSION=0 (cached after the first call).
+/// True unless a test turned fusion off.
 bool FusionEnabled();
 
-/// Test hook: 1 forces fusion on, 0 off, -1 restores the environment-
-/// derived default.
-void SetFusionEnabledForTest(int enabled);
+/// Test and bench hook: false replays chains through the eager per-op
+/// tape; true restores the default.
+void SetFusionEnabledForTest(bool enabled);
 
 }  // namespace benchtemp::tensor::expr
 

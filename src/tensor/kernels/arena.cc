@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 
@@ -21,14 +20,8 @@ constexpr int64_t kBlockFloats = int64_t{1} << 20;
 /// for any current vector ISA).
 constexpr int64_t kAlignFloats = 16;
 
-/// -1 = derive from the environment; 0/1 = forced by a test.
 // btlint: allow(mutable-static) — atomic test hook, relaxed loads only.
-std::atomic<int> g_arena_override{-1};
-
-bool ArenaFromEnv() {
-  const char* v = std::getenv("BENCHTEMP_ARENA");
-  return v == nullptr || *v == '\0' || std::strcmp(v, "0") != 0;
-}
+std::atomic<bool> g_arena_enabled{true};
 
 int64_t AlignUp(int64_t n) {
   return (n + kAlignFloats - 1) / kAlignFloats * kAlignFloats;
@@ -42,14 +35,11 @@ void Poison(float* begin, int64_t n) {
 }  // namespace
 
 bool ArenaEnabled() {
-  const int forced = g_arena_override.load(std::memory_order_relaxed);
-  if (forced >= 0) return forced != 0;
-  static const bool from_env = ArenaFromEnv();
-  return from_env;
+  return g_arena_enabled.load(std::memory_order_relaxed);
 }
 
-void SetArenaEnabledForTest(int enabled) {
-  g_arena_override.store(enabled, std::memory_order_relaxed);
+void SetArenaEnabledForTest(bool enabled) {
+  g_arena_enabled.store(enabled, std::memory_order_relaxed);
 }
 
 Arena& Arena::ThreadLocal() {

@@ -35,9 +35,10 @@ namespace benchtemp::tensor::kernels {
 //     NaNs, so any read through a stale arena tensor surfaces loudly —
 //     the dynamic counterpart of the tape validator's released-grad poison.
 //
-// Disable with BENCHTEMP_ARENA=0 (every NewTensor then falls back to heap
-// storage); results are bit-identical either way, asserted by the kernel
-// digest-matrix tests.
+// SetArenaEnabledForTest(false) makes every NewTensor fall back to heap
+// storage — the leg of the digest matrix through which AddressSanitizer
+// sees tape-lifetime bugs the arena would otherwise mask. Results are
+// bit-identical either way, asserted by the kernel digest-matrix tests.
 
 class Arena {
  public:
@@ -101,12 +102,12 @@ class TapeScope {
   Arena::Mark mark_;
 };
 
-/// True unless BENCHTEMP_ARENA=0 (cached after the first call).
+/// True unless a test turned the arena off.
 bool ArenaEnabled();
 
-/// Test hook: 1 forces the arena on, 0 off, -1 restores the environment-
-/// derived default.
-void SetArenaEnabledForTest(int enabled);
+/// Test hook: false sends every NewTensor to the heap; true restores the
+/// default.
+void SetArenaEnabledForTest(bool enabled);
 
 /// A zero-filled tensor of `shape`, arena-backed when the calling thread
 /// has an open TapeScope and the arena is enabled, heap-backed otherwise.

@@ -2,79 +2,76 @@
 #include <cstdint>
 
 #include "tensor/kernels/kernels.h"
-#include "tensor/kernels/simd.h"
 #include "tensor/numeric.h"
 
 namespace benchtemp::tensor::kernels {
 
 namespace {
 
-// Each primitive's body is written once as an inline function; the public
-// entry dispatches between a plain wrapper (autovectorized — this file is
-// built with -O3 -ffp-contract=off) and a BENCHTEMP_NO_VECTORIZE wrapper.
-// The arithmetic is identical in both, so the BENCHTEMP_SIMD knob changes
-// speed, never bits.
-
-inline void AddBody(float* y, const float* x, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) y[i] += x[i];
-}
-inline void SubBody(float* y, const float* x, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) y[i] -= x[i];
-}
-inline void MulBody(float* y, const float* x, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) y[i] *= x[i];
-}
-inline void MulAddBody(float* y, const float* a, const float* b, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) y[i] += a[i] * b[i];
-}
-inline void AxpyBody(float* y, float s, const float* x, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) y[i] += s * x[i];
-}
-inline void ScaleBody(float* y, float s, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) y[i] *= s;
-}
-inline void AddScalarBody(float* y, float s, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) y[i] += s;
-}
-inline void SetBody(float* y, const float* x, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) y[i] = x[i];
-}
-inline void FillOutBody(float* y, float v, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) y[i] = v;
-}
-inline void AddOutBody(float* y, const float* a, const float* b, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) y[i] = a[i] + b[i];
-}
-inline void SubOutBody(float* y, const float* a, const float* b, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) y[i] = a[i] - b[i];
-}
-inline void MulOutBody(float* y, const float* a, const float* b, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) y[i] = a[i] * b[i];
-}
-inline void ScaleOutBody(float* y, float s, const float* x, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) y[i] = s * x[i];
-}
-inline void AddScalarOutBody(float* y, float s, const float* x, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) y[i] = x[i] + s;
-}
-
 inline float StableSigmoid(float x) {
   return x >= 0.0f ? 1.0f / (1.0f + std::exp(-x))
                    : std::exp(x) / (1.0f + std::exp(x));
 }
 
-inline void SigmoidForwardBody(const float* x, float* y, int64_t n) {
+}  // namespace
+
+// Each primitive is one plain loop the compiler autovectorizes (this file
+// is built with -O3 -ffp-contract=off). Reductions stripe over kLanes
+// accumulators — lane l owns x[l], x[l + kLanes], ... — and combine the
+// lanes in a fixed pairwise order: the reduction tree of the determinism
+// contract.
+
+void Add(float* y, const float* x, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) y[i] += x[i];
+}
+void Sub(float* y, const float* x, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) y[i] -= x[i];
+}
+void Mul(float* y, const float* x, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) y[i] *= x[i];
+}
+void MulAdd(float* y, const float* a, const float* b, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) y[i] += a[i] * b[i];
+}
+void Axpy(float* y, float s, const float* x, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) y[i] += s * x[i];
+}
+void Scale(float* y, float s, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) y[i] *= s;
+}
+void AddScalar(float* y, float s, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) y[i] += s;
+}
+void Set(float* y, const float* x, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) y[i] = x[i];
+}
+void FillOut(float* y, float v, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) y[i] = v;
+}
+void AddOut(float* y, const float* a, const float* b, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) y[i] = a[i] + b[i];
+}
+void SubOut(float* y, const float* a, const float* b, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) y[i] = a[i] - b[i];
+}
+void MulOut(float* y, const float* a, const float* b, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) y[i] = a[i] * b[i];
+}
+void ScaleOut(float* y, float s, const float* x, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) y[i] = s * x[i];
+}
+void AddScalarOut(float* y, float s, const float* x, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) y[i] = x[i] + s;
+}
+
+void SigmoidForward(const float* x, float* y, int64_t n) {
   for (int64_t i = 0; i < n; ++i) y[i] = StableSigmoid(x[i]);
 }
-inline void SigmoidBackwardBody(float* gx, const float* gy, const float* y,
-                                int64_t n) {
+void SigmoidBackward(float* gx, const float* gy, const float* y, int64_t n) {
   for (int64_t i = 0; i < n; ++i) gx[i] += gy[i] * y[i] * (1.0f - y[i]);
 }
 
-/// Striped-lane sum: lane l owns x[l], x[l + kLanes], ...; lanes combine
-/// in a fixed pairwise order (the reduction tree of the determinism
-/// contract).
-inline float ReduceSumBody(const float* x, int64_t n) {
+float ReduceSum(const float* x, int64_t n) {
   float lanes[kLanes] = {};
   const int64_t main = n / kLanes * kLanes;
   for (int64_t i = 0; i < main; i += kLanes) {
@@ -85,7 +82,7 @@ inline float ReduceSumBody(const float* x, int64_t n) {
          ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]));
 }
 
-inline float DotBody(const float* a, const float* b, int64_t n) {
+float Dot(const float* a, const float* b, int64_t n) {
   float lanes[kLanes] = {};
   const int64_t main = n / kLanes * kLanes;
   for (int64_t i = 0; i < main; i += kLanes) {
@@ -94,208 +91,6 @@ inline float DotBody(const float* a, const float* b, int64_t n) {
   for (int64_t i = main; i < n; ++i) lanes[i - main] += a[i] * b[i];
   return ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) +
          ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]));
-}
-
-// Scalar (never-vectorized) twins.
-
-BENCHTEMP_NO_VECTORIZE
-void AddScalarPath(float* y, const float* x, int64_t n) { AddBody(y, x, n); }
-BENCHTEMP_NO_VECTORIZE
-void SubScalarPath(float* y, const float* x, int64_t n) { SubBody(y, x, n); }
-BENCHTEMP_NO_VECTORIZE
-void MulScalarPath(float* y, const float* x, int64_t n) { MulBody(y, x, n); }
-BENCHTEMP_NO_VECTORIZE
-void MulAddScalarPath(float* y, const float* a, const float* b, int64_t n) {
-  MulAddBody(y, a, b, n);
-}
-BENCHTEMP_NO_VECTORIZE
-void AxpyScalarPath(float* y, float s, const float* x, int64_t n) {
-  AxpyBody(y, s, x, n);
-}
-BENCHTEMP_NO_VECTORIZE
-void ScaleScalarPath(float* y, float s, int64_t n) { ScaleBody(y, s, n); }
-BENCHTEMP_NO_VECTORIZE
-void AddScalarScalarPath(float* y, float s, int64_t n) {
-  AddScalarBody(y, s, n);
-}
-BENCHTEMP_NO_VECTORIZE
-void SetScalarPath(float* y, const float* x, int64_t n) { SetBody(y, x, n); }
-BENCHTEMP_NO_VECTORIZE
-void FillOutScalarPath(float* y, float v, int64_t n) { FillOutBody(y, v, n); }
-BENCHTEMP_NO_VECTORIZE
-void AddOutScalarPath(float* y, const float* a, const float* b, int64_t n) {
-  AddOutBody(y, a, b, n);
-}
-BENCHTEMP_NO_VECTORIZE
-void SubOutScalarPath(float* y, const float* a, const float* b, int64_t n) {
-  SubOutBody(y, a, b, n);
-}
-BENCHTEMP_NO_VECTORIZE
-void MulOutScalarPath(float* y, const float* a, const float* b, int64_t n) {
-  MulOutBody(y, a, b, n);
-}
-BENCHTEMP_NO_VECTORIZE
-void ScaleOutScalarPath(float* y, float s, const float* x, int64_t n) {
-  ScaleOutBody(y, s, x, n);
-}
-BENCHTEMP_NO_VECTORIZE
-void AddScalarOutScalarPath(float* y, float s, const float* x, int64_t n) {
-  AddScalarOutBody(y, s, x, n);
-}
-BENCHTEMP_NO_VECTORIZE
-void SigmoidForwardScalarPath(const float* x, float* y, int64_t n) {
-  SigmoidForwardBody(x, y, n);
-}
-BENCHTEMP_NO_VECTORIZE
-void SigmoidBackwardScalarPath(float* gx, const float* gy, const float* y,
-                               int64_t n) {
-  SigmoidBackwardBody(gx, gy, y, n);
-}
-BENCHTEMP_NO_VECTORIZE
-float ReduceSumScalarPath(const float* x, int64_t n) {
-  return ReduceSumBody(x, n);
-}
-BENCHTEMP_NO_VECTORIZE
-float DotScalarPath(const float* a, const float* b, int64_t n) {
-  return DotBody(a, b, n);
-}
-
-}  // namespace
-
-void Add(float* y, const float* x, int64_t n) {
-  if (SimdEnabled()) {
-    AddBody(y, x, n);
-  } else {
-    AddScalarPath(y, x, n);
-  }
-}
-
-void Sub(float* y, const float* x, int64_t n) {
-  if (SimdEnabled()) {
-    SubBody(y, x, n);
-  } else {
-    SubScalarPath(y, x, n);
-  }
-}
-
-void Mul(float* y, const float* x, int64_t n) {
-  if (SimdEnabled()) {
-    MulBody(y, x, n);
-  } else {
-    MulScalarPath(y, x, n);
-  }
-}
-
-void MulAdd(float* y, const float* a, const float* b, int64_t n) {
-  if (SimdEnabled()) {
-    MulAddBody(y, a, b, n);
-  } else {
-    MulAddScalarPath(y, a, b, n);
-  }
-}
-
-void Axpy(float* y, float s, const float* x, int64_t n) {
-  if (SimdEnabled()) {
-    AxpyBody(y, s, x, n);
-  } else {
-    AxpyScalarPath(y, s, x, n);
-  }
-}
-
-void Scale(float* y, float s, int64_t n) {
-  if (SimdEnabled()) {
-    ScaleBody(y, s, n);
-  } else {
-    ScaleScalarPath(y, s, n);
-  }
-}
-
-void AddScalar(float* y, float s, int64_t n) {
-  if (SimdEnabled()) {
-    AddScalarBody(y, s, n);
-  } else {
-    AddScalarScalarPath(y, s, n);
-  }
-}
-
-void Set(float* y, const float* x, int64_t n) {
-  if (SimdEnabled()) {
-    SetBody(y, x, n);
-  } else {
-    SetScalarPath(y, x, n);
-  }
-}
-
-void FillOut(float* y, float v, int64_t n) {
-  if (SimdEnabled()) {
-    FillOutBody(y, v, n);
-  } else {
-    FillOutScalarPath(y, v, n);
-  }
-}
-
-void AddOut(float* y, const float* a, const float* b, int64_t n) {
-  if (SimdEnabled()) {
-    AddOutBody(y, a, b, n);
-  } else {
-    AddOutScalarPath(y, a, b, n);
-  }
-}
-
-void SubOut(float* y, const float* a, const float* b, int64_t n) {
-  if (SimdEnabled()) {
-    SubOutBody(y, a, b, n);
-  } else {
-    SubOutScalarPath(y, a, b, n);
-  }
-}
-
-void MulOut(float* y, const float* a, const float* b, int64_t n) {
-  if (SimdEnabled()) {
-    MulOutBody(y, a, b, n);
-  } else {
-    MulOutScalarPath(y, a, b, n);
-  }
-}
-
-void ScaleOut(float* y, float s, const float* x, int64_t n) {
-  if (SimdEnabled()) {
-    ScaleOutBody(y, s, x, n);
-  } else {
-    ScaleOutScalarPath(y, s, x, n);
-  }
-}
-
-void AddScalarOut(float* y, float s, const float* x, int64_t n) {
-  if (SimdEnabled()) {
-    AddScalarOutBody(y, s, x, n);
-  } else {
-    AddScalarOutScalarPath(y, s, x, n);
-  }
-}
-
-void SigmoidForward(const float* x, float* y, int64_t n) {
-  if (SimdEnabled()) {
-    SigmoidForwardBody(x, y, n);
-  } else {
-    SigmoidForwardScalarPath(x, y, n);
-  }
-}
-
-void SigmoidBackward(float* gx, const float* gy, const float* y, int64_t n) {
-  if (SimdEnabled()) {
-    SigmoidBackwardBody(gx, gy, y, n);
-  } else {
-    SigmoidBackwardScalarPath(gx, gy, y, n);
-  }
-}
-
-float ReduceSum(const float* x, int64_t n) {
-  return SimdEnabled() ? ReduceSumBody(x, n) : ReduceSumScalarPath(x, n);
-}
-
-float Dot(const float* a, const float* b, int64_t n) {
-  return SimdEnabled() ? DotBody(a, b, n) : DotScalarPath(a, b, n);
 }
 
 void SoftmaxRow(const float* in, const float* mask, int64_t d, float* out) {

@@ -23,9 +23,8 @@
 // reductions), rows are chunked by the shared shape-only RowGrain policy,
 // and row-broadcast gradients are staged per instruction and reduced
 // serially in ascending row order — so fused results are bit-identical to
-// the eager per-op tape at any thread count and either BENCHTEMP_SIMD
-// setting. This TU is compiled with -O3 -ffp-contract=off like the rest of
-// the kernel layer.
+// the eager per-op tape at any thread count. This TU is compiled with -O3
+// -ffp-contract=off like the rest of the kernel layer.
 
 namespace benchtemp::tensor::kernels::fused {
 

@@ -5,7 +5,6 @@
 #include "runtime/grain.h"
 #include "runtime/thread_pool.h"
 #include "tensor/kernels/kernels.h"
-#include "tensor/kernels/simd.h"
 
 namespace benchtemp::tensor::kernels {
 
@@ -22,8 +21,8 @@ constexpr int64_t kKc = 64;
 
 /// Forward chunk body: C[i0..i1) += A * B, kKc-blocked over k with an
 /// MR-row register tile. Each C element accumulates in strictly increasing
-/// k order (the fixed reduction tree of the GEMM family), so the scalar
-/// and vector paths — and any thread count — produce identical bits.
+/// k order (the fixed reduction tree of the GEMM family), so any thread
+/// count produces identical bits.
 inline void GemmChunk(const float* a, const float* b, float* c, int64_t i0,
                       int64_t i1, int64_t k, int64_t m) {
   for (int64_t pp = 0; pp < k; pp += kKc) {
@@ -59,15 +58,9 @@ inline void GemmChunk(const float* a, const float* b, float* c, int64_t i0,
   }
 }
 
-BENCHTEMP_NO_VECTORIZE
-void GemmChunkScalar(const float* a, const float* b, float* c, int64_t i0,
-                     int64_t i1, int64_t k, int64_t m) {
-  GemmChunk(a, b, c, i0, i1, k, m);
-}
-
-/// Striped-lane dot of two contiguous spans; shared by GemmNT and the
-/// public Dot. Lane l owns x[l], x[l + kLanes], ... and the lanes combine
-/// in a fixed pairwise order.
+/// Striped-lane dot of two contiguous spans, inlined into GemmNT's inner
+/// loop: the same lane tree as the public Dot, so a dA entry carries the
+/// same bits Dot would give it.
 inline float DotBody(const float* x, const float* y, int64_t n) {
   float lanes[kLanes] = {};
   const int64_t main = n / kLanes * kLanes;
@@ -87,12 +80,6 @@ inline void GemmNTChunk(const float* dc, const float* b, float* da,
     float* darow = da + i * k;
     for (int64_t l = 0; l < k; ++l) darow[l] += DotBody(dcrow, b + l * m, m);
   }
-}
-
-BENCHTEMP_NO_VECTORIZE
-void GemmNTChunkScalar(const float* dc, const float* b, float* da,
-                       int64_t i0, int64_t i1, int64_t k, int64_t m) {
-  GemmNTChunk(dc, b, da, i0, i1, k, m);
 }
 
 /// Backward-for-B chunk: dB rows [l0, l1) accumulate over samples i in
@@ -132,13 +119,6 @@ inline void GemmTNChunk(const float* a, const float* dc, float* db,
   }
 }
 
-BENCHTEMP_NO_VECTORIZE
-void GemmTNChunkScalar(const float* a, const float* dc, float* db,
-                       int64_t l0, int64_t l1, int64_t n, int64_t k,
-                       int64_t m) {
-  GemmTNChunk(a, dc, db, l0, l1, n, k, m);
-}
-
 }  // namespace
 
 void CountFlops(int64_t flops) {
@@ -150,42 +130,27 @@ void CountFlops(int64_t flops) {
 void Gemm(const float* a, const float* b, float* c, int64_t n, int64_t k,
           int64_t m) {
   CountFlops(2 * n * k * m);
-  const bool vec = SimdEnabled();
   runtime::ParallelFor(0, n, runtime::RowGrain(k * m),
                        [&](int64_t i0, int64_t i1) {
-                         if (vec) {
-                           GemmChunk(a, b, c, i0, i1, k, m);
-                         } else {
-                           GemmChunkScalar(a, b, c, i0, i1, k, m);
-                         }
+                         GemmChunk(a, b, c, i0, i1, k, m);
                        });
 }
 
 void GemmNT(const float* dc, const float* b, float* da, int64_t n, int64_t k,
             int64_t m) {
   CountFlops(2 * n * k * m);
-  const bool vec = SimdEnabled();
   runtime::ParallelFor(0, n, runtime::RowGrain(k * m),
                        [&](int64_t i0, int64_t i1) {
-                         if (vec) {
-                           GemmNTChunk(dc, b, da, i0, i1, k, m);
-                         } else {
-                           GemmNTChunkScalar(dc, b, da, i0, i1, k, m);
-                         }
+                         GemmNTChunk(dc, b, da, i0, i1, k, m);
                        });
 }
 
 void GemmTN(const float* a, const float* dc, float* db, int64_t n, int64_t k,
             int64_t m) {
   CountFlops(2 * n * k * m);
-  const bool vec = SimdEnabled();
   runtime::ParallelFor(0, k, runtime::RowGrain(n * m),
                        [&](int64_t l0, int64_t l1) {
-                         if (vec) {
-                           GemmTNChunk(a, dc, db, l0, l1, n, k, m);
-                         } else {
-                           GemmTNChunkScalar(a, dc, db, l0, l1, n, k, m);
-                         }
+                         GemmTNChunk(a, dc, db, l0, l1, n, k, m);
                        });
 }
 

@@ -15,19 +15,23 @@
 //     invoke these on [lo, hi) sub-spans, so the chunking (and therefore
 //     the obs ParallelFor counters) is unchanged by the kernel layer.
 //
-// Every primitive has a vector path (plain fixed-width loops the compiler
-// autovectorizes; this translation unit is built with -O3
-// -ffp-contract=off) and a scalar fallback selected by BENCHTEMP_SIMD=0.
-// Both paths execute the identical fixed accumulation tree — reductions
-// stripe over simd.h's kLanes accumulators combined in a fixed pairwise
-// order, GEMM accumulates each output element in strictly increasing
-// inner-dimension order — so results are bit-identical across
-// BENCHTEMP_SIMD=0/1 and across thread counts.
+// Every primitive is one plain fixed-width loop the compiler autovectorizes
+// (the kernel translation units are built with -O3 -ffp-contract=off, so
+// no a*b+c is ever contracted into an FMA). Each executes a fixed
+// accumulation tree — reductions stripe over kLanes accumulators combined
+// in a fixed pairwise order, GEMM accumulates each output element in
+// strictly increasing inner-dimension order — and chunk boundaries come
+// from runtime::RowGrain, so results are bit-identical across thread
+// counts.
 //
 // Raw pointers only: this layer is the hot path, and the btlint
 // `hot-loop-at` rule rejects bounds-checked `.at(` inside it.
 
 namespace benchtemp::tensor::kernels {
+
+/// Lane width of every striped reduction. Eight float32 lanes cover one
+/// AVX register (or two SSE registers) without committing to either ISA.
+inline constexpr int kLanes = 8;
 
 // ---------------------------------------------------------------------------
 // GEMM family (row-major, contiguous; output is accumulated into, so

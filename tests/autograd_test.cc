@@ -11,7 +11,6 @@
 #include "obs/metrics.h"
 #include "runtime/thread_pool.h"
 #include "tensor/expr.h"
-#include "tensor/kernels/simd.h"
 #include "tensor/numeric.h"
 #include "tensor/random.h"
 #include "tensor/tensor.h"
@@ -506,7 +505,7 @@ TEST(AutogradTest, ProjectGatheredTableNeverReceivesGradient) {
             0);
 }
 
-TEST(AutogradTest, ProjectBitIdenticalAcrossThreadsAndSimd) {
+TEST(AutogradTest, ProjectBitIdenticalAcrossThreads) {
   Rng rng(54);
   std::vector<int32_t> idx(300);
   for (int32_t& i : idx) i = NarrowId(rng.UniformInt(64), "row");
@@ -515,14 +514,10 @@ TEST(AutogradTest, ProjectBitIdenticalAcrossThreadsAndSimd) {
   const int original_threads = pool.num_threads();
   std::vector<ProjectRun> runs;
   for (const int threads : {1, 8}) {
-    for (const int simd : {0, 1}) {
-      pool.SetNumThreads(threads);
-      kernels::SetSimdEnabledForTest(simd);
-      runs.push_back(RunProject(in, /*oracle=*/false));
-    }
+    pool.SetNumThreads(threads);
+    runs.push_back(RunProject(in, /*oracle=*/false));
   }
   pool.SetNumThreads(original_threads);
-  kernels::SetSimdEnabledForTest(-1);
   auto same_bits = [](const Tensor& x, const Tensor& y) {
     return x.size() == y.size() &&
            std::memcmp(x.data(), y.data(),

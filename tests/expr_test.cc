@@ -2,7 +2,7 @@
 // checking at composition time, broadcast rules (leaves only), gradient
 // correctness against numeric differentiation, and the core contract —
 // fused chains are BIT-identical to the eager per-op tape for both values
-// and gradients, at either BENCHTEMP_SIMD setting.
+// and gradients.
 
 #include "tensor/expr.h"
 
@@ -17,7 +17,6 @@
 #include "tensor/autograd.h"
 #include "tensor/debug_check.h"
 #include "tensor/kernels/arena.h"
-#include "tensor/kernels/simd.h"
 #include "tensor/random.h"
 #include "tensor/tensor.h"
 
@@ -27,9 +26,8 @@ namespace {
 class ExprTest : public ::testing::Test {
  protected:
   void TearDown() override {
-    expr::SetFusionEnabledForTest(-1);
-    kernels::SetSimdEnabledForTest(-1);
-    kernels::SetArenaEnabledForTest(-1);
+    expr::SetFusionEnabledForTest(true);
+    kernels::SetArenaEnabledForTest(true);
   }
 };
 
@@ -233,24 +231,8 @@ TEST_F(ExprTest, SubMatchesEagerBitwise) {
   EXPECT_EQ(BitsOf(b1->grad), BitsOf(b2->grad));
 }
 
-TEST_F(ExprTest, FusedMatchesEagerWithSimdOff) {
-  kernels::SetSimdEnabledForTest(0);
-  Rng rng(10);
-  Var x1 = Parameter(Tensor::Randn({11, 7}, rng));
-  Var b1 = Parameter(Tensor::Randn({1, 7}, rng));
-  Var x2 = Parameter(x1->value);
-  Var b2 = Parameter(b1->value);
-  Var fused = expr::Sigmoid(expr::Add(expr::Ex(x1), expr::Ex(b1)));
-  Var eager = Sigmoid(Add(x2, b2));
-  EXPECT_EQ(BitsOf(fused->value), BitsOf(eager->value));
-  Backward(Sum(fused));
-  Backward(Sum(eager));
-  EXPECT_EQ(BitsOf(x1->grad), BitsOf(x2->grad));
-  EXPECT_EQ(BitsOf(b1->grad), BitsOf(b2->grad));
-}
-
 TEST_F(ExprTest, EscapeHatchReplaysEagerTape) {
-  expr::SetFusionEnabledForTest(0);
+  expr::SetFusionEnabledForTest(false);
   Rng rng(11);
   Var x = Parameter(Tensor::Randn({3, 4}, rng));
   Var y = Parameter(Tensor::Randn({3, 4}, rng));
@@ -295,7 +277,7 @@ TEST_F(ExprTest, ConstantsGetNoGradient) {
 }
 
 TEST_F(ExprTest, FusedChainAllocatesOneArenaTensorPerPass) {
-  kernels::SetArenaEnabledForTest(1);
+  kernels::SetArenaEnabledForTest(true);
   Rng rng(13);
   Tensor xv = Tensor::Randn({16, 8}, rng);
   Tensor yv = Tensor::Randn({16, 8}, rng);

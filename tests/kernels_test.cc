@@ -1,8 +1,9 @@
 // Tests for the kernel layer (src/tensor/kernels/): numerical correctness
-// against naive references, the BENCHTEMP_SIMD=0/1 and thread-count
-// bit-identity contract, the tape-scoped arena's lifetime rules (including
-// the BENCHTEMP_CHECK NaN poison), and the 8-way digest matrix over small
-// end-to-end training runs.
+// against naive references (bit-exact for the elementwise primitives and
+// the lane-tree reductions), the thread-count bit-identity contract, the
+// tape-scoped arena's lifetime rules (including the BENCHTEMP_CHECK NaN
+// poison), and the {threads} x {arena} digest matrix over small end-to-end
+// training runs.
 
 #include "tensor/kernels/kernels.h"
 
@@ -26,7 +27,6 @@
 #include "tensor/debug_check.h"
 #include "tensor/expr.h"
 #include "tensor/kernels/arena.h"
-#include "tensor/kernels/simd.h"
 #include "tensor/random.h"
 #include "tensor/tensor.h"
 
@@ -61,7 +61,7 @@ std::vector<float> RandomVec(int64_t n, uint64_t seed) {
   return v;
 }
 
-/// Restores SIMD/arena/debug-check overrides, the thread count, and the
+/// Restores arena/fusion/debug-check overrides, the thread count, and the
 /// metric registry no matter how a test exits.
 class KernelsTest : public ::testing::Test {
  protected:
@@ -69,9 +69,8 @@ class KernelsTest : public ::testing::Test {
     original_threads_ = runtime::ThreadPool::Global().num_threads();
   }
   void TearDown() override {
-    kernels::SetSimdEnabledForTest(-1);
-    kernels::SetArenaEnabledForTest(-1);
-    tensor::expr::SetFusionEnabledForTest(-1);
+    kernels::SetArenaEnabledForTest(true);
+    tensor::expr::SetFusionEnabledForTest(true);
     tensor::debug_check::SetEnabledForTest(false);
     obs::MetricRegistry::OverrideEnabledForTest(-1);
     obs::MetricRegistry::Global().Reset();
@@ -163,75 +162,149 @@ TEST_F(KernelsTest, BceMatchesStableFormula) {
   EXPECT_NEAR(mean, want / static_cast<double>(n), 1e-4);
 }
 
-// ---------------------------------------------------------------------------
-// Bit-identity: vector vs scalar path, 1 vs 8 threads.
-// ---------------------------------------------------------------------------
-
-TEST_F(KernelsTest, VectorAndScalarPathsBitIdentical) {
-  // Sizes with ragged tails (not multiples of kLanes or the GEMM tiles).
-  const int64_t n = 37, k = 67, m = 19;
-  const std::vector<float> a = RandomVec(n * k, 11);
-  const std::vector<float> b = RandomVec(k * m, 12);
-  const std::vector<float> x = RandomVec(n * m, 13);
-  const std::vector<float> y = RandomVec(n * m, 14);
-
-  auto run_all = [&]() {
-    std::vector<float> out;
-    std::vector<float> buf(static_cast<size_t>(n * m), 0.0f);
-    kernels::Gemm(a.data(), b.data(), buf.data(), n, k, m);
-    out.insert(out.end(), buf.begin(), buf.end());
-    std::fill(buf.begin(), buf.end(), 0.0f);
-    kernels::GemmNT(x.data(), b.data(), buf.data(), n, m, m);
-    out.insert(out.end(), buf.begin(), buf.end());
-    std::vector<float> db(static_cast<size_t>(m * m), 0.0f);
-    kernels::GemmTN(x.data(), y.data(), db.data(), n, m, m);
-    out.insert(out.end(), db.begin(), db.end());
-
-    out.push_back(kernels::ReduceSum(x.data(), n * m));
-    out.push_back(kernels::Dot(x.data(), y.data(), n * m));
-
-    buf = x;
-    kernels::Add(buf.data(), y.data(), n * m);
-    kernels::Mul(buf.data(), y.data(), n * m);
-    kernels::Sub(buf.data(), y.data(), n * m);
-    kernels::MulAdd(buf.data(), x.data(), y.data(), n * m);
-    kernels::Axpy(buf.data(), 0.37f, y.data(), n * m);
-    kernels::Scale(buf.data(), 1.13f, n * m);
-    kernels::AddScalar(buf.data(), -0.21f, n * m);
-    out.insert(out.end(), buf.begin(), buf.end());
-
-    kernels::AddOut(buf.data(), x.data(), y.data(), n * m);
-    kernels::SubOut(buf.data(), x.data(), y.data(), n * m);
-    kernels::MulOut(buf.data(), x.data(), y.data(), n * m);
-    kernels::ScaleOut(buf.data(), -2.5f, x.data(), n * m);
-    kernels::AddScalarOut(buf.data(), 0.44f, x.data(), n * m);
-    out.insert(out.end(), buf.begin(), buf.end());
-
-    std::vector<float> sig(static_cast<size_t>(n * m));
-    kernels::SigmoidForward(x.data(), sig.data(), n * m);
-    std::vector<float> gx(static_cast<size_t>(n * m), 0.0f);
-    kernels::SigmoidBackward(gx.data(), y.data(), sig.data(), n * m);
-    out.insert(out.end(), sig.begin(), sig.end());
-    out.insert(out.end(), gx.begin(), gx.end());
-
-    std::vector<float> soft(static_cast<size_t>(m));
-    kernels::SoftmaxRow(x.data(), nullptr, m, soft.data());
-    out.insert(out.end(), soft.begin(), soft.end());
-
-    std::vector<float> targets(static_cast<size_t>(n), 1.0f);
-    out.push_back(kernels::BceForwardMean(x.data(), targets.data(), n));
-    std::vector<float> g(static_cast<size_t>(n), 0.0f);
-    kernels::BceBackward(g.data(), x.data(), targets.data(), 0.5f, n);
-    out.insert(out.end(), g.begin(), g.end());
-    return out;
-  };
-
-  kernels::SetSimdEnabledForTest(1);
-  const auto vec = run_all();
-  kernels::SetSimdEnabledForTest(0);
-  const auto scalar = run_all();
-  EXPECT_EQ(BitsOf(vec), BitsOf(scalar));
+/// The determinism contract's reduction tree, written out: lane l sums
+/// terms l, l + 8, l + 16, ... in order; the lanes combine pairwise.
+float LaneTreeSum(const std::vector<float>& terms) {
+  float lane[8] = {};
+  for (size_t i = 0; i < terms.size(); ++i) lane[i % 8] += terms[i];
+  return ((lane[0] + lane[1]) + (lane[2] + lane[3])) +
+         ((lane[4] + lane[5]) + (lane[6] + lane[7]));
 }
+
+float ReferenceSigmoid(float x) {
+  return x >= 0.0f ? 1.0f / (1.0f + std::exp(-x))
+                   : std::exp(x) / (1.0f + std::exp(x));
+}
+
+TEST_F(KernelsTest, ElementwiseMatchNaiveReferences) {
+  // Lengths around the 8-lane block width exercise the empty,
+  // remainder-only, exact-block and block-plus-remainder shapes; several
+  // draws per length make a misordered reduction tree show in the bits.
+  for (const int64_t n : {0, 1, 7, 8, 9, 1000}) {
+    for (const uint64_t seed : {31, 32, 33, 34}) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " seed=" + std::to_string(seed));
+      const std::vector<float> x = RandomVec(n, seed);
+      const std::vector<float> a = RandomVec(n, seed + 100);
+      const std::vector<float> b = RandomVec(n, seed + 200);
+      const float s = 0.37f;
+
+      // Every primitive runs over a copy of x; its reference loop updates
+      // another copy, and the two must agree bit for bit.
+      std::vector<float> got, want;
+      auto reset = [&] {
+        got = x;
+        want = x;
+      };
+      reset();
+      kernels::Add(got.data(), a.data(), n);
+      for (size_t i = 0; i < x.size(); ++i) want[i] += a[i];
+      EXPECT_EQ(BitsOf(got), BitsOf(want)) << "Add";
+
+      reset();
+      kernels::Sub(got.data(), a.data(), n);
+      for (size_t i = 0; i < x.size(); ++i) want[i] -= a[i];
+      EXPECT_EQ(BitsOf(got), BitsOf(want)) << "Sub";
+
+      reset();
+      kernels::Mul(got.data(), a.data(), n);
+      for (size_t i = 0; i < x.size(); ++i) want[i] *= a[i];
+      EXPECT_EQ(BitsOf(got), BitsOf(want)) << "Mul";
+
+      reset();
+      kernels::MulAdd(got.data(), a.data(), b.data(), n);
+      for (size_t i = 0; i < x.size(); ++i) want[i] += a[i] * b[i];
+      EXPECT_EQ(BitsOf(got), BitsOf(want)) << "MulAdd";
+
+      reset();
+      kernels::Axpy(got.data(), s, a.data(), n);
+      for (size_t i = 0; i < x.size(); ++i) want[i] += s * a[i];
+      EXPECT_EQ(BitsOf(got), BitsOf(want)) << "Axpy";
+
+      reset();
+      kernels::Scale(got.data(), s, n);
+      for (size_t i = 0; i < x.size(); ++i) want[i] *= s;
+      EXPECT_EQ(BitsOf(got), BitsOf(want)) << "Scale";
+
+      reset();
+      kernels::AddScalar(got.data(), s, n);
+      for (size_t i = 0; i < x.size(); ++i) want[i] += s;
+      EXPECT_EQ(BitsOf(got), BitsOf(want)) << "AddScalar";
+
+      reset();
+      kernels::Set(got.data(), a.data(), n);
+      for (size_t i = 0; i < x.size(); ++i) want[i] = a[i];
+      EXPECT_EQ(BitsOf(got), BitsOf(want)) << "Set";
+
+      reset();
+      kernels::FillOut(got.data(), s, n);
+      for (size_t i = 0; i < x.size(); ++i) want[i] = s;
+      EXPECT_EQ(BitsOf(got), BitsOf(want)) << "FillOut";
+
+      reset();
+      kernels::AddOut(got.data(), a.data(), b.data(), n);
+      for (size_t i = 0; i < x.size(); ++i) want[i] = a[i] + b[i];
+      EXPECT_EQ(BitsOf(got), BitsOf(want)) << "AddOut";
+
+      reset();
+      kernels::SubOut(got.data(), a.data(), b.data(), n);
+      for (size_t i = 0; i < x.size(); ++i) want[i] = a[i] - b[i];
+      EXPECT_EQ(BitsOf(got), BitsOf(want)) << "SubOut";
+
+      reset();
+      kernels::MulOut(got.data(), a.data(), b.data(), n);
+      for (size_t i = 0; i < x.size(); ++i) want[i] = a[i] * b[i];
+      EXPECT_EQ(BitsOf(got), BitsOf(want)) << "MulOut";
+
+      reset();
+      kernels::ScaleOut(got.data(), s, a.data(), n);
+      for (size_t i = 0; i < x.size(); ++i) want[i] = s * a[i];
+      EXPECT_EQ(BitsOf(got), BitsOf(want)) << "ScaleOut";
+
+      reset();
+      kernels::AddScalarOut(got.data(), s, a.data(), n);
+      for (size_t i = 0; i < x.size(); ++i) want[i] = a[i] + s;
+      EXPECT_EQ(BitsOf(got), BitsOf(want)) << "AddScalarOut";
+
+      reset();
+      kernels::SigmoidForward(a.data(), got.data(), n);
+      for (size_t i = 0; i < x.size(); ++i) want[i] = ReferenceSigmoid(a[i]);
+      EXPECT_EQ(BitsOf(got), BitsOf(want)) << "SigmoidForward";
+
+      std::vector<float> sig(b.size());
+      for (size_t i = 0; i < b.size(); ++i) sig[i] = ReferenceSigmoid(b[i]);
+      reset();
+      kernels::SigmoidBackward(got.data(), a.data(), sig.data(), n);
+      for (size_t i = 0; i < x.size(); ++i) {
+        want[i] += a[i] * sig[i] * (1.0f - sig[i]);
+      }
+      EXPECT_EQ(BitsOf(got), BitsOf(want)) << "SigmoidBackward";
+
+      // Reductions: bit-exact against the written-out lane tree, and close
+      // to a double-precision sum — relative to the sum of magnitudes, the
+      // scale of float summation error.
+      std::vector<float> products(a.size());
+      double sum = 0.0, sum_abs = 0.0, dot = 0.0, dot_abs = 0.0;
+      for (size_t i = 0; i < a.size(); ++i) {
+        products[i] = a[i] * b[i];
+        const double term = static_cast<double>(a[i]) * b[i];
+        sum += a[i];
+        sum_abs += std::fabs(a[i]);
+        dot += term;
+        dot_abs += std::fabs(term);
+      }
+      const float reduce_sum = kernels::ReduceSum(a.data(), n);
+      const float dot_product = kernels::Dot(a.data(), b.data(), n);
+      EXPECT_EQ(BitsOf(reduce_sum), BitsOf(LaneTreeSum(a))) << "ReduceSum";
+      EXPECT_EQ(BitsOf(dot_product), BitsOf(LaneTreeSum(products))) << "Dot";
+      EXPECT_NEAR(reduce_sum, sum, 1e-5 * sum_abs) << "ReduceSum";
+      EXPECT_NEAR(dot_product, dot, 1e-5 * dot_abs) << "Dot";
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Bit-identity: 1 vs 8 threads.
+// ---------------------------------------------------------------------------
 
 TEST_F(KernelsTest, GemmBitIdenticalAcrossThreadCounts) {
   const int64_t n = 300, k = 40, m = 24;  // big enough to split into chunks
@@ -258,7 +331,7 @@ TEST_F(KernelsTest, GemmBitIdenticalAcrossThreadCounts) {
 // ---------------------------------------------------------------------------
 
 TEST_F(KernelsTest, NewTensorUsesArenaOnlyInsideScope) {
-  kernels::SetArenaEnabledForTest(1);
+  kernels::SetArenaEnabledForTest(true);
   Tensor outside = kernels::NewTensor({4, 4});
   EXPECT_FALSE(outside.arena_backed());
   {
@@ -271,15 +344,15 @@ TEST_F(KernelsTest, NewTensorUsesArenaOnlyInsideScope) {
     }
   }
   EXPECT_EQ(kernels::Arena::ThreadLocal().LiveFloats(), 0);
-  // BENCHTEMP_ARENA=0: heap even inside a scope.
-  kernels::SetArenaEnabledForTest(0);
+  // Arena off: heap even inside a scope.
+  kernels::SetArenaEnabledForTest(false);
   kernels::TapeScope scope;
   Tensor disabled = kernels::NewTensor({4, 4});
   EXPECT_FALSE(disabled.arena_backed());
 }
 
 TEST_F(KernelsTest, ScopesNestAndRewindToTheirOwnMark) {
-  kernels::SetArenaEnabledForTest(1);
+  kernels::SetArenaEnabledForTest(true);
   kernels::TapeScope outer;
   Tensor a = kernels::NewTensor({8});
   const int64_t after_outer = kernels::Arena::ThreadLocal().LiveFloats();
@@ -294,7 +367,7 @@ TEST_F(KernelsTest, ScopesNestAndRewindToTheirOwnMark) {
 }
 
 TEST_F(KernelsTest, RewindPoisonsFreedSpanUnderCheck) {
-  kernels::SetArenaEnabledForTest(1);
+  kernels::SetArenaEnabledForTest(true);
   tensor::debug_check::SetEnabledForTest(true);
   float* span = nullptr;
   {
@@ -311,7 +384,7 @@ TEST_F(KernelsTest, RewindPoisonsFreedSpanUnderCheck) {
 }
 
 TEST_F(KernelsTest, CopiesOfArenaTensorsDetachToHeap) {
-  kernels::SetArenaEnabledForTest(1);
+  kernels::SetArenaEnabledForTest(true);
   Tensor copy;
   {
     kernels::TapeScope scope;
@@ -329,7 +402,7 @@ TEST_F(KernelsTest, CopiesOfArenaTensorsDetachToHeap) {
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end digest matrix: {1,8 threads} x {SIMD 0,1} x {arena 0,1}.
+// End-to-end digest matrix: {1,8 threads} x {arena 0,1}.
 // ---------------------------------------------------------------------------
 
 graph::TemporalGraph MatrixGraph() {
@@ -361,7 +434,7 @@ core::LinkPredictionJob MatrixJob(const graph::TemporalGraph* g,
   return job;
 }
 
-TEST_F(KernelsTest, TrainingBitIdenticalAcrossSimdThreadsAndArena) {
+TEST_F(KernelsTest, TrainingBitIdenticalAcrossThreadsAndArena) {
   obs::MetricRegistry::OverrideEnabledForTest(1);
   auto& registry = obs::MetricRegistry::Global();
   const graph::TemporalGraph g = MatrixGraph();
@@ -374,22 +447,19 @@ TEST_F(KernelsTest, TrainingBitIdenticalAcrossSimdThreadsAndArena) {
     std::vector<std::string> digests_arena_on;
     std::vector<std::string> digests_arena_off;
     for (const int threads : {1, 8}) {
-      for (const int simd : {0, 1}) {
-        for (const int arena : {0, 1}) {
-          runtime::ThreadPool::Global().SetNumThreads(threads);
-          kernels::SetSimdEnabledForTest(simd);
-          kernels::SetArenaEnabledForTest(arena);
-          registry.Reset();
-          const core::LinkPredictionResult result =
-              core::RunLinkPrediction(MatrixJob(&g, kind));
-          ASSERT_EQ(result.status, models::ModelStatus::kOk)
-              << models::ModelKindName(kind) << " threads=" << threads
-              << " simd=" << simd << " arena=" << arena;
-          auc_bits.push_back(BitsOf(result.val_transductive.auc));
-          auc_bits.push_back(BitsOf(result.test[0].auc));
-          (arena != 0 ? digests_arena_on : digests_arena_off)
-              .push_back(registry.CountersDigest());
-        }
+      for (const bool arena : {false, true}) {
+        runtime::ThreadPool::Global().SetNumThreads(threads);
+        kernels::SetArenaEnabledForTest(arena);
+        registry.Reset();
+        const core::LinkPredictionResult result =
+            core::RunLinkPrediction(MatrixJob(&g, kind));
+        ASSERT_EQ(result.status, models::ModelStatus::kOk)
+            << models::ModelKindName(kind) << " threads=" << threads
+            << " arena=" << arena;
+        auc_bits.push_back(BitsOf(result.val_transductive.auc));
+        auc_bits.push_back(BitsOf(result.test[0].auc));
+        (arena ? digests_arena_on : digests_arena_off)
+            .push_back(registry.CountersDigest());
       }
     }
     for (size_t i = 2; i < auc_bits.size(); i += 2) {
@@ -409,13 +479,13 @@ TEST_F(KernelsTest, TrainingBitIdenticalAcrossSimdThreadsAndArena) {
   }
 }
 
-TEST_F(KernelsTest, TrainingBitIdenticalFusedVsEager) {
-  // BENCHTEMP_FUSION=0/1 must not move a single training bit, at any
-  // thread count, either SIMD setting, and with the async pipeline on or
-  // off. The model trajectory (AUC/AP bits) is compared across ALL
-  // configurations; counter digests are compared within a fusion setting —
-  // fusion legitimately changes parallel_for.calls and arena.bytes (fewer,
-  // larger passes), which is the point of the optimization.
+TEST_F(KernelsTest, TrainingBitIdenticalFusedVsEagerAcrossThreadsAndDepth) {
+  // Fusion on or off must not move a single training bit, at any thread
+  // count, and with the async pipeline on or off. The model trajectory
+  // (AUC/AP bits) is compared across ALL configurations; counter digests
+  // are compared within a fusion setting — fusion legitimately changes
+  // parallel_for.calls and arena.bytes (fewer, larger passes), which is
+  // the point of the optimization.
   obs::MetricRegistry::OverrideEnabledForTest(1);
   auto& registry = obs::MetricRegistry::Global();
   const graph::TemporalGraph g = MatrixGraph();
@@ -425,28 +495,24 @@ TEST_F(KernelsTest, TrainingBitIdenticalFusedVsEager) {
     std::vector<std::string> digests_fused;
     std::vector<std::string> digests_eager;
     for (const int threads : {1, 8}) {
-      for (const int simd : {0, 1}) {
-        for (const int depth : {0, 2}) {
-          for (const int fusion : {0, 1}) {
-            runtime::ThreadPool::Global().SetNumThreads(threads);
-            kernels::SetSimdEnabledForTest(simd);
-            kernels::SetArenaEnabledForTest(1);
-            tensor::expr::SetFusionEnabledForTest(fusion);
-            registry.Reset();
-            core::LinkPredictionJob job = MatrixJob(&g, kind);
-            job.train_config.pipeline_depth = depth;
-            const core::LinkPredictionResult result =
-                core::RunLinkPrediction(job);
-            ASSERT_EQ(result.status, models::ModelStatus::kOk)
-                << models::ModelKindName(kind) << " threads=" << threads
-                << " simd=" << simd << " depth=" << depth
-                << " fusion=" << fusion;
-            auc_bits.push_back(BitsOf(result.val_transductive.auc));
-            auc_bits.push_back(BitsOf(result.test[0].auc));
-            auc_bits.push_back(BitsOf(result.test[0].ap));
-            (fusion != 0 ? digests_fused : digests_eager)
-                .push_back(registry.CountersDigest());
-          }
+      for (const int depth : {0, 2}) {
+        for (const bool fusion : {false, true}) {
+          runtime::ThreadPool::Global().SetNumThreads(threads);
+          kernels::SetArenaEnabledForTest(true);
+          tensor::expr::SetFusionEnabledForTest(fusion);
+          registry.Reset();
+          core::LinkPredictionJob job = MatrixJob(&g, kind);
+          job.train_config.pipeline_depth = depth;
+          const core::LinkPredictionResult result =
+              core::RunLinkPrediction(job);
+          ASSERT_EQ(result.status, models::ModelStatus::kOk)
+              << models::ModelKindName(kind) << " threads=" << threads
+              << " depth=" << depth << " fusion=" << fusion;
+          auc_bits.push_back(BitsOf(result.val_transductive.auc));
+          auc_bits.push_back(BitsOf(result.test[0].auc));
+          auc_bits.push_back(BitsOf(result.test[0].ap));
+          (fusion ? digests_fused : digests_eager)
+              .push_back(registry.CountersDigest());
         }
       }
     }
@@ -487,7 +553,7 @@ TEST_F(KernelsTest, TrainingBitIdenticalFusedVsEager) {
 TEST_F(KernelsTest, CheckpointResumeByteIdenticalWithArenaAndCheck) {
   // Arena on + tape validator on: a crash/resume cycle must still replay
   // the exact trajectory (PR2's grad-buffer pre-allocation contract).
-  kernels::SetArenaEnabledForTest(1);
+  kernels::SetArenaEnabledForTest(true);
   tensor::debug_check::SetEnabledForTest(true);
   const graph::TemporalGraph g = MatrixGraph();
   const std::string path =

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "base/fault_injector.h"
 #include "datagen/synthetic.h"
 
 namespace benchtemp::core {
@@ -194,6 +195,32 @@ TEST(TrainerTest, NodeClassificationRunsAndBeatsChance) {
   EXPECT_GT(result.test_auc, 0.55);
   EXPECT_GT(result.accuracy, 0.5);
   EXPECT_GT(result.f1_weighted, 0.0);
+}
+
+TEST(TrainerTest, NodeClassificationNanLossAnnotatesX) {
+  TemporalGraph g = MakeLearnableGraph(33);
+  NodeClassificationJob job;
+  job.graph = &g;
+  job.num_users = 60;
+  job.kind = ModelKind::kTgn;
+  job.model_config = SmallModelConfig();
+  job.train_config = QuickTrainConfig();
+  job.pretrain_epochs = 2;
+  job.decoder_epochs = 80;
+  // A diverged pretraining step must stop the job before NaN embeddings
+  // reach the decoder: the paper's non-convergence marker, no metrics.
+  base::FaultSpec spec;
+  spec.at_step = 2;
+  base::FaultInjector::Global().Arm(base::FaultSite::kNanLoss, spec);
+  const NodeClassificationResult result = RunNodeClassification(job);
+  const int64_t fired =
+      base::FaultInjector::Global().fire_count(base::FaultSite::kNanLoss);
+  base::FaultInjector::Global().DisarmAll();
+  EXPECT_EQ(result.annotation, "x");
+  EXPECT_EQ(fired, 1);
+  EXPECT_DOUBLE_EQ(result.test_auc, NodeClassificationResult().test_auc);
+  EXPECT_DOUBLE_EQ(result.accuracy, 0.0);
+  EXPECT_DOUBLE_EQ(result.f1_weighted, 0.0);
 }
 
 TEST(TrainerTest, MultiClassNodeClassification) {
