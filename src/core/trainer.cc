@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <limits>
 #include <stdexcept>
 #include <thread>
@@ -304,6 +305,534 @@ bool GuardedStep(const Var& loss, const std::vector<Var>& params,
   return tensor::ParamsFinite(params);
 }
 
+/// How an EpochDriver run ended.
+enum class TrainExit {
+  kCompleted,     // every epoch ran, or the validation monitor stopped
+  kTimeBudget,    // the job's time budget ran out at an epoch boundary
+  kCanceled,      // the cancel token fired
+  kDiverged,      // the NaN-retry budget was spent
+  kRuntimeError,  // the model reported ModelStatus::kRuntimeError
+};
+
+/// True when training produced parameters worth evaluating.
+bool Trained(TrainExit exit) {
+  return exit == TrainExit::kCompleted || exit == TrainExit::kTimeBudget;
+}
+
+/// The one epoch loop behind link-prediction training and
+/// node-classification pretraining (Section 4.1: BCE loss, Adam, early
+/// stopping, a time budget). It owns everything that makes an epoch
+/// boundary a deterministic cut point — parameters, Adam moments, both RNG
+/// streams, the early-stop monitor, the last validation metrics and the
+/// best-epoch parameters — and with it NaN rollback, checkpoint resume and
+/// the job's efficiency tallies.
+class EpochDriver {
+ public:
+  /// Scores the model after a kept epoch; the metrics feed the early-stop
+  /// monitor, the best-epoch parameters and the checkpoint's val_* fields.
+  using Validate = std::function<SettingMetrics()>;
+
+  /// Resumes from the newest valid generation of `tc.checkpoint_path`
+  /// when one matches the job's seed.
+  EpochDriver(const TrainConfig& tc, TgnnModel* model,
+              RandomEdgeSampler* sampler);
+  // Pool threads hold `this` while batches prepare, and the lineage files
+  // have one owner.
+  EpochDriver(const EpochDriver&) = delete;
+  EpochDriver& operator=(const EpochDriver&) = delete;
+
+  /// Trains up to `max_epochs` epochs over `batches` with `finder` as the
+  /// neighbor index. Without `validate` the monitor stays idle and every
+  /// epoch runs. Pipeline accounting accumulates into `eff`.
+  TrainExit Run(const std::vector<Batch>& batches, NeighborFinder* finder,
+                int max_epochs, const Validate& validate,
+                EfficiencyStats* eff);
+
+  /// The one exit of both trainers: sets the "*"/"x" annotation `exit`
+  /// calls for, the retry and resume flags and the efficiency fields every
+  /// exit reports, and retires the checkpoint lineage. `converged` is the
+  /// caller's early-stop verdict; a time budget that ran out before it
+  /// marks the job "x".
+  template <typename Result>
+  void Finish(TrainExit exit, bool converged, size_t train_events,
+              Result* result);
+
+  int pipeline_depth() const { return pipeline_depth_; }
+  const std::vector<Var>& params() const { return params_; }
+  const EarlyStopMonitor& monitor() const { return monitor_; }
+  const SettingMetrics& val() const { return val_; }
+  const std::string& best_params() const { return best_params_; }
+  int epochs_run() const { return epochs_run_; }
+  double kept_epoch_seconds() const { return total_epoch_seconds_; }
+
+ private:
+  robustness::JobCheckpoint Snapshot();
+  bool Restore(const robustness::JobCheckpoint& s);
+
+  const TrainConfig& tc_;
+  TgnnModel* model_;
+  RandomEdgeSampler* sampler_;
+  const std::vector<Var> params_;
+  tensor::Adam optimizer_;
+  EarlyStopMonitor monitor_;
+  const double start_;
+  const int pipeline_depth_;
+  const bool checkpointing_;
+  robustness::CheckpointLineage lineage_;
+  SettingMetrics val_;
+  // Parameters at the monitor's best epoch; restored before the test pass
+  // so early stopping evaluates the best — not the last — weights.
+  std::string best_params_;
+  robustness::JobCheckpoint rollback_;
+  int epoch_ = 0;
+  int epochs_run_ = 0;
+  int nan_retries_ = 0;
+  bool resumed_ = false;
+  double total_epoch_seconds_ = 0.0;
+  double retried_epoch_seconds_ = 0.0;
+  int64_t checkpoint_bytes_ = 0;
+  // Per-run phase attribution: the training thread drains its own slot at
+  // epoch barriers, so a concurrent job on another thread never bleeds in.
+  obs::PhaseTotals run_phases_;
+};
+
+EpochDriver::EpochDriver(const TrainConfig& tc, TgnnModel* model,
+                         RandomEdgeSampler* sampler)
+    : tc_(tc),
+      model_(model),
+      sampler_(sampler),
+      params_(model->Parameters()),
+      optimizer_(params_, tc.learning_rate),
+      monitor_(tc.patience, tc.tolerance),
+      start_(NowSeconds()),
+      // Resolved prefetch depth (0 = synchronous): an explicit TrainConfig
+      // value wins, otherwise BENCHTEMP_PIPELINE decides.
+      pipeline_depth_(tc.pipeline_depth >= 0 ? tc.pipeline_depth
+                                             : pipeline::DepthFromEnv()),
+      // The lineage only outlives the job when the job dies mid-flight;
+      // Finish retires it on every terminal exit.
+      checkpointing_(model->trainable() && !tc.checkpoint_path.empty()),
+      lineage_(tc.checkpoint_path, tc.checkpoint_generations) {
+  rollback_ = Snapshot();
+  if (!checkpointing_) return;
+  // Resume: a matching on-disk checkpoint restarts the job exactly where
+  // it died instead of from scratch. A corrupt newest generation silently
+  // falls back to an older one (the skip is counted in
+  // robustness.ckpt_fallbacks); a seed mismatch means a different job left
+  // these files behind, so start fresh.
+  robustness::JobCheckpoint ckpt;
+  if (lineage_.Load(&ckpt).ok && ckpt.seed == tc_.seed && Restore(ckpt)) {
+    epoch_ = ckpt.next_epoch;
+    epochs_run_ = ckpt.epochs_run;
+    nan_retries_ = ckpt.nan_retries;
+    total_epoch_seconds_ = ckpt.total_epoch_seconds;
+    retried_epoch_seconds_ = ckpt.retried_epoch_seconds;
+    rollback_ = Snapshot();
+    resumed_ = true;
+  }
+}
+
+// Snapshot/restore of the epoch-boundary state, used both for in-memory
+// rollback after a NaN event and for the on-disk job checkpoint.
+robustness::JobCheckpoint EpochDriver::Snapshot() {
+  robustness::JobCheckpoint s;
+  s.seed = tc_.seed;
+  s.learning_rate = optimizer_.learning_rate();
+  s.monitor = monitor_.state();
+  s.val_auc = val_.auc;
+  s.val_ap = val_.ap;
+  s.val_count = val_.count;
+  s.model_rng = model_->SaveRngState();
+  s.sampler_rng = sampler_->SaveRngState();
+  s.params = tensor::SnapshotParameters(params_);
+  s.adam = optimizer_.SnapshotState();
+  s.best_params = best_params_;
+  return s;
+}
+
+bool EpochDriver::Restore(const robustness::JobCheckpoint& s) {
+  if (!tensor::RestoreParameters(s.params, params_)) return false;
+  if (!optimizer_.RestoreState(s.adam)) return false;
+  // Grad-buffer allocation is trajectory state: Adam skips parameters whose
+  // lazily allocated grad buffer is still empty, but applies momentum decay
+  // to ones that were touched in an earlier epoch and merely zeroed since.
+  // Pre-allocating every buffer makes a restored process bit-identical to
+  // the uninterrupted one (a zero grad with zero moments is an exact no-op).
+  for (const Var& p : params_) p->EnsureGrad();
+  if (!model_->LoadRngState(s.model_rng)) return false;
+  if (!sampler_->LoadRngState(s.sampler_rng)) return false;
+  optimizer_.set_learning_rate(s.learning_rate);
+  monitor_.Restore(s.monitor);
+  val_.auc = s.val_auc;
+  val_.ap = s.val_ap;
+  val_.count = s.val_count;
+  best_params_ = s.best_params;
+  return true;
+}
+
+TrainExit EpochDriver::Run(const std::vector<Batch>& batches,
+                           NeighborFinder* finder, int max_epochs,
+                           const Validate& validate, EfficiencyStats* eff) {
+  auto& registry = obs::MetricRegistry::Global();
+  while (epoch_ < max_epochs) {
+    const double epoch_start = NowSeconds();
+    bool canceled = false;
+    bool nan_event = false;
+    {
+      obs::ScopedPhaseTimer timer(obs::Phase::kMemoryUpdate);
+      model_->Reset();
+    }
+    model_->set_training(true);
+    model_->SetNeighborFinder(finder);
+    {
+      // Batch preparation — stall probe, keyed negatives, the model's
+      // sampling stage — is a pure function of (epoch, batch index), so it
+      // runs inline at depth 0 and ahead on pool workers otherwise with
+      // bit-identical results. Scoped so the prefetcher drains before the
+      // caller swaps the neighbor index (and so a NaN retry discards,
+      // never checkpoints, prefetched batches).
+      auto prepare = [&, epoch = epoch_](int64_t bi) {
+        pipeline::PreparedBatch pb;
+        pb.index = bi;
+        ProbeStallFault();
+        const Batch& pbatch = batches[static_cast<size_t>(bi)];
+        const uint64_t seed = BatchSeed(tc_.seed, epoch, bi);
+        pb.negatives = sampler_->SampleNegativesKeyed(
+            tensor::SplitMix64(seed, 0), pbatch.srcs, pbatch.dsts);
+        pb.inputs = model_->PrepareBatch(pbatch, pb.negatives, seed);
+        return pb;
+      };
+      pipeline::BatchPrefetcher prefetcher(
+          static_cast<int64_t>(batches.size()), pipeline_depth_, prepare,
+          tc_.cancel_token);
+      for (size_t bi = 0; bi < batches.size(); ++bi) {
+        // The tape scope is the first declaration in the loop body, so the
+        // batch's Vars (pos/neg/loss graph) are destroyed before the arena
+        // rewinds their storage.
+        tensor::kernels::TapeScope tape_scope;
+        if (Canceled(tc_)) {
+          canceled = true;
+          break;
+        }
+        pipeline::PreparedBatch pb;
+        {
+          obs::ScopedPhaseTimer timer(obs::Phase::kSample);
+          if (!prefetcher.Next(&pb)) {
+            canceled = true;
+            break;
+          }
+        }
+        ProbeThrowFault();
+        const Batch& batch = batches[static_cast<size_t>(pb.index)];
+        Var pos, neg;
+        {
+          obs::ScopedPhaseTimer timer(obs::Phase::kForward);
+          model_->SetPreparedInputs(pb.inputs.get());
+          pos = model_->ScoreEdges(batch.srcs, batch.dsts, batch.ts);
+          neg = model_->ScoreEdges(batch.srcs, pb.negatives, batch.ts);
+          model_->SetPreparedInputs(nullptr);
+        }
+        if (model_->status() == ModelStatus::kRuntimeError) {
+          return TrainExit::kRuntimeError;
+        }
+        if (model_->trainable()) {
+          Var loss;
+          {
+            obs::ScopedPhaseTimer timer(obs::Phase::kForward);
+            loss = PairBceLoss(pos, neg);
+          }
+          if (!GuardedStep(loss, params_, tc_.grad_clip_norm, &optimizer_)) {
+            nan_event = true;
+            break;
+          }
+        }
+        {
+          obs::ScopedPhaseTimer timer(obs::Phase::kMemoryUpdate);
+          model_->UpdateState(batch);
+        }
+        registry.Add(obs::Counter::kTrainBatches, 1);
+        registry.Add(obs::Counter::kTrainEvents, batch.size());
+      }
+      AccumulatePipelineStats(prefetcher.stats(), eff);
+    }
+    if (canceled) return TrainExit::kCanceled;
+    if (nan_event) {
+      // Divergence recovery: roll back to the last epoch boundary, halve
+      // the learning rate, and retry — a recorded, recoverable event
+      // instead of a poisoned sweep.
+      ++nan_retries_;
+      retried_epoch_seconds_ += NowSeconds() - epoch_start;
+      registry.Add(obs::Counter::kNanRetries, 1);
+      registry.Add(obs::Counter::kRollbacks, 1);
+      registry.DrainThisThread(&run_phases_);
+      const bool restored = Restore(rollback_);
+      tensor::CheckOrDie(restored, "NaN rollback: corrupt epoch snapshot");
+      if (nan_retries_ > tc_.max_nan_retries) return TrainExit::kDiverged;
+      optimizer_.set_learning_rate(optimizer_.learning_rate() *
+                                   tc_.lr_backoff);
+      continue;  // retry the same epoch
+    }
+    total_epoch_seconds_ += NowSeconds() - epoch_start;
+    ++epochs_run_;
+
+    bool stop = false;
+    if (validate) {
+      const SettingMetrics val = validate();
+      if (model_->status() == ModelStatus::kRuntimeError) {
+        return TrainExit::kRuntimeError;
+      }
+      val_ = val;
+      if (model_->trainable()) {
+        stop = monitor_.Update(val_.auc);
+        if (monitor_.rounds_without_improvement() == 0) {
+          best_params_ = tensor::SnapshotParameters(params_);
+        }
+      }
+    }
+    ++epoch_;
+    {
+      obs::ScopedPhaseTimer timer(obs::Phase::kCheckpoint);
+      rollback_ = Snapshot();
+      if (checkpointing_) {
+        rollback_.next_epoch = epoch_;
+        rollback_.epochs_run = epochs_run_;
+        rollback_.nan_retries = nan_retries_;
+        rollback_.total_epoch_seconds = total_epoch_seconds_;
+        rollback_.retried_epoch_seconds = retried_epoch_seconds_;
+        int64_t bytes = 0;
+        if (lineage_.Save(rollback_, &bytes)) checkpoint_bytes_ = bytes;
+      }
+    }
+    registry.DrainThisThread(&run_phases_);
+    if (stop) break;
+    if (tc_.time_budget_seconds > 0.0 &&
+        NowSeconds() - start_ > tc_.time_budget_seconds) {
+      return TrainExit::kTimeBudget;
+    }
+    if (Canceled(tc_)) return TrainExit::kCanceled;
+  }
+  return TrainExit::kCompleted;
+}
+
+template <typename Result>
+void EpochDriver::Finish(TrainExit exit, bool converged, size_t train_events,
+                         Result* result) {
+  converged = converged && Trained(exit);
+  if (exit == TrainExit::kRuntimeError) {
+    result->status = ModelStatus::kRuntimeError;
+    result->annotation = "*";
+  } else if (!converged && exit != TrainExit::kCompleted) {
+    // A watchdog deadline, a spent NaN-retry budget, or a time budget that
+    // ran out before the monitor stopped: the paper's non-convergence
+    // marker.
+    result->annotation = "x";
+  }
+  result->nan_retries = nan_retries_;
+  result->resumed = resumed_;
+  auto& registry = obs::MetricRegistry::Global();
+  registry.DrainThisThread(&run_phases_);
+  EfficiencyStats& eff = result->efficiency;
+  eff.epochs_run = epochs_run_;
+  eff.best_epoch = monitor_.best_epoch();
+  eff.converged = converged;
+  // Throughput over *kept* epochs only: wall-time of rolled-back epochs is
+  // reported separately so a retried run does not misstate its speed.
+  eff.seconds_per_epoch =
+      epochs_run_ > 0 ? total_epoch_seconds_ / epochs_run_ : 0.0;
+  eff.retried_epoch_seconds = retried_epoch_seconds_;
+  eff.max_rss_gb = MaxRssGb();
+  eff.state_bytes = model_->StateBytes();
+  eff.parameter_bytes = model_->ParameterBytes();
+  eff.checkpoint_bytes = checkpoint_bytes_;
+  eff.phase_seconds = run_phases_.seconds;
+  FinishPipelineStats(pipeline_depth_, &eff);
+  if (retried_epoch_seconds_ > 0.0) {
+    registry.SetGauge("train.retried_epoch_seconds", retried_epoch_seconds_);
+  }
+  if (eff.seconds_per_epoch > 0.0) {
+    eff.train_events_per_second =
+        static_cast<double>(train_events) / eff.seconds_per_epoch;
+  }
+  if (checkpointing_) (void)lineage_.Remove();
+}
+
+/// The decoder's predicted class per row of `logits`: the argmax over the
+/// class columns, or — for the single-logit binary decoder — class 1 iff
+/// the logit is positive.
+std::vector<int> PredictedClasses(const Tensor& logits) {
+  const int64_t cols = logits.cols();
+  std::vector<int> pred(static_cast<size_t>(logits.rows()));
+  for (int64_t i = 0; i < logits.rows(); ++i) {
+    int best = 0;
+    if (cols == 1) {
+      best = logits.at(i) > 0.0f ? 1 : 0;
+    } else {
+      for (int c = 1; c < cols; ++c) {
+        if (logits.at(i, c) > logits.at(i, best)) best = c;
+      }
+    }
+    pred[static_cast<size_t>(i)] = best;
+  }
+  return pred;
+}
+
+/// ROC AUC of the positive (fraud) class 1: the single binary logit, or
+/// one-vs-rest on class column 1 of a multi-class decoder.
+double PositiveClassAuc(const Tensor& logits, const std::vector<int>& y) {
+  const int64_t cols = logits.cols();
+  const int64_t col = cols == 1 ? 0 : 1;
+  std::vector<double> scores;
+  std::vector<int> positive;
+  for (size_t i = 0; i < y.size(); ++i) {
+    scores.push_back(logits.at(static_cast<int64_t>(i) * cols + col));
+    positive.push_back(y[i] == 1 ? 1 : 0);
+  }
+  return RocAuc(scores, positive);
+}
+
+/// What the node-classification decoder stage reports.
+struct DecoderFit {
+  int epochs_run = 0;
+  int best_epoch = -1;
+  double seconds = 0.0;
+  /// The decoder's early-stop monitor stopped (Table 12's Epoch cell).
+  bool converged = false;
+  bool canceled = false;
+};
+
+/// Node classification after pretraining (Section 3.2.2): one
+/// chronological pass caches each labeled event's source embedding, a
+/// 2-layer MLP decoder is fitted on the frozen train-window embeddings and
+/// early-stopped on validation, and the best decoder's test metrics go
+/// into `result`. Decoder epochs are cheap and deterministic from the
+/// pretrained parameters and seed, so they are never checkpointed.
+DecoderFit FitDecoder(TgnnModel* model, const TemporalGraph& graph,
+                      NeighborFinder* full_finder,
+                      const NodeClassificationSplit& split,
+                      const TrainConfig& tc, int decoder_epochs,
+                      NodeClassificationResult* result) {
+  model->set_training(false);
+  model->SetNeighborFinder(full_finder);
+  model->Reset();
+  const int64_t d = model->embedding_dim();
+  Tensor features({graph.num_events(), d});
+  std::vector<int32_t> labels(static_cast<size_t>(graph.num_events()), -1);
+  {
+    obs::ScopedPhaseTimer timer(obs::Phase::kEval);
+    std::vector<int64_t> all_events(static_cast<size_t>(graph.num_events()));
+    for (int64_t i = 0; i < graph.num_events(); ++i)
+      all_events[static_cast<size_t>(i)] = i;
+    int64_t cursor = 0;
+    for (const Batch& batch : MakeBatches(graph, all_events, tc.batch_size)) {
+      tensor::kernels::TapeScope tape_scope;
+      Var emb = model->ComputeEmbeddings(batch.srcs, batch.ts);
+      for (int64_t i = 0; i < batch.size(); ++i) {
+        for (int64_t c = 0; c < d; ++c) {
+          features.at(cursor + i, c) = emb->value.at(i * d + c);
+        }
+        labels[static_cast<size_t>(cursor + i)] =
+            graph.event(cursor + i).label;
+      }
+      cursor += batch.size();
+      model->UpdateState(batch);
+    }
+  }
+
+  // Decoder: 2-layer MLP on the frozen embeddings.
+  const int32_t num_classes = std::max(graph.NumLabelClasses(), 2);
+  const bool binary = num_classes <= 2;
+  tensor::Rng decoder_rng(tc.seed + 71);
+  tensor::Mlp decoder({d, std::max<int64_t>(d, 16), binary ? 1 : num_classes},
+                      decoder_rng);
+  tensor::Adam decoder_opt(decoder.Parameters(), 1e-2f);
+
+  auto gather = [&](const std::vector<int64_t>& events, Tensor* x,
+                    std::vector<int>* y) {
+    std::vector<float> rows;
+    for (int64_t i : events) {
+      if (labels[static_cast<size_t>(i)] < 0) continue;
+      for (int64_t c = 0; c < d; ++c) rows.push_back(features.at(i, c));
+      y->push_back(labels[static_cast<size_t>(i)]);
+    }
+    *x = Tensor::FromVector({static_cast<int64_t>(y->size()), d},
+                            std::move(rows));
+  };
+  Tensor x_train, x_val, x_test;
+  std::vector<int> y_train, y_val, y_test;
+  gather(split.train_events, &x_train, &y_train);
+  gather(split.val_events, &x_val, &y_val);
+  gather(split.test_events, &x_test, &y_test);
+  auto logits_of = [&](const Tensor& x) {
+    return decoder.Forward(tensor::Constant(x));
+  };
+  const std::vector<int64_t> train_classes(y_train.begin(), y_train.end());
+  Tensor train_targets({static_cast<int64_t>(y_train.size())});
+  for (size_t i = 0; i < y_train.size(); ++i) {
+    train_targets.at(static_cast<int64_t>(i)) = y_train[i] == 1 ? 1.0f : 0.0f;
+  }
+
+  // The decoder is cheap, so it gets a more patient monitor than the
+  // expensive TGNN training loop.
+  EarlyStopMonitor monitor(std::max(tc.patience, 8), tc.tolerance);
+  DecoderFit fit;
+  // Decoder weights at the monitor's best epoch, restored before the test
+  // metrics so early stopping evaluates the peak — not the last — decoder.
+  std::string best_decoder;
+  for (int epoch = 0; epoch < decoder_epochs; ++epoch) {
+    // Scopes the decoder epoch's whole graph (loss and the validation
+    // pass below both live within one tape).
+    tensor::kernels::TapeScope tape_scope;
+    if (Canceled(tc)) {
+      fit.canceled = true;
+      return fit;
+    }
+    const double epoch_start = NowSeconds();
+    Var loss;
+    {
+      obs::ScopedPhaseTimer timer(obs::Phase::kForward);
+      Var logits = logits_of(x_train);
+      loss = binary ? BceWithLogits(logits, train_targets)
+                    : SoftmaxCrossEntropy(logits, train_classes);
+    }
+    {
+      obs::ScopedPhaseTimer timer(obs::Phase::kBackward);
+      decoder_opt.ZeroGrad();
+      Backward(loss);
+      decoder_opt.Step();
+    }
+    fit.seconds += NowSeconds() - epoch_start;
+    ++fit.epochs_run;
+    // Validation AUC for a binary task, accuracy for a multi-class one.
+    Var val_logits = logits_of(x_val);
+    const bool stop = monitor.Update(
+        binary ? PositiveClassAuc(val_logits->value, y_val)
+               : Accuracy(PredictedClasses(val_logits->value), y_val));
+    if (monitor.rounds_without_improvement() == 0) {
+      best_decoder = tensor::SnapshotParameters(decoder.Parameters());
+    }
+    if (stop) break;
+  }
+  if (!best_decoder.empty()) {
+    const bool restored =
+        tensor::RestoreParameters(best_decoder, decoder.Parameters());
+    tensor::CheckOrDie(restored, "best-decoder restore: corrupt snapshot");
+  }
+  fit.best_epoch = monitor.best_epoch();
+  fit.converged = monitor.stopped();
+
+  // Test metrics: accuracy and weighted P/R/F1 of the predicted classes,
+  // plus the positive class's AUC for comparability.
+  Var logits = logits_of(x_test);
+  const std::vector<int> pred = PredictedClasses(logits->value);
+  result->test_auc = PositiveClassAuc(logits->value, y_test);
+  result->accuracy = Accuracy(pred, y_test);
+  const WeightedPrf prf = WeightedPrecisionRecallF1(pred, y_test, num_classes);
+  result->precision_weighted = prf.precision;
+  result->recall_weighted = prf.recall;
+  result->f1_weighted = prf.f1;
+  return fit;
+}
+
 }  // namespace
 
 double MaxRssGb() {
@@ -371,405 +900,111 @@ LinkPredictionResult RunLinkPrediction(const LinkPredictionJob& job) {
   model_config.seed = tc.seed + 17;
   auto model =
       models::CreateModel(job.kind, &graph, model_config, job.num_users);
-  tensor::Adam optimizer(model->Parameters(), tc.learning_rate);
-
+  EpochDriver driver(tc, model.get(), &train_sampler);
   const std::vector<Batch> train_batches =
       MakeBatches(graph, split.train_events, tc.batch_size);
-  EarlyStopMonitor monitor(tc.patience, tc.tolerance);
-  const double start = NowSeconds();
-  double total_epoch_seconds = 0.0;
-  double retried_epoch_seconds = 0.0;
-  int64_t checkpoint_bytes = 0;
-  // Per-run phase attribution: the training thread drains its own slot at
-  // epoch barriers, so a concurrent job on another thread never bleeds in.
-  obs::PhaseTotals run_phases;
-  auto& registry = obs::MetricRegistry::Global();
-  int epochs_run = 0;
-  int nan_retries = 0;
-  bool hit_budget = false;
-  bool canceled = false;
-  bool diverged = false;
-  const int max_epochs = model->trainable() ? tc.max_epochs : 1;
-  const std::vector<Var> params = model->Parameters();
-  const bool checkpointing =
-      model->trainable() && !tc.checkpoint_path.empty();
-  robustness::CheckpointLineage lineage(tc.checkpoint_path,
-                                        tc.checkpoint_generations);
-  // The checkpoint lineage only outlives the job when the job dies
-  // mid-flight; any terminal exit (success, "*", "x") retires it.
-  auto retire_checkpoint = [&] {
-    if (checkpointing) (void)lineage.Remove();
+
+  // One val or test scoring pass: positives, keyed negatives and, when
+  // ranking is on, the k candidates.
+  auto eval_pass = [&](const std::vector<int64_t>& events,
+                       const EdgeSampler* sampler, uint64_t pass_seed,
+                       std::vector<double>* pos, std::vector<double>* neg,
+                       std::vector<double>* ranks) {
+    EvalPassConfig cfg;
+    cfg.pass_seed = pass_seed;
+    cfg.pipeline_depth = driver.pipeline_depth();
+    cfg.cancel = tc.cancel_token;
+    cfg.candidates = candidate_sampler.get();
+    cfg.tie_policy = tc.mrr_tie_policy;
+    ScorePass(model.get(), graph, events, tc.batch_size, sampler, cfg, pos,
+              neg, candidate_sampler != nullptr ? ranks : nullptr);
   };
-
-  // Parameters at the monitor's best epoch; restored before the test pass
-  // so early stopping evaluates the best — not the last — weights.
-  std::string best_params;
-
-  // Snapshot/restore of everything that makes an epoch boundary a
-  // deterministic cut point: parameters, Adam moments, both RNG streams,
-  // the monitor, and the (possibly backed-off) learning rate. Used both
-  // for in-memory rollback after a NaN event and for the on-disk job
-  // checkpoint.
-  auto snapshot_now = [&]() {
-    robustness::JobCheckpoint s;
-    s.seed = tc.seed;
-    s.learning_rate = optimizer.learning_rate();
-    s.monitor = monitor.state();
-    s.val_auc = result.val_transductive.auc;
-    s.val_ap = result.val_transductive.ap;
-    s.val_count = result.val_transductive.count;
-    s.model_rng = model->SaveRngState();
-    s.sampler_rng = train_sampler.SaveRngState();
-    s.params = tensor::SnapshotParameters(params);
-    s.adam = optimizer.SnapshotState();
-    s.best_params = best_params;
-    return s;
-  };
-  auto restore_from = [&](const robustness::JobCheckpoint& s) {
-    if (!tensor::RestoreParameters(s.params, params)) return false;
-    if (!optimizer.RestoreState(s.adam)) return false;
-    // Grad-buffer allocation is trajectory state: Adam skips parameters whose
-    // lazily allocated grad buffer is still empty, but applies momentum decay
-    // to ones that were touched in an earlier epoch and merely zeroed since.
-    // Pre-allocating every buffer makes a restored process bit-identical to
-    // the uninterrupted one (a zero grad with zero moments is an exact no-op).
-    for (const Var& p : params) p->EnsureGrad();
-    if (!model->LoadRngState(s.model_rng)) return false;
-    if (!train_sampler.LoadRngState(s.sampler_rng)) return false;
-    optimizer.set_learning_rate(s.learning_rate);
-    monitor.Restore(s.monitor);
-    result.val_transductive.auc = s.val_auc;
-    result.val_transductive.ap = s.val_ap;
-    result.val_transductive.count = s.val_count;
-    best_params = s.best_params;
-    return true;
-  };
-
-  int epoch = 0;
-  robustness::JobCheckpoint rollback = snapshot_now();
-
-  // Resume: a matching on-disk checkpoint restarts the job exactly where
-  // it died instead of from scratch.
-  if (checkpointing) {
-    robustness::JobCheckpoint ckpt;
-    // A corrupt newest generation silently falls back to an older one (the
-    // skip is counted in robustness.ckpt_fallbacks); a seed mismatch means
-    // a different job left these files behind, so start fresh.
-    if (lineage.Load(&ckpt).ok && ckpt.seed == tc.seed &&
-        restore_from(ckpt)) {
-      epoch = ckpt.next_epoch;
-      epochs_run = ckpt.epochs_run;
-      nan_retries = ckpt.nan_retries;
-      total_epoch_seconds = ckpt.total_epoch_seconds;
-      retried_epoch_seconds = ckpt.retried_epoch_seconds;
-      rollback = snapshot_now();
-      result.resumed = true;
-    }
-  }
-
-  // Resolved prefetch depth (0 = synchronous): an explicit TrainConfig
-  // value wins, otherwise BENCHTEMP_PIPELINE decides.
-  const int pipeline_depth =
-      tc.pipeline_depth >= 0 ? tc.pipeline_depth : pipeline::DepthFromEnv();
-
-  while (epoch < max_epochs) {
-    const double epoch_start = NowSeconds();
-    bool nan_event = false;
-    {
-      obs::ScopedPhaseTimer timer(obs::Phase::kMemoryUpdate);
-      model->Reset();
-    }
-    model->set_training(true);
-    model->SetNeighborFinder(&train_finder);
-    {
-      // Batch preparation — stall probe, keyed negatives, the model's
-      // sampling stage — is a pure function of (epoch, batch index), so it
-      // runs inline at depth 0 and ahead on pool workers otherwise with
-      // bit-identical results. Scoped so the prefetcher drains before the
-      // neighbor finder swaps to the full index (and so a NaN retry
-      // discards, never checkpoints, prefetched batches).
-      auto prepare = [&, epoch](int64_t bi) {
-        pipeline::PreparedBatch pb;
-        pb.index = bi;
-        ProbeStallFault();
-        const Batch& pbatch = train_batches[static_cast<size_t>(bi)];
-        const uint64_t seed = BatchSeed(tc.seed, epoch, bi);
-        pb.negatives = train_sampler.SampleNegativesKeyed(
-            tensor::SplitMix64(seed, 0), pbatch.srcs, pbatch.dsts);
-        pb.inputs = model->PrepareBatch(pbatch, pb.negatives, seed);
-        return pb;
-      };
-      pipeline::BatchPrefetcher prefetcher(
-          static_cast<int64_t>(train_batches.size()), pipeline_depth,
-          prepare, tc.cancel_token);
-      for (size_t bi = 0; bi < train_batches.size(); ++bi) {
-        // The tape scope is the first declaration in the loop body, so the
-        // batch's Vars (pos/neg/loss graph) are destroyed before the arena
-        // rewinds their storage.
-        tensor::kernels::TapeScope tape_scope;
-        if (Canceled(tc)) {
-          canceled = true;
-          break;
-        }
-        pipeline::PreparedBatch pb;
-        {
-          obs::ScopedPhaseTimer timer(obs::Phase::kSample);
-          if (!prefetcher.Next(&pb)) {
-            canceled = true;
-            break;
-          }
-        }
-        ProbeThrowFault();
-        const Batch& batch = train_batches[static_cast<size_t>(pb.index)];
-        const std::vector<int32_t>& negatives = pb.negatives;
-        Var pos, neg;
-        {
-          obs::ScopedPhaseTimer timer(obs::Phase::kForward);
-          model->SetPreparedInputs(pb.inputs.get());
-          pos = model->ScoreEdges(batch.srcs, batch.dsts, batch.ts);
-          neg = model->ScoreEdges(batch.srcs, negatives, batch.ts);
-          model->SetPreparedInputs(nullptr);
-        }
-        if (model->status() == ModelStatus::kRuntimeError) {
-          result.status = ModelStatus::kRuntimeError;
-          result.annotation = "*";
-          result.nan_retries = nan_retries;
-          retire_checkpoint();
-          return result;
-        }
-        if (model->trainable()) {
-          Var loss;
-          {
-            obs::ScopedPhaseTimer timer(obs::Phase::kForward);
-            loss = PairBceLoss(pos, neg);
-          }
-          if (!GuardedStep(loss, params, tc.grad_clip_norm, &optimizer)) {
-            nan_event = true;
-            break;
-          }
-        }
-        {
-          obs::ScopedPhaseTimer timer(obs::Phase::kMemoryUpdate);
-          model->UpdateState(batch);
-        }
-        registry.Add(obs::Counter::kTrainBatches, 1);
-        registry.Add(obs::Counter::kTrainEvents, batch.size());
-      }
-      AccumulatePipelineStats(prefetcher.stats(), &result.efficiency);
-    }
-    if (canceled) break;
-    if (nan_event) {
-      // Divergence recovery: roll back to the last epoch boundary, halve
-      // the learning rate, and retry — a recorded, recoverable event
-      // instead of a poisoned sweep.
-      ++nan_retries;
-      retried_epoch_seconds += NowSeconds() - epoch_start;
-      registry.Add(obs::Counter::kNanRetries, 1);
-      registry.Add(obs::Counter::kRollbacks, 1);
-      registry.DrainThisThread(&run_phases);
-      const bool restored = restore_from(rollback);
-      tensor::CheckOrDie(restored, "NaN rollback: corrupt epoch snapshot");
-      if (nan_retries > tc.max_nan_retries) {
-        diverged = true;
-        break;
-      }
-      optimizer.set_learning_rate(optimizer.learning_rate() * tc.lr_backoff);
-      continue;  // retry the same epoch
-    }
-    total_epoch_seconds += NowSeconds() - epoch_start;
-    ++epochs_run;
-
-    // Validation: transductive AUC with the full neighbor index and the
-    // state left at the end of the training stream.
+  // Validation: transductive AUC with the full neighbor index and the
+  // state left at the end of the training stream.
+  auto validate = [&] {
     model->set_training(false);
     model->SetNeighborFinder(&full_finder);
     std::vector<double> val_pos, val_neg, val_ranks;
     {
       obs::ScopedPhaseTimer timer(obs::Phase::kEval);
-      EvalPassConfig val_cfg;
-      val_cfg.pass_seed = tc.seed + 2;
-      val_cfg.pipeline_depth = pipeline_depth;
-      val_cfg.cancel = tc.cancel_token;
-      val_cfg.candidates = candidate_sampler.get();
-      val_cfg.tie_policy = tc.mrr_tie_policy;
-      ScorePass(model.get(), graph, split.val_events, tc.batch_size,
-                val_sampler.get(), val_cfg, &val_pos, &val_neg,
-                candidate_sampler != nullptr ? &val_ranks : nullptr);
+      eval_pass(split.val_events, val_sampler.get(), tc.seed + 2, &val_pos,
+                 &val_neg, &val_ranks);
     }
-    if (model->status() == ModelStatus::kRuntimeError) {
-      result.status = ModelStatus::kRuntimeError;
-      result.annotation = "*";
-      result.nan_retries = nan_retries;
-      retire_checkpoint();
-      return result;
-    }
-    result.val_transductive =
-        SubsetMetrics(split.val_events, split.val_events, val_pos, val_neg);
-    if (candidate_sampler != nullptr) {
+    if (candidate_sampler != nullptr &&
+        model->status() != ModelStatus::kRuntimeError) {
       result.val_ranking =
           SubsetRanking(split.val_events, split.val_events, val_ranks);
     }
-    bool stop = false;
-    if (model->trainable()) {
-      stop = monitor.Update(result.val_transductive.auc);
-      if (monitor.rounds_without_improvement() == 0) {
-        best_params = tensor::SnapshotParameters(params);
-      }
+    return SubsetMetrics(split.val_events, split.val_events, val_pos,
+                         val_neg);
+  };
+  TrainExit exit =
+      driver.Run(train_batches, &train_finder,
+                 model->trainable() ? tc.max_epochs : 1, validate,
+                 &result.efficiency);
+  result.val_transductive = driver.val();
+
+  // Canceled, diverged and failed runs skip the (expensive) test pass.
+  if (Trained(exit)) {
+    // Evaluate the best epoch's weights, not the last: early stopping keeps
+    // training `patience` epochs past the peak, and those extra updates
+    // should not leak into the test metrics.
+    if (model->trainable() && !driver.best_params().empty()) {
+      const bool restored =
+          tensor::RestoreParameters(driver.best_params(), driver.params());
+      tensor::CheckOrDie(restored, "best-epoch restore: corrupt snapshot");
     }
-    ++epoch;
+
+    // Final evaluation: rebuild state over train+val, then one chronological
+    // pass over the whole test window scored under every setting.
+    model->set_training(false);
+    model->SetNeighborFinder(&full_finder);
+    model->Reset();
+    std::vector<int64_t> pre_test_events;
+    pre_test_events.reserve(static_cast<size_t>(split.val_end));
+    for (int64_t i = 0; i < split.val_end; ++i) pre_test_events.push_back(i);
+    std::vector<double> test_pos, test_neg, test_ranks;
+    double inference_seconds = 0.0;
     {
-      obs::ScopedPhaseTimer timer(obs::Phase::kCheckpoint);
-      rollback = snapshot_now();
-      if (checkpointing) {
-        rollback.next_epoch = epoch;
-        rollback.epochs_run = epochs_run;
-        rollback.nan_retries = nan_retries;
-        rollback.total_epoch_seconds = total_epoch_seconds;
-        rollback.retried_epoch_seconds = retried_epoch_seconds;
-        int64_t bytes = 0;
-        if (lineage.Save(rollback, &bytes)) {
-          checkpoint_bytes = bytes;
+      obs::ScopedPhaseTimer timer(obs::Phase::kEval);
+      ReplayState(model.get(), graph, pre_test_events, tc.batch_size);
+      const double inference_start = NowSeconds();
+      eval_pass(split.test_events, test_sampler.get(), tc.seed + 3,
+                 &test_pos, &test_neg, &test_ranks);
+      inference_seconds = NowSeconds() - inference_start;
+    }
+    if (model->status() == ModelStatus::kRuntimeError) {
+      exit = TrainExit::kRuntimeError;
+    } else {
+      const std::array<const std::vector<int64_t>*, 4> subsets = {
+          &split.test_events, &split.test_inductive, &split.test_new_old,
+          &split.test_new_new};
+      for (size_t s = 0; s < subsets.size(); ++s) {
+        result.test[s] = SubsetMetrics(split.test_events, *subsets[s],
+                                       test_pos, test_neg);
+        if (candidate_sampler != nullptr) {
+          result.test_ranking[s] =
+              SubsetRanking(split.test_events, *subsets[s], test_ranks);
         }
       }
+      // Pairs scored by the test pass: positive + negative per event, plus
+      // the k ranking candidates per event when the MRR evaluator is on.
+      const int64_t scored = (2 + static_cast<int64_t>(result.mrr_k)) *
+                             static_cast<int64_t>(split.test_events.size());
+      if (scored > 0 && inference_seconds > 0.0) {
+        EfficiencyStats& eff = result.efficiency;
+        eff.inference_seconds_per_100k =
+            inference_seconds / static_cast<double>(scored) * 1e5;
+        // Edge scores per second of the test pass — the number the k-way
+        // fused-scoring perf gate watches: one ScoreCandidates forward per
+        // batch keeps it in the one-negative pass's band even at k=20.
+        eff.eval_events_per_second =
+            static_cast<double>(scored) / inference_seconds;
+      }
     }
-    registry.DrainThisThread(&run_phases);
-    if (stop) break;
-    if (tc.time_budget_seconds > 0.0 &&
-        NowSeconds() - start > tc.time_budget_seconds) {
-      hit_budget = true;
-      break;
-    }
-    if (Canceled(tc)) {
-      canceled = true;
-      break;
-    }
   }
-  result.nan_retries = nan_retries;
-
-  if (canceled || diverged) {
-    // Watchdog deadline or exhausted NaN-retry budget: record the paper's
-    // non-convergence marker and skip the (expensive) test pass.
-    result.annotation = "x";
-    registry.DrainThisThread(&run_phases);
-    EfficiencyStats& eff = result.efficiency;
-    eff.epochs_run = epochs_run;
-    eff.best_epoch = monitor.best_epoch();
-    eff.converged = false;
-    eff.seconds_per_epoch =
-        epochs_run > 0 ? total_epoch_seconds / epochs_run : 0.0;
-    eff.retried_epoch_seconds = retried_epoch_seconds;
-    eff.max_rss_gb = MaxRssGb();
-    eff.state_bytes = model->StateBytes();
-    eff.parameter_bytes = model->ParameterBytes();
-    eff.checkpoint_bytes = checkpoint_bytes;
-    eff.phase_seconds = run_phases.seconds;
-    FinishPipelineStats(pipeline_depth, &eff);
-    retire_checkpoint();
-    return result;
-  }
-
-  // Evaluate the best epoch's weights, not the last: early stopping keeps
-  // training `patience` epochs past the peak, and those extra updates
-  // should not leak into the test metrics.
-  if (model->trainable() && !best_params.empty()) {
-    const bool restored = tensor::RestoreParameters(best_params, params);
-    tensor::CheckOrDie(restored, "best-epoch restore: corrupt snapshot");
-  }
-
-  // Final evaluation: rebuild state over train+val, then one chronological
-  // pass over the whole test window scored under every setting.
-  model->set_training(false);
-  model->SetNeighborFinder(&full_finder);
-  model->Reset();
-  std::vector<int64_t> pre_test_events;
-  pre_test_events.reserve(static_cast<size_t>(split.val_end));
-  for (int64_t i = 0; i < split.val_end; ++i) pre_test_events.push_back(i);
-  std::vector<double> test_pos, test_neg, test_ranks;
-  double inference_seconds = 0.0;
-  {
-    obs::ScopedPhaseTimer timer(obs::Phase::kEval);
-    ReplayState(model.get(), graph, pre_test_events, tc.batch_size);
-    const double inference_start = NowSeconds();
-    EvalPassConfig test_cfg;
-    test_cfg.pass_seed = tc.seed + 3;
-    test_cfg.pipeline_depth = pipeline_depth;
-    test_cfg.cancel = tc.cancel_token;
-    test_cfg.candidates = candidate_sampler.get();
-    test_cfg.tie_policy = tc.mrr_tie_policy;
-    ScorePass(model.get(), graph, split.test_events, tc.batch_size,
-              test_sampler.get(), test_cfg, &test_pos, &test_neg,
-              candidate_sampler != nullptr ? &test_ranks : nullptr);
-    inference_seconds = NowSeconds() - inference_start;
-  }
-  registry.DrainThisThread(&run_phases);
-  if (model->status() == ModelStatus::kRuntimeError) {
-    result.status = ModelStatus::kRuntimeError;
-    result.annotation = "*";
-    retire_checkpoint();
-    return result;
-  }
-
-  result.test[static_cast<int>(Setting::kTransductive)] = SubsetMetrics(
-      split.test_events, split.test_events, test_pos, test_neg);
-  result.test[static_cast<int>(Setting::kInductive)] = SubsetMetrics(
-      split.test_events, split.test_inductive, test_pos, test_neg);
-  result.test[static_cast<int>(Setting::kInductiveNewOld)] = SubsetMetrics(
-      split.test_events, split.test_new_old, test_pos, test_neg);
-  result.test[static_cast<int>(Setting::kInductiveNewNew)] = SubsetMetrics(
-      split.test_events, split.test_new_new, test_pos, test_neg);
-  if (candidate_sampler != nullptr) {
-    result.test_ranking[static_cast<int>(Setting::kTransductive)] =
-        SubsetRanking(split.test_events, split.test_events, test_ranks);
-    result.test_ranking[static_cast<int>(Setting::kInductive)] =
-        SubsetRanking(split.test_events, split.test_inductive, test_ranks);
-    result.test_ranking[static_cast<int>(Setting::kInductiveNewOld)] =
-        SubsetRanking(split.test_events, split.test_new_old, test_ranks);
-    result.test_ranking[static_cast<int>(Setting::kInductiveNewNew)] =
-        SubsetRanking(split.test_events, split.test_new_new, test_ranks);
-  }
-
-  EfficiencyStats& eff = result.efficiency;
-  eff.epochs_run = epochs_run;
-  eff.best_epoch = monitor.best_epoch();
-  eff.converged = model->trainable()
-                      ? (monitor.rounds_without_improvement() >= tc.patience)
-                      : true;
-  // Throughput over *kept* epochs only: wall-time of rolled-back epochs is
-  // reported separately so a retried run does not misstate its speed.
-  eff.seconds_per_epoch =
-      epochs_run > 0 ? total_epoch_seconds / epochs_run : 0.0;
-  eff.retried_epoch_seconds = retried_epoch_seconds;
-  eff.max_rss_gb = MaxRssGb();
-  eff.state_bytes = model->StateBytes();
-  eff.parameter_bytes = model->ParameterBytes();
-  eff.checkpoint_bytes = checkpoint_bytes;
-  eff.phase_seconds = run_phases.seconds;
-  FinishPipelineStats(pipeline_depth, &eff);
-  if (retried_epoch_seconds > 0.0) {
-    registry.SetGauge("train.retried_epoch_seconds", retried_epoch_seconds);
-  }
-  if (eff.seconds_per_epoch > 0.0) {
-    eff.train_events_per_second =
-        static_cast<double>(split.train_events.size()) /
-        eff.seconds_per_epoch;
-  }
-  // Pairs scored by the test pass: positive + negative per event, plus the
-  // k ranking candidates per event when the MRR evaluator is on.
-  const int64_t scored = (2 + static_cast<int64_t>(result.mrr_k)) *
-                         static_cast<int64_t>(split.test_events.size());
-  if (scored > 0 && inference_seconds > 0.0) {
-    eff.inference_seconds_per_100k =
-        inference_seconds / static_cast<double>(scored) * 1e5;
-    // Edge scores per second of the test pass — the number the k-way
-    // fused-scoring perf gate watches: one ScoreCandidates forward per
-    // batch keeps it in the one-negative pass's band even at k=20.
-    eff.eval_events_per_second =
-        static_cast<double>(scored) / inference_seconds;
-  }
-  if (model->trainable() && !eff.converged && hit_budget) {
-    result.annotation = "x";
-  }
-  retire_checkpoint();
+  driver.Finish(exit, !model->trainable() || driver.monitor().stopped(),
+                split.train_events.size(), &result);
   return result;
 }
 
@@ -782,8 +1017,6 @@ NodeClassificationResult RunNodeClassification(
   NodeClassificationResult result;
   tensor::CheckOrDie(graph.HasLabels(),
                      "RunNodeClassification: dataset has no labels");
-  const int32_t num_classes = std::max(graph.NumLabelClasses(), 2);
-  const bool binary = num_classes <= 2;
 
   NodeClassificationSplit split =
       SplitNodeClassification(graph, job.split_config);
@@ -795,292 +1028,32 @@ NodeClassificationResult RunNodeClassification(
   model_config.seed = tc.seed + 17;
   auto model =
       models::CreateModel(job.kind, &graph, model_config, job.num_users);
-  const std::vector<Var> params = model->Parameters();
-  tensor::Adam optimizer(params, tc.learning_rate);
   RandomEdgeSampler train_sampler(dst_lo, dst_hi, tc.seed + 1);
-
+  EpochDriver driver(tc, model.get(), &train_sampler);
   const std::vector<Batch> train_batches =
       MakeBatches(graph, split.train_events, tc.batch_size);
-  auto& registry = obs::MetricRegistry::Global();
-  double pretrain_seconds = 0.0;
-  const int pretrain = model->trainable() ? job.pretrain_epochs : 0;
-  const int pipeline_depth =
-      tc.pipeline_depth >= 0 ? tc.pipeline_depth : pipeline::DepthFromEnv();
-  for (int epoch = 0; epoch < pretrain; ++epoch) {
-    const double epoch_start = NowSeconds();
-    {
-      obs::ScopedPhaseTimer timer(obs::Phase::kMemoryUpdate);
-      model->Reset();
-    }
-    model->set_training(true);
-    model->SetNeighborFinder(&full_finder);
-    // Same pipelined preparation as the link-prediction loop: pure per-batch
-    // seeds, scoped so the prefetcher drains before the epoch ends.
-    auto prepare = [&, epoch](int64_t bi) {
-      pipeline::PreparedBatch pb;
-      pb.index = bi;
-      ProbeStallFault();
-      const Batch& pbatch = train_batches[static_cast<size_t>(bi)];
-      const uint64_t seed = BatchSeed(tc.seed, epoch, bi);
-      pb.negatives = train_sampler.SampleNegativesKeyed(
-          tensor::SplitMix64(seed, 0), pbatch.srcs, pbatch.dsts);
-      pb.inputs = model->PrepareBatch(pbatch, pb.negatives, seed);
-      return pb;
-    };
-    pipeline::BatchPrefetcher prefetcher(
-        static_cast<int64_t>(train_batches.size()), pipeline_depth, prepare,
-        tc.cancel_token);
-    for (size_t bi = 0; bi < train_batches.size(); ++bi) {
-      tensor::kernels::TapeScope tape_scope;
-      if (Canceled(tc)) {
-        result.annotation = "x";
-        return result;
-      }
-      pipeline::PreparedBatch pb;
-      {
-        obs::ScopedPhaseTimer timer(obs::Phase::kSample);
-        if (!prefetcher.Next(&pb)) {
-          result.annotation = "x";
-          return result;
-        }
-      }
-      ProbeThrowFault();
-      const Batch& batch = train_batches[static_cast<size_t>(pb.index)];
-      const std::vector<int32_t>& negatives = pb.negatives;
-      Var pos, neg;
-      {
-        obs::ScopedPhaseTimer timer(obs::Phase::kForward);
-        model->SetPreparedInputs(pb.inputs.get());
-        pos = model->ScoreEdges(batch.srcs, batch.dsts, batch.ts);
-        neg = model->ScoreEdges(batch.srcs, negatives, batch.ts);
-        model->SetPreparedInputs(nullptr);
-      }
-      if (model->status() == ModelStatus::kRuntimeError) {
-        result.status = ModelStatus::kRuntimeError;
-        result.annotation = "*";
-        return result;
-      }
-      Var loss;
-      {
-        obs::ScopedPhaseTimer timer(obs::Phase::kForward);
-        loss = PairBceLoss(pos, neg);
-      }
-      if (!GuardedStep(loss, params, tc.grad_clip_norm, &optimizer)) {
-        // Pretraining diverged: the embeddings would be NaN, so report
-        // the paper's non-convergence marker instead of fitting a decoder.
-        result.annotation = "x";
-        return result;
-      }
-      {
-        obs::ScopedPhaseTimer timer(obs::Phase::kMemoryUpdate);
-        model->UpdateState(batch);
-      }
-      registry.Add(obs::Counter::kTrainBatches, 1);
-      registry.Add(obs::Counter::kTrainEvents, batch.size());
-    }
-    AccumulatePipelineStats(prefetcher.stats(), &result.efficiency);
-    pretrain_seconds += NowSeconds() - epoch_start;
+
+  // Pretraining is link-prediction training over the full neighbor index
+  // with no validation pass, so every epoch runs — under the same NaN
+  // rollback, resume, time budget and cancel checks.
+  TrainExit exit = driver.Run(train_batches, &full_finder,
+                              model->trainable() ? job.pretrain_epochs : 0,
+                              nullptr, &result.efficiency);
+  DecoderFit fit;
+  if (Trained(exit)) {
+    fit = FitDecoder(model.get(), graph, &full_finder, split, tc,
+                     job.decoder_epochs, &result);
+    if (fit.canceled) exit = TrainExit::kCanceled;
   }
-  FinishPipelineStats(pipeline_depth, &result.efficiency);
-
-  // Frozen-embedding extraction: one chronological pass over the stream
-  // caching each labeled event's source-node embedding.
-  model->set_training(false);
-  model->SetNeighborFinder(&full_finder);
-  model->Reset();
-  const int64_t d = model->embedding_dim();
-  Tensor features({graph.num_events(), d});
-  std::vector<int32_t> labels(static_cast<size_t>(graph.num_events()), -1);
-  {
-    obs::ScopedPhaseTimer timer(obs::Phase::kEval);
-    std::vector<int64_t> all_events(static_cast<size_t>(graph.num_events()));
-    for (int64_t i = 0; i < graph.num_events(); ++i)
-      all_events[static_cast<size_t>(i)] = i;
-    int64_t cursor = 0;
-    for (const Batch& batch : MakeBatches(graph, all_events, tc.batch_size)) {
-      tensor::kernels::TapeScope tape_scope;
-      Var emb = model->ComputeEmbeddings(batch.srcs, batch.ts);
-      for (int64_t i = 0; i < batch.size(); ++i) {
-        for (int64_t c = 0; c < d; ++c) {
-          features.at(cursor + i, c) = emb->value.at(i * d + c);
-        }
-        labels[static_cast<size_t>(cursor + i)] =
-            graph.event(cursor + i).label;
-      }
-      cursor += batch.size();
-      model->UpdateState(batch);
-    }
-  }
-
-  // Decoder: 2-layer MLP on the frozen embeddings.
-  tensor::Rng decoder_rng(tc.seed + 71);
-  const int64_t out_dim = binary ? 1 : num_classes;
-  tensor::Mlp decoder({d, std::max<int64_t>(d, 16), out_dim}, decoder_rng);
-  tensor::Adam decoder_opt(decoder.Parameters(), 1e-2f);
-
-  auto gather = [&](const std::vector<int64_t>& events, Tensor* x,
-                    std::vector<int64_t>* y) {
-    std::vector<float> rows;
-    for (int64_t i : events) {
-      if (labels[static_cast<size_t>(i)] < 0) continue;
-      for (int64_t c = 0; c < d; ++c) rows.push_back(features.at(i, c));
-      y->push_back(labels[static_cast<size_t>(i)]);
-    }
-    *x = Tensor::FromVector({static_cast<int64_t>(y->size()), d},
-                            std::move(rows));
-  };
-  Tensor x_train, x_val, x_test;
-  std::vector<int64_t> y_train, y_val, y_test;
-  gather(split.train_events, &x_train, &y_train);
-  gather(split.val_events, &x_val, &y_val);
-  gather(split.test_events, &x_test, &y_test);
-
-  auto scores_of = [&](const Tensor& x) {
-    Var logits = decoder.Forward(tensor::Constant(x));
-    return logits;
-  };
-  auto binary_auc = [&](const Tensor& x, const std::vector<int64_t>& y) {
-    Var logits = scores_of(x);
-    std::vector<double> scores;
-    std::vector<int> lab;
-    for (size_t i = 0; i < y.size(); ++i) {
-      scores.push_back(logits->value.at(static_cast<int64_t>(i)));
-      lab.push_back(y[i] == 1 ? 1 : 0);
-    }
-    return RocAuc(scores, lab);
-  };
-
-  // The decoder is cheap, so it gets a more patient monitor than the
-  // expensive TGNN training loop.
-  EarlyStopMonitor monitor(std::max(tc.patience, 8), tc.tolerance);
-  double decoder_seconds = 0.0;
-  int decoder_epochs_run = 0;
-  // Decoder weights at the monitor's best epoch, restored before the test
-  // metrics so early stopping evaluates the peak — not the last — decoder.
-  std::string best_decoder;
-  for (int epoch = 0; epoch < job.decoder_epochs; ++epoch) {
-    // Scopes the decoder epoch's whole graph (loss and the validation
-    // passes below both live within one tape).
-    tensor::kernels::TapeScope tape_scope;
-    if (Canceled(tc)) {
-      result.annotation = "x";
-      return result;
-    }
-    const double epoch_start = NowSeconds();
-    Var loss;
-    {
-      obs::ScopedPhaseTimer timer(obs::Phase::kForward);
-      Var logits = decoder.Forward(tensor::Constant(x_train));
-      if (binary) {
-        Tensor targets({static_cast<int64_t>(y_train.size())});
-        for (size_t i = 0; i < y_train.size(); ++i) {
-          targets.at(static_cast<int64_t>(i)) = y_train[i] == 1 ? 1.0f : 0.0f;
-        }
-        loss = BceWithLogits(logits, targets);
-      } else {
-        loss = SoftmaxCrossEntropy(logits, y_train);
-      }
-    }
-    {
-      obs::ScopedPhaseTimer timer(obs::Phase::kBackward);
-      decoder_opt.ZeroGrad();
-      Backward(loss);
-      decoder_opt.Step();
-    }
-    decoder_seconds += NowSeconds() - epoch_start;
-    ++decoder_epochs_run;
-    const double val_metric =
-        binary ? binary_auc(x_val, y_val) : [&] {
-          Var val_logits = scores_of(x_val);
-          std::vector<int> pred, actual;
-          for (size_t i = 0; i < y_val.size(); ++i) {
-            int best = 0;
-            for (int c = 1; c < num_classes; ++c) {
-              if (val_logits->value.at(static_cast<int64_t>(i), c) >
-                  val_logits->value.at(static_cast<int64_t>(i), best)) {
-                best = c;
-              }
-            }
-            pred.push_back(best);
-            actual.push_back(static_cast<int>(y_val[i]));
-          }
-          return Accuracy(pred, actual);
-        }();
-    const bool stop = monitor.Update(val_metric);
-    if (monitor.rounds_without_improvement() == 0) {
-      best_decoder = tensor::SnapshotParameters(decoder.Parameters());
-    }
-    if (stop) break;
-  }
-  if (!best_decoder.empty()) {
-    const bool restored =
-        tensor::RestoreParameters(best_decoder, decoder.Parameters());
-    tensor::CheckOrDie(restored, "best-decoder restore: corrupt snapshot");
-  }
-
-  // Test metrics.
-  if (binary) {
-    result.test_auc = binary_auc(x_test, y_test);
-    Var logits = scores_of(x_test);
-    std::vector<int> pred, actual;
-    for (size_t i = 0; i < y_test.size(); ++i) {
-      pred.push_back(logits->value.at(static_cast<int64_t>(i)) > 0.0f ? 1
-                                                                      : 0);
-      actual.push_back(static_cast<int>(y_test[i]));
-    }
-    result.accuracy = Accuracy(pred, actual);
-    const WeightedPrf prf = WeightedPrecisionRecallF1(pred, actual, 2);
-    result.precision_weighted = prf.precision;
-    result.recall_weighted = prf.recall;
-    result.f1_weighted = prf.f1;
-  } else {
-    Var logits = scores_of(x_test);
-    std::vector<int> pred, actual;
-    for (size_t i = 0; i < y_test.size(); ++i) {
-      int best = 0;
-      for (int c = 1; c < num_classes; ++c) {
-        if (logits->value.at(static_cast<int64_t>(i), c) >
-            logits->value.at(static_cast<int64_t>(i), best)) {
-          best = c;
-        }
-      }
-      pred.push_back(best);
-      actual.push_back(static_cast<int>(y_test[i]));
-    }
-    result.accuracy = Accuracy(pred, actual);
-    const WeightedPrf prf =
-        WeightedPrecisionRecallF1(pred, actual, num_classes);
-    result.precision_weighted = prf.precision;
-    result.recall_weighted = prf.recall;
-    result.f1_weighted = prf.f1;
-    // One-vs-rest AUC of the positive (fraud) class for comparability.
-    std::vector<double> scores;
-    std::vector<int> lab;
-    for (size_t i = 0; i < y_test.size(); ++i) {
-      scores.push_back(logits->value.at(static_cast<int64_t>(i), 1));
-      lab.push_back(y_test[i] == 1 ? 1 : 0);
-    }
-    result.test_auc = RocAuc(scores, lab);
-  }
-
+  driver.Finish(exit, fit.converged, split.train_events.size(), &result);
+  // Table 12 reports the decoder's epochs; its runtime averages over
+  // pretraining and decoder epochs alike.
   EfficiencyStats& eff = result.efficiency;
-  obs::PhaseTotals nc_phases;
-  registry.DrainThisThread(&nc_phases);
-  eff.phase_seconds = nc_phases.seconds;
-  eff.epochs_run = decoder_epochs_run;
-  eff.best_epoch = monitor.best_epoch();
-  eff.converged = monitor.rounds_without_improvement() >= tc.patience;
-  const int denom = pretrain + decoder_epochs_run;
+  const int epochs = driver.epochs_run() + fit.epochs_run;
   eff.seconds_per_epoch =
-      denom > 0 ? (pretrain_seconds + decoder_seconds) / denom : 0.0;
-  eff.max_rss_gb = MaxRssGb();
-  eff.state_bytes = model->StateBytes();
-  eff.parameter_bytes = model->ParameterBytes();
-  if (pretrain_seconds > 0.0 && pretrain > 0) {
-    eff.train_events_per_second =
-        static_cast<double>(split.train_events.size()) /
-        (pretrain_seconds / pretrain);
-  }
+      epochs > 0 ? (driver.kept_epoch_seconds() + fit.seconds) / epochs : 0.0;
+  eff.epochs_run = fit.epochs_run;
+  eff.best_epoch = fit.best_epoch;
   return result;
 }
 

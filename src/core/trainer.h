@@ -196,6 +196,10 @@ struct NodeClassificationResult {
   double recall_weighted = 0.0;
   double f1_weighted = 0.0;
   EfficiencyStats efficiency;
+  /// Pretraining NaN/Inf recovery events, as on LinkPredictionResult.
+  int nan_retries = 0;
+  /// True when pretraining restarted from an on-disk checkpoint.
+  bool resumed = false;
 };
 
 struct NodeClassificationJob {
@@ -211,9 +215,11 @@ struct NodeClassificationJob {
   int decoder_epochs = 80;
 };
 
-/// Runs the node-classification pipeline (Section 3.2.2): LP pre-training,
-/// frozen-embedding extraction over the stream, then a 2-layer MLP decoder
-/// trained on the train window and early-stopped on validation AUC.
+/// Runs the node-classification pipeline (Section 3.2.2): LP pre-training
+/// through the same epoch loop as RunLinkPrediction (NaN rollback,
+/// checkpoint resume, time budget), frozen-embedding extraction over the
+/// stream, then a 2-layer MLP decoder trained on the train window and
+/// early-stopped on validation AUC (accuracy when multi-class).
 NodeClassificationResult RunNodeClassification(
     const NodeClassificationJob& job);
 

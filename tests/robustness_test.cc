@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <fstream>
 #include <limits>
 #include <string>
@@ -409,6 +410,121 @@ TEST_F(RobustnessTest, CheckpointWithWrongSeedIgnored) {
   EXPECT_FALSE(result.resumed);
   EXPECT_EQ(result.status, models::ModelStatus::kOk);
   CheckpointLineage(path, 3).Remove();
+}
+
+// ---------------------------------------------------------------------------
+// Node-classification pretraining runs through the same epoch driver
+
+uint64_t BitsOf(double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+core::NodeClassificationJob SmallNcJob(const TemporalGraph* g) {
+  core::NodeClassificationJob job;
+  job.graph = g;
+  job.num_users = 60;
+  job.kind = ModelKind::kTgn;
+  job.model_config = SmallTgnJob(g).model_config;
+  job.train_config = SmallTgnJob(g).train_config;
+  job.pretrain_epochs = 3;
+  job.decoder_epochs = 40;
+  return job;
+}
+
+TemporalGraph MakeLabeledGraph() {
+  datagen::SyntheticConfig cfg;
+  cfg.num_users = 60;
+  cfg.num_items = 25;
+  cfg.num_edges = 900;
+  cfg.edge_reuse_prob = 0.7;
+  cfg.affinity = 0.7;
+  cfg.edge_feature_dim = 4;
+  cfg.label_classes = 2;
+  cfg.label_positive_rate = 0.15;
+  cfg.seed = 33;
+  TemporalGraph g = datagen::Generate(cfg);
+  g.InitNodeFeatures(8);
+  return g;
+}
+
+TEST_F(RobustnessTest, NodeClassificationResumeMatchesUninterruptedRun) {
+  TemporalGraph g = MakeLabeledGraph();
+  const std::string path = TempPath("nc_resume.ckpt");
+  CheckpointLineage(path, 3).Remove();
+
+  core::NodeClassificationJob job = SmallNcJob(&g);
+  const core::NodeClassificationResult reference =
+      core::RunNodeClassification(job);
+  ASSERT_EQ(reference.annotation, "");
+  EXPECT_FALSE(reference.resumed);
+
+  // Crash mid-pretraining after at least one epoch was committed (about 6
+  // pretraining batches per epoch; step 10 is in the second epoch).
+  job.train_config.checkpoint_path = path;
+  FaultSpec spec;
+  spec.at_step = 10;
+  FaultInjector::Global().Arm(FaultSite::kThrowForward, spec);
+  EXPECT_THROW(core::RunNodeClassification(job), std::runtime_error);
+  FaultInjector::Global().DisarmAll();
+  {
+    JobCheckpoint peek;
+    ASSERT_TRUE(CheckpointLineage(path, 3).Load(&peek).ok)
+        << "no checkpoint generation survived the crash";
+  }
+
+  const core::NodeClassificationResult resumed =
+      core::RunNodeClassification(job);
+  EXPECT_TRUE(resumed.resumed);
+  EXPECT_EQ(resumed.annotation, "");
+  // Bitwise: the resumed pretraining replays the uninterrupted trajectory.
+  EXPECT_EQ(BitsOf(resumed.test_auc), BitsOf(reference.test_auc));
+  EXPECT_EQ(BitsOf(resumed.accuracy), BitsOf(reference.accuracy));
+  EXPECT_EQ(BitsOf(resumed.f1_weighted), BitsOf(reference.f1_weighted));
+
+  // A completed job retires its whole lineage (generations + manifest).
+  JobCheckpoint peek;
+  EXPECT_FALSE(CheckpointLineage(path, 3).Load(&peek).ok);
+  std::string unused;
+  EXPECT_FALSE(ReadFile(path + ".lineage", &unused));
+}
+
+TEST_F(RobustnessTest, NodeClassificationPretrainNanRecovers) {
+  TemporalGraph g = MakeLabeledGraph();
+  core::NodeClassificationJob job = SmallNcJob(&g);
+
+  // One poisoned pretraining loss: roll back, back off the LR, retry, and
+  // go on to fit the decoder.
+  FaultSpec spec;
+  spec.at_step = 3;
+  FaultInjector::Global().Arm(FaultSite::kNanLoss, spec);
+  const core::NodeClassificationResult result =
+      core::RunNodeClassification(job);
+  EXPECT_EQ(FaultInjector::Global().fire_count(FaultSite::kNanLoss), 1);
+  EXPECT_EQ(result.status, models::ModelStatus::kOk);
+  EXPECT_EQ(result.annotation, "");
+  EXPECT_EQ(result.nan_retries, 1);
+  EXPECT_GT(result.accuracy, 0.5);
+}
+
+TEST_F(RobustnessTest, NodeClassificationTimeBudgetCutsPretraining) {
+  TemporalGraph g = MakeLabeledGraph();
+  core::NodeClassificationJob job = SmallNcJob(&g);
+  job.pretrain_epochs = 1;
+  const core::NodeClassificationResult one_epoch =
+      core::RunNodeClassification(job);
+
+  // A budget that runs out in the first epoch stops pretraining at the
+  // first boundary; the decoder then fits the same embeddings.
+  job.pretrain_epochs = 3;
+  job.train_config.time_budget_seconds = 1e-9;
+  const core::NodeClassificationResult cut = core::RunNodeClassification(job);
+  EXPECT_EQ(cut.efficiency.pipeline_batches,
+            one_epoch.efficiency.pipeline_batches);
+  EXPECT_DOUBLE_EQ(cut.test_auc, one_epoch.test_auc);
+  EXPECT_DOUBLE_EQ(cut.accuracy, one_epoch.accuracy);
+  EXPECT_EQ(cut.annotation, one_epoch.efficiency.converged ? "" : "x");
 }
 
 // ---------------------------------------------------------------------------

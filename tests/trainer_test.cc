@@ -1,9 +1,13 @@
 #include "core/trainer.h"
 
+#include <cstring>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "base/fault_injector.h"
 #include "datagen/synthetic.h"
+#include "runtime/thread_pool.h"
 
 namespace benchtemp::core {
 namespace {
@@ -26,6 +30,12 @@ TemporalGraph MakeLearnableGraph(uint64_t seed = 21) {
   TemporalGraph g = datagen::Generate(cfg);
   g.InitNodeFeatures(8);
   return g;
+}
+
+uint64_t BitsOf(double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
 }
 
 models::ModelConfig SmallModelConfig() {
@@ -207,20 +217,74 @@ TEST(TrainerTest, NodeClassificationNanLossAnnotatesX) {
   job.train_config = QuickTrainConfig();
   job.pretrain_epochs = 2;
   job.decoder_epochs = 80;
-  // A diverged pretraining step must stop the job before NaN embeddings
-  // reach the decoder: the paper's non-convergence marker, no metrics.
+  job.train_config.max_nan_retries = 1;
+  // Pretraining that keeps diverging past its retry budget must stop the
+  // job before NaN embeddings reach the decoder: the paper's
+  // non-convergence marker, no metrics.
   base::FaultSpec spec;
   spec.at_step = 2;
+  spec.count = 1 << 20;
   base::FaultInjector::Global().Arm(base::FaultSite::kNanLoss, spec);
   const NodeClassificationResult result = RunNodeClassification(job);
   const int64_t fired =
       base::FaultInjector::Global().fire_count(base::FaultSite::kNanLoss);
   base::FaultInjector::Global().DisarmAll();
   EXPECT_EQ(result.annotation, "x");
-  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(fired, 2);  // the first attempt and its one retry
   EXPECT_DOUBLE_EQ(result.test_auc, NodeClassificationResult().test_auc);
   EXPECT_DOUBLE_EQ(result.accuracy, 0.0);
   EXPECT_DOUBLE_EQ(result.f1_weighted, 0.0);
+}
+
+TEST(TrainerTest, NodeClassificationConvergedFollowsDecoderMonitor) {
+  TemporalGraph g = MakeLearnableGraph(33);
+  NodeClassificationJob job;
+  job.graph = &g;
+  job.num_users = 60;
+  job.kind = ModelKind::kTgn;
+  job.model_config = SmallModelConfig();
+  job.train_config = QuickTrainConfig();
+  job.train_config.patience = 0;
+  job.pretrain_epochs = 1;
+  job.decoder_epochs = 4;
+  // The decoder's monitor waits at least 8 epochs, so 4 decoder epochs
+  // can never early-stop: the Epoch cell must not read "converged".
+  const NodeClassificationResult result = RunNodeClassification(job);
+  EXPECT_EQ(result.annotation, "");
+  EXPECT_EQ(result.efficiency.epochs_run, 4);
+  EXPECT_FALSE(result.efficiency.converged);
+}
+
+TEST(TrainerTest, NodeClassificationBitIdenticalAcrossPipelineDepth) {
+  TemporalGraph g = MakeLearnableGraph(33);
+  NodeClassificationJob job;
+  job.graph = &g;
+  job.num_users = 60;
+  job.kind = ModelKind::kTgn;
+  job.model_config = SmallModelConfig();
+  job.train_config = QuickTrainConfig();
+  job.train_config.seed = 1;
+  job.pretrain_epochs = 2;
+  job.decoder_epochs = 20;
+  runtime::ThreadPool& pool = runtime::ThreadPool::Global();
+  const int original_threads = pool.num_threads();
+  std::vector<NodeClassificationResult> results;
+  for (int threads : {1, 4}) {
+    pool.SetNumThreads(threads);
+    for (int depth : {0, 2}) {
+      job.train_config.pipeline_depth = depth;
+      results.push_back(RunNodeClassification(job));
+    }
+  }
+  pool.SetNumThreads(original_threads);
+  for (const NodeClassificationResult& r : results) {
+    EXPECT_EQ(r.annotation, "");
+    // Bitwise, not approximate: prefetch and thread count change
+    // scheduling, never results.
+    EXPECT_EQ(BitsOf(r.test_auc), BitsOf(results[0].test_auc));
+    EXPECT_EQ(BitsOf(r.accuracy), BitsOf(results[0].accuracy));
+    EXPECT_EQ(BitsOf(r.f1_weighted), BitsOf(results[0].f1_weighted));
+  }
 }
 
 TEST(TrainerTest, MultiClassNodeClassification) {
