@@ -31,8 +31,7 @@
 //
 // Observability knobs (see DESIGN.md "Observability"):
 //   BENCHTEMP_METRICS      "1"/"on" turns collection on; any other value is
-//                          a path for a standalone JSON (or, with a ".csv"
-//                          suffix, CSV) export at exit
+//                          a path for a standalone JSON export at exit
 //   BENCHTEMP_BENCH_DIR    directory for the BENCH_<name>.json artifact
 //                          every bench binary emits (default: cwd)
 
@@ -42,6 +41,7 @@
 #include <string>
 #include <vector>
 
+#include "base/check.h"
 #include "core/evaluator.h"
 #include "core/leaderboard.h"
 #include "core/trainer.h"
@@ -74,9 +74,11 @@ class BenchArtifact {
   double start_;
 };
 
+/// Integer knob: `fallback` when unset, 0 when set but empty; a value
+/// that is not an integer is fatal.
 inline int EnvInt(const char* name, int fallback) {
-  const char* value = std::getenv(name);
-  return value != nullptr ? std::atoi(value) : fallback;
+  const bool set = std::getenv(name) != nullptr;
+  return base::EnvIntOrDie(name, set ? 0 : fallback);
 }
 
 inline std::string EnvStr(const char* name,

@@ -14,6 +14,7 @@
 #include "bench/bench_common.h"
 #include "datagen/synthetic.h"
 #include "runtime/thread_pool.h"
+#include "tensor/numeric.h"
 
 namespace {
 
@@ -113,8 +114,8 @@ int main() {
                   p.ap);
       // Determinism contract: metrics must match the 1-thread run EXACTLY —
       // bit-identical comparison is the whole point of this check.
-      // btlint: allow(float-equality)
-      if (p.auc != points.front().auc || p.ap != points.front().ap) {
+      if (!tensor::ExactlyEqual(p.auc, points.front().auc) ||
+          !tensor::ExactlyEqual(p.ap, points.front().ap)) {
         deterministic = false;
       }
     }

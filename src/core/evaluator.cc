@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numeric>
 
+#include "tensor/numeric.h"
 #include "tensor/tensor.h"
 
 namespace benchtemp::core {
@@ -27,7 +28,10 @@ double RocAuc(const std::vector<double>& scores,
   size_t i = 0;
   while (i < n) {
     size_t j = i;
-    while (j + 1 < n && scores[order[j + 1]] == scores[order[i]]) ++j;
+    while (j + 1 < n &&
+           tensor::ExactlyEqual(scores[order[j + 1]], scores[order[i]])) {
+      ++j;
+    }
     // Midrank of the tie group [i, j] (1-based ranks).
     const double midrank = 0.5 * (static_cast<double>(i + 1) +
                                   static_cast<double>(j + 1));
@@ -66,7 +70,10 @@ double AveragePrecision(const std::vector<double>& scores,
     if (labels[order[k]] != 0) ++true_pos;
     // Advance only at distinct-score boundaries to treat ties as one
     // threshold.
-    if (k + 1 < n && scores[order[k + 1]] == scores[order[k]]) continue;
+    if (k + 1 < n &&
+        tensor::ExactlyEqual(scores[order[k + 1]], scores[order[k]])) {
+      continue;
+    }
     const double recall =
         static_cast<double>(true_pos) / static_cast<double>(num_pos);
     const double precision =

@@ -1,5 +1,6 @@
 #include "core/mrr_evaluator.h"
 
+#include "tensor/numeric.h"
 #include "tensor/tensor.h"
 
 namespace benchtemp::core {
@@ -26,7 +27,7 @@ double RankOfPositive(double pos_score, const double* candidate_scores,
     // near-ties instead of splitting exact ones.
     if (c > pos_score) {
       ++better;
-    } else if (c == pos_score) {  // btlint: allow(float-equality)
+    } else if (tensor::ExactlyEqual(c, pos_score)) {
       ++tied;
     }
   }

@@ -13,6 +13,7 @@
 #include <thread>
 #include <unordered_set>
 
+#include "base/check.h"
 #include "base/fault_injector.h"
 #include "core/early_stop.h"
 #include "core/evaluator.h"
@@ -165,12 +166,10 @@ RankingMetrics SubsetRanking(const std::vector<int64_t>& events,
 }
 
 /// BENCHTEMP_MRR_K: candidates per positive when TrainConfig leaves
-/// mrr_k at -1; unset/invalid -> 0 (ranking off).
+/// mrr_k at -1; unset/empty/k <= 0 -> 0 (ranking off). A value that is not
+/// an integer is fatal.
 int MrrKFromEnv() {
-  const char* value = std::getenv("BENCHTEMP_MRR_K");
-  if (value == nullptr || value[0] == '\0') return 0;
-  const int k = std::atoi(value);
-  return k > 0 ? k : 0;
+  return std::max(base::EnvIntOrDie("BENCHTEMP_MRR_K", 0), 0);
 }
 
 /// AUC/AP over the subset of `events` listed in `subset`.

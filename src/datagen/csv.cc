@@ -134,8 +134,7 @@ std::string StreamViolation(const CsvOptions& options, const ParsedRow& row,
     // Duplicate means the exact same (src, dst, ts) triple as parsed from
     // the file, so bitwise timestamp equality is the right test here.
     if (options.reject_duplicates && row.src == prev.src &&
-        row.dst == prev.dst &&
-        row.ts == prev.ts) {  // btlint: allow(float-equality)
+        row.dst == prev.dst && tensor::ExactlyEqual(row.ts, prev.ts)) {
       return "duplicate edge";
     }
   }

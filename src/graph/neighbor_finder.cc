@@ -109,22 +109,4 @@ std::vector<TemporalNeighbor> NeighborFinder::SampleUniform(
   return out;
 }
 
-std::vector<TemporalNeighbor> NeighborFinder::MostRecent(int32_t node,
-                                                         double ts,
-                                                         int64_t k) const {
-  int64_t count = 0;
-  const TemporalNeighbor* history = Before(node, ts, &count);
-  std::vector<TemporalNeighbor> out;
-  const int64_t take = std::min(k, count);
-  out.reserve(static_cast<size_t>(take));
-  for (int64_t i = count - take; i < count; ++i) out.push_back(history[i]);
-  return out;
-}
-
-int64_t NeighborFinder::DegreeBefore(int32_t node, double ts) const {
-  int64_t count = 0;
-  Before(node, ts, &count);
-  return count;
-}
-
 }  // namespace benchtemp::graph

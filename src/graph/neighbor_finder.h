@@ -59,14 +59,6 @@ class NeighborFinder {
                                               int64_t k,
                                               tensor::Rng& rng) const;
 
-  /// The `k` most recent neighbors of `node` before `ts` (padded order:
-  /// most recent last). May return fewer than `k`.
-  std::vector<TemporalNeighbor> MostRecent(int32_t node, double ts,
-                                           int64_t k) const;
-
-  /// Number of interactions of `node` before `ts`.
-  int64_t DegreeBefore(int32_t node, double ts) const;
-
   int32_t num_nodes() const {
     return static_cast<int32_t>(adjacency_.size());
   }

@@ -27,13 +27,6 @@ void TemporalGraph::SortByTime() {
       [](const Interaction& a, const Interaction& b) { return a.ts < b.ts; });
 }
 
-bool TemporalGraph::IsChronological() const {
-  for (size_t i = 1; i < events_.size(); ++i) {
-    if (events_[i].ts < events_[i - 1].ts) return false;
-  }
-  return true;
-}
-
 void TemporalGraph::InitNodeFeatures(int64_t dim) {
   node_features_ = tensor::Tensor({num_nodes_, dim});
 }

@@ -36,8 +36,6 @@ class TemporalGraph {
 
   /// Sorts events chronologically (stable, so same-timestamp order is kept).
   void SortByTime();
-  /// True when events are in non-decreasing timestamp order.
-  bool IsChronological() const;
 
   int64_t num_events() const {
     return static_cast<int64_t>(events_.size());

@@ -357,36 +357,6 @@ std::string ExportJson(const ExportInfo& info) {
   return out;
 }
 
-std::string ExportCsv(const ExportInfo& info) {
-  MetricRegistry& registry = MetricRegistry::Global();
-  const PhaseTotals phases = registry.phase_totals();
-  std::string out = "# benchtemp.metrics v" +
-                    Num(static_cast<int64_t>(kMetricsSchemaVersion)) +
-                    " bench=" + info.bench + "\n";
-  out += "kind,name,value,extra\n";
-  out += "meta,wall_seconds," + Num(info.wall_seconds) + ",\n";
-  out += "meta,max_rss_gb," + Num(info.max_rss_gb) + ",\n";
-  for (int c = 0; c < kNumCounters; ++c) {
-    out += "counter," +
-           std::string(CounterName(static_cast<Counter>(c))) + "," +
-           Num(registry.value(static_cast<Counter>(c))) + ",\n";
-  }
-  for (const auto& [name, value] : registry.gauges()) {
-    out += "gauge," + name + "," + Num(value) + ",\n";
-  }
-  for (int p = 0; p < kNumPhases; ++p) {
-    const size_t i = static_cast<size_t>(p);
-    out += "phase," + std::string(PhaseName(static_cast<Phase>(p))) + "," +
-           Num(phases.seconds[i]) + "," + Num(phases.count[i]) + "\n";
-  }
-  for (const RunRecord& run : registry.runs()) {
-    out += "run," + run.model + "/" + run.dataset + "/" + run.task + "," +
-           Num(run.seconds_per_epoch) + "," +
-           Num(static_cast<int64_t>(run.epochs_run)) + "\n";
-  }
-  return out;
-}
-
 bool ValidateMetricsJson(const std::string& json, std::string* error) {
   JsonValue root;
   JsonParser parser(json);
@@ -491,9 +461,7 @@ bool EmitBenchArtifacts(const std::string& name, double wall_seconds,
   if (metrics != nullptr && metrics[0] != '\0') {
     const std::string path = metrics;
     if (path != "1" && path != "on") {
-      const bool csv = path.size() >= 4 &&
-                       path.compare(path.size() - 4, 4, ".csv") == 0;
-      ok = WriteFile(path, csv ? ExportCsv(info) : ExportJson(info)) && ok;
+      ok = WriteFile(path, ExportJson(info)) && ok;
     }
   }
   return ok;

@@ -1,13 +1,12 @@
 #ifndef BENCHTEMP_OBS_EXPORT_H_
 #define BENCHTEMP_OBS_EXPORT_H_
 
-// Exporters for the metrics registry (see DESIGN.md "Observability" for
-// the schema). Two sinks share one schema:
+// The JSON exporter for the metrics registry (see DESIGN.md
+// "Observability" for the schema). Two sinks share one schema:
 //   - BENCH_<name>.json: emitted by every bench_* binary on exit (the
 //     repo's perf-trajectory artifact; directory via BENCHTEMP_BENCH_DIR),
-//   - BENCHTEMP_METRICS=<path>: a standalone export — JSON, or CSV when
-//     the path ends in ".csv". The special values "1"/"on" enable
-//     collection without a standalone file.
+//   - BENCHTEMP_METRICS=<path>: a standalone JSON export. The special
+//     values "1"/"on" enable collection without a standalone file.
 
 #include <string>
 
@@ -30,10 +29,6 @@ struct ExportInfo {
 /// byte-comparable across runs).
 std::string ExportJson(const ExportInfo& info);
 
-/// Renders the global registry as CSV: one "kind,..." row per counter,
-/// gauge, phase, and run (header comment carries the schema version).
-std::string ExportCsv(const ExportInfo& info);
-
 /// Validates that `json` is well-formed and matches the metrics schema:
 /// schema tag, version, counters/gauges objects, the full ordered phase
 /// taxonomy, and runs with the required fields. On failure returns false
@@ -41,7 +36,7 @@ std::string ExportCsv(const ExportInfo& info);
 bool ValidateMetricsJson(const std::string& json, std::string* error);
 
 /// Writes BENCH_<name>.json (always) plus, when BENCHTEMP_METRICS names a
-/// path, the standalone JSON/CSV export. Returns false when any write
+/// path, the standalone JSON export. Returns false when any write
 /// fails.
 bool EmitBenchArtifacts(const std::string& name, double wall_seconds,
                         double max_rss_gb);

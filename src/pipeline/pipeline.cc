@@ -13,11 +13,7 @@ namespace benchtemp::pipeline {
 using obs::NowSeconds;
 
 int DepthFromEnv() {
-  const char* env = std::getenv("BENCHTEMP_PIPELINE");
-  if (env == nullptr || env[0] == '\0') return 2;
-  const int parsed = std::atoi(env);
-  if (parsed <= 0) return 0;
-  return std::min(parsed, 8);
+  return std::clamp(base::EnvIntOrDie("BENCHTEMP_PIPELINE", 2), 0, 8);
 }
 
 BatchPrefetcher::BatchPrefetcher(int64_t num_batches, int depth,

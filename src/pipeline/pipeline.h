@@ -135,7 +135,8 @@ class BatchPrefetcher {
 };
 
 /// Pipeline depth from BENCHTEMP_PIPELINE: unset/empty -> 2 (the default
-/// double-buffer), "0" or unparsable -> 0 (synchronous), k -> min(k, 8).
+/// double-buffer), k <= 0 -> 0 (synchronous), k -> min(k, 8). A value that
+/// is not an integer is fatal.
 int DepthFromEnv();
 
 }  // namespace benchtemp::pipeline

@@ -1,11 +1,9 @@
 #include "robustness/checkpoint.h"
 
-#include <cstdio>
 #include <cstring>
 #include <sstream>
 
 #include "io/file.h"
-#include "obs/metrics.h"
 
 namespace benchtemp::robustness {
 
@@ -53,10 +51,6 @@ bool AtomicWriteFile(const std::string& path, const std::string& payload) {
   return io::AtomicReplace(path, payload, io::FileKind::kCheckpoint);
 }
 
-bool ReadFile(const std::string& path, std::string* payload) {
-  return io::ReadFileBytes(path, payload);
-}
-
 std::string SerializeJobCheckpoint(const JobCheckpoint& ckpt) {
   std::ostringstream body(std::ios::binary);
   body.write(kMagic, sizeof(kMagic));
@@ -84,18 +78,6 @@ std::string SerializeJobCheckpoint(const JobCheckpoint& ckpt) {
   const uint64_t checksum = Fnv1a64(payload);
   payload.append(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
   return payload;
-}
-
-bool SaveJobCheckpoint(const std::string& path, const JobCheckpoint& ckpt,
-                       int64_t* bytes_out) {
-  const std::string payload = SerializeJobCheckpoint(ckpt);
-  if (!AtomicWriteFile(path, payload)) return false;
-  if (bytes_out != nullptr) *bytes_out = static_cast<int64_t>(payload.size());
-  auto& registry = obs::MetricRegistry::Global();
-  registry.Add(obs::Counter::kCheckpointWrites, 1);
-  registry.Add(obs::Counter::kCheckpointBytes,
-               static_cast<int64_t>(payload.size()));
-  return true;
 }
 
 bool ParseJobCheckpoint(const std::string& container, JobCheckpoint* out) {
@@ -134,12 +116,6 @@ bool ParseJobCheckpoint(const std::string& container, JobCheckpoint* out) {
   if (!ReadBlob(in, &ckpt.best_params)) return false;
   *out = std::move(ckpt);
   return true;
-}
-
-bool LoadJobCheckpoint(const std::string& path, JobCheckpoint* out) {
-  std::string container;
-  if (!ReadFile(path, &container)) return false;
-  return ParseJobCheckpoint(container, out);
 }
 
 }  // namespace benchtemp::robustness

@@ -19,10 +19,6 @@ namespace benchtemp::robustness {
 /// silent-corruption sites torn_checkpoint / bitflip_checkpoint.
 bool AtomicWriteFile(const std::string& path, const std::string& payload);
 
-/// Reads a whole file into `payload`. Returns false when the file cannot be
-/// opened.
-bool ReadFile(const std::string& path, std::string* payload);
-
 /// FNV-1a 64-bit hash — the integrity checksum of the checkpoint container
 /// and the lineage manifest (exposed so btfsck and the tests can verify
 /// files without loading them).
@@ -83,16 +79,6 @@ std::string SerializeJobCheckpoint(const JobCheckpoint& ckpt);
 /// SerializeJobCheckpoint). Returns false (out untouched) when the payload
 /// is corrupt, truncated, or of an unknown version.
 bool ParseJobCheckpoint(const std::string& payload, JobCheckpoint* out);
-
-/// Serializes `ckpt` and writes it atomically. Returns false on I/O
-/// failure (including an injected crash before the rename). On success
-/// `bytes_out` (may be null) receives the committed payload size.
-bool SaveJobCheckpoint(const std::string& path, const JobCheckpoint& ckpt,
-                       int64_t* bytes_out = nullptr);
-
-/// Loads and verifies a checkpoint. Returns false (out untouched) when the
-/// file is missing, corrupt, truncated, or of an unknown version.
-bool LoadJobCheckpoint(const std::string& path, JobCheckpoint* out);
 
 }  // namespace benchtemp::robustness
 

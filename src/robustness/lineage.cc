@@ -245,8 +245,4 @@ bool CheckpointLineage::Remove() {
   return ok;
 }
 
-std::vector<Generation> CheckpointLineage::List() const {
-  return LiveGenerations(nullptr);
-}
-
 }  // namespace benchtemp::robustness

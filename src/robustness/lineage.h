@@ -26,7 +26,7 @@ struct Generation {
 /// first line `btlineage|1`, then one `gen|<seq>|<bytes>|<checksum hex>`
 /// per generation, ascending seq. Returns false when the file exists but
 /// is not a parseable manifest; a missing file yields ok=false too — use
-/// ReadFile first to distinguish.
+/// io::ReadFileBytes first to distinguish.
 bool ParseLineageManifest(const std::string& text,
                           std::vector<Generation>* out);
 
@@ -81,10 +81,6 @@ class CheckpointLineage {
   /// Deletes every generation file (listed or orphaned) and the manifest.
   /// Returns false when something could not be removed.
   bool Remove();
-
-  /// Generations currently on disk, ascending seq (manifest view; falls
-  /// back to a directory scan like Load).
-  std::vector<Generation> List() const;
 
   const std::string& base_path() const { return base_path_; }
   std::string manifest_path() const { return base_path_ + ".lineage"; }

@@ -103,10 +103,6 @@ bool SweepManifest::Load() {
   return true;
 }
 
-bool SweepManifest::IsDone(const std::string& key) const {
-  return completed_.count(key) != 0;
-}
-
 const SweepJobResult* SweepManifest::Find(const std::string& key) const {
   auto it = completed_.find(key);
   return it == completed_.end() ? nullptr : &it->second;

@@ -39,7 +39,6 @@ class SweepManifest {
   /// true); torn or malformed tail lines are ignored.
   bool Load();
 
-  bool IsDone(const std::string& key) const;
   /// Completed result for `key`; nullptr when not completed.
   const SweepJobResult* Find(const std::string& key) const;
 

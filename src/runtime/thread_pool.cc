@@ -17,11 +17,8 @@ thread_local const ThreadPool* g_worker_pool = nullptr;
 }  // namespace
 
 int DefaultNumThreads() {
-  const char* env = std::getenv("BENCHTEMP_NUM_THREADS");
-  if (env != nullptr && env[0] != '\0') {
-    const int parsed = std::atoi(env);
-    if (parsed >= 1) return parsed;
-  }
+  const int requested = base::EnvIntOrDie("BENCHTEMP_NUM_THREADS", 0);
+  if (requested >= 1) return requested;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<int>(hw) : 1;
 }

@@ -103,8 +103,6 @@ Var Parameter(Tensor value) {
   return node;
 }
 
-Var Detach(const Var& a) { return Constant(a->value); }
-
 void Backward(const Var& root) {
   CheckOrDie(root != nullptr, "Backward: null root");
   CheckOrDie(root->value.size() == 1, "Backward: root must be scalar");
@@ -351,27 +349,6 @@ Var MatMul(const Var& a, const Var& b) {
   });
 }
 
-Var Transpose(const Var& a) {
-  const Tensor& av = a->value;
-  CheckOrDie(av.rank() == 2, "Transpose: rank-2 required");
-  const int64_t n = av.shape()[0], m = av.shape()[1];
-  Tensor out = kernels::NewTensor({m, n});
-  {
-    const float* ap = av.data();
-    float* op = out.data();
-    for (int64_t i = 0; i < n; ++i)
-      for (int64_t j = 0; j < m; ++j) op[j * n + i] = ap[i * m + j];
-  }
-  return MakeNode("Transpose", std::move(out), {a}, [n, m](VarNode& self) {
-    VarNode& p = *self.parents[0];
-    if (!p.requires_grad) return;
-    float* g = p.EnsureGrad().data();
-    const float* sg = self.grad.data();
-    for (int64_t i = 0; i < n; ++i)
-      for (int64_t j = 0; j < m; ++j) g[i * m + j] += sg[j * n + i];
-  });
-}
-
 Var ConcatCols(const std::vector<Var>& parts) {
   CheckOrDie(!parts.empty(), "ConcatCols: empty input");
   const int64_t n = parts[0]->value.rows();
@@ -486,19 +463,6 @@ Var SliceRows(const Var& a, int64_t start, int64_t len) {
                     kernels::Add(p.EnsureGrad().data() + start * d,
                                  self.grad.data(), len * d);
                   });
-}
-
-Var Reshape(const Var& a, std::vector<int64_t> shape) {
-  int64_t volume = 1;
-  for (int64_t s : shape) volume *= s;
-  CheckOrDie(volume == a->value.size(), "Reshape: volume mismatch");
-  Tensor out = kernels::NewTensor(std::move(shape));
-  kernels::Set(out.data(), a->value.data(), out.size());
-  return MakeNode("Reshape", std::move(out), {a}, [](VarNode& self) {
-    VarNode& p = *self.parents[0];
-    if (!p.requires_grad) return;
-    kernels::Add(p.EnsureGrad().data(), self.grad.data(), self.grad.size());
-  });
 }
 
 Var GatherRows(const Var& table, const std::vector<int64_t>& indices) {
@@ -770,81 +734,42 @@ Var Sum(const Var& a) {
   });
 }
 
-Var Mean(const Var& a) {
-  const int64_t n = a->value.size();
-  CheckOrDie(n > 0, "Mean: empty tensor");
-  return ScalarMul(Sum(a), 1.0f / static_cast<float>(n));
-}
-
-Var MeanRows(const Var& a) {
+Var MaskedSoftmaxRows(const Var& a, const Tensor& mask) {
   const Tensor& av = a->value;
-  CheckOrDie(av.rank() == 2, "MeanRows: rank-2 required");
+  CheckOrDie(av.rank() == 2, "MaskedSoftmaxRows: rank-2 required");
   const int64_t n = av.shape()[0], d = av.shape()[1];
-  CheckOrDie(n > 0, "MeanRows: empty tensor");
-  Tensor out = kernels::NewTensor({1, d});
-  const float inv = 1.0f / static_cast<float>(n);
-  {
-    float* op = out.data();
-    const float* ap = av.data();
-    for (int64_t r = 0; r < n; ++r) kernels::Add(op, ap + r * d, d);
-    kernels::Scale(op, inv, d);
-  }
-  return MakeNode("MeanRows", std::move(out), {a}, [n, d, inv](VarNode& self) {
-    VarNode& p = *self.parents[0];
-    if (!p.requires_grad) return;
-    float* g = p.EnsureGrad().data();
-    const float* sg = self.grad.data();
-    for (int64_t r = 0; r < n; ++r) kernels::Axpy(g + r * d, inv, sg, d);
-  });
-}
-
-namespace {
-
-Var SoftmaxImpl(const Var& a, const Tensor* mask) {
-  const Tensor& av = a->value;
-  CheckOrDie(av.rank() == 2, "SoftmaxRows: rank-2 required");
-  const int64_t n = av.shape()[0], d = av.shape()[1];
-  if (mask != nullptr) {
-    CheckOrDie(mask->size() == n * d, "MaskedSoftmaxRows: mask size");
-  }
+  CheckOrDie(mask.size() == n * d, "MaskedSoftmaxRows: mask size");
   Tensor out = kernels::NewTensor({n, d});
   const float* ap = av.data();
-  const float* mp = mask != nullptr ? mask->data() : nullptr;
+  const float* mp = mask.data();
   float* op = out.data();
   kernels::CountFlops(4 * n * d);
   runtime::ParallelFor(0, n, RowGrain(4 * d), [&](int64_t r0, int64_t r1) {
     for (int64_t r = r0; r < r1; ++r) {
-      kernels::SoftmaxRow(ap + r * d, mp != nullptr ? mp + r * d : nullptr, d,
-                          op + r * d);
+      kernels::SoftmaxRow(ap + r * d, mp + r * d, d, op + r * d);
     }
   });
-  return MakeNode("SoftmaxRows", std::move(out), {a}, [n, d](VarNode& self) {
-    VarNode& p = *self.parents[0];
-    if (!p.requires_grad) return;
-    float* gp = p.EnsureGrad().data();
-    const float* sv = self.value.data();
-    const float* sgp = self.grad.data();
-    // dx = s * (g - dot(g, s)) per row; masked entries have s == 0 so they
-    // receive no gradient automatically. Rows are independent, so the
-    // row-blocked parallel loop writes disjoint gradient slices.
-    runtime::ParallelFor(0, n, RowGrain(4 * d), [&](int64_t r0, int64_t r1) {
-      for (int64_t r = r0; r < r1; ++r) {
-        const float* s = sv + r * d;
-        const float* go = sgp + r * d;
-        const float dot = kernels::Dot(go, s, d);
-        float* gi = gp + r * d;
-        for (int64_t c = 0; c < d; ++c) gi[c] += s[c] * (go[c] - dot);
-      }
-    });
-  });
-}
-
-}  // namespace
-
-Var SoftmaxRows(const Var& a) { return SoftmaxImpl(a, nullptr); }
-
-Var MaskedSoftmaxRows(const Var& a, const Tensor& mask) {
-  return SoftmaxImpl(a, &mask);
+  return MakeNode(
+      "MaskedSoftmaxRows", std::move(out), {a}, [n, d](VarNode& self) {
+        VarNode& p = *self.parents[0];
+        if (!p.requires_grad) return;
+        float* gp = p.EnsureGrad().data();
+        const float* sv = self.value.data();
+        const float* sgp = self.grad.data();
+        // dx = s * (g - dot(g, s)) per row; masked entries have s == 0 so they
+        // receive no gradient automatically. Rows are independent, so the
+        // row-blocked parallel loop writes disjoint gradient slices.
+        runtime::ParallelFor(
+            0, n, RowGrain(4 * d), [&](int64_t r0, int64_t r1) {
+              for (int64_t r = r0; r < r1; ++r) {
+                const float* s = sv + r * d;
+                const float* go = sgp + r * d;
+                const float dot = kernels::Dot(go, s, d);
+                float* gi = gp + r * d;
+                for (int64_t c = 0; c < d; ++c) gi[c] += s[c] * (go[c] - dot);
+              }
+            });
+      });
 }
 
 Var BceWithLogits(const Var& logits, const Tensor& targets) {
@@ -905,30 +830,6 @@ Var SoftmaxCrossEntropy(const Var& logits,
           grow[y] -= seed;
         }
       });
-}
-
-Var MseLoss(const Var& pred, const Tensor& target) {
-  CheckOrDie(pred->value.size() == target.size(), "MseLoss: size mismatch");
-  const int64_t n = pred->value.size();
-  const float* pp = pred->value.data();
-  const float* tp = target.data();
-  float total = 0.0f;
-  for (int64_t i = 0; i < n; ++i) {
-    const float diff = pp[i] - tp[i];
-    total += diff * diff;
-  }
-  Tensor out = kernels::NewTensor({1});
-  out.at(0) = total / static_cast<float>(n);
-  Tensor saved = target;
-  return MakeNode("MseLoss", std::move(out), {pred}, [n, saved](VarNode& self) {
-    VarNode& p = *self.parents[0];
-    if (!p.requires_grad) return;
-    float* g = p.EnsureGrad().data();
-    const float* pv = p.value.data();
-    const float* tv = saved.data();
-    const float seed = self.grad.at(0) * 2.0f / static_cast<float>(n);
-    for (int64_t i = 0; i < n; ++i) g[i] += seed * (pv[i] - tv[i]);
-  });
 }
 
 // ---------------------------------------------------------------------------

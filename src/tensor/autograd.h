@@ -44,8 +44,6 @@ using Var = std::shared_ptr<VarNode>;
 Var Constant(Tensor value);
 /// Creates a leaf node that requires gradients (a trainable parameter).
 Var Parameter(Tensor value);
-/// A gradient-stopped copy of `a`'s current value.
-Var Detach(const Var& a);
 
 /// Runs reverse-mode differentiation from `root`, which must be a scalar
 /// (size-1) tensor. Seeds the root gradient with 1.
@@ -85,8 +83,6 @@ Var ScalarAdd(const Var& a, float s);
 
 /// Matrix product of a [n, k] and b [k, m] -> [n, m].
 Var MatMul(const Var& a, const Var& b);
-/// Transpose of a rank-2 tensor.
-Var Transpose(const Var& a);
 /// Concatenates rank-2 tensors along columns; all must share the row count.
 Var ConcatCols(const std::vector<Var>& parts);
 /// Concatenates rank-2 tensors along rows; all must share the column count.
@@ -95,8 +91,6 @@ Var ConcatRows(const std::vector<Var>& parts);
 Var SliceCols(const Var& a, int64_t start, int64_t len);
 /// Rows [start, start+len) of a rank-2 tensor.
 Var SliceRows(const Var& a, int64_t start, int64_t len);
-/// Reinterprets the value with a new shape of equal volume.
-Var Reshape(const Var& a, std::vector<int64_t> shape);
 /// Gathers rows of `table` ([N, d]) at `indices` -> [n, d]; the backward pass
 /// scatter-adds into the table (embedding lookup).
 Var GatherRows(const Var& table, const std::vector<int64_t>& indices);
@@ -156,12 +150,6 @@ Var Sin(const Var& a);
 
 /// Sum of all entries -> scalar [1].
 Var Sum(const Var& a);
-/// Mean of all entries -> scalar [1].
-Var Mean(const Var& a);
-/// Mean over rows of a [n, d] tensor -> [1, d].
-Var MeanRows(const Var& a);
-/// Row-wise softmax of a [n, d] tensor.
-Var SoftmaxRows(const Var& a);
 /// Row-wise softmax where masked-out entries (mask == 0) receive zero
 /// probability. Rows whose mask is entirely zero produce all-zero outputs.
 Var MaskedSoftmaxRows(const Var& a, const Tensor& mask);
@@ -172,8 +160,6 @@ Var BceWithLogits(const Var& logits, const Tensor& targets);
 /// Mean softmax cross entropy for multi-class classification.
 /// `logits` is [n, C]; `labels[i]` in [0, C). Returns a scalar.
 Var SoftmaxCrossEntropy(const Var& logits, const std::vector<int64_t>& labels);
-/// Mean squared error against a constant target. Returns a scalar.
-Var MseLoss(const Var& pred, const Tensor& target);
 
 // ---------------------------------------------------------------------------
 // Batched attention primitives.

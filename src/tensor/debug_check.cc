@@ -73,7 +73,8 @@ void OnRecord(const VarNode& node) {
     if (parent->tape_released) {
       Die(node.op,
           "use-after-backward: a parent's tape was already consumed by "
-          "Backward(); Detach() the value or rebuild the graph");
+          "Backward(); wrap a copy of the value in Constant() or rebuild "
+          "the graph");
     }
     if (Volume(parent->value) != parent->value.size()) {
       Die(node.op, "parent value volume disagrees with its shape");

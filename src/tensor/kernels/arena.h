@@ -24,8 +24,9 @@ namespace benchtemp::tensor::kernels {
 //     MakeNode and interior (non-leaf) grad buffers. Leaf parameters, their
 //     grads (Adam trajectory state, pre-allocated by checkpoint restore),
 //     and anything reachable after the batch stay on the heap.
-//   - Tensor copies always deep-copy to the heap, so `Detach`, memory-table
-//     writes, best-epoch snapshots and checkpoints never alias the arena.
+//   - Tensor copies always deep-copy to the heap, so `Constant` copies of
+//     op values, memory-table writes, best-epoch snapshots and checkpoints
+//     never alias the arena.
 //   - The arena is thread-local: a scope opened on one thread hands spans
 //     only to allocations made on that thread (ops allocate outputs on the
 //     calling thread before fanning out via ParallelFor, and

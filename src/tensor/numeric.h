@@ -9,14 +9,15 @@
 
 namespace benchtemp::tensor {
 
-/// Numeric-hygiene helpers mandated by the btlint N-rules (see DESIGN.md,
-/// "Static analysis & invariants").
+/// Numeric-hygiene helpers (see DESIGN.md, "Static analysis &
+/// invariants").
 ///
 /// Exact `==` on floating point silently breaks once a value has been
 /// through any arithmetic: leaderboard best-cell marking, early-stop
-/// tolerance checks, and test assertions must all use a tolerance. The
-/// helpers below mix an absolute floor with a relative term so they behave
-/// sensibly both near zero and for large magnitudes.
+/// tolerance checks, and test assertions must all use a tolerance. Every
+/// build compiles with -Werror=float-equal; the tolerance helpers below mix
+/// an absolute floor with a relative term so they behave sensibly both
+/// near zero and for large magnitudes.
 
 /// Default tolerance for metric-scale doubles (AUC/AP values, losses).
 inline constexpr double kDefaultTol = 1e-9;
@@ -34,17 +35,21 @@ inline bool DefinitelyGreater(double a, double b, double tol = kDefaultTol) {
   return a > b && !ApproxEqual(a, b, tol);
 }
 
-/// a < b by more than the tolerance.
-inline bool DefinitelyLess(double a, double b, double tol = kDefaultTol) {
-  return b > a && !ApproxEqual(a, b, tol);
+/// Exact equality, for the few places where it is the point: tie groups of
+/// rank statistics, duplicate timestamps, bit-identity checks. This is the
+/// one place the float-equal diagnostic is relaxed, so every intentional
+/// exact compare is visible at its call site.
+inline bool ExactlyEqual(double a, double b) {
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wfloat-equal"
+  return a == b;
+#pragma GCC diagnostic pop
 }
 
 /// Exactly zero is a meaningful sentinel in sparse kernels (a gradient that
 /// was never touched); use this named predicate instead of a bare `== 0.0f`
-/// so the intent is visible and the btlint float-equality rule stays quiet.
-inline bool IsExactlyZero(double v) {
-  return v == 0.0;  // btlint: allow(float-equality)
-}
+/// so the intent is visible.
+inline bool IsExactlyZero(double v) { return ExactlyEqual(v, 0.0); }
 
 /// Bounds-checked narrowing of 64-bit node/edge ids to the 32-bit storage
 /// the graph layer uses. Dies (CheckOrDie) instead of silently wrapping

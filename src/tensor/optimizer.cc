@@ -2,8 +2,6 @@
 
 #include <cmath>
 #include <cstring>
-#include <istream>
-#include <ostream>
 #include <sstream>
 
 #include "tensor/numeric.h"
@@ -14,9 +12,8 @@ namespace {
 
 constexpr char kAdamMagic[4] = {'B', 'T', 'A', 'D'};
 
-bool WriteU64(std::ostream& out, uint64_t value) {
+void WriteU64(std::ostream& out, uint64_t value) {
   out.write(reinterpret_cast<const char*>(&value), sizeof(value));
-  return static_cast<bool>(out);
 }
 
 bool ReadU64(std::istream& in, uint64_t* value) {
@@ -24,10 +21,9 @@ bool ReadU64(std::istream& in, uint64_t* value) {
   return static_cast<bool>(in);
 }
 
-bool WriteTensorPayload(std::ostream& out, const Tensor& t) {
+void WriteTensorPayload(std::ostream& out, const Tensor& t) {
   out.write(reinterpret_cast<const char*>(t.data()),
             static_cast<std::streamsize>(t.size() * sizeof(float)));
-  return static_cast<bool>(out);
 }
 
 bool ReadTensorPayload(std::istream& in, std::vector<float>* staged,
@@ -40,11 +36,9 @@ bool ReadTensorPayload(std::istream& in, std::vector<float>* staged,
 
 }  // namespace
 
-void Optimizer::ZeroGrad() { tensor::ZeroGrad(params_); }
-
 Adam::Adam(std::vector<Var> params, float lr, float beta1, float beta2,
            float eps)
-    : Optimizer(std::move(params)),
+    : params_(std::move(params)),
       lr_(lr),
       beta1_(beta1),
       beta2_(beta2),
@@ -77,19 +71,23 @@ void Adam::Step() {
   }
 }
 
-bool Adam::SaveStateTo(std::ostream& out) const {
+void Adam::ZeroGrad() { tensor::ZeroGrad(params_); }
+
+std::string Adam::SnapshotState() const {
+  std::ostringstream out(std::ios::binary);
   out.write(kAdamMagic, sizeof(kAdamMagic));
-  if (!WriteU64(out, static_cast<uint64_t>(t_))) return false;
-  if (!WriteU64(out, m_.size())) return false;
+  WriteU64(out, static_cast<uint64_t>(t_));
+  WriteU64(out, m_.size());
   for (size_t i = 0; i < m_.size(); ++i) {
-    if (!WriteU64(out, static_cast<uint64_t>(m_[i].size()))) return false;
-    if (!WriteTensorPayload(out, m_[i])) return false;
-    if (!WriteTensorPayload(out, v_[i])) return false;
+    WriteU64(out, static_cast<uint64_t>(m_[i].size()));
+    WriteTensorPayload(out, m_[i]);
+    WriteTensorPayload(out, v_[i]);
   }
-  return true;
+  return out.str();
 }
 
-bool Adam::LoadStateFrom(std::istream& in) {
+bool Adam::RestoreState(const std::string& blob) {
+  std::istringstream in(blob, std::ios::binary);
   char magic[4];
   in.read(magic, sizeof(magic));
   if (!in || std::memcmp(magic, kAdamMagic, sizeof(kAdamMagic)) != 0) {
@@ -118,40 +116,6 @@ bool Adam::LoadStateFrom(std::istream& in) {
     }
   }
   return true;
-}
-
-std::string Adam::SnapshotState() const {
-  std::ostringstream out(std::ios::binary);
-  SaveStateTo(out);
-  return out.str();
-}
-
-bool Adam::RestoreState(const std::string& blob) {
-  std::istringstream in(blob, std::ios::binary);
-  return LoadStateFrom(in);
-}
-
-Sgd::Sgd(std::vector<Var> params, float lr, float momentum)
-    : Optimizer(std::move(params)), lr_(lr), momentum_(momentum) {
-  if (!IsExactlyZero(momentum_)) {
-    velocity_.reserve(params_.size());
-    for (const Var& p : params_) velocity_.emplace_back(p->value.shape());
-  }
-}
-
-void Sgd::Step() {
-  for (size_t i = 0; i < params_.size(); ++i) {
-    VarNode& p = *params_[i];
-    if (p.grad.size() != p.value.size()) continue;
-    for (int64_t j = 0; j < p.value.size(); ++j) {
-      float update = p.grad.at(j);
-      if (!IsExactlyZero(momentum_)) {
-        velocity_[i].at(j) = momentum_ * velocity_[i].at(j) + update;
-        update = velocity_[i].at(j);
-      }
-      p.value.at(j) -= lr_ * update;
-    }
-  }
 }
 
 bool AllFinite(const Tensor& t) {

@@ -1,7 +1,6 @@
 #ifndef BENCHTEMP_TENSOR_OPTIMIZER_H_
 #define BENCHTEMP_TENSOR_OPTIMIZER_H_
 
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -10,28 +9,17 @@
 
 namespace benchtemp::tensor {
 
-/// First-order optimizer interface over a fixed parameter set.
-class Optimizer {
- public:
-  virtual ~Optimizer() = default;
-  /// Applies one update using the parameters' accumulated gradients.
-  virtual void Step() = 0;
-  /// Clears the parameters' gradient buffers.
-  void ZeroGrad();
-
- protected:
-  explicit Optimizer(std::vector<Var> params) : params_(std::move(params)) {}
-  std::vector<Var> params_;
-};
-
 /// Adam (Kingma & Ba, 2014) — the optimizer the paper trains every model
 /// with (lr 1e-4, default betas/eps).
-class Adam : public Optimizer {
+class Adam {
  public:
   explicit Adam(std::vector<Var> params, float lr = 1e-4f,
                 float beta1 = 0.9f, float beta2 = 0.999f, float eps = 1e-8f);
 
-  void Step() override;
+  /// Applies one update using the parameters' accumulated gradients.
+  void Step();
+  /// Clears the parameters' gradient buffers.
+  void ZeroGrad();
 
   float learning_rate() const { return lr_; }
   void set_learning_rate(float lr) { lr_ = lr; }
@@ -39,18 +27,16 @@ class Adam : public Optimizer {
   int64_t step_count() const { return t_; }
 
   /// Serializes the full update state (step clock + first/second moments)
-  /// so a resumed job reproduces the exact update trajectory. Format:
-  /// magic "BTAD", uint64 step, uint64 param count, per parameter the
-  /// moment payloads. Returns false on I/O failure.
-  bool SaveStateTo(std::ostream& out) const;
-  /// Restores a state written by SaveStateTo. Returns false (state
-  /// untouched) on magic/count/shape mismatch or a truncated stream.
-  bool LoadStateFrom(std::istream& in);
-  /// In-memory blob variants of SaveStateTo / LoadStateFrom.
+  /// as an in-memory blob, so a resumed job reproduces the exact update
+  /// trajectory. Format: magic "BTAD", uint64 step, uint64 param count, per
+  /// parameter a uint64 size and the two moment payloads.
   std::string SnapshotState() const;
+  /// Restores a state written by SnapshotState. Returns false (state
+  /// untouched) on magic/count/shape mismatch or a truncated blob.
   bool RestoreState(const std::string& blob);
 
  private:
+  std::vector<Var> params_;
   float lr_;
   float beta1_;
   float beta2_;
@@ -58,20 +44,6 @@ class Adam : public Optimizer {
   int64_t t_ = 0;
   std::vector<Tensor> m_;
   std::vector<Tensor> v_;
-};
-
-/// Plain SGD with optional momentum; used in tests and ablations.
-class Sgd : public Optimizer {
- public:
-  explicit Sgd(std::vector<Var> params, float lr = 1e-2f,
-               float momentum = 0.0f);
-
-  void Step() override;
-
- private:
-  float lr_;
-  float momentum_;
-  std::vector<Tensor> velocity_;
 };
 
 /// Clips the global L2 norm of the parameters' gradients to `max_norm`.

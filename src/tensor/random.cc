@@ -13,12 +13,6 @@ int64_t Rng::UniformInt(int64_t n) {
   return dist(engine_);
 }
 
-int64_t Rng::UniformRange(int64_t lo, int64_t hi) {
-  CheckOrDie(lo <= hi, "UniformRange: lo > hi");
-  std::uniform_int_distribution<int64_t> dist(lo, hi);
-  return dist(engine_);
-}
-
 float Rng::UniformReal(float lo, float hi) {
   std::uniform_real_distribution<float> dist(lo, hi);
   return dist(engine_);

@@ -29,8 +29,6 @@ class Rng {
 
   /// Uniform integer in [0, n). Requires n > 0.
   int64_t UniformInt(int64_t n);
-  /// Uniform integer in [lo, hi].
-  int64_t UniformRange(int64_t lo, int64_t hi);
   /// Uniform real in [lo, hi).
   float UniformReal(float lo, float hi);
   /// Normal with the given mean and stddev.

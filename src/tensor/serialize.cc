@@ -1,9 +1,7 @@
 #include "tensor/serialize.h"
 
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <sstream>
 
 namespace benchtemp::tensor {
@@ -12,9 +10,8 @@ namespace {
 
 constexpr char kMagic[4] = {'B', 'T', 'C', 'P'};
 
-bool WriteU64(std::ostream& out, uint64_t value) {
+void WriteU64(std::ostream& out, uint64_t value) {
   out.write(reinterpret_cast<const char*>(&value), sizeof(value));
-  return static_cast<bool>(out);
 }
 
 bool ReadU64(std::istream& in, uint64_t* value) {
@@ -24,30 +21,30 @@ bool ReadU64(std::istream& in, uint64_t* value) {
 
 }  // namespace
 
-bool SaveParametersTo(std::ostream& out, const std::vector<Var>& params) {
+std::string SnapshotParameters(const std::vector<Var>& params) {
+  std::ostringstream out(std::ios::binary);
   out.write(kMagic, sizeof(kMagic));
-  if (!WriteU64(out, params.size())) return false;
+  WriteU64(out, params.size());
   for (const Var& p : params) {
     const Tensor& t = p->value;
-    if (!WriteU64(out, static_cast<uint64_t>(t.rank()))) return false;
-    for (int64_t d : t.shape()) {
-      if (!WriteU64(out, static_cast<uint64_t>(d))) return false;
-    }
+    WriteU64(out, static_cast<uint64_t>(t.rank()));
+    for (int64_t d : t.shape()) WriteU64(out, static_cast<uint64_t>(d));
     out.write(reinterpret_cast<const char*>(t.data()),
               static_cast<std::streamsize>(t.size() * sizeof(float)));
-    if (!out) return false;
   }
-  return true;
+  return out.str();
 }
 
-bool LoadParametersFrom(std::istream& in, const std::vector<Var>& params) {
+bool RestoreParameters(const std::string& blob,
+                       const std::vector<Var>& params) {
+  std::istringstream in(blob, std::ios::binary);
   char magic[4];
   in.read(magic, sizeof(magic));
   if (!in || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) return false;
   uint64_t count = 0;
   if (!ReadU64(in, &count) || count != params.size()) return false;
   // Two-phase: validate shapes and stage payloads before touching any
-  // parameter so a corrupt file cannot leave a half-restored model.
+  // parameter so a corrupt blob cannot leave a half-restored model.
   std::vector<std::vector<float>> staged(params.size());
   for (size_t i = 0; i < params.size(); ++i) {
     const Tensor& t = params[i]->value;
@@ -73,32 +70,6 @@ bool LoadParametersFrom(std::istream& in, const std::vector<Var>& params) {
     }
   }
   return true;
-}
-
-bool SaveParameters(const std::vector<Var>& params,
-                    const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return false;
-  return SaveParametersTo(out, params);
-}
-
-bool LoadParameters(const std::string& path,
-                    const std::vector<Var>& params) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  return LoadParametersFrom(in, params);
-}
-
-std::string SnapshotParameters(const std::vector<Var>& params) {
-  std::ostringstream out(std::ios::binary);
-  SaveParametersTo(out, params);
-  return out.str();
-}
-
-bool RestoreParameters(const std::string& blob,
-                       const std::vector<Var>& params) {
-  std::istringstream in(blob, std::ios::binary);
-  return LoadParametersFrom(in, params);
 }
 
 }  // namespace benchtemp::tensor

@@ -1,7 +1,6 @@
 #ifndef BENCHTEMP_TENSOR_SERIALIZE_H_
 #define BENCHTEMP_TENSOR_SERIALIZE_H_
 
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -9,33 +8,23 @@
 
 namespace benchtemp::tensor {
 
-/// Binary checkpointing of a parameter set (e.g. `model->Parameters()`).
+/// A parameter set (e.g. `model->Parameters()`) as an opaque in-memory
+/// blob: the robustness layer embeds it in job checkpoints and keeps it as
+/// a rollback target or the best-epoch weights.
 ///
 /// Format: magic "BTCP", uint64 parameter count, then per parameter a
-/// uint64 rank, uint64 dims, and the float32 payload. Loading requires the
-/// destination parameters to already have the same shapes (the model is
-/// constructed first, then restored), which catches architecture drift.
+/// uint64 rank, uint64 dims, and the float32 payload. Restoring requires
+/// the destination parameters to already have the same shapes (the model
+/// is constructed first, then restored), which catches architecture drift.
 ///
-/// Note: this checkpoints *parameters* only. The temporal state (memory
-/// tables, caches) is intentionally excluded — it is replayable from the
-/// event stream, and the pipeline rebuilds it via state replay.
-bool SaveParameters(const std::vector<Var>& params, const std::string& path);
-
-/// Restores parameter values in order. Returns false on I/O failure, count
-/// mismatch, or any shape mismatch (in which case no parameter is
-/// modified).
-bool LoadParameters(const std::string& path, const std::vector<Var>& params);
-
-/// Stream variants of the same format, used by the robustness layer to
-/// embed parameter sections inside larger job checkpoints and to take
-/// in-memory snapshots (rollback targets, best-epoch weights).
-bool SaveParametersTo(std::ostream& out, const std::vector<Var>& params);
-bool LoadParametersFrom(std::istream& in, const std::vector<Var>& params);
-
-/// Convenience wrappers over the stream variants: a parameter set as an
-/// opaque in-memory blob. Restore returns false (parameters untouched) on
-/// shape/count mismatch or a corrupt blob.
+/// Note: this covers *parameters* only. The temporal state (memory tables,
+/// caches) is intentionally excluded — it is replayable from the event
+/// stream, and the pipeline rebuilds it via state replay.
 std::string SnapshotParameters(const std::vector<Var>& params);
+
+/// Restores parameter values in order. Returns false on count mismatch, any
+/// shape mismatch, or a corrupt or truncated blob (in which case no
+/// parameter is modified).
 bool RestoreParameters(const std::string& blob, const std::vector<Var>& params);
 
 }  // namespace benchtemp::tensor

@@ -113,13 +113,6 @@ void Tensor::Fill(float value) {
                        });
 }
 
-void Tensor::AddInPlace(const Tensor& other) {
-  CheckOrDie(size() == other.size(), "AddInPlace: size mismatch");
-  const float* src = other.data();
-  float* dst = data();
-  for (int64_t i = 0; i < size(); ++i) dst[i] += src[i];
-}
-
 void Tensor::Scale(float s) {
   for (int64_t i = 0; i < size_; ++i) data_[i] *= s;
 }

@@ -25,8 +25,8 @@ class ArenaAccess;
 /// for any lifetime) or views a span handed out by the tape-scoped arena
 /// (`kernels::NewTensor`, valid only until the enclosing `TapeScope`
 /// rewinds). Copies always deep-copy into fresh heap storage, so snapshots
-/// (`Detach`, checkpoints, best-epoch params, memory tables) never alias
-/// arena memory; moves transfer the backing as-is.
+/// (`Constant` copies, checkpoints, best-epoch params, memory tables) never
+/// alias arena memory; moves transfer the backing as-is.
 class Tensor {
  public:
   /// An empty (rank-0, zero-element) tensor.
@@ -81,8 +81,6 @@ class Tensor {
 
   /// Sets every entry to `value`.
   void Fill(float value);
-  /// Adds `other` elementwise into this tensor. Shapes must match.
-  void AddInPlace(const Tensor& other);
   /// Multiplies every entry by `s`.
   void Scale(float s);
 

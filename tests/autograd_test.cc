@@ -149,7 +149,7 @@ TEST(AutogradTest, ReluBackwardAwayFromKink) {
 TEST(AutogradTest, SoftmaxRowsSumsToOne) {
   Rng rng(10);
   Var a = Constant(Tensor::Randn({6, 5}, rng));
-  Var s = SoftmaxRows(a);
+  Var s = MaskedSoftmaxRows(a, Tensor::Ones({6, 5}));
   for (int64_t r = 0; r < 6; ++r) {
     float total = 0.0f;
     for (int64_t c = 0; c < 5; ++c) total += s->value.at(r, c);
@@ -161,7 +161,9 @@ TEST(AutogradTest, SoftmaxBackward) {
   Rng rng(11);
   Var a = Parameter(Tensor::Randn({3, 4}, rng));
   Var weights = Constant(Tensor::Randn({3, 4}, rng));
-  CheckGradient(a, [&] { return Sum(Mul(SoftmaxRows(a), weights)); });
+  const Tensor ones = Tensor::Ones({3, 4});
+  CheckGradient(a,
+                [&] { return Sum(Mul(MaskedSoftmaxRows(a, ones), weights)); });
 }
 
 TEST(AutogradTest, MaskedSoftmaxZerosMaskedEntries) {
@@ -200,13 +202,6 @@ TEST(AutogradTest, SoftmaxCrossEntropyBackward) {
   CheckGradient(logits, [&] { return SoftmaxCrossEntropy(logits, labels); });
 }
 
-TEST(AutogradTest, MseLossBackward) {
-  Rng rng(13);
-  Var pred = Parameter(Tensor::Randn({3, 2}, rng));
-  Tensor target = Tensor::Randn({3, 2}, rng);
-  CheckGradient(pred, [&] { return MseLoss(pred, target); });
-}
-
 TEST(AutogradTest, BatchDotBackward) {
   Rng rng(14);
   const int64_t k = 3;
@@ -225,25 +220,6 @@ TEST(AutogradTest, BatchWeightedSumBackward) {
   auto loss = [&] { return Sum(Sigmoid(BatchWeightedSum(w, values, k))); };
   CheckGradient(w, loss);
   CheckGradient(values, loss);
-}
-
-TEST(AutogradTest, MeanRowsBackward) {
-  Rng rng(16);
-  Var a = Parameter(Tensor::Randn({4, 3}, rng));
-  CheckGradient(a, [&] { return Sum(Tanh(MeanRows(a))); });
-}
-
-TEST(AutogradTest, TransposeBackward) {
-  Rng rng(17);
-  Var a = Parameter(Tensor::Randn({3, 5}, rng));
-  Var b = Constant(Tensor::Randn({5, 3}, rng));
-  CheckGradient(a, [&] { return Sum(Mul(Transpose(a), b)); });
-}
-
-TEST(AutogradTest, ReshapeBackward) {
-  Rng rng(18);
-  Var a = Parameter(Tensor::Randn({2, 6}, rng));
-  CheckGradient(a, [&] { return Sum(Tanh(Reshape(a, {3, 4}))); });
 }
 
 TEST(AutogradTest, DiamondGraphAccumulates) {
@@ -265,9 +241,10 @@ TEST(AutogradTest, NoGradThroughConstants) {
   EXPECT_EQ(a->grad.size(), 0);
 }
 
-TEST(AutogradTest, DetachStopsGradient) {
+TEST(AutogradTest, ConstantCopyStopsGradient) {
   Var a = Parameter(Tensor::FromVector({1}, {2.0f}));
-  Var loss = Sum(Mul(Detach(a), a));  // only the direct path contributes
+  // Only the direct path contributes.
+  Var loss = Sum(Mul(Constant(a->value), a));
   Backward(loss);
   EXPECT_NEAR(a->grad.at(0), 2.0f, 1e-5f);
 }
@@ -337,10 +314,11 @@ TEST(AutogradTest, FusedBcePreludeMatchesEagerBitwise) {
 }
 
 TEST(AutogradTest, SoftmaxRowsGolden) {
-  // SoftmaxRows runs Exp / Sum / normalize as one internal kernel pass;
-  // pin its exact output for a known row so that path stays put.
+  // MaskedSoftmaxRows runs Exp / Sum / normalize as one internal kernel
+  // pass; pin its exact output for a known unmasked row so that path stays
+  // put.
   Var a = Constant(Tensor::FromVector({1, 3}, {1.0f, 2.0f, 3.0f}));
-  Var s = SoftmaxRows(a);
+  Var s = MaskedSoftmaxRows(a, Tensor::Ones({1, 3}));
   const double z = std::exp(1.0 - 3.0) + std::exp(2.0 - 3.0) + 1.0;
   EXPECT_NEAR(s->value.at(0, 0), static_cast<float>(std::exp(-2.0) / z),
               1e-6f);

@@ -27,6 +27,11 @@ TEST(BenchHarnessTest, EnvIntFallsBack) {
   EXPECT_EQ(EnvInt("BENCHTEMP_TEST_KNOB", 7), 7);
   EnvGuard guard("BENCHTEMP_TEST_KNOB", "42");
   EXPECT_EQ(EnvInt("BENCHTEMP_TEST_KNOB", 7), 42);
+  setenv("BENCHTEMP_TEST_KNOB", "", 1);
+  EXPECT_EQ(EnvInt("BENCHTEMP_TEST_KNOB", 7), 0);
+  setenv("BENCHTEMP_TEST_KNOB", "1O", 1);
+  EXPECT_DEATH(EnvInt("BENCHTEMP_TEST_KNOB", 7),
+               "BENCHTEMP_TEST_KNOB=1O is not an integer");
 }
 
 TEST(BenchHarnessTest, QuickModeShrinksGrid) {

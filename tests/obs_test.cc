@@ -223,11 +223,6 @@ TEST_F(ObsTest, ExportJsonRoundTripsThroughValidator) {
   EXPECT_NE(json.find("\"train.batches\": 7"), std::string::npos);
   EXPECT_NE(json.find("\"model\": \"TGN\""), std::string::npos);
   EXPECT_NE(json.find("\"train.retried_epoch_seconds\""), std::string::npos);
-
-  // The CSV sink shares the schema header.
-  const std::string csv = obs::ExportCsv(info);
-  EXPECT_EQ(csv.rfind("# benchtemp.metrics v1 bench=obs_test", 0), 0u);
-  EXPECT_NE(csv.find("counter,train.batches,7,"), std::string::npos);
 }
 
 TEST_F(ObsTest, ValidatorRejectsMalformedAndWrongSchema) {

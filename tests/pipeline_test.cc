@@ -111,8 +111,14 @@ TEST_F(PipelineTest, DepthFromEnvParsing) {
   EXPECT_EQ(pipeline::DepthFromEnv(), 8);  // clamped
   ::setenv("BENCHTEMP_PIPELINE", "-3", 1);
   EXPECT_EQ(pipeline::DepthFromEnv(), 0);
-  ::setenv("BENCHTEMP_PIPELINE", "junk", 1);
-  EXPECT_EQ(pipeline::DepthFromEnv(), 0);  // unparsable -> synchronous
+  // A value that is not an integer stops the run instead of quietly
+  // running synchronously.
+  for (const char* bad : {"two", "junk", "4x", " ", "99999999999"}) {
+    ::setenv("BENCHTEMP_PIPELINE", bad, 1);
+    EXPECT_DEATH(pipeline::DepthFromEnv(),
+                 std::string("BENCHTEMP_PIPELINE=") + bad +
+                     " is not an integer");
+  }
   if (saved != nullptr) {
     ::setenv("BENCHTEMP_PIPELINE", saved_value.c_str(), 1);
   } else {

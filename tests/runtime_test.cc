@@ -5,7 +5,9 @@
 #include "runtime/thread_pool.h"
 
 #include <atomic>
+#include <cstdlib>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -103,6 +105,29 @@ TEST(ThreadPoolTest, SetNumThreadsResizes) {
     sum.fetch_add(hi - lo);
   });
   EXPECT_EQ(sum.load(), 1000);
+}
+
+TEST(ThreadPoolTest, DefaultNumThreadsParsesStrictly) {
+  const char* saved = std::getenv("BENCHTEMP_NUM_THREADS");
+  const std::string saved_value = saved != nullptr ? saved : "";
+  ::setenv("BENCHTEMP_NUM_THREADS", "3", 1);
+  EXPECT_EQ(runtime::DefaultNumThreads(), 3);
+  // Unset, empty and non-positive values mean hardware concurrency.
+  ::unsetenv("BENCHTEMP_NUM_THREADS");
+  const int hw = runtime::DefaultNumThreads();
+  EXPECT_GE(hw, 1);
+  ::setenv("BENCHTEMP_NUM_THREADS", "", 1);
+  EXPECT_EQ(runtime::DefaultNumThreads(), hw);
+  ::setenv("BENCHTEMP_NUM_THREADS", "0", 1);
+  EXPECT_EQ(runtime::DefaultNumThreads(), hw);
+  ::setenv("BENCHTEMP_NUM_THREADS", "four", 1);
+  EXPECT_DEATH(runtime::DefaultNumThreads(),
+               "BENCHTEMP_NUM_THREADS=four is not an integer");
+  if (saved != nullptr) {
+    ::setenv("BENCHTEMP_NUM_THREADS", saved_value.c_str(), 1);
+  } else {
+    ::unsetenv("BENCHTEMP_NUM_THREADS");
+  }
 }
 
 tensor::Tensor MatMulAt(int threads, const tensor::Tensor& a,

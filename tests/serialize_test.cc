@@ -1,9 +1,5 @@
 #include "tensor/serialize.h"
 
-#include <unistd.h>
-
-#include <fstream>
-
 #include <gtest/gtest.h>
 
 #include "datagen/synthetic.h"
@@ -17,8 +13,7 @@ namespace {
 TEST(SerializeTest, RoundTripRestoresValues) {
   Rng rng(1);
   Linear layer(4, 3, rng);
-  const std::string path = "/tmp/benchtemp_ckpt_roundtrip.bin";
-  ASSERT_TRUE(SaveParameters(layer.Parameters(), path));
+  const std::string blob = SnapshotParameters(layer.Parameters());
   // Perturb, then restore.
   std::vector<float> original;
   for (const Var& p : layer.Parameters()) {
@@ -27,50 +22,44 @@ TEST(SerializeTest, RoundTripRestoresValues) {
       p->value.at(i) += 1.5f;
     }
   }
-  ASSERT_TRUE(LoadParameters(path, layer.Parameters()));
+  ASSERT_TRUE(RestoreParameters(blob, layer.Parameters()));
   size_t cursor = 0;
   for (const Var& p : layer.Parameters()) {
     for (int64_t i = 0; i < p->value.size(); ++i) {
       EXPECT_FLOAT_EQ(p->value.at(i), original[cursor++]);
     }
   }
-  unlink(path.c_str());
 }
 
 TEST(SerializeTest, ShapeMismatchRejectedAtomically) {
   Rng rng(2);
   Linear small(4, 3, rng);
   Linear big(8, 3, rng);
-  const std::string path = "/tmp/benchtemp_ckpt_mismatch.bin";
-  ASSERT_TRUE(SaveParameters(small.Parameters(), path));
+  const std::string blob = SnapshotParameters(small.Parameters());
   const float before = big.Parameters()[0]->value.at(0);
-  EXPECT_FALSE(LoadParameters(path, big.Parameters()));
+  EXPECT_FALSE(RestoreParameters(blob, big.Parameters()));
   EXPECT_FLOAT_EQ(big.Parameters()[0]->value.at(0), before);  // untouched
-  unlink(path.c_str());
 }
 
 TEST(SerializeTest, CountMismatchRejected) {
   Rng rng(3);
   Linear layer(4, 3, rng);
   Linear no_bias(4, 3, rng, /*bias=*/false);
-  const std::string path = "/tmp/benchtemp_ckpt_count.bin";
-  ASSERT_TRUE(SaveParameters(layer.Parameters(), path));
-  EXPECT_FALSE(LoadParameters(path, no_bias.Parameters()));
-  unlink(path.c_str());
+  const std::string blob = SnapshotParameters(layer.Parameters());
+  EXPECT_FALSE(RestoreParameters(blob, no_bias.Parameters()));
 }
 
-TEST(SerializeTest, MissingAndCorruptFilesRejected) {
+TEST(SerializeTest, CorruptAndTruncatedBlobsRejected) {
   Rng rng(4);
   Linear layer(4, 3, rng);
-  EXPECT_FALSE(LoadParameters("/tmp/benchtemp_missing_ckpt.bin",
-                              layer.Parameters()));
-  const std::string path = "/tmp/benchtemp_ckpt_corrupt.bin";
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "not a checkpoint";
-  }
-  EXPECT_FALSE(LoadParameters(path, layer.Parameters()));
-  unlink(path.c_str());
+  EXPECT_FALSE(RestoreParameters("not a checkpoint", layer.Parameters()));
+  const std::string blob = SnapshotParameters(layer.Parameters());
+  const float before = layer.Parameters()[0]->value.at(0);
+  layer.Parameters()[0]->value.at(0) = before + 1.0f;
+  EXPECT_FALSE(RestoreParameters(blob.substr(0, blob.size() - 1),
+                                 layer.Parameters()));
+  // The last parameter's payload is cut short, so nothing is restored.
+  EXPECT_FLOAT_EQ(layer.Parameters()[0]->value.at(0), before + 1.0f);
 }
 
 TEST(SerializeTest, TrainedModelReproducesScores) {
@@ -96,13 +85,12 @@ TEST(SerializeTest, TrainedModelReproducesScores) {
   auto b = models::CreateModel(models::ModelKind::kTgn, &g, mc, 30);
   a->SetNeighborFinder(&finder);
   b->SetNeighborFinder(&finder);
-  const std::string path = "/tmp/benchtemp_ckpt_model.bin";
-  ASSERT_TRUE(SaveParameters(a->Parameters(), path));
+  const std::string blob = SnapshotParameters(a->Parameters());
   // Wreck b's parameters, then restore them from a's checkpoint. (The two
   // models share the config seed so their neighbor-sampling streams align;
   // only the parameter values are under test.)
   for (const Var& p : b->Parameters()) p->value.Fill(0.123f);
-  ASSERT_TRUE(LoadParameters(path, b->Parameters()));
+  ASSERT_TRUE(RestoreParameters(blob, b->Parameters()));
 
   models::Batch batch;
   for (int64_t i = 0; i < 50; ++i) {
@@ -126,7 +114,6 @@ TEST(SerializeTest, TrainedModelReproducesScores) {
     // and identical call sequences the draws align.
     EXPECT_NEAR(sa->value.at(i), sb->value.at(i), 1e-4f);
   }
-  unlink(path.c_str());
 }
 
 }  // namespace

@@ -37,10 +37,8 @@ TEST(TensorTest, CopiesAreDeep) {
   EXPECT_FLOAT_EQ(a.at(0), 1.0f);
 }
 
-TEST(TensorTest, AddInPlaceAndScale) {
-  Tensor a = Tensor::Full({3}, 2.0f);
-  Tensor b = Tensor::Full({3}, 0.5f);
-  a.AddInPlace(b);
+TEST(TensorTest, ScaleInPlace) {
+  Tensor a = Tensor::Full({3}, 2.5f);
   a.Scale(2.0f);
   EXPECT_FLOAT_EQ(a.at(0), 5.0f);
 }

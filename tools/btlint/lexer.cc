@@ -23,21 +23,6 @@ const std::array<const char*, 22> kMultiPunct = {
 
 }  // namespace
 
-bool IsFloatLiteral(const std::string& text) {
-  if (text.size() > 1 && text[0] == '0' && (text[1] == 'x' || text[1] == 'X')) {
-    // Hex floats exist but do not appear in this codebase; treat hex as int.
-    return false;
-  }
-  bool has_dot = false, has_exp = false, has_f = false;
-  for (size_t i = 0; i < text.size(); ++i) {
-    const char c = text[i];
-    if (c == '.') has_dot = true;
-    if ((c == 'e' || c == 'E') && i > 0) has_exp = true;
-    if (c == 'f' || c == 'F') has_f = true;
-  }
-  return has_dot || has_exp || has_f;
-}
-
 LexedFile Lex(const std::string& source) {
   LexedFile out;
 

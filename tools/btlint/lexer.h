@@ -43,10 +43,6 @@ struct LexedFile {
 
 LexedFile Lex(const std::string& source);
 
-/// True when a kNumber token denotes a floating-point literal
-/// (has a '.', a decimal exponent, or an f/F/l/L suffix on a non-hex body).
-bool IsFloatLiteral(const std::string& text);
-
 }  // namespace btlint
 
 #endif  // BENCHTEMP_TOOLS_BTLINT_LEXER_H_

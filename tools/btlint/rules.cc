@@ -30,9 +30,6 @@ const std::vector<RuleInfo> kRules = {
     {"mutable-static", "parallel-safety",
      "mutable static/namespace-scope state in src/tensor, src/graph, "
      "src/runtime"},
-    {"float-equality", "numeric",
-     "==/!= on floating-point values (use tensor::ApproxEqual / "
-     "EXPECT_NEAR)"},
     {"id-narrowing", "numeric",
      "unchecked static_cast of a node/edge id to 32 bits (use "
      "tensor::NarrowId)"},
@@ -453,57 +450,6 @@ void RuleMutableStatic(const std::string& path, const LexedFile& f,
 // ---------------------------------------------------------------------------
 // N: numeric-hygiene rules.
 // ---------------------------------------------------------------------------
-
-void RuleFloatEquality(const std::string& path, const LexedFile& f,
-                       const FloatVars& float_vars,
-                       std::vector<Finding>* out) {
-  const Tokens& toks = f.tokens;
-  auto is_float_operand = [&](const Token& t) {
-    if (t.kind == TokKind::kNumber) return IsFloatLiteral(t.text);
-    if (t.kind == TokKind::kIdent) return float_vars.count(t.text) != 0;
-    return false;
-  };
-  for (size_t i = 0; i < toks.size(); ++i) {
-    // Direct == / != with a float literal or known float scalar beside it.
-    if (toks[i].kind == TokKind::kPunct &&
-        (toks[i].text == "==" || toks[i].text == "!=")) {
-      const bool lhs = i > 0 && is_float_operand(toks[i - 1]);
-      const bool rhs = i + 1 < toks.size() && is_float_operand(toks[i + 1]);
-      if (lhs || rhs) {
-        Report(out, path, toks[i], "float-equality",
-               "exact floating-point comparison; use tensor::ApproxEqual / "
-               "tensor::IsExactlyZero (or restructure around a tolerance)");
-      }
-    }
-    // gtest exact-equality macros applied to float expressions.
-    if (toks[i].kind == TokKind::kIdent &&
-        (toks[i].text == "EXPECT_EQ" || toks[i].text == "ASSERT_EQ" ||
-         toks[i].text == "EXPECT_NE" || toks[i].text == "ASSERT_NE") &&
-        i + 1 < toks.size() && IsPunct(toks[i + 1], "(")) {
-      const size_t close = MatchingClose(toks, i + 1);
-      // Only consider tokens at the top level of the macro's argument list:
-      // a float literal nested inside a call argument (e.g. the timestamp in
-      // EXPECT_EQ(finder.MostRecent(0, 1.5, 5).size(), 2u)) is not one of
-      // the compared operands.
-      int depth = 0;
-      for (size_t k = i + 2; k < close && k < toks.size(); ++k) {
-        if (toks[k].kind == TokKind::kPunct) {
-          const std::string& p = toks[k].text;
-          if (p == "(" || p == "[" || p == "{") ++depth;
-          if (p == ")" || p == "]" || p == "}") --depth;
-          continue;
-        }
-        if (depth == 0 && is_float_operand(toks[k])) {
-          Report(out, path, toks[i], "float-equality",
-                 toks[i].text +
-                     " on floating-point operands; use EXPECT_DOUBLE_EQ / "
-                     "EXPECT_FLOAT_EQ / EXPECT_NEAR");
-          break;
-        }
-      }
-    }
-  }
-}
 
 void RuleIdNarrowing(const std::string& path, const LexedFile& f,
                      std::vector<Finding>* out) {
@@ -1032,7 +978,6 @@ std::vector<Finding> LintFile(const std::string& path,
   RuleParallelFloatReduce(path, f, float_vars, &findings);
   RuleUnorderedDrain(path, f, unordered_vars, &findings);
   RuleMutableStatic(path, f, &findings);
-  RuleFloatEquality(path, f, float_vars, &findings);
   RuleIdNarrowing(path, f, &findings);
   RuleRawNew(path, f, &findings);
   RuleIncludeGuard(path, f, &findings);
