@@ -30,8 +30,8 @@
 //   BENCHTEMP_FAULTS       fault-injection spec (FaultInjector grammar)
 //
 // Observability knobs (see DESIGN.md "Observability"):
-//   BENCHTEMP_METRICS      "1"/"on" turns collection on; any other value is
-//                          a path for a standalone JSON export at exit
+//   BENCHTEMP_METRICS      "1"/"on" turns collection on; any other
+//                          non-empty value is fatal
 //   BENCHTEMP_BENCH_DIR    directory for the BENCH_<name>.json artifact
 //                          every bench binary emits (default: cwd)
 
@@ -56,12 +56,15 @@
 namespace benchtemp::bench {
 
 /// Declared first in every bench main: emits the schema-versioned
-/// BENCH_<name>.json artifact (and the BENCHTEMP_METRICS standalone export,
-/// when requested) as the binary exits.
+/// BENCH_<name>.json artifact as the binary exits.
 class BenchArtifact {
  public:
   explicit BenchArtifact(const char* name)
-      : name_(name), start_(obs::NowSeconds()) {}
+      : name_(name), start_(obs::NowSeconds()) {
+    // Reads the BENCHTEMP_METRICS switch now, so a malformed value stops
+    // the bench before any work rather than at its first counter.
+    (void)obs::MetricRegistry::Enabled();
+  }
   ~BenchArtifact() {
     obs::EmitBenchArtifacts(name_, obs::NowSeconds() - start_,
                             core::MaxRssGb());
@@ -154,6 +157,30 @@ inline core::TrainConfig TrainConfigFor(models::ModelKind kind,
   return tc;
 }
 
+/// Appends one link-prediction job's efficiency to the metrics registry's
+/// run records (the `runs` rows of BENCH_<name>.json) when collection is on.
+inline void AppendRunRecord(models::ModelKind kind,
+                            const datagen::DatasetSpec& spec,
+                            const core::LinkPredictionResult& result) {
+  if (!obs::MetricRegistry::Enabled()) return;
+  const core::EfficiencyStats& eff = result.efficiency;
+  obs::RunRecord record;
+  record.model = models::ModelKindName(kind);
+  record.dataset = spec.name;
+  record.task = "link_prediction";
+  record.epochs_run = eff.epochs_run;
+  record.nan_retries = result.nan_retries;
+  record.seconds_per_epoch = eff.seconds_per_epoch;
+  record.retried_epoch_seconds = eff.retried_epoch_seconds;
+  record.train_events_per_second = eff.train_events_per_second;
+  record.eval_events_per_second = eff.eval_events_per_second;
+  record.state_bytes = eff.state_bytes;
+  record.parameter_bytes = eff.parameter_bytes;
+  record.checkpoint_bytes = eff.checkpoint_bytes;
+  record.phase_seconds = eff.phase_seconds;
+  obs::MetricRegistry::Global().AppendRun(record);
+}
+
 /// Aggregated (mean ± std over runs) link-prediction outcome.
 struct AggregatedLp {
   core::MeanStd auc[4];
@@ -194,26 +221,7 @@ inline AggregatedLp RunAggregatedLp(
       ap[s].push_back(result.test[s].ap);
     }
     agg.efficiency = result.efficiency;
-    if (obs::MetricRegistry::Enabled()) {
-      obs::RunRecord record;
-      record.model = models::ModelKindName(kind);
-      record.dataset = spec.name;
-      record.task = "link_prediction";
-      record.epochs_run = result.efficiency.epochs_run;
-      record.nan_retries = result.nan_retries;
-      record.seconds_per_epoch = result.efficiency.seconds_per_epoch;
-      record.retried_epoch_seconds =
-          result.efficiency.retried_epoch_seconds;
-      record.train_events_per_second =
-          result.efficiency.train_events_per_second;
-      record.eval_events_per_second =
-          result.efficiency.eval_events_per_second;
-      record.state_bytes = result.efficiency.state_bytes;
-      record.parameter_bytes = result.efficiency.parameter_bytes;
-      record.checkpoint_bytes = result.efficiency.checkpoint_bytes;
-      record.phase_seconds = result.efficiency.phase_seconds;
-      obs::MetricRegistry::Global().AppendRun(record);
-    }
+    AppendRunRecord(kind, spec, result);
   }
   for (int s = 0; s < 4; ++s) {
     agg.auc[s] = core::Summarize(auc[s]);

@@ -92,26 +92,7 @@ int main() {
         }
         ranked_eps = std::max(ranked_eps,
                               result.efficiency.eval_events_per_second);
-        if (obs::MetricRegistry::Enabled()) {
-          obs::RunRecord record;
-          record.model = models::ModelKindName(kind);
-          record.dataset = spec.name;
-          record.task = "link_prediction";
-          record.epochs_run = result.efficiency.epochs_run;
-          record.nan_retries = result.nan_retries;
-          record.seconds_per_epoch = result.efficiency.seconds_per_epoch;
-          record.retried_epoch_seconds =
-              result.efficiency.retried_epoch_seconds;
-          record.train_events_per_second =
-              result.efficiency.train_events_per_second;
-          record.eval_events_per_second =
-              result.efficiency.eval_events_per_second;
-          record.state_bytes = result.efficiency.state_bytes;
-          record.parameter_bytes = result.efficiency.parameter_bytes;
-          record.checkpoint_bytes = result.efficiency.checkpoint_bytes;
-          record.phase_seconds = result.efficiency.phase_seconds;
-          obs::MetricRegistry::Global().AppendRun(record);
-        }
+        bench::AppendRunRecord(kind, spec, result);
         // One ranking-off rerun of the first seed prices the fused k-way
         // candidate pass against the plain one-negative test pass.
         if (run == 0) {

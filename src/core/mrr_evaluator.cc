@@ -5,16 +5,6 @@
 
 namespace benchtemp::core {
 
-const char* TiePolicyName(TiePolicy policy) {
-  switch (policy) {
-    case TiePolicy::kMeanRank:
-      return "mean_rank";
-    case TiePolicy::kOptimistic:
-      return "optimistic";
-  }
-  return "?";
-}
-
 double RankOfPositive(double pos_score, const double* candidate_scores,
                       int64_t k, TiePolicy policy) {
   tensor::CheckOrDie(k >= 1, "RankOfPositive: k must be >= 1");
@@ -55,20 +45,6 @@ RankingMetrics RankingFromRanks(const std::vector<double>& ranks) {
   out.hits_at_1 /= n;
   out.hits_at_10 /= n;
   return out;
-}
-
-void MrrEvaluator::AddBatch(const std::vector<double>& pos_scores,
-                            const std::vector<double>& candidate_scores,
-                            int64_t k) {
-  tensor::CheckOrDie(
-      candidate_scores.size() == pos_scores.size() * static_cast<size_t>(k),
-      "MrrEvaluator::AddBatch: candidate row shape mismatch");
-  ranks_.reserve(ranks_.size() + pos_scores.size());
-  for (size_t i = 0; i < pos_scores.size(); ++i) {
-    ranks_.push_back(RankOfPositive(
-        pos_scores[i], candidate_scores.data() + i * static_cast<size_t>(k),
-        k, policy_));
-  }
 }
 
 }  // namespace benchtemp::core

@@ -22,8 +22,6 @@ enum class TiePolicy {
   kOptimistic,
 };
 
-const char* TiePolicyName(TiePolicy policy);
-
 /// Aggregated ranking metrics of one evaluation pass (or a subset of it).
 /// `count == 0` means the ranking evaluator was off (all metrics 0).
 struct RankingMetrics {
@@ -42,31 +40,6 @@ double RankOfPositive(double pos_score, const double* candidate_scores,
 /// hit at cutoff h iff r <= h, so a mean-rank 1.5 (two-way tie at the top)
 /// misses Hits@1 but makes Hits@10.
 RankingMetrics RankingFromRanks(const std::vector<double>& ranks);
-
-/// Streaming accumulator over candidate-score batches: one AddBatch per
-/// evaluation batch, then Metrics() (or ranks() for per-event subset
-/// aggregation). Deterministic: ranks depend only on the scores, and the
-/// scores are bit-identical at any thread count / pipeline depth.
-class MrrEvaluator {
- public:
-  explicit MrrEvaluator(TiePolicy policy = TiePolicy::kMeanRank)
-      : policy_(policy) {}
-
-  /// `candidate_scores` is row-major [pos_scores.size() * k]: row i holds
-  /// the k candidate scores of positive i.
-  void AddBatch(const std::vector<double>& pos_scores,
-                const std::vector<double>& candidate_scores, int64_t k);
-
-  /// Per-event ranks in AddBatch order.
-  const std::vector<double>& ranks() const { return ranks_; }
-  TiePolicy policy() const { return policy_; }
-
-  RankingMetrics Metrics() const { return RankingFromRanks(ranks_); }
-
- private:
-  TiePolicy policy_;
-  std::vector<double> ranks_;
-};
 
 }  // namespace benchtemp::core
 

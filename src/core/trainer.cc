@@ -309,7 +309,8 @@ enum class TrainExit {
   kCompleted,     // every epoch ran, or the validation monitor stopped
   kTimeBudget,    // the job's time budget ran out at an epoch boundary
   kCanceled,      // the cancel token fired
-  kDiverged,      // the NaN-retry budget was spent
+  kDiverged,      // the NaN-retry budget was spent, or a decoder step
+                  // tripped a sentinel
   kRuntimeError,  // the model reported ModelStatus::kRuntimeError
 };
 
@@ -621,9 +622,9 @@ void EpochDriver::Finish(TrainExit exit, bool converged, size_t train_events,
     result->status = ModelStatus::kRuntimeError;
     result->annotation = "*";
   } else if (!converged && exit != TrainExit::kCompleted) {
-    // A watchdog deadline, a spent NaN-retry budget, or a time budget that
-    // ran out before the monitor stopped: the paper's non-convergence
-    // marker.
+    // A watchdog deadline, a spent NaN-retry budget, a diverged decoder,
+    // or a time budget that ran out before the monitor stopped: the
+    // paper's non-convergence marker.
     result->annotation = "x";
   }
   result->nan_retries = nan_retries_;
@@ -697,6 +698,8 @@ struct DecoderFit {
   /// The decoder's early-stop monitor stopped (Table 12's Epoch cell).
   bool converged = false;
   bool canceled = false;
+  /// A NaN/Inf sentinel tripped on a decoder step.
+  bool diverged = false;
 };
 
 /// Node classification after pretraining (Section 3.2.2): one
@@ -793,11 +796,14 @@ DecoderFit FitDecoder(TgnnModel* model, const TemporalGraph& graph,
       loss = binary ? BceWithLogits(logits, train_targets)
                     : SoftmaxCrossEntropy(logits, train_classes);
     }
-    {
-      obs::ScopedPhaseTimer timer(obs::Phase::kBackward);
-      decoder_opt.ZeroGrad();
-      Backward(loss);
-      decoder_opt.Step();
+    // The training loop's three sentinels, without its clipping: the
+    // decoder has never clipped, and an infinite norm leaves gradients
+    // untouched. A tripped sentinel ends the fit before any test metric
+    // is computed from the diverged decoder.
+    if (!GuardedStep(loss, decoder.Parameters(),
+                     std::numeric_limits<float>::infinity(), &decoder_opt)) {
+      fit.diverged = true;
+      return fit;
     }
     fit.seconds += NowSeconds() - epoch_start;
     ++fit.epochs_run;
@@ -1043,6 +1049,7 @@ NodeClassificationResult RunNodeClassification(
     fit = FitDecoder(model.get(), graph, &full_finder, split, tc,
                      job.decoder_epochs, &result);
     if (fit.canceled) exit = TrainExit::kCanceled;
+    if (fit.diverged) exit = TrainExit::kDiverged;
   }
   driver.Finish(exit, fit.converged, split.train_events.size(), &result);
   // Table 12 reports the decoder's epochs; its runtime averages over

@@ -25,6 +25,19 @@ constexpr const char* kCounterNames[kNumCounters] = {
     "tensor.project_unique_rows",
 };
 
+/// BENCHTEMP_METRICS is an on/off switch: unset or empty is off, "1" or
+/// "on" is on, and any other value dies naming the variable, so a leftover
+/// export path is never silently ignored.
+bool EnabledFromEnv() {
+  const char* env = std::getenv("BENCHTEMP_METRICS");
+  if (env == nullptr || env[0] == '\0') return false;
+  if (std::strcmp(env, "1") == 0 || std::strcmp(env, "on") == 0) return true;
+  std::fprintf(stderr,
+               "benchtemp check failed: BENCHTEMP_METRICS=%s is not 1 or on\n",
+               env);
+  std::abort();
+}
+
 /// -1 = derive from the environment; 0/1 = forced by a test.
 std::atomic<int> g_enabled_override{-1};
 
@@ -64,7 +77,7 @@ MetricRegistry& MetricRegistry::Global() {
 bool MetricRegistry::Enabled() {
   const int forced = g_enabled_override.load(std::memory_order_relaxed);
   if (forced >= 0) return forced != 0;
-  static const bool from_env = std::getenv("BENCHTEMP_METRICS") != nullptr;
+  static const bool from_env = EnabledFromEnv();
   return from_env;
 }
 

@@ -10,9 +10,10 @@
 // accumulated in thread-local slots by RAII ScopedPhaseTimers (lock-free on
 // the hot path, merged at epoch barriers), and per-run structured records.
 //
-// The whole layer is gated on BENCHTEMP_METRICS: with the variable unset
-// every hot-path entry point reduces to one relaxed atomic load and a
-// branch — no clock reads, no allocation, no locking.
+// The whole layer is gated on BENCHTEMP_METRICS=1 (or "on"; any other
+// non-empty value is fatal): with the variable unset every hot-path entry
+// point reduces to one relaxed atomic load and a branch — no clock reads,
+// no allocation, no locking.
 
 #include <array>
 #include <atomic>
@@ -106,8 +107,7 @@ struct RunRecord {
   double train_events_per_second = 0.0;
   /// Edge scores per second of the final test pass (2 per positive, plus
   /// the k ranking candidates each when the MRR evaluator is on); 0 when
-  /// the pass did not run. Emitted in exports but optional to the schema
-  /// validator so pre-existing baseline artifacts stay valid.
+  /// the pass did not run.
   double eval_events_per_second = 0.0;
   int64_t state_bytes = 0;
   int64_t parameter_bytes = 0;
@@ -121,9 +121,10 @@ class MetricRegistry {
   /// The process-wide registry.
   static MetricRegistry& Global();
 
-  /// True when collection is on: BENCHTEMP_METRICS is set (any value) or a
-  /// test override forced it. The result of the env probe is cached, so
-  /// this is one relaxed atomic load + a branch on the hot path.
+  /// True when collection is on: BENCHTEMP_METRICS is "1" or "on", or a
+  /// test override forced it. Dies on any other non-empty value. The
+  /// result of the env probe is cached, so this is one relaxed atomic load
+  /// + a branch on the hot path.
   static bool Enabled();
 
   /// Test hook: 1 forces collection on, 0 forces it off, -1 restores the

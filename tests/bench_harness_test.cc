@@ -1,6 +1,7 @@
 // Tests of the bench-harness helpers (bench/bench_common.h): environment
-// knobs, dataset filtering, and the per-dataset model quirks the catalog
-// drives (TGAT's UNTrade window, NeurTW's overflow-safe bias).
+// knobs (the BENCHTEMP_METRICS switch among them), dataset filtering, and
+// the per-dataset model quirks the catalog drives (TGAT's UNTrade window,
+// NeurTW's overflow-safe bias).
 
 #include <cstdlib>
 
@@ -32,6 +33,28 @@ TEST(BenchHarnessTest, EnvIntFallsBack) {
   setenv("BENCHTEMP_TEST_KNOB", "1O", 1);
   EXPECT_DEATH(EnvInt("BENCHTEMP_TEST_KNOB", 7),
                "BENCHTEMP_TEST_KNOB=1O is not an integer");
+}
+
+TEST(BenchHarnessTest, MetricsSwitchIsOnOrOffNeverAPath) {
+  // Each case runs in a fresh process, so the cached switch reads the
+  // value set here.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (const char* on : {"1", "on"}) {
+    EXPECT_EXIT(
+        {
+          setenv("BENCHTEMP_METRICS", on, 1);
+          std::exit(obs::MetricRegistry::Enabled() ? 0 : 1);
+        },
+        ::testing::ExitedWithCode(0), "")
+        << on;
+  }
+  // A leftover export path stops a bench before it does any work.
+  EXPECT_DEATH(
+      {
+        setenv("BENCHTEMP_METRICS", "/tmp/m.json", 1);
+        BenchArtifact artifact("bench_harness_test");
+      },
+      "BENCHTEMP_METRICS=/tmp/m.json");
 }
 
 TEST(BenchHarnessTest, QuickModeShrinksGrid) {

@@ -118,15 +118,22 @@ TEST_F(MrrEvaluatorTest, EmptyRanksReportZeroCount) {
 }
 
 TEST_F(MrrEvaluatorTest, EvaluatorAccumulatesBatches) {
-  core::MrrEvaluator evaluator;
-  // Two batches of two positives, k = 2.
-  evaluator.AddBatch({0.9, 0.1}, {0.5, 0.2, 0.8, 0.7}, 2);
-  evaluator.AddBatch({0.6}, {0.6, 0.4}, 2);
-  ASSERT_EQ(evaluator.ranks().size(), 3u);
-  EXPECT_DOUBLE_EQ(evaluator.ranks()[0], 1.0);  // beats {0.5, 0.2}
-  EXPECT_DOUBLE_EQ(evaluator.ranks()[1], 3.0);  // below {0.8, 0.7}
-  EXPECT_DOUBLE_EQ(evaluator.ranks()[2], 1.5);  // ties 0.6, beats 0.4
-  const RankingMetrics m = evaluator.Metrics();
+  // Two batches (two positives, then one), k = 2: row i of a batch holds
+  // positive i's candidate scores.
+  const std::vector<std::pair<std::vector<double>, std::vector<double>>>
+      batches = {{{0.9, 0.1}, {0.5, 0.2, 0.8, 0.7}}, {{0.6}, {0.6, 0.4}}};
+  std::vector<double> ranks;
+  for (const auto& [pos, candidates] : batches) {
+    for (size_t i = 0; i < pos.size(); ++i) {
+      ranks.push_back(RankOfPositive(pos[i], candidates.data() + 2 * i, 2,
+                                     TiePolicy::kMeanRank));
+    }
+  }
+  ASSERT_EQ(ranks.size(), 3u);
+  EXPECT_DOUBLE_EQ(ranks[0], 1.0);  // beats {0.5, 0.2}
+  EXPECT_DOUBLE_EQ(ranks[1], 3.0);  // below {0.8, 0.7}
+  EXPECT_DOUBLE_EQ(ranks[2], 1.5);  // ties 0.6, beats 0.4
+  const RankingMetrics m = core::RankingFromRanks(ranks);
   EXPECT_EQ(m.count, 3);
   EXPECT_DOUBLE_EQ(m.mrr, (1.0 + 1.0 / 3.0 + 1.0 / 1.5) / 3.0);
 }

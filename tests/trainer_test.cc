@@ -1,5 +1,6 @@
 #include "core/trainer.h"
 
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -257,6 +258,38 @@ TEST(TrainerTest, NodeClassificationNanLossAnnotatesX) {
   EXPECT_DOUBLE_EQ(result.test_auc, NodeClassificationResult().test_auc);
   EXPECT_DOUBLE_EQ(result.accuracy, 0.0);
   EXPECT_DOUBLE_EQ(result.f1_weighted, 0.0);
+}
+
+TEST(TrainerTest, NodeClassificationDecoderNanAnnotatesX) {
+  TemporalGraph g = MakeLearnableGraph(33);
+  NodeClassificationJob job;
+  job.graph = &g;
+  job.num_users = 60;
+  job.kind = ModelKind::kTgn;
+  job.model_config = SmallModelConfig();
+  job.train_config = QuickTrainConfig();
+  job.pretrain_epochs = 0;
+  job.decoder_epochs = 20;
+  // Without pretraining the first nan_loss probe is the first decoder
+  // step. Its sentinel stops the job: marked "x", no metrics from the
+  // diverged decoder.
+  base::FaultSpec spec;
+  spec.at_step = 0;
+  base::FaultInjector::Global().Arm(base::FaultSite::kNanLoss, spec);
+  const NodeClassificationResult result = RunNodeClassification(job);
+  const int64_t fired =
+      base::FaultInjector::Global().fire_count(base::FaultSite::kNanLoss);
+  base::FaultInjector::Global().DisarmAll();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(result.annotation, "x");
+  EXPECT_FALSE(result.efficiency.converged);
+  for (const double metric :
+       {result.test_auc, result.accuracy, result.precision_weighted,
+        result.recall_weighted, result.f1_weighted,
+        result.efficiency.seconds_per_epoch,
+        result.efficiency.train_events_per_second}) {
+    EXPECT_TRUE(std::isfinite(metric));
+  }
 }
 
 TEST(TrainerTest, NodeClassificationConvergedFollowsDecoderMonitor) {

@@ -12,8 +12,8 @@
 // flip) with every injection point and corruption seed derived from
 // SplitMix64(seed, i), so a failing iteration replays exactly.
 //
-//   btchaos --bench <bench_table3_lp_auc> --btfsck <btfsck> \
-//           --workdir <dir> --iterations K --seed S \
+//   btchaos --bench <bench_table3_lp_auc> --btfsck <btfsck>
+//           --workdir <dir> --iterations K --seed S
 //           [--dataset UCI] [--model JODIE] [--epochs 5]
 //
 // Exit 0 only when every iteration resumed byte-identically, btfsck
@@ -70,6 +70,20 @@ std::string BenchEnv(const Options& opt, const std::string& dir) {
 
 bool ReadAll(const std::string& path, std::string* out) {
   return benchtemp::io::ReadFileBytes(path, out);
+}
+
+/// Contents of the BENCH_*.json artifact the bench wrote into `dir`
+/// (BENCHTEMP_BENCH_DIR); false when there is none. Only the resumed run
+/// exits normally, so it is the one artifact an iteration leaves.
+bool ReadBenchArtifact(const std::string& dir, std::string* out) {
+  std::error_code ec;
+  for (const fs::directory_entry& entry : fs::directory_iterator(dir, ec)) {
+    const std::string name = entry.path().filename().string();
+    if (name.starts_with("BENCH_") && name.ends_with(".json")) {
+      return ReadAll(entry.path().string(), out);
+    }
+  }
+  return false;
 }
 
 /// Counter value out of a metrics JSON export; -1 when absent.
@@ -209,8 +223,8 @@ int main(int argc, char** argv) {
     }
 
     const std::string resumed_cmd =
-        env + "BENCHTEMP_METRICS=" + Quoted(dir + "/metrics.json") + " " +
-        Quoted(opt.bench) + " > " + Quoted(dir + "/resumed.log") + " 2>&1";
+        env + "BENCHTEMP_METRICS=1 " + Quoted(opt.bench) + " > " +
+        Quoted(dir + "/resumed.log") + " 2>&1";
     if (RunShell(resumed_cmd) != 0) {
       std::printf("iter %d: FAIL — resume run failed (%s/resumed.log)\n", i,
                   dir.c_str());
@@ -228,7 +242,7 @@ int main(int argc, char** argv) {
 
     std::string metrics;
     long long fallbacks = 0;
-    if (ReadAll(dir + "/metrics.json", &metrics)) {
+    if (ReadBenchArtifact(dir, &metrics)) {
       fallbacks = CounterFromJson(metrics, "robustness.ckpt_fallbacks");
       if (fallbacks > 0) total_fallbacks += fallbacks;
     }
