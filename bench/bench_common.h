@@ -17,16 +17,14 @@
 //                         (default: all)
 //   BENCHTEMP_PIPELINE    training-pipeline prefetch depth (default 2;
 //                         0 = synchronous — bit-identical either way)
-//   BENCHTEMP_MRR_K       ranking candidates per positive of the TGB-style
-//                         MRR/Hits@k evaluation pass (unset/0 = ranking
-//                         off; clamped to the destination range)
 //
 // Robustness knobs (see DESIGN.md "Failure model"):
 //   BENCHTEMP_MANIFEST     sweep journal path; an interrupted run restarts
 //                          where it died and produces an identical CSV
 //   BENCHTEMP_CSV_OUT      leaderboard CSV output path
-//   BENCHTEMP_JOB_DEADLINE per-job watchdog deadline in seconds (0 = off);
-//                          an expired job is annotated "x"
+//   BENCHTEMP_JOB_DEADLINE per-job time limit in seconds (unset/0 = none);
+//                          a job past it is annotated "x" and reports no
+//                          metrics; a negative or non-numeric value is fatal
 //   BENCHTEMP_FAULTS       fault-injection spec (FaultInjector grammar)
 //
 // Observability knobs (see DESIGN.md "Observability"):
@@ -35,9 +33,9 @@
 //   BENCHTEMP_BENCH_DIR    directory for the BENCH_<name>.json artifact
 //                          every bench binary emits (default: cwd)
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -192,8 +190,7 @@ struct AggregatedLp {
 
 inline AggregatedLp RunAggregatedLp(
     const datagen::DatasetSpec& spec, const graph::TemporalGraph& g,
-    models::ModelKind kind, const GridConfig& grid,
-    const std::atomic<bool>* cancel = nullptr,
+    models::ModelKind kind, const GridConfig& grid, double deadline = 0.0,
     const std::string& checkpoint_prefix = "") {
   AggregatedLp agg;
   std::vector<double> auc[4], ap[4];
@@ -204,7 +201,7 @@ inline AggregatedLp RunAggregatedLp(
     job.kind = kind;
     job.model_config = ModelConfigFor(kind, spec, grid);
     job.train_config = TrainConfigFor(kind, grid, 1000 + 13 * run);
-    job.train_config.cancel_token = cancel;
+    job.train_config.deadline = deadline;
     if (!checkpoint_prefix.empty()) {
       job.train_config.checkpoint_path =
           checkpoint_prefix + ".run" + std::to_string(run) + ".ckpt";
@@ -212,9 +209,8 @@ inline AggregatedLp RunAggregatedLp(
     const core::LinkPredictionResult result = core::RunLinkPrediction(job);
     if (!result.annotation.empty()) agg.annotation = result.annotation;
     if (result.status != models::ModelStatus::kOk) return agg;
-    // A watchdog-canceled or diverged job skipped the test pass entirely
-    // (count == 0); a budget-limited "x" still produced scores and is
-    // aggregated as before.
+    // A job past its deadline or diverged reports no test metrics
+    // (count == 0).
     if (result.test[0].count == 0) return agg;
     for (int s = 0; s < 4; ++s) {
       auc[s].push_back(result.test[s].auc);
@@ -283,15 +279,20 @@ inline void PushToLeaderboard(core::Leaderboard* board,
 inline robustness::SweepOptions SweepOptionsFromEnv() {
   robustness::SweepOptions options;
   options.manifest_path = EnvStr("BENCHTEMP_MANIFEST");
-  const char* deadline = std::getenv("BENCHTEMP_JOB_DEADLINE");
-  if (deadline != nullptr) {
-    options.job_deadline_seconds = std::atof(deadline);
-  }
+  options.job_deadline_seconds = base::EnvDoubleOrDie(
+      "BENCHTEMP_JOB_DEADLINE", 0.0, 0.0,
+      std::numeric_limits<double>::infinity());
   return options;
 }
 
+/// BENCHTEMP_MRR_HIST_FRAC: the historical share of each ranking candidate
+/// set, in [0, 1] (default 0.5).
+inline double MrrHistoricalFractionFromEnv() {
+  return base::EnvDoubleOrDie("BENCHTEMP_MRR_HIST_FRAC", 0.5, 0.0, 1.0);
+}
+
 /// Builds one fault-tolerant sweep job for a (dataset, model) cell: runs
-/// the aggregated link-prediction grid under the sweep's cancel token and
+/// the aggregated link-prediction grid under the sweep's deadline and
 /// returns its AUC + AP rows. When the sweep keeps a manifest, the job also
 /// checkpoints each run next to it (removed on success) so a killed sweep
 /// resumes mid-job instead of from the job's start.
@@ -312,10 +313,9 @@ inline robustness::SweepJob MakeLpSweepJob(
     checkpoint_prefix = options.manifest_path + "." + spec.name + "." +
                         job.model;
   }
-  job.run = [&spec, &g, kind, grid, checkpoint_prefix](
-                const std::atomic<bool>* cancel) {
+  job.run = [&spec, &g, kind, grid, checkpoint_prefix](double deadline) {
     const AggregatedLp agg =
-        RunAggregatedLp(spec, g, kind, grid, cancel, checkpoint_prefix);
+        RunAggregatedLp(spec, g, kind, grid, deadline, checkpoint_prefix);
     std::vector<core::LeaderboardRecord> records =
         LpRecords(models::ModelKindName(kind), spec.name, agg, "AUC");
     for (core::LeaderboardRecord& r :

@@ -7,7 +7,7 @@
 // the paper's own annotations.
 //
 // The grid runs on the fault-tolerant sweep runner: every (dataset, model)
-// cell is one crash-isolated job with an optional watchdog deadline
+// cell is one crash-isolated job with an optional per-job deadline
 // (BENCHTEMP_JOB_DEADLINE) and — when BENCHTEMP_MANIFEST is set — journal
 // based resume: re-running after a kill skips completed cells, restarts the
 // interrupted one from its epoch checkpoint, and produces a CSV identical

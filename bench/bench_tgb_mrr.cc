@@ -21,22 +21,12 @@
 
 #include "bench/bench_common.h"
 
-namespace {
-
-double EnvFraction(const char* name, double fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || value[0] == '\0') return fallback;
-  return std::atof(value);
-}
-
-}  // namespace
-
 int main() {
   benchtemp::bench::BenchArtifact artifact("tgb_mrr");
   using namespace benchtemp;
   const bench::GridConfig grid = bench::DefaultGrid();
   const int k = bench::EnvInt("BENCHTEMP_MRR_K", 20);
-  const double hist_frac = EnvFraction("BENCHTEMP_MRR_HIST_FRAC", 0.5);
+  const double hist_frac = bench::MrrHistoricalFractionFromEnv();
   std::printf(
       "TGB-style ranking leaderboard: MRR / Hits@{1,10} over %d candidate "
       "negatives per positive\n(runs=%d, historical fraction %.2f; "

@@ -6,8 +6,9 @@
 // layer (which sits above it in the layering DAG and itself depends on the
 // pool). tensor::CheckOrDie re-exports this symbol for its callers.
 //
-// EnvIntOrDie is the one parser of integer environment knobs, strict for
-// the same reason: a typo must stop the run, not quietly become a default.
+// EnvIntOrDie and EnvDoubleOrDie are the parsers of numeric environment
+// knobs, strict for the same reason: a typo must stop the run, not quietly
+// become a default.
 
 #include <cerrno>
 #include <climits>
@@ -39,6 +40,26 @@ inline int EnvIntOrDie(const char* name, int fallback) {
     std::abort();
   }
   return static_cast<int>(parsed);
+}
+
+/// Floating-point value of the environment variable `name`, or `fallback`
+/// when it is unset or empty. Dies naming the variable and its value when
+/// the whole value does not parse as a number in [lo, hi].
+inline double EnvDoubleOrDie(const char* name, double fallback, double lo,
+                             double hi) {
+  const char* value = std::getenv(name);
+  if (value == nullptr || value[0] == '\0') return fallback;
+  char* end = nullptr;
+  const double parsed = std::strtod(value, &end);
+  // The negated range test also rejects NaN.
+  if (*end != '\0' || !(parsed >= lo && parsed <= hi)) {
+    std::fprintf(stderr,
+                 "benchtemp check failed: %s=%s is not a number in "
+                 "[%g, %g]\n",
+                 name, value, lo, hi);
+    std::abort();
+  }
+  return parsed;
 }
 
 }  // namespace benchtemp::base

@@ -18,7 +18,7 @@ enum class FaultSite {
   kNanLoss,
   /// Throw from the forward pass (probed once per training batch).
   kThrowForward,
-  /// Stall a training batch (probed once per batch; trips the watchdog).
+  /// Stall a training batch (probed once per batch; outlasts a deadline).
   kStallBatch,
   /// Fail a checkpoint between temp-file write and rename (probed once per
   /// atomic file commit) — the old checkpoint must survive.

@@ -20,9 +20,7 @@
 
 namespace benchtemp::base {
 
-/// An annotated exclusive mutex. Prefer MutexLock for scoped acquisition;
-/// Lock()/Unlock() exist for the rare hand-over-hand or callback-window
-/// patterns (the watchdog's expire callback).
+/// An annotated exclusive mutex. Prefer MutexLock for scoped acquisition.
 class CAPABILITY("mutex") Mutex {
  public:
   Mutex() = default;
@@ -71,19 +69,6 @@ class CondVar {
     // contract. NOLINTNEXTLINE(bugprone-spuriously-wake-up-functions)
     cv_.wait(lock);
     lock.release();  // ownership stays with the caller's MutexLock
-  }
-
-  /// Waits until `deadline`; returns false when the deadline passed
-  /// (std::cv_status::timeout), true on a notify or spurious wakeup.
-  bool WaitUntil(Mutex& mu,
-                 std::chrono::steady_clock::time_point deadline)
-      REQUIRES(mu) {
-    std::unique_lock<std::mutex> lock(mu.mu_, std::adopt_lock);
-    // Callers loop on the return value per the class contract.
-    // NOLINTNEXTLINE(bugprone-spuriously-wake-up-functions)
-    const std::cv_status status = cv_.wait_until(lock, deadline);
-    lock.release();
-    return status != std::cv_status::timeout;
   }
 
   /// Waits at most `ms` milliseconds; returns false on timeout.

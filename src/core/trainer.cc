@@ -74,7 +74,8 @@ struct EvalPassConfig {
   /// function of (pass_seed, batch index), identical at any prefetch depth.
   uint64_t pass_seed = 0;
   int pipeline_depth = 0;
-  const std::atomic<bool>* cancel = nullptr;
+  /// The job's deadline (TrainConfig::deadline); 0 = none.
+  double deadline = 0.0;
   /// Non-null turns on the TGB-style ranking pass.
   const CandidateSampler* candidates = nullptr;
   TiePolicy tie_policy = TiePolicy::kMeanRank;
@@ -86,8 +87,10 @@ struct EvalPassConfig {
 /// stream. Batch preparation runs through the same BatchPrefetcher as
 /// training, so prefetch depth changes scheduling, never results. Fills
 /// per-event positive/negative scores, and per-event ranks when `ranks` is
-/// non-null (indexed by position in `events`; 0 = not scored).
-void ScorePass(TgnnModel* model, const TemporalGraph& graph,
+/// non-null (indexed by position in `events`). Returns false when the
+/// deadline cut the pass short: then the scores are incomplete and must
+/// not be reported.
+bool ScorePass(TgnnModel* model, const TemporalGraph& graph,
                const std::vector<int64_t>& events, int batch_size,
                const EdgeSampler* sampler, const EvalPassConfig& cfg,
                std::vector<double>* pos_scores,
@@ -112,14 +115,14 @@ void ScorePass(TgnnModel* model, const TemporalGraph& graph,
   };
   pipeline::BatchPrefetcher prefetcher(static_cast<int64_t>(batches.size()),
                                        cfg.pipeline_depth, prepare,
-                                       cfg.cancel);
+                                       &cfg.deadline);
   size_t cursor = 0;
   std::vector<double> row;
   for (size_t bi = 0; bi < batches.size(); ++bi) {
     // Declared first so every Var of this batch dies before the rewind.
     tensor::kernels::TapeScope tape_scope;
     pipeline::PreparedBatch pb;
-    if (!prefetcher.Next(&pb)) break;
+    if (!prefetcher.Next(&pb)) return false;
     const Batch& batch = batches[static_cast<size_t>(pb.index)];
     Var pos = model->ScoreEdges(batch.srcs, batch.dsts, batch.ts);
     Var neg = model->ScoreEdges(batch.srcs, pb.negatives, batch.ts);
@@ -147,10 +150,10 @@ void ScorePass(TgnnModel* model, const TemporalGraph& graph,
     cursor += static_cast<size_t>(batch.size());
     model->UpdateState(batch);
   }
+  return true;
 }
 
-/// Ranking metrics over the subset of `events` listed in `subset`,
-/// skipping events a canceled pass never scored (rank 0).
+/// Ranking metrics over the subset of `events` listed in `subset`.
 RankingMetrics SubsetRanking(const std::vector<int64_t>& events,
                              const std::vector<int64_t>& subset,
                              const std::vector<double>& ranks) {
@@ -159,17 +162,9 @@ RankingMetrics SubsetRanking(const std::vector<int64_t>& events,
   std::vector<double> selected;
   for (size_t i = 0; i < events.size(); ++i) {
     if (members.count(events[i]) == 0) continue;
-    if (ranks[i] < 1.0) continue;  // unscored slot of a canceled pass
     selected.push_back(ranks[i]);
   }
   return RankingFromRanks(selected);
-}
-
-/// BENCHTEMP_MRR_K: candidates per positive when TrainConfig leaves
-/// mrr_k at -1; unset/empty/k <= 0 -> 0 (ranking off). A value that is not
-/// an integer is fatal.
-int MrrKFromEnv() {
-  return std::max(base::EnvIntOrDie("BENCHTEMP_MRR_K", 0), 0);
 }
 
 /// AUC/AP over the subset of `events` listed in `subset`.
@@ -205,16 +200,10 @@ void ReplayState(TgnnModel* model, const TemporalGraph& graph,
   }
 }
 
-/// True when the job's watchdog (if any) has expired.
-bool Canceled(const TrainConfig& tc) {
-  return tc.cancel_token != nullptr &&
-         tc.cancel_token->load(std::memory_order_relaxed);
-}
-
 /// Injected batch stall, probed from the batch-*prepare* stage so the
 /// stall lands on the producer thread when the pipeline is on. The
-/// watchdog still trips either way: the consumer's Next() polls the cancel
-/// token while it waits for the stalled slot.
+/// deadline still ends the job either way: the consumer's Next() checks it
+/// while it waits for the stalled slot.
 void ProbeStallFault() {
   auto& injector = base::FaultInjector::Global();
   if (injector.Fire(base::FaultSite::kStallBatch)) {
@@ -307,30 +296,26 @@ bool GuardedStep(const Var& loss, const std::vector<Var>& params,
 /// How an EpochDriver run ended.
 enum class TrainExit {
   kCompleted,     // every epoch ran, or the validation monitor stopped
-  kTimeBudget,    // the job's time budget ran out at an epoch boundary
-  kCanceled,      // the cancel token fired
+  kCanceled,      // the job's deadline passed
   kDiverged,      // the NaN-retry budget was spent, or a decoder step
                   // tripped a sentinel
   kRuntimeError,  // the model reported ModelStatus::kRuntimeError
 };
 
-/// True when training produced parameters worth evaluating.
-bool Trained(TrainExit exit) {
-  return exit == TrainExit::kCompleted || exit == TrainExit::kTimeBudget;
-}
-
 /// The one epoch loop behind link-prediction training and
 /// node-classification pretraining (Section 4.1: BCE loss, Adam, early
-/// stopping, a time budget). It owns everything that makes an epoch
+/// stopping, a job deadline). It owns everything that makes an epoch
 /// boundary a deterministic cut point — parameters, Adam moments, both RNG
 /// streams, the early-stop monitor, the last validation metrics and the
 /// best-epoch parameters — and with it NaN rollback, checkpoint resume and
 /// the job's efficiency tallies.
 class EpochDriver {
  public:
-  /// Scores the model after a kept epoch; the metrics feed the early-stop
-  /// monitor, the best-epoch parameters and the checkpoint's val_* fields.
-  using Validate = std::function<SettingMetrics()>;
+  /// Scores the model after a kept epoch into its argument; the metrics
+  /// feed the early-stop monitor, the best-epoch parameters and the
+  /// checkpoint's val_* fields. Returns false when the deadline cut the
+  /// pass short.
+  using Validate = std::function<bool(SettingMetrics*)>;
 
   /// Resumes from the newest valid generation of `tc.checkpoint_path`
   /// when one matches the job's seed.
@@ -351,8 +336,7 @@ class EpochDriver {
   /// The one exit of both trainers: sets the "*"/"x" annotation `exit`
   /// calls for, the retry and resume flags and the efficiency fields every
   /// exit reports, and retires the checkpoint lineage. `converged` is the
-  /// caller's early-stop verdict; a time budget that ran out before it
-  /// marks the job "x".
+  /// caller's early-stop verdict; it counts only for a completed run.
   template <typename Result>
   void Finish(TrainExit exit, bool converged, size_t train_events,
               Result* result);
@@ -375,7 +359,6 @@ class EpochDriver {
   const std::vector<Var> params_;
   tensor::Adam optimizer_;
   EarlyStopMonitor monitor_;
-  const double start_;
   const int pipeline_depth_;
   const bool checkpointing_;
   robustness::CheckpointLineage lineage_;
@@ -404,7 +387,6 @@ EpochDriver::EpochDriver(const TrainConfig& tc, TgnnModel* model,
       params_(model->Parameters()),
       optimizer_(params_, tc.learning_rate),
       monitor_(tc.patience, tc.tolerance),
-      start_(NowSeconds()),
       // Resolved prefetch depth (0 = synchronous): an explicit TrainConfig
       // value wins, otherwise BENCHTEMP_PIPELINE decides.
       pipeline_depth_(tc.pipeline_depth >= 0 ? tc.pipeline_depth
@@ -504,13 +486,13 @@ TrainExit EpochDriver::Run(const std::vector<Batch>& batches,
       };
       pipeline::BatchPrefetcher prefetcher(
           static_cast<int64_t>(batches.size()), pipeline_depth_, prepare,
-          tc_.cancel_token);
+          &tc_.deadline);
       for (size_t bi = 0; bi < batches.size(); ++bi) {
         // The tape scope is the first declaration in the loop body, so the
         // batch's Vars (pos/neg/loss graph) are destroyed before the arena
         // rewinds their storage.
         tensor::kernels::TapeScope tape_scope;
-        if (Canceled(tc_)) {
+        if (obs::DeadlinePassed(tc_.deadline)) {
           canceled = true;
           break;
         }
@@ -577,10 +559,12 @@ TrainExit EpochDriver::Run(const std::vector<Batch>& batches,
 
     bool stop = false;
     if (validate) {
-      const SettingMetrics val = validate();
+      SettingMetrics val;
+      const bool scored = validate(&val);
       if (model_->status() == ModelStatus::kRuntimeError) {
         return TrainExit::kRuntimeError;
       }
+      if (!scored) return TrainExit::kCanceled;
       val_ = val;
       if (model_->trainable()) {
         stop = monitor_.Update(val_.auc);
@@ -605,11 +589,7 @@ TrainExit EpochDriver::Run(const std::vector<Batch>& batches,
     }
     registry.DrainThisThread(&run_phases_);
     if (stop) break;
-    if (tc_.time_budget_seconds > 0.0 &&
-        NowSeconds() - start_ > tc_.time_budget_seconds) {
-      return TrainExit::kTimeBudget;
-    }
-    if (Canceled(tc_)) return TrainExit::kCanceled;
+    if (obs::DeadlinePassed(tc_.deadline)) return TrainExit::kCanceled;
   }
   return TrainExit::kCompleted;
 }
@@ -617,14 +597,13 @@ TrainExit EpochDriver::Run(const std::vector<Batch>& batches,
 template <typename Result>
 void EpochDriver::Finish(TrainExit exit, bool converged, size_t train_events,
                          Result* result) {
-  converged = converged && Trained(exit);
+  converged = converged && exit == TrainExit::kCompleted;
   if (exit == TrainExit::kRuntimeError) {
     result->status = ModelStatus::kRuntimeError;
     result->annotation = "*";
-  } else if (!converged && exit != TrainExit::kCompleted) {
-    // A watchdog deadline, a spent NaN-retry budget, a diverged decoder,
-    // or a time budget that ran out before the monitor stopped: the
-    // paper's non-convergence marker.
+  } else if (exit != TrainExit::kCompleted) {
+    // A passed deadline, a spent NaN-retry budget or a diverged decoder:
+    // the paper's non-convergence marker.
     result->annotation = "x";
   }
   result->nan_retries = nan_retries_;
@@ -697,9 +676,9 @@ struct DecoderFit {
   double seconds = 0.0;
   /// The decoder's early-stop monitor stopped (Table 12's Epoch cell).
   bool converged = false;
-  bool canceled = false;
-  /// A NaN/Inf sentinel tripped on a decoder step.
-  bool diverged = false;
+  /// kCanceled when the deadline passed, kDiverged when a NaN/Inf sentinel
+  /// tripped on a decoder step.
+  TrainExit exit = TrainExit::kCompleted;
 };
 
 /// Node classification after pretraining (Section 3.2.2): one
@@ -784,8 +763,8 @@ DecoderFit FitDecoder(TgnnModel* model, const TemporalGraph& graph,
     // Scopes the decoder epoch's whole graph (loss and the validation
     // pass below both live within one tape).
     tensor::kernels::TapeScope tape_scope;
-    if (Canceled(tc)) {
-      fit.canceled = true;
+    if (obs::DeadlinePassed(tc.deadline)) {
+      fit.exit = TrainExit::kCanceled;
       return fit;
     }
     const double epoch_start = NowSeconds();
@@ -802,7 +781,7 @@ DecoderFit FitDecoder(TgnnModel* model, const TemporalGraph& graph,
     // is computed from the diverged decoder.
     if (!GuardedStep(loss, decoder.Parameters(),
                      std::numeric_limits<float>::infinity(), &decoder_opt)) {
-      fit.diverged = true;
+      fit.exit = TrainExit::kDiverged;
       return fit;
     }
     fit.seconds += NowSeconds() - epoch_start;
@@ -890,11 +869,10 @@ LinkPredictionResult RunLinkPrediction(const LinkPredictionJob& job) {
   // TGB-style ranking evaluator: k keyed candidates per positive, scored in
   // the same val/test passes. A destination range too small to rank against
   // (fewer than 2 ids) leaves the evaluator off rather than dying.
-  const int mrr_k_request = tc.mrr_k >= 0 ? tc.mrr_k : MrrKFromEnv();
   std::unique_ptr<CandidateSampler> candidate_sampler;
-  if (mrr_k_request > 0 && dst_hi - dst_lo >= 2) {
+  if (tc.mrr_k > 0 && dst_hi - dst_lo >= 2) {
     CandidateConfig candidate_config;
-    candidate_config.k = mrr_k_request;
+    candidate_config.k = tc.mrr_k;
     candidate_config.historical_fraction = tc.mrr_historical_fraction;
     candidate_sampler = std::make_unique<CandidateSampler>(
         graph, split.train_events, dst_lo, dst_hi, candidate_config);
@@ -910,7 +888,7 @@ LinkPredictionResult RunLinkPrediction(const LinkPredictionJob& job) {
       MakeBatches(graph, split.train_events, tc.batch_size);
 
   // One val or test scoring pass: positives, keyed negatives and, when
-  // ranking is on, the k candidates.
+  // ranking is on, the k candidates. False when the deadline cut it short.
   auto eval_pass = [&](const std::vector<int64_t>& events,
                        const EdgeSampler* sampler, uint64_t pass_seed,
                        std::vector<double>* pos, std::vector<double>* neg,
@@ -918,30 +896,33 @@ LinkPredictionResult RunLinkPrediction(const LinkPredictionJob& job) {
     EvalPassConfig cfg;
     cfg.pass_seed = pass_seed;
     cfg.pipeline_depth = driver.pipeline_depth();
-    cfg.cancel = tc.cancel_token;
+    cfg.deadline = tc.deadline;
     cfg.candidates = candidate_sampler.get();
     cfg.tie_policy = tc.mrr_tie_policy;
-    ScorePass(model.get(), graph, events, tc.batch_size, sampler, cfg, pos,
-              neg, candidate_sampler != nullptr ? ranks : nullptr);
+    return ScorePass(model.get(), graph, events, tc.batch_size, sampler, cfg,
+                     pos, neg, candidate_sampler != nullptr ? ranks : nullptr);
   };
   // Validation: transductive AUC with the full neighbor index and the
   // state left at the end of the training stream.
-  auto validate = [&] {
+  auto validate = [&](SettingMetrics* val) {
     model->set_training(false);
     model->SetNeighborFinder(&full_finder);
     std::vector<double> val_pos, val_neg, val_ranks;
+    bool scored = false;
     {
       obs::ScopedPhaseTimer timer(obs::Phase::kEval);
-      eval_pass(split.val_events, val_sampler.get(), tc.seed + 2, &val_pos,
-                 &val_neg, &val_ranks);
+      scored = eval_pass(split.val_events, val_sampler.get(), tc.seed + 2,
+                         &val_pos, &val_neg, &val_ranks);
     }
+    if (!scored) return false;
     if (candidate_sampler != nullptr &&
         model->status() != ModelStatus::kRuntimeError) {
       result.val_ranking =
           SubsetRanking(split.val_events, split.val_events, val_ranks);
     }
-    return SubsetMetrics(split.val_events, split.val_events, val_pos,
+    *val = SubsetMetrics(split.val_events, split.val_events, val_pos,
                          val_neg);
+    return true;
   };
   TrainExit exit =
       driver.Run(train_batches, &train_finder,
@@ -950,7 +931,7 @@ LinkPredictionResult RunLinkPrediction(const LinkPredictionJob& job) {
   result.val_transductive = driver.val();
 
   // Canceled, diverged and failed runs skip the (expensive) test pass.
-  if (Trained(exit)) {
+  if (exit == TrainExit::kCompleted) {
     // Evaluate the best epoch's weights, not the last: early stopping keeps
     // training `patience` epochs past the peak, and those extra updates
     // should not leak into the test metrics.
@@ -970,16 +951,19 @@ LinkPredictionResult RunLinkPrediction(const LinkPredictionJob& job) {
     for (int64_t i = 0; i < split.val_end; ++i) pre_test_events.push_back(i);
     std::vector<double> test_pos, test_neg, test_ranks;
     double inference_seconds = 0.0;
+    bool scored = false;
     {
       obs::ScopedPhaseTimer timer(obs::Phase::kEval);
       ReplayState(model.get(), graph, pre_test_events, tc.batch_size);
       const double inference_start = NowSeconds();
-      eval_pass(split.test_events, test_sampler.get(), tc.seed + 3,
-                 &test_pos, &test_neg, &test_ranks);
+      scored = eval_pass(split.test_events, test_sampler.get(), tc.seed + 3,
+                         &test_pos, &test_neg, &test_ranks);
       inference_seconds = NowSeconds() - inference_start;
     }
     if (model->status() == ModelStatus::kRuntimeError) {
       exit = TrainExit::kRuntimeError;
+    } else if (!scored) {
+      exit = TrainExit::kCanceled;
     } else {
       const std::array<const std::vector<int64_t>*, 4> subsets = {
           &split.test_events, &split.test_inductive, &split.test_new_old,
@@ -1040,16 +1024,15 @@ NodeClassificationResult RunNodeClassification(
 
   // Pretraining is link-prediction training over the full neighbor index
   // with no validation pass, so every epoch runs — under the same NaN
-  // rollback, resume, time budget and cancel checks.
+  // rollback, resume and deadline checks.
   TrainExit exit = driver.Run(train_batches, &full_finder,
                               model->trainable() ? job.pretrain_epochs : 0,
                               nullptr, &result.efficiency);
   DecoderFit fit;
-  if (Trained(exit)) {
+  if (exit == TrainExit::kCompleted) {
     fit = FitDecoder(model.get(), graph, &full_finder, split, tc,
                      job.decoder_epochs, &result);
-    if (fit.canceled) exit = TrainExit::kCanceled;
-    if (fit.diverged) exit = TrainExit::kDiverged;
+    exit = fit.exit;
   }
   driver.Finish(exit, fit.converged, split.train_events.size(), &result);
   // Table 12 reports the decoder's epochs; its runtime averages over

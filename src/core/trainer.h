@@ -2,7 +2,6 @@
 #define BENCHTEMP_CORE_TRAINER_H_
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -27,10 +26,12 @@ struct TrainConfig {
   double tolerance = 1e-3;
   NegativeSampling negative_sampling = NegativeSampling::kRandom;
   uint64_t seed = 0;
-  /// Wall-clock budget for the whole job; 0 = unlimited. A job cut off by
-  /// the budget without having converged is annotated "x" (the paper's
-  /// cannot-converge marker) in the Epoch column.
-  double time_budget_seconds = 0.0;
+  /// Absolute job deadline on the obs::NowSeconds() clock; 0 = none.
+  /// Checked at each batch boundary, each epoch end, each decoder epoch
+  /// and while waiting on a prefetched batch; a job that passes it winds
+  /// down annotated "x" (the paper's cannot-converge marker) and reports
+  /// no test metrics.
+  double deadline = 0.0;
   float grad_clip_norm = 5.0f;
 
   // --- Robustness layer (see DESIGN.md "Failure model") ---
@@ -53,10 +54,6 @@ struct TrainConfig {
   /// Checkpoint generations retained per job (>= 1). More generations
   /// survive more independent corruption events at the cost of disk.
   int checkpoint_generations = 3;
-  /// Cooperative cancellation (a watchdog's deadline flag), polled at
-  /// batch boundaries; when it goes true the job winds down with the "x"
-  /// annotation. Non-owning; may be null.
-  const std::atomic<bool>* cancel_token = nullptr;
 
   // --- Pipelined training (see DESIGN.md "Pipelined training") ---
 
@@ -70,10 +67,10 @@ struct TrainConfig {
   // --- Ranking evaluation (see DESIGN.md "Ranking evaluation") ---
 
   /// Candidate negatives per positive for the TGB-style MRR/Hits@k ranking
-  /// pass. 0 disables ranking (AUC/AP only); -1 (the default) resolves
-  /// from BENCHTEMP_MRR_K (unset -> 0). Values above the destination-range
-  /// size are clamped so candidate sets stay collision-free.
-  int mrr_k = -1;
+  /// pass. 0 (the default) disables ranking (AUC/AP only). Values above
+  /// the destination-range size are clamped so candidate sets stay
+  /// collision-free.
+  int mrr_k = 0;
   /// Target share of ranking candidates drawn from the source's training
   /// history (TGB's "historical negatives"); the remainder — and any
   /// thin-history shortfall, counted in sampler.pool_fallbacks — is
@@ -143,8 +140,8 @@ struct SettingMetrics {
 /// Result of one link-prediction job (one model x one dataset).
 struct LinkPredictionResult {
   models::ModelStatus status = models::ModelStatus::kOk;
-  /// "" ok; "*" runtime error (paper Table 3); "x" no convergence (either
-  /// budget/deadline exhaustion or a NaN-retry budget spent).
+  /// "" ok; "*" runtime error (paper Table 3); "x" no convergence (the
+  /// deadline passed or the NaN-retry budget was spent).
   std::string annotation;
   /// Indexed by static_cast<int>(Setting).
   std::array<SettingMetrics, 4> test;
@@ -217,7 +214,7 @@ struct NodeClassificationJob {
 
 /// Runs the node-classification pipeline (Section 3.2.2): LP pre-training
 /// through the same epoch loop as RunLinkPrediction (NaN rollback,
-/// checkpoint resume, time budget), frozen-embedding extraction over the
+/// checkpoint resume, deadline), frozen-embedding extraction over the
 /// stream, then a 2-layer MLP decoder trained on the train window and
 /// early-stopped on validation AUC (accuracy when multi-class).
 NodeClassificationResult RunNodeClassification(

@@ -57,7 +57,7 @@ enum class Counter : int {
   kParallelForChunks,   // statically-chunked tasks scheduled by ParallelFor
   kNanRetries,          // NaN/Inf sentinel trips (trainer)
   kRollbacks,           // epoch-boundary rollbacks performed
-  kWatchdogFires,       // watchdog deadlines that expired
+  kWatchdogFires,       // sweep jobs that ran past their deadline
   kCheckpointWrites,    // job checkpoints committed to disk
   kCheckpointBytes,     // bytes of committed job checkpoints
   kSweepJobsRun,        // sweep jobs executed this process
@@ -81,10 +81,16 @@ inline constexpr int kNumCounters = 23;
 /// Stable dotted name of a counter ("train.batches", ...).
 const char* CounterName(Counter counter);
 
-/// Monotonic wall-clock seconds. The one sanctioned clock read outside the
-/// watchdog — the btlint `adhoc-timing` rule rejects std::chrono clock
-/// calls elsewhere so every measurement flows through this layer.
+/// Monotonic wall-clock seconds. The one sanctioned clock read — the
+/// btlint `adhoc-timing` rule rejects std::chrono clock calls elsewhere so
+/// every measurement flows through this layer.
 double NowSeconds();
+
+/// True when `deadline`, an absolute NowSeconds() value, has passed; a
+/// deadline of 0 means none and never passes (and reads no clock).
+inline bool DeadlinePassed(double deadline) {
+  return deadline > 0.0 && NowSeconds() > deadline;
+}
 
 /// Per-phase wall-time totals (seconds + number of timed intervals).
 struct PhaseTotals {

@@ -18,11 +18,11 @@ int DepthFromEnv() {
 
 BatchPrefetcher::BatchPrefetcher(int64_t num_batches, int depth,
                                  PrepareFn prepare,
-                                 const std::atomic<bool>* cancel)
+                                 const double* deadline)
     : num_batches_(num_batches),
       depth_(std::max(depth, 0)),
       prepare_(std::move(prepare)),
-      cancel_(cancel) {
+      deadline_(deadline != nullptr ? *deadline : 0.0) {
   base::CheckOrDie(prepare_ != nullptr, "BatchPrefetcher: null prepare fn");
   async_ = depth_ > 0 && num_batches_ > 0 &&
            runtime::ThreadPool::Global().has_workers() &&
@@ -38,8 +38,8 @@ BatchPrefetcher::BatchPrefetcher(int64_t num_batches, int depth,
 
 BatchPrefetcher::~BatchPrefetcher() {
   if (!async_) return;
-  // Drain: producers always transition kPending -> kReady (even when the
-  // job was canceled), so waiting them out is bounded. Their results are
+  // Drain: producers always transition kPending -> kReady (even past the
+  // deadline), so waiting them out is bounded. Their results are
   // simply discarded with the prefetcher — never checkpointed.
   base::MutexLock lock(mutex_);
   for (;;) {
@@ -69,8 +69,8 @@ void BatchPrefetcher::Produce(int64_t index) {
   PreparedBatch batch;
   std::exception_ptr error;
   double elapsed = 0.0;
-  // Skip the (possibly expensive) prepare once the job is canceled; the
-  // consumer only checks the cancel token, never the payload, after that.
+  // Skip the (possibly expensive) prepare once the deadline passed; the
+  // consumer only checks the deadline, never the payload, after that.
   if (!canceled()) {
     const double start = NowSeconds();
     try {
@@ -104,8 +104,8 @@ bool BatchPrefetcher::Next(PreparedBatch* out) {
     const double elapsed = NowSeconds() - start;
     // Synchronous mode: the consumer pays the whole prepare, so the same
     // time lands on both sides of the overlap ratio (ratio 0). No producer
-    // exists, but stats() may be polled from a watchdog/metrics thread, so
-    // the accounting still updates under the lock.
+    // exists, but stats() may be polled from another thread, so the
+    // accounting still updates under the lock.
     base::MutexLock lock(mutex_);
     stats_.prepare_seconds += elapsed;
     stats_.wait_seconds += elapsed;
@@ -123,8 +123,8 @@ bool BatchPrefetcher::Next(PreparedBatch* out) {
       const double start = NowSeconds();
       while (slot.state != SlotState::kReady) {
         if (canceled()) return false;
-        // Bounded waits keep the consumer polling the watchdog token, so a
-        // stalled producer cannot outlive the job's deadline.
+        // Bounded waits keep the consumer checking the deadline, so a
+        // stalled producer cannot keep the job alive past it.
         ready_cv_.WaitForMs(mutex_, 10);
       }
       stats_.wait_seconds += NowSeconds() - start;
@@ -142,9 +142,9 @@ bool BatchPrefetcher::Next(PreparedBatch* out) {
   const int64_t upcoming = index + window_;
   if (upcoming < num_batches_ && !canceled()) Schedule(upcoming);
   if (error) std::rethrow_exception(error);
-  // A producer that saw the cancel token skips the prepare and publishes an
-  // empty payload (index -1); report cancellation instead of handing the
-  // trainer a hollow batch.
+  // A producer that saw the deadline pass skips the prepare and publishes
+  // an empty payload (index -1); report cancellation instead of handing
+  // the trainer a hollow batch.
   if (out->index != index) return false;
   return true;
 }

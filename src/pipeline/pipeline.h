@@ -13,7 +13,6 @@
 // would produce; depth only changes *when* the work runs, never *what* it
 // computes. BENCHTEMP_PIPELINE selects the depth (0 = synchronous).
 
-#include <atomic>
 #include <cstdint>
 #include <exception>
 #include <functional>
@@ -23,6 +22,7 @@
 #include "base/mutex.h"
 #include "base/thread_annotations.h"
 #include "models/model.h"
+#include "obs/metrics.h"
 
 namespace benchtemp::pipeline {
 
@@ -76,23 +76,25 @@ struct PipelineStats {
 /// identical by construction.
 ///
 /// Failure model: a prepare call that throws surfaces its exception from
-/// the Next() that would have delivered the batch. Next() polls the
-/// watchdog cancel token while waiting, so a stalled producer cannot keep
-/// a canceled job alive; the destructor drains in-flight tasks so no
-/// producer outlives the epoch that scheduled it (prefetched batches are
-/// discarded — never checkpointed — on rollback or retry).
+/// the Next() that would have delivered the batch. Next() checks the job
+/// deadline while waiting, so a stalled producer cannot keep a job alive
+/// past it; the destructor drains in-flight tasks so no producer outlives
+/// the epoch that scheduled it (prefetched batches are discarded — never
+/// checkpointed — on rollback or retry).
 class BatchPrefetcher {
  public:
+  /// `deadline` (may be null) points at the job's absolute deadline on the
+  /// obs::NowSeconds() clock; null or 0 means none.
   BatchPrefetcher(int64_t num_batches, int depth, PrepareFn prepare,
-                  const std::atomic<bool>* cancel);
+                  const double* deadline);
   ~BatchPrefetcher();
 
   BatchPrefetcher(const BatchPrefetcher&) = delete;
   BatchPrefetcher& operator=(const BatchPrefetcher&) = delete;
 
   /// Delivers the next batch in index order. Returns false when the range
-  /// is exhausted or the cancel token fired; rethrows an exception thrown
-  /// by the batch's prepare call.
+  /// is exhausted or the deadline passed; rethrows an exception thrown by
+  /// the batch's prepare call.
   bool Next(PreparedBatch* out);
 
   /// True when batches are prepared ahead on pool workers.
@@ -111,16 +113,14 @@ class BatchPrefetcher {
     std::exception_ptr error;
   };
 
-  bool canceled() const {
-    return cancel_ != nullptr && cancel_->load(std::memory_order_relaxed);
-  }
+  bool canceled() const { return obs::DeadlinePassed(deadline_); }
   void Schedule(int64_t index);
   void Produce(int64_t index);
 
   const int64_t num_batches_;
   const int depth_;
   const PrepareFn prepare_;
-  const std::atomic<bool>* const cancel_;
+  const double deadline_;
   bool async_ = false;
   /// Consumer-thread cursor; Next() is single-consumer by contract, so this
   /// never races and is not guarded.

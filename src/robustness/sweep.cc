@@ -12,7 +12,6 @@
 #include "obs/metrics.h"
 #include "robustness/checkpoint.h"
 #include "robustness/retry.h"
-#include "robustness/watchdog.h"
 #include "runtime/thread_pool.h"
 #include "tensor/tensor.h"
 
@@ -167,16 +166,14 @@ SweepReport RunSweep(const std::vector<SweepJob>& jobs,
     const SweepJob& job = jobs[i];
     SweepJobResult result;
     result.key = job.key;
-    Watchdog watchdog;
-    const std::atomic<bool>* cancel = nullptr;
-    if (options.job_deadline_seconds > 0.0) {
-      watchdog.Arm(options.job_deadline_seconds);
-      cancel = watchdog.cancel_token();
-    }
+    const double deadline =
+        options.job_deadline_seconds > 0.0
+            ? obs::NowSeconds() + options.job_deadline_seconds
+            : 0.0;
     // Crash isolation: one model blowing up degrades to FAILED rows while
     // the rest of the sweep continues.
     try {
-      result.records = job.run(cancel);
+      result.records = job.run(deadline);
     } catch (const std::exception& e) {
       result.failed = true;
       result.failure_reason = e.what();
@@ -184,7 +181,9 @@ SweepReport RunSweep(const std::vector<SweepJob>& jobs,
       result.failed = true;
       result.failure_reason = "unknown exception";
     }
-    watchdog.Disarm();
+    if (obs::DeadlinePassed(deadline)) {
+      obs::MetricRegistry::Global().Add(obs::Counter::kWatchdogFires, 1);
+    }
     if (result.failed) {
       for (const std::string& setting : job.settings) {
         for (const std::string& metric : job.metrics) {
@@ -206,20 +205,14 @@ SweepReport RunSweep(const std::vector<SweepJob>& jobs,
     results[i] = std::move(result);
   };
 
-  if (options.parallel) {
-    runtime::ParallelFor(0, static_cast<int64_t>(jobs.size()), /*grain=*/1,
-                         [&](int64_t lo, int64_t hi) {
-                           for (int64_t i = lo; i < hi; ++i) {
-                             if (!replayed[static_cast<size_t>(i)]) {
-                               run_one(static_cast<size_t>(i));
-                             }
+  runtime::ParallelFor(0, static_cast<int64_t>(jobs.size()), /*grain=*/1,
+                       [&](int64_t lo, int64_t hi) {
+                         for (int64_t i = lo; i < hi; ++i) {
+                           if (!replayed[static_cast<size_t>(i)]) {
+                             run_one(static_cast<size_t>(i));
                            }
-                         });
-  } else {
-    for (size_t i = 0; i < jobs.size(); ++i) {
-      if (!replayed[i]) run_one(i);
-    }
-  }
+                         }
+                       });
 
   // Push in jobs order — not completion order — so the leaderboard CSV is
   // identical however the sweep was interleaved or interrupted.

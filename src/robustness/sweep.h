@@ -1,7 +1,6 @@
 #ifndef BENCHTEMP_ROBUSTNESS_SWEEP_H_
 #define BENCHTEMP_ROBUSTNESS_SWEEP_H_
 
-#include <atomic>
 #include <functional>
 #include <string>
 #include <unordered_map>
@@ -65,23 +64,18 @@ struct SweepJob {
   /// Row skeleton for synthesized FAILED records.
   std::vector<std::string> settings;
   std::vector<std::string> metrics;
-  /// Runs the job. `cancel` (may be null) is the watchdog's deadline flag;
-  /// the job should poll it and wind down with an "x" annotation. Thrown
-  /// exceptions are caught at the job boundary and degrade to FAILED rows.
-  std::function<std::vector<core::LeaderboardRecord>(
-      const std::atomic<bool>* cancel)>
-      run;
+  /// Runs the job. `deadline` is the job's absolute deadline on the
+  /// obs::NowSeconds() clock (0 = none); the job should check it and wind
+  /// down with an "x" annotation once it passes. Thrown exceptions are
+  /// caught at the job boundary and degrade to FAILED rows.
+  std::function<std::vector<core::LeaderboardRecord>(double deadline)> run;
 };
 
 struct SweepOptions {
-  /// Per-job watchdog deadline in seconds; 0 disables the watchdog.
+  /// Per-job time limit in seconds, counted from the job's start; 0 = none.
   double job_deadline_seconds = 0.0;
   /// Manifest path; "" runs the sweep stateless (no resume).
   std::string manifest_path;
-  /// Run pending jobs concurrently on the runtime pool. Results are pushed
-  /// to the leaderboard in `jobs` order either way, so the output is
-  /// deterministic.
-  bool parallel = true;
 };
 
 struct SweepReport {
@@ -90,11 +84,13 @@ struct SweepReport {
   int failed = 0;    // crashed jobs degraded to FAILED rows
 };
 
-/// Runs `jobs` with crash isolation, per-job watchdogs, and manifest-based
-/// checkpoint/resume, pushing every job's records to `board` in `jobs`
-/// order. A job that throws yields one FAILED(reason) record per
-/// (setting, metric); a job whose deadline expires is expected to
-/// self-annotate "x". The sweep always continues past individual failures.
+/// Runs `jobs` concurrently on the runtime pool with crash isolation,
+/// per-job deadlines, and manifest-based checkpoint/resume, pushing every
+/// job's records to `board` in `jobs` order, so the output is
+/// deterministic. A job that throws yields one FAILED(reason) record per
+/// (setting, metric); a job whose deadline passes is expected to
+/// self-annotate "x" and is counted in watchdog.fires. The sweep always
+/// continues past individual failures.
 SweepReport RunSweep(const std::vector<SweepJob>& jobs,
                      const SweepOptions& options, core::Leaderboard* board);
 

@@ -1,9 +1,10 @@
 // Tests of the bench-harness helpers (bench/bench_common.h): environment
-// knobs (the BENCHTEMP_METRICS switch among them), dataset filtering, and
-// the per-dataset model quirks the catalog drives (TGAT's UNTrade window,
-// NeurTW's overflow-safe bias).
+// knobs (the BENCHTEMP_METRICS switch and the strict numeric knobs among
+// them), dataset filtering, and the per-dataset model quirks the catalog
+// drives (TGAT's UNTrade window, NeurTW's overflow-safe bias).
 
 #include <cstdlib>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -33,6 +34,30 @@ TEST(BenchHarnessTest, EnvIntFallsBack) {
   setenv("BENCHTEMP_TEST_KNOB", "1O", 1);
   EXPECT_DEATH(EnvInt("BENCHTEMP_TEST_KNOB", 7),
                "BENCHTEMP_TEST_KNOB=1O is not an integer");
+}
+
+TEST(BenchHarnessTest, FloatKnobsAreStrict) {
+  unsetenv("BENCHTEMP_JOB_DEADLINE");
+  unsetenv("BENCHTEMP_MRR_HIST_FRAC");
+  EXPECT_DOUBLE_EQ(SweepOptionsFromEnv().job_deadline_seconds, 0.0);
+  EXPECT_DOUBLE_EQ(MrrHistoricalFractionFromEnv(), 0.5);
+  EnvGuard deadline("BENCHTEMP_JOB_DEADLINE", "0.5");
+  EnvGuard fraction("BENCHTEMP_MRR_HIST_FRAC", "0.25");
+  EXPECT_DOUBLE_EQ(SweepOptionsFromEnv().job_deadline_seconds, 0.5);
+  EXPECT_DOUBLE_EQ(MrrHistoricalFractionFromEnv(), 0.25);
+  // A typo must not silently turn the deadline off or skew the mix.
+  for (const char* bad : {"0.5s", "half", "-1", "nan"}) {
+    setenv("BENCHTEMP_JOB_DEADLINE", bad, 1);
+    EXPECT_DEATH(SweepOptionsFromEnv(),
+                 std::string("BENCHTEMP_JOB_DEADLINE=") + bad)
+        << bad;
+  }
+  for (const char* bad : {"1.5", "-0.1", "quarter"}) {
+    setenv("BENCHTEMP_MRR_HIST_FRAC", bad, 1);
+    EXPECT_DEATH(MrrHistoricalFractionFromEnv(),
+                 std::string("BENCHTEMP_MRR_HIST_FRAC=") + bad)
+        << bad;
+  }
 }
 
 TEST(BenchHarnessTest, MetricsSwitchIsOnOrOffNeverAPath) {

@@ -328,7 +328,6 @@ TEST_F(MrrEvaluatorTest, RankingOffByDefaultLeavesMetricsEmpty) {
   job.model_config.time_dim = 8;
   job.train_config.max_epochs = 1;
   job.train_config.batch_size = 100;
-  job.train_config.mrr_k = 0;  // explicit off (does not consult the env)
   const core::LinkPredictionResult result = core::RunLinkPrediction(job);
   ASSERT_EQ(result.status, models::ModelStatus::kOk);
   EXPECT_EQ(result.mrr_k, 0);

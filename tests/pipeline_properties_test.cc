@@ -4,9 +4,12 @@
 
 #include <cmath>
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "base/fault_injector.h"
+#include "core/data_loader.h"
 #include "core/leaderboard.h"
 #include "core/trainer.h"
 #include "datagen/catalog.h"
@@ -14,6 +17,7 @@
 #include "graph/neighbor_finder.h"
 #include "models/factory.h"
 #include "models/memory_base.h"
+#include "obs/metrics.h"
 #include "tensor/optimizer.h"
 
 namespace benchtemp {
@@ -278,7 +282,7 @@ TEST(TrainerRegressionTest, WalkModelsRunNodeClassification) {
   }
 }
 
-TEST(TrainerRegressionTest, TimeBudgetAnnotatesNonConvergence) {
+TEST(TrainerRegressionTest, DeadlineAnnotatesNonConvergence) {
   TemporalGraph g = SmallGraph(13);
   core::LinkPredictionJob job;
   job.graph = &g;
@@ -287,11 +291,24 @@ TEST(TrainerRegressionTest, TimeBudgetAnnotatesNonConvergence) {
   job.model_config = TinyConfig();
   job.train_config.max_epochs = 50;
   job.train_config.batch_size = 100;
-  job.train_config.time_budget_seconds = 1e-6;  // expire immediately
+  // Synchronous preparation, and the last batch of the first epoch stalls
+  // well past the deadline: the epoch completes and its validation pass
+  // is the first check to see the deadline.
+  job.train_config.pipeline_depth = 0;
+  const int64_t train_events = static_cast<int64_t>(
+      core::SplitLinkPrediction(g, job.split_config).train_events.size());
+  const int64_t last_batch = (train_events - 1) / 100;
+  auto& injector = base::FaultInjector::Global();
+  injector.DisarmAll();
+  ASSERT_TRUE(injector.Configure("stall_batch@" + std::to_string(last_batch) +
+                                 ":1:1500"));
+  job.train_config.deadline = obs::NowSeconds() + 0.5;
   const core::LinkPredictionResult result = core::RunLinkPrediction(job);
-  // One epoch ran, the budget tripped before convergence -> "x".
+  injector.DisarmAll();
+  // One epoch ran, the deadline passed before convergence -> "x".
   EXPECT_EQ(result.annotation, "x");
   EXPECT_EQ(result.efficiency.epochs_run, 1);
+  EXPECT_EQ(result.test[0].count, 0);
 }
 
 TEST(TrainerRegressionTest, EfficiencyFieldsPopulated) {

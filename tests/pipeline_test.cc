@@ -2,8 +2,8 @@
 // window's backpressure, the depth-is-invisible determinism contract
 // (identical result bits and counter digests at any BENCHTEMP_PIPELINE
 // depth), overlap accounting on a sampling-heavy workload, checkpoint /
-// resume byte-identity with prefetch on, and the watchdog's authority over
-// a stall injected into the prefetch stage.
+// resume byte-identity with prefetch on, and the job deadline's authority
+// over a stall injected into the prefetch stage.
 
 #include "pipeline/pipeline.h"
 
@@ -23,7 +23,6 @@
 #include "datagen/synthetic.h"
 #include "models/factory.h"
 #include "obs/metrics.h"
-#include "robustness/watchdog.h"
 #include "runtime/thread_pool.h"
 
 namespace benchtemp {
@@ -333,9 +332,9 @@ TEST_F(PipelineTest, CheckpointResumeByteIdenticalWithPipelineOn) {
 
 // ---------------------------------------------------------------------------
 // Fault injection: a stall in the prefetch stage is still governed by the
-// watchdog (BENCHTEMP_FAULTS=stall_batch fires inside the producer now)
+// job deadline (BENCHTEMP_FAULTS=stall_batch fires inside the producer now)
 
-TEST_F(PipelineTest, StallInPrefetchStageTripsWatchdog) {
+TEST_F(PipelineTest, StallInPrefetchStageTripsDeadline) {
   runtime::ThreadPool::Global().SetNumThreads(4);
   // The CI grammar, on purpose: site@step:count:stall_ms.
   ASSERT_TRUE(
@@ -343,12 +342,10 @@ TEST_F(PipelineTest, StallInPrefetchStageTripsWatchdog) {
   const graph::TemporalGraph g = MatrixGraph();
   core::LinkPredictionJob job = MatrixJob(&g, models::ModelKind::kTgn);
   job.train_config.pipeline_depth = 2;
-  robustness::Watchdog dog;
-  dog.Arm(0.15);
-  job.train_config.cancel_token = dog.cancel_token();
+  job.train_config.deadline = obs::NowSeconds() + 0.15;
   const core::LinkPredictionResult result = core::RunLinkPrediction(job);
   EXPECT_EQ(result.annotation, "x");
-  EXPECT_TRUE(dog.expired());
+  EXPECT_GT(obs::NowSeconds(), job.train_config.deadline);
   EXPECT_GE(base::FaultInjector::Global().fire_count(
                 base::FaultSite::kStallBatch),
             1);
@@ -361,12 +358,14 @@ TEST_F(PipelineTest, StallParityInSynchronousMode) {
   const graph::TemporalGraph g = MatrixGraph();
   core::LinkPredictionJob job = MatrixJob(&g, models::ModelKind::kTgn);
   job.train_config.pipeline_depth = 0;
-  robustness::Watchdog dog;
-  dog.Arm(0.15);
-  job.train_config.cancel_token = dog.cancel_token();
+  job.train_config.deadline = obs::NowSeconds() + 0.15;
   const core::LinkPredictionResult result = core::RunLinkPrediction(job);
   EXPECT_EQ(result.annotation, "x");
-  EXPECT_TRUE(dog.expired());
+  EXPECT_GT(obs::NowSeconds(), job.train_config.deadline);
+  EXPECT_GE(base::FaultInjector::Global().fire_count(
+                base::FaultSite::kStallBatch),
+            1);
+  EXPECT_EQ(result.test[0].count, 0);
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 #include "core/trainer.h"
 
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -137,27 +136,6 @@ TEST(TrainerTest, DeterministicGivenSeed) {
   const LinkPredictionResult b = RunLinkPrediction(job);
   EXPECT_EQ(BitsOf(a.test[0].auc), BitsOf(b.test[0].auc));
   EXPECT_EQ(BitsOf(a.test[3].ap), BitsOf(b.test[3].ap));
-}
-
-TEST(TrainerTest, MalformedMrrKIsFatal) {
-  TemporalGraph g = MakeLearnableGraph();
-  LinkPredictionJob job;
-  job.graph = &g;
-  job.num_users = 60;
-  job.kind = ModelKind::kJodie;
-  job.model_config = SmallModelConfig();
-  job.train_config = QuickTrainConfig();
-  job.train_config.max_epochs = 1;
-  ASSERT_EQ(job.train_config.mrr_k, -1);  // read from BENCHTEMP_MRR_K
-  const char* saved = std::getenv("BENCHTEMP_MRR_K");
-  const std::string saved_value = saved != nullptr ? saved : "";
-  ::setenv("BENCHTEMP_MRR_K", "20k", 1);
-  EXPECT_DEATH(RunLinkPrediction(job), "BENCHTEMP_MRR_K=20k is not an integer");
-  if (saved != nullptr) {
-    ::setenv("BENCHTEMP_MRR_K", saved_value.c_str(), 1);
-  } else {
-    ::unsetenv("BENCHTEMP_MRR_K");
-  }
 }
 
 TEST(TrainerTest, SeedChangesResult) {

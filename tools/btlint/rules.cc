@@ -38,8 +38,8 @@ const std::vector<RuleInfo> kRules = {
     {"missing-include-guard", "api",
      "header without #pragma once or an #ifndef include guard"},
     {"adhoc-timing", "api",
-     "std::chrono clock reads outside src/obs and the watchdog (use "
-     "obs::NowSeconds / ScopedPhaseTimer)"},
+     "std::chrono clock reads outside src/obs (use obs::NowSeconds / "
+     "ScopedPhaseTimer)"},
     {"hot-loop-at", "api",
      "bounds-checked .at( inside src/tensor/kernels/ (raw spans only in "
      "the kernel layer)"},
@@ -564,13 +564,9 @@ void RuleIncludeGuard(const std::string& path, const LexedFile& f,
 void RuleAdhocTiming(const std::string& path, const LexedFile& f,
                      std::vector<Finding>* out) {
   // Timing must flow through the observability layer so phase accounting
-  // stays complete; src/obs owns the clock and the watchdog needs the
-  // steady_clock deadline machinery for cv::wait_until.
+  // stays complete; src/obs owns the clock.
   if (!StartsWith(path, "src/") && !StartsWith(path, "bench/")) return;
-  if (StartsWith(path, "src/obs/") ||
-      StartsWith(path, "src/robustness/watchdog")) {
-    return;
-  }
+  if (StartsWith(path, "src/obs/")) return;
   const Tokens& toks = f.tokens;
   for (size_t i = 0; i < toks.size(); ++i) {
     if (toks[i].kind != TokKind::kIdent) continue;
