@@ -105,8 +105,10 @@ void BM_RandomNegativeSampling(benchmark::State& state) {
   core::RandomEdgeSampler sampler(0, 700, 1);
   std::vector<int32_t> srcs(200, 0);
   std::vector<int32_t> dsts(200, 350);
+  uint64_t stream_seed = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sampler.SampleNegatives(srcs, dsts));
+    benchmark::DoNotOptimize(
+        sampler.SampleNegativesKeyed(++stream_seed, srcs, dsts));
   }
   state.SetItemsProcessed(state.iterations() * 200);
 }

@@ -67,24 +67,8 @@ const char* NegativeSamplingName(NegativeSampling mode) {
 
 RandomEdgeSampler::RandomEdgeSampler(int32_t dst_lo, int32_t dst_hi,
                                      uint64_t seed)
-    : dst_lo_(dst_lo), dst_hi_(dst_hi), seed_(seed), rng_(seed) {
+    : dst_lo_(dst_lo), dst_hi_(dst_hi), rng_(seed) {
   tensor::CheckOrDie(dst_hi > dst_lo, "RandomEdgeSampler: empty range");
-}
-
-std::vector<int32_t> RandomEdgeSampler::SampleNegatives(
-    const std::vector<int32_t>& srcs,
-    const std::vector<int32_t>& positive_dsts) {
-  tensor::CheckOrDie(srcs.size() == positive_dsts.size(),
-                     "SampleNegatives: srcs/dsts size mismatch");
-  obs::MetricRegistry::Global().Add(obs::Counter::kSamplerNegatives,
-                                    static_cast<int64_t>(srcs.size()));
-  std::vector<int32_t> out;
-  out.reserve(srcs.size());
-  for (size_t i = 0; i < srcs.size(); ++i) {
-    out.push_back(
-        DrawUniformAvoiding(rng_, dst_lo_, dst_hi_, positive_dsts[i]));
-  }
-  return out;
 }
 
 std::vector<int32_t> RandomEdgeSampler::SampleNegativesKeyed(
@@ -104,17 +88,14 @@ std::vector<int32_t> RandomEdgeSampler::SampleNegativesKeyed(
   return out;
 }
 
-void RandomEdgeSampler::Reset() { rng_ = tensor::Rng(seed_); }
-
 // ---------------------------------------------------------------------------
 // HistoricalEdgeSampler.
 // ---------------------------------------------------------------------------
 
 HistoricalEdgeSampler::HistoricalEdgeSampler(
     const graph::TemporalGraph& graph,
-    const std::vector<int64_t>& train_events, int32_t dst_lo, int32_t dst_hi,
-    uint64_t seed)
-    : dst_lo_(dst_lo), dst_hi_(dst_hi), seed_(seed), rng_(seed) {
+    const std::vector<int64_t>& train_events, int32_t dst_lo, int32_t dst_hi)
+    : dst_lo_(dst_lo), dst_hi_(dst_hi) {
   tensor::CheckOrDie(dst_hi > dst_lo, "HistoricalEdgeSampler: empty range");
   history_.resize(static_cast<size_t>(graph.num_nodes()));
   for (int64_t i : train_events) {
@@ -146,21 +127,6 @@ int32_t HistoricalEdgeSampler::DrawOne(tensor::Rng& rng, int32_t src,
   return DrawUniformAvoiding(rng, dst_lo_, dst_hi_, positive_dst);
 }
 
-std::vector<int32_t> HistoricalEdgeSampler::SampleNegatives(
-    const std::vector<int32_t>& srcs,
-    const std::vector<int32_t>& positive_dsts) {
-  tensor::CheckOrDie(srcs.size() == positive_dsts.size(),
-                     "SampleNegatives: srcs/dsts size mismatch");
-  obs::MetricRegistry::Global().Add(obs::Counter::kSamplerNegatives,
-                                    static_cast<int64_t>(srcs.size()));
-  std::vector<int32_t> out;
-  out.reserve(srcs.size());
-  for (size_t i = 0; i < srcs.size(); ++i) {
-    out.push_back(DrawOne(rng_, srcs[i], positive_dsts[i]));
-  }
-  return out;
-}
-
 std::vector<int32_t> HistoricalEdgeSampler::SampleNegativesKeyed(
     uint64_t stream_seed, const std::vector<int32_t>& srcs,
     const std::vector<int32_t>& positive_dsts) const {
@@ -177,17 +143,14 @@ std::vector<int32_t> HistoricalEdgeSampler::SampleNegativesKeyed(
   return out;
 }
 
-void HistoricalEdgeSampler::Reset() { rng_ = tensor::Rng(seed_); }
-
 // ---------------------------------------------------------------------------
 // InductiveEdgeSampler.
 // ---------------------------------------------------------------------------
 
 InductiveEdgeSampler::InductiveEdgeSampler(
     const graph::TemporalGraph& graph,
-    const std::vector<int64_t>& train_events, int32_t dst_lo, int32_t dst_hi,
-    uint64_t seed)
-    : dst_lo_(dst_lo), dst_hi_(dst_hi), seed_(seed), rng_(seed) {
+    const std::vector<int64_t>& train_events, int32_t dst_lo, int32_t dst_hi)
+    : dst_lo_(dst_lo), dst_hi_(dst_hi) {
   tensor::CheckOrDie(dst_hi > dst_lo, "InductiveEdgeSampler: empty range");
   std::unordered_set<int64_t> train_pairs;
   for (int64_t i : train_events) {
@@ -228,21 +191,6 @@ int32_t InductiveEdgeSampler::DrawOne(tensor::Rng& rng,
   return DrawUniformAvoiding(rng, dst_lo_, dst_hi_, positive_dst);
 }
 
-std::vector<int32_t> InductiveEdgeSampler::SampleNegatives(
-    const std::vector<int32_t>& srcs,
-    const std::vector<int32_t>& positive_dsts) {
-  tensor::CheckOrDie(srcs.size() == positive_dsts.size(),
-                     "SampleNegatives: srcs/dsts size mismatch");
-  obs::MetricRegistry::Global().Add(obs::Counter::kSamplerNegatives,
-                                    static_cast<int64_t>(srcs.size()));
-  std::vector<int32_t> out;
-  out.reserve(srcs.size());
-  for (size_t i = 0; i < srcs.size(); ++i) {
-    out.push_back(DrawOne(rng_, positive_dsts[i]));
-  }
-  return out;
-}
-
 std::vector<int32_t> InductiveEdgeSampler::SampleNegativesKeyed(
     uint64_t stream_seed, const std::vector<int32_t>& srcs,
     const std::vector<int32_t>& positive_dsts) const {
@@ -259,8 +207,6 @@ std::vector<int32_t> InductiveEdgeSampler::SampleNegativesKeyed(
   return out;
 }
 
-void InductiveEdgeSampler::Reset() { rng_ = tensor::Rng(seed_); }
-
 std::unique_ptr<EdgeSampler> MakeEdgeSampler(
     NegativeSampling mode, const graph::TemporalGraph& graph,
     const std::vector<int64_t>& train_events, int32_t dst_lo, int32_t dst_hi,
@@ -270,10 +216,10 @@ std::unique_ptr<EdgeSampler> MakeEdgeSampler(
       return std::make_unique<RandomEdgeSampler>(dst_lo, dst_hi, seed);
     case NegativeSampling::kHistorical:
       return std::make_unique<HistoricalEdgeSampler>(graph, train_events,
-                                                     dst_lo, dst_hi, seed);
+                                                     dst_lo, dst_hi);
     case NegativeSampling::kInductive:
       return std::make_unique<InductiveEdgeSampler>(graph, train_events,
-                                                    dst_lo, dst_hi, seed);
+                                                    dst_lo, dst_hi);
   }
   return nullptr;
 }

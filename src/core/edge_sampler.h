@@ -15,9 +15,11 @@ namespace benchtemp::core {
 /// Negative edge sampler interface (link prediction is self-supervised, so
 /// each observed edge is paired with sampled negatives).
 ///
-/// Samplers are seeded; `Reset()` rewinds the stream so validation/test
-/// negatives are identical across epochs, models and runs — one of the
-/// paper's standardization points.
+/// Draws are keyed: a batch's negatives are a pure function of its stream
+/// seed, so validation/test negatives are identical across epochs, models
+/// and runs — one of the paper's standardization points — and a batch
+/// prepared ahead of time on a prefetch thread is bit-identical to the
+/// same batch prepared synchronously.
 ///
 /// Collision contract: a drawn negative never equals the batch's true
 /// destination for the same source (bounded deterministic rejection,
@@ -30,23 +32,13 @@ class EdgeSampler {
  public:
   virtual ~EdgeSampler() = default;
 
-  /// One negative destination per source in `srcs`; `positive_dsts` are the
+  /// One negative destination per source in `srcs`, a function of
+  /// (stream_seed, srcs, positive_dsts) only; `positive_dsts` are the
   /// batch's true destinations the draws must avoid (same length as
-  /// `srcs`).
-  virtual std::vector<int32_t> SampleNegatives(
-      const std::vector<int32_t>& srcs,
-      const std::vector<int32_t>& positive_dsts) = 0;
-
-  /// Pure keyed variant: negatives are a function of (stream_seed, srcs,
-  /// positive_dsts) only — no sampler state is read or advanced — so a
-  /// batch prepared ahead of time on a prefetch thread is bit-identical to
-  /// the same batch prepared synchronously. Thread-safe.
+  /// `srcs`). Reads and advances no sampler state. Thread-safe.
   virtual std::vector<int32_t> SampleNegativesKeyed(
       uint64_t stream_seed, const std::vector<int32_t>& srcs,
       const std::vector<int32_t>& positive_dsts) const = 0;
-
-  /// Rewinds the deterministic stream to its initial seed.
-  virtual void Reset() = 0;
 };
 
 /// Uniform negatives over the destination id range [dst_lo, dst_hi).
@@ -56,16 +48,14 @@ class RandomEdgeSampler : public EdgeSampler {
  public:
   RandomEdgeSampler(int32_t dst_lo, int32_t dst_hi, uint64_t seed);
 
-  std::vector<int32_t> SampleNegatives(
-      const std::vector<int32_t>& srcs,
-      const std::vector<int32_t>& positive_dsts) override;
   std::vector<int32_t> SampleNegativesKeyed(
       uint64_t stream_seed, const std::vector<int32_t>& srcs,
       const std::vector<int32_t>& positive_dsts) const override;
-  void Reset() override;
 
-  /// Serialized RNG state for job checkpointing: the training sampler's
-  /// stream advances across epochs, so resume must restore its position.
+  /// Serialized state of the seed-initialized RNG, kept because job
+  /// checkpoints carry it in their `sampler_rng` section. Nothing advances
+  /// it: every draw is keyed, so saved and restored states are the
+  /// constructor's.
   std::string SaveRngState() const { return rng_.SaveState(); }
   bool LoadRngState(const std::string& state) {
     return rng_.LoadState(state);
@@ -74,7 +64,6 @@ class RandomEdgeSampler : public EdgeSampler {
  private:
   int32_t dst_lo_;
   int32_t dst_hi_;
-  uint64_t seed_;
   tensor::Rng rng_;
 };
 
@@ -87,15 +76,11 @@ class HistoricalEdgeSampler : public EdgeSampler {
   /// `graph` + `train_events` define E_train.
   HistoricalEdgeSampler(const graph::TemporalGraph& graph,
                         const std::vector<int64_t>& train_events,
-                        int32_t dst_lo, int32_t dst_hi, uint64_t seed);
+                        int32_t dst_lo, int32_t dst_hi);
 
-  std::vector<int32_t> SampleNegatives(
-      const std::vector<int32_t>& srcs,
-      const std::vector<int32_t>& positive_dsts) override;
   std::vector<int32_t> SampleNegativesKeyed(
       uint64_t stream_seed, const std::vector<int32_t>& srcs,
       const std::vector<int32_t>& positive_dsts) const override;
-  void Reset() override;
 
  private:
   int32_t DrawOne(tensor::Rng& rng, int32_t src, int32_t positive_dst) const;
@@ -103,8 +88,6 @@ class HistoricalEdgeSampler : public EdgeSampler {
   std::vector<std::vector<int32_t>> history_;  // per-source train dsts
   int32_t dst_lo_;
   int32_t dst_hi_;
-  uint64_t seed_;
-  tensor::Rng rng_;
 };
 
 /// Inductive negative sampling (Appendix J, Fig. 10b): negatives drawn from
@@ -115,15 +98,11 @@ class InductiveEdgeSampler : public EdgeSampler {
  public:
   InductiveEdgeSampler(const graph::TemporalGraph& graph,
                        const std::vector<int64_t>& train_events,
-                       int32_t dst_lo, int32_t dst_hi, uint64_t seed);
+                       int32_t dst_lo, int32_t dst_hi);
 
-  std::vector<int32_t> SampleNegatives(
-      const std::vector<int32_t>& srcs,
-      const std::vector<int32_t>& positive_dsts) override;
   std::vector<int32_t> SampleNegativesKeyed(
       uint64_t stream_seed, const std::vector<int32_t>& srcs,
       const std::vector<int32_t>& positive_dsts) const override;
-  void Reset() override;
 
  private:
   int32_t DrawOne(tensor::Rng& rng, int32_t positive_dst) const;
@@ -132,8 +111,6 @@ class InductiveEdgeSampler : public EdgeSampler {
   std::vector<int32_t> unseen_dsts_;
   int32_t dst_lo_;
   int32_t dst_hi_;
-  uint64_t seed_;
-  tensor::Rng rng_;
 };
 
 /// Which negative sampler a pipeline run uses.
@@ -141,7 +118,8 @@ enum class NegativeSampling { kRandom, kHistorical, kInductive };
 
 const char* NegativeSamplingName(NegativeSampling mode);
 
-/// Factory covering the three strategies.
+/// Factory covering the three strategies. `seed` only initializes the
+/// random sampler's checkpointed RNG state (see RandomEdgeSampler).
 std::unique_ptr<EdgeSampler> MakeEdgeSampler(
     NegativeSampling mode, const graph::TemporalGraph& graph,
     const std::vector<int64_t>& train_events, int32_t dst_lo, int32_t dst_hi,

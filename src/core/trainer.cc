@@ -45,6 +45,12 @@ namespace expr = tensor::expr;
 // adhoc-timing rule can hold the line against scattered chrono reads.
 using obs::NowSeconds;
 
+/// NaN/Inf recovery: a rolled-back epoch is retried with the learning rate
+/// scaled by kLrBackoff; after kMaxNanRetries failed recoveries the job is
+/// annotated "x" (see DESIGN.md "Failure model").
+constexpr int kMaxNanRetries = 3;
+constexpr float kLrBackoff = 0.5f;
+
 /// Destination sampling range: the item block for bipartite graphs, the
 /// full node range otherwise.
 void DstRange(const TemporalGraph& graph, int32_t num_users, int32_t* lo,
@@ -549,9 +555,8 @@ TrainExit EpochDriver::Run(const std::vector<Batch>& batches,
       registry.DrainThisThread(&run_phases_);
       const bool restored = Restore(rollback_);
       tensor::CheckOrDie(restored, "NaN rollback: corrupt epoch snapshot");
-      if (nan_retries_ > tc_.max_nan_retries) return TrainExit::kDiverged;
-      optimizer_.set_learning_rate(optimizer_.learning_rate() *
-                                   tc_.lr_backoff);
+      if (nan_retries_ > kMaxNanRetries) return TrainExit::kDiverged;
+      optimizer_.set_learning_rate(optimizer_.learning_rate() * kLrBackoff);
       continue;  // retry the same epoch
     }
     total_epoch_seconds_ += NowSeconds() - epoch_start;

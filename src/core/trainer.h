@@ -35,14 +35,13 @@ struct TrainConfig {
   float grad_clip_norm = 5.0f;
 
   // --- Robustness layer (see DESIGN.md "Failure model") ---
+  //
+  // NaN/Inf sentinel, fixed in trainer.cc: when the loss, a gradient, or a
+  // parameter goes non-finite, the trainer rolls back to the last epoch
+  // boundary, halves the learning rate, and retries the epoch. After 3
+  // failed recoveries the job is annotated "x" (non-convergence) instead
+  // of aborting the sweep.
 
-  /// NaN/Inf sentinel: when the loss, a gradient, or a parameter goes
-  /// non-finite, the trainer rolls back to the last epoch boundary,
-  /// multiplies the learning rate by `lr_backoff`, and retries the epoch.
-  /// After `max_nan_retries` failed recoveries the job is annotated "x"
-  /// (non-convergence) instead of aborting the sweep.
-  int max_nan_retries = 3;
-  float lr_backoff = 0.5f;
   /// Job checkpoint base path; "" disables on-disk checkpointing. When a
   /// valid generation exists and matches this job's seed, training resumes
   /// from it and replays the exact trajectory an uninterrupted run would

@@ -2,15 +2,12 @@
 
 #include <cerrno>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <iomanip>
 #include <sstream>
 #include <vector>
 
-#include "io/file.h"
-#include "obs/metrics.h"
 #include "tensor/numeric.h"
 
 namespace benchtemp::datagen {
@@ -22,9 +19,12 @@ bool SaveCsv(const graph::TemporalGraph& graph, const std::string& path) {
   out << "src,dst,ts,label";
   for (int64_t c = 0; c < edge_dim; ++c) out << ",f" << c;
   out << "\n";
+  // 17 significant digits round-trip any double, 9 any float.
+  out << std::setprecision(9);
   for (int64_t i = 0; i < graph.num_events(); ++i) {
     const graph::Interaction& e = graph.event(i);
-    out << e.src << "," << e.dst << "," << e.ts << "," << e.label;
+    out << e.src << "," << e.dst << "," << std::setprecision(17) << e.ts
+        << std::setprecision(9) << "," << e.label;
     for (int64_t c = 0; c < edge_dim; ++c) {
       out << "," << graph.edge_features().at(e.edge_idx, c);
     }
@@ -56,14 +56,6 @@ bool ParseFinite(const std::string& field, double* out) {
   }
   *out = value;
   return true;
-}
-
-bool Fail(CsvError* error, int64_t line, const std::string& message) {
-  if (error != nullptr) {
-    error->line = line;
-    error->message = message;
-  }
-  return false;
 }
 
 /// One syntactically valid data row.
@@ -120,220 +112,53 @@ std::string ParseHeader(const std::string& line, int64_t* edge_dim) {
   return "";
 }
 
-/// Stream-invariant check of `row` against the previously accepted row.
-/// Returns "" when the row is acceptable.
-std::string StreamViolation(const CsvOptions& options, const ParsedRow& row,
-                            bool have_prev, const ParsedRow& prev) {
-  if (options.reject_self_loops && row.src == row.dst) {
-    return "self-loop edge";
-  }
-  if (have_prev) {
-    if (options.reject_unsorted && row.ts < prev.ts) {
-      return "out-of-order timestamp";
-    }
-    // Duplicate means the exact same (src, dst, ts) triple as parsed from
-    // the file, so bitwise timestamp equality is the right test here.
-    if (options.reject_duplicates && row.src == prev.src &&
-        row.dst == prev.dst && tensor::ExactlyEqual(row.ts, prev.ts)) {
-      return "duplicate edge";
-    }
-  }
-  return "";
-}
-
-bool FailLoad(LoadError* error, const std::string& file, int64_t line,
-              const std::string& reason) {
-  if (error != nullptr) {
-    error->file = file;
-    error->line = line;
-    error->reason = reason;
-  }
-  return false;
-}
-
 }  // namespace
-
-bool LoadCsv(const std::string& path, graph::TemporalGraph* graph,
-             CsvError* error) {
-  std::ifstream in(path);
-  if (!in) return Fail(error, 0, "cannot open " + path);
-  std::string line;
-  if (!std::getline(in, line)) return Fail(error, 0, "empty file");
-  // Count feature columns from the header.
-  int64_t edge_dim = 0;
-  {
-    const std::string reason = ParseHeader(line, &edge_dim);
-    if (!reason.empty()) return Fail(error, 1, reason);
-  }
-  std::vector<float> feature_rows;
-  int64_t line_no = 1;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    ParsedRow row;
-    const std::string reason = ParseRow(line, edge_dim, &row);
-    if (!reason.empty()) return Fail(error, line_no, reason);
-    graph->AddInteraction(tensor::NarrowId(row.src, "csv: src node id"),
-                          tensor::NarrowId(row.dst, "csv: dst node id"),
-                          row.ts, static_cast<int32_t>(row.label));
-    feature_rows.insert(feature_rows.end(), row.features.begin(),
-                        row.features.end());
-  }
-  if (edge_dim > 0) {
-    graph->SetEdgeFeatures(tensor::Tensor::FromVector(
-        {graph->num_events(), edge_dim}, std::move(feature_rows)));
-  }
-  graph->SortByTime();
-  return true;
-}
-
-bool LoadCsv(const std::string& path, graph::TemporalGraph* graph) {
-  return LoadCsv(path, graph, nullptr);
-}
 
 std::string LoadError::str() const {
   if (line <= 0) return file + ": " + reason;
   return file + ":" + std::to_string(line) + ": " + reason;
 }
 
-bool LoadCsvStrict(const std::string& path, const CsvOptions& options,
-                   graph::TemporalGraph* graph, LoadError* error) {
-  std::string text;
-  if (!io::ReadFileBytes(path, &text)) {
-    return FailLoad(error, path, 0, "cannot open");
-  }
-  if (text.empty()) return FailLoad(error, path, 0, "empty file");
-  const bool torn_tail = text.back() != '\n';
-
-  std::istringstream in(text);
+bool LoadCsv(const std::string& path, graph::TemporalGraph* graph,
+             LoadError* error) {
+  auto fail = [&](int64_t line, const std::string& reason) {
+    if (error != nullptr) *error = LoadError{path, line, reason};
+    return false;
+  };
+  std::ifstream in(path);
+  if (!in) return fail(0, "cannot open");
   std::string line;
-  if (!std::getline(in, line)) return FailLoad(error, path, 0, "empty file");
+  int64_t line_no = 0;
   int64_t edge_dim = 0;
-  {
-    const std::string reason = ParseHeader(line, &edge_dim);
-    if (!reason.empty()) return FailLoad(error, path, 1, reason);
-  }
-  if (torn_tail && options.reject_truncated) {
-    // Count the lines up front so the diagnostic points at the torn row.
-    int64_t last_line = 1;
-    for (char c : text) {
-      if (c == '\n') ++last_line;
-    }
-    return FailLoad(error, path, last_line,
-                    "truncated file (no trailing newline)");
-  }
-
   std::vector<float> feature_rows;
-  ParsedRow prev;
-  bool have_prev = false;
-  int64_t line_no = 1;
   while (std::getline(in, line)) {
     ++line_no;
+    // getline sets eofbit only when the line it returned ended at EOF
+    // rather than at '\n': a torn final line, the signature of a truncated
+    // download. A number cut mid-digits still parses, so the row is
+    // rejected without being read.
+    if (in.eof()) return fail(line_no, "truncated file (no trailing newline)");
+    if (line_no == 1) {
+      const std::string reason = ParseHeader(line, &edge_dim);
+      if (!reason.empty()) return fail(line_no, reason);
+      continue;
+    }
     if (line.empty()) continue;
     ParsedRow row;
-    std::string reason = ParseRow(line, edge_dim, &row);
-    if (reason.empty()) {
-      reason = StreamViolation(options, row, have_prev, prev);
-    }
-    if (!reason.empty()) return FailLoad(error, path, line_no, reason);
+    const std::string reason = ParseRow(line, edge_dim, &row);
+    if (!reason.empty()) return fail(line_no, reason);
     graph->AddInteraction(tensor::NarrowId(row.src, "csv: src node id"),
                           tensor::NarrowId(row.dst, "csv: dst node id"),
                           row.ts, static_cast<int32_t>(row.label));
     feature_rows.insert(feature_rows.end(), row.features.begin(),
                         row.features.end());
-    prev = std::move(row);
-    have_prev = true;
   }
+  if (line_no == 0) return fail(0, "empty file");
   if (edge_dim > 0) {
     graph->SetEdgeFeatures(tensor::Tensor::FromVector(
         {graph->num_events(), edge_dim}, std::move(feature_rows)));
   }
-  if (!options.reject_unsorted) graph->SortByTime();
-  return true;
-}
-
-bool RepairCsv(const std::string& path, const CsvOptions& options,
-               const std::string& cleaned_path,
-               const std::string& quarantine_path, CsvRepairReport* report,
-               LoadError* error) {
-  std::string text;
-  if (!io::ReadFileBytes(path, &text)) {
-    return FailLoad(error, path, 0, "cannot open");
-  }
-  if (text.empty()) return FailLoad(error, path, 0, "empty file");
-  const bool torn_tail = text.back() != '\n';
-  int64_t last_line = 1;
-  for (char c : text) {
-    if (c == '\n') ++last_line;
-  }
-
-  std::istringstream in(text);
-  std::string line;
-  if (!std::getline(in, line)) return FailLoad(error, path, 0, "empty file");
-  int64_t edge_dim = 0;
-  {
-    const std::string reason = ParseHeader(line, &edge_dim);
-    if (!reason.empty()) return FailLoad(error, path, 1, reason);
-  }
-
-  CsvRepairReport result;
-  std::string cleaned = line + "\n";
-  std::string quarantine = "btquarantine|1\n";
-  auto drop = [&](int64_t line_no, const std::string& reason,
-                  const std::string& original) {
-    result.quarantined.push_back(LoadError{path, line_no, reason});
-    ++result.rows_quarantined;
-    quarantine +=
-        "q|" + std::to_string(line_no) + "|" + reason + "|" + original + "\n";
-  };
-
-  ParsedRow prev;
-  bool have_prev = false;
-  int64_t line_no = 1;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    if (torn_tail && options.reject_truncated && line_no == last_line) {
-      // The torn final row may even parse (a float truncated mid-digits
-      // still reads as a number) — it cannot be trusted either way.
-      drop(line_no, "truncated row", line);
-      continue;
-    }
-    ParsedRow row;
-    std::string reason = ParseRow(line, edge_dim, &row);
-    if (reason.empty()) {
-      reason = StreamViolation(options, row, have_prev, prev);
-    }
-    if (!reason.empty()) {
-      drop(line_no, reason, line);
-      continue;
-    }
-    cleaned += line + "\n";
-    ++result.rows_kept;
-    prev = std::move(row);
-    have_prev = true;
-  }
-
-  auto write_whole = [](const std::string& out_path,
-                        const std::string& bytes) {
-    io::File out;
-    if (!out.OpenWrite(out_path)) return false;
-    if (!out.Write(bytes) || !out.Sync()) {
-      (void)out.Close();
-      return false;
-    }
-    return out.Close();
-  };
-  if (!write_whole(cleaned_path, cleaned)) {
-    return FailLoad(error, cleaned_path, 0, "cannot write cleaned copy");
-  }
-  if (!write_whole(quarantine_path, quarantine)) {
-    return FailLoad(error, quarantine_path, 0,
-                    "cannot write quarantine report");
-  }
-  obs::MetricRegistry::Global().Add(obs::Counter::kCsvQuarantined,
-                                    result.rows_quarantined);
-  if (report != nullptr) *report = std::move(result);
+  graph->SortByTime();
   return true;
 }
 

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "graph/temporal_graph.h"
 
@@ -11,32 +10,13 @@ namespace benchtemp::datagen {
 
 /// Writes the interaction stream as CSV: header `src,dst,ts,label` followed
 /// by one row per event, plus edge feature columns `f0..f{d-1}` when the
-/// graph has edge features. Returns false on I/O failure.
+/// graph has edge features. Timestamps are written with 17 significant
+/// digits and features with 9, so LoadCsv reads back the exact doubles and
+/// floats. Returns false on I/O failure.
 bool SaveCsv(const graph::TemporalGraph& graph, const std::string& path);
 
-/// Parse failure details: the 1-based line of the first rejected row
-/// (0 for file-level problems such as a missing header) and a description.
-struct CsvError {
-  int64_t line = 0;
-  std::string message;
-};
-
-/// Loads an interaction stream produced by SaveCsv (or a user-supplied CSV
-/// with the same header). The Dataset module of the pipeline accepts graphs
-/// from this loader, mirroring BenchTemp's support for user-generated
-/// benchmark datasets.
-///
-/// Rows are validated as they are parsed — malformed numbers, negative node
-/// ids, non-finite timestamps, and NaN / Inf features are all rejected with
-/// the offending line number rather than silently ingested (or crashing the
-/// sweep later). Returns false on parse or I/O failure; when `error` is
-/// non-null it receives the first problem found.
-bool LoadCsv(const std::string& path, graph::TemporalGraph* graph,
-             CsvError* error);
-bool LoadCsv(const std::string& path, graph::TemporalGraph* graph);
-
-/// Structured ingest diagnostic of the hardened loader: which file, which
-/// 1-based line (0 for file-level problems), and why the row was rejected.
+/// Load diagnostic: which file, which 1-based line (0 for file-level
+/// problems), and why it was rejected.
 struct LoadError {
   std::string file;
   int64_t line = 0;
@@ -46,52 +26,21 @@ struct LoadError {
   std::string str() const;
 };
 
-/// Hostile-input policy of LoadCsvStrict / RepairCsv. Everything the
-/// lenient loader already rejects (malformed numbers, negative ids,
-/// non-finite timestamps or features) stays rejected regardless of these
-/// flags; the options add the stream-level invariants a temporal-graph
-/// pipeline depends on.
-struct CsvOptions {
-  /// Reject a timestamp smaller than its predecessor's (the event stream
-  /// must be chronological; the lenient loader silently re-sorts instead).
-  bool reject_unsorted = true;
-  /// Reject an event identical to its predecessor in (src, dst, ts).
-  bool reject_duplicates = true;
-  /// Reject src == dst events.
-  bool reject_self_loops = true;
-  /// Reject a file whose final line is torn (no trailing newline) — the
-  /// signature of a truncated download or a crashed writer.
-  bool reject_truncated = true;
-};
-
-/// Hardened loader: everything LoadCsv validates plus the CsvOptions
-/// stream invariants, with structured diagnostics. Returns false on the
-/// first violation; `error` (may be null) receives file, line, and reason.
-/// When `reject_unsorted` is disabled the stream is re-sorted like the
-/// lenient loader; otherwise the input order is kept as-is.
-bool LoadCsvStrict(const std::string& path, const CsvOptions& options,
-                   graph::TemporalGraph* graph, LoadError* error);
-
-/// Outcome of RepairCsv.
-struct CsvRepairReport {
-  int64_t rows_kept = 0;
-  int64_t rows_quarantined = 0;
-  /// One entry per dropped row (same order as the quarantine file).
-  std::vector<LoadError> quarantined;
-};
-
-/// Repair mode: streams `path`, keeps every row that passes the
-/// LoadCsvStrict checks, and writes the survivors verbatim to
-/// `cleaned_path` (same header). Dropped rows go to `quarantine_path` as
-/// `q|<line>|<reason>|<original row>` lines under a `btquarantine|1`
-/// header, and each drop increments the obs counter csv.rows_quarantined.
-/// Returns false only on I/O failure or an unusable header (reported via
-/// `error`); hostile rows never fail the repair — removing them is its
-/// job. The cleaned copy is guaranteed to satisfy LoadCsvStrict.
-bool RepairCsv(const std::string& path, const CsvOptions& options,
-               const std::string& cleaned_path,
-               const std::string& quarantine_path, CsvRepairReport* report,
-               LoadError* error);
+/// Loads an interaction stream produced by SaveCsv (or a user-supplied CSV
+/// with the same header). The Dataset module of the pipeline accepts graphs
+/// from this loader, mirroring BenchTemp's support for user-generated
+/// benchmark datasets.
+///
+/// Rejected with the offending line: a header with fewer than 4 columns, a
+/// row with the wrong column count, malformed or negative node ids,
+/// malformed or non-finite timestamps, malformed labels, malformed or
+/// non-finite features, and a final line with no trailing newline (the
+/// signature of a truncated download). Out-of-order rows are re-sorted by
+/// timestamp. Duplicate edges and self-loops are valid temporal-graph
+/// events and load as-is. Returns false on the first problem; `error`
+/// (may be null) receives it.
+bool LoadCsv(const std::string& path, graph::TemporalGraph* graph,
+             LoadError* error = nullptr);
 
 }  // namespace benchtemp::datagen
 

@@ -20,9 +20,8 @@ constexpr const char* kCounterNames[kNumCounters] = {
     "checkpoint.bytes",     "sweep.jobs_run",       "sweep.jobs_replayed",
     "sweep.jobs_failed",    "kernels.flops",        "arena.bytes",
     "arena.resets",         "robustness.ckpt_fallbacks", "io.retries",
-    "csv.rows_quarantined", "sampler.collisions_rejected",
-    "sampler.pool_fallbacks", "tensor.project_rows",
-    "tensor.project_unique_rows",
+    "sampler.collisions_rejected", "sampler.pool_fallbacks",
+    "tensor.project_rows",  "tensor.project_unique_rows",
 };
 
 /// BENCHTEMP_METRICS is an on/off switch: unset or empty is off, "1" or

@@ -68,7 +68,6 @@ enum class Counter : int {
   kArenaResets,         // TapeScope rewinds (one per completed batch scope)
   kCheckpointFallbacks, // corrupt generations skipped during lineage load
   kIoRetries,           // RetryPolicy re-attempts of durable writes
-  kCsvQuarantined,      // hostile CSV rows dropped by the repair loader
   kSamplerCollisionsRejected,  // negative/candidate draws rejected for
                                // colliding with the true destination
   kSamplerPoolFallbacks,       // pool-based draws that fell back to uniform
@@ -76,7 +75,7 @@ enum class Counter : int {
   kProjectRows,         // feature-table rows gathered by tensor::Rows
   kProjectUniqueRows,   // distinct rows among them (projected once each)
 };
-inline constexpr int kNumCounters = 23;
+inline constexpr int kNumCounters = 22;
 
 /// Stable dotted name of a counter ("train.batches", ...).
 const char* CounterName(Counter counter);

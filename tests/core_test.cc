@@ -176,19 +176,19 @@ TEST(DataLoaderTest, SetStats) {
 // EdgeSampler.
 // ---------------------------------------------------------------------------
 
-TEST(EdgeSamplerTest, RandomSamplerRangeAndReset) {
+TEST(EdgeSamplerTest, RandomSamplerRangeAndKeyedStreams) {
   RandomEdgeSampler sampler(10, 20, 7);
   std::vector<int32_t> srcs(100, 0);
   std::vector<int32_t> positives(100, 15);
-  const auto first = sampler.SampleNegatives(srcs, positives);
+  const auto first = sampler.SampleNegativesKeyed(7, srcs, positives);
   for (int32_t d : first) {
     EXPECT_GE(d, 10);
     EXPECT_LT(d, 20);
     EXPECT_NE(d, 15);  // collision-free vs the positive
   }
-  sampler.Reset();
-  // fixed-seed streams
-  EXPECT_EQ(sampler.SampleNegatives(srcs, positives), first);
+  // A stream seed fixes the draws; another seed draws another stream.
+  EXPECT_EQ(sampler.SampleNegativesKeyed(7, srcs, positives), first);
+  EXPECT_NE(sampler.SampleNegativesKeyed(8, srcs, positives), first);
 }
 
 TEST(EdgeSamplerTest, HistoricalSamplesTrainDestinations) {
@@ -197,11 +197,11 @@ TEST(EdgeSamplerTest, HistoricalSamplesTrainDestinations) {
   g.AddInteraction(0, 6, 2.0);
   g.AddInteraction(1, 7, 3.0);
   g.AddInteraction(2, 8, 4.0);  // not in train
-  HistoricalEdgeSampler sampler(g, {0, 1, 2}, 5, 9, 3);
+  HistoricalEdgeSampler sampler(g, {0, 1, 2}, 5, 9);
   std::vector<int32_t> srcs = {0, 0, 0, 0, 1};
   std::vector<int32_t> positives(5, 8);  // outside every source's history
-  for (int trial = 0; trial < 20; ++trial) {
-    const auto negatives = sampler.SampleNegatives(srcs, positives);
+  for (uint64_t trial = 0; trial < 20; ++trial) {
+    const auto negatives = sampler.SampleNegativesKeyed(trial, srcs, positives);
     for (size_t i = 0; i < 4; ++i) {
       EXPECT_TRUE(negatives[i] == 5 || negatives[i] == 6);
     }
@@ -213,10 +213,11 @@ TEST(EdgeSamplerTest, HistoricalFallsBackToRandom) {
   TemporalGraph g;
   g.AddInteraction(0, 5, 1.0);
   g.AddInteraction(3, 6, 1.5);
-  HistoricalEdgeSampler sampler(g, {0}, 5, 7, 3);
+  HistoricalEdgeSampler sampler(g, {0}, 5, 7);
   // Source 3 has no training history -> uniform fallback stays in range
   // and avoids the positive (6), so only 5 remains.
-  const auto negatives = sampler.SampleNegatives({3, 3, 3}, {6, 6, 6});
+  const auto negatives =
+      sampler.SampleNegativesKeyed(3, {3, 3, 3}, {6, 6, 6});
   for (int32_t d : negatives) {
     EXPECT_EQ(d, 5);
   }
@@ -228,9 +229,10 @@ TEST(EdgeSamplerTest, InductiveSamplesUnseenEdgesOnly) {
   g.AddInteraction(1, 6, 2.0);  // train
   g.AddInteraction(0, 7, 3.0);  // test-only pair -> dst 7 eligible
   g.AddInteraction(2, 8, 4.0);  // test-only pair -> dst 8 eligible
-  InductiveEdgeSampler sampler(g, {0, 1}, 5, 9, 3);
-  for (int trial = 0; trial < 30; ++trial) {
-    for (int32_t d : sampler.SampleNegatives({0, 1, 2}, {5, 6, 5})) {
+  InductiveEdgeSampler sampler(g, {0, 1}, 5, 9);
+  for (uint64_t trial = 0; trial < 30; ++trial) {
+    for (int32_t d :
+         sampler.SampleNegativesKeyed(trial, {0, 1, 2}, {5, 6, 5})) {
       EXPECT_TRUE(d == 7 || d == 8);
     }
   }
@@ -244,7 +246,7 @@ TEST(EdgeSamplerTest, FactoryCoversAllModes) {
         NegativeSampling::kInductive}) {
     auto sampler = MakeEdgeSampler(mode, g, {0}, 0, 2, 1);
     ASSERT_NE(sampler, nullptr) << NegativeSamplingName(mode);
-    EXPECT_EQ(sampler->SampleNegatives({0}, {1}).size(), 1u);
+    EXPECT_EQ(sampler->SampleNegativesKeyed(1, {0}, {1}).size(), 1u);
   }
 }
 

@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -183,9 +184,68 @@ TEST(CsvTest, RoundTrip) {
   unlink(path.c_str());
 }
 
+// Epoch-second timestamps need more than the stream default of 6
+// significant digits: 1700000000.25 and 1700000001.75 must not both come
+// back as 1.7e+09.
+TEST(CsvTest, EpochSecondTimestampsRoundTripExactly) {
+  graph::TemporalGraph g;
+  g.AddInteraction(0, 1, 1700000000.25);
+  g.AddInteraction(1, 2, 1700000001.75);
+  g.SetEdgeFeatures(tensor::Tensor::FromVector({2, 1}, {0.1f, 1.0f / 3.0f}));
+  const std::string path = "/tmp/benchtemp_csv_epoch_test.csv";
+  ASSERT_TRUE(SaveCsv(g, path));
+  graph::TemporalGraph loaded;
+  ASSERT_TRUE(LoadCsv(path, &loaded));
+  unlink(path.c_str());
+  ASSERT_EQ(loaded.num_events(), 2);
+  EXPECT_EQ(std::bit_cast<uint64_t>(loaded.event(0).ts),
+            std::bit_cast<uint64_t>(1700000000.25));
+  EXPECT_EQ(std::bit_cast<uint64_t>(loaded.event(1).ts),
+            std::bit_cast<uint64_t>(1700000001.75));
+  EXPECT_EQ(std::bit_cast<uint32_t>(loaded.edge_features().at(1, 0)),
+            std::bit_cast<uint32_t>(1.0f / 3.0f));
+}
+
+// Every benchmark dataset survives SaveCsv -> LoadCsv bit for bit: same
+// events in the same order, same edge features.
+TEST(CsvTest, CatalogDatasetsRoundTripBitwise) {
+  std::vector<DatasetSpec> specs = MainDatasets();
+  specs.insert(specs.end(), NewDatasets().begin(), NewDatasets().end());
+  ASSERT_EQ(specs.size(), 21u);
+  const std::string path = "/tmp/benchtemp_csv_catalog_test.csv";
+  for (const DatasetSpec& spec : specs) {
+    const graph::TemporalGraph g = LoadDataset(spec);
+    ASSERT_TRUE(SaveCsv(g, path)) << spec.name;
+    graph::TemporalGraph loaded;
+    LoadError error;
+    ASSERT_TRUE(LoadCsv(path, &loaded, &error)) << error.str();
+    ASSERT_EQ(loaded.num_events(), g.num_events()) << spec.name;
+    ASSERT_EQ(loaded.edge_feature_dim(), g.edge_feature_dim()) << spec.name;
+    int64_t mismatches = 0;
+    for (int64_t i = 0; i < g.num_events(); ++i) {
+      const graph::Interaction& a = g.event(i);
+      const graph::Interaction& b = loaded.event(i);
+      if (a.src != b.src || a.dst != b.dst || a.label != b.label ||
+          std::bit_cast<uint64_t>(a.ts) != std::bit_cast<uint64_t>(b.ts)) {
+        ++mismatches;
+      }
+      for (int64_t c = 0; c < g.edge_feature_dim(); ++c) {
+        if (std::bit_cast<uint32_t>(g.edge_features().at(a.edge_idx, c)) !=
+            std::bit_cast<uint32_t>(loaded.edge_features().at(b.edge_idx, c))) {
+          ++mismatches;
+        }
+      }
+    }
+    EXPECT_EQ(mismatches, 0) << spec.name;
+  }
+  unlink(path.c_str());
+}
+
 TEST(CsvTest, MissingFileFails) {
   graph::TemporalGraph g;
-  EXPECT_FALSE(LoadCsv("/tmp/definitely_missing_benchtemp.csv", &g));
+  LoadError error;
+  EXPECT_FALSE(LoadCsv("/tmp/definitely_missing_benchtemp.csv", &g, &error));
+  EXPECT_EQ(error.str(), "/tmp/definitely_missing_benchtemp.csv: cannot open");
 }
 
 }  // namespace

@@ -251,7 +251,7 @@ TEST_F(MrrEvaluatorTest, NegativeSamplerCollisionsAreRejectedAndCounted) {
   std::vector<int32_t> positives;
   for (int i = 0; i < 300; ++i) positives.push_back(i % 3);
   const std::vector<int32_t> negatives =
-      sampler.SampleNegatives(srcs, positives);
+      sampler.SampleNegativesKeyed(11, srcs, positives);
   for (size_t i = 0; i < negatives.size(); ++i) {
     EXPECT_NE(negatives[i], positives[i]);
   }

@@ -252,7 +252,7 @@ TEST_F(ObsTest, ExportJsonGoldenBytes) {
   // number formatting, escaping or the counter and phase taxonomies must
   // update this hash deliberately (and bump kMetricsSchemaVersion when it
   // breaks readers).
-  EXPECT_EQ(robustness::Fnv1a64(json), 0xad5c0b67a8df1de9ull) << json;
+  EXPECT_EQ(robustness::Fnv1a64(json), 0xc66ff12b1c54283full) << json;
 }
 
 TEST_F(ObsTest, ResetZeroesEverything) {

@@ -210,17 +210,16 @@ TEST_P(SamplerLawTest, StreamsAreSeedStableAndInRange) {
     srcs.push_back(g.event(i).src);
     dsts.push_back(g.event(i).dst);
   }
-  const auto a = s1->SampleNegatives(srcs, dsts);
-  const auto b = s2->SampleNegatives(srcs, dsts);
+  const auto a = s1->SampleNegativesKeyed(99, srcs, dsts);
+  const auto b = s2->SampleNegativesKeyed(99, srcs, dsts);
   EXPECT_EQ(a, b);  // same seed, same stream
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_GE(a[i], 0);
     EXPECT_LT(a[i], g.num_nodes());
     EXPECT_NE(a[i], dsts[i]);  // collision-free vs the positive
   }
-  // Reset rewinds.
-  s1->Reset();
-  EXPECT_EQ(s1->SampleNegatives(srcs, dsts), a);
+  // Draws read no sampler state: repeating a key repeats the stream.
+  EXPECT_EQ(s1->SampleNegativesKeyed(99, srcs, dsts), a);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -219,7 +219,6 @@ TEST(TrainerTest, NodeClassificationNanLossAnnotatesX) {
   job.train_config = QuickTrainConfig();
   job.pretrain_epochs = 2;
   job.decoder_epochs = 80;
-  job.train_config.max_nan_retries = 1;
   // Pretraining that keeps diverging past its retry budget must stop the
   // job before NaN embeddings reach the decoder: the paper's
   // non-convergence marker, no metrics.
@@ -232,7 +231,7 @@ TEST(TrainerTest, NodeClassificationNanLossAnnotatesX) {
       base::FaultInjector::Global().fire_count(base::FaultSite::kNanLoss);
   base::FaultInjector::Global().DisarmAll();
   EXPECT_EQ(result.annotation, "x");
-  EXPECT_EQ(fired, 2);  // the first attempt and its one retry
+  EXPECT_EQ(fired, 4);  // the first attempt and its three retries
   EXPECT_DOUBLE_EQ(result.test_auc, NodeClassificationResult().test_auc);
   EXPECT_DOUBLE_EQ(result.accuracy, 0.0);
   EXPECT_DOUBLE_EQ(result.f1_weighted, 0.0);
