@@ -373,12 +373,6 @@ inline graph::TemporalGraph LoadBenchmark(const datagen::DatasetSpec& spec,
   return g;
 }
 
-inline void PrintRule() {
-  std::printf(
-      "--------------------------------------------------------------------"
-      "----------\n");
-}
-
 }  // namespace benchtemp::bench
 
 #endif  // BENCHTEMP_BENCH_BENCH_COMMON_H_

@@ -23,11 +23,6 @@ void Leaderboard::Add(LeaderboardRecord record) {
   records_.push_back(std::move(record));
 }
 
-void Leaderboard::Clear() {
-  base::MutexLock lock(mutex_);
-  records_.clear();
-}
-
 std::string Leaderboard::ToCsvLocked() const {
   std::string out = "model,dataset,task,setting,metric,mean,std,annotation\n";
   for (const LeaderboardRecord& r : records_) {

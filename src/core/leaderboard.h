@@ -36,7 +36,6 @@ struct LeaderboardRecord {
 class Leaderboard {
  public:
   void Add(LeaderboardRecord record);
-  void Clear();
 
   /// Borrowed view of the rows. Unsynchronized by design — callers iterate
   /// zero-copy after the parallel phase has joined, when no writer exists;

@@ -3,12 +3,15 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <fstream>
 #include <sstream>
-#include <utility>
+#include <thread>
 
 #include "base/fault_injector.h"
+#include "obs/metrics.h"
 
 namespace benchtemp::io {
 
@@ -16,6 +19,25 @@ namespace {
 
 using base::FaultInjector;
 using base::FaultSite;
+
+/// fsyncs a directory so a just-renamed dirent survives power loss. A
+/// rename alone orders the data, not the directory entry; POSIX requires
+/// an explicit fsync of the parent. Returns false on open/fsync failure.
+bool FsyncDir(const std::string& dir) {
+  const int fd = open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (fd < 0) return false;
+  const bool ok = fsync(fd) == 0;
+  close(fd);
+  return ok;
+}
+
+/// Parent directory of `path` ("." when the path has no separator).
+std::string ParentDir(const std::string& path) {
+  const size_t slash = path.find_last_of('/');
+  if (slash == std::string::npos) return ".";
+  if (slash == 0) return "/";
+  return path.substr(0, slash);
+}
 
 }  // namespace
 
@@ -28,32 +50,9 @@ File::~File() {
   }
 }
 
-File::File(File&& other) noexcept
-    : stream_(other.stream_),
-      path_(std::move(other.path_)),
-      kind_(other.kind_),
-      ok_(other.ok_) {
-  other.stream_ = nullptr;
-  other.ok_ = true;
-}
-
-File& File::operator=(File&& other) noexcept {
-  if (this != &other) {
-    if (stream_ != nullptr) (void)std::fclose(stream_);
-    stream_ = other.stream_;
-    path_ = std::move(other.path_);
-    kind_ = other.kind_;
-    ok_ = other.ok_;
-    other.stream_ = nullptr;
-    other.ok_ = true;
-  }
-  return *this;
-}
-
 bool File::OpenWrite(const std::string& path, FileKind kind) {
   if (stream_ != nullptr) return false;
   stream_ = std::fopen(path.c_str(), "wb");
-  path_ = path;
   kind_ = kind;
   ok_ = stream_ != nullptr;
   return ok_;
@@ -62,7 +61,6 @@ bool File::OpenWrite(const std::string& path, FileKind kind) {
 bool File::OpenAppend(const std::string& path, FileKind kind) {
   if (stream_ != nullptr) return false;
   stream_ = std::fopen(path.c_str(), "ab");
-  path_ = path;
   kind_ = kind;
   ok_ = stream_ != nullptr;
   return ok_;
@@ -115,21 +113,6 @@ bool File::Close() {
   if (std::fclose(stream_) != 0) ok_ = false;
   stream_ = nullptr;
   return ok_;
-}
-
-bool FsyncDir(const std::string& dir) {
-  const int fd = open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd < 0) return false;
-  const bool ok = fsync(fd) == 0;
-  close(fd);
-  return ok;
-}
-
-std::string ParentDir(const std::string& path) {
-  const size_t slash = path.find_last_of('/');
-  if (slash == std::string::npos) return ".";
-  if (slash == 0) return "/";
-  return path.substr(0, slash);
 }
 
 bool AtomicReplace(const std::string& path, const std::string& payload,
@@ -187,6 +170,24 @@ bool ReadFileBytes(const std::string& path, std::string* payload) {
 bool RemoveFile(const std::string& path) {
   if (std::remove(path.c_str()) == 0) return true;
   return errno == ENOENT;
+}
+
+int64_t RetryBackoffMs(int attempt) {
+  constexpr int64_t kMaxBackoffMs = 50;
+  if (attempt < 1) return 0;
+  if (attempt > 7) return kMaxBackoffMs;  // 2^6 already exceeds the cap
+  return std::min(int64_t{1} << (attempt - 1), kMaxBackoffMs);
+}
+
+bool RunWithRetry(const std::function<bool()>& op) {
+  for (int attempt = 1; attempt <= kRetryAttempts; ++attempt) {
+    if (op()) return true;
+    if (attempt == kRetryAttempts) break;
+    obs::MetricRegistry::Global().Add(obs::Counter::kIoRetries, 1);
+    std::this_thread::sleep_for(
+        std::chrono::milliseconds(RetryBackoffMs(attempt)));
+  }
+  return false;
 }
 
 }  // namespace benchtemp::io

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <string>
 
 namespace benchtemp::io {
@@ -39,8 +40,6 @@ class File {
   ~File();
   File(const File&) = delete;
   File& operator=(const File&) = delete;
-  File(File&& other) noexcept;
-  File& operator=(File&& other) noexcept;
 
   /// Opens for writing (truncate). Returns false on open failure.
   bool OpenWrite(const std::string& path, FileKind kind = FileKind::kGeneric);
@@ -62,22 +61,12 @@ class File {
 
   bool is_open() const { return stream_ != nullptr; }
   bool ok() const { return ok_; }
-  const std::string& path() const { return path_; }
 
  private:
   std::FILE* stream_ = nullptr;
-  std::string path_;
   FileKind kind_ = FileKind::kGeneric;
   bool ok_ = true;
 };
-
-/// fsyncs a directory so a just-renamed dirent survives power loss. A
-/// rename alone orders the data, not the directory entry; POSIX requires
-/// an explicit fsync of the parent. Returns false on open/fsync failure.
-bool FsyncDir(const std::string& dir);
-
-/// Parent directory of `path` ("." when the path has no separator).
-std::string ParentDir(const std::string& path);
 
 /// Atomically replaces `path` with `payload`: write `path + ".tmp"`, fsync
 /// it, rename over `path`, fsync the parent directory. A crash (or injected
@@ -95,6 +84,23 @@ bool ReadFileBytes(const std::string& path, std::string* payload);
 
 /// Deletes `path` (checked std::remove; missing file counts as success).
 bool RemoveFile(const std::string& path);
+
+/// Transient I/O failures (EIO from a flaky disk, an injected eio_manifest
+/// fault) should not abort a multi-day sweep, but unbounded or randomized
+/// retries would break both determinism and CI budgets. Durable writes
+/// therefore retry on one fixed schedule: kRetryAttempts tries, sleeping
+/// RetryBackoffMs between them. There is no jitter: every writer owns its
+/// files (each lineage its own, the sweep journal under its mutex), so
+/// there is no contention for jitter to spread.
+inline constexpr int kRetryAttempts = 3;
+
+/// Sleep after failed attempt `attempt` (1-based): 1 ms doubling per
+/// retry, capped at 50 ms; 0 for attempt < 1.
+int64_t RetryBackoffMs(int attempt);
+
+/// Runs `op` until it succeeds, at most kRetryAttempts times. Each
+/// re-attempt increments the obs counter `io.retries`.
+bool RunWithRetry(const std::function<bool()>& op);
 
 }  // namespace benchtemp::io
 

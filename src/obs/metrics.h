@@ -67,7 +67,7 @@ enum class Counter : int {
   kArenaBytes,          // bytes bump-allocated from tape-scoped arenas
   kArenaResets,         // TapeScope rewinds (one per completed batch scope)
   kCheckpointFallbacks, // corrupt generations skipped during lineage load
-  kIoRetries,           // RetryPolicy re-attempts of durable writes
+  kIoRetries,           // io::RunWithRetry re-attempts of durable writes
   kSamplerCollisionsRejected,  // negative/candidate draws rejected for
                                // colliding with the true destination
   kSamplerPoolFallbacks,       // pool-based draws that fell back to uniform

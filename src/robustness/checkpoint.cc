@@ -3,8 +3,6 @@
 #include <cstring>
 #include <sstream>
 
-#include "io/file.h"
-
 namespace benchtemp::robustness {
 
 namespace {
@@ -45,10 +43,6 @@ uint64_t Fnv1a64(const std::string& bytes) {
     hash *= 1099511628211ull;
   }
   return hash;
-}
-
-bool AtomicWriteFile(const std::string& path, const std::string& payload) {
-  return io::AtomicReplace(path, payload, io::FileKind::kCheckpoint);
 }
 
 std::string SerializeJobCheckpoint(const JobCheckpoint& ckpt) {

@@ -8,20 +8,9 @@
 
 namespace benchtemp::robustness {
 
-/// Atomically replaces the file at `path` with `payload`. Thin wrapper over
-/// io::AtomicReplace with FileKind::kCheckpoint: tmp write + fsync + rename
-/// + parent-dir fsync, so a crash at any instant leaves either the complete
-/// old file or the complete new file — never a torn one. Returns false on
-/// I/O failure (the previous file, if any, is untouched).
-///
-/// Probes FaultSite::kCheckpointRename between write and rename, which lets
-/// the fault-injection tests simulate a kill mid-checkpoint, plus the
-/// silent-corruption sites torn_checkpoint / bitflip_checkpoint.
-bool AtomicWriteFile(const std::string& path, const std::string& payload);
-
 /// FNV-1a 64-bit hash — the integrity checksum of the checkpoint container
-/// and the lineage manifest (exposed so btfsck and the tests can verify
-/// files without loading them).
+/// and of each lineage manifest row (exposed for the lineage and the
+/// tests that pin checkpoint bytes).
 uint64_t Fnv1a64(const std::string& bytes);
 
 /// A full training-job checkpoint: everything RunLinkPrediction needs to

@@ -2,187 +2,56 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <map>
 #include <set>
 
-#include "io/file.h"
-#include "robustness/checkpoint.h"
 #include "robustness/lineage.h"
 
 namespace benchtemp::robustness {
 
-namespace {
-
-namespace fs = std::filesystem;
-
-bool AllDigits(const std::string& s) {
-  if (s.empty()) return false;
-  for (char c : s) {
-    if (c < '0' || c > '9') return false;
-  }
-  return true;
-}
-
-bool EndsWith(const std::string& s, const std::string& suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-/// Splits "<base>.g<seq>" into base and seq. Returns false for any other
-/// shape.
-bool SplitGenerationName(const std::string& name, std::string* base,
-                         uint64_t* seq) {
-  const size_t dot_g = name.rfind(".g");
-  if (dot_g == std::string::npos || dot_g == 0) return false;
-  const std::string digits = name.substr(dot_g + 2);
-  if (!AllDigits(digits)) return false;
-  *base = name.substr(0, dot_g);
-  *seq = std::strtoull(digits.c_str(), nullptr, 10);
-  return true;
-}
-
-/// Everything fsck knows about one lineage (one checkpoint base path).
-struct LineageState {
-  bool has_manifest = false;
-  bool manifest_ok = false;
-  std::vector<Generation> listed;
-  /// seq -> on-disk generation files of this base.
-  std::map<uint64_t, std::string> files;
-};
-
-}  // namespace
-
 FsckReport FsckDirectory(const std::string& dir, bool repair) {
   FsckReport report;
-  std::map<std::string, LineageState> lineages;  // key: full base path
-  std::vector<std::string> stale_tmps;
-
+  // Full base paths of every lineage that owns a file in `dir`.
+  std::set<std::string> bases;
   std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(dir, ec)) {
-    if (!entry.is_regular_file(ec)) continue;
+  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
     const std::string name = entry.path().filename().string();
     const std::string full = entry.path().string();
-    if (EndsWith(name, ".tmp")) {
-      // Only claim tmp files our own commit protocol creates.
-      const std::string stem = name.substr(0, name.size() - 4);
-      std::string base;
-      uint64_t seq = 0;
-      if (EndsWith(stem, ".lineage") || SplitGenerationName(stem, &base, &seq)) {
-        stale_tmps.push_back(full);
-      }
-      continue;
-    }
-    if (EndsWith(name, ".lineage")) {
-      const std::string base = full.substr(0, full.size() - 8);
-      lineages[base].has_manifest = true;
-      continue;
-    }
-    std::string base;
-    uint64_t seq = 0;
-    if (SplitGenerationName(name, &base, &seq)) {
-      const std::string dir_part = full.substr(0, full.size() - name.size());
-      lineages[dir_part + base].files[seq] = full;
+    LineageFileName parsed;
+    if (entry.is_regular_file(ec) && ParseLineageFileName(name, &parsed)) {
+      bases.insert(full.substr(0, full.size() - name.size()) + parsed.base);
     }
   }
-  report.stale_tmps = static_cast<int>(stale_tmps.size());
-  for (const std::string& tmp : stale_tmps) {
-    report.issues.push_back({tmp, "stale tmp from interrupted commit"});
-  }
 
-  for (auto& [base, state] : lineages) {
-    const std::string manifest_path = base + ".lineage";
-    if (state.has_manifest) {
-      ++report.lineages;
-      std::string text;
-      if (io::ReadFileBytes(manifest_path, &text) &&
-          ParseLineageManifest(text, &state.listed)) {
-        state.manifest_ok = true;
-      } else {
-        ++report.corrupt;
-        report.issues.push_back({manifest_path, "corrupt manifest"});
-      }
+  for (const std::string& base : bases) {
+    CheckpointLineage lineage(base, 1);
+    const LineageInventory inventory = lineage.Inspect();
+    if (inventory.has_manifest) ++report.lineages;
+    if (inventory.has_manifest && !inventory.manifest_ok) {
+      ++report.corrupt;
+      report.issues.push_back({lineage.manifest_path(), "corrupt manifest"});
     }
-
-    std::set<uint64_t> listed_seqs;
-    std::vector<Generation> survivors;
-    std::vector<std::string> invalid_files;
-    JobCheckpoint parsed;
-
-    for (const Generation& g : state.listed) {
-      listed_seqs.insert(g.seq);
+    for (const GenerationStatus& g : inventory.generations) {
       ++report.generations;
-      const std::string path = base + ".g" + std::to_string(g.seq);
-      std::string container;
-      std::string reason;
-      if (state.files.count(g.seq) == 0 ||
-          !io::ReadFileBytes(path, &container)) {
-        reason = "listed generation missing";
-      } else if (static_cast<int64_t>(container.size()) != g.bytes ||
-                 Fnv1a64(container) != g.checksum) {
-        reason = "manifest checksum mismatch";
-      } else if (!ParseJobCheckpoint(container, &parsed)) {
-        reason = "corrupt container";
-      }
-      if (reason.empty()) {
-        survivors.push_back(g);
-      } else {
-        ++report.corrupt;
-        report.issues.push_back({path, reason});
-        if (state.files.count(g.seq) != 0) invalid_files.push_back(path);
+      const bool valid = g.verdict == GenerationVerdict::kValid;
+      if (!valid) ++report.corrupt;
+      const std::string path = lineage.GenerationPath(g.seq);
+      if (!g.listed) {
+        ++report.orphans;
+        report.issues.push_back({path, valid ? "orphan generation (valid)"
+                                             : "orphan generation (corrupt)"});
+      } else if (!valid) {
+        report.issues.push_back({path, VerdictReason(g.verdict)});
       }
     }
-
-    for (const auto& [seq, path] : state.files) {
-      if (listed_seqs.count(seq) != 0) continue;
-      ++report.generations;
-      ++report.orphans;
-      std::string container;
-      if (io::ReadFileBytes(path, &container) &&
-          ParseJobCheckpoint(container, &parsed)) {
-        report.issues.push_back({path, "orphan generation (valid)"});
-        Generation g;
-        g.seq = seq;
-        g.bytes = static_cast<int64_t>(container.size());
-        g.checksum = Fnv1a64(container);
-        survivors.push_back(g);
-      } else {
-        ++report.corrupt;
-        report.issues.push_back({path, "orphan generation (corrupt)"});
-        invalid_files.push_back(path);
-      }
+    report.stale_tmps += static_cast<int>(inventory.stale_tmps.size());
+    for (const std::string& tmp : inventory.stale_tmps) {
+      report.issues.push_back({tmp, "stale tmp from interrupted commit"});
     }
-
-    const bool anything = state.has_manifest || !state.files.empty();
-    if (anything && survivors.empty()) {
+    if (inventory.unrecoverable()) {
       ++report.unrecoverable;
       report.issues.push_back({base, "no valid generation survives"});
-      continue;  // repair leaves the wreckage for post-mortem
     }
-
-    if (repair) {
-      for (const std::string& path : invalid_files) {
-        if (io::RemoveFile(path)) ++report.repaired;
-      }
-      std::sort(survivors.begin(), survivors.end(),
-                [](const Generation& a, const Generation& b) {
-                  return a.seq < b.seq;
-                });
-      const std::string fixed = FormatLineageManifest(survivors);
-      std::string current;
-      const bool dirty = !state.manifest_ok ||
-                         !io::ReadFileBytes(manifest_path, &current) ||
-                         current != fixed;
-      if (dirty && io::AtomicReplace(manifest_path, fixed,
-                                     io::FileKind::kManifest)) {
-        ++report.repaired;
-      }
-    }
-  }
-
-  if (repair) {
-    for (const std::string& tmp : stale_tmps) {
-      if (io::RemoveFile(tmp)) ++report.repaired;
-    }
+    if (repair) report.repaired += lineage.Repair();
   }
 
   std::sort(report.issues.begin(), report.issues.end(),

@@ -30,17 +30,13 @@ struct FsckReport {
 };
 
 /// Offline integrity check of every checkpoint lineage under `dir`
-/// (non-recursive): each `*.lineage` manifest must parse, every listed
-/// generation must exist with the recorded size and checksum and must be a
-/// valid BTJC container, and orphaned `.g<seq>` / `.tmp` files are
-/// reported. Orphan generations are validated by their own container
-/// checksum. A lineage whose generations are all corrupt counts as
-/// unrecoverable.
+/// (non-recursive). Groups the directory's files into lineages and reports
+/// each one's CheckpointLineage::Inspect() verdicts: a manifest that does
+/// not parse, every invalid generation, orphans (valid or not) and stale
+/// `.tmp` files. A lineage with no valid generation is unrecoverable.
 ///
-/// With `repair` set, corrupt generation files and stale `.tmp` files are
-/// deleted and each manifest is rewritten to list exactly the surviving
-/// valid generations (orphans get adopted). An unrecoverable lineage is
-/// left untouched for post-mortem.
+/// With `repair` set, each lineage runs CheckpointLineage::Repair() after
+/// the report is taken.
 FsckReport FsckDirectory(const std::string& dir, bool repair);
 
 /// Renders the report in the stable text format `btfsck` prints.

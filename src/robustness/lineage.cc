@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <map>
 #include <set>
 #include <utility>
 
@@ -15,20 +16,23 @@ namespace benchtemp::robustness {
 
 namespace {
 
-/// True when `s` is a non-empty run of decimal digits.
-bool AllDigits(const std::string& s) {
-  if (s.empty()) return false;
-  for (char c : s) {
-    if (c < '0' || c > '9') return false;
-  }
-  return true;
-}
+/// One manifest row. The checksum is the FNV-1a of the bytes Save meant
+/// to commit, so a torn or flipped commit that reported success still
+/// fails the check.
+struct Row {
+  int64_t bytes = 0;
+  uint64_t checksum = 0;
+};
 
-}  // namespace
+/// Manifest rows by seq.
+using Rows = std::map<uint64_t, Row>;
 
-bool ParseLineageManifest(const std::string& text,
-                          std::vector<Generation>* out) {
-  std::vector<Generation> gens;
+/// Manifest format: text, first line `btlineage|1`, then one
+/// `gen|<seq>|<bytes>|<checksum hex>` per generation, ascending seq. A
+/// torn last line (no newline) is dropped; any other malformed line
+/// rejects the whole manifest. `out` is untouched on failure.
+bool ParseManifest(const std::string& text, Rows* out) {
+  Rows rows;
   size_t pos = 0;
   bool saw_header = false;
   while (pos < text.size()) {
@@ -43,135 +47,220 @@ bool ParseLineageManifest(const std::string& text,
       continue;
     }
     if (line.rfind("gen|", 0) != 0) return false;
-    Generation g;
+    Row row;
     char* cursor = nullptr;
     const char* start = line.c_str() + 4;
-    g.seq = std::strtoull(start, &cursor, 10);
+    const uint64_t seq = std::strtoull(start, &cursor, 10);
     if (cursor == start || *cursor != '|') return false;
     start = cursor + 1;
-    g.bytes = static_cast<int64_t>(std::strtoll(start, &cursor, 10));
+    row.bytes = static_cast<int64_t>(std::strtoll(start, &cursor, 10));
     if (cursor == start || *cursor != '|') return false;
     start = cursor + 1;
-    g.checksum = std::strtoull(start, &cursor, 16);
+    row.checksum = std::strtoull(start, &cursor, 16);
     if (cursor == start || *cursor != '\0') return false;
-    gens.push_back(g);
+    rows[seq] = row;
   }
   if (!saw_header) return false;
-  std::sort(gens.begin(), gens.end(),
-            [](const Generation& a, const Generation& b) {
-              return a.seq < b.seq;
-            });
-  *out = std::move(gens);
+  *out = std::move(rows);
   return true;
 }
 
-std::string FormatLineageManifest(const std::vector<Generation>& gens) {
+std::string FormatManifest(const Rows& rows) {
   std::string text = "btlineage|1\n";
-  for (const Generation& g : gens) {
+  for (const auto& [seq, row] : rows) {
     char line[128];
     std::snprintf(line, sizeof(line), "gen|%" PRIu64 "|%lld|%016" PRIx64 "\n",
-                  g.seq, static_cast<long long>(g.bytes), g.checksum);
+                  seq, static_cast<long long>(row.bytes), row.checksum);
     text += line;
   }
   return text;
 }
 
-CheckpointLineage::CheckpointLineage(std::string base_path,
-                                     int max_generations, RetryPolicy retry)
-    : base_path_(std::move(base_path)),
-      max_generations_(std::max(1, max_generations)),
-      retry_(retry) {}
-
-std::string CheckpointLineage::GenerationPath(uint64_t seq) const {
-  return base_path_ + ".g" + std::to_string(seq);
+std::string GenerationFile(const std::string& base_path, uint64_t seq) {
+  return base_path + ".g" + std::to_string(seq);
 }
 
-std::vector<Generation> CheckpointLineage::ScanGenerations() const {
-  std::vector<Generation> gens;
+/// The files of the lineage at `base_path`, by name alone.
+struct Files {
+  std::vector<uint64_t> seqs;  // generation files, ascending
+  std::vector<std::string> tmps;
+};
+
+Files ListFiles(const std::string& base_path) {
   namespace fs = std::filesystem;
-  const fs::path base(base_path_);
-  const std::string prefix = base.filename().string() + ".g";
-  std::error_code ec;
+  const fs::path base(base_path);
+  const std::string own = base.filename().string();
   fs::path dir = base.parent_path();
   if (dir.empty()) dir = ".";
+  Files files;
+  std::error_code ec;
   for (const auto& entry : fs::directory_iterator(dir, ec)) {
-    const std::string name = entry.path().filename().string();
-    if (name.rfind(prefix, 0) != 0) continue;
-    const std::string suffix = name.substr(prefix.size());
-    if (!AllDigits(suffix)) continue;  // skips .tmp leftovers
-    Generation g;
-    g.seq = std::strtoull(suffix.c_str(), nullptr, 10);
-    std::string container;
-    if (!io::ReadFileBytes(entry.path().string(), &container)) continue;
-    g.bytes = static_cast<int64_t>(container.size());
-    g.checksum = Fnv1a64(container);
-    gens.push_back(g);
+    LineageFileName name;
+    if (!entry.is_regular_file(ec) ||
+        !ParseLineageFileName(entry.path().filename().string(), &name) ||
+        name.base != own) {
+      continue;
+    }
+    if (name.tmp) {
+      files.tmps.push_back(entry.path().string());
+    } else if (!name.manifest) {
+      files.seqs.push_back(name.seq);
+    }
   }
-  std::sort(gens.begin(), gens.end(),
-            [](const Generation& a, const Generation& b) {
-              return a.seq < b.seq;
-            });
-  return gens;
+  std::sort(files.seqs.begin(), files.seqs.end());
+  std::sort(files.tmps.begin(), files.tmps.end());
+  return files;
 }
 
-std::vector<Generation> CheckpointLineage::LiveGenerations(
-    bool* from_manifest) const {
-  std::string text;
-  std::vector<Generation> gens;
-  if (io::ReadFileBytes(manifest_path(), &text) &&
-      ParseLineageManifest(text, &gens)) {
-    if (from_manifest != nullptr) *from_manifest = true;
-    return gens;
+/// The verdict: a listed generation (`row` non-null) must exist, match its
+/// row and parse; an orphan must parse. `found` receives the row the file
+/// on disk deserves, `parsed` the checkpoint of a valid generation.
+GenerationVerdict Judge(const std::string& path, const Row* row, Row* found,
+                        JobCheckpoint* parsed) {
+  std::string bytes;
+  if (!io::ReadFileBytes(path, &bytes) && row != nullptr) {
+    return GenerationVerdict::kMissing;
   }
-  if (from_manifest != nullptr) *from_manifest = false;
-  return ScanGenerations();
+  found->bytes = static_cast<int64_t>(bytes.size());
+  found->checksum = Fnv1a64(bytes);
+  if (row != nullptr &&
+      (row->bytes != found->bytes || row->checksum != found->checksum)) {
+    return GenerationVerdict::kMismatch;
+  }
+  return ParseJobCheckpoint(bytes, parsed) ? GenerationVerdict::kValid
+                                           : GenerationVerdict::kRejected;
+}
+
+/// Inspect(), plus the rows of the valid generations for Repair().
+LineageInventory Survey(const std::string& base_path,
+                        JobCheckpoint* newest_valid, Rows* valid_rows) {
+  LineageInventory inventory;
+  Rows rows;
+  std::string text;
+  inventory.has_manifest = io::ReadFileBytes(base_path + ".lineage", &text);
+  inventory.manifest_ok = inventory.has_manifest && ParseManifest(text, &rows);
+  Files files = ListFiles(base_path);
+  inventory.stale_tmps = std::move(files.tmps);
+  std::set<uint64_t> seqs(files.seqs.begin(), files.seqs.end());
+  for (const auto& [seq, row] : rows) seqs.insert(seq);
+
+  // Newest first, so the first valid generation is the one parsed into
+  // `newest_valid` (a failed parse leaves its target untouched).
+  JobCheckpoint scratch;
+  JobCheckpoint* target = newest_valid != nullptr ? newest_valid : &scratch;
+  for (auto it = seqs.rbegin(); it != seqs.rend(); ++it) {
+    const auto listed = rows.find(*it);
+    const Row* row = listed == rows.end() ? nullptr : &listed->second;
+    Row found;
+    GenerationStatus status;
+    status.seq = *it;
+    status.listed = row != nullptr;
+    status.verdict =
+        Judge(GenerationFile(base_path, *it), row, &found, target);
+    if (status.verdict == GenerationVerdict::kValid) {
+      target = &scratch;
+      if (valid_rows != nullptr) (*valid_rows)[*it] = found;
+    }
+    inventory.generations.push_back(status);
+  }
+  std::reverse(inventory.generations.begin(), inventory.generations.end());
+  return inventory;
+}
+
+}  // namespace
+
+bool ParseLineageFileName(const std::string& name, LineageFileName* out) {
+  LineageFileName parsed;
+  std::string stem = name;
+  if (stem.ends_with(".tmp")) {
+    parsed.tmp = true;
+    stem.resize(stem.size() - 4);
+  }
+  if (stem.ends_with(".lineage")) {
+    parsed.manifest = true;
+    parsed.base = stem.substr(0, stem.size() - 8);
+  } else {
+    const size_t dot_g = stem.rfind(".g");
+    if (dot_g == std::string::npos) return false;
+    const std::string digits = stem.substr(dot_g + 2);
+    if (digits.empty() ||
+        digits.find_first_not_of("0123456789") != std::string::npos) {
+      return false;
+    }
+    parsed.base = stem.substr(0, dot_g);
+    parsed.seq = std::strtoull(digits.c_str(), nullptr, 10);
+  }
+  if (parsed.base.empty()) return false;
+  *out = std::move(parsed);
+  return true;
+}
+
+const char* VerdictReason(GenerationVerdict verdict) {
+  static constexpr const char* kReasons[] = {
+      "valid", "listed generation missing", "manifest checksum mismatch",
+      "corrupt container"};
+  return kReasons[static_cast<int>(verdict)];
+}
+
+bool LineageInventory::unrecoverable() const {
+  if (!has_manifest && generations.empty()) return false;
+  return std::none_of(generations.begin(), generations.end(),
+                      [](const GenerationStatus& g) {
+                        return g.verdict == GenerationVerdict::kValid;
+                      });
+}
+
+CheckpointLineage::CheckpointLineage(std::string base_path,
+                                     int max_generations)
+    : base_path_(std::move(base_path)),
+      max_generations_(std::max(1, max_generations)) {}
+
+std::string CheckpointLineage::GenerationPath(uint64_t seq) const {
+  return GenerationFile(base_path_, seq);
 }
 
 bool CheckpointLineage::Save(const JobCheckpoint& ckpt, int64_t* bytes_out) {
-  // Next seq must clear every on-disk generation — including an orphan a
-  // crash left unlisted — or a stale file would shadow the new write.
-  std::vector<Generation> live = LiveGenerations(nullptr);
-  uint64_t next_seq = 1;
-  for (const Generation& g : live) next_seq = std::max(next_seq, g.seq + 1);
-  for (const Generation& g : ScanGenerations()) {
-    next_seq = std::max(next_seq, g.seq + 1);
+  Rows rows;
+  std::string text;
+  if (io::ReadFileBytes(manifest_path(), &text)) {
+    (void)ParseManifest(text, &rows);  // unparseable: start a fresh one
   }
+  // Next seq must clear every listed and every on-disk generation —
+  // including an orphan a crash left unlisted — or a stale file would
+  // shadow the new write.
+  const Files files = ListFiles(base_path_);
+  std::set<uint64_t> seqs(files.seqs.begin(), files.seqs.end());
+  for (const auto& [seq, row] : rows) seqs.insert(seq);
+  const uint64_t next_seq = seqs.empty() ? 1 : *seqs.rbegin() + 1;
 
   const std::string payload = SerializeJobCheckpoint(ckpt);
-  Generation fresh;
-  fresh.seq = next_seq;
-  fresh.bytes = static_cast<int64_t>(payload.size());
-  // Checksum of the *intended* bytes: an injected torn/bitflip commit that
-  // lies about success is caught because the manifest remembers what the
-  // file should have hashed to.
-  fresh.checksum = Fnv1a64(payload);
-  const std::string gen_path = GenerationPath(fresh.seq);
-  if (!retry_.Run([&] { return AtomicWriteFile(gen_path, payload); })) {
+  const Row fresh{static_cast<int64_t>(payload.size()), Fnv1a64(payload)};
+  if (!io::RunWithRetry([&] {
+        return io::AtomicReplace(GenerationPath(next_seq), payload,
+                                 io::FileKind::kCheckpoint);
+      })) {
     return false;
   }
+  rows[next_seq] = fresh;
+  seqs.insert(next_seq);
 
-  live.push_back(fresh);
-  std::sort(live.begin(), live.end(),
-            [](const Generation& a, const Generation& b) {
-              return a.seq < b.seq;
-            });
-  std::vector<Generation> pruned;
-  while (static_cast<int>(live.size()) > max_generations_) {
-    pruned.push_back(live.front());
-    live.erase(live.begin());
+  // Retention spans the whole inventory, orphans included: anything older
+  // than the newest max_generations_ seqs leaves the manifest now and the
+  // disk once the committed manifest stops listing it.
+  std::vector<uint64_t> pruned;
+  while (static_cast<int>(seqs.size()) > max_generations_) {
+    pruned.push_back(*seqs.begin());
+    rows.erase(*seqs.begin());
+    seqs.erase(seqs.begin());
   }
-  const std::string manifest = FormatLineageManifest(live);
-  if (!retry_.Run([&] {
+  const std::string manifest = FormatManifest(rows);
+  if (!io::RunWithRetry([&] {
         return io::AtomicReplace(manifest_path(), manifest,
                                  io::FileKind::kManifest);
       })) {
     return false;
   }
-  // Prune only after the manifest stopped referencing the old generations;
-  // a crash in between leaves orphans the scan fallback still understands.
-  for (const Generation& g : pruned) {
-    (void)io::RemoveFile(GenerationPath(g.seq));
-  }
+  for (uint64_t seq : pruned) (void)io::RemoveFile(GenerationPath(seq));
 
   if (bytes_out != nullptr) *bytes_out = fresh.bytes;
   auto& registry = obs::MetricRegistry::Global();
@@ -180,47 +269,25 @@ bool CheckpointLineage::Save(const JobCheckpoint& ckpt, int64_t* bytes_out) {
   return true;
 }
 
+LineageInventory CheckpointLineage::Inspect(
+    JobCheckpoint* newest_valid) const {
+  return Survey(base_path_, newest_valid, nullptr);
+}
+
 LineageLoadResult CheckpointLineage::Load(JobCheckpoint* out) const {
   LineageLoadResult result;
-  bool from_manifest = false;
-  std::vector<Generation> live = LiveGenerations(&from_manifest);
-  if (from_manifest) {
-    // Union in orphans (a generation committed after the last manifest
-    // write); they are newer than anything listed and equally valid.
-    std::set<uint64_t> listed;
-    for (const Generation& g : live) listed.insert(g.seq);
-    for (const Generation& g : ScanGenerations()) {
-      if (listed.count(g.seq) == 0) live.push_back(g);
-    }
-    std::sort(live.begin(), live.end(),
-              [](const Generation& a, const Generation& b) {
-                return a.seq < b.seq;
-              });
-  }
-  if (live.empty()) {
-    result.error = "no checkpoint";
-    return result;
-  }
-  for (auto it = live.rbegin(); it != live.rend(); ++it) {
-    const std::string path = GenerationPath(it->seq);
-    std::string container;
-    std::string reason;
-    if (!io::ReadFileBytes(path, &container)) {
-      reason = "unreadable";
-    } else if (from_manifest && it->checksum != 0 &&
-               (static_cast<int64_t>(container.size()) != it->bytes ||
-                Fnv1a64(container) != it->checksum)) {
-      reason = "manifest checksum mismatch";
-    } else if (!ParseJobCheckpoint(container, out)) {
-      reason = "corrupt container";
-    } else {
+  const LineageInventory inventory = Inspect(out);
+  for (auto it = inventory.generations.rbegin();
+       it != inventory.generations.rend(); ++it) {
+    if (it->verdict == GenerationVerdict::kValid) {
       result.ok = true;
       result.seq = it->seq;
       break;
     }
     ++result.fallbacks;
     if (!result.error.empty()) result.error += "; ";
-    result.error += "g" + std::to_string(it->seq) + ": " + reason;
+    result.error +=
+        "g" + std::to_string(it->seq) + ": " + VerdictReason(it->verdict);
   }
   if (result.fallbacks > 0) {
     obs::MetricRegistry::Global().Add(obs::Counter::kCheckpointFallbacks,
@@ -230,19 +297,42 @@ LineageLoadResult CheckpointLineage::Load(JobCheckpoint* out) const {
   return result;
 }
 
-bool CheckpointLineage::Remove() {
-  bool ok = true;
-  std::set<uint64_t> seqs;
-  for (const Generation& g : LiveGenerations(nullptr)) seqs.insert(g.seq);
-  for (const Generation& g : ScanGenerations()) seqs.insert(g.seq);
-  for (uint64_t seq : seqs) {
-    const std::string path = GenerationPath(seq);
-    if (!io::RemoveFile(path)) ok = false;
-    (void)io::RemoveFile(path + ".tmp");
+int CheckpointLineage::Repair() {
+  Rows valid;
+  const LineageInventory inventory = Survey(base_path_, nullptr, &valid);
+  if (inventory.unrecoverable()) return 0;
+  int repaired = 0;
+  for (const GenerationStatus& g : inventory.generations) {
+    // A missing generation has no file to drop.
+    if (g.verdict != GenerationVerdict::kValid &&
+        g.verdict != GenerationVerdict::kMissing &&
+        io::RemoveFile(GenerationPath(g.seq))) {
+      ++repaired;
+    }
   }
-  if (!io::RemoveFile(manifest_path())) ok = false;
-  (void)io::RemoveFile(manifest_path() + ".tmp");
-  return ok;
+  for (const std::string& tmp : inventory.stale_tmps) {
+    if (io::RemoveFile(tmp)) ++repaired;
+  }
+  // Nothing but tmps (a first save killed mid-write): writing an empty
+  // manifest would turn the lineage unrecoverable.
+  if (valid.empty()) return repaired;
+  const std::string fixed = FormatManifest(valid);
+  std::string current;
+  if ((!io::ReadFileBytes(manifest_path(), &current) || current != fixed) &&
+      io::AtomicReplace(manifest_path(), fixed, io::FileKind::kManifest)) {
+    ++repaired;
+  }
+  return repaired;
+}
+
+bool CheckpointLineage::Remove() {
+  const Files files = ListFiles(base_path_);
+  bool ok = true;
+  for (uint64_t seq : files.seqs) {
+    ok = io::RemoveFile(GenerationPath(seq)) && ok;
+  }
+  for (const std::string& tmp : files.tmps) ok = io::RemoveFile(tmp) && ok;
+  return io::RemoveFile(manifest_path()) && ok;
 }
 
 }  // namespace benchtemp::robustness

@@ -10,8 +10,6 @@
 #include "base/mutex.h"
 #include "io/file.h"
 #include "obs/metrics.h"
-#include "robustness/checkpoint.h"
-#include "robustness/retry.h"
 #include "runtime/thread_pool.h"
 #include "tensor/tensor.h"
 
@@ -118,13 +116,10 @@ bool SweepManifest::Commit(const SweepJobResult& result) {
                 result.failed ? 1 : 0, result.failure_reason.c_str());
   lines += done;
   // Transient failures (an injected eio_manifest, a blip of a networked
-  // filesystem) retry with deterministic backoff; a partially appended
-  // block is tolerated because Load() discards any key whose rec count
-  // disagrees with its done line — the job merely reruns.
-  const RetryPolicy retry{/*max_attempts=*/3, /*base_backoff_ms=*/1,
-                          /*multiplier=*/2.0, /*max_backoff_ms=*/50,
-                          /*seed=*/Fnv1a64(result.key)};
-  const bool committed = retry.Run([&] {
+  // filesystem) retry on the fixed schedule; a partially appended block is
+  // tolerated because Load() discards any key whose rec count disagrees
+  // with its done line — the job merely reruns.
+  const bool committed = io::RunWithRetry([&] {
     io::File out;
     if (!out.OpenAppend(path_, io::FileKind::kManifest)) return false;
     if (!out.Write(lines)) {

@@ -45,8 +45,6 @@ class SweepManifest {
   /// flushes. Returns false on I/O failure.
   bool Commit(const SweepJobResult& result);
 
-  const std::string& path() const { return path_; }
-
  private:
   std::string path_;
   std::unordered_map<std::string, SweepJobResult> completed_;

@@ -1,12 +1,15 @@
-// Tests of the checked I/O shim (src/io), the deterministic retry policy,
-// and the offline fsck pass — the plumbing under DESIGN.md "Failure model
-// v2". Fault injection drives every simulated disk failure; each test
-// leaves the process-wide injector disarmed.
+// Tests of the checked I/O shim (src/io), the fixed retry schedule, the
+// checkpoint lineage's one verdict and the offline fsck pass — the
+// plumbing under DESIGN.md "Failure model v2". Fault injection drives
+// every simulated disk failure; each test leaves the process-wide injector
+// disarmed.
 
 #include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -17,7 +20,6 @@
 #include "robustness/checkpoint.h"
 #include "robustness/fsck.h"
 #include "robustness/lineage.h"
-#include "robustness/retry.h"
 
 namespace benchtemp {
 namespace {
@@ -28,6 +30,8 @@ using io::AtomicReplace;
 using io::File;
 using io::FileKind;
 using io::ReadFileBytes;
+using io::RetryBackoffMs;
+using io::RunWithRetry;
 using robustness::CheckpointLineage;
 using base::FaultInjector;
 using base::FaultSite;
@@ -35,7 +39,6 @@ using base::FaultSpec;
 using robustness::FsckDirectory;
 using robustness::FsckReport;
 using robustness::JobCheckpoint;
-using robustness::RetryPolicy;
 
 class IoTest : public ::testing::Test {
  protected:
@@ -217,53 +220,27 @@ TEST_F(IoTest, GenericAndManifestKindsNeverProbeCheckpointCorruption) {
 }
 
 // ---------------------------------------------------------------------------
-// RetryPolicy: deterministic backoff, bounded attempts
+// Retry: one fixed schedule, bounded attempts
 
-TEST_F(IoTest, BackoffIsDeterministicBoundedAndSeeded) {
-  RetryPolicy policy;
-  policy.max_attempts = 6;
-  policy.base_backoff_ms = 4;
-  policy.multiplier = 2.0;
-  policy.max_backoff_ms = 10;
-  policy.seed = 42;
-
-  std::vector<int64_t> first;
-  for (int attempt = 1; attempt < policy.max_attempts; ++attempt) {
-    const int64_t ms = policy.BackoffMs(attempt);
-    EXPECT_GE(ms, 0);
-    // Exponential base capped at max, plus jitter bounded by base.
-    EXPECT_LE(ms, policy.max_backoff_ms + policy.base_backoff_ms);
-    first.push_back(ms);
+TEST_F(IoTest, RetryBackoffFollowsTheFixedSchedule) {
+  // Three attempts; 1 ms doubling per retry up to a 50 ms cap; no jitter,
+  // so the schedule is the same for every writer and every run.
+  EXPECT_EQ(io::kRetryAttempts, 3);
+  const int64_t expected[] = {0, 1, 2, 4, 8, 16, 32, 50, 50};
+  for (int attempt = 0; attempt < 9; ++attempt) {
+    EXPECT_EQ(RetryBackoffMs(attempt), expected[attempt]) << attempt;
   }
-  // Same policy, same schedule — replayable to the millisecond.
-  for (int attempt = 1; attempt < policy.max_attempts; ++attempt) {
-    EXPECT_EQ(policy.BackoffMs(attempt),
-              first[static_cast<size_t>(attempt - 1)]);
-  }
-  // A different seed shifts the jitter somewhere in the schedule.
-  RetryPolicy reseeded = policy;
-  reseeded.seed = 43;
-  bool any_different = false;
-  for (int attempt = 1; attempt < policy.max_attempts; ++attempt) {
-    any_different =
-        any_different ||
-        reseeded.BackoffMs(attempt) != first[static_cast<size_t>(attempt - 1)];
-  }
-  EXPECT_TRUE(any_different);
+  EXPECT_EQ(RetryBackoffMs(-1), 0);
+  EXPECT_EQ(RetryBackoffMs(1000), 50);
 }
 
 TEST_F(IoTest, RunRetriesUntilSuccessAndGivesUp) {
-  RetryPolicy policy;
-  policy.max_attempts = 3;
-  policy.base_backoff_ms = 0;
-  policy.max_backoff_ms = 0;
-
   int calls = 0;
-  EXPECT_TRUE(policy.Run([&] { return ++calls == 3; }));
+  EXPECT_TRUE(RunWithRetry([&] { return ++calls == 3; }));
   EXPECT_EQ(calls, 3);
 
   calls = 0;
-  EXPECT_FALSE(policy.Run([&] {
+  EXPECT_FALSE(RunWithRetry([&] {
     ++calls;
     return false;
   }));
@@ -271,17 +248,12 @@ TEST_F(IoTest, RunRetriesUntilSuccessAndGivesUp) {
 }
 
 TEST_F(IoTest, RetryRidesOutTransientEioBurst) {
-  // Two injected EIO hits, then the disk recovers: the policy's third
-  // attempt lands the checkpoint.
+  // Two injected EIO hits, then the disk recovers: the third attempt lands
+  // the checkpoint.
   FaultInjector::Global().Arm(FaultSite::kEioWrite, AtStep(0, 2));
-  RetryPolicy policy;
-  policy.max_attempts = 3;
-  policy.base_backoff_ms = 0;
-  policy.max_backoff_ms = 0;
-
   const std::string path = TempPath("transient.ckpt");
   const std::string payload = "generation payload";
-  EXPECT_TRUE(policy.Run(
+  EXPECT_TRUE(RunWithRetry(
       [&] { return AtomicReplace(path, payload, FileKind::kCheckpoint); }));
   std::string bytes;
   ASSERT_TRUE(ReadFileBytes(path, &bytes));
@@ -330,6 +302,9 @@ TEST_F(IoTest, FsckPassesACleanLineage) {
   EXPECT_EQ(report.corrupt, 0);
   EXPECT_TRUE(report.clean());
   EXPECT_TRUE(report.issues.empty());
+  EXPECT_EQ(robustness::FormatFsckReport(report),
+            "lineages: 1\ngenerations: 3\ncorrupt: 0\norphans: 0\n"
+            "stale_tmps: 0\nrepaired: 0\nunrecoverable: 0\n");
   fs::remove_all(dir);
 }
 
@@ -354,10 +329,12 @@ TEST_F(IoTest, FsckDetectsEveryInjectedCorruption) {
   EXPECT_TRUE(found_g2);
   EXPECT_TRUE(found_g3);
 
-  // The formatted report is what btfsck prints; spot-check its shape.
-  const std::string text = robustness::FormatFsckReport(report);
-  EXPECT_NE(text.find("corrupt: 2"), std::string::npos);
-  EXPECT_NE(text.find("issue|"), std::string::npos);
+  // The formatted report is what btfsck prints, byte for byte.
+  EXPECT_EQ(robustness::FormatFsckReport(report),
+            "lineages: 1\ngenerations: 3\ncorrupt: 2\norphans: 0\n"
+            "stale_tmps: 0\nrepaired: 0\nunrecoverable: 0\n"
+            "issue|" + dir + "/job.ckpt.g2|manifest checksum mismatch\n"
+            "issue|" + dir + "/job.ckpt.g3|manifest checksum mismatch\n");
   fs::remove_all(dir);
 }
 
@@ -366,9 +343,10 @@ TEST_F(IoTest, FsckRepairDropsCorruptAdoptsOrphansRewritesManifest) {
   CheckpointLineage lineage(dir + "/job.ckpt", 3);
   FlipByte(lineage.GenerationPath(2), 25);
   // Orphan from a crash between generation commit and manifest commit.
-  ASSERT_TRUE(robustness::AtomicWriteFile(
+  ASSERT_TRUE(AtomicReplace(
       lineage.GenerationPath(5),
-      robustness::SerializeJobCheckpoint(EpochCheckpoint(5))));
+      robustness::SerializeJobCheckpoint(EpochCheckpoint(5)),
+      FileKind::kCheckpoint));
   // Stale tmp from a torn atomic replace.
   { std::ofstream out(lineage.GenerationPath(6) + ".tmp"); out << "junk"; }
 
@@ -376,8 +354,15 @@ TEST_F(IoTest, FsckRepairDropsCorruptAdoptsOrphansRewritesManifest) {
   EXPECT_EQ(report.corrupt, 1);
   EXPECT_EQ(report.orphans, 1);
   EXPECT_EQ(report.stale_tmps, 1);
-  EXPECT_GT(report.repaired, 0);
   EXPECT_EQ(report.unrecoverable, 0);
+  // Dropped g2, deleted the tmp, rewrote the manifest.
+  EXPECT_EQ(robustness::FormatFsckReport(report),
+            "lineages: 1\ngenerations: 3\ncorrupt: 1\norphans: 1\n"
+            "stale_tmps: 1\nrepaired: 3\nunrecoverable: 0\n"
+            "issue|" + dir + "/job.ckpt.g2|manifest checksum mismatch\n"
+            "issue|" + dir + "/job.ckpt.g5|orphan generation (valid)\n"
+            "issue|" + dir +
+                "/job.ckpt.g6.tmp|stale tmp from interrupted commit\n");
 
   // Post-repair the directory verifies clean and the orphan is live.
   report = FsckDirectory(dir, /*repair=*/false);
@@ -401,13 +386,189 @@ TEST_F(IoTest, FsckReportsUnrecoverableLineage) {
   const FsckReport report = FsckDirectory(dir, /*repair=*/false);
   EXPECT_EQ(report.unrecoverable, 1);
   EXPECT_FALSE(report.clean());
+  const std::string text =
+      "lineages: 1\ngenerations: 2\ncorrupt: 2\norphans: 0\n"
+      "stale_tmps: 0\nrepaired: 0\nunrecoverable: 1\n"
+      "issue|" + dir + "/job.ckpt|no valid generation survives\n"
+      "issue|" + dir + "/job.ckpt.g1|manifest checksum mismatch\n"
+      "issue|" + dir + "/job.ckpt.g2|manifest checksum mismatch\n";
+  EXPECT_EQ(robustness::FormatFsckReport(report), text);
 
   // Repair refuses to touch it: every byte stays for the post-mortem.
   const FsckReport repaired = FsckDirectory(dir, /*repair=*/true);
-  EXPECT_EQ(repaired.unrecoverable, 1);
+  EXPECT_EQ(robustness::FormatFsckReport(repaired), text);
   std::string unused;
   EXPECT_TRUE(ReadFileBytes(lineage.GenerationPath(1), &unused));
   EXPECT_TRUE(ReadFileBytes(lineage.GenerationPath(2), &unused));
+  fs::remove_all(dir);
+}
+
+TEST_F(IoTest, FsckRepairOfAKilledFirstSaveWritesNoManifest) {
+  // A kill during the very first save leaves only a tmp. Repair deletes it
+  // and must not conjure an empty manifest, which would read back as an
+  // unrecoverable lineage.
+  const std::string dir = TempPath("fsck_first_save");
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  { std::ofstream out(dir + "/job.ckpt.g1.tmp"); out << "junk"; }
+
+  FsckReport report = FsckDirectory(dir, /*repair=*/true);
+  EXPECT_EQ(report.stale_tmps, 1);
+  EXPECT_EQ(report.repaired, 1);
+  report = FsckDirectory(dir, /*repair=*/false);
+  EXPECT_TRUE(report.clean());
+  EXPECT_EQ(report.lineages, 0);
+  EXPECT_TRUE(fs::is_empty(dir));
+  fs::remove_all(dir);
+}
+
+// ---------------------------------------------------------------------------
+// One verdict: Load and fsck agree on every damaged lineage
+
+/// Replaces field `field` (0 = bytes, 1 = checksum) of generation `seq`'s
+/// manifest row with `value`.
+void SetManifestField(const std::string& manifest, uint64_t seq, int field,
+                      const std::string& value) {
+  std::string text;
+  ASSERT_TRUE(ReadFileBytes(manifest, &text));
+  const std::string key = "gen|" + std::to_string(seq) + "|";
+  size_t begin = text.find(key);
+  ASSERT_NE(begin, std::string::npos);
+  begin += key.size();
+  if (field == 1) begin = text.find('|', begin) + 1;
+  const size_t end = text.find_first_of("|\n", begin);
+  text.replace(begin, end - begin, value);
+  std::ofstream(manifest, std::ios::binary | std::ios::trunc) << text;
+}
+
+void WriteGeneration(const std::string& path, int epoch) {
+  ASSERT_TRUE(AtomicReplace(
+      path, robustness::SerializeJobCheckpoint(EpochCheckpoint(epoch)),
+      FileKind::kCheckpoint));
+}
+
+TEST_F(IoTest, LoadAndFsckAgreeOnEveryDamagedLineage) {
+  struct Case {
+    const char* name;
+    std::function<void(const CheckpointLineage&)> damage;
+    uint64_t seq;   // generation Load resumes from
+    int fallbacks;  // newer generations it skips
+  };
+  const auto g = [](const CheckpointLineage& l, uint64_t seq) {
+    return l.GenerationPath(seq);
+  };
+  const std::vector<Case> cases = {
+      {"header flip", [&](const auto& l) { FlipByte(g(l, 3), 0); }, 2, 1},
+      {"body flip", [&](const auto& l) { FlipByte(g(l, 3), 60); }, 2, 1},
+      {"trailing checksum flip",
+       [&](const auto& l) { FlipByte(g(l, 3), fs::file_size(g(l, 3)) - 1); },
+       2, 1},
+      {"torn generation",
+       [&](const auto& l) {
+         fs::resize_file(g(l, 3), fs::file_size(g(l, 3)) / 2);
+       },
+       2, 1},
+      {"listed file missing", [&](const auto& l) { fs::remove(g(l, 3)); },
+       2, 1},
+      {"two newest damaged",
+       [&](const auto& l) {
+         FlipByte(g(l, 3), 0);
+         fs::remove(g(l, 2));
+       },
+       1, 2},
+      {"valid orphan", [&](const auto& l) { WriteGeneration(g(l, 4), 4); },
+       4, 0},
+      {"corrupt orphan",
+       [&](const auto& l) {
+         WriteGeneration(g(l, 4), 4);
+         FlipByte(g(l, 4), 20);
+       },
+       3, 1},
+      {"corrupt manifest",
+       [](const auto& l) {
+         std::ofstream(l.manifest_path(), std::ios::trunc) << "garbage\n";
+       },
+       3, 0},
+      {"missing manifest",
+       [](const auto& l) { fs::remove(l.manifest_path()); }, 3, 0},
+      {"row size disagrees",
+       [&](const auto& l) {
+         SetManifestField(l.manifest_path(), 3, 0,
+                          std::to_string(fs::file_size(g(l, 3)) + 1));
+       },
+       2, 1},
+      {"row checksum disagrees",
+       [](const auto& l) {
+         SetManifestField(l.manifest_path(), 3, 1, "0123456789abcdef");
+       },
+       2, 1},
+      // A different, valid container of the same size under a row whose
+      // checksum is 0: zero is a checksum like any other.
+      {"row checksum 0",
+       [&](const auto& l) {
+         WriteGeneration(g(l, 3), 9);
+         SetManifestField(l.manifest_path(), 3, 1, "0");
+       },
+       2, 1},
+  };
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::string dir = MakeLineageDir("agree", 3);
+    const CheckpointLineage lineage(dir + "/job.ckpt", 3);
+    c.damage(lineage);
+
+    const FsckReport report = FsckDirectory(dir, /*repair=*/false);
+    std::set<std::string> flagged;  // generation files fsck calls invalid
+    for (const auto& issue : report.issues) {
+      if (issue.reason != "corrupt manifest" &&
+          issue.reason != "orphan generation (valid)") {
+        flagged.insert(issue.path);
+      }
+    }
+    uint64_t fsck_newest_valid = 0;
+    int generations = 0;
+    for (uint64_t seq = 1; seq <= 9; ++seq) {
+      const std::string path = lineage.GenerationPath(seq);
+      if (!fs::exists(path) && flagged.count(path) == 0) continue;
+      ++generations;
+      if (flagged.count(path) == 0) fsck_newest_valid = seq;
+    }
+    EXPECT_EQ(report.generations, generations);
+    int fsck_newer_flagged = 0;
+    for (uint64_t seq = fsck_newest_valid + 1; seq <= 9; ++seq) {
+      fsck_newer_flagged += static_cast<int>(
+          flagged.count(lineage.GenerationPath(seq)));
+    }
+
+    JobCheckpoint loaded;
+    const auto result = lineage.Load(&loaded);
+    ASSERT_TRUE(result.ok) << result.error;
+    EXPECT_EQ(result.seq, fsck_newest_valid);
+    EXPECT_EQ(result.fallbacks, fsck_newer_flagged);
+    EXPECT_EQ(result.seq, c.seq);
+    EXPECT_EQ(result.fallbacks, c.fallbacks);
+    EXPECT_EQ(loaded.next_epoch, static_cast<int>(c.seq));
+    fs::remove_all(dir);
+  }
+}
+
+TEST_F(IoTest, SavePrunesOrphansOutsideTheRetentionWindow) {
+  const std::string dir = MakeLineageDir("retention", 2);
+  CheckpointLineage lineage(dir + "/job.ckpt", 3);
+  // A crash between the generation commit and the manifest commit leaves
+  // g3 unlisted; the retention window still covers it.
+  WriteGeneration(lineage.GenerationPath(3), 3);
+  for (int epoch = 4; epoch <= 8; ++epoch) {
+    ASSERT_TRUE(lineage.Save(EpochCheckpoint(epoch)));
+  }
+  std::set<std::string> left;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    left.insert(entry.path().filename().string());
+  }
+  EXPECT_EQ(left, (std::set<std::string>{"job.ckpt.g6", "job.ckpt.g7",
+                                         "job.ckpt.g8", "job.ckpt.lineage"}));
+  EXPECT_TRUE(FsckDirectory(dir, /*repair=*/false).clean());
   fs::remove_all(dir);
 }
 

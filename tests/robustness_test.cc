@@ -106,21 +106,24 @@ std::string TempPath(const std::string& name) {
 
 TEST_F(RobustnessTest, AtomicWriteSurvivesCrashInRenameWindow) {
   const std::string path = TempPath("atomic.bin");
-  ASSERT_TRUE(AtomicWriteFile(path, "generation-1"));
+  ASSERT_TRUE(
+      io::AtomicReplace(path, "generation-1", io::FileKind::kCheckpoint));
 
   // Crash between temp-file write and rename: the committed file must keep
   // its old contents.
   FaultSpec spec;
   spec.at_step = 0;
   FaultInjector::Global().Arm(FaultSite::kCheckpointRename, spec);
-  EXPECT_FALSE(AtomicWriteFile(path, "generation-2-torn"));
+  EXPECT_FALSE(
+      io::AtomicReplace(path, "generation-2-torn", io::FileKind::kCheckpoint));
   std::string contents;
   ASSERT_TRUE(io::ReadFileBytes(path, &contents));
   EXPECT_EQ(contents, "generation-1");
 
   // Once the fault passes, the next commit replaces the file whole.
   FaultInjector::Global().DisarmAll();
-  ASSERT_TRUE(AtomicWriteFile(path, "generation-3"));
+  ASSERT_TRUE(
+      io::AtomicReplace(path, "generation-3", io::FileKind::kCheckpoint));
   ASSERT_TRUE(io::ReadFileBytes(path, &contents));
   EXPECT_EQ(contents, "generation-3");
   unlink(path.c_str());
@@ -589,13 +592,15 @@ TEST_F(RobustnessTest, LineageKeepsLastNGenerationsAndPrunes) {
 
   // Only the last two generations survive; the first was pruned from both
   // the manifest and the directory.
-  std::string manifest;
-  ASSERT_TRUE(io::ReadFileBytes(lineage.manifest_path(), &manifest));
-  std::vector<Generation> gens;
-  ASSERT_TRUE(ParseLineageManifest(manifest, &gens));
-  ASSERT_EQ(gens.size(), 2u);
-  EXPECT_EQ(gens[0].seq, 2u);
-  EXPECT_EQ(gens[1].seq, 3u);
+  const LineageInventory inventory = lineage.Inspect();
+  EXPECT_TRUE(inventory.manifest_ok);
+  ASSERT_EQ(inventory.generations.size(), 2u);
+  EXPECT_EQ(inventory.generations[0].seq, 2u);
+  EXPECT_EQ(inventory.generations[1].seq, 3u);
+  for (const GenerationStatus& g : inventory.generations) {
+    EXPECT_TRUE(g.listed);
+    EXPECT_EQ(g.verdict, GenerationVerdict::kValid);
+  }
   std::string unused;
   EXPECT_FALSE(io::ReadFileBytes(lineage.GenerationPath(1), &unused));
 
@@ -664,8 +669,9 @@ TEST_F(RobustnessTest, LineageSurvivesManifestLossAndAdoptsOrphans) {
   // A crash between the generation commit and the manifest commit leaves an
   // orphan generation file the manifest does not know about. It is newer,
   // valid, and must win.
-  ASSERT_TRUE(AtomicWriteFile(lineage.GenerationPath(7),
-                              SerializeJobCheckpoint(EpochCheckpoint(7))));
+  ASSERT_TRUE(io::AtomicReplace(lineage.GenerationPath(7),
+                                SerializeJobCheckpoint(EpochCheckpoint(7)),
+                                io::FileKind::kCheckpoint));
   JobCheckpoint loaded;
   LineageLoadResult result = lineage.Load(&loaded);
   ASSERT_TRUE(result.ok);
@@ -673,7 +679,7 @@ TEST_F(RobustnessTest, LineageSurvivesManifestLossAndAdoptsOrphans) {
   EXPECT_EQ(loaded.next_epoch, 7);
 
   // The manifest itself is not a single point of failure: corrupt it, then
-  // delete it — the directory scan answers either way.
+  // delete it — the generation files, judged as orphans, answer either way.
   {
     std::ofstream out(lineage.manifest_path(), std::ios::trunc);
     out << "not a manifest\n";

@@ -1,17 +1,21 @@
 // btfsck — offline integrity checker for BenchTemp checkpoint directories.
 //
-// Scans a directory for checkpoint lineages (<job>.lineage manifests plus
-// <job>.g<seq> generation files), verifies every generation against both
-// the manifest's recorded size/checksum and the BTJC container's own
-// trailing checksum, and reports orphans and stale .tmp files left by
-// interrupted commits.
+// Groups a directory's files into checkpoint lineages (<job>.lineage
+// manifests plus <job>.g<seq> generation files) and reports each one's
+// CheckpointLineage::Inspect() verdicts — the same verdicts a resuming job
+// loads by: a generation must match its manifest row's size and checksum
+// and be a valid BTJC container; an orphan the manifest does not list is
+// judged by its container alone. Orphans and stale .tmp files left by
+// interrupted commits are reported too.
 //
 //   btfsck <dir>            report problems (exit 1 only when a lineage is
 //                           unrecoverable)
 //   btfsck --verify <dir>   exit 1 on ANY corruption (CI gate)
-//   btfsck --repair <dir>   drop corrupt generations, adopt valid orphans,
-//                           rewrite manifests, delete stale tmps; exit 1
-//                           when a lineage has no valid generation left
+//   btfsck --repair <dir>   CheckpointLineage::Repair() per lineage: drop
+//                           invalid generations and stale tmps, rewrite
+//                           manifests to list the valid survivors (orphans
+//                           adopted); exit 1 when a lineage has no valid
+//                           generation left
 #include <cstdio>
 #include <cstring>
 #include <string>
