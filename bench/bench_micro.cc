@@ -159,46 +159,79 @@ BENCHMARK(BM_AttentionForward);
 
 // ---------------------------------------------------------------------------
 // Kernel-layer microbenchmarks (BM_Kernel*; `--kernels` runs only these and
-// emits BENCH_kernels.json). GEMM shapes are the actual model projections:
-// 172 = Reddit edge-feature concat width, 100 = node-feature width, 64 =
-// embedding/attention width, at the default batch of 200 rows.
+// emits BENCH_kernels.json). Each GEMM benchmark takes (n, k, m) for
+// C[n,m] = A[n,k] * B[k,m] and its two backward passes, one benchmark per
+// kernel so the artifact attributes time to each. Shapes: the n=200 batch
+// at inner dims 172 (Reddit edge-feature concat), 100 (node features) and
+// 64 (embedding/attention), plus the shapes that dominate a profile of the
+// perfbench workloads: 7500-row projections at k=24 and k=16 and a
+// 1500-row one at k=40 (all m=24), and the m=1 predictor output over 400
+// rows.
 // ---------------------------------------------------------------------------
 
+void GemmShapes(benchmark::internal::Benchmark* b) {
+  b->ArgNames({"n", "k", "m"});
+  for (const int64_t k : {172, 100, 64}) b->Args({200, k, 64});
+  b->Args({7500, 24, 24});
+  b->Args({7500, 16, 24});
+  b->Args({1500, 40, 24});
+  b->Args({400, 24, 1});
+}
+
+struct GemmOperands {
+  explicit GemmOperands(const benchmark::State& state)
+      : n(state.range(0)), k(state.range(1)), m(state.range(2)) {
+    tensor::Rng rng(1);
+    a = tensor::Tensor::Randn({n, k}, rng);
+    b = tensor::Tensor::Randn({k, m}, rng);
+    c = tensor::Tensor::Randn({n, m}, rng);
+  }
+  int64_t n, k, m;
+  tensor::Tensor a, b, c;
+};
+
 void BM_KernelGemm(benchmark::State& state) {
-  tensor::Rng rng(1);
-  const int64_t n = 200, k = state.range(0), m = 64;
-  const tensor::Tensor a = tensor::Tensor::Randn({n, k}, rng);
-  const tensor::Tensor b = tensor::Tensor::Randn({k, m}, rng);
-  tensor::Tensor c({n, m});
+  const GemmOperands g(state);
+  tensor::Tensor c({g.n, g.m});
   for (auto _ : state) {
     c.Fill(0.0f);
-    tensor::kernels::Gemm(a.data(), b.data(), c.data(), n, k, m);
-    benchmark::DoNotOptimize(c.at(0));
+    tensor::kernels::Gemm(g.a.data(), g.b.data(), c.data(), g.n, g.k, g.m);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations() * 2 * n * k * m);
+  state.SetItemsProcessed(state.iterations() * 2 * g.n * g.k * g.m);
 }
-BENCHMARK(BM_KernelGemm)->Arg(172)->Arg(100)->Arg(64);
+BENCHMARK(BM_KernelGemm)->Apply(GemmShapes);
 
-void BM_KernelGemmBackward(benchmark::State& state) {
-  // Both MatMul backward kernels at the attention-projection shape.
-  tensor::Rng rng(1);
-  const int64_t n = 200, k = state.range(0), m = 64;
-  const tensor::Tensor a = tensor::Tensor::Randn({n, k}, rng);
-  const tensor::Tensor b = tensor::Tensor::Randn({k, m}, rng);
-  const tensor::Tensor dc = tensor::Tensor::Randn({n, m}, rng);
-  tensor::Tensor da({n, k});
-  tensor::Tensor db({k, m});
+void BM_KernelGemmNT(benchmark::State& state) {
+  // MatMul backward for A: dA[n,k] += dC[n,m] * B[k,m]^T.
+  const GemmOperands g(state);
+  tensor::Tensor da({g.n, g.k});
   for (auto _ : state) {
     da.Fill(0.0f);
-    db.Fill(0.0f);
-    tensor::kernels::GemmNT(dc.data(), b.data(), da.data(), n, k, m);
-    tensor::kernels::GemmTN(a.data(), dc.data(), db.data(), n, k, m);
-    benchmark::DoNotOptimize(da.at(0));
-    benchmark::DoNotOptimize(db.at(0));
+    tensor::kernels::GemmNT(g.c.data(), g.b.data(), da.data(), g.n, g.k,
+                            g.m);
+    benchmark::DoNotOptimize(da.data());
+    benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations() * 4 * n * k * m);
+  state.SetItemsProcessed(state.iterations() * 2 * g.n * g.k * g.m);
 }
-BENCHMARK(BM_KernelGemmBackward)->Arg(172)->Arg(100)->Arg(64);
+BENCHMARK(BM_KernelGemmNT)->Apply(GemmShapes);
+
+void BM_KernelGemmTN(benchmark::State& state) {
+  // MatMul backward for B: dB[k,m] += A[n,k]^T * dC[n,m].
+  const GemmOperands g(state);
+  tensor::Tensor db({g.k, g.m});
+  for (auto _ : state) {
+    db.Fill(0.0f);
+    tensor::kernels::GemmTN(g.a.data(), g.c.data(), db.data(), g.n, g.k,
+                            g.m);
+    benchmark::DoNotOptimize(db.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * g.n * g.k * g.m);
+}
+BENCHMARK(BM_KernelGemmTN)->Apply(GemmShapes);
 
 void BM_KernelSoftmaxRow(benchmark::State& state) {
   // The attention-score row shape: batch of 200 rows over k=8 keys, plus a

@@ -6,23 +6,27 @@
 // Compute-kernel layer of the tensor stack (see DESIGN.md "Kernel layer &
 // tensor arena"). Two families:
 //
-//   - GEMM entry points (Gemm / GemmNT / GemmTN): cache-blocked,
-//     register-tiled matrix kernels that parallelize internally over
+//   - GEMM entry points (Gemm / GemmNT / GemmTN): register-tiled matrix
+//     kernels that hold each output tile in registers over its whole
+//     reduction and write it once. They parallelize internally over
 //     disjoint output row blocks using runtime::ParallelFor with the
-//     shared runtime::RowGrain chunk policy.
+//     shared runtime::RowGrain chunk policy (Gemm and GemmTN round it up
+//     to whole row tiles).
 //   - Chunk-level elementwise/reduction primitives: serial over the span
 //     they are given; callers keep their own ParallelFor structure and
 //     invoke these on [lo, hi) sub-spans, so the chunking (and therefore
 //     the obs ParallelFor counters) is unchanged by the kernel layer.
 //
-// Every primitive is one plain fixed-width loop the compiler autovectorizes
-// (the kernel translation units are built with -O3 -ffp-contract=off, so
-// no a*b+c is ever contracted into an FMA). Each executes a fixed
-// accumulation tree — reductions stripe over kLanes accumulators combined
-// in a fixed pairwise order, GEMM accumulates each output element in
-// strictly increasing inner-dimension order — and chunk boundaries come
-// from runtime::RowGrain, so results are bit-identical across thread
-// counts.
+// Every elementwise primitive is one plain fixed-width loop the compiler
+// autovectorizes; the GEMM tiles are written with GCC/Clang vector
+// extensions (four-float vectors, no intrinsics). The kernel translation
+// units are built with -O3 -ffp-contract=off, so no a*b+c is ever
+// contracted into an FMA. Each primitive executes a fixed accumulation
+// tree — reductions stripe over kLanes accumulators combined in a fixed
+// pairwise order, Gemm and GemmTN accumulate each output element in
+// strictly increasing inner-dimension order, GemmNT adds one Dot-style
+// lane tree per element — and chunk boundaries come from
+// runtime::RowGrain, so results are bit-identical across thread counts.
 //
 // Raw pointers only: this layer is the hot path, and the btlint
 // `hot-loop-at` rule rejects bounds-checked `.at(` inside it.
@@ -36,19 +40,27 @@ inline constexpr int kLanes = 8;
 // ---------------------------------------------------------------------------
 // GEMM family (row-major, contiguous; output is accumulated into, so
 // callers zero-fill for plain assignment). Parallel over output rows.
+//
+// Order contract: each output element has one fixed reduction order,
+// whatever the tiling, chunking or thread count, and tests/kernels_test.cc
+// checks it bit for bit against loops that spell it out.
 // ---------------------------------------------------------------------------
 
-/// C[n,m] += A[n,k] * B[k,m].
+/// C[n,m] += A[n,k] * B[k,m]. Each C element adds its products
+/// a[i,p] * b[p,j] one at a time, p = 0..k-1, to its prior value.
 void Gemm(const float* a, const float* b, float* c, int64_t n, int64_t k,
           int64_t m);
 
 /// dA[n,k] += dC[n,m] * B[k,m]^T — the MatMul backward pass for A. Each
-/// dA entry is a striped-lane dot of two contiguous rows.
+/// dA entry adds one striped-lane dot of two contiguous rows (lane j % 8
+/// sums its products in increasing j; lanes combine pairwise), the same
+/// tree as Dot.
 void GemmNT(const float* dc, const float* b, float* da, int64_t n, int64_t k,
             int64_t m);
 
 /// dB[k,m] += A[n,k]^T * dC[n,m] — the MatMul backward pass for B.
-/// Parallel over rows of dB; accumulates over samples i in fixed order.
+/// Parallel over rows of dB; each dB element adds its products
+/// a[i,l] * dc[i,j] one at a time, i = 0..n-1, to its prior value.
 void GemmTN(const float* a, const float* dc, float* db, int64_t n, int64_t k,
             int64_t m);
 

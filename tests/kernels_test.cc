@@ -1,9 +1,9 @@
 // Tests for the kernel layer (src/tensor/kernels/): numerical correctness
-// against naive references (bit-exact for the elementwise primitives and
-// the lane-tree reductions), the thread-count bit-identity contract, the
-// tape-scoped arena's lifetime rules (including the BENCHTEMP_CHECK NaN
-// poison), and the {threads} x {arena} digest matrix over small end-to-end
-// training runs.
+// against naive references (bit-exact for the GEMM family, the elementwise
+// primitives and the lane-tree reductions), the thread-count bit-identity
+// contract, the tape-scoped arena's lifetime rules (including the
+// BENCHTEMP_CHECK NaN poison), and the {threads} x {arena} digest matrix
+// over small end-to-end training runs.
 
 #include "tensor/kernels/kernels.h"
 
@@ -50,7 +50,8 @@ uint64_t BitsOf(double v) {
 
 std::vector<uint32_t> BitsOf(const std::vector<float>& v) {
   std::vector<uint32_t> bits(v.size());
-  std::memcpy(bits.data(), v.data(), v.size() * sizeof(float));
+  // memcpy's pointers must be non-null even for zero bytes.
+  if (!v.empty()) std::memcpy(bits.data(), v.data(), v.size() * sizeof(float));
   return bits;
 }
 
@@ -84,44 +85,112 @@ class KernelsTest : public ::testing::Test {
 // Correctness against naive references.
 // ---------------------------------------------------------------------------
 
-TEST_F(KernelsTest, GemmMatchesNaiveReference) {
-  // Odd sizes exercise the register-tile and k-block remainders.
-  const int64_t n = 7, k = 131, m = 13;
-  const std::vector<float> a = RandomVec(n * k, 1);
-  const std::vector<float> b = RandomVec(k * m, 2);
-  std::vector<float> c(static_cast<size_t>(n * m), 0.0f);
-  kernels::Gemm(a.data(), b.data(), c.data(), n, k, m);
+// Bit-exact GEMM oracles. Every output element of the GEMM family has one
+// fixed reduction order, whatever the tiling: Gemm and GemmTN add their
+// products to the prior output value one at a time in ascending inner
+// index; GemmNT adds to the prior value one Dot-style 8-lane tree
+// (lane j % 8 accumulates in ascending j, lanes combine pairwise). The
+// references below spell those orders out; the kernels must match them
+// bit for bit on a grid that hits every tile and sample-block remainder.
+
+/// C[n,m] += A[n,k] * B[k,m], ascending p from C's prior value.
+void GemmReference(const float* a, const float* b, float* c, int64_t n,
+                   int64_t k, int64_t m) {
   for (int64_t i = 0; i < n; ++i) {
     for (int64_t j = 0; j < m; ++j) {
-      float want = 0.0f;
-      for (int64_t p = 0; p < k; ++p) want += a[i * k + p] * b[p * m + j];
-      EXPECT_NEAR(c[i * m + j], want, 1e-4) << "at (" << i << "," << j << ")";
+      float acc = c[i * m + j];
+      for (int64_t p = 0; p < k; ++p) acc += a[i * k + p] * b[p * m + j];
+      c[i * m + j] = acc;
     }
   }
 }
 
-TEST_F(KernelsTest, GemmBackwardsMatchNaiveReferences) {
-  const int64_t n = 9, k = 70, m = 6;
-  const std::vector<float> a = RandomVec(n * k, 3);
-  const std::vector<float> b = RandomVec(k * m, 4);
-  const std::vector<float> dc = RandomVec(n * m, 5);
-  std::vector<float> da(static_cast<size_t>(n * k), 0.0f);
-  std::vector<float> db(static_cast<size_t>(k * m), 0.0f);
-  kernels::GemmNT(dc.data(), b.data(), da.data(), n, k, m);
-  kernels::GemmTN(a.data(), dc.data(), db.data(), n, k, m);
+/// dA[n,k] += dC[n,m] * B[k,m]^T, each entry one 8-lane dot tree.
+void GemmNTReference(const float* dc, const float* b, float* da, int64_t n,
+                     int64_t k, int64_t m) {
   for (int64_t i = 0; i < n; ++i) {
     for (int64_t l = 0; l < k; ++l) {
-      float want = 0.0f;
-      for (int64_t j = 0; j < m; ++j) want += dc[i * m + j] * b[l * m + j];
-      EXPECT_NEAR(da[i * k + l], want, 1e-4);
+      float lanes[8] = {};
+      for (int64_t j = 0; j < m; ++j) {
+        lanes[j % 8] += dc[i * m + j] * b[l * m + j];
+      }
+      da[i * k + l] += ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) +
+                       ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]));
     }
   }
+}
+
+/// dB[k,m] += A[n,k]^T * dC[n,m], ascending i from dB's prior value.
+void GemmTNReference(const float* a, const float* dc, float* db, int64_t n,
+                     int64_t k, int64_t m) {
   for (int64_t l = 0; l < k; ++l) {
     for (int64_t j = 0; j < m; ++j) {
-      float want = 0.0f;
-      for (int64_t i = 0; i < n; ++i) want += a[i * k + l] * dc[i * m + j];
-      EXPECT_NEAR(db[l * m + j], want, 1e-4);
+      float acc = db[l * m + j];
+      for (int64_t i = 0; i < n; ++i) acc += a[i * k + l] * dc[i * m + j];
+      db[l * m + j] = acc;
     }
+  }
+}
+
+struct GemmShape {
+  int64_t n, k, m;
+};
+
+std::vector<GemmShape> OracleShapes() {
+  std::vector<GemmShape> shapes;
+  for (const int64_t n : {1, 5, 300, 7500}) {
+    for (const int64_t k : {1, 16, 40, 131}) {
+      for (const int64_t m : {1, 3, 8, 9, 24, 64}) shapes.push_back({n, k, m});
+    }
+  }
+  return shapes;
+}
+
+/// Index of the first element whose bits differ, or -1 when all match
+/// (a failure then names one element instead of printing both outputs).
+int64_t FirstBitMismatch(const std::vector<float>& got,
+                         const std::vector<float>& want) {
+  const std::vector<uint32_t> g = BitsOf(got);
+  const std::vector<uint32_t> w = BitsOf(want);
+  const auto it = std::mismatch(g.begin(), g.end(), w.begin()).first;
+  return it == g.end() ? -1 : it - g.begin();
+}
+
+std::string ShapeName(const GemmShape& s) {
+  return "n=" + std::to_string(s.n) + " k=" + std::to_string(s.k) +
+         " m=" + std::to_string(s.m);
+}
+
+TEST_F(KernelsTest, GemmMatchesNaiveReference) {
+  uint64_t seed = 100;
+  for (const GemmShape& s : OracleShapes()) {
+    const std::vector<float> a = RandomVec(s.n * s.k, ++seed);
+    const std::vector<float> b = RandomVec(s.k * s.m, ++seed);
+    // A nonzero prior C checks the accumulate-into contract too.
+    std::vector<float> c = RandomVec(s.n * s.m, ++seed);
+    std::vector<float> want = c;
+    kernels::Gemm(a.data(), b.data(), c.data(), s.n, s.k, s.m);
+    GemmReference(a.data(), b.data(), want.data(), s.n, s.k, s.m);
+    EXPECT_EQ(FirstBitMismatch(c, want), -1) << "Gemm " << ShapeName(s);
+  }
+}
+
+TEST_F(KernelsTest, GemmBackwardsMatchNaiveReferences) {
+  uint64_t seed = 500;
+  for (const GemmShape& s : OracleShapes()) {
+    const std::vector<float> a = RandomVec(s.n * s.k, ++seed);
+    const std::vector<float> b = RandomVec(s.k * s.m, ++seed);
+    const std::vector<float> dc = RandomVec(s.n * s.m, ++seed);
+    std::vector<float> da = RandomVec(s.n * s.k, ++seed);
+    std::vector<float> db = RandomVec(s.k * s.m, ++seed);
+    std::vector<float> want_da = da;
+    std::vector<float> want_db = db;
+    kernels::GemmNT(dc.data(), b.data(), da.data(), s.n, s.k, s.m);
+    kernels::GemmTN(a.data(), dc.data(), db.data(), s.n, s.k, s.m);
+    GemmNTReference(dc.data(), b.data(), want_da.data(), s.n, s.k, s.m);
+    GemmTNReference(a.data(), dc.data(), want_db.data(), s.n, s.k, s.m);
+    EXPECT_EQ(FirstBitMismatch(da, want_da), -1) << "GemmNT " << ShapeName(s);
+    EXPECT_EQ(FirstBitMismatch(db, want_db), -1) << "GemmTN " << ShapeName(s);
   }
 }
 
@@ -307,23 +376,27 @@ TEST_F(KernelsTest, ElementwiseMatchNaiveReferences) {
 // ---------------------------------------------------------------------------
 
 TEST_F(KernelsTest, GemmBitIdenticalAcrossThreadCounts) {
-  const int64_t n = 300, k = 40, m = 24;  // big enough to split into chunks
-  const std::vector<float> a = RandomVec(n * k, 21);
-  const std::vector<float> b = RandomVec(k * m, 22);
-  std::vector<std::vector<uint32_t>> per_thread_bits;
-  for (const int threads : {1, 8}) {
-    runtime::ThreadPool::Global().SetNumThreads(threads);
-    std::vector<float> c(static_cast<size_t>(n * m), 0.0f);
-    kernels::Gemm(a.data(), b.data(), c.data(), n, k, m);
-    std::vector<float> da(static_cast<size_t>(n * k), 0.0f);
-    kernels::GemmNT(c.data(), b.data(), da.data(), n, k, m);
-    std::vector<float> db(static_cast<size_t>(k * m), 0.0f);
-    kernels::GemmTN(a.data(), c.data(), db.data(), n, k, m);
-    c.insert(c.end(), da.begin(), da.end());
-    c.insert(c.end(), db.begin(), db.end());
-    per_thread_bits.push_back(BitsOf(c));
+  // n=300 splits every kernel into chunks; n=7500 is the model shape where
+  // GemmTN's row grain alone would be a single dB row per chunk.
+  const GemmShape shapes[] = {{300, 40, 24}, {7500, 40, 24}};
+  for (const GemmShape& s : shapes) {
+    const std::vector<float> a = RandomVec(s.n * s.k, 21);
+    const std::vector<float> b = RandomVec(s.k * s.m, 22);
+    std::vector<std::vector<uint32_t>> per_thread_bits;
+    for (const int threads : {1, 8}) {
+      runtime::ThreadPool::Global().SetNumThreads(threads);
+      std::vector<float> c(static_cast<size_t>(s.n * s.m), 0.0f);
+      kernels::Gemm(a.data(), b.data(), c.data(), s.n, s.k, s.m);
+      std::vector<float> da(static_cast<size_t>(s.n * s.k), 0.0f);
+      kernels::GemmNT(c.data(), b.data(), da.data(), s.n, s.k, s.m);
+      std::vector<float> db(static_cast<size_t>(s.k * s.m), 0.0f);
+      kernels::GemmTN(a.data(), c.data(), db.data(), s.n, s.k, s.m);
+      c.insert(c.end(), da.begin(), da.end());
+      c.insert(c.end(), db.begin(), db.end());
+      per_thread_bits.push_back(BitsOf(c));
+    }
+    EXPECT_EQ(per_thread_bits[0], per_thread_bits[1]) << ShapeName(s);
   }
-  EXPECT_EQ(per_thread_bits[0], per_thread_bits[1]);
 }
 
 // ---------------------------------------------------------------------------
