@@ -23,7 +23,6 @@
 #include "robustness/checkpoint.h"
 #include "robustness/lineage.h"
 #include "tensor/kernels/arena.h"
-#include "tensor/expr.h"
 #include "tensor/optimizer.h"
 #include "tensor/random.h"
 #include "tensor/serialize.h"
@@ -39,7 +38,6 @@ using models::ModelStatus;
 using models::TgnnModel;
 using tensor::Tensor;
 using tensor::Var;
-namespace expr = tensor::expr;
 
 // All timing flows through the observability layer's clock so the btlint
 // adhoc-timing rule can hold the line against scattered chrono reads.
@@ -264,11 +262,8 @@ Var PairBceLoss(const Var& pos, const Var& neg) {
   Tensor ones({pos->value.size()});
   ones.Fill(1.0f);
   Tensor zeros({neg->value.size()});
-  // Averaging the two BCE halves is a fused 2-op pass: one tape node
-  // instead of an eager Add node plus a ScalarMul node.
-  return expr::ScalarMul(expr::Add(expr::Ex(BceWithLogits(pos, ones)),
-                                   expr::Ex(BceWithLogits(neg, zeros))),
-                         0.5f);
+  return ScalarMul(
+      Add(BceWithLogits(pos, ones), BceWithLogits(neg, zeros)), 0.5f);
 }
 
 /// One optimizer step on `loss`, guarded by three NaN/Inf sentinels.

@@ -4,7 +4,6 @@ namespace benchtemp::models {
 
 using tensor::Tensor;
 using tensor::Var;
-namespace expr = tensor::expr;
 
 Jodie::Jodie(const graph::TemporalGraph* graph, ModelConfig config,
              int32_t num_users)
@@ -23,21 +22,16 @@ Var Jodie::ComputeMemoryUpdate(const std::vector<MemoryEvent>& events,
   Var messages = BuildMessages(events);
   // Two RNN paths: route each event through the user or item RNN depending
   // on which side of the bipartite split the node lives on, then select
-  // rows with a 0/1 mask (both paths run batched; the mask picks one).
+  // rows with a 0/1 weight (both paths run batched; the weight picks one).
   Var user_update = user_rnn_.Forward(messages, prev_memory);
   if (num_users_ <= 0) return user_update;
   Var item_update = item_rnn_.Forward(messages, prev_memory);
-  Tensor is_user({static_cast<int64_t>(events.size()), 1});
+  Tensor is_item({static_cast<int64_t>(events.size()), 1});
   for (size_t i = 0; i < events.size(); ++i) {
-    is_user.at(static_cast<int64_t>(i)) =
-        events[i].node < num_users_ ? 1.0f : 0.0f;
+    is_item.at(static_cast<int64_t>(i)) =
+        events[i].node < num_users_ ? 0.0f : 1.0f;
   }
-  // The [n, 1] inverse mask is materialized eagerly (a broadcast operand
-  // must be a leaf); the [n, dim] select then fuses into one pass.
-  Var mask = tensor::Constant(std::move(is_user));
-  Var inv_mask = ScalarAdd(ScalarMul(mask, -1.0f), 1.0f);
-  return expr::Add(expr::Mul(expr::Ex(user_update), expr::Ex(mask)),
-                   expr::Mul(expr::Ex(item_update), expr::Ex(inv_mask)));
+  return Lerp(user_update, item_update, tensor::Constant(std::move(is_item)));
 }
 
 Var Jodie::ComputeEmbeddings(const std::vector<int32_t>& nodes,
@@ -54,10 +48,8 @@ Var Jodie::ComputeEmbeddings(const std::vector<int32_t>& nodes,
       span > 0.0 ? span / static_cast<double>(graph_->num_events()) : 1.0;
   Var dt = DeltaTimeColumn(nodes, ts);
   Var dt_scaled = ScalarMul(dt, static_cast<float>(1.0 / (mean_gap * 100.0)));
-  // Drift offset and memory modulation fuse into one pass after the GEMM.
   Var mm = MatMul(dt_scaled, projection_);
-  return output_.Forward(
-      expr::Mul(expr::Ex(memory), expr::ScalarAdd(expr::Ex(mm), 1.0f)));
+  return output_.Forward(Mul(memory, ScalarAdd(mm, 1.0f)));
 }
 
 std::vector<Var> Jodie::UpdaterParameters() const {

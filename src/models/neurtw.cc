@@ -8,7 +8,6 @@ namespace benchtemp::models {
 using tensor::Constant;
 using tensor::Tensor;
 using tensor::Var;
-namespace expr = tensor::expr;
 
 NeurTw::NeurTw(const graph::TemporalGraph* graph, ModelConfig config)
     : WalkModel(graph, config),
@@ -36,12 +35,8 @@ Var NeurTw::EvolveHidden(const tensor::Var& hidden,
   Var dt = Constant(std::move(step_sizes));
   Var h = hidden;
   for (int64_t k = 0; k < config_.ode_steps; ++k) {
-    // The whole Euler step past the two GEMMs — both gate activations, the
-    // gate product, the [n, 1] step-size scaling, and the state update —
-    // is one fused pass per iteration.
-    expr::Ex f = expr::Mul(expr::Sigmoid(ode_gate_.ForwardEx(h)),
-                           expr::Tanh(ode_dir_.ForwardEx(h)));
-    h = expr::Add(expr::Ex(h), expr::Mul(f, expr::Ex(dt)));
+    Var f = Mul(Sigmoid(ode_gate_.Forward(h)), Tanh(ode_dir_.Forward(h)));
+    h = Add(h, Mul(f, dt));
   }
   return h;
 }

@@ -11,7 +11,6 @@ using tensor::ConcatRows;
 using tensor::Constant;
 using tensor::Tensor;
 using tensor::Var;
-namespace expr = tensor::expr;
 
 TempModel::TempModel(const graph::TemporalGraph* graph, ModelConfig config)
     : MemoryModel(graph, config),
@@ -107,12 +106,12 @@ Var TempModel::ComputeEmbeddings(const std::vector<int32_t>& nodes,
   // (c) Two aggregation channels + own memory.
   Var nbr_memory = GatherMemory(flat_neighbors);
   Var lpa = BatchWeightedSum(Constant(std::move(lpa_weights)), nbr_memory, k);
-  Var messages = expr::Relu(message_proj_.ForwardEx(
+  Var messages = Relu(message_proj_.Forward(
       ConcatCols({EdgeFeatureBlock(flat_edges),
                   time_encoder_.Encode(flat_dts)})));
   Var mp = BatchWeightedSum(Constant(std::move(mp_weights)), messages, k);
   Var own = GatherMemory(nodes);
-  return expr::Tanh(combine_.ForwardEx(ConcatCols({own, lpa, mp})));
+  return Tanh(combine_.Forward(ConcatCols({own, lpa, mp})));
 }
 
 std::vector<Var> TempModel::UpdaterParameters() const {

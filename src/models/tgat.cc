@@ -10,7 +10,6 @@ using tensor::ConcatCols;
 using tensor::Rows;
 using tensor::Tensor;
 using tensor::Var;
-namespace expr = tensor::expr;
 
 Tgat::Tgat(const graph::TemporalGraph* graph, ModelConfig config)
     : TgnnModel(graph, config),
@@ -167,8 +166,7 @@ Var Tgat::EmbedLayer(const std::vector<int32_t>& nodes,
       {nbr_prev, Rows(graph_->edge_features(), nb->flat_edges),
        time_encoder_.Encode(nb->flat_dts)},
       nb->mask, k);
-  // Bias-add and ReLU of the layer-output projection fuse into one pass.
-  return expr::Relu(layer_out_[static_cast<size_t>(layer - 1)]->ForwardEx(
+  return Relu(layer_out_[static_cast<size_t>(layer - 1)]->Forward(
       ConcatCols({attended, self_prev})));
 }
 

@@ -11,7 +11,6 @@ using tensor::ConcatRows;
 using tensor::Constant;
 using tensor::Tensor;
 using tensor::Var;
-namespace expr = tensor::expr;
 
 WalkModel::WalkModel(const graph::TemporalGraph* graph, ModelConfig config)
     : TgnnModel(graph, config),
@@ -69,7 +68,8 @@ Var WalkModel::EncodeWalkGroups(
     Tensor edge_block({rows, edge_dim});
     std::vector<float> dts(static_cast<size_t>(rows), 0.0f);
     std::vector<float> gaps(static_cast<size_t>(rows), 0.0f);
-    Tensor mask({rows, 1});
+    // 1 for walks that already ended: they keep their previous state.
+    Tensor ended = Tensor::Full({rows, 1}, 1.0f);
     for (int64_t g = 0; g < num_groups; ++g) {
       const auto& group = groups[static_cast<size_t>(g)];
       tensor::CheckOrDie(
@@ -80,7 +80,7 @@ Var WalkModel::EncodeWalkGroups(
         const int64_t row = g * walks_per_group + w;
         if (s >= static_cast<int64_t>(walk.size())) continue;  // ended
         const graph::WalkStep& step = walk[static_cast<size_t>(s)];
-        mask.at(row) = 1.0f;
+        ended.at(row) = 0.0f;
         const auto feature =
             anonymizers[static_cast<size_t>(g)].Encode(step.node);
         for (int64_t c = 0; c < anon_dim; ++c) {
@@ -99,18 +99,12 @@ Var WalkModel::EncodeWalkGroups(
         }
       }
     }
-    Var x = expr::Relu(step_proj_.ForwardEx(
+    Var x = Relu(step_proj_.Forward(
         ConcatCols({Constant(std::move(anon)), time_encoder_.Encode(dts),
                     Constant(std::move(edge_block))})));
     if (s > 0) hidden = EvolveHidden(hidden, gaps);
     Var next = encoder_.Forward(x, hidden);
-    // Walks that already ended keep their previous hidden state. The [n, 1]
-    // inverse mask stays eager (broadcast operands must be leaves); the
-    // [n, dim] select fuses into one pass.
-    Var m = Constant(mask);
-    Var inv = ScalarAdd(ScalarMul(m, -1.0f), 1.0f);
-    hidden = expr::Add(expr::Mul(expr::Ex(next), expr::Ex(m)),
-                       expr::Mul(expr::Ex(hidden), expr::Ex(inv)));
+    hidden = Lerp(next, hidden, Constant(std::move(ended)));
   }
   // Mean-pool each group's walk encodings.
   Tensor pool_weights({num_groups, walks_per_group});

@@ -83,12 +83,6 @@ Tensor& VarNode::EnsureGrad() {
   return grad;
 }
 
-Var MakeOpNode(const char* op, Tensor value, std::vector<Var> parents,
-               std::function<void(VarNode&)> backward_fn) {
-  return MakeNode(op, std::move(value), std::move(parents),
-                  std::move(backward_fn));
-}
-
 Var Constant(Tensor value) {
   auto node = std::make_shared<VarNode>();
   node->value = std::move(value);
@@ -318,11 +312,69 @@ Var ScalarAdd(const Var& a, float s) {
   });
 }
 
+Var Lerp(const Var& a, const Var& b, const Var& w) {
+  const Tensor& av = a->value;
+  const Tensor& wv = w->value;
+  CheckOrDie(av.size() == b->value.size(), "Lerp: a and b differ in size");
+  const bool full = wv.size() == av.size();
+  CheckOrDie(full || (IsColBroadcast(av, wv) && !w->requires_grad),
+             "Lerp: w must be a's shape or an [n, 1] constant");
+  // Row r of d entries shares the weight w[r]; a full-shape w is d == 1.
+  const int64_t d = full ? 1 : av.cols();
+  const int64_t rows = av.size() / d;
+  Tensor out = kernels::NewTensor(av.shape());
+  {
+    const float* ap = av.data();
+    const float* bp = b->value.data();
+    const float* wp = wv.data();
+    float* op = out.data();
+    // The eager composition counts its flat Mul/Add passes only.
+    kernels::CountFlops((full ? 3 : 1) * out.size());
+    runtime::ParallelFor(0, rows, RowGrain(3 * d), [&](int64_t r0, int64_t r1) {
+      for (int64_t r = r0; r < r1; ++r) {
+        const float wr = wp[r];
+        const float ur = 1.0f - wr;
+        for (int64_t i = r * d; i < (r + 1) * d; ++i) {
+          op[i] = ur * ap[i] + wr * bp[i];
+        }
+      }
+    });
+  }
+  return MakeNode("Lerp", std::move(out), {w, a, b}, [d, rows](VarNode& self) {
+    VarNode& pw = *self.parents[0];
+    VarNode& pa = *self.parents[1];
+    VarNode& pb = *self.parents[2];
+    // Only a full-shape w takes a gradient, so gw[r] is entry r's.
+    float* gw = pw.requires_grad ? pw.EnsureGrad().data() : nullptr;
+    float* ga = pa.requires_grad ? pa.EnsureGrad().data() : nullptr;
+    float* gb = pb.requires_grad ? pb.EnsureGrad().data() : nullptr;
+    const float* sg = self.grad.data();
+    const float* ap = pa.value.data();
+    const float* bp = pb.value.data();
+    const float* wp = pw.value.data();
+    // Per entry, the eager tape's order: Mul(b, w)'s two gradients, then
+    // Mul(a, 1 - w)'s, then the -1 that 1 - w passes back to w.
+    runtime::ParallelFor(0, rows, RowGrain(6 * d), [&](int64_t r0, int64_t r1) {
+      for (int64_t r = r0; r < r1; ++r) {
+        const float wr = wp[r];
+        const float ur = 1.0f - wr;
+        for (int64_t i = r * d; i < (r + 1) * d; ++i) {
+          const float g = sg[i];
+          if (gw != nullptr) gw[r] += g * bp[i];
+          if (gb != nullptr) gb[i] += g * wr;
+          if (ga != nullptr) ga[i] += g * ur;
+          if (gw != nullptr) gw[r] += (g * ap[i]) * -1.0f;
+        }
+      }
+    });
+  });
+}
+
 // ---------------------------------------------------------------------------
 // Linear algebra and shape ops.
 // ---------------------------------------------------------------------------
 
-Var MatMul(const Var& a, const Var& b) {
+Var MatMul(const Var& a, const Var& b, const Var& bias) {
   const Tensor& av = a->value;
   const Tensor& bv = b->value;
   CheckOrDie(av.rank() == 2 && bv.rank() == 2, "MatMul: rank-2 required");
@@ -333,20 +385,38 @@ Var MatMul(const Var& a, const Var& b) {
   // the shared RowGrain policy, so writes are disjoint per chunk and
   // results are thread-count independent.
   kernels::Gemm(av.data(), bv.data(), out.data(), n, k, m);
-  return MakeNode("MatMul", std::move(out), {a, b}, [n, k, m](VarNode& self) {
-    VarNode& pa = *self.parents[0];
-    VarNode& pb = *self.parents[1];
-    const float* gp = self.grad.data();
-    if (pa.requires_grad) {
-      // dA = dOut * B^T; chunks own disjoint row blocks of dA.
-      kernels::GemmNT(gp, pb.value.data(), pa.EnsureGrad().data(), n, k, m);
-    }
-    if (pb.requires_grad) {
-      // dB = A^T * dOut; blocked over rows of dB (the k dimension), each
-      // accumulating over samples in a fixed serial order.
-      kernels::GemmTN(pa.value.data(), gp, pb.EnsureGrad().data(), n, k, m);
-    }
-  });
+  std::vector<Var> parents = {a, b};
+  if (bias != nullptr) {
+    CheckOrDie(IsRowBroadcast(out, bias->value), "MatMul: bias must be [1, m]");
+    // The finished product plus the bias, per element: Add's row-broadcast
+    // order, so the bias costs no second tensor and no second node.
+    float* op = out.data();
+    const float* bp = bias->value.data();
+    for (int64_t r = 0; r < n; ++r) kernels::Add(op + r * m, bp, m);
+    parents.push_back(bias);
+  }
+  return MakeNode(
+      "MatMul", std::move(out), std::move(parents), [n, k, m](VarNode& self) {
+        VarNode& pa = *self.parents[0];
+        VarNode& pb = *self.parents[1];
+        const float* gp = self.grad.data();
+        if (self.parents.size() > 2 && self.parents[2]->requires_grad) {
+          // Column reduction over rows, in fixed ascending row order.
+          float* gb = self.parents[2]->EnsureGrad().data();
+          for (int64_t r = 0; r < n; ++r) kernels::Add(gb, gp + r * m, m);
+        }
+        if (pa.requires_grad) {
+          // dA = dOut * B^T; chunks own disjoint row blocks of dA.
+          kernels::GemmNT(gp, pb.value.data(), pa.EnsureGrad().data(), n, k,
+                          m);
+        }
+        if (pb.requires_grad) {
+          // dB = A^T * dOut; blocked over rows of dB (the k dimension), each
+          // accumulating over samples in a fixed serial order.
+          kernels::GemmTN(pa.value.data(), gp, pb.EnsureGrad().data(), n, k,
+                          m);
+        }
+      });
 }
 
 Var ConcatCols(const std::vector<Var>& parts) {

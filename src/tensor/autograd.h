@@ -52,14 +52,6 @@ void Backward(const Var& root);
 /// Zeroes the gradient buffers of the given parameters.
 void ZeroGrad(const std::vector<Var>& params);
 
-/// Records one tape node over an already-computed forward value: wires up
-/// parents, derives requires_grad, and registers with the BENCHTEMP_CHECK
-/// validator. This is the hook the expression-fusion layer (tensor/expr.h)
-/// uses to emit a single node for a whole elementwise chain; `op` must be a
-/// static-storage (or interned) string.
-Var MakeOpNode(const char* op, Tensor value, std::vector<Var> parents,
-               std::function<void(VarNode&)> backward_fn);
-
 // ---------------------------------------------------------------------------
 // Elementwise and broadcast arithmetic.
 // ---------------------------------------------------------------------------
@@ -76,13 +68,19 @@ Var Mul(const Var& a, const Var& b);
 Var ScalarMul(const Var& a, float s);
 /// a + s.
 Var ScalarAdd(const Var& a, float s);
+/// (1 - w) * a + w * b for equal-sized a and b. `w` is either a's shape or
+/// an [n, 1] constant weighting each row of a [n, d] a. Bit-identical to
+/// Add(Mul(a, 1 - w), Mul(b, w)) built from the eager ops, in one node.
+Var Lerp(const Var& a, const Var& b, const Var& w);
 
 // ---------------------------------------------------------------------------
 // Linear algebra and shape ops.
 // ---------------------------------------------------------------------------
 
-/// Matrix product of a [n, k] and b [k, m] -> [n, m].
-Var MatMul(const Var& a, const Var& b);
+/// Matrix product of a [n, k] and b [k, m] -> [n, m]. An optional [1, m]
+/// `bias` is added to every row in the same node, bit-identical to
+/// Add(MatMul(a, b), bias) without the intermediate product.
+Var MatMul(const Var& a, const Var& b, const Var& bias = nullptr);
 /// Concatenates rank-2 tensors along columns; all must share the row count.
 Var ConcatCols(const std::vector<Var>& parts);
 /// Concatenates rank-2 tensors along rows; all must share the column count.

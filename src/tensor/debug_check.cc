@@ -3,7 +3,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <string>
 
@@ -37,23 +36,6 @@ int64_t Volume(const Tensor& t) {
   return t.rank() == 0 ? t.size() : v;
 }
 
-/// Fused nodes (`fused[add|sigmoid]`-style names from tensor/expr) collapse
-/// a whole elementwise chain into one tape node, so the per-op shape checks
-/// the eager path gets for free never run. The chain invariant that survives
-/// compilation: every parent (chain leaf) is elementwise-compatible with the
-/// fused output — same volume, a [1, d] row-broadcast operand, or an [n, 1]
-/// column-broadcast operand.
-bool IsFusedOp(const char* op) {
-  return op != nullptr && std::strncmp(op, "fused[", 6) == 0;
-}
-
-bool FusedParentCompatible(const Tensor& out, const Tensor& parent) {
-  if (parent.size() == out.size()) return true;
-  if (parent.size() == out.cols() && parent.rows() <= 1) return true;
-  if (parent.size() == out.rows() && out.cols() > 1) return true;
-  return false;
-}
-
 }  // namespace
 
 bool Enabled() { return g_enabled; }
@@ -63,10 +45,6 @@ void SetEnabledForTest(bool enabled) { g_enabled = enabled; }
 void OnRecord(const VarNode& node) {
   if (Volume(node.value) != node.value.size()) {
     Die(node.op, "recorded value volume disagrees with its shape");
-  }
-  const bool fused = IsFusedOp(node.op);
-  if (fused && node.parents.empty()) {
-    Die(node.op, "fused node recorded without parents");
   }
   for (const Var& parent : node.parents) {
     if (parent == nullptr) Die(node.op, "null parent at record time");
@@ -78,12 +56,6 @@ void OnRecord(const VarNode& node) {
     }
     if (Volume(parent->value) != parent->value.size()) {
       Die(node.op, "parent value volume disagrees with its shape");
-    }
-    if (fused && !FusedParentCompatible(node.value, parent->value)) {
-      Die(node.op,
-          "fused chain leaf is not elementwise-compatible with the fused "
-          "output (expected same volume, [1, d] row-broadcast, or [n, 1] "
-          "column-broadcast)");
     }
   }
 }

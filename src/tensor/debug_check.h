@@ -17,12 +17,7 @@ struct VarNode;
 /// Checks (all fatal via CheckOrDie, with the op name in the message):
 ///   - record time: the node's value volume matches its shape, parents are
 ///     non-null, and no parent's tape has already been released by a
-///     Backward pass (use-after-backward); fused nodes (the composed
-///     `fused[add|sigmoid]`-style names from tensor/expr) additionally
-///     require every parent — a chain leaf — to be elementwise-compatible
-///     with the fused output (same volume, [1, d] row-broadcast, or [n, 1]
-///     column-broadcast), since the collapsed chain skips the per-op checks
-///     the eager path performs;
+///     Backward pass (use-after-backward);
 ///   - backward time: each interior node's gradient matches its value's
 ///     shape before the backward closure runs;
 ///   - after backward: interior (non-leaf) gradient buffers are dead —

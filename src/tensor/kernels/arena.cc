@@ -67,7 +67,11 @@ float* Arena::Alloc(int64_t n) {
       offset_ + want > blocks_[block_].capacity) {
     const int64_t capacity = want > kBlockFloats ? want : kBlockFloats;
     Block fresh;
-    fresh.data = std::make_unique<float[]>(static_cast<size_t>(capacity));
+    // Left uninitialised: NewTensor zero-fills every span it hands out, so
+    // a block's pages become resident only as far as tapes reach into it,
+    // and peak RSS follows the bytes used rather than whole blocks.
+    fresh.data =
+        std::make_unique_for_overwrite<float[]>(static_cast<size_t>(capacity));
     fresh.capacity = capacity;
     blocks_.push_back(std::move(fresh));
     block_ = blocks_.size() - 1;

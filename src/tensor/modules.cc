@@ -23,21 +23,11 @@ Linear::Linear(int64_t in_dim, int64_t out_dim, Rng& rng, bool bias)
   if (bias) bias_ = tensor::Parameter(Tensor::Zeros({1, out_dim}));
 }
 
-Var Linear::Forward(const Var& x) const {
-  Var y = MatMul(x, weight_);
-  if (bias_ != nullptr) y = Add(y, bias_);
-  return y;
-}
+Var Linear::Forward(const Var& x) const { return MatMul(x, weight_, bias_); }
 
 Var Linear::Forward(const std::vector<ColBlock>& blocks) const {
   Var y = Project(blocks, weight_);
   if (bias_ != nullptr) y = Add(y, bias_);
-  return y;
-}
-
-expr::Ex Linear::ForwardEx(const Var& x) const {
-  expr::Ex y(MatMul(x, weight_));
-  if (bias_ != nullptr) y = expr::Add(y, expr::Ex(bias_));
   return y;
 }
 
@@ -61,13 +51,8 @@ Mlp::Mlp(const std::vector<int64_t>& dims, Rng& rng) {
 Var Mlp::Forward(const Var& x) const {
   Var h = x;
   for (size_t i = 0; i < layers_.size(); ++i) {
-    // Interior layers fuse bias-add and ReLU into one pass; the last layer
-    // has no activation so the bare bias-add stays eager.
-    if (i + 1 < layers_.size()) {
-      h = expr::Relu(layers_[i].ForwardEx(h));
-    } else {
-      h = layers_[i].Forward(h);
-    }
+    h = layers_[i].Forward(h);
+    if (i + 1 < layers_.size()) h = Relu(h);
   }
   return h;
 }
@@ -90,7 +75,7 @@ MergeLayer::MergeLayer(int64_t dim_a, int64_t dim_b, int64_t hidden,
 
 Var MergeLayer::Forward(const Var& a, const Var& b) const {
   Var joined = ConcatCols({a, b});
-  return fc2_.Forward(expr::Relu(fc1_.ForwardEx(joined)));
+  return fc2_.Forward(Relu(fc1_.Forward(joined)));
 }
 
 std::vector<Var> MergeLayer::Parameters() const {
@@ -109,8 +94,7 @@ RnnCell::RnnCell(int64_t input_dim, int64_t hidden_dim, Rng& rng)
       hidden_map_(hidden_dim, hidden_dim, rng, /*bias=*/false) {}
 
 Var RnnCell::Forward(const Var& x, const Var& h) const {
-  // One fused pass over bias-add, recurrent add, and tanh.
-  return expr::Tanh(expr::Add(input_map_.ForwardEx(x), hidden_map_.ForwardEx(h)));
+  return Tanh(Add(input_map_.Forward(x), hidden_map_.Forward(h)));
 }
 
 std::vector<Var> RnnCell::Parameters() const {
@@ -133,16 +117,11 @@ GruCell::GruCell(int64_t input_dim, int64_t hidden_dim, Rng& rng)
       cand_h_(hidden_dim, hidden_dim, rng, /*bias=*/false) {}
 
 Var GruCell::Forward(const Var& x, const Var& h) const {
-  // Each gate is one fused pass (bias-add + recurrent add + activation),
-  // and the final interpolation h' = (1 - z) * n + z * h is a fifth.
-  Var z = expr::Sigmoid(expr::Add(update_x_.ForwardEx(x), update_h_.ForwardEx(h)));
-  Var r = expr::Sigmoid(expr::Add(reset_x_.ForwardEx(x), reset_h_.ForwardEx(h)));
-  Var n = expr::Tanh(
-      expr::Add(cand_x_.ForwardEx(x), cand_h_.ForwardEx(Mul(r, h))));
-  expr::Ex one_minus_z =
-      expr::ScalarAdd(expr::ScalarMul(expr::Ex(z), -1.0f), 1.0f);
-  return expr::Add(expr::Mul(one_minus_z, expr::Ex(n)),
-                   expr::Mul(expr::Ex(z), expr::Ex(h)));
+  Var z = Sigmoid(Add(update_x_.Forward(x), update_h_.Forward(h)));
+  Var r = Sigmoid(Add(reset_x_.Forward(x), reset_h_.Forward(h)));
+  Var n = Tanh(Add(cand_x_.Forward(x), cand_h_.Forward(Mul(r, h))));
+  // h' = (1 - z) * n + z * h.
+  return Lerp(n, h, z);
 }
 
 std::vector<Var> GruCell::Parameters() const {
@@ -173,10 +152,8 @@ TimeEncoder::TimeEncoder(int64_t dim, Rng& rng) : dim_(dim) {
 
 Var TimeEncoder::Forward(const Var& dt) const {
   CheckOrDie(dt->value.cols() == 1, "TimeEncoder: dt must be a column");
-  // [n, 1] x [1, dim] -> [n, dim]; then cos(dt * w + b), phase-add and
-  // cosine fused into one pass.
-  Var scaled = MatMul(dt, freq_);
-  return expr::Cos(expr::Add(expr::Ex(scaled), expr::Ex(phase_)));
+  // [n, 1] x [1, dim] -> [n, dim], plus the phase: cos(dt * w + b).
+  return Cos(MatMul(dt, freq_, phase_));
 }
 
 Var TimeEncoder::Encode(const std::vector<float>& dt) const {

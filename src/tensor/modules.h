@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "tensor/autograd.h"
-#include "tensor/expr.h"
 #include "tensor/random.h"
 #include "tensor/tensor.h"
 
@@ -33,11 +32,6 @@ class Linear : public Module {
   /// [B_1 | ... | B_n] W + b over column blocks (tensor::Project), so
   /// gathered feature rows are projected once per distinct row.
   Var Forward(const std::vector<ColBlock>& blocks) const;
-  /// Lazy variant: the GEMM runs eagerly (it is not elementwise) but the
-  /// bias add is returned as an open expression, so callers can keep
-  /// chaining elementwise ops (activation, gate sums) into one fused pass
-  /// instead of materializing a tape node per op.
-  expr::Ex ForwardEx(const Var& x) const;
   std::vector<Var> Parameters() const override;
 
   int64_t in_dim() const { return in_dim_; }

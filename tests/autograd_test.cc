@@ -10,7 +10,6 @@
 
 #include "obs/metrics.h"
 #include "runtime/thread_pool.h"
-#include "tensor/expr.h"
 #include "tensor/numeric.h"
 #include "tensor/random.h"
 #include "tensor/tensor.h"
@@ -258,21 +257,17 @@ TEST(AutogradTest, DeepChainBackwardDoesNotOverflowStack) {
 }
 
 // ---------------------------------------------------------------------------
-// Numeric goldens for the fused loss prelude. The trainer averages the two
-// BCE halves through the expression layer (one fused pass); these pin the
-// exact values so a fused-evaluator regression cannot silently shift the
-// loss numerics the published tables depend on.
+// Numeric golden for the loss prelude: the trainer averages the two BCE
+// halves, and this pins the exact values the published tables depend on.
 // ---------------------------------------------------------------------------
 
-TEST(AutogradTest, FusedBcePreludeGolden) {
+TEST(AutogradTest, BcePreludeGolden) {
   Var pos = Parameter(Tensor::FromVector({2}, {0.3f, 1.1f}));
   Var neg = Parameter(Tensor::FromVector({2}, {-0.7f, 0.2f}));
   Tensor ones = Tensor::FromVector({2}, {1.0f, 1.0f});
   Tensor zeros = Tensor::FromVector({2}, {0.0f, 0.0f});
-  Var loss = expr::ScalarMul(
-      expr::Add(expr::Ex(BceWithLogits(pos, ones)),
-                expr::Ex(BceWithLogits(neg, zeros))),
-      0.5f);
+  Var loss = ScalarMul(
+      Add(BceWithLogits(pos, ones), BceWithLogits(neg, zeros)), 0.5f);
   const double pos_bce = 0.5 * ((std::log(1.0 + std::exp(0.3)) - 0.3) +
                                 (std::log(1.0 + std::exp(1.1)) - 1.1));
   const double neg_bce = 0.5 * (std::log(1.0 + std::exp(-0.7)) +
@@ -287,30 +282,169 @@ TEST(AutogradTest, FusedBcePreludeGolden) {
               1e-6f);
 }
 
-TEST(AutogradTest, FusedBcePreludeMatchesEagerBitwise) {
-  Rng rng(40);
-  Var pos1 = Parameter(Tensor::Randn({8}, rng));
-  Var neg1 = Parameter(Tensor::Randn({8}, rng));
-  Var pos2 = Parameter(pos1->value);
-  Var neg2 = Parameter(neg1->value);
-  Tensor ones = Tensor::Full({8}, 1.0f);
-  Tensor zeros = Tensor::Zeros({8});
-  Var fused = expr::ScalarMul(
-      expr::Add(expr::Ex(BceWithLogits(pos1, ones)),
-                expr::Ex(BceWithLogits(neg1, zeros))),
-      0.5f);
-  Var eager = ScalarMul(
-      Add(BceWithLogits(pos2, ones), BceWithLogits(neg2, zeros)), 0.5f);
-  ASSERT_EQ(fused->value.size(), 1);
-  EXPECT_EQ(std::memcmp(fused->value.data(), eager->value.data(), 4), 0);
-  Backward(fused);
-  Backward(eager);
-  EXPECT_EQ(std::memcmp(pos1->grad.data(), pos2->grad.data(),
-                        static_cast<size_t>(pos1->grad.size()) * 4),
-            0);
-  EXPECT_EQ(std::memcmp(neg1->grad.data(), neg2->grad.data(),
-                        static_cast<size_t>(neg1->grad.size()) * 4),
-            0);
+// ---------------------------------------------------------------------------
+// MatMul's bias operand and Lerp: bit for bit against the eager
+// compositions they replace (every parent starting from a non-zero prior
+// gradient, so the accumulation order is checked too), and against finite
+// differences.
+// ---------------------------------------------------------------------------
+
+bool SameBits(const Tensor& x, const Tensor& y) {
+  return x.size() == y.size() &&
+         std::memcmp(x.data(), y.data(), static_cast<size_t>(x.size()) * 4) ==
+             0;
+}
+
+/// A parameter whose gradient buffer already holds `prior`.
+Var ParameterWithGrad(const Tensor& value, const Tensor& prior) {
+  Var p = Parameter(value);
+  p->grad = prior;
+  return p;
+}
+
+struct OpRun {
+  Tensor out;
+  std::vector<Tensor> grads;
+};
+
+/// Forward + backward of Sum(tanh(out) * g) for out = op(params).
+OpRun RunOp(const std::vector<Var>& params, const Tensor& g,
+            const std::function<Var()>& op) {
+  Var out = op();
+  Backward(Sum(Mul(Tanh(out), Constant(g))));
+  OpRun run{out->value, {}};
+  for (const Var& p : params) run.grads.push_back(p->grad);
+  return run;
+}
+
+void ExpectSameRun(const OpRun& got, const OpRun& want) {
+  EXPECT_TRUE(SameBits(got.out, want.out)) << "forward";
+  ASSERT_EQ(got.grads.size(), want.grads.size());
+  for (size_t i = 0; i < got.grads.size(); ++i) {
+    EXPECT_TRUE(SameBits(got.grads[i], want.grads[i])) << "grad " << i;
+  }
+}
+
+TEST(AutogradTest, MatMulBiasMatchesAddOfMatMulBitwise) {
+  Rng rng(60);
+  const Tensor x = Tensor::Randn({37, 9}, rng);
+  const Tensor w = Tensor::Randn({9, 13}, rng, 0.5f);
+  const Tensor b = Tensor::Randn({1, 13}, rng);
+  const Tensor g = Tensor::Randn({37, 13}, rng);
+  const Tensor gx = Tensor::Randn({37, 9}, rng);
+  const Tensor gw = Tensor::Randn({9, 13}, rng);
+  const Tensor gb = Tensor::Randn({1, 13}, rng);
+  std::vector<OpRun> runs;
+  for (const bool one_node : {true, false}) {
+    Var xv = ParameterWithGrad(x, gx);
+    Var wv = ParameterWithGrad(w, gw);
+    Var bv = ParameterWithGrad(b, gb);
+    runs.push_back(RunOp({xv, wv, bv}, g, [&] {
+      return one_node ? MatMul(xv, wv, bv) : Add(MatMul(xv, wv), bv);
+    }));
+    if (one_node) {
+      EXPECT_EQ(MatMul(xv, wv, bv)->parents,
+                (std::vector<Var>{xv, wv, bv}));
+    }
+  }
+  ExpectSameRun(runs[0], runs[1]);
+}
+
+TEST(AutogradTest, MatMulBiasGradcheck) {
+  Rng rng(61);
+  Var x = Parameter(Tensor::Randn({4, 3}, rng));
+  Var w = Parameter(Tensor::Randn({3, 5}, rng));
+  Var b = Parameter(Tensor::Randn({1, 5}, rng));
+  const Tensor g = Tensor::Randn({4, 5}, rng);
+  auto loss = [&] { return Sum(Mul(Tanh(MatMul(x, w, b)), Constant(g))); };
+  CheckGradient(x, loss);
+  CheckGradient(w, loss);
+  CheckGradient(b, loss);
+}
+
+/// Random weights in [0, 1], like the gates and masks Lerp serves.
+Tensor UnitWeights(std::vector<int64_t> shape, Rng& rng) {
+  return Tensor::Uniform(std::move(shape), rng, 0.0f, 1.0f);
+}
+
+TEST(AutogradTest, LerpFullWeightMatchesEagerBitwise) {
+  // The GRU's state update: (1 - z) * n + z * h.
+  Rng rng(62);
+  const Tensor a = Tensor::Randn({33, 11}, rng);
+  const Tensor b = Tensor::Randn({33, 11}, rng);
+  const Tensor w = UnitWeights({33, 11}, rng);
+  const Tensor g = Tensor::Randn({33, 11}, rng);
+  const Tensor ga = Tensor::Randn({33, 11}, rng);
+  const Tensor gb = Tensor::Randn({33, 11}, rng);
+  const Tensor gw = Tensor::Randn({33, 11}, rng);
+  std::vector<OpRun> runs;
+  for (const bool one_node : {true, false}) {
+    Var av = ParameterWithGrad(a, ga);
+    Var bv = ParameterWithGrad(b, gb);
+    Var wv = ParameterWithGrad(w, gw);
+    runs.push_back(RunOp({av, bv, wv}, g, [&] {
+      if (one_node) return Lerp(av, bv, wv);
+      Var one_minus_w = ScalarAdd(ScalarMul(wv, -1.0f), 1.0f);
+      return Add(Mul(one_minus_w, av), Mul(wv, bv));
+    }));
+    if (one_node) {
+      EXPECT_EQ(Lerp(av, bv, wv)->parents, (std::vector<Var>{wv, av, bv}));
+    }
+  }
+  ExpectSameRun(runs[0], runs[1]);
+}
+
+TEST(AutogradTest, LerpColumnWeightMatchesEagerBitwise) {
+  // The walk and JODIE selects: an [n, 1] constant weight per row, both
+  // as an exact 0/1 mask and with general weights.
+  Rng rng(63);
+  const Tensor a = Tensor::Randn({29, 7}, rng);
+  const Tensor b = Tensor::Randn({29, 7}, rng);
+  const Tensor g = Tensor::Randn({29, 7}, rng);
+  const Tensor ga = Tensor::Randn({29, 7}, rng);
+  const Tensor gb = Tensor::Randn({29, 7}, rng);
+  Tensor mask({29, 1});
+  for (int64_t r = 0; r < 29; ++r) mask.at(r) = rng.UniformInt(2) ? 1.0f : 0.0f;
+  for (const Tensor& w : {mask, UnitWeights({29, 1}, rng)}) {
+    std::vector<OpRun> runs;
+    for (const bool one_node : {true, false}) {
+      Var av = ParameterWithGrad(a, ga);
+      Var bv = ParameterWithGrad(b, gb);
+      Var wv = Constant(w);
+      runs.push_back(RunOp({av, bv}, g, [&] {
+        if (one_node) return Lerp(av, bv, wv);
+        Var one_minus_w = ScalarAdd(ScalarMul(wv, -1.0f), 1.0f);
+        return Add(Mul(av, one_minus_w), Mul(bv, wv));
+      }));
+    }
+    ExpectSameRun(runs[0], runs[1]);
+  }
+}
+
+TEST(AutogradTest, LerpGradcheck) {
+  Rng rng(65);
+  Var a = Parameter(Tensor::Randn({5, 3}, rng));
+  Var b = Parameter(Tensor::Randn({5, 3}, rng));
+  Var w = Parameter(UnitWeights({5, 3}, rng));
+  Var col = Constant(UnitWeights({5, 1}, rng));
+  const Tensor g = Tensor::Randn({5, 3}, rng);
+  auto full = [&] { return Sum(Mul(Tanh(Lerp(a, b, w)), Constant(g))); };
+  CheckGradient(a, full);
+  CheckGradient(b, full);
+  CheckGradient(w, full);
+  auto column = [&] { return Sum(Mul(Tanh(Lerp(a, b, col)), Constant(g))); };
+  CheckGradient(a, column);
+  CheckGradient(b, column);
+}
+
+TEST(AutogradTest, LerpAndMatMulBiasRejectBadShapes) {
+  Var a = Parameter(Tensor::Zeros({3, 2}));
+  // A column weight is a constant: it takes no gradient.
+  EXPECT_DEATH((void)Lerp(a, a, Parameter(Tensor::Zeros({3, 1}))),
+               "Lerp: w must be");
+  EXPECT_DEATH((void)MatMul(a, Parameter(Tensor::Zeros({2, 2})),
+                            Parameter(Tensor::Zeros({2, 2}))),
+               "MatMul: bias");
 }
 
 TEST(AutogradTest, SoftmaxRowsGolden) {
@@ -496,15 +630,10 @@ TEST(AutogradTest, ProjectBitIdenticalAcrossThreads) {
     runs.push_back(RunProject(in, /*oracle=*/false));
   }
   pool.SetNumThreads(original_threads);
-  auto same_bits = [](const Tensor& x, const Tensor& y) {
-    return x.size() == y.size() &&
-           std::memcmp(x.data(), y.data(),
-                       static_cast<size_t>(x.size()) * 4) == 0;
-  };
   for (size_t i = 1; i < runs.size(); ++i) {
-    EXPECT_TRUE(same_bits(runs[i].out, runs[0].out)) << "config " << i;
-    EXPECT_TRUE(same_bits(runs[i].dw, runs[0].dw)) << "config " << i;
-    EXPECT_TRUE(same_bits(runs[i].da, runs[0].da)) << "config " << i;
+    EXPECT_TRUE(SameBits(runs[i].out, runs[0].out)) << "config " << i;
+    EXPECT_TRUE(SameBits(runs[i].dw, runs[0].dw)) << "config " << i;
+    EXPECT_TRUE(SameBits(runs[i].da, runs[0].da)) << "config " << i;
   }
 }
 

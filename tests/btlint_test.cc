@@ -51,9 +51,9 @@ std::multiset<std::string> RuleIds(const std::vector<Finding>& findings) {
   return ids;
 }
 
-TEST(BtlintCatalogTest, SeventeenRulesWithUniqueIds) {
+TEST(BtlintCatalogTest, SixteenRulesWithUniqueIds) {
   const auto& rules = btlint::Rules();
-  EXPECT_EQ(rules.size(), 17u);
+  EXPECT_EQ(rules.size(), 16u);
   std::set<std::string> ids;
   for (const auto& r : rules) {
     EXPECT_TRUE(ids.insert(r.id).second) << "duplicate rule id " << r.id;
@@ -63,7 +63,7 @@ TEST(BtlintCatalogTest, SeventeenRulesWithUniqueIds) {
   // the full --project surface.
   for (const char* id : {"layering-violation", "include-cycle",
                          "orphan-header", "unused-include",
-                         "unannotated-mutex", "fusible-chain"}) {
+                         "unannotated-mutex"}) {
     EXPECT_EQ(ids.count(id), 1u) << "missing rule " << id;
   }
 }
@@ -283,56 +283,6 @@ TEST(BtlintRuleTest, UnannotatedMutexSuppressible) {
       "  int value_ = 0;\n"
       "};\n";
   EXPECT_TRUE(LintFile("src/base/lazy.h", source).empty());
-}
-
-TEST(BtlintRuleTest, FusibleChainFiresOnceAtOutermostCall) {
-  const auto findings = LintFixture("src/models/fusible_chain.cc");
-  const auto ids = RuleIds(findings);
-  // GateEager (depth 3) and SelectEager (depth 4) fire; the depth-2 chain,
-  // expr::-qualified chain, member calls, and allowed chain stay silent.
-  EXPECT_EQ(ids.count("fusible-chain"), 2u);
-  EXPECT_EQ(findings.size(), 2u);
-  ASSERT_GE(findings.size(), 2u);
-  EXPECT_NE(findings[0].message.find("chain of 3"), std::string::npos);
-  EXPECT_NE(findings[1].message.find("chain of 4"), std::string::npos);
-}
-
-TEST(BtlintRuleTest, FusibleChainScopedToModelsAndModules) {
-  const std::string source = ReadFixture("src/models/fusible_chain.cc");
-  // The shared module layer is in scope; core, kernels, and tests are not.
-  EXPECT_EQ(RuleIds(LintFile("src/tensor/modules.cc", source))
-                .count("fusible-chain"),
-            2u);
-  EXPECT_EQ(RuleIds(LintFile("src/core/trainer.cc", source))
-                .count("fusible-chain"),
-            0u);
-  EXPECT_EQ(RuleIds(LintFile("src/tensor/kernels/elementwise.cc", source))
-                .count("fusible-chain"),
-            0u);
-  EXPECT_EQ(RuleIds(LintFile("tests/expr_test.cc", source))
-                .count("fusible-chain"),
-            0u);
-}
-
-TEST(BtlintRuleTest, FusibleChainGoldenJson) {
-  const std::string source =
-      "Var F(const Var& x) {\n"
-      "  return Tanh(Add(Mul(x, x), x));\n"
-      "}\n";
-  const auto findings = LintFile("src/models/toy.cc", source);
-  EXPECT_EQ(btlint::ToJson(findings),
-            "{\n"
-            "  \"version\": 1,\n"
-            "  \"count\": 1,\n"
-            "  \"findings\": [\n"
-            "    {\"path\": \"src/models/toy.cc\", \"line\": 2, \"col\": 10, "
-            "\"rule\": \"fusible-chain\", "
-            "\"message\": \"chain of 3 eager elementwise ops materializes a "
-            "tensor and a tape node per op; build it with tensor/expr.h "
-            "(expr::Add, expr::Sigmoid, ...) so forward and backward each "
-            "run as one fused pass\"}\n"
-            "  ]\n"
-            "}\n");
 }
 
 // ---------------------------------------------------------------------------

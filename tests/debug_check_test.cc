@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include "tensor/autograd.h"
-#include "tensor/expr.h"
 #include "tensor/tensor.h"
 
 namespace {
@@ -76,62 +75,7 @@ TEST_F(DebugCheckTest, ValidatorOffLeavesTapeAlone) {
   }
 }
 
-TEST_F(DebugCheckTest, FusedNodePassesRecordChecksWithComposedName) {
-  Var x = Parameter(RowOf({1.0f, -2.0f}));
-  Var b = Parameter(RowOf({0.5f, 0.5f}));
-  Var out = expr::Sigmoid(expr::Add(expr::Ex(x), expr::Ex(b)));
-  // The validator saw the composed-name node at record time and accepted
-  // its chain-leaf parents.
-  EXPECT_STREQ(out->op, "fused[add|sigmoid]");
-  ASSERT_EQ(out->parents.size(), 2u);
-  Backward(Sum(out));
-  EXPECT_GT(x->grad.size(), 0);
-}
-
-TEST_F(DebugCheckTest, FusedInteriorGradIsNaNPoisonedAfterBackward) {
-  Var x = Parameter(Tensor::FromVector({2, 2}, {1.0f, 2.0f, 3.0f, 4.0f}));
-  Var fusedvar =
-      expr::Tanh(expr::ScalarMul(expr::Add(expr::Ex(x), expr::Ex(x)), 0.5f));
-  Backward(Sum(fusedvar));
-  // The fused node is interior: its tape is consumed and its gradient is
-  // poisoned exactly like an eager interior node's.
-  EXPECT_TRUE(fusedvar->tape_released);
-  ASSERT_GT(fusedvar->grad.size(), 0);
-  for (int64_t i = 0; i < fusedvar->grad.size(); ++i) {
-    EXPECT_TRUE(std::isnan(fusedvar->grad.at(i)));
-  }
-  EXPECT_FALSE(x->tape_released);
-  for (int64_t i = 0; i < x->grad.size(); ++i) {
-    EXPECT_FALSE(std::isnan(x->grad.at(i)));
-  }
-}
-
 using DebugCheckDeathTest = DebugCheckTest;
-
-TEST_F(DebugCheckDeathTest, FusedUseAfterBackwardDies) {
-  Var x = Parameter(RowOf({1.0f, 2.0f}));
-  Var h = expr::Sigmoid(expr::Add(expr::Ex(x), expr::Ex(x)));
-  Backward(Sum(h));
-  EXPECT_DEATH(ScalarMul(h, 2.0f), "use-after-backward");
-}
-
-TEST_F(DebugCheckDeathTest, FusedParentShapeMismatchDies) {
-  // Hand-build a fused node whose recorded parent could not have been a
-  // leaf of the compiled chain: not same-volume, row-, or col-broadcast.
-  Var bad_leaf = Parameter(Tensor({3, 2}));
-  VarNode node;
-  node.op = "fused[add|sigmoid]";
-  node.value = Tensor({4, 5});
-  node.parents.push_back(bad_leaf);
-  EXPECT_DEATH(debug_check::OnRecord(node), "elementwise-compatible");
-}
-
-TEST_F(DebugCheckDeathTest, FusedNodeWithoutParentsDies) {
-  VarNode node;
-  node.op = "fused[sigmoid]";
-  node.value = RowOf({1.0f});
-  EXPECT_DEATH(debug_check::OnRecord(node), "without parents");
-}
 
 TEST_F(DebugCheckDeathTest, UseAfterBackwardDies) {
   Var a = Parameter(RowOf({1.0f, 2.0f}));

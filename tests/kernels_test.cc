@@ -2,8 +2,9 @@
 // against naive references (bit-exact for the GEMM family, the elementwise
 // primitives and the lane-tree reductions), the thread-count bit-identity
 // contract, the tape-scoped arena's lifetime rules (including the
-// BENCHTEMP_CHECK NaN poison), and the {threads} x {arena} digest matrix
-// over small end-to-end training runs.
+// BENCHTEMP_CHECK NaN poison), the {threads} x {arena} and {threads} x
+// {pipeline depth} digest matrices over small end-to-end training runs,
+// and each model's pinned AUC/AP bits and flop count.
 
 #include "tensor/kernels/kernels.h"
 
@@ -12,6 +13,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -25,7 +27,6 @@
 #include "obs/metrics.h"
 #include "runtime/thread_pool.h"
 #include "tensor/debug_check.h"
-#include "tensor/expr.h"
 #include "tensor/kernels/arena.h"
 #include "tensor/random.h"
 #include "tensor/tensor.h"
@@ -62,7 +63,7 @@ std::vector<float> RandomVec(int64_t n, uint64_t seed) {
   return v;
 }
 
-/// Restores arena/fusion/debug-check overrides, the thread count, and the
+/// Restores arena/debug-check overrides, the thread count, and the
 /// metric registry no matter how a test exits.
 class KernelsTest : public ::testing::Test {
  protected:
@@ -71,7 +72,6 @@ class KernelsTest : public ::testing::Test {
   }
   void TearDown() override {
     kernels::SetArenaEnabledForTest(true);
-    tensor::expr::SetFusionEnabledForTest(true);
     tensor::debug_check::SetEnabledForTest(false);
     obs::MetricRegistry::OverrideEnabledForTest(-1);
     obs::MetricRegistry::Global().Reset();
@@ -475,7 +475,7 @@ TEST_F(KernelsTest, CopiesOfArenaTensorsDetachToHeap) {
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end digest matrix: {1,8 threads} x {arena 0,1}.
+// End-to-end runs: digest matrices and per-model goldens.
 // ---------------------------------------------------------------------------
 
 graph::TemporalGraph MatrixGraph() {
@@ -552,41 +552,41 @@ TEST_F(KernelsTest, TrainingBitIdenticalAcrossThreadsAndArena) {
   }
 }
 
-TEST_F(KernelsTest, TrainingBitIdenticalFusedVsEagerAcrossThreadsAndDepth) {
-  // Fusion on or off must not move a single training bit, at any thread
-  // count, and with the async pipeline on or off. The model trajectory
-  // (AUC/AP bits) is compared across ALL configurations; counter digests
-  // are compared within a fusion setting — fusion legitimately changes
-  // parallel_for.calls and arena.bytes (fewer, larger passes), which is
-  // the point of the optimization.
+/// The nine trainable models (every ModelKind but the EdgeBank baseline).
+const std::vector<models::ModelKind>& TrainableKinds() {
+  static const std::vector<models::ModelKind> kinds = {
+      models::ModelKind::kJodie,      models::ModelKind::kDyRep,
+      models::ModelKind::kTgn,        models::ModelKind::kTgat,
+      models::ModelKind::kCawn,       models::ModelKind::kNeurTw,
+      models::ModelKind::kNat,        models::ModelKind::kTemp,
+      models::ModelKind::kMotifJoint};
+  return kinds;
+}
+
+TEST_F(KernelsTest, TrainingBitIdenticalAcrossThreadsAndDepth) {
+  // Neither the thread count nor the async pipeline may move a single
+  // training bit or counter: AUC/AP bits and counter digests are compared
+  // across all four configurations.
   obs::MetricRegistry::OverrideEnabledForTest(1);
   auto& registry = obs::MetricRegistry::Global();
   const graph::TemporalGraph g = MatrixGraph();
-  for (const models::ModelKind kind :
-       {models::ModelKind::kTgn, models::ModelKind::kTgat}) {
+  for (const models::ModelKind kind : TrainableKinds()) {
     std::vector<uint64_t> auc_bits;
-    std::vector<std::string> digests_fused;
-    std::vector<std::string> digests_eager;
+    std::vector<std::string> digests;
     for (const int threads : {1, 8}) {
       for (const int depth : {0, 2}) {
-        for (const bool fusion : {false, true}) {
-          runtime::ThreadPool::Global().SetNumThreads(threads);
-          kernels::SetArenaEnabledForTest(true);
-          tensor::expr::SetFusionEnabledForTest(fusion);
-          registry.Reset();
-          core::LinkPredictionJob job = MatrixJob(&g, kind);
-          job.train_config.pipeline_depth = depth;
-          const core::LinkPredictionResult result =
-              core::RunLinkPrediction(job);
-          ASSERT_EQ(result.status, models::ModelStatus::kOk)
-              << models::ModelKindName(kind) << " threads=" << threads
-              << " depth=" << depth << " fusion=" << fusion;
-          auc_bits.push_back(BitsOf(result.val_transductive.auc));
-          auc_bits.push_back(BitsOf(result.test[0].auc));
-          auc_bits.push_back(BitsOf(result.test[0].ap));
-          (fusion ? digests_fused : digests_eager)
-              .push_back(registry.CountersDigest());
-        }
+        runtime::ThreadPool::Global().SetNumThreads(threads);
+        registry.Reset();
+        core::LinkPredictionJob job = MatrixJob(&g, kind);
+        job.train_config.pipeline_depth = depth;
+        const core::LinkPredictionResult result = core::RunLinkPrediction(job);
+        ASSERT_EQ(result.status, models::ModelStatus::kOk)
+            << models::ModelKindName(kind) << " threads=" << threads
+            << " depth=" << depth;
+        auc_bits.push_back(BitsOf(result.val_transductive.auc));
+        auc_bits.push_back(BitsOf(result.test[0].auc));
+        auc_bits.push_back(BitsOf(result.test[0].ap));
+        digests.push_back(registry.CountersDigest());
       }
     }
     for (size_t i = 3; i < auc_bits.size(); i += 3) {
@@ -597,29 +597,75 @@ TEST_F(KernelsTest, TrainingBitIdenticalFusedVsEagerAcrossThreadsAndDepth) {
       EXPECT_EQ(auc_bits[i + 2], auc_bits[2])
           << models::ModelKindName(kind) << " config " << i / 3;
     }
-    for (size_t i = 1; i < digests_fused.size(); ++i) {
-      EXPECT_EQ(digests_fused[i], digests_fused[0])
-          << models::ModelKindName(kind) << " fused config " << i;
+    for (size_t i = 1; i < digests.size(); ++i) {
+      EXPECT_EQ(digests[i], digests[0])
+          << models::ModelKindName(kind) << " config " << i;
     }
-    for (size_t i = 1; i < digests_eager.size(); ++i) {
-      EXPECT_EQ(digests_eager[i], digests_eager[0])
-          << models::ModelKindName(kind) << " eager config " << i;
-    }
-    // Fusion's flop accounting is call-for-call identical to the eager
-    // ops', and fewer-but-larger arena allocations must strictly shrink
-    // arena.bytes: check both directly rather than whole-digest equality.
-    auto counter_of = [](const std::string& digest, const char* name) {
-      const size_t pos = digest.find(name);
-      EXPECT_NE(pos, std::string::npos) << name;
-      return std::strtoll(digest.c_str() + pos + std::strlen(name) + 1,
-                          nullptr, 10);
-    };
-    EXPECT_EQ(counter_of(digests_fused[0], "kernels.flops"),
-              counter_of(digests_eager[0], "kernels.flops"))
-        << models::ModelKindName(kind);
-    EXPECT_LT(counter_of(digests_fused[0], "arena.bytes"),
-              counter_of(digests_eager[0], "arena.bytes"))
-        << models::ModelKindName(kind);
+  }
+}
+
+TEST_F(KernelsTest, TrainingGoldenAucApAndFlopsPerModel) {
+  // Pins each model's validation and transductive-test AUC/AP bits and
+  // its kernels.flops count. The values were recorded with every
+  // elementwise op applied one at a time as its own tape node, on the
+  // smallest graph tried (2,400 events, one epoch) at which the former
+  // fused elementwise evaluator moved CAWN's bits. Lerp and MatMul's
+  // bias operand must reproduce them exactly.
+#if defined(__FMA__)
+  // Library code outside the kernel layer may contract a*b+c into an FMA
+  // on such targets, which rounds differently from these recorded bits.
+  GTEST_SKIP() << "golden bits assume no FMA contraction";
+#endif
+  struct Golden {
+    models::ModelKind kind;
+    uint64_t val_auc, val_ap, test_auc, test_ap;
+    int64_t flops;
+  };
+  const Golden goldens[] = {
+      {models::ModelKind::kJodie, 0x3fdd9f39c619896bull, 0x3fddd8507d77f9b9ull,
+       0x3fdc8143a2730abfull, 0x3fddf2c8ba5cc298ull, 9321728},
+      {models::ModelKind::kDyRep, 0x3fe0526cf94cbc9eull, 0x3fdfe6eb56eae291ull,
+       0x3fe02a08d971254bull, 0x3fe03d3072e5a4a3ull, 12006336},
+      {models::ModelKind::kTgn, 0x3fdd60143a2730acull, 0x3fde151786bcc4a4ull,
+       0x3fdf8c9429f8aaebull, 0x3fe04289e5fd8223ull, 75545856},
+      {models::ModelKind::kTgat, 0x3fdfcccccccccccdull, 0x3fe024dadb60486bull,
+       0x3fde43a2730abee5ull, 0x3fdecb2005f5aa8dull, 72470320},
+      {models::ModelKind::kCawn, 0x3fdf19b9f6a51aadull, 0x3fdf20b219a57e66ull,
+       0x3fe0f363bec474d0ull, 0x3fe0e5193f3e7c08ull, 289895984},
+      {models::ModelKind::kNeurTw, 0x3fdeb0cc4b589ec9ull, 0x3fe041a1db54f9f8ull,
+       0x3fde40692e65637eull, 0x3fdf8ed4dbb01401ull, 434836016},
+      {models::ModelKind::kNat, 0x3fe2ca04cdcfb529ull, 0x3fe2711d9845a2d6ull,
+       0x3fe1de8fdd9d23c7ull, 0x3fe0c7bd27fdd09eull, 10572416},
+      {models::ModelKind::kTemp, 0x3fe0503eb4464a15ull, 0x3fe05c7d84200273ull,
+       0x3fde061172283394ull, 0x3fdf056a47ea5626ull, 31971488},
+      {models::ModelKind::kMotifJoint, 0x3fe8471c71c71c72ull,
+       0x3fe7b83fcce71e80ull, 0x3fe76d72a9a7c24full, 0x3fe6d2eb00d5d09cull,
+       290945456},
+  };
+  obs::MetricRegistry::OverrideEnabledForTest(1);
+  auto& registry = obs::MetricRegistry::Global();
+  datagen::SyntheticConfig cfg;
+  cfg.num_users = 40;
+  cfg.num_items = 15;
+  cfg.num_edges = 2400;
+  cfg.edge_feature_dim = 4;
+  cfg.seed = 5;
+  graph::TemporalGraph g = datagen::Generate(cfg);
+  g.InitNodeFeatures(8);
+  ASSERT_EQ(std::size(goldens), TrainableKinds().size());
+  for (const Golden& golden : goldens) {
+    core::LinkPredictionJob job = MatrixJob(&g, golden.kind);
+    job.train_config.max_epochs = 1;
+    registry.Reset();
+    const core::LinkPredictionResult result = core::RunLinkPrediction(job);
+    const char* name = models::ModelKindName(golden.kind);
+    ASSERT_EQ(result.status, models::ModelStatus::kOk) << name;
+    EXPECT_EQ(BitsOf(result.val_transductive.auc), golden.val_auc) << name;
+    EXPECT_EQ(BitsOf(result.val_transductive.ap), golden.val_ap) << name;
+    EXPECT_EQ(BitsOf(result.test[0].auc), golden.test_auc) << name;
+    EXPECT_EQ(BitsOf(result.test[0].ap), golden.test_ap) << name;
+    EXPECT_EQ(registry.value(obs::Counter::kKernelFlops), golden.flops)
+        << name;
   }
 }
 

@@ -59,9 +59,6 @@ const std::vector<RuleInfo> kRules = {
     {"unused-include", "layering",
      "[--project] included project header none of whose exported names "
      "the includer references"},
-    {"fusible-chain", "api",
-     "3+ chained eager elementwise Var ops in model code (build the chain "
-     "with tensor/expr.h so forward and backward fuse into one pass)"},
 };
 
 bool StartsWith(const std::string& s, const std::string& prefix) {
@@ -802,81 +799,6 @@ void RuleUnannotatedMutex(const std::string& path, const LexedFile& f,
 }
 
 // ---------------------------------------------------------------------------
-// Fusion opportunities.
-// ---------------------------------------------------------------------------
-
-/// Eager elementwise Var entry points that src/tensor/expr.h can fuse.
-bool IsElementwiseName(const Token& t) {
-  if (t.kind != TokKind::kIdent) return false;
-  const std::string& s = t.text;
-  return s == "Add" || s == "Sub" || s == "Mul" || s == "ScalarMul" ||
-         s == "ScalarAdd" || s == "Sigmoid" || s == "Tanh" || s == "Relu" ||
-         s == "Exp" || s == "Cos" || s == "Sin";
-}
-
-/// True when token `i` opens an eager elementwise call: a bare (or
-/// namespace-qualified) op name followed by '('. expr::-qualified calls
-/// already go through the fusion layer, and member calls (x.Add(...))
-/// belong to some other API.
-bool IsEagerElementwiseCall(const Tokens& toks, size_t i) {
-  if (!IsElementwiseName(toks[i])) return false;
-  if (i + 1 >= toks.size() || !IsPunct(toks[i + 1], "(")) return false;
-  if (i > 0 && (IsPunct(toks[i - 1], ".") || IsPunct(toks[i - 1], "->"))) {
-    return false;
-  }
-  if (i >= 2 && IsPunct(toks[i - 1], "::") && IsIdent(toks[i - 2], "expr")) {
-    return false;
-  }
-  return true;
-}
-
-/// Length of the longest chain of nested eager elementwise calls rooted at
-/// the call opened by token `i` (the root itself counts as 1).
-int FusibleChainDepth(const Tokens& toks, size_t i) {
-  const size_t close = MatchingClose(toks, i + 1);
-  int deepest = 0;
-  for (size_t k = i + 2; k < close && k < toks.size(); ++k) {
-    if (!IsEagerElementwiseCall(toks, k)) continue;
-    deepest = std::max(deepest, FusibleChainDepth(toks, k));
-    const size_t inner_close = MatchingClose(toks, k + 1);
-    if (inner_close <= k) break;
-    k = inner_close;
-  }
-  return 1 + deepest;
-}
-
-void RuleFusibleChain(const std::string& path, const LexedFile& f,
-                      std::vector<Finding>* out) {
-  // Model code and the shared module layer are the fusion layer's intended
-  // consumers; everywhere else (tests, the expression layer itself, kernel
-  // goldens) composes eager ops on purpose.
-  if (!StartsWith(path, "src/models/") && path != "src/tensor/modules.cc") {
-    return;
-  }
-  const Tokens& toks = f.tokens;
-  size_t i = 0;
-  while (i < toks.size()) {
-    if (!IsEagerElementwiseCall(toks, i)) {
-      ++i;
-      continue;
-    }
-    const int depth = FusibleChainDepth(toks, i);
-    if (depth >= 3) {
-      Report(out, path, toks[i], "fusible-chain",
-             "chain of " + std::to_string(depth) +
-                 " eager elementwise ops materializes a tensor and a tape "
-                 "node per op; build it with tensor/expr.h (expr::Add, "
-                 "expr::Sigmoid, ...) so forward and backward each run as "
-                 "one fused pass");
-    }
-    // Skip the whole call span whether or not it fired: inner calls are
-    // part of this chain and must not double-report.
-    const size_t close = MatchingClose(toks, i + 1);
-    i = close < toks.size() ? close + 1 : toks.size();
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Suppressions.
 // ---------------------------------------------------------------------------
 
@@ -981,7 +903,6 @@ std::vector<Finding> LintFile(const std::string& path,
   RuleHotLoopAt(path, f, &findings);
   RuleUncheckedIo(path, f, &findings);
   RuleUnannotatedMutex(path, f, &findings);
-  RuleFusibleChain(path, f, &findings);
 
   const Suppressions s = CollectSuppressions(f);
   std::vector<Finding> kept;
