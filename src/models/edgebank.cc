@@ -9,7 +9,7 @@ using tensor::Var;
 EdgeBank::EdgeBank(const graph::TemporalGraph* graph, ModelConfig config)
     : TgnnModel(graph, config) {}
 
-void EdgeBank::Reset() { seen_.clear(); }
+void EdgeBank::ResetImpl() { seen_.clear(); }
 
 Var EdgeBank::ScoreEdges(const std::vector<int32_t>& srcs,
                          const std::vector<int32_t>& dsts,
@@ -34,7 +34,7 @@ Var EdgeBank::ComputeEmbeddings(const std::vector<int32_t>& nodes,
   return Constant(std::move(embeddings));
 }
 
-void EdgeBank::UpdateState(const Batch& batch) {
+void EdgeBank::UpdateStateImpl(const Batch& batch) {
   for (int64_t i = 0; i < batch.size(); ++i) {
     seen_.insert(Key(batch.srcs[static_cast<size_t>(i)],
                      batch.dsts[static_cast<size_t>(i)]));

@@ -19,16 +19,18 @@ class EdgeBank : public TgnnModel {
   EdgeBank(const graph::TemporalGraph* graph, ModelConfig config);
 
   std::string name() const override { return "EdgeBank"; }
-  void Reset() override;
   tensor::Var ComputeEmbeddings(const std::vector<int32_t>& nodes,
                                 const std::vector<double>& ts) override;
   tensor::Var ScoreEdges(const std::vector<int32_t>& srcs,
                          const std::vector<int32_t>& dsts,
                          const std::vector<double>& ts) override;
-  void UpdateState(const Batch& batch) override;
   std::vector<tensor::Var> Parameters() const override { return {}; }
   bool trainable() const override { return false; }
   int64_t StateBytes() const override;
+
+ protected:
+  void ResetImpl() override;
+  void UpdateStateImpl(const Batch& batch) override;
 
  private:
   int64_t Key(int32_t u, int32_t v) const {

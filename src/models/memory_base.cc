@@ -17,7 +17,7 @@ MemoryModel::MemoryModel(const graph::TemporalGraph* graph,
   last_update_.assign(static_cast<size_t>(graph->num_nodes()), 0.0);
 }
 
-void MemoryModel::Reset() {
+void MemoryModel::ResetImpl() {
   memory_.Fill(0.0f);
   std::fill(last_update_.begin(), last_update_.end(), 0.0);
   pending_ = Batch();
@@ -25,7 +25,7 @@ void MemoryModel::Reset() {
   live_var_.reset();
 }
 
-void MemoryModel::UpdateState(const Batch& batch) {
+void MemoryModel::UpdateStateImpl(const Batch& batch) {
   // If scoring was skipped this step (pure state replay), apply the pending
   // updates first so no event is lost.
   ProcessPending();

@@ -24,12 +24,13 @@ class MemoryModel : public TgnnModel {
  public:
   MemoryModel(const graph::TemporalGraph* graph, ModelConfig config);
 
-  void Reset() override;
-  void UpdateState(const Batch& batch) override;
   std::vector<tensor::Var> Parameters() const override;
   int64_t StateBytes() const override;
 
  protected:
+  void ResetImpl() override;
+  void UpdateStateImpl(const Batch& batch) override;
+
   /// One deduplicated pending update: `node`'s memory is refreshed from its
   /// latest event in the pending batch, where it interacted with `other`.
   struct MemoryEvent {

@@ -1,5 +1,11 @@
 #include "models/model.h"
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+
+#include "tensor/kernels/arena.h"
+
 namespace benchtemp::models {
 
 using tensor::Tensor;
@@ -21,9 +27,32 @@ Var TgnnModel::ScoreEdges(const std::vector<int32_t>& srcs,
                           const std::vector<double>& ts) {
   tensor::CheckOrDie(predictor_ != nullptr,
                      "ScoreEdges: predictor not initialized");
-  Var src_emb = ComputeEmbeddings(srcs, ts);
+  Var src_emb = SourceEmbeddings(srcs, ts);
   Var dst_emb = ComputeEmbeddings(dsts, ts);
   return predictor_->Forward(src_emb, dst_emb);
+}
+
+Var TgnnModel::SourceEmbeddings(const std::vector<int32_t>& srcs,
+                                const std::vector<double>& ts) {
+  const tensor::kernels::Arena& arena = tensor::kernels::Arena::ThreadLocal();
+  SourceMemo& memo = source_memo_;
+  // ts is compared bit for bit: 0.0 and -0.0 are different keys, so a hit
+  // never changes a single bit of the embeddings.
+  const auto same_bits = [](double a, double b) {
+    return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+  };
+  if (memo.embeddings != nullptr && memo.arena == &arena &&
+      memo.generation == arena.Generation() && memo.srcs == srcs &&
+      std::equal(memo.ts.begin(), memo.ts.end(), ts.begin(), ts.end(),
+                 same_bits)) {
+    return memo.embeddings;
+  }
+  memo.embeddings = ComputeEmbeddings(srcs, ts);
+  memo.srcs = srcs;
+  memo.ts = ts;
+  memo.arena = &arena;
+  memo.generation = arena.Generation();
+  return memo.embeddings;
 }
 
 Var TgnnModel::ScoreCandidates(const std::vector<int32_t>& srcs,
@@ -44,7 +73,7 @@ Var TgnnModel::ScoreCandidates(const std::vector<int32_t>& srcs,
     // Fused path: one [n, d] source embedding tiled to [n * k, d] via a
     // row gather, one [n * k, d] candidate embedding, one MergeLayer
     // forward over all n * k rows.
-    Var src_emb = ComputeEmbeddings(srcs, ts);
+    Var src_emb = SourceEmbeddings(srcs, ts);
     Var cand_emb = ComputeEmbeddings(candidates, cand_ts);
     std::vector<int64_t> tile(candidates.size());
     for (size_t i = 0; i < srcs.size(); ++i) {
@@ -64,8 +93,6 @@ Var TgnnModel::ScoreCandidates(const std::vector<int32_t>& srcs,
   }
   return ScoreEdges(src_rep, candidates, cand_ts);
 }
-
-void TgnnModel::UpdateState(const Batch& batch) { (void)batch; }
 
 int64_t TgnnModel::ParameterBytes() const {
   int64_t total = 0;

@@ -12,6 +12,10 @@
 #include "tensor/modules.h"
 #include "tensor/random.h"
 
+namespace benchtemp::tensor::kernels {
+class Arena;
+}  // namespace benchtemp::tensor::kernels
+
 namespace benchtemp::models {
 
 /// Hyperparameters shared by the TGNN implementations. The defaults mirror
@@ -77,7 +81,8 @@ struct PreparedInputs {
 ///
 /// The pipeline drives a model through chronological batches:
 ///   1. `ScoreEdges(pos)` / `ScoreEdges(neg)` — edge logits, with gradients
-///      when `set_training(true)`;
+///      when `set_training(true)`; MergeLayer models embed the shared
+///      sources once per batch (see SourceEmbeddings);
 ///   2. `UpdateState(pos)` — the observed events advance the model's
 ///      internal temporal state (memory, caches);
 /// and evaluates node classification through `ComputeEmbeddings`.
@@ -92,15 +97,19 @@ class TgnnModel {
   virtual std::string name() const = 0;
 
   /// Clears all non-parameter state (memory, caches, pending events).
-  virtual void Reset() = 0;
+  void Reset() {
+    DropSourceMemo();
+    ResetImpl();
+  }
 
   /// Temporal embeddings of `nodes` at times `ts` -> [n, embedding_dim].
   virtual tensor::Var ComputeEmbeddings(const std::vector<int32_t>& nodes,
                                         const std::vector<double>& ts) = 0;
 
   /// Edge logits [n, 1] for the candidate pairs. The default merges the
-  /// endpoint embeddings through the model's MergeLayer scorer; pair-feature
-  /// models (CAWN, NeurTW, NAT, EdgeBank) override this.
+  /// endpoint embeddings through the model's MergeLayer scorer, taking the
+  /// sources from SourceEmbeddings; pair-feature models (CAWN, NeurTW, NAT,
+  /// EdgeBank, MotifJoint) override this.
   virtual tensor::Var ScoreEdges(const std::vector<int32_t>& srcs,
                                  const std::vector<int32_t>& dsts,
                                  const std::vector<double>& ts);
@@ -110,14 +119,18 @@ class TgnnModel {
   /// flat logits [srcs.size() * k, 1] in the same order. MergeLayer models
   /// embed each source once and tile the [n, d] block against the
   /// [n * k, d] candidate embeddings (the GEMM shape the kernel layer is
-  /// fast at); pair-feature models fall back to a single flat ScoreEdges
-  /// call over the n * k pairs — still one forward per batch.
+  /// fast at), reusing the batch's ScoreEdges source embeddings when they
+  /// are still live; pair-feature models fall back to a single flat
+  /// ScoreEdges call over the n * k pairs — still one forward per batch.
   tensor::Var ScoreCandidates(const std::vector<int32_t>& srcs,
                               const std::vector<int32_t>& candidates,
                               const std::vector<double>& ts, int k);
 
   /// Advances internal temporal state with observed (positive) events.
-  virtual void UpdateState(const Batch& batch);
+  void UpdateState(const Batch& batch) {
+    DropSourceMemo();
+    UpdateStateImpl(batch);
+  }
 
   /// Precomputes the stochastic sampling work of one training batch (walk
   /// trees, windowed neighborhoods) as a pure function of the arguments and
@@ -141,6 +154,7 @@ class TgnnModel {
   /// draws match what the synchronous path would have produced because both
   /// are keyed off the same per-batch seed.
   void SetPreparedInputs(const PreparedInputs* prepared) {
+    DropSourceMemo();
     prepared_ = prepared;
   }
 
@@ -155,11 +169,15 @@ class TgnnModel {
   /// the masked training index during training and the full index for
   /// evaluation.
   void SetNeighborFinder(const graph::NeighborFinder* finder) {
+    DropSourceMemo();
     finder_ = finder;
   }
 
   /// Training mode: gradients flow through ScoreEdges and state updates.
-  void set_training(bool training) { training_ = training; }
+  void set_training(bool training) {
+    DropSourceMemo();
+    training_ = training;
+  }
   bool training() const { return training_; }
 
   ModelStatus status() const { return status_; }
@@ -178,10 +196,17 @@ class TgnnModel {
   /// resumed job replays the exact draws an uninterrupted run would make.
   std::string SaveRngState() const { return rng_.SaveState(); }
   bool LoadRngState(const std::string& state) {
+    DropSourceMemo();
     return rng_.LoadState(state);
   }
 
  protected:
+  /// Model-specific part of Reset.
+  virtual void ResetImpl() = 0;
+
+  /// Model-specific part of UpdateState; the default keeps no state.
+  virtual void UpdateStateImpl(const Batch& batch) { (void)batch; }
+
   /// Creates the MergeLayer edge scorer once the embedding width is known.
   void InitPredictor(int64_t dim_src, int64_t dim_dst, tensor::Rng& rng);
 
@@ -195,6 +220,31 @@ class TgnnModel {
   /// Borrowed prepared inputs for the in-flight batch (see PrepareBatch);
   /// nullptr outside the pipelined scoring window.
   const PreparedInputs* prepared_ = nullptr;
+
+ private:
+  /// ComputeEmbeddings(srcs, ts), computed once per batch: a repeat call
+  /// with the same srcs and bit-identical ts on the same tape returns the
+  /// same Var, so autograd sums the positive and negative gradients at one
+  /// node and the source subgraph runs once forward and once backward. A
+  /// TapeScope entry or exit, UpdateState, Reset, SetPreparedInputs,
+  /// SetNeighborFinder, set_training and LoadRngState each end the batch.
+  tensor::Var SourceEmbeddings(const std::vector<int32_t>& srcs,
+                               const std::vector<double>& ts);
+
+  /// The last SourceEmbeddings result and its key; empty when
+  /// `embeddings` is null. `arena` and `generation` name the thread and
+  /// tape it was recorded on.
+  struct SourceMemo {
+    std::vector<int32_t> srcs;
+    std::vector<double> ts;
+    const tensor::kernels::Arena* arena = nullptr;
+    uint64_t generation = 0;
+    tensor::Var embeddings;
+  };
+
+  void DropSourceMemo() { source_memo_.embeddings.reset(); }
+
+  SourceMemo source_memo_;
 };
 
 }  // namespace benchtemp::models

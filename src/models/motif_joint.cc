@@ -17,8 +17,8 @@ MotifJoint::MotifJoint(const graph::TemporalGraph* graph, ModelConfig config)
       config_.walk_bias, /*alpha=*/1.0 / time_scale_);
 }
 
-void MotifJoint::Reset() {
-  WalkModel::Reset();
+void MotifJoint::ResetImpl() {
+  WalkModel::ResetImpl();
   caches_.Reset();
 }
 
@@ -39,7 +39,7 @@ Var MotifJoint::ScoreEdges(const std::vector<int32_t>& srcs,
       ConcatCols({motif, Constant(std::move(joint))}));
 }
 
-void MotifJoint::UpdateState(const Batch& batch) {
+void MotifJoint::UpdateStateImpl(const Batch& batch) {
   for (int64_t i = 0; i < batch.size(); ++i) {
     caches_.Observe(batch.srcs[static_cast<size_t>(i)],
                     batch.dsts[static_cast<size_t>(i)], rng_);

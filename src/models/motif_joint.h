@@ -25,14 +25,14 @@ class MotifJoint : public WalkModel {
   MotifJoint(const graph::TemporalGraph* graph, ModelConfig config);
 
   std::string name() const override { return "MotifJoint"; }
-  void Reset() override;
   tensor::Var ScoreEdges(const std::vector<int32_t>& srcs,
                          const std::vector<int32_t>& dsts,
                          const std::vector<double>& ts) override;
-  void UpdateState(const Batch& batch) override;
   int64_t StateBytes() const override;
 
  protected:
+  void ResetImpl() override;
+  void UpdateStateImpl(const Batch& batch) override;
   std::vector<tensor::Var> SubclassParameters() const override;
 
  private:

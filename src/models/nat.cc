@@ -17,8 +17,8 @@ Nat::Nat(const graph::TemporalGraph* graph, ModelConfig config)
       embed_head_(config_.embedding_dim, config_.embedding_dim, rng_),
       caches_(graph->num_nodes(), config.ncache_size) {}
 
-void Nat::Reset() {
-  MemoryModel::Reset();
+void Nat::ResetImpl() {
+  MemoryModel::ResetImpl();
   caches_.Reset();
 }
 
@@ -58,8 +58,8 @@ Var Nat::ComputeEmbeddings(const std::vector<int32_t>& nodes,
   return embed_head_.Forward(GatherMemory(nodes));
 }
 
-void Nat::UpdateState(const Batch& batch) {
-  MemoryModel::UpdateState(batch);
+void Nat::UpdateStateImpl(const Batch& batch) {
+  MemoryModel::UpdateStateImpl(batch);
   // O(1) N-cache maintenance per event.
   for (int64_t i = 0; i < batch.size(); ++i) {
     caches_.Observe(batch.srcs[static_cast<size_t>(i)],

@@ -21,13 +21,11 @@ class Nat : public MemoryModel {
   Nat(const graph::TemporalGraph* graph, ModelConfig config);
 
   std::string name() const override { return "NAT"; }
-  void Reset() override;
   tensor::Var ComputeEmbeddings(const std::vector<int32_t>& nodes,
                                 const std::vector<double>& ts) override;
   tensor::Var ScoreEdges(const std::vector<int32_t>& srcs,
                          const std::vector<int32_t>& dsts,
                          const std::vector<double>& ts) override;
-  void UpdateState(const Batch& batch) override;
   int64_t StateBytes() const override;
 
   /// Number of joint-neighborhood structural features.
@@ -39,6 +37,8 @@ class Nat : public MemoryModel {
   }
 
  protected:
+  void ResetImpl() override;
+  void UpdateStateImpl(const Batch& batch) override;
   tensor::Var ComputeMemoryUpdate(const std::vector<MemoryEvent>& events,
                                   const tensor::Var& prev_memory) override;
   std::vector<tensor::Var> UpdaterParameters() const override;

@@ -26,7 +26,7 @@ Tgat::Tgat(const graph::TemporalGraph* graph, ModelConfig config)
   InitPredictor(config_.embedding_dim, config_.embedding_dim, rng_);
 }
 
-void Tgat::Reset() {
+void Tgat::ResetImpl() {
   // Stateless: nothing to clear besides the error flag.
   ClearStatus();
 }
@@ -106,11 +106,11 @@ std::unique_ptr<PreparedInputs> Tgat::PrepareBatch(
   tensor::CheckOrDie(finder_ != nullptr, "TGAT: neighbor finder not set");
   auto out = std::make_unique<TgatPreparedInputs>();
   tensor::Rng rng(tensor::SplitMix64(seed, 3));
-  // ScoreEdges(pos) embeds srcs then dsts; ScoreEdges(neg) embeds srcs then
-  // negatives — build the four depth-first trees in that consumption order.
+  // ScoreEdges(pos) embeds srcs then dsts; ScoreEdges(neg) reuses the
+  // source embeddings (SourceEmbeddings) and embeds negatives — build the
+  // three depth-first trees in that consumption order.
   BuildSampleTree(batch.srcs, batch.ts, config_.num_layers, rng, &out->fifo);
   BuildSampleTree(batch.dsts, batch.ts, config_.num_layers, rng, &out->fifo);
-  BuildSampleTree(batch.srcs, batch.ts, config_.num_layers, rng, &out->fifo);
   BuildSampleTree(negatives, batch.ts, config_.num_layers, rng, &out->fifo);
   return out;
 }

@@ -26,8 +26,9 @@ struct SampledNeighborhood {
 };
 
 /// Prefetched TGAT inputs of one training batch: every neighborhood the
-/// batch's four embedding trees (pos src/dst, neg src/dst) will request, in
-/// exact depth-first consumption order, drained through `cursor`.
+/// batch's three embedding trees (srcs, dsts, negatives; both ScoreEdges
+/// calls share the source embeddings) will request, in exact depth-first
+/// consumption order, drained through `cursor`.
 struct TgatPreparedInputs : public PreparedInputs {
   std::vector<SampledNeighborhood> fifo;
   /// Consumption cursor; mutated by the (single) training thread while the
@@ -51,7 +52,6 @@ class Tgat : public TgnnModel {
   Tgat(const graph::TemporalGraph* graph, ModelConfig config);
 
   std::string name() const override { return "TGAT"; }
-  void Reset() override;
   tensor::Var ComputeEmbeddings(const std::vector<int32_t>& nodes,
                                 const std::vector<double>& ts) override;
   std::vector<tensor::Var> Parameters() const override;
@@ -63,6 +63,9 @@ class Tgat : public TgnnModel {
   std::unique_ptr<PreparedInputs> PrepareBatch(
       const Batch& batch, const std::vector<int32_t>& negatives,
       uint64_t seed) const override;
+
+ protected:
+  void ResetImpl() override;
 
  private:
   /// Recursive layered embedding; layer 0 returns projected node features.

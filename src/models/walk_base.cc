@@ -29,7 +29,7 @@ WalkModel::WalkModel(const graph::TemporalGraph* graph, ModelConfig config)
   }
 }
 
-void WalkModel::Reset() {
+void WalkModel::ResetImpl() {
   ClearStatus();
   last_walk_bytes_ = 0;
 }

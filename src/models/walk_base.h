@@ -33,7 +33,6 @@ class WalkModel : public TgnnModel {
  public:
   WalkModel(const graph::TemporalGraph* graph, ModelConfig config);
 
-  void Reset() override;
   tensor::Var ScoreEdges(const std::vector<int32_t>& srcs,
                          const std::vector<int32_t>& dsts,
                          const std::vector<double>& ts) override;
@@ -51,6 +50,8 @@ class WalkModel : public TgnnModel {
       uint64_t seed) const override;
 
  protected:
+  void ResetImpl() override;
+
   /// Hook for NeurTW's continuous evolution: transform the hidden state
   /// across the (normalized) time gaps `gaps` ([rows] entries) before the
   /// next walk step is consumed. Default: identity.

@@ -62,6 +62,12 @@ class Arena {
   /// Total floats handed out since the last rewind to empty (test hook).
   int64_t LiveFloats() const { return live_floats_; }
 
+  /// Tape generation of this thread: bumped at every TapeScope entry and
+  /// exit, so two reads that return the same value bracket no tape
+  /// boundary. A cache of tape values keyed by it can never hand out a
+  /// value whose tape has rewound.
+  uint64_t Generation() const { return generation_; }
+
  private:
   friend class TapeScope;
 
@@ -78,14 +84,21 @@ class Arena {
 
   Mark Here() const { return {block_, offset_, live_floats_}; }
   void Rewind(const Mark& mark);
-  void EnterScope() { ++scope_depth_; }
-  void ExitScope() { --scope_depth_; }
+  void EnterScope() {
+    ++scope_depth_;
+    ++generation_;
+  }
+  void ExitScope() {
+    --scope_depth_;
+    ++generation_;
+  }
 
   std::vector<Block> blocks_;
   size_t block_ = 0;      // index of the block the bump pointer lives in
   int64_t offset_ = 0;    // floats used within blocks_[block_]
   int64_t live_floats_ = 0;
   int scope_depth_ = 0;
+  uint64_t generation_ = 0;
 };
 
 /// RAII batch scope: captures the thread-local arena's bump mark on entry

@@ -610,7 +610,11 @@ TEST_F(KernelsTest, TrainingGoldenAucApAndFlopsPerModel) {
   // elementwise op applied one at a time as its own tape node, on the
   // smallest graph tried (2,400 events, one epoch) at which the former
   // fused elementwise evaluator moved CAWN's bits. Lerp and MatMul's
-  // bias operand must reproduce them exactly.
+  // bias operand must reproduce them exactly. The five MergeLayer rows
+  // (JODIE, DyRep, TGN, TGAT, TeMP) embed each batch's sources once
+  // (TgnnModel::SourceEmbeddings); TGN and TGAT also draw fewer
+  // neighbour samples, so their AUC/AP bits moved with their flops. The
+  // pair-feature rows do not use it and kept their bits and flops.
 #if defined(__FMA__)
   // Library code outside the kernel layer may contract a*b+c into an FMA
   // on such targets, which rounds differently from these recorded bits.
@@ -623,13 +627,13 @@ TEST_F(KernelsTest, TrainingGoldenAucApAndFlopsPerModel) {
   };
   const Golden goldens[] = {
       {models::ModelKind::kJodie, 0x3fdd9f39c619896bull, 0x3fddd8507d77f9b9ull,
-       0x3fdc8143a2730abfull, 0x3fddf2c8ba5cc298ull, 9321728},
+       0x3fdc8143a2730abfull, 0x3fddf2c8ba5cc298ull, 8541520},
       {models::ModelKind::kDyRep, 0x3fe0526cf94cbc9eull, 0x3fdfe6eb56eae291ull,
-       0x3fe02a08d971254bull, 0x3fe03d3072e5a4a3ull, 12006336},
-      {models::ModelKind::kTgn, 0x3fdd60143a2730acull, 0x3fde151786bcc4a4ull,
-       0x3fdf8c9429f8aaebull, 0x3fe04289e5fd8223ull, 75545856},
-      {models::ModelKind::kTgat, 0x3fdfcccccccccccdull, 0x3fe024dadb60486bull,
-       0x3fde43a2730abee5ull, 0x3fdecb2005f5aa8dull, 72470320},
+       0x3fe02a08d971254bull, 0x3fe03d3072e5a4a3ull, 11319488},
+      {models::ModelKind::kTgn, 0x3fddc98359a1b0dcull, 0x3fde7b4c14011300ull,
+       0x3fe0413373ed4a35ull, 0x3fe079303dda1244ull, 58654592},
+      {models::ModelKind::kTgat, 0x3fe03bec474cfd58ull, 0x3fe0039b807a2864ull,
+       0x3fe061f9add3c0caull, 0x3fe041bd17e3e5ecull, 55100112},
       {models::ModelKind::kCawn, 0x3fdf19b9f6a51aadull, 0x3fdf20b219a57e66ull,
        0x3fe0f363bec474d0ull, 0x3fe0e5193f3e7c08ull, 289895984},
       {models::ModelKind::kNeurTw, 0x3fdeb0cc4b589ec9ull, 0x3fe041a1db54f9f8ull,
@@ -637,7 +641,7 @@ TEST_F(KernelsTest, TrainingGoldenAucApAndFlopsPerModel) {
       {models::ModelKind::kNat, 0x3fe2ca04cdcfb529ull, 0x3fe2711d9845a2d6ull,
        0x3fe1de8fdd9d23c7ull, 0x3fe0c7bd27fdd09eull, 10572416},
       {models::ModelKind::kTemp, 0x3fe0503eb4464a15ull, 0x3fe05c7d84200273ull,
-       0x3fde061172283394ull, 0x3fdf056a47ea5626ull, 31971488},
+       0x3fde061172283394ull, 0x3fdf056a47ea5626ull, 25131424},
       {models::ModelKind::kMotifJoint, 0x3fe8471c71c71c72ull,
        0x3fe7b83fcce71e80ull, 0x3fe76d72a9a7c24full, 0x3fe6d2eb00d5d09cull,
        290945456},

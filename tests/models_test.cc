@@ -1,6 +1,10 @@
 #include "models/factory.h"
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
+#include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -9,6 +13,9 @@
 #include "models/edgebank.h"
 #include "models/nat.h"
 #include "models/tgat.h"
+#include "obs/metrics.h"
+#include "tensor/debug_check.h"
+#include "tensor/kernels/arena.h"
 #include "tensor/optimizer.h"
 
 namespace benchtemp::models {
@@ -41,6 +48,16 @@ ModelConfig SmallConfig() {
   config.num_walks = 2;
   config.walk_length = 2;
   return config;
+}
+
+/// The trainer's link-prediction loss: mean of the positive (target 1)
+/// and negative (target 0) BCE.
+Var PairLoss(const Var& pos, const Var& neg) {
+  tensor::Tensor ones({pos->value.size()});
+  ones.Fill(1.0f);
+  tensor::Tensor zeros({neg->value.size()});
+  return ScalarMul(Add(BceWithLogits(pos, ones), BceWithLogits(neg, zeros)),
+                   0.5f);
 }
 
 Batch FirstBatch(const TemporalGraph& g, int64_t n) {
@@ -129,11 +146,7 @@ TEST_P(AllModelsTest, TrainingStepReducesLoss) {
     model->UpdateState(warm);
     Var pos = model->ScoreEdges(batch.srcs, batch.dsts, batch.ts);
     Var neg = model->ScoreEdges(batch.srcs, negatives, batch.ts);
-    tensor::Tensor ones({pos->value.size()});
-    ones.Fill(1.0f);
-    tensor::Tensor zeros({neg->value.size()});
-    Var loss = ScalarMul(
-        Add(BceWithLogits(pos, ones), BceWithLogits(neg, zeros)), 0.5f);
+    Var loss = PairLoss(pos, neg);
     if (step == 0) first = loss->value.at(0);
     last = loss->value.at(0);
     optimizer.ZeroGrad();
@@ -265,7 +278,9 @@ TEST(TgatTest, TimeWindowTriggersRuntimeError) {
 TEST(TgatTest, ExhaustedPreparedInputsAreFatal) {
   // Prepared inputs hold exactly the neighborhoods of one batch; asking for
   // more must fail loudly rather than fall back to the member RNG, which
-  // would silently make prefetched and inline preparation disagree.
+  // would silently make prefetched and inline preparation disagree. Three
+  // trees of three neighborhoods (srcs, dsts, negatives): the second call
+  // reuses the source embeddings and runs out in the last tree.
   TemporalGraph g = MakeGraph();
   NeighborFinder finder(g);
   Tgat model(&g, SmallConfig());
@@ -282,8 +297,257 @@ TEST(TgatTest, ExhaustedPreparedInputsAreFatal) {
         (void)model.ScoreEdges(batch.srcs, batch.dsts, batch.ts);
         (void)model.ScoreEdges(batch.srcs, batch.dsts, batch.ts);
       },
-      "exhausted at layer 1 \\(cursor 11 of 11\\)");
+      "exhausted at layer 1 \\(cursor 8 of 8\\)");
 }
+
+/// The source-embedding operand of a MergeLayer logit node: the first
+/// ConcatCols down the fc2 -> Relu -> fc1 chain joins [src | dst].
+const tensor::VarNode* SourceNodeOf(const Var& logits) {
+  const tensor::VarNode* node = logits.get();
+  while (node != nullptr && std::string(node->op) != "ConcatCols") {
+    node = node->parents.empty() ? nullptr : node->parents[0].get();
+  }
+  return node == nullptr ? nullptr : node->parents[0].get();
+}
+
+/// Eight disjoint pairs (i, 8 + i) at t = i + 1: every node has exactly
+/// one earlier event, so every neighbour draw is the same edge and the
+/// flop count of an embedding does not depend on the RNG stream.
+TemporalGraph OneEventPerNodeGraph() {
+  TemporalGraph g;
+  for (int32_t i = 0; i < 8; ++i) g.AddInteraction(i, 8 + i, i + 1.0);
+  tensor::Rng rng(11);
+  g.SetEdgeFeatures(tensor::Tensor::Randn({8, 4}, rng));
+  g.InitNodeFeatures(8);
+  return g;
+}
+
+class SourceMemoTest : public ::testing::TestWithParam<ModelKind> {
+ protected:
+  void SetUp() override {
+    arena_was_ = tensor::kernels::ArenaEnabled();
+    check_was_ = tensor::debug_check::Enabled();
+    obs::MetricRegistry::OverrideEnabledForTest(1);
+  }
+  void TearDown() override {
+    tensor::kernels::SetArenaEnabledForTest(arena_was_);
+    tensor::debug_check::SetEnabledForTest(check_was_);
+    obs::MetricRegistry::OverrideEnabledForTest(-1);
+    obs::MetricRegistry::Global().Reset();
+  }
+
+ private:
+  bool arena_was_ = true;
+  bool check_was_ = false;
+};
+
+TEST_P(SourceMemoTest, OneSourceEmbeddingPerBatch) {
+  TemporalGraph g = OneEventPerNodeGraph();
+  NeighborFinder finder(g);
+  Batch batch;
+  std::vector<int32_t> negatives;
+  for (int32_t i = 0; i < 8; ++i) {
+    batch.srcs.push_back(i);
+    batch.dsts.push_back(8 + i);
+    batch.ts.push_back(10.0);
+    batch.edge_idxs.push_back(i);
+    negatives.push_back(8 + (i + 1) % 8);
+  }
+  auto& registry = obs::MetricRegistry::Global();
+  const auto flops = [&registry] {
+    return registry.value(obs::Counter::kKernelFlops);
+  };
+  for (const bool arena : {true, false}) {
+    for (const bool check : {false, true}) {
+      SCOPED_TRACE(arena ? "arena on" : "arena off");
+      SCOPED_TRACE(check ? "check on" : "check off");
+      tensor::kernels::SetArenaEnabledForTest(arena);
+      tensor::debug_check::SetEnabledForTest(check);
+      auto model = CreateModel(GetParam(), &g, SmallConfig(), 8);
+      model->SetNeighborFinder(&finder);
+      model->Reset();
+      model->set_training(true);
+
+      // One source embedding, then pos + neg with a recompute forced
+      // between them, then pos + neg sharing the sources.
+      int64_t start = flops();
+      {
+        tensor::kernels::TapeScope scope;
+        (void)model->ComputeEmbeddings(batch.srcs, batch.ts);
+      }
+      const int64_t one_embedding = flops() - start;
+      start = flops();
+      {
+        tensor::kernels::TapeScope scope;
+        Var pos = model->ScoreEdges(batch.srcs, batch.dsts, batch.ts);
+        model->set_training(true);
+        Var neg = model->ScoreEdges(batch.srcs, negatives, batch.ts);
+        EXPECT_NE(SourceNodeOf(pos), SourceNodeOf(neg));
+      }
+      const int64_t cold = flops() - start;
+      start = flops();
+      {
+        tensor::kernels::TapeScope scope;
+        Var pos = model->ScoreEdges(batch.srcs, batch.dsts, batch.ts);
+        Var neg = model->ScoreEdges(batch.srcs, negatives, batch.ts);
+        const int64_t shared = flops() - start;
+        EXPECT_GT(one_embedding, 0);
+        EXPECT_EQ(cold - shared, one_embedding);
+        ASSERT_NE(SourceNodeOf(pos), nullptr);
+        EXPECT_EQ(SourceNodeOf(pos), SourceNodeOf(neg));
+        // The ranked pass tiles the same node.
+        Var cand = model->ScoreCandidates(batch.srcs, negatives, batch.ts, 1);
+        ASSERT_EQ(std::string(SourceNodeOf(cand)->op), "GatherRows");
+        EXPECT_EQ(SourceNodeOf(cand)->parents[0].get(), SourceNodeOf(pos));
+        // Both gradients meet at the shared node in one backward pass.
+        Backward(PairLoss(pos, neg));
+      }
+
+      // Everything that ends a batch forces a recompute.
+      const std::string rng_state = model->SaveRngState();
+      const std::pair<const char*, std::function<void()>> boundaries[] = {
+          {"UpdateState", [&] { model->UpdateState(batch); }},
+          {"Reset", [&] { model->Reset(); }},
+          {"SetPreparedInputs", [&] { model->SetPreparedInputs(nullptr); }},
+          {"SetNeighborFinder", [&] { model->SetNeighborFinder(&finder); }},
+          {"set_training", [&] { model->set_training(true); }},
+          {"LoadRngState", [&] { model->LoadRngState(rng_state); }},
+      };
+      for (const auto& [name, boundary] : boundaries) {
+        tensor::kernels::TapeScope scope;
+        Var pos = model->ScoreEdges(batch.srcs, batch.dsts, batch.ts);
+        boundary();
+        Var neg = model->ScoreEdges(batch.srcs, negatives, batch.ts);
+        EXPECT_NE(SourceNodeOf(pos), SourceNodeOf(neg)) << name;
+      }
+      {
+        tensor::kernels::TapeScope outer;
+        Var pos = model->ScoreEdges(batch.srcs, batch.dsts, batch.ts);
+        tensor::kernels::TapeScope inner;
+        Var neg = model->ScoreEdges(batch.srcs, negatives, batch.ts);
+        EXPECT_NE(SourceNodeOf(pos), SourceNodeOf(neg)) << "TapeScope";
+      }
+      {
+        tensor::kernels::TapeScope scope;
+        Var pos = model->ScoreEdges(batch.srcs, batch.dsts, batch.ts);
+        std::vector<int32_t> other_srcs = batch.srcs;
+        other_srcs[3] = 5;
+        Var neg = model->ScoreEdges(other_srcs, negatives, batch.ts);
+        EXPECT_NE(SourceNodeOf(pos), SourceNodeOf(neg)) << "srcs";
+        std::vector<double> other_ts = batch.ts;
+        other_ts[3] = std::nextafter(other_ts[3], 20.0);
+        Var later = model->ScoreEdges(batch.srcs, negatives, other_ts);
+        EXPECT_NE(SourceNodeOf(pos), SourceNodeOf(later)) << "ts";
+      }
+    }
+  }
+}
+
+/// Central differences of PairLoss(ScoreEdges(pos), ScoreEdges(neg)) on a
+/// sampled subset of every parameter tensor, against Backward through the
+/// source node the two calls share. Each evaluation restores the model's
+/// temporal state and its neighbour draws (member RNG state for TGN, the
+/// prepared inputs for TGAT), so all of them see one function.
+TEST_P(SourceMemoTest, PairLossGradientMatchesFiniteDifferences) {
+  datagen::SyntheticConfig cfg;
+  cfg.num_users = 40;
+  cfg.num_items = 15;
+  cfg.num_edges = 600;
+  cfg.edge_feature_dim = 4;
+  cfg.seed = 5;
+  // Time-encoder frequency gradients scale with the time deltas: over the
+  // default span of 1000 a float32 central difference cannot resolve
+  // them.
+  cfg.time_span = 10.0;
+  TemporalGraph g = datagen::Generate(cfg);
+  g.InitNodeFeatures(8);
+  NeighborFinder finder(g);
+  auto model = CreateModel(GetParam(), &g, SmallConfig(), 40);
+  model->SetNeighborFinder(&finder);
+  model->set_training(true);
+  const Batch warm = FirstBatch(g, 100);
+  Batch batch;
+  for (int64_t i = 100; i < 124; ++i) {
+    const auto& e = g.event(i);
+    batch.srcs.push_back(e.src);
+    batch.dsts.push_back(e.dst);
+    batch.ts.push_back(e.ts);
+    batch.edge_idxs.push_back(e.edge_idx);
+  }
+  std::vector<int32_t> negatives(batch.srcs.size());
+  tensor::Rng pick(3);
+  for (auto& d : negatives) d = 40 + static_cast<int32_t>(pick.UniformInt(15));
+  std::unique_ptr<PreparedInputs> prepared =
+      model->PrepareBatch(batch, negatives, /*seed=*/9);
+  const std::string rng_state = model->SaveRngState();
+
+  const auto loss_at_current_parameters = [&] {
+    model->Reset();
+    model->UpdateState(warm);
+    model->LoadRngState(rng_state);
+    if (auto* tgat = dynamic_cast<TgatPreparedInputs*>(prepared.get())) {
+      tgat->cursor = 0;
+    }
+    model->SetPreparedInputs(prepared.get());
+    Var pos = model->ScoreEdges(batch.srcs, batch.dsts, batch.ts);
+    Var neg = model->ScoreEdges(batch.srcs, negatives, batch.ts);
+    model->SetPreparedInputs(nullptr);
+    EXPECT_EQ(SourceNodeOf(pos), SourceNodeOf(neg));
+    return PairLoss(pos, neg);
+  };
+
+  const std::vector<Var> params = model->Parameters();
+  // Move off the initial point: zero node features and zero-initialised
+  // biases put many Relu inputs exactly at 0, where the derivative jumps.
+  for (const Var& p : params) {
+    for (int64_t i = 0; i < p->value.size(); ++i) {
+      p->value.at(i) += pick.Normal(0.0f, 0.1f);
+    }
+  }
+  float value = 0.0f;
+  {
+    tensor::kernels::TapeScope scope;
+    Var loss = loss_at_current_parameters();
+    value = loss->value.at(0);
+    tensor::ZeroGrad(params);
+    Backward(loss);
+  }
+  ASSERT_TRUE(std::isfinite(value));
+  const float eps = 5e-4f;
+  for (size_t t = 0; t < params.size(); ++t) {
+    const Var& p = params[t];
+    ASSERT_EQ(p->grad.size(), p->value.size());
+    for (int sample = 0; sample < 2; ++sample) {
+      const int64_t i = pick.UniformInt(p->value.size());
+      const float saved = p->value.at(i);
+      float up = 0.0f, down = 0.0f;
+      p->value.at(i) = saved + eps;
+      {
+        tensor::kernels::TapeScope scope;
+        up = loss_at_current_parameters()->value.at(0);
+      }
+      p->value.at(i) = saved - eps;
+      {
+        tensor::kernels::TapeScope scope;
+        down = loss_at_current_parameters()->value.at(0);
+      }
+      p->value.at(i) = saved;
+      const float numeric = (up - down) / (2.0f * eps);
+      const float analytic = p->grad.at(i);
+      EXPECT_NEAR(analytic, numeric,
+                  5e-2f * std::max(std::fabs(analytic), std::fabs(numeric)) +
+                      5e-4f)
+          << "entry " << i << " of parameter " << t;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    MergeLayerModels, SourceMemoTest,
+    ::testing::Values(ModelKind::kTgn, ModelKind::kTgat),
+    [](const ::testing::TestParamInfo<ModelKind>& info) {
+      return std::string(ModelKindName(info.param));
+    });
 
 TEST(EdgeBankTest, MemorizesSeenEdges) {
   TemporalGraph g = MakeGraph();
