@@ -64,19 +64,30 @@ void BM_NeighborFinderBeforeQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_NeighborFinderBeforeQuery);
 
+// One attention layer's neighborhood draw at the model shape: 200 queries
+// (a training batch), k neighbors each; range(1) is the time window (0 =
+// unwindowed, as TGN and DyRep draw; > 0 as TGAT's windowed lookups).
 void BM_UniformNeighborSampling(benchmark::State& state) {
   const graph::TemporalGraph& g = SharedGraph();
   graph::NeighborFinder finder(g);
   tensor::Rng rng(1);
-  for (auto _ : state) {
-    const auto sampled = finder.SampleUniform(
-        tensor::NarrowId(rng.UniformInt(g.num_nodes()), "bench: node id"), 900.0,
-        state.range(0), rng);
-    benchmark::DoNotOptimize(sampled.size());
+  std::vector<int32_t> nodes(200);
+  for (int32_t& node : nodes) {
+    node = tensor::NarrowId(rng.UniformInt(g.num_nodes()), "bench: node id");
   }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
+  const std::vector<double> ts(nodes.size(), 900.0);
+  const int64_t k = state.range(0);
+  const double window = static_cast<double>(state.range(1));
+  for (auto _ : state) {
+    const graph::SampledNeighborhood nb =
+        finder.SampleNeighborhood(nodes, ts, k, window, rng);
+    benchmark::DoNotOptimize(nb.flat_neighbors.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(nodes.size()) * k);
 }
-BENCHMARK(BM_UniformNeighborSampling)->Arg(8)->Arg(32);
+BENCHMARK(BM_UniformNeighborSampling)->ArgsProduct({{8, 32}, {0, 100}});
 
 void BM_TemporalWalk(benchmark::State& state) {
   const graph::TemporalGraph& g = SharedGraph();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <unordered_set>
 
 #include "obs/metrics.h"
 #include "tensor/numeric.h"
@@ -29,22 +30,21 @@ void CountPoolFallback(int64_t count) {
   }
 }
 
-/// Uniform draw over [dst_lo, dst_hi) avoiding `positive_dst` via bounded
-/// rejection. A single-destination range has no distinct negative; the last
-/// draw (the positive itself) is returned so the stream stays total.
-int32_t DrawUniformAvoiding(tensor::Rng& rng, int32_t dst_lo, int32_t dst_hi,
-                            int32_t positive_dst) {
-  int32_t draw = 0;
+/// The one pool draw: entry value(UniformInt(size)), redrawn while
+/// `rejects` refuses it, at most kMaxRejects times; each refused draw is
+/// counted as a collision. Returns false when the budget ran dry, leaving
+/// the last (refused) draw in `*draw`.
+template <typename Value, typename Rejects>
+bool DrawAvoiding(tensor::Rng& rng, int64_t size, const Value& value,
+                  const Rejects& rejects, int32_t* draw) {
   int64_t rejected = 0;
   for (int attempt = 0; attempt <= kMaxRejects; ++attempt) {
-    draw = dst_lo + tensor::NarrowId(
-                        rng.UniformInt(static_cast<int64_t>(dst_hi) - dst_lo),
-                        "EdgeSampler: dst id");
-    if (draw != positive_dst) break;
+    *draw = value(rng.UniformInt(size));
+    if (!rejects(*draw)) break;
     ++rejected;
   }
   CountCollisions(rejected);
-  return draw;
+  return rejected <= kMaxRejects;
 }
 
 }  // namespace
@@ -62,41 +62,57 @@ const char* NegativeSamplingName(NegativeSampling mode) {
 }
 
 // ---------------------------------------------------------------------------
-// RandomEdgeSampler.
+// EdgeSampler and its three pools.
 // ---------------------------------------------------------------------------
 
-RandomEdgeSampler::RandomEdgeSampler(int32_t dst_lo, int32_t dst_hi,
-                                     uint64_t seed)
-    : dst_lo_(dst_lo), dst_hi_(dst_hi), rng_(seed) {
-  tensor::CheckOrDie(dst_hi > dst_lo, "RandomEdgeSampler: empty range");
+EdgeSampler::EdgeSampler(int32_t dst_lo, int32_t dst_hi)
+    : dst_lo_(dst_lo), dst_hi_(dst_hi) {
+  tensor::CheckOrDie(dst_hi > dst_lo, "EdgeSampler: empty range");
 }
 
-std::vector<int32_t> RandomEdgeSampler::SampleNegativesKeyed(
+std::vector<int32_t> EdgeSampler::SampleNegativesKeyed(
     uint64_t stream_seed, const std::vector<int32_t>& srcs,
     const std::vector<int32_t>& positive_dsts) const {
   tensor::CheckOrDie(srcs.size() == positive_dsts.size(),
                      "SampleNegativesKeyed: srcs/dsts size mismatch");
   obs::MetricRegistry::Global().Add(obs::Counter::kSamplerNegatives,
                                     static_cast<int64_t>(srcs.size()));
+  const auto uniform = [this](int64_t j) {
+    return dst_lo_ + tensor::NarrowId(j, "EdgeSampler: dst id");
+  };
   tensor::Rng rng(stream_seed);
-  std::vector<int32_t> out;
-  out.reserve(srcs.size());
+  std::vector<int32_t> out(srcs.size());
   for (size_t i = 0; i < srcs.size(); ++i) {
-    out.push_back(
-        DrawUniformAvoiding(rng, dst_lo_, dst_hi_, positive_dsts[i]));
+    const int32_t positive = positive_dsts[i];
+    const auto collides = [positive](int32_t v) { return v == positive; };
+    const std::vector<int32_t>* pool = Pool(srcs[i]);
+    if (pool != nullptr) {
+      const auto entry = [pool](int64_t j) {
+        return (*pool)[static_cast<size_t>(j)];
+      };
+      if (!pool->empty() &&
+          DrawAvoiding(rng, static_cast<int64_t>(pool->size()), entry,
+                       collides, &out[i])) {
+        continue;
+      }
+      CountPoolFallback(1);
+    }
+    // A single-destination range has no distinct negative: the last draw
+    // (the positive itself) stands, so the stream stays total.
+    DrawAvoiding(rng, static_cast<int64_t>(dst_hi_) - dst_lo_, uniform,
+                 collides, &out[i]);
   }
   return out;
 }
 
-// ---------------------------------------------------------------------------
-// HistoricalEdgeSampler.
-// ---------------------------------------------------------------------------
+RandomEdgeSampler::RandomEdgeSampler(int32_t dst_lo, int32_t dst_hi,
+                                     uint64_t seed)
+    : EdgeSampler(dst_lo, dst_hi), rng_(seed) {}
 
 HistoricalEdgeSampler::HistoricalEdgeSampler(
     const graph::TemporalGraph& graph,
     const std::vector<int64_t>& train_events, int32_t dst_lo, int32_t dst_hi)
-    : dst_lo_(dst_lo), dst_hi_(dst_hi) {
-  tensor::CheckOrDie(dst_hi > dst_lo, "HistoricalEdgeSampler: empty range");
+    : EdgeSampler(dst_lo, dst_hi) {
   history_.resize(static_cast<size_t>(graph.num_nodes()));
   for (int64_t i : train_events) {
     const graph::Interaction& e = graph.event(i);
@@ -104,54 +120,10 @@ HistoricalEdgeSampler::HistoricalEdgeSampler(
   }
 }
 
-int32_t HistoricalEdgeSampler::DrawOne(tensor::Rng& rng, int32_t src,
-                                       int32_t positive_dst) const {
-  const auto& hist = history_[static_cast<size_t>(src)];
-  if (!hist.empty()) {
-    int64_t rejected = 0;
-    for (int attempt = 0; attempt <= kMaxRejects; ++attempt) {
-      const int32_t draw = hist[static_cast<size_t>(
-          rng.UniformInt(static_cast<int64_t>(hist.size())))];
-      if (draw != positive_dst) {
-        CountCollisions(rejected);
-        return draw;
-      }
-      ++rejected;
-    }
-    CountCollisions(rejected);
-    // The source's whole history collided with the positive (or the
-    // rejection budget ran dry) — fall through to the counted uniform
-    // fallback rather than returning the positive as its own "negative".
-  }
-  CountPoolFallback(1);
-  return DrawUniformAvoiding(rng, dst_lo_, dst_hi_, positive_dst);
-}
-
-std::vector<int32_t> HistoricalEdgeSampler::SampleNegativesKeyed(
-    uint64_t stream_seed, const std::vector<int32_t>& srcs,
-    const std::vector<int32_t>& positive_dsts) const {
-  tensor::CheckOrDie(srcs.size() == positive_dsts.size(),
-                     "SampleNegativesKeyed: srcs/dsts size mismatch");
-  obs::MetricRegistry::Global().Add(obs::Counter::kSamplerNegatives,
-                                    static_cast<int64_t>(srcs.size()));
-  tensor::Rng rng(stream_seed);
-  std::vector<int32_t> out;
-  out.reserve(srcs.size());
-  for (size_t i = 0; i < srcs.size(); ++i) {
-    out.push_back(DrawOne(rng, srcs[i], positive_dsts[i]));
-  }
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// InductiveEdgeSampler.
-// ---------------------------------------------------------------------------
-
 InductiveEdgeSampler::InductiveEdgeSampler(
     const graph::TemporalGraph& graph,
     const std::vector<int64_t>& train_events, int32_t dst_lo, int32_t dst_hi)
-    : dst_lo_(dst_lo), dst_hi_(dst_hi) {
-  tensor::CheckOrDie(dst_hi > dst_lo, "InductiveEdgeSampler: empty range");
+    : EdgeSampler(dst_lo, dst_hi) {
   std::unordered_set<int64_t> train_pairs;
   for (int64_t i : train_events) {
     const graph::Interaction& e = graph.event(i);
@@ -168,43 +140,6 @@ InductiveEdgeSampler::InductiveEdgeSampler(
   // btlint: allow(unordered-drain) — drained once, then sorted below.
   unseen_dsts_.assign(dsts.begin(), dsts.end());
   std::sort(unseen_dsts_.begin(), unseen_dsts_.end());
-}
-
-int32_t InductiveEdgeSampler::DrawOne(tensor::Rng& rng,
-                                      int32_t positive_dst) const {
-  // An empty unseen pool (fully-covered train split) must not reach
-  // UniformInt(0): fall back to a uniform draw over the range, counted.
-  if (!unseen_dsts_.empty()) {
-    int64_t rejected = 0;
-    for (int attempt = 0; attempt <= kMaxRejects; ++attempt) {
-      const int32_t draw = unseen_dsts_[static_cast<size_t>(
-          rng.UniformInt(static_cast<int64_t>(unseen_dsts_.size())))];
-      if (draw != positive_dst) {
-        CountCollisions(rejected);
-        return draw;
-      }
-      ++rejected;
-    }
-    CountCollisions(rejected);
-  }
-  CountPoolFallback(1);
-  return DrawUniformAvoiding(rng, dst_lo_, dst_hi_, positive_dst);
-}
-
-std::vector<int32_t> InductiveEdgeSampler::SampleNegativesKeyed(
-    uint64_t stream_seed, const std::vector<int32_t>& srcs,
-    const std::vector<int32_t>& positive_dsts) const {
-  tensor::CheckOrDie(srcs.size() == positive_dsts.size(),
-                     "SampleNegativesKeyed: srcs/dsts size mismatch");
-  obs::MetricRegistry::Global().Add(obs::Counter::kSamplerNegatives,
-                                    static_cast<int64_t>(srcs.size()));
-  tensor::Rng rng(stream_seed);
-  std::vector<int32_t> out;
-  out.reserve(srcs.size());
-  for (size_t i = 0; i < srcs.size(); ++i) {
-    out.push_back(DrawOne(rng, positive_dsts[i]));
-  }
-  return out;
 }
 
 std::unique_ptr<EdgeSampler> MakeEdgeSampler(
@@ -265,11 +200,25 @@ std::vector<int32_t> CandidateSampler::SampleCandidates(
            std::find(out.begin(), out.end(), v) != out.end();
   };
 
+  // One slot: the pool draw over `size` entries (entry j is value(j)),
+  // then, if the rejection budget runs dry, a deterministic circular scan
+  // from a keyed offset, so the set is always complete and still a pure
+  // function of the row seed. Callers guarantee a free entry exists, so
+  // the scan always lands.
+  const auto fill = [&](int64_t size, const auto& value) {
+    int32_t draw = 0;
+    if (!DrawAvoiding(rng, size, value, taken, &draw)) {
+      const int64_t start = rng.UniformInt(size);
+      for (int64_t step = 0; step < size; ++step) {
+        draw = value((start + step) % size);
+        if (!taken(draw)) break;
+      }
+    }
+    out.push_back(draw);
+  };
+
   // Historical share: without-replacement draws from the source's sorted
-  // unique train history, excluding the positive. Bounded rejection keeps
-  // the draw O(1); exhausting the budget degrades to a deterministic
-  // circular scan from a keyed offset, so the set is always complete and
-  // still a pure function of the row seed.
+  // unique train history, excluding the positive.
   const std::vector<int32_t>& hist = history_[static_cast<size_t>(src)];
   int64_t pool = static_cast<int64_t>(hist.size());
   if (std::binary_search(hist.begin(), hist.end(), positive_dst)) --pool;
@@ -281,63 +230,18 @@ std::vector<int32_t> CandidateSampler::SampleCandidates(
     CountPoolFallback(want_hist - pool);
     want_hist = pool;
   }
+  // Each slot takes one of the `pool` free entries counted above.
   for (int64_t h = 0; h < want_hist; ++h) {
-    int64_t rejected = 0;
-    bool placed = false;
-    for (int attempt = 0; attempt <= kMaxRejects; ++attempt) {
-      const int32_t draw = hist[static_cast<size_t>(
-          rng.UniformInt(static_cast<int64_t>(hist.size())))];
-      if (!taken(draw)) {
-        out.push_back(draw);
-        placed = true;
-        break;
-      }
-      ++rejected;
-    }
-    CountCollisions(rejected);
-    if (!placed) {
-      const size_t start = static_cast<size_t>(
-          rng.UniformInt(static_cast<int64_t>(hist.size())));
-      for (size_t step = 0; step < hist.size(); ++step) {
-        const int32_t v = hist[(start + step) % hist.size()];
-        if (!taken(v)) {
-          out.push_back(v);
-          break;
-        }
-      }
-      // `pool` free entries were verified above, so the scan always lands.
-    }
+    fill(static_cast<int64_t>(hist.size()),
+         [&hist](int64_t j) { return hist[static_cast<size_t>(j)]; });
   }
 
-  // Uniform remainder over [dst_lo, dst_hi). k <= range - 1 guarantees a
-  // free destination exists for every slot, so the fallback scan is total.
+  // Uniform remainder over [dst_lo, dst_hi). k <= range - 1 leaves a free
+  // destination for every slot.
   while (static_cast<int>(out.size()) < k_) {
-    int64_t rejected = 0;
-    bool placed = false;
-    for (int attempt = 0; attempt <= kMaxRejects; ++attempt) {
-      const int32_t draw =
-          dst_lo_ + tensor::NarrowId(rng.UniformInt(range),
-                                     "CandidateSampler: dst id");
-      if (!taken(draw)) {
-        out.push_back(draw);
-        placed = true;
-        break;
-      }
-      ++rejected;
-    }
-    CountCollisions(rejected);
-    if (!placed) {
-      const int64_t start = rng.UniformInt(range);
-      for (int64_t step = 0; step < range; ++step) {
-        const int32_t v =
-            dst_lo_ + tensor::NarrowId((start + step) % range,
-                                       "CandidateSampler: dst id");
-        if (!taken(v)) {
-          out.push_back(v);
-          break;
-        }
-      }
-    }
+    fill(range, [this](int64_t j) {
+      return dst_lo_ + tensor::NarrowId(j, "CandidateSampler: dst id");
+    });
   }
   return out;
 }

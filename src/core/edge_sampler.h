@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "graph/temporal_graph.h"
@@ -12,8 +11,10 @@
 
 namespace benchtemp::core {
 
-/// Negative edge sampler interface (link prediction is self-supervised, so
-/// each observed edge is paired with sampled negatives).
+/// Negative edge sampler (link prediction is self-supervised, so each
+/// observed edge is paired with sampled negatives). The three strategies
+/// differ only in the pool a row draws from first (`Pool`); the keyed loop
+/// and the draw itself are shared.
 ///
 /// Draws are keyed: a batch's negatives are a pure function of its stream
 /// seed, so validation/test negatives are identical across epochs, models
@@ -21,13 +22,13 @@ namespace benchtemp::core {
 /// prepared ahead of time on a prefetch thread is bit-identical to the
 /// same batch prepared synchronously.
 ///
-/// Collision contract: a drawn negative never equals the batch's true
-/// destination for the same source (bounded deterministic rejection,
-/// counted in `sampler.collisions_rejected`), except in the degenerate
-/// single-destination range where no distinct negative exists. Pool-based
-/// samplers that cannot honor their pool (empty history / fully-covered
-/// train split) fall back to uniform draws, counted in
-/// `sampler.pool_fallbacks` — never a silent `UniformInt(0)`.
+/// Collision and fallback contract, shared by `CandidateSampler`: a drawn
+/// negative never equals the row's true destination (bounded deterministic
+/// rejection, each rejected draw counted in `sampler.collisions_rejected`),
+/// except in the degenerate single-destination range where no distinct
+/// negative exists. A row whose pool cannot supply one (empty pool, or the
+/// rejection budget runs dry) is counted once in `sampler.pool_fallbacks`
+/// and drawn uniformly over the range instead — never `UniformInt(0)`.
 class EdgeSampler {
  public:
   virtual ~EdgeSampler() = default;
@@ -36,21 +37,28 @@ class EdgeSampler {
   /// (stream_seed, srcs, positive_dsts) only; `positive_dsts` are the
   /// batch's true destinations the draws must avoid (same length as
   /// `srcs`). Reads and advances no sampler state. Thread-safe.
-  virtual std::vector<int32_t> SampleNegativesKeyed(
+  std::vector<int32_t> SampleNegativesKeyed(
       uint64_t stream_seed, const std::vector<int32_t>& srcs,
-      const std::vector<int32_t>& positive_dsts) const = 0;
+      const std::vector<int32_t>& positive_dsts) const;
+
+ protected:
+  /// Negatives fall in the destination id range [dst_lo, dst_hi): the item
+  /// block of a bipartite graph, the whole node range otherwise.
+  EdgeSampler(int32_t dst_lo, int32_t dst_hi);
+
+  /// The destinations a row with source `src` draws from first; nullptr
+  /// draws uniformly over the range with no fallback counted.
+  virtual const std::vector<int32_t>* Pool(int32_t src) const = 0;
+
+ private:
+  int32_t dst_lo_;
+  int32_t dst_hi_;
 };
 
-/// Uniform negatives over the destination id range [dst_lo, dst_hi).
-/// For bipartite graphs the range is the item block; for homogeneous graphs
-/// the whole node range.
+/// Uniform negatives over the destination range.
 class RandomEdgeSampler : public EdgeSampler {
  public:
   RandomEdgeSampler(int32_t dst_lo, int32_t dst_hi, uint64_t seed);
-
-  std::vector<int32_t> SampleNegativesKeyed(
-      uint64_t stream_seed, const std::vector<int32_t>& srcs,
-      const std::vector<int32_t>& positive_dsts) const override;
 
   /// Serialized state of the seed-initialized RNG, kept because job
   /// checkpoints carry it in their `sampler_rng` section. Nothing advances
@@ -61,16 +69,16 @@ class RandomEdgeSampler : public EdgeSampler {
     return rng_.LoadState(state);
   }
 
+ protected:
+  const std::vector<int32_t>* Pool(int32_t) const override { return nullptr; }
+
  private:
-  int32_t dst_lo_;
-  int32_t dst_hi_;
   tensor::Rng rng_;
 };
 
 /// Historical negative sampling (Appendix J, Fig. 10a): negatives are edges
 /// observed during *previous* timestamps — here, destinations the source
-/// interacted with in the training stream. Falls back to uniform (counted)
-/// when the source has no usable history.
+/// interacted with in the training stream.
 class HistoricalEdgeSampler : public EdgeSampler {
  public:
   /// `graph` + `train_events` define E_train.
@@ -78,39 +86,31 @@ class HistoricalEdgeSampler : public EdgeSampler {
                         const std::vector<int64_t>& train_events,
                         int32_t dst_lo, int32_t dst_hi);
 
-  std::vector<int32_t> SampleNegativesKeyed(
-      uint64_t stream_seed, const std::vector<int32_t>& srcs,
-      const std::vector<int32_t>& positive_dsts) const override;
+ protected:
+  const std::vector<int32_t>* Pool(int32_t src) const override {
+    return &history_[static_cast<size_t>(src)];
+  }
 
  private:
-  int32_t DrawOne(tensor::Rng& rng, int32_t src, int32_t positive_dst) const;
-
   std::vector<std::vector<int32_t>> history_;  // per-source train dsts
-  int32_t dst_lo_;
-  int32_t dst_hi_;
 };
 
 /// Inductive negative sampling (Appendix J, Fig. 10b): negatives drawn from
-/// edges in E_all that were *not* observed during training. A fully-covered
-/// train split leaves the pool empty; the draw then falls back to uniform
-/// over the range (counted), never `UniformInt(0)`.
+/// edges in E_all that were *not* observed during training.
 class InductiveEdgeSampler : public EdgeSampler {
  public:
   InductiveEdgeSampler(const graph::TemporalGraph& graph,
                        const std::vector<int64_t>& train_events,
                        int32_t dst_lo, int32_t dst_hi);
 
-  std::vector<int32_t> SampleNegativesKeyed(
-      uint64_t stream_seed, const std::vector<int32_t>& srcs,
-      const std::vector<int32_t>& positive_dsts) const override;
+ protected:
+  const std::vector<int32_t>* Pool(int32_t) const override {
+    return &unseen_dsts_;
+  }
 
  private:
-  int32_t DrawOne(tensor::Rng& rng, int32_t positive_dst) const;
-
   /// Destinations of edges present in val/test but absent from E_train.
   std::vector<int32_t> unseen_dsts_;
-  int32_t dst_lo_;
-  int32_t dst_hi_;
 };
 
 /// Which negative sampler a pipeline run uses.
@@ -133,9 +133,8 @@ struct CandidateConfig {
   /// be collision-free and deduplicated.
   int k = 20;
   /// Target share of candidates drawn (without replacement) from the
-  /// source's training history; the remainder is uniform over the range.
-  /// Sources with thin history fall back to uniform for the shortfall,
-  /// counted in `sampler.pool_fallbacks`.
+  /// source's training history; the remainder, and the shortfall of a
+  /// source with thin history, is uniform over the range.
   double historical_fraction = 0.5;
 };
 
@@ -143,7 +142,9 @@ struct CandidateConfig {
 /// pure function of (row seed, src, positive_dst): the sampler holds no
 /// mutable state, so candidate sets are bit-identical at any pipeline
 /// prefetch depth and thread count. Each returned set is deduplicated and
-/// excludes the positive destination.
+/// excludes the positive destination. Rejected draws are counted as for
+/// `EdgeSampler`; each historical slot a thin history cannot fill counts
+/// one pool fallback.
 class CandidateSampler {
  public:
   CandidateSampler(const graph::TemporalGraph& graph,

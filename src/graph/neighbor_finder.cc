@@ -96,17 +96,46 @@ const TemporalNeighbor* NeighborFinder::Before(int32_t node, double ts,
   return *count > 0 ? list.data() : nullptr;
 }
 
-std::vector<TemporalNeighbor> NeighborFinder::SampleUniform(
-    int32_t node, double ts, int64_t k, tensor::Rng& rng) const {
-  int64_t count = 0;
-  const TemporalNeighbor* history = Before(node, ts, &count);
-  std::vector<TemporalNeighbor> out;
-  if (count == 0) return out;
-  out.reserve(static_cast<size_t>(k));
-  for (int64_t i = 0; i < k; ++i) {
-    out.push_back(history[rng.UniformInt(count)]);
+SampledNeighborhood NeighborFinder::SampleNeighborhood(
+    const std::vector<int32_t>& nodes, const std::vector<double>& ts,
+    int64_t k, double window, tensor::Rng& rng) const {
+  const int64_t n = static_cast<int64_t>(nodes.size());
+  const size_t slots = static_cast<size_t>(n * k);
+  SampledNeighborhood nb;
+  nb.num_queries = n;
+  nb.flat_neighbors.assign(slots, 0);
+  nb.flat_times.assign(slots, 0.0);
+  nb.flat_edges.assign(slots, 0);
+  nb.flat_dts.assign(slots, 0.0f);
+  nb.mask = tensor::Tensor({n, k});
+  for (int64_t i = 0; i < n; ++i) {
+    const double t = ts[static_cast<size_t>(i)];
+    int64_t count = 0;
+    const TemporalNeighbor* history =
+        Before(nodes[static_cast<size_t>(i)], t, &count);
+    int64_t lo = 0;
+    if (window > 0.0 && count > 0) {
+      lo = std::lower_bound(history, history + count, t - window,
+                            [](const TemporalNeighbor& entry, double start) {
+                              return entry.ts < start;
+                            }) -
+           history;
+    }
+    if (lo >= count) {
+      ++nb.empty_queries;
+      continue;
+    }
+    for (int64_t j = 0; j < k; ++j) {
+      const TemporalNeighbor& nbr = history[lo + rng.UniformInt(count - lo)];
+      const size_t slot = static_cast<size_t>(i * k + j);
+      nb.flat_neighbors[slot] = nbr.neighbor;
+      nb.flat_times[slot] = nbr.ts;
+      nb.flat_edges[slot] = nbr.edge_idx;
+      nb.flat_dts[slot] = static_cast<float>(t - nbr.ts);
+      nb.mask.at(i, j) = 1.0f;
+    }
   }
-  return out;
+  return nb;
 }
 
 }  // namespace benchtemp::graph

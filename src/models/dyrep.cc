@@ -2,10 +2,7 @@
 
 namespace benchtemp::models {
 
-using graph::TemporalNeighbor;
 using tensor::ConcatCols;
-using tensor::ConcatRows;
-using tensor::Tensor;
 using tensor::Var;
 
 DyRep::DyRep(const graph::TemporalGraph* graph, ModelConfig config)
@@ -21,35 +18,27 @@ DyRep::DyRep(const graph::TemporalGraph* graph, ModelConfig config)
 }
 
 Var DyRep::AggregateNeighborhood(const std::vector<MemoryEvent>& events) {
-  const int64_t n = static_cast<int64_t>(events.size());
   const int64_t k = config_.num_neighbors;
   tensor::CheckOrDie(finder_ != nullptr, "DyRep: neighbor finder not set");
 
-  std::vector<int32_t> flat_neighbors(static_cast<size_t>(n * k), 0);
-  std::vector<float> flat_dts(static_cast<size_t>(n * k), 0.0f);
-  Tensor mask({n, k});
-  for (int64_t i = 0; i < n; ++i) {
-    const MemoryEvent& e = events[static_cast<size_t>(i)];
-    const auto sampled =
-        finder_->SampleUniform(e.other, e.ts, k, rng_);
-    for (size_t j = 0; j < sampled.size(); ++j) {
-      const TemporalNeighbor& nbr = sampled[j];
-      flat_neighbors[static_cast<size_t>(i * k) + j] = nbr.neighbor;
-      flat_dts[static_cast<size_t>(i * k) + j] =
-          static_cast<float>(e.ts - nbr.ts);
-      mask.at(i, static_cast<int64_t>(j)) = 1.0f;
-    }
-  }
   std::vector<int32_t> others;
+  std::vector<double> ts;
   others.reserve(events.size());
-  for (const MemoryEvent& e : events) others.push_back(e.other);
+  ts.reserve(events.size());
+  for (const MemoryEvent& e : events) {
+    others.push_back(e.other);
+    ts.push_back(e.ts);
+  }
+  const graph::SampledNeighborhood nb =
+      finder_->SampleNeighborhood(others, ts, k, /*window=*/0.0, rng_);
   Var queries = GatherMemory(others);
   // Keys/values: neighbor memory (detached rows of the memory table) ‖
   // time encoding of the recency gap.
   return neighbor_attention_.Forward(
       queries,
-      {tensor::Rows(memory(), flat_neighbors), time_encoder_.Encode(flat_dts)},
-      mask, k);
+      {tensor::Rows(memory(), nb.flat_neighbors),
+       time_encoder_.Encode(nb.flat_dts)},
+      nb.mask, k);
 }
 
 Var DyRep::ComputeMemoryUpdate(const std::vector<MemoryEvent>& events,

@@ -1,14 +1,11 @@
 #include "models/tgat.h"
 
-#include <algorithm>
 #include <string>
 
 namespace benchtemp::models {
 
-using graph::TemporalNeighbor;
 using tensor::ConcatCols;
 using tensor::Rows;
-using tensor::Tensor;
 using tensor::Var;
 
 Tgat::Tgat(const graph::TemporalGraph* graph, ModelConfig config)
@@ -31,66 +28,13 @@ void Tgat::ResetImpl() {
   ClearStatus();
 }
 
-std::vector<TemporalNeighbor> Tgat::SampleWindowed(int32_t node, double ts,
-                                                   int64_t k,
-                                                   tensor::Rng& rng) const {
-  int64_t count = 0;
-  const TemporalNeighbor* history = finder_->Before(node, ts, &count);
-  if (count == 0) return {};
-  int64_t lo = 0;
-  if (config_.tgat_time_window > 0.0) {
-    const double window_start = ts - config_.tgat_time_window;
-    lo = std::lower_bound(history, history + count, window_start,
-                          [](const TemporalNeighbor& n, double t) {
-                            return n.ts < t;
-                          }) -
-         history;
-    if (lo >= count) return {};
-  }
-  std::vector<TemporalNeighbor> out;
-  out.reserve(static_cast<size_t>(k));
-  for (int64_t i = 0; i < k; ++i) {
-    out.push_back(history[lo + rng.UniformInt(count - lo)]);
-  }
-  return out;
-}
-
-SampledNeighborhood Tgat::SampleNeighborhood(
-    const std::vector<int32_t>& nodes, const std::vector<double>& ts,
-    tensor::Rng& rng) const {
-  tensor::CheckOrDie(finder_ != nullptr, "TGAT: neighbor finder not set");
-  const int64_t n = static_cast<int64_t>(nodes.size());
-  const int64_t k = config_.num_neighbors;
-  SampledNeighborhood nb;
-  nb.num_queries = n;
-  nb.flat_neighbors.assign(static_cast<size_t>(n * k), 0);
-  nb.flat_times.assign(static_cast<size_t>(n * k), 0.0);
-  nb.flat_edges.assign(static_cast<size_t>(n * k), 0);
-  nb.flat_dts.assign(static_cast<size_t>(n * k), 0.0f);
-  nb.mask = Tensor({n, k});
-  for (int64_t i = 0; i < n; ++i) {
-    const auto sampled = SampleWindowed(nodes[static_cast<size_t>(i)],
-                                        ts[static_cast<size_t>(i)], k, rng);
-    if (sampled.empty()) ++nb.empty_queries;
-    for (size_t j = 0; j < sampled.size(); ++j) {
-      const TemporalNeighbor& nbr = sampled[j];
-      nb.flat_neighbors[static_cast<size_t>(i * k) + j] = nbr.neighbor;
-      nb.flat_times[static_cast<size_t>(i * k) + j] = nbr.ts;
-      nb.flat_edges[static_cast<size_t>(i * k) + j] = nbr.edge_idx;
-      nb.flat_dts[static_cast<size_t>(i * k) + j] =
-          static_cast<float>(ts[static_cast<size_t>(i)] - nbr.ts);
-      nb.mask.at(i, static_cast<int64_t>(j)) = 1.0f;
-    }
-  }
-  return nb;
-}
-
 void Tgat::BuildSampleTree(const std::vector<int32_t>& nodes,
                            const std::vector<double>& ts, int64_t layer,
                            tensor::Rng& rng,
-                           std::vector<SampledNeighborhood>* out) const {
+                           std::vector<graph::SampledNeighborhood>* out) const {
   if (layer == 0) return;
-  SampledNeighborhood nb = SampleNeighborhood(nodes, ts, rng);
+  graph::SampledNeighborhood nb = finder_->SampleNeighborhood(
+      nodes, ts, config_.num_neighbors, config_.tgat_time_window, rng);
   // Copy the recursion inputs before the push_back: growing `out` would
   // invalidate a reference into it.
   std::vector<int32_t> flat_neighbors = nb.flat_neighbors;
@@ -129,8 +73,8 @@ Var Tgat::EmbedLayer(const std::vector<int32_t>& nodes,
   // and therefore every sampled neighbor — is mode-independent. Running
   // past the end would mean drawing from the member RNG instead, which
   // breaks that equality, so it is fatal.
-  SampledNeighborhood local;
-  const SampledNeighborhood* nb = nullptr;
+  graph::SampledNeighborhood local;
+  const graph::SampledNeighborhood* nb = nullptr;
   const auto* tp = dynamic_cast<const TgatPreparedInputs*>(prepared_);
   if (tp != nullptr) {
     if (tp->cursor >= tp->fifo.size()) {
@@ -144,7 +88,8 @@ Var Tgat::EmbedLayer(const std::vector<int32_t>& nodes,
     tensor::CheckOrDie(nb->num_queries == n,
                        "TGAT: prepared neighborhood shape mismatch");
   } else {
-    local = SampleNeighborhood(nodes, ts, rng_);
+    local = finder_->SampleNeighborhood(nodes, ts, k,
+                                        config_.tgat_time_window, rng_);
     nb = &local;
   }
   // The paper's "*": with a restrictive window no query in the batch can

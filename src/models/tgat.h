@@ -10,27 +10,12 @@
 
 namespace benchtemp::models {
 
-/// One attention layer's sampled neighborhood for a batch of queries: the
-/// flattened neighbor/time/edge/dt arrays plus the attention mask that
-/// Tgat::EmbedLayer consumes.
-struct SampledNeighborhood {
-  std::vector<int32_t> flat_neighbors;
-  std::vector<double> flat_times;
-  std::vector<int32_t> flat_edges;
-  std::vector<float> flat_dts;
-  tensor::Tensor mask;
-  /// Queries whose (windowed) history came back empty; the consumer decides
-  /// whether that trips the paper's "*" runtime error.
-  int64_t empty_queries = 0;
-  int64_t num_queries = 0;
-};
-
 /// Prefetched TGAT inputs of one training batch: every neighborhood the
 /// batch's three embedding trees (srcs, dsts, negatives; both ScoreEdges
 /// calls share the source embeddings) will request, in exact depth-first
 /// consumption order, drained through `cursor`.
 struct TgatPreparedInputs : public PreparedInputs {
-  std::vector<SampledNeighborhood> fifo;
+  std::vector<graph::SampledNeighborhood> fifo;
   /// Consumption cursor; mutated by the (single) training thread while the
   /// trainer holds the prepared inputs as const.
   mutable size_t cursor = 0;
@@ -72,24 +57,13 @@ class Tgat : public TgnnModel {
   tensor::Var EmbedLayer(const std::vector<int32_t>& nodes,
                          const std::vector<double>& ts, int64_t layer);
 
-  /// Samples up to k neighbors of (node, t) within the configured window,
-  /// drawing from the provided RNG.
-  std::vector<graph::TemporalNeighbor> SampleWindowed(int32_t node, double ts,
-                                                      int64_t k,
-                                                      tensor::Rng& rng) const;
-
-  /// Samples one layer's neighborhood for a batch of queries.
-  SampledNeighborhood SampleNeighborhood(const std::vector<int32_t>& nodes,
-                                         const std::vector<double>& ts,
-                                         tensor::Rng& rng) const;
-
   /// Appends the neighborhoods of EmbedLayer(nodes, ts, layer)'s recursion
   /// in depth-first consumption order: this layer's sample, then the self
   /// subtree, then the neighbor subtree.
   void BuildSampleTree(const std::vector<int32_t>& nodes,
                        const std::vector<double>& ts, int64_t layer,
                        tensor::Rng& rng,
-                       std::vector<SampledNeighborhood>* out) const;
+                       std::vector<graph::SampledNeighborhood>* out) const;
 
   tensor::Linear feature_proj_;
   tensor::TimeEncoder time_encoder_;

@@ -2,11 +2,7 @@
 
 namespace benchtemp::models {
 
-using graph::TemporalNeighbor;
 using tensor::ConcatCols;
-using tensor::ConcatRows;
-using tensor::Constant;
-using tensor::Tensor;
 using tensor::Var;
 
 Tgn::Tgn(const graph::TemporalGraph* graph, ModelConfig config)
@@ -31,7 +27,6 @@ Var Tgn::ComputeEmbeddings(const std::vector<int32_t>& nodes,
   tensor::CheckOrDie(finder_ != nullptr, "TGN: neighbor finder not set");
   const int64_t n = static_cast<int64_t>(nodes.size());
   const int64_t k = config_.num_neighbors;
-  const int64_t d = config_.embedding_dim;
 
   Var memory = GatherMemory(nodes);
   // Query: memory ‖ time_enc(0).
@@ -40,30 +35,15 @@ Var Tgn::ComputeEmbeddings(const std::vector<int32_t>& nodes,
                    static_cast<size_t>(n), 0.0f))});
 
   // Keys/values: neighbor memory ‖ edge features ‖ time_enc(t - t_e).
-  std::vector<int32_t> flat_neighbors(static_cast<size_t>(n * k), 0);
-  std::vector<int32_t> flat_edges(static_cast<size_t>(n * k), 0);
-  std::vector<float> flat_dts(static_cast<size_t>(n * k), 0.0f);
-  Tensor mask({n, k});
-  for (int64_t i = 0; i < n; ++i) {
-    const auto sampled = finder_->SampleUniform(
-        nodes[static_cast<size_t>(i)], ts[static_cast<size_t>(i)], k, rng_);
-    for (size_t j = 0; j < sampled.size(); ++j) {
-      const TemporalNeighbor& nbr = sampled[j];
-      flat_neighbors[static_cast<size_t>(i * k) + j] = nbr.neighbor;
-      flat_edges[static_cast<size_t>(i * k) + j] = nbr.edge_idx;
-      flat_dts[static_cast<size_t>(i * k) + j] =
-          static_cast<float>(ts[static_cast<size_t>(i)] - nbr.ts);
-      mask.at(i, static_cast<int64_t>(j)) = 1.0f;
-    }
-  }
+  const graph::SampledNeighborhood nb =
+      finder_->SampleNeighborhood(nodes, ts, k, /*window=*/0.0, rng_);
   Var attended = attention_.Forward(
       query,
-      {GatherMemory(flat_neighbors),
-       tensor::Rows(graph_->edge_features(), flat_edges),
-       time_encoder_.Encode(flat_dts)},
-      mask, k);
+      {GatherMemory(nb.flat_neighbors),
+       tensor::Rows(graph_->edge_features(), nb.flat_edges),
+       time_encoder_.Encode(nb.flat_dts)},
+      nb.mask, k);
   // Residual combine with the node's own memory.
-  (void)d;
   return out_.Forward(ConcatCols({attended, memory}));
 }
 

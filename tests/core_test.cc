@@ -1,5 +1,7 @@
 #include <algorithm>
+#include <memory>
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -10,6 +12,7 @@
 #include "core/leaderboard.h"
 #include "core/reindex.h"
 #include "datagen/catalog.h"
+#include "obs/metrics.h"
 
 namespace benchtemp::core {
 namespace {
@@ -248,6 +251,105 @@ TEST(EdgeSamplerTest, FactoryCoversAllModes) {
     ASSERT_NE(sampler, nullptr) << NegativeSamplingName(mode);
     EXPECT_EQ(sampler->SampleNegativesKeyed(1, {0}, {1}).size(), 1u);
   }
+}
+
+/// A graph whose pools collide and run dry. Source 0 has eleven training
+/// destinations (10..20), source 1 only {10}, source 3 {10, 11}, source 2
+/// none; the held-out pairs (1, 11), (2, 12) and (4, 31) leave the unseen
+/// pool {11, 12, 31}.
+TemporalGraph CollidingGraph(std::vector<int64_t>* train_events) {
+  TemporalGraph g;
+  for (int32_t d = 10; d <= 20; ++d) g.AddInteraction(0, d, d);
+  g.AddInteraction(1, 10, 21.0);
+  g.AddInteraction(3, 10, 22.0);
+  g.AddInteraction(3, 11, 23.0);
+  g.AddInteraction(1, 11, 24.0);  // held out
+  g.AddInteraction(2, 12, 25.0);  // held out
+  g.AddInteraction(4, 31, 26.0);  // held out
+  for (int64_t i = 0; i < 14; ++i) train_events->push_back(i);
+  return g;
+}
+
+/// Every sampler's draws and counters at fixed seeds, pinned bit for bit:
+/// a change that moves a single RNG call changes these bytes.
+TEST(EdgeSamplerTest, KeyedDrawsAndCountersAreGolden) {
+  obs::MetricRegistry::OverrideEnabledForTest(1);
+  auto& registry = obs::MetricRegistry::Global();
+  std::vector<int64_t> train_events;
+  const TemporalGraph g = CollidingGraph(&train_events);
+  std::vector<int64_t> all_events(train_events);
+  all_events.push_back(14);
+  all_events.push_back(15);
+  all_events.push_back(16);
+  const std::vector<int32_t> srcs = {0, 1, 2, 3, 0, 1, 2, 3,
+                                     0, 1, 2, 3, 0, 1, 2, 3};
+  const std::vector<int32_t> positives = {10, 10, 11, 11, 12, 10, 13, 11,
+                                          11, 10, 12, 10, 13, 12, 10, 11};
+  struct Case {
+    const char* name;
+    std::unique_ptr<EdgeSampler> sampler;
+    std::vector<int32_t> negatives;
+    int64_t collisions;
+    int64_t fallbacks;
+  };
+  const Case cases[] = {
+      {"Random",
+       MakeEdgeSampler(NegativeSampling::kRandom, g, train_events, 10, 14, 1),
+       {13, 11, 10, 12, 13, 11, 12, 13, 13, 11, 11, 11, 10, 10, 13, 13},
+       1,
+       0},
+      {"Historical",
+       MakeEdgeSampler(NegativeSampling::kHistorical, g, train_events, 10, 14,
+                       1),
+       {19, 11, 10, 10, 19, 11, 10, 10, 13, 13, 10, 11, 12, 10, 13, 10},
+       35,
+       7},
+      {"Inductive",
+       MakeEdgeSampler(NegativeSampling::kInductive, g, train_events, 10, 14,
+                       1),
+       {31, 11, 12, 12, 31, 12, 12, 31, 31, 12, 11, 11, 31, 31, 11, 12},
+       4,
+       0},
+      {"Inductive, empty pool",
+       MakeEdgeSampler(NegativeSampling::kInductive, g, all_events, 10, 14,
+                       1),
+       {13, 11, 10, 12, 13, 11, 12, 13, 13, 11, 11, 11, 10, 10, 13, 13},
+       1,
+       16},
+  };
+  for (const Case& c : cases) {
+    registry.Reset();
+    EXPECT_EQ(c.sampler->SampleNegativesKeyed(0x5eed, srcs, positives),
+              c.negatives)
+        << c.name;
+    EXPECT_EQ(registry.value(obs::Counter::kSamplerCollisionsRejected),
+              c.collisions)
+        << c.name;
+    EXPECT_EQ(registry.value(obs::Counter::kSamplerPoolFallbacks),
+              c.fallbacks)
+        << c.name;
+    EXPECT_EQ(registry.value(obs::Counter::kSamplerNegatives), 16) << c.name;
+  }
+
+  CandidateConfig config;
+  config.k = 20;
+  config.historical_fraction = 0.5;
+  const CandidateSampler candidates(g, train_events, 10, 32, config);
+  registry.Reset();
+  const std::vector<int32_t> expected = {
+      11, 14, 18, 12, 17, 13, 19, 10, 20, 16, 25, 22, 21, 26, 24, 30, 23, 31,
+      29, 28, 23, 27, 17, 19, 14, 29, 20, 11, 31, 15, 22, 13, 16, 30, 18, 26,
+      21, 25, 24, 28, 12, 22, 27, 28, 11, 10, 18, 21, 20, 16, 24, 15, 31, 14,
+      29, 26, 17, 25, 13, 19, 10, 29, 31, 27, 26, 21, 20, 23, 16, 24, 22, 25,
+      17, 12, 18, 28, 30, 19, 13, 14};
+  EXPECT_EQ(candidates.SampleCandidateBatch(0xcafe, {0, 1, 2, 3},
+                                            {15, 10, 30, 11}),
+            expected);
+  EXPECT_EQ(registry.value(obs::Counter::kSamplerCollisionsRejected), 145);
+  EXPECT_EQ(registry.value(obs::Counter::kSamplerPoolFallbacks), 29);
+  EXPECT_EQ(registry.value(obs::Counter::kSamplerNegatives), 80);
+  obs::MetricRegistry::OverrideEnabledForTest(-1);
+  registry.Reset();
 }
 
 // ---------------------------------------------------------------------------

@@ -4,8 +4,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "graph/neighbor_finder.h"
+#include "tensor/numeric.h"
 
 namespace benchtemp::graph {
 namespace {
@@ -128,16 +131,131 @@ TEST(NeighborFinderTest, EventSubsetConstructor) {
   EXPECT_EQ(count, 2);
 }
 
-TEST(NeighborFinderTest, SampleUniformRespectsTime) {
+TEST(NeighborFinderTest, SampleNeighborhoodRespectsTime) {
   TemporalGraph g = MakeLineGraph();
   NeighborFinder finder(g);
   tensor::Rng rng(1);
   for (int i = 0; i < 50; ++i) {
-    const auto sampled = finder.SampleUniform(2, 3.5, 4, rng);
-    ASSERT_EQ(sampled.size(), 4u);
-    for (const auto& nbr : sampled) EXPECT_LT(nbr.ts, 3.5);
+    const SampledNeighborhood nb =
+        finder.SampleNeighborhood({2}, {3.5}, 4, /*window=*/0.0, rng);
+    ASSERT_EQ(nb.flat_times.size(), 4u);
+    EXPECT_EQ(nb.empty_queries, 0);
+    for (size_t j = 0; j < 4; ++j) {
+      EXPECT_LT(nb.flat_times[j], 3.5);
+      EXPECT_FLOAT_EQ(nb.mask.at(0, static_cast<int64_t>(j)), 1.0f);
+    }
   }
-  EXPECT_TRUE(finder.SampleUniform(3, 3.0, 4, rng).empty());  // no history
+}
+
+/// The per-node draw SampleNeighborhood replaced, written out: k draws of
+/// history[lo + UniformInt(count - lo)], where `lo` skips the history
+/// before the window; nothing is drawn when no history is kept.
+std::vector<TemporalNeighbor> ReferenceDraw(const NeighborFinder& finder,
+                                            int32_t node, double ts,
+                                            int64_t k, double window,
+                                            tensor::Rng& rng) {
+  int64_t count = 0;
+  const TemporalNeighbor* history = finder.Before(node, ts, &count);
+  int64_t lo = 0;
+  while (window > 0.0 && lo < count && history[lo].ts < ts - window) ++lo;
+  std::vector<TemporalNeighbor> out;
+  for (int64_t j = 0; lo < count && j < k; ++j) {
+    out.push_back(history[lo + rng.UniformInt(count - lo)]);
+  }
+  return out;
+}
+
+TEST(NeighborFinderTest, SampleNeighborhoodMatchesPerNodeDraws) {
+  TemporalGraph g;
+  tensor::Rng build(3);
+  for (int i = 0; i < 400; ++i) {
+    g.AddInteraction(tensor::NarrowId(build.UniformInt(30), "test: src"),
+                     30 + tensor::NarrowId(build.UniformInt(10), "test: dst"),
+                     i);
+  }
+  NeighborFinder finder(g);
+  std::vector<int32_t> nodes;
+  std::vector<double> ts;
+  for (int i = 0; i < 100; ++i) {
+    // Node 40 is past the id space: a query with no history.
+    nodes.push_back(tensor::NarrowId(build.UniformInt(41), "test: node"));
+    ts.push_back(static_cast<double>(build.UniformInt(420)) + 0.5);
+  }
+  const int64_t k = 5;
+  for (double window : {0.0, 60.0}) {
+    tensor::Rng rng(17);
+    tensor::Rng reference_rng(17);
+    const SampledNeighborhood nb =
+        finder.SampleNeighborhood(nodes, ts, k, window, rng);
+    ASSERT_EQ(nb.num_queries, 100);
+    ASSERT_EQ(nb.flat_neighbors.size(), static_cast<size_t>(100 * k));
+    int64_t empty = 0;
+    for (size_t i = 0; i < nodes.size(); ++i) {
+      const std::vector<TemporalNeighbor> expected =
+          ReferenceDraw(finder, nodes[i], ts[i], k, window, reference_rng);
+      if (expected.empty()) ++empty;
+      for (int64_t j = 0; j < k; ++j) {
+        const size_t slot = i * static_cast<size_t>(k) +
+                            static_cast<size_t>(j);
+        const bool drawn = !expected.empty();
+        const TemporalNeighbor want =
+            drawn ? expected[static_cast<size_t>(j)] : TemporalNeighbor{};
+        const double dt = drawn ? ts[i] - want.ts : 0.0;
+        EXPECT_EQ(nb.flat_neighbors[slot], want.neighbor) << slot;
+        EXPECT_EQ(nb.flat_edges[slot], want.edge_idx) << slot;
+        EXPECT_TRUE(tensor::ExactlyEqual(nb.flat_times[slot], want.ts))
+            << slot;
+        EXPECT_TRUE(tensor::ExactlyEqual(nb.flat_dts[slot],
+                                         static_cast<float>(dt)))
+            << slot;
+        EXPECT_TRUE(tensor::ExactlyEqual(
+            nb.mask.at(static_cast<int64_t>(i), j), drawn ? 1.0f : 0.0f))
+            << slot;
+      }
+    }
+    EXPECT_EQ(nb.empty_queries, empty) << "window " << window;
+    EXPECT_GT(empty, 0) << "window " << window;
+    // Same draws in the same order: both streams end in the same state.
+    EXPECT_EQ(rng.SaveState(), reference_rng.SaveState())
+        << "window " << window;
+  }
+}
+
+TEST(NeighborFinderTest, SampleNeighborhoodWindowEdgeCases) {
+  // Line graph histories: node 0 has (1,@1) and (2,@4); node 3 has (2,@3).
+  TemporalGraph g = MakeLineGraph();
+  g.AddInteraction(4, 5, 10.0);  // past the indexed prefix
+  NeighborFinder finder(g, /*limit=*/4);
+  tensor::Rng rng(5);
+  const std::string before = rng.SaveState();
+  // Node 3's only event (@3) lies before the window [4, 5); node 4 has no
+  // indexed history at all; node 0 keeps only (2,@4).
+  const SampledNeighborhood nb =
+      finder.SampleNeighborhood({3, 4, 0}, {5.0, 5.0, 5.0}, 2, 1.0, rng);
+  EXPECT_EQ(nb.num_queries, 3);
+  EXPECT_EQ(nb.empty_queries, 2);
+  for (int64_t i = 0; i < 2; ++i) {
+    for (int64_t j = 0; j < 2; ++j) {
+      EXPECT_TRUE(tensor::IsExactlyZero(nb.mask.at(i, j)));
+      EXPECT_EQ(nb.flat_neighbors[static_cast<size_t>(i * 2 + j)], 0);
+    }
+  }
+  for (size_t slot : {4u, 5u}) {
+    EXPECT_EQ(nb.flat_neighbors[slot], 2);
+    EXPECT_EQ(nb.flat_edges[slot], 3);
+    EXPECT_TRUE(tensor::ExactlyEqual(nb.flat_dts[slot], 1.0f));
+  }
+  // An empty query draws nothing: only node 0's two draws moved the RNG.
+  tensor::Rng replay(5);
+  ASSERT_EQ(replay.SaveState(), before);
+  replay.UniformInt(1);
+  replay.UniformInt(1);
+  EXPECT_EQ(rng.SaveState(), replay.SaveState());
+  // Unwindowed, node 3 keeps its history: the window alone emptied it.
+  const SampledNeighborhood all =
+      finder.SampleNeighborhood({3, 4}, {5.0, 5.0}, 2, 0.0, rng);
+  EXPECT_EQ(all.empty_queries, 1);
+  EXPECT_EQ(all.flat_neighbors[0], 2);
 }
 
 TEST(NeighborFinderTest, BeforeCountIsStrict) {

@@ -1,7 +1,9 @@
 #include "models/factory.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <utility>
@@ -162,22 +164,28 @@ TEST_P(AllModelsTest, ResetClearsState) {
   auto model = CreateModel(GetParam(), &g, SmallConfig(), 40);
   model->SetNeighborFinder(&finder);
   model->Reset();
-  std::vector<int32_t> nodes = {0, 1};
-  std::vector<double> ts = {g.event(200).ts, g.event(200).ts};
-  // Deterministic models must give identical embeddings after Reset when
-  // walk/neighbor sampling is re-seeded identically; we only check that
-  // state-dependent models actually change with state and return after
-  // Reset to a state-independent baseline for a node with no history.
-  Var before = model->ComputeEmbeddings(nodes, ts);
+  const std::vector<int32_t> nodes = {0, 1};
+  const std::vector<double> ts = {g.event(200).ts, g.event(200).ts};
+  // Reset must return every model to its fresh state: with the sampling
+  // RNG rewound, embeddings after training on a prefix and resetting are
+  // bit-identical to the fresh ones.
+  const std::string rng_state = model->SaveRngState();
+  const Var before = model->ComputeEmbeddings(nodes, ts);
+  const std::vector<float> fresh(before->value.data(),
+                                 before->value.data() + before->value.size());
+  // UpdateState only queues a batch; the scoring call applies it, so the
+  // model holds real state when Reset runs.
   model->UpdateState(FirstBatch(g, 150));
+  model->ComputeEmbeddings(nodes, ts);
   model->Reset();
-  Var after = model->ComputeEmbeddings(nodes, ts);
-  // Memory models: zero-state embeddings match exactly. Walk/attention
-  // models resample neighbors, so only require finiteness.
+  ASSERT_TRUE(model->LoadRngState(rng_state));
+  const Var after = model->ComputeEmbeddings(nodes, ts);
+  ASSERT_EQ(after->value.size(), static_cast<int64_t>(fresh.size()));
   for (int64_t i = 0; i < after->value.size(); ++i) {
-    EXPECT_TRUE(std::isfinite(after->value.at(i)));
+    EXPECT_EQ(std::bit_cast<uint32_t>(after->value.at(i)),
+              std::bit_cast<uint32_t>(fresh[static_cast<size_t>(i)]))
+        << model->name() << " element " << i;
   }
-  (void)before;
 }
 
 TEST_P(AllModelsTest, StateBytesReported) {
