@@ -17,21 +17,13 @@ DyRep::DyRep(const graph::TemporalGraph* graph, ModelConfig config)
   InitPredictor(config_.embedding_dim, config_.embedding_dim, rng_);
 }
 
-Var DyRep::AggregateNeighborhood(const std::vector<MemoryEvent>& events) {
+Var DyRep::AggregateNeighborhood(const std::vector<int32_t>& others,
+                                 const std::vector<double>& ts,
+                                 const Var& queries) {
   const int64_t k = config_.num_neighbors;
   tensor::CheckOrDie(finder_ != nullptr, "DyRep: neighbor finder not set");
-
-  std::vector<int32_t> others;
-  std::vector<double> ts;
-  others.reserve(events.size());
-  ts.reserve(events.size());
-  for (const MemoryEvent& e : events) {
-    others.push_back(e.other);
-    ts.push_back(e.ts);
-  }
   const graph::SampledNeighborhood nb =
       finder_->SampleNeighborhood(others, ts, k, /*window=*/0.0, rng_);
-  Var queries = GatherMemory(others);
   // Keys/values: neighbor memory (detached rows of the memory table) ‖
   // time encoding of the recency gap.
   return neighbor_attention_.Forward(
@@ -44,17 +36,19 @@ Var DyRep::AggregateNeighborhood(const std::vector<MemoryEvent>& events) {
 Var DyRep::ComputeMemoryUpdate(const std::vector<MemoryEvent>& events,
                                const tensor::Var& prev_memory) {
   // DyRep message: [attn(neighborhood of other) ; mem(other) ; edge ; dt].
-  Var aggregated = AggregateNeighborhood(events);
   std::vector<int32_t> others, edge_idxs;
+  std::vector<double> ts;
   std::vector<float> dts;
   for (const MemoryEvent& e : events) {
     others.push_back(e.other);
     edge_idxs.push_back(e.edge_idx);
+    ts.push_back(e.ts);
     dts.push_back(static_cast<float>(e.ts - LastUpdate(e.node)));
   }
-  Var message =
-      ConcatCols({aggregated, GatherMemory(others),
-                  EdgeFeatureBlock(edge_idxs), time_encoder_.Encode(dts)});
+  Var other_memory = GatherMemory(others);
+  Var message = ConcatCols(
+      {AggregateNeighborhood(others, ts, other_memory), other_memory,
+       EdgeFeatureBlock(edge_idxs), time_encoder_.Encode(dts)});
   return rnn_.Forward(message, prev_memory);
 }
 

@@ -27,8 +27,10 @@ class DyRep : public MemoryModel {
 
  private:
   /// Attention-aggregated neighborhood memory of each event's `other`
-  /// endpoint -> [n, embedding_dim].
-  tensor::Var AggregateNeighborhood(const std::vector<MemoryEvent>& events);
+  /// endpoint at `ts`, queried by its memory -> [n, embedding_dim].
+  tensor::Var AggregateNeighborhood(const std::vector<int32_t>& others,
+                                    const std::vector<double>& ts,
+                                    const tensor::Var& queries);
 
   tensor::RnnCell rnn_;
   tensor::MultiHeadAttention neighbor_attention_;

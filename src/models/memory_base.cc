@@ -7,8 +7,25 @@ namespace benchtemp::models {
 using tensor::ConcatCols;
 using tensor::ConcatRows;
 using tensor::Constant;
+using tensor::GatherRows;
 using tensor::Tensor;
 using tensor::Var;
+
+namespace {
+
+/// Rows `rows` of `table` ([N, w]) copied into a new [rows.size(), w]
+/// tensor. A rank-0 (absent) table yields zero-width rows.
+Tensor CopyRows(const Tensor& table, const std::vector<int32_t>& rows) {
+  const int64_t w = table.rank() == 2 ? table.cols() : 0;
+  Tensor block({static_cast<int64_t>(rows.size()), w});
+  for (size_t i = 0; i < rows.size(); ++i) {
+    std::copy_n(table.data() + static_cast<int64_t>(rows[i]) * w, w,
+                block.data() + static_cast<int64_t>(i) * w);
+  }
+  return block;
+}
+
+}  // namespace
 
 MemoryModel::MemoryModel(const graph::TemporalGraph* graph,
                          ModelConfig config)
@@ -92,54 +109,27 @@ void MemoryModel::ProcessPending() {
 }
 
 Var MemoryModel::GatherMemory(const std::vector<int32_t>& nodes) const {
-  const int64_t d = config_.embedding_dim;
-  const int64_t n = static_cast<int64_t>(nodes.size());
-  // Fast path: no live rows among the requested nodes.
-  bool any_live = false;
-  if (live_var_ != nullptr) {
-    for (int32_t node : nodes) {
-      if (live_rows_.count(node) != 0) {
-        any_live = true;
-        break;
-      }
-    }
-  }
-  if (!any_live) {
-    Tensor block({n, d});
-    for (int64_t i = 0; i < n; ++i) {
-      for (int64_t c = 0; c < d; ++c) {
-        block.at(i, c) = memory_.at(nodes[static_cast<size_t>(i)], c);
-      }
-    }
-    return Constant(std::move(block));
-  }
-  // Mixed path: stitch constant rows and live autograd rows. Consecutive
-  // constant rows are grouped to keep the concat fan-in small.
-  std::vector<Var> parts;
-  Tensor run({0, d});
-  std::vector<float> run_data;
-  int64_t run_rows = 0;
-  auto flush_run = [&]() {
-    if (run_rows == 0) return;
-    parts.push_back(Constant(
-        Tensor::FromVector({run_rows, d}, std::move(run_data))));
-    run_data = {};
-    run_rows = 0;
-  };
-  for (int64_t i = 0; i < n; ++i) {
-    const int32_t node = nodes[static_cast<size_t>(i)];
-    auto it = live_rows_.find(node);
+  if (live_var_ == nullptr) return Constant(CopyRows(memory_, nodes));
+  // A live row indexes live_var_; every other row indexes the stale block
+  // stacked under it. Values match the store either way (ProcessPending
+  // wrote the live rows into it), but only live rows carry gradients.
+  const int64_t num_live = live_var_->value.rows();
+  std::vector<int32_t> stale;
+  std::vector<int64_t> index;
+  index.reserve(nodes.size());
+  for (const int32_t node : nodes) {
+    const auto it = live_rows_.find(node);
     if (it != live_rows_.end()) {
-      flush_run();
-      parts.push_back(SliceRows(live_var_, it->second, 1));
+      index.push_back(it->second);
     } else {
-      for (int64_t c = 0; c < d; ++c)
-        run_data.push_back(memory_.at(node, c));
-      ++run_rows;
+      index.push_back(num_live + static_cast<int64_t>(stale.size()));
+      stale.push_back(node);
     }
   }
-  flush_run();
-  return parts.size() == 1 ? parts[0] : ConcatRows(parts);
+  if (stale.size() == nodes.size()) return Constant(CopyRows(memory_, stale));
+  if (stale.empty()) return GatherRows(live_var_, index);
+  return GatherRows(
+      ConcatRows({live_var_, Constant(CopyRows(memory_, stale))}), index);
 }
 
 Var MemoryModel::DeltaTimeColumn(const std::vector<int32_t>& nodes,
@@ -154,15 +144,7 @@ Var MemoryModel::DeltaTimeColumn(const std::vector<int32_t>& nodes,
 
 Var MemoryModel::EdgeFeatureBlock(
     const std::vector<int32_t>& edge_idxs) const {
-  const Tensor& features = graph_->edge_features();
-  const int64_t d = graph_->edge_feature_dim();
-  Tensor block({static_cast<int64_t>(edge_idxs.size()), d});
-  for (size_t i = 0; i < edge_idxs.size(); ++i) {
-    for (int64_t c = 0; c < d; ++c) {
-      block.at(static_cast<int64_t>(i), c) = features.at(edge_idxs[i], c);
-    }
-  }
-  return Constant(std::move(block));
+  return Constant(CopyRows(graph_->edge_features(), edge_idxs));
 }
 
 int64_t MemoryModel::MessageDim() const {
@@ -183,17 +165,8 @@ Var MemoryModel::BuildMessages(const std::vector<MemoryEvent>& events) const {
   }
   // Message inputs use the *stored* (detached) memory; gradients reach the
   // updater through the update itself, a one-step truncation of BPTT.
-  const int64_t d = config_.embedding_dim;
-  Tensor mem_nodes({static_cast<int64_t>(events.size()), d});
-  Tensor mem_others({static_cast<int64_t>(events.size()), d});
-  for (size_t i = 0; i < events.size(); ++i) {
-    for (int64_t c = 0; c < d; ++c) {
-      mem_nodes.at(static_cast<int64_t>(i), c) = memory_.at(nodes[i], c);
-      mem_others.at(static_cast<int64_t>(i), c) = memory_.at(others[i], c);
-    }
-  }
-  return ConcatCols({Constant(std::move(mem_nodes)),
-                     Constant(std::move(mem_others)),
+  return ConcatCols({Constant(CopyRows(memory_, nodes)),
+                     Constant(CopyRows(memory_, others)),
                      EdgeFeatureBlock(edge_idxs), time_encoder_.Encode(dts)});
 }
 

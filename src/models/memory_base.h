@@ -54,9 +54,10 @@ class MemoryModel : public TgnnModel {
   /// (and by UpdateState when scoring was skipped, e.g. state replay).
   void ProcessPending();
 
-  /// Memory rows of `nodes` as a Var. Rows refreshed by the live (current
-  /// step's) update come from the autograd graph so gradients reach the
-  /// updater; all other rows are constants.
+  /// Memory rows of `nodes` as a Var: one gather over the live (current
+  /// step's) update stacked on a constant block of the other rows, so
+  /// gradients of live rows reach the updater. At most three tape nodes,
+  /// whatever the live share.
   tensor::Var GatherMemory(const std::vector<int32_t>& nodes) const;
 
   /// Raw (detached) memory row pointer; for heuristic consumers.

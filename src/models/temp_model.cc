@@ -7,7 +7,6 @@ namespace benchtemp::models {
 
 using graph::TemporalNeighbor;
 using tensor::ConcatCols;
-using tensor::ConcatRows;
 using tensor::Constant;
 using tensor::Tensor;
 using tensor::Var;
@@ -107,8 +106,8 @@ Var TempModel::ComputeEmbeddings(const std::vector<int32_t>& nodes,
   Var nbr_memory = GatherMemory(flat_neighbors);
   Var lpa = BatchWeightedSum(Constant(std::move(lpa_weights)), nbr_memory, k);
   Var messages = Relu(message_proj_.Forward(
-      ConcatCols({EdgeFeatureBlock(flat_edges),
-                  time_encoder_.Encode(flat_dts)})));
+      {tensor::Rows(graph_->edge_features(), flat_edges),
+       time_encoder_.Encode(flat_dts)}));
   Var mp = BatchWeightedSum(Constant(std::move(mp_weights)), messages, k);
   Var own = GatherMemory(nodes);
   return Tanh(combine_.Forward(ConcatCols({own, lpa, mp})));

@@ -178,20 +178,6 @@ Var Add(const Var& a, const Var& b) {
   });
 }
 
-Var Sub(const Var& a, const Var& b) {
-  CheckOrDie(a->value.size() == b->value.size(), "Sub: shape mismatch");
-  Tensor out = kernels::NewTensor(a->value.shape());
-  kernels::SubOut(out.data(), a->value.data(), b->value.data(), out.size());
-  return MakeNode("Sub", std::move(out), {a, b}, [](VarNode& self) {
-    VarNode& pa = *self.parents[0];
-    VarNode& pb = *self.parents[1];
-    const float* sg = self.grad.data();
-    const int64_t n = self.grad.size();
-    if (pa.requires_grad) kernels::Add(pa.EnsureGrad().data(), sg, n);
-    if (pb.requires_grad) kernels::Sub(pb.EnsureGrad().data(), sg, n);
-  });
-}
-
 Var Mul(const Var& a, const Var& b) {
   const Tensor& av = a->value;
   const Tensor& bv = b->value;
@@ -518,23 +504,6 @@ Var SliceCols(const Var& a, int64_t start, int64_t len) {
                   });
 }
 
-Var SliceRows(const Var& a, int64_t start, int64_t len) {
-  const Tensor& av = a->value;
-  CheckOrDie(av.rank() == 2, "SliceRows: rank-2 required");
-  const int64_t d = av.shape()[1];
-  CheckOrDie(start >= 0 && start + len <= av.shape()[0],
-             "SliceRows: out of range");
-  Tensor out = kernels::NewTensor({len, d});
-  kernels::Set(out.data(), av.data() + start * d, len * d);
-  return MakeNode("SliceRows", std::move(out), {a},
-                  [d, start, len](VarNode& self) {
-                    VarNode& p = *self.parents[0];
-                    if (!p.requires_grad) return;
-                    kernels::Add(p.EnsureGrad().data() + start * d,
-                                 self.grad.data(), len * d);
-                  });
-}
-
 Var GatherRows(const Var& table, const std::vector<int64_t>& indices) {
   const Tensor& tv = table->value;
   CheckOrDie(tv.rank() == 2, "GatherRows: rank-2 table required");
@@ -768,19 +737,9 @@ Var Relu(const Var& a) {
                [](float, float in) { return in > 0.0f ? 1.0f : 0.0f; });
 }
 
-Var Exp(const Var& a) {
-  return Unary("Exp", a, [](float x) { return std::exp(x); },
-               [](float out, float) { return out; });
-}
-
 Var Cos(const Var& a) {
   return Unary("Cos", a, [](float x) { return std::cos(x); },
                [](float, float in) { return -std::sin(in); });
-}
-
-Var Sin(const Var& a) {
-  return Unary("Sin", a, [](float x) { return std::sin(x); },
-               [](float, float in) { return std::cos(in); });
 }
 
 // ---------------------------------------------------------------------------

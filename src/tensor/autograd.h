@@ -59,8 +59,6 @@ void ZeroGrad(const std::vector<Var>& params);
 /// a + b. Supports equal shapes, and row-broadcast where b is [1, d] (or a
 /// rank-1 [d]) added to every row of a [n, d] tensor.
 Var Add(const Var& a, const Var& b);
-/// a - b, equal shapes only.
-Var Sub(const Var& a, const Var& b);
 /// Elementwise a * b. Supports equal shapes, row-broadcast [1, d] on b, and
 /// column-broadcast where b is [n, 1] scaling each row of a [n, d] tensor.
 Var Mul(const Var& a, const Var& b);
@@ -87,8 +85,6 @@ Var ConcatCols(const std::vector<Var>& parts);
 Var ConcatRows(const std::vector<Var>& parts);
 /// Columns [start, start+len) of a rank-2 tensor.
 Var SliceCols(const Var& a, int64_t start, int64_t len);
-/// Rows [start, start+len) of a rank-2 tensor.
-Var SliceRows(const Var& a, int64_t start, int64_t len);
 /// Gathers rows of `table` ([N, d]) at `indices` -> [n, d]; the backward pass
 /// scatter-adds into the table (embedding lookup).
 Var GatherRows(const Var& table, const std::vector<int64_t>& indices);
@@ -138,9 +134,7 @@ Var Project(const std::vector<ColBlock>& blocks, const Var& weight);
 Var Sigmoid(const Var& a);
 Var Tanh(const Var& a);
 Var Relu(const Var& a);
-Var Exp(const Var& a);
 Var Cos(const Var& a);
-Var Sin(const Var& a);
 
 // ---------------------------------------------------------------------------
 // Reductions and losses.

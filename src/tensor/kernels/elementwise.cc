@@ -24,9 +24,6 @@ inline float StableSigmoid(float x) {
 void Add(float* y, const float* x, int64_t n) {
   for (int64_t i = 0; i < n; ++i) y[i] += x[i];
 }
-void Sub(float* y, const float* x, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) y[i] -= x[i];
-}
 void Mul(float* y, const float* x, int64_t n) {
   for (int64_t i = 0; i < n; ++i) y[i] *= x[i];
 }
@@ -50,9 +47,6 @@ void FillOut(float* y, float v, int64_t n) {
 }
 void AddOut(float* y, const float* a, const float* b, int64_t n) {
   for (int64_t i = 0; i < n; ++i) y[i] = a[i] + b[i];
-}
-void SubOut(float* y, const float* a, const float* b, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) y[i] = a[i] - b[i];
 }
 void MulOut(float* y, const float* a, const float* b, int64_t n) {
   for (int64_t i = 0; i < n; ++i) y[i] = a[i] * b[i];

@@ -79,7 +79,6 @@ float Dot(const float* a, const float* b, int64_t n);
 // ---------------------------------------------------------------------------
 
 void Add(float* y, const float* x, int64_t n);     // y[i] += x[i]
-void Sub(float* y, const float* x, int64_t n);     // y[i] -= x[i]
 void Mul(float* y, const float* x, int64_t n);     // y[i] *= x[i]
 void MulAdd(float* y, const float* a, const float* b, int64_t n);  // y+=a*b
 void Axpy(float* y, float s, const float* x, int64_t n);  // y[i] += s*x[i]
@@ -90,7 +89,6 @@ void FillOut(float* y, float v, int64_t n);        // y[i] = v
 
 // Out-of-place forms (y never aliases the inputs).
 void AddOut(float* y, const float* a, const float* b, int64_t n);  // y=a+b
-void SubOut(float* y, const float* a, const float* b, int64_t n);  // y=a-b
 void MulOut(float* y, const float* a, const float* b, int64_t n);  // y=a*b
 void ScaleOut(float* y, float s, const float* x, int64_t n);       // y=s*x
 void AddScalarOut(float* y, float s, const float* x, int64_t n);   // y=x+s

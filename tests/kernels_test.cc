@@ -270,11 +270,6 @@ TEST_F(KernelsTest, ElementwiseMatchNaiveReferences) {
       EXPECT_EQ(BitsOf(got), BitsOf(want)) << "Add";
 
       reset();
-      kernels::Sub(got.data(), a.data(), n);
-      for (size_t i = 0; i < x.size(); ++i) want[i] -= a[i];
-      EXPECT_EQ(BitsOf(got), BitsOf(want)) << "Sub";
-
-      reset();
       kernels::Mul(got.data(), a.data(), n);
       for (size_t i = 0; i < x.size(); ++i) want[i] *= a[i];
       EXPECT_EQ(BitsOf(got), BitsOf(want)) << "Mul";
@@ -313,11 +308,6 @@ TEST_F(KernelsTest, ElementwiseMatchNaiveReferences) {
       kernels::AddOut(got.data(), a.data(), b.data(), n);
       for (size_t i = 0; i < x.size(); ++i) want[i] = a[i] + b[i];
       EXPECT_EQ(BitsOf(got), BitsOf(want)) << "AddOut";
-
-      reset();
-      kernels::SubOut(got.data(), a.data(), b.data(), n);
-      for (size_t i = 0; i < x.size(); ++i) want[i] = a[i] - b[i];
-      EXPECT_EQ(BitsOf(got), BitsOf(want)) << "SubOut";
 
       reset();
       kernels::MulOut(got.data(), a.data(), b.data(), n);
@@ -615,6 +605,10 @@ TEST_F(KernelsTest, TrainingGoldenAucApAndFlopsPerModel) {
   // (TgnnModel::SourceEmbeddings); TGN and TGAT also draw fewer
   // neighbour samples, so their AUC/AP bits moved with their flops. The
   // pair-feature rows do not use it and kept their bits and flops.
+  // Memory reads are one gather: live-row gradients sum in one
+  // scatter-add, which moved JODIE's test bits in the last place. TeMP
+  // projects its message channel's edge rows once per distinct row,
+  // which cut its flops and kept its bits.
 #if defined(__FMA__)
   // Library code outside the kernel layer may contract a*b+c into an FMA
   // on such targets, which rounds differently from these recorded bits.
@@ -627,7 +621,7 @@ TEST_F(KernelsTest, TrainingGoldenAucApAndFlopsPerModel) {
   };
   const Golden goldens[] = {
       {models::ModelKind::kJodie, 0x3fdd9f39c619896bull, 0x3fddd8507d77f9b9ull,
-       0x3fdc8143a2730abfull, 0x3fddf2c8ba5cc298ull, 8541520},
+       0x3fdc8153d0f8cb48ull, 0x3fddf2d4a1f49c34ull, 8541520},
       {models::ModelKind::kDyRep, 0x3fe0526cf94cbc9eull, 0x3fdfe6eb56eae291ull,
        0x3fe02a08d971254bull, 0x3fe03d3072e5a4a3ull, 11319488},
       {models::ModelKind::kTgn, 0x3fddc98359a1b0dcull, 0x3fde7b4c14011300ull,
@@ -641,7 +635,7 @@ TEST_F(KernelsTest, TrainingGoldenAucApAndFlopsPerModel) {
       {models::ModelKind::kNat, 0x3fe2ca04cdcfb529ull, 0x3fe2711d9845a2d6ull,
        0x3fe1de8fdd9d23c7ull, 0x3fe0c7bd27fdd09eull, 10572416},
       {models::ModelKind::kTemp, 0x3fe0503eb4464a15ull, 0x3fe05c7d84200273ull,
-       0x3fde061172283394ull, 0x3fdf056a47ea5626ull, 25131424},
+       0x3fde061172283394ull, 0x3fdf056a47ea5626ull, 22042592},
       {models::ModelKind::kMotifJoint, 0x3fe8471c71c71c72ull,
        0x3fe7b83fcce71e80ull, 0x3fe76d72a9a7c24full, 0x3fe6d2eb00d5d09cull,
        290945456},

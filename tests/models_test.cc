@@ -6,7 +6,9 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <unordered_set>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -257,6 +259,54 @@ TEST(MemoryModelTest, PendingAppliedExactlyOnce) {
   }
 }
 
+/// Distinct tape nodes reachable from `root`, leaves included.
+int64_t TapeNodeCount(const Var& root) {
+  std::vector<const tensor::VarNode*> stack = {root.get()};
+  std::unordered_set<const tensor::VarNode*> seen = {root.get()};
+  while (!stack.empty()) {
+    const tensor::VarNode* node = stack.back();
+    stack.pop_back();
+    for (const Var& parent : node->parents) {
+      if (seen.insert(parent.get()).second) stack.push_back(parent.get());
+    }
+  }
+  return static_cast<int64_t>(seen.size());
+}
+
+/// A memory read is one gather whatever its live share: after a warm
+/// batch, a pair loss over 96 events has as many tape nodes as one over
+/// 24, though many more of its gathered rows come from the live update.
+TEST(MemoryModelTest, GatherTapeDoesNotGrowWithLiveRows) {
+  TemporalGraph g = MakeGraph();
+  NeighborFinder finder(g);
+  const Batch warm = FirstBatch(g, 20);
+  for (const ModelKind kind : {ModelKind::kTgn, ModelKind::kDyRep}) {
+    SCOPED_TRACE(ModelKindName(kind));
+    std::vector<int64_t> counts;
+    for (const int64_t n : {24, 96}) {
+      auto model = CreateModel(kind, &g, SmallConfig(), 40);
+      model->SetNeighborFinder(&finder);
+      model->Reset();
+      model->set_training(true);
+      model->UpdateState(warm);
+      Batch batch;
+      std::vector<int32_t> negatives;
+      for (int64_t i = warm.size(); i < warm.size() + n; ++i) {
+        const auto& e = g.event(i);
+        batch.srcs.push_back(e.src);
+        batch.dsts.push_back(e.dst);
+        batch.ts.push_back(e.ts);
+        negatives.push_back(40 + static_cast<int32_t>(i % 15));
+      }
+      tensor::kernels::TapeScope scope;
+      Var pos = model->ScoreEdges(batch.srcs, batch.dsts, batch.ts);
+      Var neg = model->ScoreEdges(batch.srcs, negatives, batch.ts);
+      counts.push_back(TapeNodeCount(PairLoss(pos, neg)));
+    }
+    EXPECT_EQ(counts[0], counts[1]);
+  }
+}
+
 TEST(TgatTest, TimeWindowTriggersRuntimeError) {
   // All events share one timestamp tick; a window smaller than the tick can
   // never see a strictly-earlier neighbor -> the paper's UNTrade "*".
@@ -454,8 +504,8 @@ TEST_P(SourceMemoTest, OneSourceEmbeddingPerBatch) {
 /// Central differences of PairLoss(ScoreEdges(pos), ScoreEdges(neg)) on a
 /// sampled subset of every parameter tensor, against Backward through the
 /// source node the two calls share. Each evaluation restores the model's
-/// temporal state and its neighbour draws (member RNG state for TGN, the
-/// prepared inputs for TGAT), so all of them see one function.
+/// temporal state and its neighbour draws (member RNG state for TGN and
+/// DyRep, the prepared inputs for TGAT), so all of them see one function.
 TEST_P(SourceMemoTest, PairLossGradientMatchesFiniteDifferences) {
   datagen::SyntheticConfig cfg;
   cfg.num_users = 40;
@@ -552,7 +602,8 @@ TEST_P(SourceMemoTest, PairLossGradientMatchesFiniteDifferences) {
 
 INSTANTIATE_TEST_SUITE_P(
     MergeLayerModels, SourceMemoTest,
-    ::testing::Values(ModelKind::kTgn, ModelKind::kTgat),
+    ::testing::Values(ModelKind::kJodie, ModelKind::kDyRep, ModelKind::kTgn,
+                      ModelKind::kTgat, ModelKind::kTemp),
     [](const ::testing::TestParamInfo<ModelKind>& info) {
       return std::string(ModelKindName(info.param));
     });

@@ -24,18 +24,19 @@ TEST(ModulesTest, MlpLearnsLinearMap) {
   Rng rng(2);
   Mlp mlp({2, 8, 1}, rng);
   Adam opt(mlp.Parameters(), 5e-2f);
-  // Fit y = x0 - 2*x1.
+  // Fit y = x0 - 2*x1. The target is stored negated, so the residual
+  // prediction - y is one Add.
   Tensor x_data = Tensor::Randn({64, 2}, rng);
-  Tensor y_data({64, 1});
+  Tensor neg_y_data({64, 1});
   for (int64_t i = 0; i < 64; ++i) {
-    y_data.at(i) = x_data.at(i, 0) - 2.0f * x_data.at(i, 1);
+    neg_y_data.at(i) = -(x_data.at(i, 0) - 2.0f * x_data.at(i, 1));
   }
   Var x = Constant(x_data);
-  Var y = Constant(y_data);
+  Var neg_y = Constant(neg_y_data);
   float first_loss = 0.0f, last_loss = 0.0f;
   for (int step = 0; step < 300; ++step) {
     // Mean squared error.
-    Var diff = Sub(mlp.Forward(x), y);
+    Var diff = Add(mlp.Forward(x), neg_y);
     Var loss = ScalarMul(Sum(Mul(diff, diff)), 1.0f / 64.0f);
     if (step == 0) first_loss = loss->value.at(0);
     last_loss = loss->value.at(0);
