@@ -16,6 +16,7 @@
 #include "datagen/synthetic.h"
 #include "graph/neighbor_finder.h"
 #include "graph/walks.h"
+#include "models/tgat.h"
 #include "tensor/autograd.h"
 #include "tensor/kernels/kernels.h"
 #include "tensor/modules.h"
@@ -88,6 +89,72 @@ void BM_UniformNeighborSampling(benchmark::State& state) {
                           static_cast<int64_t>(nodes.size()) * k);
 }
 BENCHMARK(BM_UniformNeighborSampling)->ArgsProduct({{8, 32}, {0, 100}});
+
+// TGAT's batch preparation at perfbench's tgat-train shape (300 nodes,
+// 2,500 events, batch 200, k = 5, two layers). range(0) = 1 builds the
+// three prefetched plans of one training batch (PrepareBatch); 0 builds one
+// inline plan (Plan), as each eval embedding call does on the training
+// thread. Batches cycle through the graph's second half.
+void BM_TgatPrepareBatch(benchmark::State& state) {
+  // Immortal fixture, as SharedGraph.
+  // btlint: allow(mutable-static, raw-new)
+  static graph::TemporalGraph& g = *new graph::TemporalGraph([] {
+    datagen::SyntheticConfig cfg;
+    cfg.num_users = 300;
+    cfg.num_edges = 2500;
+    cfg.zipf_src = 1.2;
+    cfg.zipf_dst = 1.2;
+    cfg.time_granularity = 2500;
+    cfg.time_span = 2500.0;
+    cfg.affinity = 0.9;
+    cfg.edge_feature_dim = 100;
+    cfg.seed = 1;
+    graph::TemporalGraph built = datagen::Generate(cfg);
+    built.InitNodeFeatures(48);
+    return built;
+  }());
+  graph::NeighborFinder finder(g);
+  models::ModelConfig config;
+  config.embedding_dim = 24;
+  config.time_dim = 16;
+  config.num_neighbors = 5;
+  config.num_layers = 2;
+  config.num_heads = 2;
+  models::Tgat model(&g, config);
+  model.SetNeighborFinder(&finder);
+  tensor::Rng rng(1);
+  std::vector<models::Batch> batches;
+  std::vector<std::vector<int32_t>> negatives;
+  for (int64_t start = 1250; start + 200 <= g.num_events(); start += 200) {
+    models::Batch& batch = batches.emplace_back();
+    std::vector<int32_t>& negs = negatives.emplace_back();
+    for (int64_t i = start; i < start + 200; ++i) {
+      const auto& e = g.event(i);
+      batch.srcs.push_back(e.src);
+      batch.dsts.push_back(e.dst);
+      batch.ts.push_back(e.ts);
+      batch.edge_idxs.push_back(e.edge_idx);
+      negs.push_back(
+          tensor::NarrowId(rng.UniformInt(g.num_nodes()), "bench: node id"));
+    }
+  }
+  const bool prepared = state.range(0) == 1;
+  size_t b = 0;
+  uint64_t seed = 0;
+  for (auto _ : state) {
+    const models::Batch& batch = batches[b];
+    if (prepared) {
+      benchmark::DoNotOptimize(
+          model.PrepareBatch(batch, negatives[b], ++seed));
+    } else {
+      tensor::Rng draw(++seed);
+      benchmark::DoNotOptimize(model.Plan(batch.dsts, batch.ts, draw));
+    }
+    b = (b + 1) % batches.size();
+  }
+  state.SetItemsProcessed(state.iterations() * 200);
+}
+BENCHMARK(BM_TgatPrepareBatch)->Arg(1)->Arg(0);
 
 void BM_TemporalWalk(benchmark::State& state) {
   const graph::TemporalGraph& g = SharedGraph();

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <set>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -334,11 +335,11 @@ TEST(TgatTest, TimeWindowTriggersRuntimeError) {
 }
 
 TEST(TgatTest, ExhaustedPreparedInputsAreFatal) {
-  // Prepared inputs hold exactly the neighborhoods of one batch; asking for
-  // more must fail loudly rather than fall back to the member RNG, which
-  // would silently make prefetched and inline preparation disagree. Three
-  // trees of three neighborhoods (srcs, dsts, negatives): the second call
-  // reuses the source embeddings and runs out in the last tree.
+  // Prepared inputs hold exactly the plans of one batch; asking for more
+  // must fail loudly rather than fall back to the member RNG, which would
+  // silently make prefetched and inline preparation disagree. Three plans
+  // (srcs, dsts, negatives): the second call reuses the source embeddings
+  // and runs out at the negatives.
   TemporalGraph g = MakeGraph();
   NeighborFinder finder(g);
   Tgat model(&g, SmallConfig());
@@ -348,14 +349,159 @@ TEST(TgatTest, ExhaustedPreparedInputsAreFatal) {
       model.PrepareBatch(batch, batch.dsts, /*seed=*/7);
   auto* fifo = dynamic_cast<TgatPreparedInputs*>(prepared.get());
   ASSERT_NE(fifo, nullptr);
-  fifo->fifo.resize(fifo->fifo.size() - 1);  // one neighborhood short
+  ASSERT_EQ(fifo->fifo.size(), 3u);
+  fifo->fifo.resize(fifo->fifo.size() - 1);  // one plan short
   model.SetPreparedInputs(prepared.get());
   EXPECT_DEATH(
       {
         (void)model.ScoreEdges(batch.srcs, batch.dsts, batch.ts);
         (void)model.ScoreEdges(batch.srcs, batch.dsts, batch.ts);
       },
-      "exhausted at layer 1 \\(cursor 8 of 8\\)");
+      "exhausted \\(cursor 2 of 2\\)");
+}
+
+TEST(TgatTest, PreparedPlanForOtherQueriesIsFatal) {
+  // Destinations and negatives are both n long: scoring the negatives
+  // first must not embed them with the destinations' neighbourhoods.
+  TemporalGraph g = MakeGraph();
+  NeighborFinder finder(g);
+  Tgat model(&g, SmallConfig());
+  model.SetNeighborFinder(&finder);
+  const Batch batch = FirstBatch(g, 8);
+  std::vector<int32_t> negatives;
+  for (int32_t i = 0; i < 8; ++i) negatives.push_back(40 + i);
+  ASSERT_NE(negatives, batch.dsts);
+  std::unique_ptr<PreparedInputs> prepared =
+      model.PrepareBatch(batch, negatives, /*seed=*/7);
+  model.SetPreparedInputs(prepared.get());
+  EXPECT_DEATH(
+      (void)model.ScoreEdges(batch.srcs, negatives, batch.ts),
+      "built for other queries \\(cursor 1 of 3\\)");
+}
+
+TEST(TgatTest, DuplicateQueriesShareOneEmbedding) {
+  obs::MetricRegistry::OverrideEnabledForTest(1);
+  auto& registry = obs::MetricRegistry::Global();
+  TemporalGraph g = MakeGraph();
+  NeighborFinder finder(g);
+  Tgat model(&g, SmallConfig());
+  model.SetNeighborFinder(&finder);
+  const int32_t a = g.event(300).src;
+  const int32_t b = g.event(300).dst;
+  const double t = g.event(300).ts;
+  const double t_b = g.event(310).ts;
+  // With two or more earlier events, two independent draws for `a` would
+  // almost surely differ.
+  int64_t count = 0;
+  (void)finder.Before(a, t, &count);
+  ASSERT_GE(count, 2);
+
+  const std::string rng_state = model.SaveRngState();
+  int64_t start = registry.value(obs::Counter::kKernelFlops);
+  {
+    tensor::kernels::TapeScope scope;
+    Var emb = model.ComputeEmbeddings({a, b, a}, {t, t_b, t});
+    const tensor::Tensor& v = emb->value;
+    ASSERT_EQ(v.rows(), 3);
+    const int64_t d = v.cols();
+    for (int64_t j = 0; j < d; ++j) {
+      EXPECT_EQ(std::bit_cast<uint32_t>(v.at(0, j)),
+                std::bit_cast<uint32_t>(v.at(2, j)))
+          << "column " << j;
+    }
+  }
+  const int64_t with_duplicate =
+      registry.value(obs::Counter::kKernelFlops) - start;
+  model.LoadRngState(rng_state);
+  start = registry.value(obs::Counter::kKernelFlops);
+  {
+    tensor::kernels::TapeScope scope;
+    (void)model.ComputeEmbeddings({a, b}, {t, t_b});
+  }
+  const int64_t distinct = registry.value(obs::Counter::kKernelFlops) - start;
+  EXPECT_GT(distinct, 0);
+  EXPECT_EQ(with_duplicate, distinct);
+  obs::MetricRegistry::OverrideEnabledForTest(-1);
+  registry.Reset();
+}
+
+TEST(TgatTest, PlanDrawsOncePerDistinctQuery) {
+  TemporalGraph g = MakeGraph();
+  NeighborFinder finder(g);
+  const ModelConfig config = SmallConfig();
+  Tgat model(&g, config);
+  model.SetNeighborFinder(&finder);
+  // Sources and destinations of 40 events, the sources listed twice.
+  std::vector<int32_t> nodes;
+  std::vector<double> ts;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (int64_t i = 300; i < 340; ++i) {
+      nodes.push_back(g.event(i).src);
+      ts.push_back(g.event(i).ts);
+    }
+  }
+  for (int64_t i = 300; i < 340; ++i) {
+    nodes.push_back(g.event(i).dst);
+    ts.push_back(g.event(i).ts);
+  }
+  tensor::Rng rng(21);
+  const TgatPlan plan = model.Plan(nodes, ts, rng);
+  EXPECT_EQ(plan.nodes, nodes);
+  ASSERT_EQ(plan.levels.size(), static_cast<size_t>(config.num_layers) + 1);
+
+  // Layer 0 ignores time, so its key is the node alone.
+  using Key = std::pair<int32_t, uint64_t>;
+  const auto key = [](size_t layer, int32_t node, double t) {
+    return Key{node, layer == 0 ? 0 : std::bit_cast<uint64_t>(t)};
+  };
+  const auto key_at = [&](size_t layer, int64_t row) {
+    const TgatPlan::Level& level = plan.levels[layer];
+    const size_t r = static_cast<size_t>(row);
+    EXPECT_LT(r, level.nodes.size());
+    return key(layer, level.nodes[r], layer == 0 ? 0.0 : level.ts[r]);
+  };
+  for (size_t l = 0; l < plan.levels.size(); ++l) {
+    const TgatPlan::Level& level = plan.levels[l];
+    EXPECT_EQ(level.ts.size(), l == 0 ? 0 : level.nodes.size());
+    std::set<Key> seen;
+    for (size_t r = 0; r < level.nodes.size(); ++r) {
+      EXPECT_TRUE(seen.insert(key_at(l, static_cast<int64_t>(r))).second)
+          << "layer " << l << " repeats row " << r;
+    }
+  }
+  const size_t top = plan.levels.size() - 1;
+  ASSERT_EQ(plan.out_rows.size(), nodes.size());
+  EXPECT_LT(plan.levels[top].nodes.size(), nodes.size());
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    EXPECT_EQ(key_at(top, plan.out_rows[i]), key(top, nodes[i], ts[i]));
+  }
+  for (size_t l = 1; l < plan.levels.size(); ++l) {
+    const TgatPlan::Level& level = plan.levels[l];
+    const graph::SampledNeighborhood& nb = level.nb;
+    ASSERT_EQ(nb.num_queries, static_cast<int64_t>(level.nodes.size()));
+    ASSERT_EQ(level.self_rows.size(), level.nodes.size());
+    ASSERT_EQ(level.nbr_rows.size(), nb.flat_neighbors.size());
+    for (size_t i = 0; i < level.nodes.size(); ++i) {
+      EXPECT_EQ(key_at(l - 1, level.self_rows[i]),
+                key(l - 1, level.nodes[i], level.ts[i]));
+    }
+    for (size_t s = 0; s < nb.flat_neighbors.size(); ++s) {
+      EXPECT_EQ(key_at(l - 1, level.nbr_rows[s]),
+                key(l - 1, nb.flat_neighbors[s], nb.flat_times[s]));
+    }
+  }
+  // One draw per distinct query: the stream ends where SampleNeighborhood
+  // over the distinct lists, top layer first, ends.
+  tensor::Rng replay(21);
+  for (size_t l = top; l >= 1; --l) {
+    const TgatPlan::Level& level = plan.levels[l];
+    const graph::SampledNeighborhood nb = finder.SampleNeighborhood(
+        level.nodes, level.ts, config.num_neighbors, config.tgat_time_window,
+        replay);
+    EXPECT_EQ(nb.flat_neighbors, level.nb.flat_neighbors) << "layer " << l;
+    EXPECT_EQ(nb.flat_edges, level.nb.flat_edges) << "layer " << l;
+  }
+  EXPECT_EQ(replay.SaveState(), rng.SaveState());
 }
 
 /// The source-embedding operand of a MergeLayer logit node: the first
