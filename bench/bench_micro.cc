@@ -8,6 +8,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -17,7 +18,9 @@
 #include "graph/neighbor_finder.h"
 #include "graph/walks.h"
 #include "models/tgat.h"
+#include "models/tgn.h"
 #include "tensor/autograd.h"
+#include "tensor/kernels/arena.h"
 #include "tensor/kernels/kernels.h"
 #include "tensor/modules.h"
 #include "tensor/numeric.h"
@@ -155,6 +158,84 @@ void BM_TgatPrepareBatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 200);
 }
 BENCHMARK(BM_TgatPrepareBatch)->Arg(1)->Arg(0);
+
+// One ranked TGN eval batch at perfbench's tgn-rank shape (600 nodes,
+// 6,000 events, batch 200, k = 100 candidates, 8 neighbours): a single
+// ScoreCandidates call, forward only. The memory is warmed on the first
+// half of the events; batches cycle through the second half, each with
+// uniform candidates.
+void BM_TgnScoreCandidates(benchmark::State& state) {
+  // Immortal fixture, as SharedGraph.
+  // btlint: allow(mutable-static, raw-new)
+  static graph::TemporalGraph& g = *new graph::TemporalGraph([] {
+    datagen::SyntheticConfig cfg;
+    cfg.num_users = 600;
+    cfg.num_edges = 6000;
+    cfg.zipf_src = 1.2;
+    cfg.zipf_dst = 1.2;
+    cfg.time_granularity = 6000;
+    cfg.time_span = 6000.0;
+    cfg.edge_reuse_prob = 0.5;
+    cfg.affinity = 0.9;
+    cfg.edge_feature_dim = 100;
+    cfg.seed = 1;
+    return datagen::Generate(cfg);
+  }());
+  constexpr int kCandidates = 100;
+  graph::NeighborFinder finder(g);
+  models::ModelConfig config;
+  config.embedding_dim = 24;
+  config.time_dim = 16;
+  config.num_neighbors = 8;
+  config.num_heads = 2;
+  models::Tgn model(&g, config);
+  model.SetNeighborFinder(&finder);
+  model.Reset();
+  model.set_training(false);
+  const int64_t half = g.num_events() / 2;
+  std::vector<models::Batch> batches;
+  for (int64_t start = 0; start + 200 <= g.num_events(); start += 200) {
+    models::Batch batch;
+    for (int64_t i = start; i < start + 200; ++i) {
+      const auto& e = g.event(i);
+      batch.srcs.push_back(e.src);
+      batch.dsts.push_back(e.dst);
+      batch.ts.push_back(e.ts);
+      batch.edge_idxs.push_back(e.edge_idx);
+    }
+    if (start < half) {
+      model.UpdateState(batch);
+    } else {
+      batches.push_back(std::move(batch));
+    }
+  }
+  tensor::Rng rng(1);
+  std::vector<std::vector<int32_t>> candidates(batches.size());
+  for (std::vector<int32_t>& c : candidates) {
+    c.resize(200 * kCandidates);
+    for (int32_t& node : c) {
+      node = tensor::NarrowId(rng.UniformInt(g.num_nodes()), "bench: node id");
+    }
+  }
+  {
+    // Untimed: applies the last warm batch's pending memory update.
+    tensor::kernels::TapeScope scope;
+    (void)model.ScoreCandidates(batches[0].srcs, candidates[0],
+                                batches[0].ts, kCandidates);
+  }
+  size_t b = 0;
+  for (auto _ : state) {
+    tensor::kernels::TapeScope scope;
+    const models::Batch& batch = batches[b];
+    benchmark::DoNotOptimize(
+        model.ScoreCandidates(batch.srcs, candidates[b], batch.ts,
+                              kCandidates)
+            ->value.data());
+    b = (b + 1) % batches.size();
+  }
+  state.SetItemsProcessed(state.iterations() * 200 * kCandidates);
+}
+BENCHMARK(BM_TgnScoreCandidates)->Unit(benchmark::kMillisecond);
 
 void BM_TemporalWalk(benchmark::State& state) {
   const graph::TemporalGraph& g = SharedGraph();

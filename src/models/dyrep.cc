@@ -29,7 +29,7 @@ Var DyRep::AggregateNeighborhood(const std::vector<int32_t>& others,
   return neighbor_attention_.Forward(
       queries,
       {tensor::Rows(memory(), nb.flat_neighbors),
-       time_encoder_.Encode(nb.flat_dts)},
+       time_encoder_.EncodeRows(nb.flat_dts)},
       nb.mask, k);
 }
 

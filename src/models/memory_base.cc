@@ -132,6 +132,13 @@ Var MemoryModel::GatherMemory(const std::vector<int32_t>& nodes) const {
       ConcatRows({live_var_, Constant(CopyRows(memory_, stale))}), index);
 }
 
+std::shared_ptr<const tensor::GatheredRows> MemoryModel::MemoryRows(
+    const std::vector<int32_t>& nodes) const {
+  tensor::Distinct<int32_t> distinct = tensor::Dedup(nodes);
+  return tensor::RowsOf(GatherMemory(distinct.values),
+                        std::move(distinct.slot));
+}
+
 Var MemoryModel::DeltaTimeColumn(const std::vector<int32_t>& nodes,
                                  const std::vector<double>& ts) const {
   Tensor column({static_cast<int64_t>(nodes.size()), 1});

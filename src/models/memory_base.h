@@ -1,6 +1,7 @@
 #ifndef BENCHTEMP_MODELS_MEMORY_BASE_H_
 #define BENCHTEMP_MODELS_MEMORY_BASE_H_
 
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -59,6 +60,12 @@ class MemoryModel : public TgnnModel {
   /// gradients of live rows reach the updater. At most three tape nodes,
   /// whatever the live share.
   tensor::Var GatherMemory(const std::vector<int32_t>& nodes) const;
+
+  /// The same rows as a `Project` block: GatherMemory over the distinct
+  /// nodes, so each memory row is projected once, and live rows still
+  /// carry gradients.
+  std::shared_ptr<const tensor::GatheredRows> MemoryRows(
+      const std::vector<int32_t>& nodes) const;
 
   /// Raw (detached) memory row pointer; for heuristic consumers.
   const tensor::Tensor& memory() const { return memory_; }

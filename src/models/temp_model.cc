@@ -107,7 +107,7 @@ Var TempModel::ComputeEmbeddings(const std::vector<int32_t>& nodes,
   Var lpa = BatchWeightedSum(Constant(std::move(lpa_weights)), nbr_memory, k);
   Var messages = Relu(message_proj_.Forward(
       {tensor::Rows(graph_->edge_features(), flat_edges),
-       time_encoder_.Encode(flat_dts)}));
+       time_encoder_.EncodeRows(flat_dts)}));
   Var mp = BatchWeightedSum(Constant(std::move(mp_weights)), messages, k);
   Var own = GatherMemory(nodes);
   return Tanh(combine_.Forward(ConcatCols({own, lpa, mp})));

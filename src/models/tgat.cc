@@ -12,6 +12,7 @@ namespace benchtemp::models {
 using tensor::ConcatCols;
 using tensor::GatherRows;
 using tensor::Rows;
+using tensor::RowsOf;
 using tensor::Var;
 
 namespace {
@@ -39,7 +40,7 @@ class LevelIndex {
   }
 
   /// Row of the query (node, t); a new query is appended.
-  int64_t RowOf(int32_t node, double t) {
+  int32_t RowOf(int32_t node, double t) {
     if (!timed_) {
       int32_t& row = slots_[static_cast<size_t>(node)];
       if (row < 0) row = Append(node, t);
@@ -164,17 +165,17 @@ Var Tgat::Embed(const TgatPlan& plan) {
       status_ = ModelStatus::kRuntimeError;
     }
     Var self_prev = GatherRows(h, level.self_rows);
-    Var nbr_prev = GatherRows(h, level.nbr_rows);
     Var query = ConcatCols(
         {self_prev, time_encoder_.Encode(std::vector<float>(
                         static_cast<size_t>(n), 0.0f))});
-    // Keys: neighbor embedding ‖ edge features ‖ time_enc(t - t_e); the edge
-    // rows are gathered from the constant feature table and projected once
-    // per distinct edge.
+    // Keys: neighbor embedding ‖ edge features ‖ time_enc(t - t_e). Each
+    // block is projected once per distinct row: the previous layer's rows,
+    // the constant edge-feature rows and the encoded deltas.
     Var attended = layers_[l - 1]->Forward(
         query,
-        {nbr_prev, Rows(graph_->edge_features(), nb.flat_edges),
-         time_encoder_.Encode(nb.flat_dts)},
+        {RowsOf(h, level.nbr_rows),
+         Rows(graph_->edge_features(), nb.flat_edges),
+         time_encoder_.EncodeRows(nb.flat_dts)},
         nb.mask, config_.num_neighbors);
     h = Relu(layer_out_[l - 1]->Forward(ConcatCols({attended, self_prev})));
   }

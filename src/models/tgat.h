@@ -25,7 +25,7 @@ struct TgatPlan {
     graph::SampledNeighborhood nb;
     /// Row of each query (self) and of each neighbour slot in level l - 1.
     std::vector<int64_t> self_rows;
-    std::vector<int64_t> nbr_rows;
+    std::vector<int32_t> nbr_rows;
   };
   /// The call's queries, as given, so a consumer can check it was handed
   /// the plan built for its own query list.
@@ -90,8 +90,9 @@ class Tgat : public TgnnModel {
 
  private:
   /// Runs a plan bottom-up: layer 0 projects the distinct nodes' features,
-  /// layer l attends once per distinct query over rows gathered from layer
-  /// l - 1, and the result gathers the top level at `out_rows`.
+  /// layer l attends once per distinct query over keys that project each
+  /// layer l - 1 row once (tensor::RowsOf), and the result gathers the top
+  /// level at `out_rows`.
   tensor::Var Embed(const TgatPlan& plan);
 
   tensor::Linear feature_proj_;

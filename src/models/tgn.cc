@@ -34,14 +34,15 @@ Var Tgn::ComputeEmbeddings(const std::vector<int32_t>& nodes,
       {memory, time_encoder_.Encode(std::vector<float>(
                    static_cast<size_t>(n), 0.0f))});
 
-  // Keys/values: neighbor memory ‖ edge features ‖ time_enc(t - t_e).
+  // Keys/values: neighbor memory ‖ edge features ‖ time_enc(t - t_e), each
+  // projected once per distinct memory row, edge and delta.
   const graph::SampledNeighborhood nb =
       finder_->SampleNeighborhood(nodes, ts, k, /*window=*/0.0, rng_);
   Var attended = attention_.Forward(
       query,
-      {GatherMemory(nb.flat_neighbors),
+      {MemoryRows(nb.flat_neighbors),
        tensor::Rows(graph_->edge_features(), nb.flat_edges),
-       time_encoder_.Encode(nb.flat_dts)},
+       time_encoder_.EncodeRows(nb.flat_dts)},
       nb.mask, k);
   // Residual combine with the node's own memory.
   return out_.Forward(ConcatCols({attended, memory}));

@@ -72,8 +72,8 @@ enum class Counter : int {
                                // colliding with the true destination
   kSamplerPoolFallbacks,       // pool-based draws that fell back to uniform
                                // (empty history / unseen pool / shortfall)
-  kProjectRows,         // feature-table rows gathered by tensor::Rows
-  kProjectUniqueRows,   // distinct rows among them (projected once each)
+  kProjectRows,         // rows of gathered Project blocks (Rows, RowsOf)
+  kProjectUniqueRows,   // their tables' rows (projected once each)
 };
 inline constexpr int kNumCounters = 22;
 

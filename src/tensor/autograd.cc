@@ -1,6 +1,7 @@
 #include "tensor/autograd.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <unordered_set>
 
@@ -538,42 +539,97 @@ Var GatherRows(const Var& table, const std::vector<int64_t>& indices) {
 // Projection over gathered feature rows.
 // ---------------------------------------------------------------------------
 
+Distinct<int32_t> Dedup(const std::vector<int32_t>& keys) {
+  // Dense first-occurrence index: slot_of[key] is key's slot, or -1 before
+  // key is first seen.
+  int32_t max_key = -1;
+  for (const int32_t key : keys) {
+    CheckOrDie(key >= 0, "Dedup: negative id");
+    max_key = std::max(max_key, key);
+  }
+  Distinct<int32_t> out;
+  out.slot.reserve(keys.size());
+  std::vector<int32_t> slot_of(static_cast<size_t>(max_key) + 1, -1);
+  for (const int32_t key : keys) {
+    int32_t& s = slot_of[static_cast<size_t>(key)];
+    if (s < 0) {
+      s = NarrowId(static_cast<int64_t>(out.values.size()), "Dedup: keys");
+      out.values.push_back(key);
+    }
+    out.slot.push_back(s);
+  }
+  return out;
+}
+
+Distinct<float> Dedup(const std::vector<float>& keys) {
+  // Open addressing on the bit patterns, Fibonacci-hashed into a table
+  // that doubles whenever it is half full, so it stays the size of the
+  // distinct set rather than of the input.
+  Distinct<float> out;
+  out.slot.reserve(keys.size());
+  std::vector<uint32_t> bits_of;  // bit pattern of each distinct key
+  int log2_size = 6;
+  std::vector<int32_t> table(size_t{1} << log2_size, -1);
+  const auto find = [&](uint32_t bits) -> int32_t& {
+    const size_t mask = table.size() - 1;
+    size_t s = static_cast<size_t>((bits * 0x9E3779B97F4A7C15ull) >>
+                                   (64 - log2_size));
+    while (table[s] >= 0 && bits_of[static_cast<size_t>(table[s])] != bits) {
+      s = (s + 1) & mask;
+    }
+    return table[s];
+  };
+  for (const float key : keys) {
+    const uint32_t bits = std::bit_cast<uint32_t>(key);
+    int32_t& u = find(bits);
+    if (u < 0) {
+      u = NarrowId(static_cast<int64_t>(bits_of.size()), "Dedup: keys");
+      out.values.push_back(key);
+      bits_of.push_back(bits);
+    }
+    out.slot.push_back(u);
+    if (2 * bits_of.size() > table.size()) {
+      table.assign(size_t{1} << ++log2_size, -1);
+      for (size_t d = 0; d < bits_of.size(); ++d) {
+        find(bits_of[d]) = static_cast<int32_t>(d);
+      }
+    }
+  }
+  return out;
+}
+
 std::shared_ptr<const GatheredRows> Rows(
     const Tensor& table, const std::vector<int32_t>& indices) {
   CheckOrDie(table.rank() == 2 || table.empty(),
              "Rows: rank-2 table required");
   const int64_t w = table.rank() == 2 ? table.cols() : 0;
-  const int64_t n = static_cast<int64_t>(indices.size());
-  auto rows = std::make_shared<GatheredRows>();
-  rows->slot.reserve(indices.size());
-  int32_t max_idx = -1;
   for (const int32_t idx : indices) {
     CheckOrDie(idx >= 0 && (w == 0 || idx < table.rows()),
                "Rows: index range");
-    max_idx = std::max(max_idx, idx);
   }
-  // Dense first-occurrence index: slot_of[idx] is idx's position in
-  // `unique`, or -1 before idx is first seen.
-  std::vector<int32_t> unique;
-  std::vector<int32_t> slot_of(static_cast<size_t>(max_idx) + 1, -1);
-  for (const int32_t idx : indices) {
-    int32_t& s = slot_of[static_cast<size_t>(idx)];
-    if (s < 0) {
-      s = NarrowId(static_cast<int64_t>(unique.size()), "Rows: row count");
-      unique.push_back(idx);
-    }
-    rows->slot.push_back(s);
-  }
-  const int64_t u = static_cast<int64_t>(unique.size());
-  rows->unique = kernels::NewTensor({u, w});
+  Distinct<int32_t> rows = Dedup(indices);
+  const int64_t u = static_cast<int64_t>(rows.values.size());
+  Tensor unique = kernels::NewTensor({u, w});
   for (int64_t i = 0; i < u && w > 0; ++i) {
-    kernels::Set(rows->unique.data() + i * w,
-                 table.data() + unique[static_cast<size_t>(i)] * w, w);
+    const int64_t idx = rows.values[static_cast<size_t>(i)];
+    kernels::Set(unique.data() + i * w, table.data() + idx * w, w);
+  }
+  return RowsOf(Constant(std::move(unique)), std::move(rows.slot));
+}
+
+std::shared_ptr<const GatheredRows> RowsOf(Var table,
+                                           std::vector<int32_t> slot) {
+  CheckOrDie(table != nullptr && table->value.rank() == 2,
+             "RowsOf: rank-2 table required");
+  const int64_t u = table->value.rows();
+  for (const int32_t s : slot) {
+    CheckOrDie(s >= 0 && s < u, "RowsOf: slot range");
   }
   obs::MetricRegistry& registry = obs::MetricRegistry::Global();
-  registry.Add(obs::Counter::kProjectRows, n);
+  registry.Add(obs::Counter::kProjectRows, static_cast<int64_t>(slot.size()));
   registry.Add(obs::Counter::kProjectUniqueRows, u);
-  return rows;
+  return std::make_shared<const GatheredRows>(
+      GatheredRows{std::move(table), std::move(slot)});
 }
 
 int64_t ColBlock::rows() const {
@@ -582,7 +638,7 @@ int64_t ColBlock::rows() const {
 }
 
 int64_t ColBlock::cols() const {
-  return dense != nullptr ? dense->value.cols() : gathered->unique.cols();
+  return (dense != nullptr ? dense : gathered->table)->value.cols();
 }
 
 Var Project(const std::vector<ColBlock>& blocks, const Var& weight) {
@@ -598,12 +654,13 @@ Var Project(const std::vector<ColBlock>& blocks, const Var& weight) {
   CheckOrDie(wv.rows() == width,
              "Project: weight rows must equal the summed block width");
   Tensor out = kernels::NewTensor({n, m});
-  // Blocks accumulate into `out` in order. A dense block's Gemm continues
-  // each output element's increasing-k sum; a gathered block adds its
-  // precomputed per-row projection in one step.
+  // Dense blocks accumulate into `out` in block order, each Gemm
+  // continuing every output element's increasing-k sum. A gathered block
+  // projects its table once; one pass then adds each output row's
+  // projected rows, in block order.
   std::vector<Var> parents = {weight};
   std::vector<std::shared_ptr<const GatheredRows>> gathered;
-  std::vector<int64_t> widths;
+  std::vector<Tensor> projected;
   int64_t offset = 0;
   for (const ColBlock& b : blocks) {
     const int64_t w = b.cols();
@@ -612,58 +669,74 @@ Var Project(const std::vector<ColBlock>& blocks, const Var& weight) {
       kernels::Gemm(b.dense->value.data(), wp, out.data(), n, w, m);
       parents.push_back(b.dense);
     } else {
-      const GatheredRows& g = *b.gathered;
-      const int64_t u = g.unique.rows();
-      Tensor proj = kernels::NewTensor({u, m});
-      kernels::Gemm(g.unique.data(), wp, proj.data(), u, w, m);
-      const float* pp = proj.data();
-      const int32_t* slot = g.slot.data();
-      float* op = out.data();
-      kernels::CountFlops(n * m);
-      runtime::ParallelFor(0, n, RowGrain(m), [&](int64_t r0, int64_t r1) {
-        for (int64_t r = r0; r < r1; ++r) {
-          kernels::Add(op + r * m, pp + int64_t{slot[r]} * m, m);
-        }
-      });
+      const Tensor& table = b.gathered->table->value;
+      projected.push_back(kernels::NewTensor({table.rows(), m}));
+      kernels::Gemm(table.data(), wp, projected.back().data(), table.rows(),
+                    w, m);
+      parents.push_back(b.gathered->table);
     }
     gathered.push_back(b.gathered);
-    widths.push_back(w);
     offset += w;
+  }
+  if (!projected.empty()) {
+    struct Term {
+      const float* rows;
+      const int32_t* slot;
+    };
+    std::vector<Term> terms;
+    for (const auto& g : gathered) {
+      if (g != nullptr) {
+        terms.push_back({projected[terms.size()].data(), g->slot.data()});
+      }
+    }
+    const int64_t t = static_cast<int64_t>(terms.size());
+    float* op = out.data();
+    kernels::CountFlops(t * n * m);
+    runtime::ParallelFor(0, n, RowGrain(t * m), [&](int64_t r0, int64_t r1) {
+      for (const Term& term : terms) {
+        kernels::GatherAdd(op + r0 * m, term.rows, term.slot + r0, r1 - r0,
+                           m);
+      }
+    });
   }
   return MakeNode(
       "Project", std::move(out), std::move(parents),
-      [n, m, gathered, widths](VarNode& self) {
+      [n, m, gathered](VarNode& self) {
+        // parents[i + 1] is block i's value (its table when gathered).
         VarNode& pw = *self.parents[0];
         const float* sg = self.grad.data();
         float* gw = pw.requires_grad ? pw.EnsureGrad().data() : nullptr;
-        size_t next_parent = 1;
         int64_t offset = 0;
-        for (size_t i = 0; i < widths.size(); ++i) {
-          const int64_t w = widths[i];
+        for (size_t i = 0; i < gathered.size(); ++i) {
+          VarNode& pa = *self.parents[i + 1];
+          const int64_t w = pa.value.cols();
+          const float* wp = pw.value.data() + offset * m;
+          float* gws = gw != nullptr ? gw + offset * m : nullptr;
+          offset += w;
           if (gathered[i] == nullptr) {
-            VarNode& pa = *self.parents[next_parent++];
-            if (gw != nullptr) {
-              kernels::GemmTN(pa.value.data(), sg, gw + offset * m, n, w, m);
+            if (gws != nullptr) {
+              kernels::GemmTN(pa.value.data(), sg, gws, n, w, m);
             }
             if (pa.requires_grad) {
-              kernels::GemmNT(sg, pw.value.data() + offset * m,
-                              pa.EnsureGrad().data(), n, w, m);
+              kernels::GemmNT(sg, wp, pa.EnsureGrad().data(), n, w, m);
             }
-          } else if (gw != nullptr) {
-            // dW slice = unique^T · dU, where dU sums dOut over the rows
-            // sharing a table row, in ascending row order.
-            const GatheredRows& g = *gathered[i];
-            const int64_t u = g.unique.rows();
-            Tensor du = kernels::NewTensor({u, m});
-            float* dp = du.data();
-            kernels::CountFlops(n * m);
-            for (int64_t r = 0; r < n; ++r) {
-              kernels::Add(dp + int64_t{g.slot[static_cast<size_t>(r)]} * m,
-                           sg + r * m, m);
-            }
-            kernels::GemmTN(g.unique.data(), dp, gw + offset * m, u, w, m);
+            continue;
           }
-          offset += w;
+          if (gws == nullptr && !pa.requires_grad) continue;
+          // dU sums dOut over the rows sharing a table row, in ascending
+          // row order; the dW slice is tableᵀ · dU and the table's
+          // gradient dU · W_sliceᵀ.
+          const int64_t u = pa.value.rows();
+          Tensor du = kernels::NewTensor({u, m});
+          float* dp = du.data();
+          kernels::CountFlops(n * m);
+          kernels::ScatterAdd(dp, sg, gathered[i]->slot.data(), n, m);
+          if (gws != nullptr) {
+            kernels::GemmTN(pa.value.data(), dp, gws, u, w, m);
+          }
+          if (pa.requires_grad) {
+            kernels::GemmNT(dp, wp, pa.EnsureGrad().data(), u, w, m);
+          }
         }
       });
 }

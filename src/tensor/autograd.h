@@ -93,22 +93,41 @@ Var GatherRows(const Var& table, const std::vector<int64_t>& indices);
 // Projection over gathered feature rows.
 // ---------------------------------------------------------------------------
 
-/// Rows of a constant feature table gathered at some indices, stored once
-/// per distinct row: `unique` holds the distinct rows in first-occurrence
-/// order and gathered row r is `unique` row `slot[r]`.
+/// A block of n rows stored once per distinct row: gathered row r is row
+/// `slot[r]` of the tape value `table`. Rows no slot names are allowed
+/// (their gradient stays 0).
 struct GatheredRows {
-  Tensor unique;              // [U, w]
+  Var table;                  // [U, w]
   std::vector<int32_t> slot;  // [n], each in [0, U)
 };
 
-/// Deduplicates `table` rows at `indices`. Build it once and pass it to
-/// every projection of the same rows (attention keys and values) so they
-/// share the index. A rank-0 (absent) table gathers zero-width rows.
+/// The distinct values of some keys in first-occurrence order, and each
+/// key's slot among them: keys[i] is values[slot[i]].
+template <typename T>
+struct Distinct {
+  std::vector<T> values;
+  std::vector<int32_t> slot;
+};
+/// Non-negative ids.
+Distinct<int32_t> Dedup(const std::vector<int32_t>& keys);
+/// Floats, compared by their bits.
+Distinct<float> Dedup(const std::vector<float>& keys);
+
+/// Deduplicates `table` rows at `indices` over a `Constant` of the distinct
+/// rows. Build it once and pass it to every projection of the same rows
+/// (attention keys and values) so they share the index. A rank-0 (absent)
+/// table gathers zero-width rows.
 std::shared_ptr<const GatheredRows> Rows(const Tensor& table,
                                          const std::vector<int32_t>& indices);
 
-/// One column block of a `Project` input: a tape value, or gathered rows of
-/// a constant table (which never receive a gradient).
+/// Row `slot[r]` of the tape value `table` for each r; gradients reach
+/// `table` when it requires one. Like `Rows`, adds n to
+/// `tensor.project_rows` and the table's row count to
+/// `tensor.project_unique_rows`.
+std::shared_ptr<const GatheredRows> RowsOf(Var table,
+                                           std::vector<int32_t> slot);
+
+/// One column block of a `Project` input: a tape value, or gathered rows.
 struct ColBlock {
   /*implicit*/ ColBlock(Var value) : dense(std::move(value)) {}
   /*implicit*/ ColBlock(std::shared_ptr<const GatheredRows> rows)
@@ -123,8 +142,9 @@ struct ColBlock {
 
 /// [B_1 | ... | B_n] · weight without building the concatenation. Each
 /// block multiplies its own contiguous row slice of `weight`. A gathered
-/// block is projected once per distinct row and each output row adds its
-/// row's projection, so its work scales with U rather than n.
+/// block is projected once per table row and each output row adds its
+/// row's projection, so its work scales with U rather than n; its table
+/// receives dU · W_sliceᵀ, where dU sums dOut over the rows sharing a slot.
 Var Project(const std::vector<ColBlock>& blocks, const Var& weight);
 
 // ---------------------------------------------------------------------------

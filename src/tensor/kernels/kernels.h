@@ -87,6 +87,15 @@ void AddScalar(float* y, float s, int64_t n);      // y[i] += s
 void Set(float* y, const float* x, int64_t n);     // y[i] = x[i]
 void FillOut(float* y, float v, int64_t n);        // y[i] = v
 
+// Row-indexed forms over rows of width m, in ascending r (x never aliases
+// y). Each element gets the single add Add would give it.
+/// y[r, :] += x[idx[r], :] for r in [0, n).
+void GatherAdd(float* y, const float* x, const int32_t* idx, int64_t n,
+               int64_t m);
+/// y[idx[r], :] += x[r, :] for r in [0, n).
+void ScatterAdd(float* y, const float* x, const int32_t* idx, int64_t n,
+                int64_t m);
+
 // Out-of-place forms (y never aliases the inputs).
 void AddOut(float* y, const float* a, const float* b, int64_t n);  // y=a+b
 void MulOut(float* y, const float* a, const float* b, int64_t n);  // y=a*b

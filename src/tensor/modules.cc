@@ -163,6 +163,12 @@ Var TimeEncoder::Encode(const std::vector<float>& dt) const {
   return Forward(Constant(std::move(column)));
 }
 
+std::shared_ptr<const GatheredRows> TimeEncoder::EncodeRows(
+    const std::vector<float>& dt) const {
+  Distinct<float> deltas = Dedup(dt);
+  return RowsOf(Encode(deltas.values), std::move(deltas.slot));
+}
+
 std::vector<Var> TimeEncoder::Parameters() const { return {freq_, phase_}; }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 #define BENCHTEMP_TENSOR_MODULES_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -116,6 +117,10 @@ class TimeEncoder : public Module {
   Var Forward(const Var& dt) const;
   /// Convenience: encodes a raw vector of deltas.
   Var Encode(const std::vector<float>& dt) const;
+  /// The rows of Encode(dt) as a `Project` block: each distinct delta (by
+  /// its bits) is encoded once, so equal deltas share one row.
+  std::shared_ptr<const GatheredRows> EncodeRows(
+      const std::vector<float>& dt) const;
   std::vector<Var> Parameters() const override;
 
   int64_t dim() const { return dim_; }

@@ -10,6 +10,7 @@
 
 #include "obs/metrics.h"
 #include "runtime/thread_pool.h"
+#include "tensor/modules.h"
 #include "tensor/numeric.h"
 #include "tensor/random.h"
 #include "tensor/tensor.h"
@@ -593,16 +594,20 @@ TEST(AutogradTest, ProjectGatheredTableNeverReceivesGradient) {
   Var c = Constant(in.c);
   const auto rows = Rows(in.table, in.idx);
   Var out = Project({a, rows, c, rows}, w);
-  // The weight and the dense blocks are the only tape parents: nothing a
-  // gradient could flow into stands behind the gathered rows.
-  ASSERT_EQ(out->parents.size(), 3u);
+  // The weight, then one parent per block: the gathered blocks' parent is
+  // the constant of distinct rows `Rows` built, which requires no gradient.
+  ASSERT_EQ(out->parents.size(), 5u);
   EXPECT_EQ(out->parents[0], w);
   EXPECT_EQ(out->parents[1], a);
-  EXPECT_EQ(out->parents[2], c);
+  EXPECT_EQ(out->parents[2], rows->table);
+  EXPECT_EQ(out->parents[3], c);
+  EXPECT_EQ(out->parents[4], rows->table);
+  EXPECT_FALSE(rows->table->requires_grad);
   Backward(Sum(out));
   EXPECT_EQ(w->grad.size(), w->value.size());
   EXPECT_EQ(a->grad.size(), a->value.size());
   EXPECT_EQ(c->grad.size(), 0);
+  EXPECT_EQ(rows->table->grad.size(), 0);
   EXPECT_EQ(std::memcmp(in.table.data(), table_before.data(),
                         static_cast<size_t>(in.table.size()) * 4),
             0);
@@ -635,9 +640,9 @@ TEST(AutogradTest, RowsCountsGatheredAndUniqueRows) {
   Rng rng(56);
   const Tensor table = Tensor::Randn({8, 3}, rng);
   const auto rows = Rows(table, {5, 0, 5, 7, 0, 5});
-  EXPECT_EQ(rows->unique.rows(), 3);
+  EXPECT_EQ(rows->table->value.rows(), 3);
   EXPECT_EQ(rows->slot, (std::vector<int32_t>{0, 1, 0, 2, 1, 0}));
-  EXPECT_EQ(rows->unique.at(2, 1), table.at(7, 1));
+  EXPECT_EQ(rows->table->value.at(2, 1), table.at(7, 1));
   EXPECT_EQ(registry.value(obs::Counter::kProjectRows), 6);
   EXPECT_EQ(registry.value(obs::Counter::kProjectUniqueRows), 3);
   obs::MetricRegistry::OverrideEnabledForTest(-1);
@@ -651,13 +656,102 @@ TEST(AutogradTest, RowsOfAbsentTableAreZeroWidth) {
   Var a = Constant(Tensor::Randn({3, 2}, rng));
   Var w = Parameter(Tensor::Randn({2, 4}, rng));
   const auto rows = Rows(Tensor(), {9, 0, 9});
-  EXPECT_EQ(rows->unique.cols(), 0);
+  EXPECT_EQ(rows->table->value.cols(), 0);
   const Tensor got = Project({a, rows}, w)->value;
   const Tensor want = MatMul(a, w)->value;
   ASSERT_EQ(got.shape(), want.shape());
   EXPECT_EQ(std::memcmp(got.data(), want.data(),
                         static_cast<size_t>(got.size()) * 4),
             0);
+}
+
+/// Project over a dense block, constant `Rows` and a `RowsOf` block of a
+/// trainable table, against finite differences and against the oracle
+/// that gathers the table on the tape (GatherRows) and concatenates.
+TEST(AutogradTest, ProjectRowsOfGradcheck) {
+  Rng rng(58);
+  // Table row 3 is named by no slot; rows 0 and 2 repeat.
+  const std::vector<int32_t> slot = {2, 0, 2, 4, 1, 0, 2};
+  const int64_t n = static_cast<int64_t>(slot.size());
+  Var a = Parameter(Tensor::Randn({n, 2}, rng));
+  Var table = Parameter(Tensor::Randn({5, 3}, rng));
+  const Tensor features = Tensor::Randn({6, 4}, rng);
+  const std::vector<int32_t> feature_idx = {5, 5, 1, 0, 1, 5, 3};
+  Var w = Parameter(Tensor::Randn({2 + 4 + 3, 3}, rng, 0.3f));
+  const Tensor g = Tensor::Randn({n, 3}, rng);
+  const auto consts = Rows(features, feature_idx);
+  auto loss = [&] {
+    return Sum(Mul(Tanh(Project({a, consts, RowsOf(table, slot)}, w)),
+                   Constant(g)));
+  };
+  CheckGradient(w, loss);
+  CheckGradient(a, loss);
+  CheckGradient(table, loss);
+
+  ZeroGrad({a, table, w});
+  Var out = Project({a, consts, RowsOf(table, slot)}, w);
+  Backward(Sum(Mul(Tanh(out), Constant(g))));
+  const Tensor got_out = out->value;
+  const Tensor got_dw = w->grad, got_da = a->grad, got_dt = table->grad;
+  ASSERT_EQ(got_dt.size(), table->value.size());
+  for (int64_t j = 0; j < table->value.cols(); ++j) {
+    EXPECT_TRUE(IsExactlyZero(got_dt.at(3, j))) << "column " << j;
+  }
+  ZeroGrad({a, table, w});
+  std::vector<int64_t> slot64(slot.begin(), slot.end());
+  std::vector<int64_t> idx64(feature_idx.begin(), feature_idx.end());
+  Var oracle = MatMul(ConcatCols({a, GatherRows(Constant(features), idx64),
+                                  GatherRows(table, slot64)}),
+                      w);
+  Backward(Sum(Mul(Tanh(oracle), Constant(g))));
+  ExpectRelClose(got_out, oracle->value, "forward");
+  ExpectRelClose(got_dw, w->grad, "dW");
+  ExpectRelClose(got_da, a->grad, "dense-block grad");
+  ExpectRelClose(got_dt, table->grad, "table grad");
+}
+
+TEST(AutogradTest, EncodeRowsSharesEqualDeltas) {
+  obs::MetricRegistry& registry = obs::MetricRegistry::Global();
+  obs::MetricRegistry::OverrideEnabledForTest(1);
+  registry.Reset();
+  Rng rng(59);
+  const TimeEncoder encoder(6, rng);
+  // 0.0 and -0.0 have different bits, so they are different keys.
+  const std::vector<float> dts = {3.0f, 1.5f, 3.0f, 0.0f, 1.5f, -0.0f, 3.0f};
+  const auto rows = encoder.EncodeRows(dts);
+  EXPECT_EQ(rows->table->value.rows(), 4);
+  EXPECT_EQ(rows->slot, (std::vector<int32_t>{0, 1, 0, 2, 1, 3, 0}));
+  EXPECT_EQ(registry.value(obs::Counter::kProjectRows), 7);
+  EXPECT_EQ(registry.value(obs::Counter::kProjectUniqueRows), 4);
+  const Tensor want = encoder.Encode(dts)->value;
+  const Tensor& table = rows->table->value;
+  ASSERT_EQ(table.cols(), want.cols());
+  for (int64_t r = 0; r < want.rows(); ++r) {
+    const int64_t u = rows->slot[static_cast<size_t>(r)];
+    EXPECT_EQ(std::memcmp(table.data() + u * table.cols(),
+                          want.data() + r * want.cols(),
+                          static_cast<size_t>(want.cols()) * 4),
+              0)
+        << "row " << r;
+  }
+  obs::MetricRegistry::OverrideEnabledForTest(-1);
+  registry.Reset();
+}
+
+TEST(AutogradTest, RowsOfCountsEveryTableRow) {
+  obs::MetricRegistry& registry = obs::MetricRegistry::Global();
+  obs::MetricRegistry::OverrideEnabledForTest(1);
+  registry.Reset();
+  Rng rng(60);
+  Var table = Parameter(Tensor::Randn({4, 2}, rng));
+  const auto rows = RowsOf(table, {3, 3, 0});
+  EXPECT_EQ(rows->table, table);
+  EXPECT_EQ(registry.value(obs::Counter::kProjectRows), 3);
+  EXPECT_EQ(registry.value(obs::Counter::kProjectUniqueRows), 4);
+  obs::MetricRegistry::OverrideEnabledForTest(-1);
+  registry.Reset();
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH((void)RowsOf(table, {0, 4}), "RowsOf: slot range");
 }
 
 TEST(AutogradTest, RowsRejectsOutOfRangeIndex) {

@@ -18,9 +18,11 @@
 #include "models/edgebank.h"
 #include "models/nat.h"
 #include "models/tgat.h"
+#include "models/tgn.h"
 #include "obs/metrics.h"
 #include "tensor/debug_check.h"
 #include "tensor/kernels/arena.h"
+#include "tensor/modules.h"
 #include "tensor/optimizer.h"
 
 namespace benchtemp::models {
@@ -339,7 +341,9 @@ TEST(TgatTest, ExhaustedPreparedInputsAreFatal) {
   // must fail loudly rather than fall back to the member RNG, which would
   // silently make prefetched and inline preparation disagree. Three plans
   // (srcs, dsts, negatives): the second call reuses the source embeddings
-  // and runs out at the negatives.
+  // and runs out at the negatives. The pool's threads are running by now,
+  // so the death test re-executes the binary instead of forking.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   TemporalGraph g = MakeGraph();
   NeighborFinder finder(g);
   Tgat model(&g, SmallConfig());
@@ -362,7 +366,9 @@ TEST(TgatTest, ExhaustedPreparedInputsAreFatal) {
 
 TEST(TgatTest, PreparedPlanForOtherQueriesIsFatal) {
   // Destinations and negatives are both n long: scoring the negatives
-  // first must not embed them with the destinations' neighbourhoods.
+  // first must not embed them with the destinations' neighbourhoods. As
+  // above, the death test re-executes the binary instead of forking.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   TemporalGraph g = MakeGraph();
   NeighborFinder finder(g);
   Tgat model(&g, SmallConfig());
@@ -502,6 +508,248 @@ TEST(TgatTest, PlanDrawsOncePerDistinctQuery) {
     EXPECT_EQ(nb.flat_edges, level.nb.flat_edges) << "layer " << l;
   }
   EXPECT_EQ(replay.SaveState(), rng.SaveState());
+}
+
+// ---------------------------------------------------------------------------
+// Keys projected once per distinct row (memory rows, TGAT's previous-layer
+// rows, time deltas) against the dense composition they replaced:
+// GatherMemory / GatherRows + Encode + ConcatCols, one MatMul per K and V.
+// The two differ only in the order of float sums.
+// ---------------------------------------------------------------------------
+
+/// max |got - want| <= tol * max |want| + floor. The floor admits
+/// rounding noise in gradients that are zero in exact arithmetic (a key
+/// bias shifts every score of a query alike, which the softmax cancels).
+void ExpectRelClose(const tensor::Tensor& got, const tensor::Tensor& want,
+                    const std::string& what, float tol = 1e-5f,
+                    float floor = 0.0f) {
+  ASSERT_EQ(got.shape(), want.shape()) << what;
+  float scale = 0.0f, err = 0.0f;
+  for (int64_t i = 0; i < want.size(); ++i) {
+    scale = std::max(scale, std::fabs(want.at(i)));
+    err = std::max(err, std::fabs(got.at(i) - want.at(i)));
+  }
+  EXPECT_LE(err, tol * scale + floor) << what;
+}
+
+/// Copies `from[offset, offset + to.size())` into the values of `to` and
+/// returns the offset past them.
+size_t CopyValues(const std::vector<Var>& from, size_t offset,
+                  const std::vector<Var>& to) {
+  for (const Var& p : to) {
+    EXPECT_LT(offset, from.size());
+    EXPECT_EQ(from[offset]->value.shape(), p->value.shape());
+    p->value = from[offset++]->value;
+  }
+  return offset;
+}
+
+/// Compares the gradients of `want` with those of `got[offset, ...)`.
+size_t ExpectGradsClose(const std::vector<Var>& got, size_t offset,
+                        const std::vector<Var>& want, const char* what) {
+  for (size_t i = 0; i < want.size(); ++i, ++offset) {
+    ExpectRelClose(got[offset]->grad, want[i]->grad,
+                   std::string(what) + " parameter " + std::to_string(i),
+                   1e-4f, 1e-6f);
+  }
+  return offset;
+}
+
+std::vector<int64_t> Widen(const std::vector<int32_t>& ids) {
+  return {ids.begin(), ids.end()};
+}
+
+/// TGN with the dense composition of its embedding beside its own, over
+/// copies of its attention and output modules.
+class DenseKeyTgn : public Tgn {
+ public:
+  using Tgn::Tgn;
+  using MemoryModel::MessageDim;
+
+  Var DenseEmbeddings(const std::vector<int32_t>& nodes,
+                      const std::vector<double>& ts,
+                      const tensor::MultiHeadAttention& attention,
+                      const tensor::Linear& out) {
+    ProcessPending();
+    const int64_t k = config_.num_neighbors;
+    Var memory = GatherMemory(nodes);
+    Var query = tensor::ConcatCols(
+        {memory, time_encoder_.Encode(std::vector<float>(nodes.size()))});
+    const graph::SampledNeighborhood nb =
+        finder_->SampleNeighborhood(nodes, ts, k, /*window=*/0.0, rng_);
+    Var keys = tensor::ConcatCols(
+        {GatherMemory(nb.flat_neighbors),
+         tensor::GatherRows(tensor::Constant(graph_->edge_features()),
+                            Widen(nb.flat_edges)),
+         time_encoder_.Encode(nb.flat_dts)});
+    Var attended = attention.Forward(query, {keys}, nb.mask, k);
+    return out.Forward(tensor::ConcatCols({attended, memory}));
+  }
+};
+
+TEST(DistinctKeysTest, TgnMatchesDenseComposition) {
+  TemporalGraph g = MakeGraph();
+  NeighborFinder finder(g);
+  const ModelConfig config = SmallConfig();
+  const int64_t d = config.embedding_dim;
+  const Batch first = FirstBatch(g, 60);
+  Batch second;
+  std::vector<int32_t> nodes;
+  std::vector<double> ts;
+  for (int64_t i = 60; i < 120; ++i) {
+    const auto& e = g.event(i);
+    second.srcs.push_back(e.src);
+    second.dsts.push_back(e.dst);
+    second.ts.push_back(e.ts);
+    second.edge_idxs.push_back(e.edge_idx);
+  }
+  for (int64_t i = 120; i < 150; ++i) {
+    nodes.push_back(g.event(i).src);
+    nodes.push_back(g.event(i).dst);
+    ts.push_back(g.event(i).ts);
+    ts.push_back(g.event(i).ts);
+  }
+  tensor::Rng rng(61);
+  const tensor::Tensor weights =
+      tensor::Tensor::Randn({static_cast<int64_t>(nodes.size()), d}, rng);
+  for (const bool training : {false, true}) {
+    SCOPED_TRACE(training ? "training, live memory rows" : "eval");
+    DenseKeyTgn model(&g, config), dense(&g, config);
+    tensor::MultiHeadAttention attention(
+        d + config.time_dim, d + g.edge_feature_dim() + config.time_dim, d,
+        config.num_heads, rng);
+    tensor::Linear out(2 * d, d, rng);
+    // Tgn::Parameters(): time encoder, GRU, attention, output, predictor.
+    const std::vector<Var> params = dense.Parameters();
+    const size_t gru_end =
+        2 + tensor::GruCell(model.MessageDim(), d, rng)
+                .Parameters()
+                .size();
+    CopyValues(params, CopyValues(params, gru_end, attention.Parameters()),
+               out.Parameters());
+    for (DenseKeyTgn* m : {&model, &dense}) {
+      m->SetNeighborFinder(&finder);
+      m->Reset();
+      m->set_training(training);
+      m->UpdateState(first);
+      m->UpdateState(second);
+    }
+    tensor::kernels::TapeScope scope;
+    Var got = model.ComputeEmbeddings(nodes, ts);
+    Var want = dense.DenseEmbeddings(nodes, ts, attention, out);
+    ExpectRelClose(got->value, want->value, "embeddings");
+    if (!training) continue;
+    Backward(Sum(Mul(got, tensor::Constant(weights))));
+    Backward(Sum(Mul(want, tensor::Constant(weights))));
+    const std::vector<Var> got_params = model.Parameters();
+    // The live rows carry the GRU's gradient through the memory rows.
+    float gru_grad = 0.0f;
+    for (size_t i = 2; i < gru_end; ++i) {
+      for (int64_t j = 0; j < got_params[i]->grad.size(); ++j) {
+        gru_grad = std::max(gru_grad, std::fabs(got_params[i]->grad.at(j)));
+      }
+    }
+    EXPECT_GT(gru_grad, 0.0f);
+    size_t next = ExpectGradsClose(
+        got_params, 0, {params.begin(), params.begin() + gru_end},
+        "encoder/GRU");
+    next = ExpectGradsClose(got_params, next, attention.Parameters(),
+                            "attention");
+    ExpectGradsClose(got_params, next, out.Parameters(), "output");
+  }
+}
+
+/// TGAT's plan embedded with the dense composition, over copies of the
+/// model's modules.
+Var DenseTgatEmbed(const TemporalGraph& g, const ModelConfig& config,
+                   const TgatPlan& plan, const tensor::Linear& feature_proj,
+                   const tensor::TimeEncoder& encoder,
+                   const std::vector<tensor::MultiHeadAttention>& layers,
+                   const std::vector<tensor::Linear>& layer_out) {
+  Var h = feature_proj.Forward(
+      tensor::GatherRows(tensor::Constant(g.node_features()),
+                         Widen(plan.levels.front().nodes)));
+  for (size_t l = 1; l < plan.levels.size(); ++l) {
+    const TgatPlan::Level& level = plan.levels[l];
+    const graph::SampledNeighborhood& nb = level.nb;
+    Var self_prev = tensor::GatherRows(h, level.self_rows);
+    Var query = tensor::ConcatCols(
+        {self_prev, encoder.Encode(std::vector<float>(level.nodes.size()))});
+    Var keys = tensor::ConcatCols(
+        {tensor::GatherRows(h, Widen(level.nbr_rows)),
+         tensor::GatherRows(tensor::Constant(g.edge_features()),
+                            Widen(nb.flat_edges)),
+         encoder.Encode(nb.flat_dts)});
+    Var attended =
+        layers[l - 1].Forward(query, {keys}, nb.mask, config.num_neighbors);
+    h = Relu(layer_out[l - 1].Forward(
+        tensor::ConcatCols({attended, self_prev})));
+  }
+  return tensor::GatherRows(h, plan.out_rows);
+}
+
+TEST(DistinctKeysTest, TgatMatchesDenseComposition) {
+  TemporalGraph g = MakeGraph();
+  NeighborFinder finder(g);
+  const ModelConfig config = SmallConfig();
+  const int64_t d = config.embedding_dim;
+  std::vector<int32_t> nodes;
+  std::vector<double> ts;
+  for (int64_t i = 300; i < 340; ++i) {
+    nodes.push_back(g.event(i).src);
+    nodes.push_back(g.event(i).dst);
+    ts.push_back(g.event(i).ts);
+    ts.push_back(g.event(i).ts);
+  }
+  tensor::Rng rng(62);
+  const tensor::Tensor weights =
+      tensor::Tensor::Randn({static_cast<int64_t>(nodes.size()), d}, rng);
+  for (const bool training : {false, true}) {
+    SCOPED_TRACE(training ? "training" : "eval");
+    Tgat model(&g, config);
+    model.SetNeighborFinder(&finder);
+    model.set_training(training);
+    // Tgat::Parameters(): feature projection, time encoder, the attention
+    // layers, their output projections, predictor.
+    tensor::Linear feature_proj(g.node_feature_dim(), d, rng);
+    tensor::TimeEncoder encoder(config.time_dim, rng);
+    std::vector<tensor::MultiHeadAttention> layers;
+    std::vector<tensor::Linear> layer_out;
+    layers.reserve(static_cast<size_t>(config.num_layers));
+    layer_out.reserve(static_cast<size_t>(config.num_layers));
+    for (int64_t l = 0; l < config.num_layers; ++l) {
+      layers.emplace_back(d + config.time_dim,
+                          d + g.edge_feature_dim() + config.time_dim, d,
+                          config.num_heads, rng);
+      layer_out.emplace_back(2 * d, d, rng);
+    }
+    std::vector<Var> copies = feature_proj.Parameters();
+    for (const Var& p : encoder.Parameters()) copies.push_back(p);
+    for (const auto& layer : layers) {
+      for (const Var& p : layer.Parameters()) copies.push_back(p);
+    }
+    for (const auto& linear : layer_out) {
+      for (const Var& p : linear.Parameters()) copies.push_back(p);
+    }
+    const std::vector<Var> params = model.Parameters();
+    CopyValues(params, 0, copies);
+
+    const std::string rng_state = model.SaveRngState();
+    tensor::kernels::TapeScope scope;
+    Var got = model.ComputeEmbeddings(nodes, ts);
+    tensor::Rng replay(0);
+    ASSERT_TRUE(replay.LoadState(rng_state));
+    const TgatPlan plan = model.Plan(nodes, ts, replay);
+    Var want = DenseTgatEmbed(g, config, plan, feature_proj, encoder, layers,
+                              layer_out);
+    ExpectRelClose(got->value, want->value, "embeddings");
+    if (!training) continue;
+    Backward(Sum(Mul(got, tensor::Constant(weights))));
+    Backward(Sum(Mul(want, tensor::Constant(weights))));
+    // The feature projection's gradient reaches it only through the
+    // previous-layer rows of the keys and the self rows.
+    ExpectGradsClose(params, 0, copies, "TGAT");
+  }
 }
 
 /// The source-embedding operand of a MergeLayer logit node: the first
