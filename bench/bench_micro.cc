@@ -224,6 +224,7 @@ void BM_TgnScoreCandidates(benchmark::State& state) {
                                 batches[0].ts, kCandidates);
   }
   size_t b = 0;
+  int64_t arena_floats = 0;
   for (auto _ : state) {
     tensor::kernels::TapeScope scope;
     const models::Batch& batch = batches[b];
@@ -231,9 +232,15 @@ void BM_TgnScoreCandidates(benchmark::State& state) {
         model.ScoreCandidates(batch.srcs, candidates[b], batch.ts,
                               kCandidates)
             ->value.data());
+    arena_floats += tensor::kernels::Arena::ThreadLocal().LiveFloats();
     b = (b + 1) % batches.size();
   }
   state.SetItemsProcessed(state.iterations() * 200 * kCandidates);
+  // Bytes one call bump-allocates from the tape arena (what the
+  // kArenaBytes counter adds per call), so memory shows beside time.
+  state.counters["arena_bytes"] = benchmark::Counter(
+      static_cast<double>(arena_floats) * sizeof(float),
+      benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_TgnScoreCandidates)->Unit(benchmark::kMillisecond);
 
@@ -300,13 +307,20 @@ void BM_AttentionForward(benchmark::State& state) {
   tensor::Rng rng(1);
   const int64_t k = 8;
   tensor::MultiHeadAttention attn(64, 64, 64, 2, rng);
-  tensor::Var q = tensor::Constant(tensor::Tensor::Randn({200, 64}, rng));
+  // Query blocks as TGN builds them: 200 rows over 50 distinct memory
+  // rows, beside one time-encoding row they all share.
+  std::vector<int32_t> idx(200);
+  for (int32_t& i : idx) i = tensor::NarrowId(rng.UniformInt(50), "row");
+  const auto memory = tensor::Rows(tensor::Tensor::Randn({50, 48}, rng), idx);
+  const auto zero_dt =
+      tensor::RowsOf(tensor::Constant(tensor::Tensor::Randn({1, 16}, rng)),
+                     std::vector<int32_t>(200, 0));
   tensor::Var kv =
       tensor::Constant(tensor::Tensor::Randn({200 * k, 64}, rng));
   tensor::Tensor mask = tensor::Tensor::Ones({200, k});
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        attn.Forward(q, {kv}, mask, k)->value.at(0));
+        attn.Forward({memory, zero_dt}, {kv}, mask, k)->value.at(0));
   }
   state.SetItemsProcessed(state.iterations() * 200 * k);
 }

@@ -27,7 +27,7 @@ Var DyRep::AggregateNeighborhood(const std::vector<int32_t>& others,
   // Keys/values: neighbor memory (detached rows of the memory table) ‖
   // time encoding of the recency gap.
   return neighbor_attention_.Forward(
-      queries,
+      {queries},
       {tensor::Rows(memory(), nb.flat_neighbors),
        time_encoder_.EncodeRows(nb.flat_dts)},
       nb.mask, k);

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 
 #include "tensor/kernels/arena.h"
+#include "tensor/numeric.h"
 
 namespace benchtemp::models {
 
@@ -29,7 +31,7 @@ Var TgnnModel::ScoreEdges(const std::vector<int32_t>& srcs,
                      "ScoreEdges: predictor not initialized");
   Var src_emb = SourceEmbeddings(srcs, ts);
   Var dst_emb = ComputeEmbeddings(dsts, ts);
-  return predictor_->Forward(src_emb, dst_emb);
+  return predictor_->Forward({src_emb, dst_emb});
 }
 
 Var TgnnModel::SourceEmbeddings(const std::vector<int32_t>& srcs,
@@ -70,19 +72,20 @@ Var TgnnModel::ScoreCandidates(const std::vector<int32_t>& srcs,
     }
   }
   if (predictor_ != nullptr) {
-    // Fused path: one [n, d] source embedding tiled to [n * k, d] via a
-    // row gather, one [n * k, d] candidate embedding, one MergeLayer
-    // forward over all n * k rows.
+    // Fused path: one [n, d] source embedding, one [n * k, d] candidate
+    // embedding, one MergeLayer forward over all n * k rows. Row r of the
+    // source block is source r / k, so each source's half of the first
+    // layer is projected once rather than k times.
     Var src_emb = SourceEmbeddings(srcs, ts);
     Var cand_emb = ComputeEmbeddings(candidates, cand_ts);
-    std::vector<int64_t> tile(candidates.size());
+    std::vector<int32_t> tile(candidates.size());
     for (size_t i = 0; i < srcs.size(); ++i) {
-      for (int j = 0; j < k; ++j) {
-        tile[i * static_cast<size_t>(k) + static_cast<size_t>(j)] =
-            static_cast<int64_t>(i);
-      }
+      std::fill_n(tile.begin() + static_cast<std::ptrdiff_t>(i) * k, k,
+                  tensor::NarrowId(static_cast<int64_t>(i),
+                                   "ScoreCandidates: sources"));
     }
-    return predictor_->Forward(GatherRows(src_emb, tile), cand_emb);
+    return predictor_->Forward(
+        {tensor::RowsOf(src_emb, std::move(tile)), cand_emb});
   }
   // Pair-feature models: one flat ScoreEdges call over the n * k pairs.
   std::vector<int32_t> src_rep(candidates.size());

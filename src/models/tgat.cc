@@ -9,7 +9,6 @@
 
 namespace benchtemp::models {
 
-using tensor::ConcatCols;
 using tensor::GatherRows;
 using tensor::Rows;
 using tensor::RowsOf;
@@ -164,20 +163,22 @@ Var Tgat::Embed(const TgatPlan& plan) {
     if (config_.tgat_time_window > 0.0 && nb.empty_queries == n && n > 0) {
       status_ = ModelStatus::kRuntimeError;
     }
-    Var self_prev = GatherRows(h, level.self_rows);
-    Var query = ConcatCols(
-        {self_prev, time_encoder_.Encode(std::vector<float>(
-                        static_cast<size_t>(n), 0.0f))});
+    // Query: the previous layer's self row ‖ time_enc(0), each projected
+    // once per distinct row (the encoding is one row); the layer output
+    // reads the same self rows.
+    const auto self_prev = RowsOf(h, level.self_rows);
+    const auto zero_dt =
+        time_encoder_.EncodeRows(std::vector<float>(static_cast<size_t>(n)));
     // Keys: neighbor embedding ‖ edge features ‖ time_enc(t - t_e). Each
     // block is projected once per distinct row: the previous layer's rows,
     // the constant edge-feature rows and the encoded deltas.
     Var attended = layers_[l - 1]->Forward(
-        query,
+        {self_prev, zero_dt},
         {RowsOf(h, level.nbr_rows),
          Rows(graph_->edge_features(), nb.flat_edges),
          time_encoder_.EncodeRows(nb.flat_dts)},
         nb.mask, config_.num_neighbors);
-    h = Relu(layer_out_[l - 1]->Forward(ConcatCols({attended, self_prev})));
+    h = Relu(layer_out_[l - 1]->Forward({attended, self_prev}));
   }
   return GatherRows(h, plan.out_rows);
 }

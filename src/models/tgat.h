@@ -24,7 +24,7 @@ struct TgatPlan {
     /// Neighbourhoods of the distinct queries (layers >= 1).
     graph::SampledNeighborhood nb;
     /// Row of each query (self) and of each neighbour slot in level l - 1.
-    std::vector<int64_t> self_rows;
+    std::vector<int32_t> self_rows;
     std::vector<int32_t> nbr_rows;
   };
   /// The call's queries, as given, so a consumer can check it was handed

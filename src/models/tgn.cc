@@ -2,7 +2,6 @@
 
 namespace benchtemp::models {
 
-using tensor::ConcatCols;
 using tensor::Var;
 
 Tgn::Tgn(const graph::TemporalGraph* graph, ModelConfig config)
@@ -28,24 +27,24 @@ Var Tgn::ComputeEmbeddings(const std::vector<int32_t>& nodes,
   const int64_t n = static_cast<int64_t>(nodes.size());
   const int64_t k = config_.num_neighbors;
 
-  Var memory = GatherMemory(nodes);
-  // Query: memory ‖ time_enc(0).
-  Var query = ConcatCols(
-      {memory, time_encoder_.Encode(std::vector<float>(
-                   static_cast<size_t>(n), 0.0f))});
+  // Query: memory ‖ time_enc(0), each projected once per distinct row (the
+  // encoding is one row); the output reads the same memory rows.
+  const auto memory = MemoryRows(nodes);
+  const auto zero_dt =
+      time_encoder_.EncodeRows(std::vector<float>(static_cast<size_t>(n)));
 
   // Keys/values: neighbor memory ‖ edge features ‖ time_enc(t - t_e), each
   // projected once per distinct memory row, edge and delta.
   const graph::SampledNeighborhood nb =
       finder_->SampleNeighborhood(nodes, ts, k, /*window=*/0.0, rng_);
   Var attended = attention_.Forward(
-      query,
+      {memory, zero_dt},
       {MemoryRows(nb.flat_neighbors),
        tensor::Rows(graph_->edge_features(), nb.flat_edges),
        time_encoder_.EncodeRows(nb.flat_dts)},
       nb.mask, k);
   // Residual combine with the node's own memory.
-  return out_.Forward(ConcatCols({attended, memory}));
+  return out_.Forward({attended, memory});
 }
 
 std::vector<Var> Tgn::UpdaterParameters() const {

@@ -480,31 +480,6 @@ Var ConcatRows(const std::vector<Var>& parts) {
                   });
 }
 
-Var SliceCols(const Var& a, int64_t start, int64_t len) {
-  const Tensor& av = a->value;
-  CheckOrDie(av.rank() == 2, "SliceCols: rank-2 required");
-  const int64_t n = av.shape()[0], d = av.shape()[1];
-  CheckOrDie(start >= 0 && start + len <= d, "SliceCols: out of range");
-  Tensor out = kernels::NewTensor({n, len});
-  {
-    const float* ap = av.data();
-    float* op = out.data();
-    for (int64_t r = 0; r < n; ++r) {
-      kernels::Set(op + r * len, ap + r * d + start, len);
-    }
-  }
-  return MakeNode("SliceCols", std::move(out), {a},
-                  [n, d, start, len](VarNode& self) {
-                    VarNode& p = *self.parents[0];
-                    if (!p.requires_grad) return;
-                    float* g = p.EnsureGrad().data();
-                    const float* sg = self.grad.data();
-                    for (int64_t r = 0; r < n; ++r) {
-                      kernels::Add(g + r * d + start, sg + r * len, len);
-                    }
-                  });
-}
-
 Var GatherRows(const Var& table, const std::vector<int64_t>& indices) {
   const Tensor& tv = table->value;
   CheckOrDie(tv.rank() == 2, "GatherRows: rank-2 table required");
@@ -641,7 +616,8 @@ int64_t ColBlock::cols() const {
   return (dense != nullptr ? dense : gathered->table)->value.cols();
 }
 
-Var Project(const std::vector<ColBlock>& blocks, const Var& weight) {
+Var Project(const std::vector<ColBlock>& blocks, const Var& weight,
+            const Var& bias) {
   const Tensor& wv = weight->value;
   CheckOrDie(!blocks.empty() && wv.rank() == 2,
              "Project: need blocks and a rank-2 weight");
@@ -678,7 +654,14 @@ Var Project(const std::vector<ColBlock>& blocks, const Var& weight) {
     gathered.push_back(b.gathered);
     offset += w;
   }
-  if (!projected.empty()) {
+  const float* bp = nullptr;
+  if (bias != nullptr) {
+    CheckOrDie(IsRowBroadcast(out, bias->value),
+               "Project: bias must be [1, m]");
+    bp = bias->value.data();
+    parents.push_back(bias);
+  }
+  if (!projected.empty() || bp != nullptr) {
     struct Term {
       const float* rows;
       const int32_t* slot;
@@ -692,19 +675,30 @@ Var Project(const std::vector<ColBlock>& blocks, const Var& weight) {
     const int64_t t = static_cast<int64_t>(terms.size());
     float* op = out.data();
     kernels::CountFlops(t * n * m);
-    runtime::ParallelFor(0, n, RowGrain(t * m), [&](int64_t r0, int64_t r1) {
-      for (const Term& term : terms) {
-        kernels::GatherAdd(op + r0 * m, term.rows, term.slot + r0, r1 - r0,
-                           m);
-      }
-    });
+    runtime::ParallelFor(
+        0, n, RowGrain((t + 1) * m), [&](int64_t r0, int64_t r1) {
+          for (const Term& term : terms) {
+            kernels::GatherAdd(op + r0 * m, term.rows, term.slot + r0,
+                               r1 - r0, m);
+          }
+          if (bp == nullptr) return;
+          // The bias last, per element: Add's row-broadcast order.
+          for (int64_t r = r0; r < r1; ++r) kernels::Add(op + r * m, bp, m);
+        });
   }
   return MakeNode(
       "Project", std::move(out), std::move(parents),
       [n, m, gathered](VarNode& self) {
-        // parents[i + 1] is block i's value (its table when gathered).
+        // parents[i + 1] is block i's value (its table when gathered); a
+        // bias is the last parent.
         VarNode& pw = *self.parents[0];
         const float* sg = self.grad.data();
+        if (self.parents.size() > gathered.size() + 1 &&
+            self.parents.back()->requires_grad) {
+          // Column reduction over rows, in fixed ascending row order.
+          float* gb = self.parents.back()->EnsureGrad().data();
+          for (int64_t r = 0; r < n; ++r) kernels::Add(gb, sg + r * m, m);
+        }
         float* gw = pw.requires_grad ? pw.EnsureGrad().data() : nullptr;
         int64_t offset = 0;
         for (size_t i = 0; i < gathered.size(); ++i) {
@@ -938,39 +932,65 @@ Var SoftmaxCrossEntropy(const Var& logits,
 // Batched attention primitives.
 // ---------------------------------------------------------------------------
 
-Var BatchDot(const Var& q, const Var& k_block, int64_t num_keys) {
+namespace {
+
+/// The window's columns of rows `width` wide, resolving the default
+/// through-the-end length.
+ColWindow Resolve(ColWindow window, int64_t width, const char* what) {
+  if (window.len == -1) window.len = width - window.start;
+  CheckOrDie(window.start >= 0 && window.len >= 0 &&
+                 window.start + window.len <= width,
+             what);
+  return window;
+}
+
+/// p + offset; an empty tensor's null data stays null.
+template <typename T>
+T* Offset(T* p, int64_t offset) {
+  return p == nullptr ? p : p + offset;
+}
+
+}  // namespace
+
+Var BatchDot(const Var& q, const Var& k_block, int64_t num_keys,
+             ColWindow window) {
   const Tensor& qv = q->value;
   const Tensor& kv = k_block->value;
   CheckOrDie(qv.rank() == 2 && kv.rank() == 2, "BatchDot: rank-2 required");
-  const int64_t b = qv.shape()[0], d = qv.shape()[1];
-  CheckOrDie(kv.shape()[0] == b * num_keys && kv.shape()[1] == d,
+  const int64_t b = qv.shape()[0], w = qv.shape()[1];
+  CheckOrDie(kv.shape()[0] == b * num_keys && kv.shape()[1] == w,
              "BatchDot: key block shape");
+  const auto [c, d] = Resolve(window, w, "BatchDot: column window range");
   Tensor out = kernels::NewTensor({b, num_keys});
   {
-    const float* qp = qv.data();
-    const float* kp = kv.data();
+    const float* qp = Offset(qv.data(), c);
+    const float* kp = Offset(kv.data(), c);
     float* op = out.data();
     kernels::CountFlops(2 * b * num_keys * d);
     runtime::ParallelFor(
         0, b, RowGrain(num_keys * d), [&](int64_t b0, int64_t b1) {
           for (int64_t i = b0; i < b1; ++i) {
-            const float* qrow = qp + i * d;
+            const float* qrow = qp + i * w;
             for (int64_t k = 0; k < num_keys; ++k) {
               op[i * num_keys + k] =
-                  kernels::Dot(qrow, kp + (i * num_keys + k) * d, d);
+                  kernels::Dot(qrow, kp + (i * num_keys + k) * w, d);
             }
           }
         });
   }
   return MakeNode(
-      "BatchDot", std::move(out), {q, k_block}, [b, d, num_keys](VarNode& self) {
+      "BatchDot", std::move(out), {q, k_block},
+      [b, w, c, d, num_keys](VarNode& self) {
         VarNode& pq = *self.parents[0];
         VarNode& pk = *self.parents[1];
-        float* gq = pq.requires_grad ? pq.EnsureGrad().data() : nullptr;
-        float* gk = pk.requires_grad ? pk.EnsureGrad().data() : nullptr;
+        // Gradients go straight into the window's columns of the parents.
+        float* gq =
+            pq.requires_grad ? Offset(pq.EnsureGrad().data(), c) : nullptr;
+        float* gk =
+            pk.requires_grad ? Offset(pk.EnsureGrad().data(), c) : nullptr;
         const float* sg = self.grad.data();
-        const float* qp = pq.value.data();
-        const float* kp = pk.value.data();
+        const float* qp = Offset(pq.value.data(), c);
+        const float* kp = Offset(pk.value.data(), c);
         // Both gradients are blocked by batch row i: gq row i and gk rows
         // [i*num_keys, (i+1)*num_keys) belong to exactly one chunk.
         runtime::ParallelFor(
@@ -979,12 +999,12 @@ Var BatchDot(const Var& q, const Var& k_block, int64_t num_keys) {
                 for (int64_t k = 0; k < num_keys; ++k) {
                   const float gval = sg[i * num_keys + k];
                   if (IsExactlyZero(gval)) continue;
-                  const int64_t krow = (i * num_keys + k) * d;
+                  const int64_t krow = (i * num_keys + k) * w;
                   if (gq != nullptr) {
-                    kernels::Axpy(gq + i * d, gval, kp + krow, d);
+                    kernels::Axpy(gq + i * w, gval, kp + krow, d);
                   }
                   if (gk != nullptr) {
-                    kernels::Axpy(gk + krow, gval, qp + i * d, d);
+                    kernels::Axpy(gk + krow, gval, qp + i * w, d);
                   }
                 }
               }
@@ -992,19 +1012,22 @@ Var BatchDot(const Var& q, const Var& k_block, int64_t num_keys) {
       });
 }
 
-Var BatchWeightedSum(const Var& w, const Var& v_block, int64_t num_keys) {
+Var BatchWeightedSum(const Var& w, const Var& v_block, int64_t num_keys,
+                     ColWindow window) {
   const Tensor& wv = w->value;
   const Tensor& vv = v_block->value;
   CheckOrDie(wv.rank() == 2 && vv.rank() == 2,
              "BatchWeightedSum: rank-2 required");
   const int64_t b = wv.shape()[0];
   CheckOrDie(wv.shape()[1] == num_keys, "BatchWeightedSum: weight shape");
-  const int64_t d = vv.shape()[1];
+  const int64_t vw = vv.shape()[1];
   CheckOrDie(vv.shape()[0] == b * num_keys, "BatchWeightedSum: value shape");
+  const auto [c, d] =
+      Resolve(window, vw, "BatchWeightedSum: column window range");
   Tensor out = kernels::NewTensor({b, d});
   {
     const float* wp = wv.data();
-    const float* vp = vv.data();
+    const float* vp = Offset(vv.data(), c);
     float* op = out.data();
     kernels::CountFlops(2 * b * num_keys * d);
     runtime::ParallelFor(
@@ -1014,21 +1037,23 @@ Var BatchWeightedSum(const Var& w, const Var& v_block, int64_t num_keys) {
             for (int64_t k = 0; k < num_keys; ++k) {
               const float weight = wp[i * num_keys + k];
               if (IsExactlyZero(weight)) continue;
-              kernels::Axpy(orow, weight, vp + (i * num_keys + k) * d, d);
+              kernels::Axpy(orow, weight, vp + (i * num_keys + k) * vw, d);
             }
           }
         });
   }
   return MakeNode(
       "BatchWeightedSum", std::move(out), {w, v_block},
-      [b, d, num_keys](VarNode& self) {
+      [b, vw, c, d, num_keys](VarNode& self) {
         VarNode& pw = *self.parents[0];
         VarNode& pv = *self.parents[1];
         float* gw = pw.requires_grad ? pw.EnsureGrad().data() : nullptr;
-        float* gv = pv.requires_grad ? pv.EnsureGrad().data() : nullptr;
+        // Value gradients go straight into the window's columns.
+        float* gv =
+            pv.requires_grad ? Offset(pv.EnsureGrad().data(), c) : nullptr;
         const float* sg = self.grad.data();
         const float* wp = pw.value.data();
-        const float* vp = pv.value.data();
+        const float* vp = Offset(pv.value.data(), c);
         // Blocked by batch row i: weight grads (i, :) and value grads
         // [i*num_keys, (i+1)*num_keys) are owned by one chunk each.
         runtime::ParallelFor(
@@ -1036,7 +1061,7 @@ Var BatchWeightedSum(const Var& w, const Var& v_block, int64_t num_keys) {
               for (int64_t i = b0; i < b1; ++i) {
                 const float* grow = sg + i * d;
                 for (int64_t k = 0; k < num_keys; ++k) {
-                  const int64_t vrow = (i * num_keys + k) * d;
+                  const int64_t vrow = (i * num_keys + k) * vw;
                   if (gw != nullptr) {
                     gw[i * num_keys + k] +=
                         kernels::Dot(grow, vp + vrow, d);

@@ -83,8 +83,6 @@ Var MatMul(const Var& a, const Var& b, const Var& bias = nullptr);
 Var ConcatCols(const std::vector<Var>& parts);
 /// Concatenates rank-2 tensors along rows; all must share the column count.
 Var ConcatRows(const std::vector<Var>& parts);
-/// Columns [start, start+len) of a rank-2 tensor.
-Var SliceCols(const Var& a, int64_t start, int64_t len);
 /// Gathers rows of `table` ([N, d]) at `indices` -> [n, d]; the backward pass
 /// scatter-adds into the table (embedding lookup).
 Var GatherRows(const Var& table, const std::vector<int64_t>& indices);
@@ -145,7 +143,10 @@ struct ColBlock {
 /// block is projected once per table row and each output row adds its
 /// row's projection, so its work scales with U rather than n; its table
 /// receives dU · W_sliceᵀ, where dU sums dOut over the rows sharing a slot.
-Var Project(const std::vector<ColBlock>& blocks, const Var& weight);
+/// An optional [1, m] `bias` is added to every row after the gathered
+/// terms, bit-identical to Add(Project(blocks, weight), bias) in one node.
+Var Project(const std::vector<ColBlock>& blocks, const Var& weight,
+            const Var& bias = nullptr);
 
 // ---------------------------------------------------------------------------
 // Nonlinearities.
@@ -178,12 +179,26 @@ Var SoftmaxCrossEntropy(const Var& logits, const std::vector<int64_t>& labels);
 //
 // Attention over sampled temporal neighbors operates on a [B, K, D] block
 // stored flat as [B*K, D]. These fused primitives avoid per-row graph nodes.
+// Each reads one column window of its rows in place, so an attention head
+// works on its columns of the projected queries, keys and values without a
+// copy, and its gradients land in those columns of the parents.
 // ---------------------------------------------------------------------------
 
-/// scores[b, k] = dot(q[b, :], k_block[b*K + k, :]) -> [B, K].
-Var BatchDot(const Var& q, const Var& k_block, int64_t num_keys);
-/// out[b, :] = sum_k w[b, k] * v_block[b*K + k, :] -> [B, D].
-Var BatchWeightedSum(const Var& w, const Var& v_block, int64_t num_keys);
+/// Columns [start, start + len) of every row; the default window covers
+/// all columns.
+struct ColWindow {
+  int64_t start = 0;
+  int64_t len = -1;  // -1: through the last column
+};
+
+/// scores[b, k] = dot(q[b, c], k_block[b*K + k, c]) over the window's
+/// columns c -> [B, K]. q and k_block have the same width.
+Var BatchDot(const Var& q, const Var& k_block, int64_t num_keys,
+             ColWindow window = {});
+/// out[b, :] = sum_k w[b, k] * v_block[b*K + k, c] over the window's
+/// columns c -> [B, len].
+Var BatchWeightedSum(const Var& w, const Var& v_block, int64_t num_keys,
+                     ColWindow window = {});
 
 }  // namespace benchtemp::tensor
 

@@ -26,9 +26,7 @@ Linear::Linear(int64_t in_dim, int64_t out_dim, Rng& rng, bool bias)
 Var Linear::Forward(const Var& x) const { return MatMul(x, weight_, bias_); }
 
 Var Linear::Forward(const std::vector<ColBlock>& blocks) const {
-  Var y = Project(blocks, weight_);
-  if (bias_ != nullptr) y = Add(y, bias_);
-  return y;
+  return Project(blocks, weight_, bias_);
 }
 
 std::vector<Var> Linear::Parameters() const {
@@ -73,9 +71,8 @@ MergeLayer::MergeLayer(int64_t dim_a, int64_t dim_b, int64_t hidden,
                        int64_t out, Rng& rng)
     : fc1_(dim_a + dim_b, hidden, rng), fc2_(hidden, out, rng) {}
 
-Var MergeLayer::Forward(const Var& a, const Var& b) const {
-  Var joined = ConcatCols({a, b});
-  return fc2_.Forward(Relu(fc1_.Forward(joined)));
+Var MergeLayer::Forward(const std::vector<ColBlock>& blocks) const {
+  return fc2_.Forward(Relu(fc1_.Forward(blocks)));
 }
 
 std::vector<Var> MergeLayer::Parameters() const {
@@ -190,10 +187,11 @@ MultiHeadAttention::MultiHeadAttention(int64_t q_dim, int64_t kv_dim,
              "(the paper's Formula (1) constraint)");
 }
 
-Var MultiHeadAttention::Forward(const Var& queries,
+Var MultiHeadAttention::Forward(const std::vector<ColBlock>& queries,
                                 const std::vector<ColBlock>& keys,
                                 const Tensor& mask, int64_t num_keys) const {
-  const int64_t batch = queries->value.rows();
+  CheckOrDie(!queries.empty(), "MultiHeadAttention: no query blocks");
+  const int64_t batch = queries[0].rows();
   CheckOrDie(!keys.empty() && keys[0].rows() == batch * num_keys,
              "MultiHeadAttention: key block shape");
   CheckOrDie(mask.size() == batch * num_keys,
@@ -204,18 +202,18 @@ Var MultiHeadAttention::Forward(const Var& queries,
   Var k = k_proj_.Forward(keys);  // [B*K, model]
   Var v = v_proj_.Forward(keys);  // [B*K, model]
   const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
-  std::vector<Var> head_outputs;
-  head_outputs.reserve(static_cast<size_t>(num_heads_));
+  // Head h reads its column window of q, k and v in place, and the heads'
+  // outputs enter the output projection as its column blocks.
+  std::vector<ColBlock> heads;
+  heads.reserve(static_cast<size_t>(num_heads_));
   for (int64_t h = 0; h < num_heads_; ++h) {
-    Var qh = SliceCols(q, h * head_dim_, head_dim_);
-    Var kh = SliceCols(k, h * head_dim_, head_dim_);
-    Var vh = SliceCols(v, h * head_dim_, head_dim_);
-    Var scores = ScalarMul(BatchDot(qh, kh, num_keys), scale);  // [B, K]
+    const ColWindow window{h * head_dim_, head_dim_};
+    Var scores =
+        ScalarMul(BatchDot(q, k, num_keys, window), scale);  // [B, K]
     Var weights = MaskedSoftmaxRows(scores, mask);
-    head_outputs.push_back(BatchWeightedSum(weights, vh, num_keys));
+    heads.emplace_back(BatchWeightedSum(weights, v, num_keys, window));
   }
-  Var merged = num_heads_ == 1 ? head_outputs[0] : ConcatCols(head_outputs);
-  return out_proj_.Forward(merged);
+  return out_proj_.Forward(heads);
 }
 
 std::vector<Var> MultiHeadAttention::Parameters() const {

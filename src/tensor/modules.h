@@ -65,7 +65,11 @@ class MergeLayer : public Module {
   MergeLayer(int64_t dim_a, int64_t dim_b, int64_t hidden, int64_t out,
              Rng& rng);
 
-  Var Forward(const Var& a, const Var& b) const;
+  /// fc2(relu(fc1([a | b]))) over column blocks whose widths sum to
+  /// dim_a + dim_b. The first layer is Linear::Forward(blocks), so no
+  /// concatenation is built and a gathered block's half of it is computed
+  /// once per distinct row.
+  Var Forward(const std::vector<ColBlock>& blocks) const;
   std::vector<Var> Parameters() const override;
 
  private:
@@ -133,18 +137,19 @@ class TimeEncoder : public Module {
 
 /// Multi-head scaled dot-product attention over per-query neighbor blocks.
 ///
-/// Queries are [B, q_dim]; each query attends over `num_keys` keys stored
-/// flat as [B*K, kv_dim], given as column blocks whose widths sum to
-/// kv_dim. The keys also serve as the values. `mask` ([B, K]) zeroes out
-/// padding neighbors. Output is [B, out_dim] (the concatenated heads
-/// projected).
+/// Queries are [B, q_dim], given as column blocks whose widths sum to
+/// q_dim; each query attends over `num_keys` keys stored flat as
+/// [B*K, kv_dim], given the same way. The keys also serve as the values.
+/// `mask` ([B, K]) zeroes out padding neighbors. Output is [B, out_dim]
+/// (the heads' outputs projected as column blocks).
 class MultiHeadAttention : public Module {
  public:
   MultiHeadAttention(int64_t q_dim, int64_t kv_dim, int64_t model_dim,
                      int64_t num_heads, Rng& rng);
 
-  Var Forward(const Var& queries, const std::vector<ColBlock>& keys,
-              const Tensor& mask, int64_t num_keys) const;
+  Var Forward(const std::vector<ColBlock>& queries,
+              const std::vector<ColBlock>& keys, const Tensor& mask,
+              int64_t num_keys) const;
   std::vector<Var> Parameters() const override;
 
   int64_t model_dim() const { return model_dim_; }

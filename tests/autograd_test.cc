@@ -93,9 +93,13 @@ TEST(AutogradTest, ConcatSliceBackward) {
   Rng rng(5);
   Var a = Parameter(Tensor::Randn({3, 2}, rng));
   Var b = Parameter(Tensor::Randn({3, 4}, rng));
+  // Unit weights over one key make BatchWeightedSum a column slice; the
+  // two windows overlap, so their gradients meet in joined's columns 2-3.
+  const Var ones = Constant(Tensor::Ones({3, 1}));
   auto loss = [&] {
     Var joined = ConcatCols({a, b});
-    return Sum(Mul(SliceCols(joined, 1, 3), SliceCols(joined, 2, 3)));
+    return Sum(Mul(BatchWeightedSum(ones, joined, 1, {1, 3}),
+                   BatchWeightedSum(ones, joined, 1, {2, 3})));
   };
   CheckGradient(a, loss);
   CheckGradient(b, loss);
@@ -708,6 +712,154 @@ TEST(AutogradTest, ProjectRowsOfGradcheck) {
   ExpectRelClose(got_dw, w->grad, "dW");
   ExpectRelClose(got_da, a->grad, "dense-block grad");
   ExpectRelClose(got_dt, table->grad, "table grad");
+}
+
+/// Project's bias operand over a dense, a trainable gathered and a
+/// constant gathered block, every trainable parent starting from a
+/// non-zero prior gradient: one node, bit for bit the eager Add after it.
+TEST(AutogradTest, ProjectBiasMatchesAddOfProjectBitwise) {
+  Rng rng(62);
+  const std::vector<int32_t> slot = {2, 0, 2, 4, 1, 0, 2, 3, 3};
+  const int64_t n = static_cast<int64_t>(slot.size()), m = 7;
+  const Tensor a = Tensor::Randn({n, 3}, rng);
+  const Tensor table = Tensor::Randn({5, 4}, rng);
+  const auto consts =
+      Rows(Tensor::Randn({6, 2}, rng), {5, 5, 1, 0, 1, 5, 3, 0, 2});
+  const Tensor w = Tensor::Randn({3 + 4 + 2, m}, rng, 0.3f);
+  const Tensor b = Tensor::Randn({1, m}, rng);
+  const Tensor g = Tensor::Randn({n, m}, rng);
+  const Tensor ga = Tensor::Randn(a.shape(), rng);
+  const Tensor gt = Tensor::Randn(table.shape(), rng);
+  const Tensor gw = Tensor::Randn(w.shape(), rng);
+  const Tensor gb = Tensor::Randn(b.shape(), rng);
+  std::vector<OpRun> runs;
+  for (const bool one_node : {true, false}) {
+    Var av = ParameterWithGrad(a, ga);
+    Var tv = ParameterWithGrad(table, gt);
+    Var wv = ParameterWithGrad(w, gw);
+    Var bv = ParameterWithGrad(b, gb);
+    const std::vector<ColBlock> blocks = {av, RowsOf(tv, slot), consts};
+    runs.push_back(RunOp({av, tv, wv, bv}, g, [&] {
+      return one_node ? Project(blocks, wv, bv) : Add(Project(blocks, wv), bv);
+    }));
+    if (one_node) {
+      EXPECT_EQ(Project(blocks, wv, bv)->parents,
+                (std::vector<Var>{wv, av, tv, consts->table, bv}));
+    }
+  }
+  ExpectSameRun(runs[0], runs[1]);
+}
+
+TEST(AutogradTest, ProjectBiasGradcheck) {
+  Rng rng(63);
+  const std::vector<int32_t> slot = {1, 0, 1, 2, 2};
+  Var a = Parameter(Tensor::Randn({5, 2}, rng));
+  Var table = Parameter(Tensor::Randn({3, 3}, rng));
+  const auto consts = Rows(Tensor::Randn({4, 2}, rng), {3, 0, 3, 1, 0});
+  Var w = Parameter(Tensor::Randn({2 + 3 + 2, 4}, rng, 0.3f));
+  Var b = Parameter(Tensor::Randn({1, 4}, rng));
+  const Tensor g = Tensor::Randn({5, 4}, rng);
+  auto loss = [&] {
+    return Sum(Mul(Tanh(Project({a, RowsOf(table, slot), consts}, w, b)),
+                   Constant(g)));
+  };
+  CheckGradient(b, loss);
+  CheckGradient(w, loss);
+  CheckGradient(a, loss);
+  CheckGradient(table, loss);
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH((void)Project({a}, Parameter(Tensor::Randn({2, 4}, rng)),
+                             Parameter(Tensor::Randn({1, 3}, rng))),
+               "Project: bias must be \\[1, m\\]");
+}
+
+/// Every entry of `grad` outside columns [start, start + len) is exactly 0.
+void ExpectZeroOutsideWindow(const Tensor& grad, ColWindow window,
+                             const char* what) {
+  ASSERT_EQ(grad.rank(), 2) << what;
+  for (int64_t r = 0; r < grad.rows(); ++r) {
+    for (int64_t c = 0; c < grad.cols(); ++c) {
+      if (c >= window.start && c < window.start + window.len) continue;
+      EXPECT_TRUE(IsExactlyZero(grad.at(r, c)))
+          << what << " (" << r << ", " << c << ")";
+    }
+  }
+}
+
+TEST(AutogradTest, BatchDotColumnWindowGradcheck) {
+  Rng rng(64);
+  const int64_t b = 3, k = 2, width = 7;
+  const ColWindow window{2, 3};
+  Var q = Parameter(Tensor::Randn({b, width}, rng));
+  Var keys = Parameter(Tensor::Randn({b * k, width}, rng));
+  auto loss = [&] { return Sum(Tanh(BatchDot(q, keys, k, window))); };
+  CheckGradient(q, loss);
+  CheckGradient(keys, loss);
+
+  const Tensor scores = BatchDot(q, keys, k, window)->value;
+  ASSERT_EQ(scores.shape(), (std::vector<int64_t>{b, k}));
+  for (int64_t i = 0; i < b; ++i) {
+    for (int64_t j = 0; j < k; ++j) {
+      float want = 0.0f;
+      for (int64_t c = window.start; c < window.start + window.len; ++c) {
+        want += q->value.at(i, c) * keys->value.at(i * k + j, c);
+      }
+      EXPECT_NEAR(scores.at(i, j), want, 1e-5f) << i << ", " << j;
+    }
+  }
+  ZeroGrad({q, keys});
+  Backward(loss());
+  ExpectZeroOutsideWindow(q->grad, window, "q");
+  ExpectZeroOutsideWindow(keys->grad, window, "keys");
+}
+
+TEST(AutogradTest, BatchWeightedSumColumnWindowGradcheck) {
+  Rng rng(65);
+  const int64_t b = 2, k = 3, width = 6;
+  const ColWindow window{1, 4};
+  Var w = Parameter(Tensor::Randn({b, k}, rng));
+  Var values = Parameter(Tensor::Randn({b * k, width}, rng));
+  auto loss = [&] {
+    return Sum(Sigmoid(BatchWeightedSum(w, values, k, window)));
+  };
+  CheckGradient(w, loss);
+  CheckGradient(values, loss);
+
+  const Tensor out = BatchWeightedSum(w, values, k, window)->value;
+  ASSERT_EQ(out.shape(), (std::vector<int64_t>{b, window.len}));
+  for (int64_t i = 0; i < b; ++i) {
+    for (int64_t c = 0; c < window.len; ++c) {
+      float want = 0.0f;
+      for (int64_t j = 0; j < k; ++j) {
+        want += w->value.at(i, j) *
+                values->value.at(i * k + j, window.start + c);
+      }
+      EXPECT_NEAR(out.at(i, c), want, 1e-5f) << i << ", " << c;
+    }
+  }
+  ZeroGrad({w, values});
+  Backward(loss());
+  ExpectZeroOutsideWindow(values->grad, window, "values");
+}
+
+TEST(AutogradTest, ColumnWindowPastRowWidthIsFatal) {
+  Rng rng(66);
+  Var q = Constant(Tensor::Randn({2, 4}, rng));
+  Var keys = Constant(Tensor::Randn({4, 4}, rng));
+  Var w = Constant(Tensor::Randn({2, 2}, rng));
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH((void)BatchDot(q, keys, 2, {2, 3}),
+               "BatchDot: column window range");
+  EXPECT_DEATH((void)BatchWeightedSum(w, keys, 2, {4, 1}),
+               "BatchWeightedSum: column window range");
+  EXPECT_DEATH((void)BatchWeightedSum(w, keys, 2, {-1, 2}),
+               "BatchWeightedSum: column window range");
+  // Only -1 means "through the last column"; any other negative length
+  // is out of range.
+  EXPECT_DEATH((void)BatchDot(q, keys, 2, {0, -2}),
+               "BatchDot: column window range");
+  EXPECT_DEATH((void)BatchWeightedSum(w, keys, 2, {0, -2}),
+               "BatchWeightedSum: column window range");
 }
 
 TEST(AutogradTest, EncodeRowsSharesEqualDeltas) {

@@ -582,7 +582,7 @@ class DenseKeyTgn : public Tgn {
          tensor::GatherRows(tensor::Constant(graph_->edge_features()),
                             Widen(nb.flat_edges)),
          time_encoder_.Encode(nb.flat_dts)});
-    Var attended = attention.Forward(query, {keys}, nb.mask, k);
+    Var attended = attention.Forward({query}, {keys}, nb.mask, k);
     return out.Forward(tensor::ConcatCols({attended, memory}));
   }
 };
@@ -672,7 +672,7 @@ Var DenseTgatEmbed(const TemporalGraph& g, const ModelConfig& config,
   for (size_t l = 1; l < plan.levels.size(); ++l) {
     const TgatPlan::Level& level = plan.levels[l];
     const graph::SampledNeighborhood& nb = level.nb;
-    Var self_prev = tensor::GatherRows(h, level.self_rows);
+    Var self_prev = tensor::GatherRows(h, Widen(level.self_rows));
     Var query = tensor::ConcatCols(
         {self_prev, encoder.Encode(std::vector<float>(level.nodes.size()))});
     Var keys = tensor::ConcatCols(
@@ -681,7 +681,8 @@ Var DenseTgatEmbed(const TemporalGraph& g, const ModelConfig& config,
                             Widen(nb.flat_edges)),
          encoder.Encode(nb.flat_dts)});
     Var attended =
-        layers[l - 1].Forward(query, {keys}, nb.mask, config.num_neighbors);
+        layers[l - 1].Forward({query}, {keys}, nb.mask,
+                              config.num_neighbors);
     h = Relu(layer_out[l - 1].Forward(
         tensor::ConcatCols({attended, self_prev})));
   }
@@ -752,14 +753,22 @@ TEST(DistinctKeysTest, TgatMatchesDenseComposition) {
   }
 }
 
-/// The source-embedding operand of a MergeLayer logit node: the first
-/// ConcatCols down the fc2 -> Relu -> fc1 chain joins [src | dst].
-const tensor::VarNode* SourceNodeOf(const Var& logits) {
+/// The first-layer node of a MergeLayer logit node: the Project down the
+/// fc2 -> Relu -> fc1 chain.
+const tensor::VarNode* FirstLayerOf(const Var& logits) {
   const tensor::VarNode* node = logits.get();
-  while (node != nullptr && std::string(node->op) != "ConcatCols") {
+  while (node != nullptr && std::string(node->op) != "Project") {
     node = node->parents.empty() ? nullptr : node->parents[0].get();
   }
-  return node == nullptr ? nullptr : node->parents[0].get();
+  return node;
+}
+
+/// The source-embedding operand of a MergeLayer logit node: the first
+/// layer's parents are {W, src block, dst block, bias}, and a gathered
+/// source block's parent is its table.
+const tensor::VarNode* SourceNodeOf(const Var& logits) {
+  const tensor::VarNode* fc1 = FirstLayerOf(logits);
+  return fc1 == nullptr ? nullptr : fc1->parents[1].get();
 }
 
 /// Eight disjoint pairs (i, 8 + i) at t = i + 1: every node has exactly
@@ -847,10 +856,10 @@ TEST_P(SourceMemoTest, OneSourceEmbeddingPerBatch) {
         EXPECT_EQ(cold - shared, one_embedding);
         ASSERT_NE(SourceNodeOf(pos), nullptr);
         EXPECT_EQ(SourceNodeOf(pos), SourceNodeOf(neg));
-        // The ranked pass tiles the same node.
+        // The ranked pass projects the same node: it is the table of the
+        // source block of its first layer.
         Var cand = model->ScoreCandidates(batch.srcs, negatives, batch.ts, 1);
-        ASSERT_EQ(std::string(SourceNodeOf(cand)->op), "GatherRows");
-        EXPECT_EQ(SourceNodeOf(cand)->parents[0].get(), SourceNodeOf(pos));
+        EXPECT_EQ(SourceNodeOf(cand), SourceNodeOf(pos));
         // Both gradients meet at the shared node in one backward pass.
         Backward(PairLoss(pos, neg));
       }
@@ -996,6 +1005,88 @@ TEST_P(SourceMemoTest, PairLossGradientMatchesFiniteDifferences) {
 
 INSTANTIATE_TEST_SUITE_P(
     MergeLayerModels, SourceMemoTest,
+    ::testing::Values(ModelKind::kJodie, ModelKind::kDyRep, ModelKind::kTgn,
+                      ModelKind::kTgat, ModelKind::kTemp),
+    [](const ::testing::TestParamInfo<ModelKind>& info) {
+      return std::string(ModelKindName(info.param));
+    });
+
+/// ScoreCandidates against the composition it replaced: the source
+/// embeddings tiled to one row per candidate (GatherRows), concatenated
+/// with the candidates' embeddings (ConcatCols) and scored with the
+/// predictor's own fc1/fc2 parameters as dense MatMuls. Both sides start
+/// from the same temporal state and member RNG state, so they draw the
+/// same neighbourhoods.
+class RankedPassTest : public ::testing::TestWithParam<ModelKind> {};
+
+TEST_P(RankedPassTest, MatchesDenseTiling) {
+  TemporalGraph g = MakeGraph();
+  NeighborFinder finder(g);
+  auto model = CreateModel(GetParam(), &g, SmallConfig(), 40);
+  model->SetNeighborFinder(&finder);
+  model->set_training(false);
+  tensor::Rng pick(17);
+  // Off the initial point: zero-initialised biases and node features
+  // would leave many logits equal.
+  const std::vector<Var> params = model->Parameters();
+  for (const Var& p : params) {
+    for (int64_t i = 0; i < p->value.size(); ++i) {
+      p->value.at(i) += pick.Normal(0.0f, 0.3f);
+    }
+  }
+  const Batch first = FirstBatch(g, 60);
+  Batch second;
+  for (int64_t i = 60; i < 120; ++i) {
+    const auto& e = g.event(i);
+    second.srcs.push_back(e.src);
+    second.dsts.push_back(e.dst);
+    second.ts.push_back(e.ts);
+    second.edge_idxs.push_back(e.edge_idx);
+  }
+  const int k = 6;
+  std::vector<int32_t> srcs, candidates;
+  std::vector<double> ts, cand_ts;
+  for (int64_t i = 120; i < 132; ++i) {
+    srcs.push_back(g.event(i).src);
+    ts.push_back(g.event(i).ts);
+    for (int j = 0; j < k; ++j) {
+      candidates.push_back(40 + static_cast<int32_t>(pick.UniformInt(15)));
+      cand_ts.push_back(g.event(i).ts);
+    }
+  }
+  // Replaying `second` applies `first` to the memory, which draws
+  // neighbours for DyRep, so each side replays from one RNG state.
+  const std::string rng_state = model->SaveRngState();
+  const auto prime = [&] {
+    model->Reset();
+    model->LoadRngState(rng_state);
+    model->UpdateState(first);
+    model->UpdateState(second);
+  };
+  prime();
+  tensor::kernels::TapeScope scope;
+  Var got = model->ScoreCandidates(srcs, candidates, ts, k);
+
+  prime();
+  Var src_emb = model->ComputeEmbeddings(srcs, ts);
+  Var cand_emb = model->ComputeEmbeddings(candidates, cand_ts);
+  std::vector<int64_t> tile;
+  for (size_t i = 0; i < srcs.size(); ++i) {
+    tile.insert(tile.end(), k, static_cast<int64_t>(i));
+  }
+  // MergeLayer::Parameters() close every model's list: fc1's weight and
+  // bias, then fc2's.
+  ASSERT_GE(params.size(), 4u);
+  const Var* fc = params.data() + params.size() - 4;
+  Var hidden = Relu(tensor::MatMul(
+      tensor::ConcatCols({tensor::GatherRows(src_emb, tile), cand_emb}),
+      fc[0], fc[1]));
+  Var want = tensor::MatMul(hidden, fc[2], fc[3]);
+  ExpectRelClose(got->value, want->value, "ranked logits");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    MergeLayerModels, RankedPassTest,
     ::testing::Values(ModelKind::kJodie, ModelKind::kDyRep, ModelKind::kTgn,
                       ModelKind::kTgat, ModelKind::kTemp),
     [](const ::testing::TestParamInfo<ModelKind>& info) {

@@ -1,6 +1,10 @@
 #include "tensor/modules.h"
 
+#include <algorithm>
 #include <cmath>
+#include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -99,8 +103,8 @@ TEST(ModulesTest, TimeEncoderDistinguishesDeltas) {
 TEST(ModulesTest, MergeLayerShape) {
   Rng rng(7);
   MergeLayer merge(4, 6, 8, 1, rng);
-  Var out = merge.Forward(Constant(Tensor::Randn({3, 4}, rng)),
-                          Constant(Tensor::Randn({3, 6}, rng)));
+  Var out = merge.Forward({Constant(Tensor::Randn({3, 4}, rng)),
+                           Constant(Tensor::Randn({3, 6}, rng))});
   EXPECT_EQ(out->value.shape(), (std::vector<int64_t>{3, 1}));
 }
 
@@ -112,7 +116,7 @@ TEST(ModulesTest, AttentionShapeAndMasking) {
   Var kv = Constant(Tensor::Randn({3 * k, 5}, rng));
   Tensor mask({3, k});
   mask.Fill(1.0f);
-  Var out = attn.Forward(q, {kv}, mask, k);
+  Var out = attn.Forward({q}, {kv}, mask, k);
   EXPECT_EQ(out->value.shape(), (std::vector<int64_t>{3, 8}));
 }
 
@@ -125,40 +129,84 @@ TEST(ModulesTest, AttentionIgnoresMaskedKeys) {
   // Run once with key 2 masked, then change key 2 wildly: output must not
   // move.
   Tensor mask = Tensor::FromVector({1, k}, {1, 1, 0});
-  Var out1 = attn.Forward(q, {Constant(kv_data)}, mask, k);
+  Var out1 = attn.Forward({q}, {Constant(kv_data)}, mask, k);
   for (int64_t c = 0; c < 4; ++c) kv_data.at(2, c) = 1000.0f;
-  Var out2 = attn.Forward(q, {Constant(kv_data)}, mask, k);
+  Var out2 = attn.Forward({q}, {Constant(kv_data)}, mask, k);
   for (int64_t i = 0; i < out1->value.size(); ++i) {
     EXPECT_NEAR(out1->value.at(i), out2->value.at(i), 1e-4f);
   }
 }
 
-TEST(ModulesTest, AttentionOverGatheredKeysMatchesConcatenatedKeys) {
-  // Keys given as {dense, gathered rows} blocks must attend like the same
-  // keys concatenated into one dense block, up to float reassociation.
+/// The rows of `table` at `idx` as one dense tensor.
+Tensor GatherDense(const Tensor& table, const std::vector<int32_t>& idx) {
+  Tensor out({static_cast<int64_t>(idx.size()), table.cols()});
+  for (int64_t r = 0; r < out.rows(); ++r) {
+    for (int64_t c = 0; c < out.cols(); ++c) {
+      out.at(r, c) = table.at(idx[static_cast<size_t>(r)], c);
+    }
+  }
+  return out;
+}
+
+TEST(ModulesTest, AttentionOverGatheredBlocksMatchesConcatenatedBlocks) {
+  // Keys given as {dense, gathered rows} blocks, and queries as {gathered
+  // rows, one shared row} as TGN and TGAT build them, must attend like the
+  // same keys and queries concatenated into dense blocks, up to float
+  // reassociation.
   const int64_t b = 3, k = 4;
   Rng rng(12);
-  MultiHeadAttention attn(6, 5 + 7, 8, 2, rng);
-  Var q = Constant(Tensor::Randn({b, 6}, rng));
+  MultiHeadAttention attn(4 + 2, 5 + 7, 8, 2, rng);
+  const Tensor q_table = Tensor::Randn({2, 4}, rng);
+  const std::vector<int32_t> q_idx = {1, 0, 1};
+  const Tensor shared = Tensor::Randn({1, 2}, rng);
+  const std::vector<int32_t> zeros(b, 0);
   Var dense = Constant(Tensor::Randn({b * k, 5}, rng));
   const Tensor table = Tensor::Randn({6, 7}, rng);
   const std::vector<int32_t> idx = {0, 2, 2, 5, 0, 0, 1, 2, 5, 5, 0, 3};
-  Tensor gathered({b * k, 7});
-  for (int64_t r = 0; r < b * k; ++r) {
-    for (int64_t c = 0; c < 7; ++c) {
-      gathered.at(r, c) = table.at(idx[static_cast<size_t>(r)], c);
-    }
-  }
   Tensor mask({b, k});
   mask.Fill(1.0f);
   mask.at(1, 3) = 0.0f;
-  Var blocks_out = attn.Forward(q, {dense, Rows(table, idx)}, mask, k);
+  Var blocks_out = attn.Forward(
+      {Rows(q_table, q_idx), RowsOf(Constant(shared), zeros)},
+      {dense, Rows(table, idx)}, mask, k);
   Var concat_out = attn.Forward(
-      q, {ConcatCols({dense, Constant(std::move(gathered))})}, mask, k);
+      {ConcatCols({Constant(GatherDense(q_table, q_idx)),
+                   Constant(GatherDense(shared, zeros))})},
+      {ConcatCols({dense, Constant(GatherDense(table, idx))})}, mask, k);
   ASSERT_EQ(blocks_out->value.shape(), concat_out->value.shape());
   for (int64_t i = 0; i < blocks_out->value.size(); ++i) {
     EXPECT_NEAR(blocks_out->value.at(i), concat_out->value.at(i), 1e-5f);
   }
+}
+
+TEST(ModulesTest, AttentionBuildsNoCopyOrBiasNodes) {
+  // The heads read column windows of q, K and V in place, their outputs
+  // enter the output projection as blocks, and every bias is added inside
+  // its projection: no slice, concatenation or Add node on the tape.
+  const int64_t b = 4, k = 3;
+  Rng rng(14);
+  MultiHeadAttention attn(5, 6, 8, 2, rng);
+  Var q = Parameter(Tensor::Randn({b, 5}, rng));
+  Var keys = Parameter(Tensor::Randn({b * k, 6}, rng));
+  Tensor mask({b, k});
+  mask.Fill(1.0f);
+  Var out = attn.Forward({q}, {keys}, mask, k);
+  std::vector<const VarNode*> stack = {out.get()};
+  std::set<const VarNode*> seen = {out.get()};
+  std::vector<std::string> ops;
+  while (!stack.empty()) {
+    const VarNode* node = stack.back();
+    stack.pop_back();
+    ops.emplace_back(node->op);
+    for (const Var& p : node->parents) {
+      if (seen.insert(p.get()).second) stack.push_back(p.get());
+    }
+  }
+  for (const char* banned : {"SliceCols", "ConcatCols", "Add"}) {
+    EXPECT_EQ(std::count(ops.begin(), ops.end(), banned), 0) << banned;
+  }
+  EXPECT_EQ(std::count(ops.begin(), ops.end(), "Project"), 4);
+  EXPECT_EQ(std::count(ops.begin(), ops.end(), "BatchDot"), 2);
 }
 
 TEST(ModulesTest, AttentionHeadConstraintEnforced) {

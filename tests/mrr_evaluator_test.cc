@@ -269,52 +269,59 @@ TEST_F(MrrEvaluatorTest, RankingBitIdenticalAcrossDepthsAndThreads) {
   obs::MetricRegistry::OverrideEnabledForTest(1);
   auto& registry = obs::MetricRegistry::Global();
   const TemporalGraph g = RankGraph();
-  std::vector<uint64_t> bits;
-  std::vector<std::string> digests;
   constexpr int kProbes = 4;
   const struct {
     int threads;
     int depth;
   } grid[] = {{1, 0}, {1, 2}, {8, 0}, {8, 2}};
-  for (const auto& cell : grid) {
-    runtime::ThreadPool::Global().SetNumThreads(cell.threads);
-    registry.Reset();
-    core::LinkPredictionJob job;
-    job.graph = &g;
-    job.num_users = 40;
-    job.kind = models::ModelKind::kTgn;
-    job.model_config.embedding_dim = 8;
-    job.model_config.time_dim = 8;
-    job.model_config.num_neighbors = 4;
-    job.model_config.num_layers = 1;
-    job.model_config.num_heads = 2;
-    job.train_config.max_epochs = 2;
-    job.train_config.batch_size = 100;
-    job.train_config.seed = 5;
-    job.train_config.pipeline_depth = cell.depth;
-    job.train_config.mrr_k = 8;
-    const core::LinkPredictionResult result = core::RunLinkPrediction(job);
-    ASSERT_EQ(result.status, models::ModelStatus::kOk);
-    EXPECT_EQ(result.mrr_k, 8);
-    EXPECT_GT(result.test_ranking[0].count, 0);
-    // Ranking metrics sit inside [0, 1] with Hits@1 <= MRR <= Hits@10.
-    EXPECT_GE(result.test_ranking[0].mrr, 0.0);
-    EXPECT_LE(result.test_ranking[0].mrr, 1.0);
-    EXPECT_LE(result.test_ranking[0].hits_at_1,
-              result.test_ranking[0].mrr + 1e-12);
-    EXPECT_LE(result.test_ranking[0].mrr,
-              result.test_ranking[0].hits_at_10 + 1e-12);
-    bits.push_back(BitsOf(result.test_ranking[0].mrr));
-    bits.push_back(BitsOf(result.test_ranking[0].hits_at_10));
-    bits.push_back(BitsOf(result.val_ranking.mrr));
-    bits.push_back(BitsOf(result.test[0].auc));
-    digests.push_back(registry.CountersDigest());
-  }
-  for (size_t i = kProbes; i < bits.size(); ++i) {
-    EXPECT_EQ(bits[i], bits[i % kProbes]) << "probe " << i;
-  }
-  for (size_t i = 1; i < digests.size(); ++i) {
-    EXPECT_EQ(digests[i], digests[0]) << "grid cell " << i;
+  // One model per ranked-pass query side: TGN (memory rows), TGAT (the
+  // previous layer's rows) and DyRep (dense memory).
+  for (const models::ModelKind kind :
+       {models::ModelKind::kTgn, models::ModelKind::kTgat,
+        models::ModelKind::kDyRep}) {
+    SCOPED_TRACE(models::ModelKindName(kind));
+    std::vector<uint64_t> bits;
+    std::vector<std::string> digests;
+    for (const auto& cell : grid) {
+      runtime::ThreadPool::Global().SetNumThreads(cell.threads);
+      registry.Reset();
+      core::LinkPredictionJob job;
+      job.graph = &g;
+      job.num_users = 40;
+      job.kind = kind;
+      job.model_config.embedding_dim = 8;
+      job.model_config.time_dim = 8;
+      job.model_config.num_neighbors = 4;
+      job.model_config.num_layers = 1;
+      job.model_config.num_heads = 2;
+      job.train_config.max_epochs = 2;
+      job.train_config.batch_size = 100;
+      job.train_config.seed = 5;
+      job.train_config.pipeline_depth = cell.depth;
+      job.train_config.mrr_k = 8;
+      const core::LinkPredictionResult result = core::RunLinkPrediction(job);
+      ASSERT_EQ(result.status, models::ModelStatus::kOk);
+      EXPECT_EQ(result.mrr_k, 8);
+      EXPECT_GT(result.test_ranking[0].count, 0);
+      // Ranking metrics sit inside [0, 1] with Hits@1 <= MRR <= Hits@10.
+      EXPECT_GE(result.test_ranking[0].mrr, 0.0);
+      EXPECT_LE(result.test_ranking[0].mrr, 1.0);
+      EXPECT_LE(result.test_ranking[0].hits_at_1,
+                result.test_ranking[0].mrr + 1e-12);
+      EXPECT_LE(result.test_ranking[0].mrr,
+                result.test_ranking[0].hits_at_10 + 1e-12);
+      bits.push_back(BitsOf(result.test_ranking[0].mrr));
+      bits.push_back(BitsOf(result.test_ranking[0].hits_at_10));
+      bits.push_back(BitsOf(result.val_ranking.mrr));
+      bits.push_back(BitsOf(result.test[0].auc));
+      digests.push_back(registry.CountersDigest());
+    }
+    for (size_t i = kProbes; i < bits.size(); ++i) {
+      EXPECT_EQ(bits[i], bits[i % kProbes]) << "probe " << i;
+    }
+    for (size_t i = 1; i < digests.size(); ++i) {
+      EXPECT_EQ(digests[i], digests[0]) << "grid cell " << i;
+    }
   }
 }
 
