@@ -276,17 +276,28 @@ void BM_RandomNegativeSampling(benchmark::State& state) {
 }
 BENCHMARK(BM_RandomNegativeSampling);
 
-void BM_MatMul(benchmark::State& state) {
+void BM_Project(benchmark::State& state) {
+  // Arg 1: one 128-wide square block {x}. Arg 4: TGN's message at
+  // perfbench's shape, [mem(node) | mem(other) | edge | time_enc] = 24 +
+  // 24 + 100 + 16 columns over a 200-event batch's 400 endpoints, projected
+  // to the 24-wide memory.
   tensor::Rng rng(1);
-  const int64_t n = state.range(0);
-  tensor::Var a = tensor::Constant(tensor::Tensor::Randn({n, n}, rng));
-  tensor::Var b = tensor::Constant(tensor::Tensor::Randn({n, n}, rng));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tensor::MatMul(a, b)->value.at(0));
+  const bool message = state.range(0) == 4;
+  const int64_t n = message ? 400 : 128, m = message ? 24 : 128;
+  std::vector<tensor::ColBlock> blocks;
+  int64_t width = 0;
+  for (const int64_t w : message ? std::vector<int64_t>{24, 24, 100, 16}
+                                 : std::vector<int64_t>{128}) {
+    blocks.emplace_back(tensor::Constant(tensor::Tensor::Randn({n, w}, rng)));
+    width += w;
   }
-  state.SetItemsProcessed(state.iterations() * n * n * n);
+  tensor::Var w = tensor::Constant(tensor::Tensor::Randn({width, m}, rng));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(tensor::Project(blocks, w)->value.at(0));
+  }
+  state.SetItemsProcessed(state.iterations() * n * width * m);
 }
-BENCHMARK(BM_MatMul)->Arg(32)->Arg(128);
+BENCHMARK(BM_Project)->Arg(1)->Arg(4);
 
 void BM_GruForwardBackward(benchmark::State& state) {
   tensor::Rng rng(1);
@@ -294,7 +305,7 @@ void BM_GruForwardBackward(benchmark::State& state) {
   tensor::Var x = tensor::Constant(tensor::Tensor::Randn({200, 64}, rng));
   tensor::Var h = tensor::Constant(tensor::Tensor::Randn({200, 64}, rng));
   for (auto _ : state) {
-    tensor::Var loss = tensor::Sum(gru.Forward(x, h));
+    tensor::Var loss = tensor::Sum(gru.Forward({x}, h));
     tensor::ZeroGrad(gru.Parameters());
     tensor::Backward(loss);
     benchmark::DoNotOptimize(loss->value.at(0));
@@ -373,7 +384,7 @@ void BM_KernelGemm(benchmark::State& state) {
 BENCHMARK(BM_KernelGemm)->Apply(GemmShapes);
 
 void BM_KernelGemmNT(benchmark::State& state) {
-  // MatMul backward for A: dA[n,k] += dC[n,m] * B[k,m]^T.
+  // Project backward for a block: dA[n,k] += dC[n,m] * B[k,m]^T.
   const GemmOperands g(state);
   tensor::Tensor da({g.n, g.k});
   for (auto _ : state) {
@@ -388,7 +399,7 @@ void BM_KernelGemmNT(benchmark::State& state) {
 BENCHMARK(BM_KernelGemmNT)->Apply(GemmShapes);
 
 void BM_KernelGemmTN(benchmark::State& state) {
-  // MatMul backward for B: dB[k,m] += A[n,k]^T * dC[n,m].
+  // Project backward for the weight: dB[k,m] += A[n,k]^T * dC[n,m].
   const GemmOperands g(state);
   tensor::Tensor db({g.k, g.m});
   for (auto _ : state) {

@@ -25,36 +25,6 @@ const char* SettingName(Setting setting) {
   return "?";
 }
 
-const std::vector<int64_t>& LinkPredictionSplit::TestSet(
-    Setting setting) const {
-  switch (setting) {
-    case Setting::kTransductive:
-      return test_events;
-    case Setting::kInductive:
-      return test_inductive;
-    case Setting::kInductiveNewOld:
-      return test_new_old;
-    case Setting::kInductiveNewNew:
-      return test_new_new;
-  }
-  return test_events;
-}
-
-const std::vector<int64_t>& LinkPredictionSplit::ValSet(
-    Setting setting) const {
-  switch (setting) {
-    case Setting::kTransductive:
-      return val_events;
-    case Setting::kInductive:
-      return val_inductive;
-    case Setting::kInductiveNewOld:
-      return val_new_old;
-    case Setting::kInductiveNewNew:
-      return val_new_new;
-  }
-  return val_events;
-}
-
 std::string ValidateGraph(const graph::TemporalGraph& graph) {
   std::ostringstream err;
   if (graph.num_events() == 0) {
@@ -141,24 +111,16 @@ LinkPredictionSplit SplitLinkPrediction(const graph::TemporalGraph& graph,
     const graph::Interaction& e = graph.event(i);
     if (!unseen(e.src) && !unseen(e.dst)) split.train_events.push_back(i);
   }
-  auto classify = [&](int64_t i, std::vector<int64_t>& all,
-                      std::vector<int64_t>& inductive,
-                      std::vector<int64_t>& new_old,
-                      std::vector<int64_t>& new_new) {
-    const graph::Interaction& e = graph.event(i);
-    all.push_back(i);
-    const int unseen_count = (unseen(e.src) ? 1 : 0) + (unseen(e.dst) ? 1 : 0);
-    if (unseen_count >= 1) inductive.push_back(i);
-    if (unseen_count == 1) new_old.push_back(i);
-    if (unseen_count == 2) new_new.push_back(i);
-  };
   for (int64_t i = split.train_end; i < split.val_end; ++i) {
-    classify(i, split.val_events, split.val_inductive, split.val_new_old,
-             split.val_new_new);
+    split.val_events.push_back(i);
   }
   for (int64_t i = split.val_end; i < n; ++i) {
-    classify(i, split.test_events, split.test_inductive, split.test_new_old,
-             split.test_new_new);
+    const graph::Interaction& e = graph.event(i);
+    split.test_events.push_back(i);
+    const int unseen_count = (unseen(e.src) ? 1 : 0) + (unseen(e.dst) ? 1 : 0);
+    if (unseen_count >= 1) split.test_inductive.push_back(i);
+    if (unseen_count == 1) split.test_new_old.push_back(i);
+    if (unseen_count == 2) split.test_new_new.push_back(i);
   }
   return split;
 }

@@ -67,20 +67,14 @@ struct LinkPredictionSplit {
   /// Transductive validation / test sets (all window events).
   std::vector<int64_t> val_events;
   std::vector<int64_t> test_events;
-  /// Inductive filtrations (Section 3.2.1 "filtering edges").
-  std::vector<int64_t> val_inductive;
+  /// Inductive filtrations of the test set (Section 3.2.1 "filtering
+  /// edges"); validation is transductive only.
   std::vector<int64_t> test_inductive;
-  std::vector<int64_t> val_new_old;
   std::vector<int64_t> test_new_old;
-  std::vector<int64_t> val_new_new;
   std::vector<int64_t> test_new_new;
 
   /// Number of masked (unseen) nodes.
   int64_t num_unseen_nodes = 0;
-
-  /// Events for the requested evaluation setting.
-  const std::vector<int64_t>& TestSet(Setting setting) const;
-  const std::vector<int64_t>& ValSet(Setting setting) const;
 };
 
 /// Splits `graph` for the link prediction task. The graph must be

@@ -63,13 +63,6 @@ std::vector<LeaderboardRecord> Leaderboard::SelectLocked(
   return out;
 }
 
-std::vector<LeaderboardRecord> Leaderboard::Select(
-    const std::string& dataset, const std::string& task,
-    const std::string& setting, const std::string& metric) const {
-  base::MutexLock lock(mutex_);
-  return SelectLocked(dataset, task, setting, metric);
-}
-
 const LeaderboardRecord* Leaderboard::FindLocked(
     const std::string& model, const std::string& dataset,
     const std::string& task, const std::string& setting,

@@ -54,12 +54,6 @@ class Leaderboard {
   /// CSV rendering of the current records (header + one line per record).
   std::string ToCsv() const;
 
-  /// Records matching a (dataset, task, setting, metric) cell group.
-  std::vector<LeaderboardRecord> Select(const std::string& dataset,
-                                        const std::string& task,
-                                        const std::string& setting,
-                                        const std::string& metric) const;
-
   /// Rank of `model` (1 = best mean) within a cell group; 0 when missing or
   /// annotated as failed.
   int Rank(const std::string& model, const std::string& dataset,
@@ -93,6 +87,7 @@ class Leaderboard {
   std::vector<LeaderboardRecord> records_ GUARDED_BY(mutex_);
 
   std::string ToCsvLocked() const REQUIRES(mutex_);
+  /// Records matching a (dataset, task, setting, metric) cell group.
   std::vector<LeaderboardRecord> SelectLocked(const std::string& dataset,
                                               const std::string& task,
                                               const std::string& setting,

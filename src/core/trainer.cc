@@ -744,7 +744,7 @@ DecoderFit FitDecoder(TgnnModel* model, const TemporalGraph& graph,
   gather(split.val_events, &x_val, &y_val);
   gather(split.test_events, &x_test, &y_test);
   auto logits_of = [&](const Tensor& x) {
-    return decoder.Forward(tensor::Constant(x));
+    return decoder.Forward({tensor::Constant(x)});
   };
   const std::vector<int64_t> train_classes(y_train.begin(), y_train.end());
   Tensor train_targets({static_cast<int64_t>(y_train.size())});

@@ -2,7 +2,6 @@
 
 namespace benchtemp::models {
 
-using tensor::ConcatCols;
 using tensor::Var;
 
 DyRep::DyRep(const graph::TemporalGraph* graph, ModelConfig config)
@@ -46,10 +45,10 @@ Var DyRep::ComputeMemoryUpdate(const std::vector<MemoryEvent>& events,
     dts.push_back(static_cast<float>(e.ts - LastUpdate(e.node)));
   }
   Var other_memory = GatherMemory(others);
-  Var message = ConcatCols(
+  return rnn_.Forward(
       {AggregateNeighborhood(others, ts, other_memory), other_memory,
-       EdgeFeatureBlock(edge_idxs), time_encoder_.Encode(dts)});
-  return rnn_.Forward(message, prev_memory);
+       EdgeFeatureBlock(edge_idxs), time_encoder_.Encode(dts)},
+      prev_memory);
 }
 
 Var DyRep::ComputeEmbeddings(const std::vector<int32_t>& nodes,
@@ -58,7 +57,7 @@ Var DyRep::ComputeEmbeddings(const std::vector<int32_t>& nodes,
   (void)ts;
   // DyRep reads the memory directly ("identity" embedding) through a linear
   // head.
-  return identity_.Forward(GatherMemory(nodes));
+  return identity_.Forward({GatherMemory(nodes)});
 }
 
 std::vector<Var> DyRep::UpdaterParameters() const {

@@ -19,7 +19,7 @@ Jodie::Jodie(const graph::TemporalGraph* graph, ModelConfig config,
 
 Var Jodie::ComputeMemoryUpdate(const std::vector<MemoryEvent>& events,
                                const tensor::Var& prev_memory) {
-  Var messages = BuildMessages(events);
+  const std::vector<tensor::ColBlock> messages = BuildMessages(events);
   // Two RNN paths: route each event through the user or item RNN depending
   // on which side of the bipartite split the node lives on, then select
   // rows with a 0/1 weight (both paths run batched; the weight picks one).
@@ -48,8 +48,8 @@ Var Jodie::ComputeEmbeddings(const std::vector<int32_t>& nodes,
       span > 0.0 ? span / static_cast<double>(graph_->num_events()) : 1.0;
   Var dt = DeltaTimeColumn(nodes, ts);
   Var dt_scaled = ScalarMul(dt, static_cast<float>(1.0 / (mean_gap * 100.0)));
-  Var mm = MatMul(dt_scaled, projection_);
-  return output_.Forward(Mul(memory, ScalarAdd(mm, 1.0f)));
+  Var mm = Project({dt_scaled}, projection_);
+  return output_.Forward({Mul(memory, ScalarAdd(mm, 1.0f))});
 }
 
 std::vector<Var> Jodie::UpdaterParameters() const {

@@ -4,7 +4,6 @@
 
 namespace benchtemp::models {
 
-using tensor::ConcatCols;
 using tensor::ConcatRows;
 using tensor::Constant;
 using tensor::GatherRows;
@@ -159,7 +158,8 @@ int64_t MemoryModel::MessageDim() const {
          config_.time_dim;
 }
 
-Var MemoryModel::BuildMessages(const std::vector<MemoryEvent>& events) const {
+std::vector<tensor::ColBlock> MemoryModel::BuildMessages(
+    const std::vector<MemoryEvent>& events) const {
   std::vector<int32_t> nodes, others, edge_idxs;
   std::vector<float> dts;
   nodes.reserve(events.size());
@@ -172,9 +172,9 @@ Var MemoryModel::BuildMessages(const std::vector<MemoryEvent>& events) const {
   }
   // Message inputs use the *stored* (detached) memory; gradients reach the
   // updater through the update itself, a one-step truncation of BPTT.
-  return ConcatCols({Constant(CopyRows(memory_, nodes)),
-                     Constant(CopyRows(memory_, others)),
-                     EdgeFeatureBlock(edge_idxs), time_encoder_.Encode(dts)});
+  return {Constant(CopyRows(memory_, nodes)),
+          Constant(CopyRows(memory_, others)), EdgeFeatureBlock(edge_idxs),
+          time_encoder_.Encode(dts)};
 }
 
 std::vector<Var> MemoryModel::Parameters() const {

@@ -79,9 +79,11 @@ class MemoryModel : public TgnnModel {
   tensor::Var DeltaTimeColumn(const std::vector<int32_t>& nodes,
                               const std::vector<double>& ts) const;
 
-  /// Builds the standard message block for pending events:
-  /// [mem(node) ; mem(other) ; edge_feat ; time_enc(dt)] -> [n, msg_dim].
-  tensor::Var BuildMessages(const std::vector<MemoryEvent>& events) const;
+  /// The standard message of pending events as the column blocks
+  /// [mem(node) | mem(other) | edge_feat | time_enc(dt)], msg_dim wide,
+  /// which the updater cells project without concatenating.
+  std::vector<tensor::ColBlock> BuildMessages(
+      const std::vector<MemoryEvent>& events) const;
   int64_t MessageDim() const;
 
   /// Edge-feature rows for the given event indices.

@@ -2,7 +2,6 @@
 
 namespace benchtemp::models {
 
-using tensor::ConcatCols;
 using tensor::Constant;
 using tensor::Tensor;
 using tensor::Var;
@@ -35,8 +34,7 @@ Var MotifJoint::ScoreEdges(const std::vector<int32_t>& srcs,
       joint.at(i, c) = features[static_cast<size_t>(c)];
     }
   }
-  return hybrid_head_.Forward(
-      ConcatCols({motif, Constant(std::move(joint))}));
+  return hybrid_head_.Forward({motif, Constant(std::move(joint))});
 }
 
 void MotifJoint::UpdateStateImpl(const Batch& batch) {

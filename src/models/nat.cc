@@ -2,7 +2,6 @@
 
 namespace benchtemp::models {
 
-using tensor::ConcatCols;
 using tensor::Constant;
 using tensor::Tensor;
 using tensor::Var;
@@ -46,16 +45,15 @@ Var Nat::ScoreEdges(const std::vector<int32_t>& srcs,
         ts[static_cast<size_t>(i)] -
         LastUpdate(srcs[static_cast<size_t>(i)]));
   }
-  Var input = ConcatCols({mem_u, mem_v, Constant(std::move(joint)),
+  return scorer_.Forward({mem_u, mem_v, Constant(std::move(joint)),
                           time_encoder_.Encode(dts)});
-  return scorer_.Forward(input);
 }
 
 Var Nat::ComputeEmbeddings(const std::vector<int32_t>& nodes,
                            const std::vector<double>& ts) {
   ProcessPending();
   (void)ts;
-  return embed_head_.Forward(GatherMemory(nodes));
+  return embed_head_.Forward({GatherMemory(nodes)});
 }
 
 void Nat::UpdateStateImpl(const Batch& batch) {

@@ -35,7 +35,7 @@ Var NeurTw::EvolveHidden(const tensor::Var& hidden,
   Var dt = Constant(std::move(step_sizes));
   Var h = hidden;
   for (int64_t k = 0; k < config_.ode_steps; ++k) {
-    Var f = Mul(Sigmoid(ode_gate_.Forward(h)), Tanh(ode_dir_.Forward(h)));
+    Var f = Mul(Sigmoid(ode_gate_.Forward({h})), Tanh(ode_dir_.Forward({h})));
     h = Add(h, Mul(f, dt));
   }
   return h;

@@ -6,7 +6,6 @@
 namespace benchtemp::models {
 
 using graph::TemporalNeighbor;
-using tensor::ConcatCols;
 using tensor::Constant;
 using tensor::Tensor;
 using tensor::Var;
@@ -110,7 +109,7 @@ Var TempModel::ComputeEmbeddings(const std::vector<int32_t>& nodes,
        time_encoder_.EncodeRows(flat_dts)}));
   Var mp = BatchWeightedSum(Constant(std::move(mp_weights)), messages, k);
   Var own = GatherMemory(nodes);
-  return Tanh(combine_.Forward(ConcatCols({own, lpa, mp})));
+  return Tanh(combine_.Forward({own, lpa, mp}));
 }
 
 std::vector<Var> TempModel::UpdaterParameters() const {

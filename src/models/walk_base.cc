@@ -6,7 +6,6 @@ namespace benchtemp::models {
 
 using graph::CawAnonymizer;
 using graph::TemporalWalk;
-using tensor::ConcatCols;
 using tensor::ConcatRows;
 using tensor::Constant;
 using tensor::Tensor;
@@ -32,11 +31,6 @@ WalkModel::WalkModel(const graph::TemporalGraph* graph, ModelConfig config)
 void WalkModel::ResetImpl() {
   ClearStatus();
   last_walk_bytes_ = 0;
-}
-
-int64_t WalkModel::StepInputDim() const {
-  return 2 * (config_.walk_length + 1) + config_.time_dim +
-         graph_->edge_feature_dim();
 }
 
 Var WalkModel::EvolveHidden(const tensor::Var& hidden,
@@ -99,11 +93,11 @@ Var WalkModel::EncodeWalkGroups(
         }
       }
     }
-    Var x = Relu(step_proj_.Forward(
-        ConcatCols({Constant(std::move(anon)), time_encoder_.Encode(dts),
-                    Constant(std::move(edge_block))})));
+    Var x = Relu(step_proj_.Forward({Constant(std::move(anon)),
+                                     time_encoder_.Encode(dts),
+                                     Constant(std::move(edge_block))}));
     if (s > 0) hidden = EvolveHidden(hidden, gaps);
-    Var next = encoder_.Forward(x, hidden);
+    Var next = encoder_.Forward({x}, hidden);
     hidden = Lerp(next, hidden, Constant(std::move(ended)));
   }
   // Mean-pool each group's walk encodings.
@@ -191,7 +185,7 @@ Var WalkModel::EncodePairs(const std::vector<int32_t>& srcs,
 Var WalkModel::ScoreEdges(const std::vector<int32_t>& srcs,
                           const std::vector<int32_t>& dsts,
                           const std::vector<double>& ts) {
-  return score_head_.Forward(EncodePairs(srcs, dsts, ts));
+  return score_head_.Forward({EncodePairs(srcs, dsts, ts)});
 }
 
 Var WalkModel::ComputeEmbeddings(const std::vector<int32_t>& nodes,
@@ -211,7 +205,7 @@ Var WalkModel::ComputeEmbeddings(const std::vector<int32_t>& nodes,
     groups.push_back(std::move(walks));
   }
   Var pooled = EncodeWalkGroups(groups, anonymizers, ts);
-  return embed_head_.Forward(pooled);
+  return embed_head_.Forward({pooled});
 }
 
 std::vector<Var> WalkModel::Parameters() const {

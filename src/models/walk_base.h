@@ -61,10 +61,6 @@ class WalkModel : public TgnnModel {
   /// Extra parameters of subclass modules.
   virtual std::vector<tensor::Var> SubclassParameters() const { return {}; }
 
-  /// Input feature width of one walk step:
-  /// anonymization (2*(L+1)) + time encoding + edge features.
-  int64_t StepInputDim() const;
-
   /// Pooled walk encoding of each candidate pair (the representation the
   /// score head consumes) -> [n, embedding_dim]. Exposed so hybrid models
   /// can combine the motif encoding with other feature channels.

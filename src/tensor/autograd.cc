@@ -72,6 +72,20 @@ bool IsColBroadcast(const Tensor& a, const Tensor& b) {
 
 }  // namespace
 
+VarNode::~VarNode() {
+  // A parent this node alone owns hands its own parents to the stack before
+  // it dies, so its destructor finds none to release.
+  std::vector<std::shared_ptr<VarNode>> stack = std::move(parents);
+  while (!stack.empty()) {
+    std::shared_ptr<VarNode> node = std::move(stack.back());
+    stack.pop_back();
+    if (node.use_count() == 1) {
+      for (auto& p : node->parents) stack.push_back(std::move(p));
+      node->parents.clear();
+    }
+  }
+}
+
 Tensor& VarNode::EnsureGrad() {
   if (grad.size() != value.size()) {
     // Interior grads die with the batch's tape, so they come from the
@@ -358,93 +372,8 @@ Var Lerp(const Var& a, const Var& b, const Var& w) {
 }
 
 // ---------------------------------------------------------------------------
-// Linear algebra and shape ops.
+// Shape ops.
 // ---------------------------------------------------------------------------
-
-Var MatMul(const Var& a, const Var& b, const Var& bias) {
-  const Tensor& av = a->value;
-  const Tensor& bv = b->value;
-  CheckOrDie(av.rank() == 2 && bv.rank() == 2, "MatMul: rank-2 required");
-  const int64_t n = av.shape()[0], k = av.shape()[1], m = bv.shape()[1];
-  CheckOrDie(bv.shape()[0] == k, "MatMul: inner dimension mismatch");
-  Tensor out = kernels::NewTensor({n, m});
-  // Cache-blocked, register-tiled GEMM; row-blocked over the output via
-  // the shared RowGrain policy, so writes are disjoint per chunk and
-  // results are thread-count independent.
-  kernels::Gemm(av.data(), bv.data(), out.data(), n, k, m);
-  std::vector<Var> parents = {a, b};
-  if (bias != nullptr) {
-    CheckOrDie(IsRowBroadcast(out, bias->value), "MatMul: bias must be [1, m]");
-    // The finished product plus the bias, per element: Add's row-broadcast
-    // order, so the bias costs no second tensor and no second node.
-    float* op = out.data();
-    const float* bp = bias->value.data();
-    for (int64_t r = 0; r < n; ++r) kernels::Add(op + r * m, bp, m);
-    parents.push_back(bias);
-  }
-  return MakeNode(
-      "MatMul", std::move(out), std::move(parents), [n, k, m](VarNode& self) {
-        VarNode& pa = *self.parents[0];
-        VarNode& pb = *self.parents[1];
-        const float* gp = self.grad.data();
-        if (self.parents.size() > 2 && self.parents[2]->requires_grad) {
-          // Column reduction over rows, in fixed ascending row order.
-          float* gb = self.parents[2]->EnsureGrad().data();
-          for (int64_t r = 0; r < n; ++r) kernels::Add(gb, gp + r * m, m);
-        }
-        if (pa.requires_grad) {
-          // dA = dOut * B^T; chunks own disjoint row blocks of dA.
-          kernels::GemmNT(gp, pb.value.data(), pa.EnsureGrad().data(), n, k,
-                          m);
-        }
-        if (pb.requires_grad) {
-          // dB = A^T * dOut; blocked over rows of dB (the k dimension), each
-          // accumulating over samples in a fixed serial order.
-          kernels::GemmTN(pa.value.data(), gp, pb.EnsureGrad().data(), n, k,
-                          m);
-        }
-      });
-}
-
-Var ConcatCols(const std::vector<Var>& parts) {
-  CheckOrDie(!parts.empty(), "ConcatCols: empty input");
-  const int64_t n = parts[0]->value.rows();
-  int64_t total = 0;
-  for (const Var& p : parts) {
-    CheckOrDie(p->value.rows() == n, "ConcatCols: row count mismatch");
-    total += p->value.cols();
-  }
-  Tensor out = kernels::NewTensor({n, total});
-  int64_t offset = 0;
-  std::vector<int64_t> widths;
-  for (const Var& p : parts) {
-    const int64_t w = p->value.cols();
-    widths.push_back(w);
-    const float* pp = p->value.data();
-    float* op = out.data();
-    for (int64_t r = 0; r < n; ++r) {
-      kernels::Set(op + r * total + offset, pp + r * w, w);
-    }
-    offset += w;
-  }
-  std::vector<Var> parents(parts.begin(), parts.end());
-  return MakeNode("ConcatCols", std::move(out), std::move(parents),
-                  [n, total, widths](VarNode& self) {
-                    int64_t offset = 0;
-                    const float* sg = self.grad.data();
-                    for (size_t i = 0; i < self.parents.size(); ++i) {
-                      VarNode& p = *self.parents[i];
-                      const int64_t w = widths[i];
-                      if (p.requires_grad) {
-                        float* g = p.EnsureGrad().data();
-                        for (int64_t r = 0; r < n; ++r) {
-                          kernels::Add(g + r * w, sg + r * total + offset, w);
-                        }
-                      }
-                      offset += w;
-                    }
-                  });
-}
 
 Var ConcatRows(const std::vector<Var>& parts) {
   CheckOrDie(!parts.empty(), "ConcatRows: empty input");
@@ -511,7 +440,7 @@ Var GatherRows(const Var& table, const std::vector<int64_t>& indices) {
 }
 
 // ---------------------------------------------------------------------------
-// Projection over gathered feature rows.
+// Projection over column blocks.
 // ---------------------------------------------------------------------------
 
 Distinct<int32_t> Dedup(const std::vector<int32_t>& keys) {

@@ -34,6 +34,10 @@ struct VarNode {
   /// Propagates `grad` into the parents' `grad` fields. Null for leaves.
   std::function<void(VarNode&)> backward_fn;
 
+  /// Releases the ancestors iteratively: a chain of uniquely owned nodes
+  /// would otherwise recurse once per tape level through `shared_ptr`.
+  ~VarNode();
+
   /// Ensures `grad` is allocated (zero-filled) with `value`'s shape.
   Tensor& EnsureGrad();
 };
@@ -72,15 +76,9 @@ Var ScalarAdd(const Var& a, float s);
 Var Lerp(const Var& a, const Var& b, const Var& w);
 
 // ---------------------------------------------------------------------------
-// Linear algebra and shape ops.
+// Shape ops.
 // ---------------------------------------------------------------------------
 
-/// Matrix product of a [n, k] and b [k, m] -> [n, m]. An optional [1, m]
-/// `bias` is added to every row in the same node, bit-identical to
-/// Add(MatMul(a, b), bias) without the intermediate product.
-Var MatMul(const Var& a, const Var& b, const Var& bias = nullptr);
-/// Concatenates rank-2 tensors along columns; all must share the row count.
-Var ConcatCols(const std::vector<Var>& parts);
 /// Concatenates rank-2 tensors along rows; all must share the column count.
 Var ConcatRows(const std::vector<Var>& parts);
 /// Gathers rows of `table` ([N, d]) at `indices` -> [n, d]; the backward pass
@@ -88,7 +86,7 @@ Var ConcatRows(const std::vector<Var>& parts);
 Var GatherRows(const Var& table, const std::vector<int64_t>& indices);
 
 // ---------------------------------------------------------------------------
-// Projection over gathered feature rows.
+// Projection over column blocks: the one matrix product on the tape.
 // ---------------------------------------------------------------------------
 
 /// A block of n rows stored once per distinct row: gathered row r is row
@@ -139,7 +137,8 @@ struct ColBlock {
 };
 
 /// [B_1 | ... | B_n] · weight without building the concatenation. Each
-/// block multiplies its own contiguous row slice of `weight`. A gathered
+/// block multiplies its own contiguous row slice of `weight`, and only a
+/// block that requires a gradient gets the input-gradient GEMM. A gathered
 /// block is projected once per table row and each output row adds its
 /// row's projection, so its work scales with U rather than n; its table
 /// receives dU · W_sliceᵀ, where dU sums dOut over the rows sharing a slot.

@@ -56,9 +56,6 @@ class Arena {
   /// or the arena is disabled — callers must fall back to heap storage.
   float* Alloc(int64_t n);
 
-  /// True while at least one TapeScope is open on this arena.
-  bool InScope() const { return scope_depth_ > 0; }
-
   /// Total floats handed out since the last rewind to empty (test hook).
   int64_t LiveFloats() const { return live_floats_; }
 

@@ -51,14 +51,14 @@ inline constexpr int kLanes = 8;
 void Gemm(const float* a, const float* b, float* c, int64_t n, int64_t k,
           int64_t m);
 
-/// dA[n,k] += dC[n,m] * B[k,m]^T — the MatMul backward pass for A. Each
+/// dA[n,k] += dC[n,m] * B[k,m]^T — Project's backward pass for a block. Each
 /// dA entry adds one striped-lane dot of two contiguous rows (lane j % 8
 /// sums its products in increasing j; lanes combine pairwise), the same
 /// tree as Dot.
 void GemmNT(const float* dc, const float* b, float* da, int64_t n, int64_t k,
             int64_t m);
 
-/// dB[k,m] += A[n,k]^T * dC[n,m] — the MatMul backward pass for B.
+/// dB[k,m] += A[n,k]^T * dC[n,m] — Project's backward pass for the weight.
 /// Parallel over rows of dB; each dB element adds its products
 /// a[i,l] * dc[i,j] one at a time, i = 0..n-1, to its prior value.
 void GemmTN(const float* a, const float* dc, float* db, int64_t n, int64_t k,

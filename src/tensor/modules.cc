@@ -23,8 +23,6 @@ Linear::Linear(int64_t in_dim, int64_t out_dim, Rng& rng, bool bias)
   if (bias) bias_ = tensor::Parameter(Tensor::Zeros({1, out_dim}));
 }
 
-Var Linear::Forward(const Var& x) const { return MatMul(x, weight_, bias_); }
-
 Var Linear::Forward(const std::vector<ColBlock>& blocks) const {
   return Project(blocks, weight_, bias_);
 }
@@ -46,11 +44,10 @@ Mlp::Mlp(const std::vector<int64_t>& dims, Rng& rng) {
   }
 }
 
-Var Mlp::Forward(const Var& x) const {
-  Var h = x;
-  for (size_t i = 0; i < layers_.size(); ++i) {
-    h = layers_[i].Forward(h);
-    if (i + 1 < layers_.size()) h = Relu(h);
+Var Mlp::Forward(const std::vector<ColBlock>& blocks) const {
+  Var h = layers_[0].Forward(blocks);
+  for (size_t i = 1; i < layers_.size(); ++i) {
+    h = layers_[i].Forward({Relu(h)});
   }
   return h;
 }
@@ -72,7 +69,7 @@ MergeLayer::MergeLayer(int64_t dim_a, int64_t dim_b, int64_t hidden,
     : fc1_(dim_a + dim_b, hidden, rng), fc2_(hidden, out, rng) {}
 
 Var MergeLayer::Forward(const std::vector<ColBlock>& blocks) const {
-  return fc2_.Forward(Relu(fc1_.Forward(blocks)));
+  return fc2_.Forward({Relu(fc1_.Forward(blocks))});
 }
 
 std::vector<Var> MergeLayer::Parameters() const {
@@ -90,8 +87,8 @@ RnnCell::RnnCell(int64_t input_dim, int64_t hidden_dim, Rng& rng)
       input_map_(input_dim, hidden_dim, rng),
       hidden_map_(hidden_dim, hidden_dim, rng, /*bias=*/false) {}
 
-Var RnnCell::Forward(const Var& x, const Var& h) const {
-  return Tanh(Add(input_map_.Forward(x), hidden_map_.Forward(h)));
+Var RnnCell::Forward(const std::vector<ColBlock>& x, const Var& h) const {
+  return Tanh(Add(input_map_.Forward(x), hidden_map_.Forward({h})));
 }
 
 std::vector<Var> RnnCell::Parameters() const {
@@ -113,10 +110,10 @@ GruCell::GruCell(int64_t input_dim, int64_t hidden_dim, Rng& rng)
       cand_x_(input_dim, hidden_dim, rng),
       cand_h_(hidden_dim, hidden_dim, rng, /*bias=*/false) {}
 
-Var GruCell::Forward(const Var& x, const Var& h) const {
-  Var z = Sigmoid(Add(update_x_.Forward(x), update_h_.Forward(h)));
-  Var r = Sigmoid(Add(reset_x_.Forward(x), reset_h_.Forward(h)));
-  Var n = Tanh(Add(cand_x_.Forward(x), cand_h_.Forward(Mul(r, h))));
+Var GruCell::Forward(const std::vector<ColBlock>& x, const Var& h) const {
+  Var z = Sigmoid(Add(update_x_.Forward(x), update_h_.Forward({h})));
+  Var r = Sigmoid(Add(reset_x_.Forward(x), reset_h_.Forward({h})));
+  Var n = Tanh(Add(cand_x_.Forward(x), cand_h_.Forward({Mul(r, h)})));
   // h' = (1 - z) * n + z * h.
   return Lerp(n, h, z);
 }
@@ -147,17 +144,12 @@ TimeEncoder::TimeEncoder(int64_t dim, Rng& rng) : dim_(dim) {
   phase_ = tensor::Parameter(Tensor::Zeros({1, dim}));
 }
 
-Var TimeEncoder::Forward(const Var& dt) const {
-  CheckOrDie(dt->value.cols() == 1, "TimeEncoder: dt must be a column");
-  // [n, 1] x [1, dim] -> [n, dim], plus the phase: cos(dt * w + b).
-  return Cos(MatMul(dt, freq_, phase_));
-}
-
 Var TimeEncoder::Encode(const std::vector<float>& dt) const {
   Tensor column({static_cast<int64_t>(dt.size()), 1});
   for (size_t i = 0; i < dt.size(); ++i)
     column.at(static_cast<int64_t>(i)) = dt[i];
-  return Forward(Constant(std::move(column)));
+  // [n, 1] x [1, dim] -> [n, dim], plus the phase: cos(dt * w + b).
+  return Cos(Project({Constant(std::move(column))}, freq_, phase_));
 }
 
 std::shared_ptr<const GatheredRows> TimeEncoder::EncodeRows(

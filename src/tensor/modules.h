@@ -29,9 +29,9 @@ class Linear : public Module {
  public:
   Linear(int64_t in_dim, int64_t out_dim, Rng& rng, bool bias = true);
 
-  Var Forward(const Var& x) const;
-  /// [B_1 | ... | B_n] W + b over column blocks (tensor::Project), so
-  /// gathered feature rows are projected once per distinct row.
+  /// [B_1 | ... | B_n] W + b over column blocks (tensor::Project), so no
+  /// concatenation is built and gathered feature rows are projected once
+  /// per distinct row. One tensor x is Forward({x}).
   Var Forward(const std::vector<ColBlock>& blocks) const;
   std::vector<Var> Parameters() const override;
 
@@ -51,7 +51,8 @@ class Mlp : public Module {
   /// `dims` lists layer widths, e.g. {in, hidden, out}.
   Mlp(const std::vector<int64_t>& dims, Rng& rng);
 
-  Var Forward(const Var& x) const;
+  /// The first layer reads the column blocks (Linear::Forward).
+  Var Forward(const std::vector<ColBlock>& blocks) const;
   std::vector<Var> Parameters() const override;
 
  private:
@@ -77,12 +78,12 @@ class MergeLayer : public Module {
   Linear fc2_;
 };
 
-/// Vanilla RNN cell: h' = tanh(x Wx + h Wh + b).
+/// Vanilla RNN cell: h' = tanh(x Wx + h Wh + b), x given as column blocks.
 class RnnCell : public Module {
  public:
   RnnCell(int64_t input_dim, int64_t hidden_dim, Rng& rng);
 
-  Var Forward(const Var& x, const Var& h) const;
+  Var Forward(const std::vector<ColBlock>& x, const Var& h) const;
   std::vector<Var> Parameters() const override;
 
   int64_t hidden_dim() const { return hidden_dim_; }
@@ -93,12 +94,13 @@ class RnnCell : public Module {
   Linear hidden_map_;
 };
 
-/// Gated recurrent unit cell (the TGN memory updater).
+/// Gated recurrent unit cell (the TGN memory updater); x is given as
+/// column blocks.
 class GruCell : public Module {
  public:
   GruCell(int64_t input_dim, int64_t hidden_dim, Rng& rng);
 
-  Var Forward(const Var& x, const Var& h) const;
+  Var Forward(const std::vector<ColBlock>& x, const Var& h) const;
   std::vector<Var> Parameters() const override;
 
   int64_t hidden_dim() const { return hidden_dim_; }
@@ -117,9 +119,7 @@ class TimeEncoder : public Module {
  public:
   TimeEncoder(int64_t dim, Rng& rng);
 
-  /// `dt` is a [n, 1] column of time deltas; returns [n, dim].
-  Var Forward(const Var& dt) const;
-  /// Convenience: encodes a raw vector of deltas.
+  /// Encodes n time deltas -> [n, dim].
   Var Encode(const std::vector<float>& dt) const;
   /// The rows of Encode(dt) as a `Project` block: each distinct delta (by
   /// its bits) is encoded once, so equal deltas share one row.

@@ -70,39 +70,35 @@ TEST(AutogradTest, MulColumnBroadcastBackward) {
   CheckGradient(a, loss);
 }
 
-TEST(AutogradTest, MatMulBackward) {
+TEST(AutogradTest, ProjectOneBlockBackward) {
   Rng rng(4);
   Var a = Parameter(Tensor::Randn({3, 5}, rng));
   Var b = Parameter(Tensor::Randn({5, 2}, rng));
-  auto loss = [&] { return Sum(MatMul(a, b)); };
+  auto loss = [&] { return Sum(Project({a}, b)); };
   CheckGradient(a, loss);
   CheckGradient(b, loss);
 }
 
-TEST(AutogradTest, MatMulValue) {
+TEST(AutogradTest, ProjectOneBlockValue) {
   Var a = Constant(Tensor::FromVector({2, 2}, {1, 2, 3, 4}));
   Var b = Constant(Tensor::FromVector({2, 2}, {5, 6, 7, 8}));
-  Var c = MatMul(a, b);
+  Var c = Project({a}, b);
   EXPECT_FLOAT_EQ(c->value.at(0, 0), 19.0f);
   EXPECT_FLOAT_EQ(c->value.at(0, 1), 22.0f);
   EXPECT_FLOAT_EQ(c->value.at(1, 0), 43.0f);
   EXPECT_FLOAT_EQ(c->value.at(1, 1), 50.0f);
 }
 
-TEST(AutogradTest, ConcatSliceBackward) {
+TEST(AutogradTest, ProjectTrainableBlocksBackward) {
   Rng rng(5);
   Var a = Parameter(Tensor::Randn({3, 2}, rng));
   Var b = Parameter(Tensor::Randn({3, 4}, rng));
-  // Unit weights over one key make BatchWeightedSum a column slice; the
-  // two windows overlap, so their gradients meet in joined's columns 2-3.
-  const Var ones = Constant(Tensor::Ones({3, 1}));
-  auto loss = [&] {
-    Var joined = ConcatCols({a, b});
-    return Sum(Mul(BatchWeightedSum(ones, joined, 1, {1, 3}),
-                   BatchWeightedSum(ones, joined, 1, {2, 3})));
-  };
+  Var w = Parameter(Tensor::Randn({2 + 4 + 2, 3}, rng));
+  // a is two blocks, so its two weight slices' gradients meet in a.
+  auto loss = [&] { return Sum(Tanh(Project({a, b, a}, w))); };
   CheckGradient(a, loss);
   CheckGradient(b, loss);
+  CheckGradient(w, loss);
 }
 
 TEST(AutogradTest, ConcatRowsBackward) {
@@ -279,10 +275,9 @@ TEST(AutogradTest, BcePreludeGolden) {
 }
 
 // ---------------------------------------------------------------------------
-// MatMul's bias operand and Lerp: bit for bit against the eager
-// compositions they replace (every parent starting from a non-zero prior
-// gradient, so the accumulation order is checked too), and against finite
-// differences.
+// Lerp: bit for bit against the eager compositions it replaces (every
+// parent starting from a non-zero prior gradient, so the accumulation order
+// is checked too), and against finite differences.
 // ---------------------------------------------------------------------------
 
 bool SameBits(const Tensor& x, const Tensor& y) {
@@ -319,43 +314,6 @@ void ExpectSameRun(const OpRun& got, const OpRun& want) {
   for (size_t i = 0; i < got.grads.size(); ++i) {
     EXPECT_TRUE(SameBits(got.grads[i], want.grads[i])) << "grad " << i;
   }
-}
-
-TEST(AutogradTest, MatMulBiasMatchesAddOfMatMulBitwise) {
-  Rng rng(60);
-  const Tensor x = Tensor::Randn({37, 9}, rng);
-  const Tensor w = Tensor::Randn({9, 13}, rng, 0.5f);
-  const Tensor b = Tensor::Randn({1, 13}, rng);
-  const Tensor g = Tensor::Randn({37, 13}, rng);
-  const Tensor gx = Tensor::Randn({37, 9}, rng);
-  const Tensor gw = Tensor::Randn({9, 13}, rng);
-  const Tensor gb = Tensor::Randn({1, 13}, rng);
-  std::vector<OpRun> runs;
-  for (const bool one_node : {true, false}) {
-    Var xv = ParameterWithGrad(x, gx);
-    Var wv = ParameterWithGrad(w, gw);
-    Var bv = ParameterWithGrad(b, gb);
-    runs.push_back(RunOp({xv, wv, bv}, g, [&] {
-      return one_node ? MatMul(xv, wv, bv) : Add(MatMul(xv, wv), bv);
-    }));
-    if (one_node) {
-      EXPECT_EQ(MatMul(xv, wv, bv)->parents,
-                (std::vector<Var>{xv, wv, bv}));
-    }
-  }
-  ExpectSameRun(runs[0], runs[1]);
-}
-
-TEST(AutogradTest, MatMulBiasGradcheck) {
-  Rng rng(61);
-  Var x = Parameter(Tensor::Randn({4, 3}, rng));
-  Var w = Parameter(Tensor::Randn({3, 5}, rng));
-  Var b = Parameter(Tensor::Randn({1, 5}, rng));
-  const Tensor g = Tensor::Randn({4, 5}, rng);
-  auto loss = [&] { return Sum(Mul(Tanh(MatMul(x, w, b)), Constant(g))); };
-  CheckGradient(x, loss);
-  CheckGradient(w, loss);
-  CheckGradient(b, loss);
 }
 
 /// Random weights in [0, 1], like the gates and masks Lerp serves.
@@ -433,14 +391,11 @@ TEST(AutogradTest, LerpGradcheck) {
   CheckGradient(b, column);
 }
 
-TEST(AutogradTest, LerpAndMatMulBiasRejectBadShapes) {
+TEST(AutogradTest, LerpRejectsBadShapes) {
   Var a = Parameter(Tensor::Zeros({3, 2}));
   // A column weight is a constant: it takes no gradient.
   EXPECT_DEATH((void)Lerp(a, a, Parameter(Tensor::Zeros({3, 1}))),
                "Lerp: w must be");
-  EXPECT_DEATH((void)MatMul(a, Parameter(Tensor::Zeros({2, 2})),
-                            Parameter(Tensor::Zeros({2, 2}))),
-               "MatMul: bias");
 }
 
 TEST(AutogradTest, SoftmaxRowsGolden) {
@@ -470,7 +425,8 @@ TEST(AutogradTest, MaskedSoftmaxRowsGolden) {
 
 // ---------------------------------------------------------------------------
 // Project: [B_1 | ... | B_n] · W over dense and gathered column blocks,
-// checked against a ConcatCols + MatMul oracle and finite differences.
+// checked against finite differences (kernels_test.cc checks its order bit
+// for bit against plain loops).
 // ---------------------------------------------------------------------------
 
 /// Inputs of one Project case: blocks {a, rows, c, rows} where `a` is a
@@ -500,80 +456,17 @@ struct ProjectRun {
   Tensor out, dw, da;
 };
 
-/// Forward + backward of Sum(tanh(out) * g), through Project or through
-/// the oracle that materializes the gathered block and the concatenation.
-ProjectRun RunProject(const ProjectInputs& in, bool oracle) {
+/// Forward + backward of Sum(tanh(out) * g) through Project.
+ProjectRun RunProject(const ProjectInputs& in) {
   Var a = Parameter(in.a);
   Var c = Constant(in.c);
   Var w = Parameter(in.w);
-  Var out;
-  if (oracle) {
-    const int64_t tw = in.table.cols();
-    Tensor gathered({static_cast<int64_t>(in.idx.size()), tw});
-    for (size_t r = 0; r < in.idx.size(); ++r) {
-      for (int64_t j = 0; j < tw; ++j) {
-        gathered.at(static_cast<int64_t>(r), j) = in.table.at(in.idx[r], j);
-      }
-    }
-    Var rows = Constant(std::move(gathered));
-    out = MatMul(ConcatCols({a, rows, c, rows}), w);
-  } else {
-    const auto rows = Rows(in.table, in.idx);
-    out = Project({a, rows, c, rows}, w);
-  }
+  const auto rows = Rows(in.table, in.idx);
+  Var out = Project({a, rows, c, rows}, w);
   Backward(Sum(Mul(Tanh(out), Constant(in.g))));
   EXPECT_EQ(c->grad.size(), 0);
   return {out->value, w->grad, a->grad};
 }
-
-/// max |got - want| <= tol * max |want| (scale-relative, so entries near
-/// zero do not demand more than float32 reassociation can give).
-void ExpectRelClose(const Tensor& got, const Tensor& want, const char* what,
-                    float tol = 1e-5f) {
-  ASSERT_EQ(got.shape(), want.shape()) << what;
-  float scale = 0.0f, err = 0.0f;
-  for (int64_t i = 0; i < want.size(); ++i) {
-    scale = std::max(scale, std::fabs(want.at(i)));
-    err = std::max(err, std::fabs(got.at(i) - want.at(i)));
-  }
-  EXPECT_LE(err, tol * scale) << what;
-}
-
-struct IndexPattern {
-  const char* name;
-  std::vector<int32_t> idx;
-};
-
-class ProjectPatternTest : public ::testing::TestWithParam<IndexPattern> {};
-
-TEST_P(ProjectPatternTest, MatchesConcatMatMulOracle) {
-  const ProjectInputs in =
-      MakeProjectInputs(GetParam().idx, 12, 3, 5, 4, /*seed=*/50);
-  const ProjectRun got = RunProject(in, /*oracle=*/false);
-  const ProjectRun want = RunProject(in, /*oracle=*/true);
-  ExpectRelClose(got.out, want.out, "forward");
-  ExpectRelClose(got.dw, want.dw, "dW");
-  ExpectRelClose(got.da, want.da, "dense-block grad");
-}
-
-std::vector<int32_t> HeavyDuplicates() {
-  Rng rng(51);
-  std::vector<int32_t> idx(40);
-  for (int32_t& i : idx) i = NarrowId(2 + 3 * rng.UniformInt(3), "row");
-  return idx;
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Patterns, ProjectPatternTest,
-    ::testing::Values(
-        IndexPattern{"AllDistinct", {3, 7, 1, 11, 0, 5, 9, 2}},
-        IndexPattern{"HeavyDuplicates", HeavyDuplicates()},
-        IndexPattern{"OneRepeatedRow", std::vector<int32_t>(9, 4)},
-        IndexPattern{"PaddingZero", {0, 6, 0, 0, 3, 0, 6, 0}},
-        IndexPattern{"ZeroRows", {}}),
-    [](const ::testing::TestParamInfo<IndexPattern>& info) {
-      return std::string(info.param.name);
-    });
 
 TEST(AutogradTest, ProjectGradcheck) {
   const ProjectInputs in =
@@ -627,7 +520,7 @@ TEST(AutogradTest, ProjectBitIdenticalAcrossThreads) {
   std::vector<ProjectRun> runs;
   for (const int threads : {1, 8}) {
     pool.SetNumThreads(threads);
-    runs.push_back(RunProject(in, /*oracle=*/false));
+    runs.push_back(RunProject(in));
   }
   pool.SetNumThreads(original_threads);
   for (size_t i = 1; i < runs.size(); ++i) {
@@ -662,7 +555,7 @@ TEST(AutogradTest, RowsOfAbsentTableAreZeroWidth) {
   const auto rows = Rows(Tensor(), {9, 0, 9});
   EXPECT_EQ(rows->table->value.cols(), 0);
   const Tensor got = Project({a, rows}, w)->value;
-  const Tensor want = MatMul(a, w)->value;
+  const Tensor want = Project({a}, w)->value;
   ASSERT_EQ(got.shape(), want.shape());
   EXPECT_EQ(std::memcmp(got.data(), want.data(),
                         static_cast<size_t>(got.size()) * 4),
@@ -670,8 +563,8 @@ TEST(AutogradTest, RowsOfAbsentTableAreZeroWidth) {
 }
 
 /// Project over a dense block, constant `Rows` and a `RowsOf` block of a
-/// trainable table, against finite differences and against the oracle
-/// that gathers the table on the tape (GatherRows) and concatenates.
+/// trainable table, against finite differences; a table row no slot names
+/// gets an exactly zero gradient.
 TEST(AutogradTest, ProjectRowsOfGradcheck) {
   Rng rng(58);
   // Table row 3 is named by no slot; rows 0 and 2 repeat.
@@ -692,26 +585,12 @@ TEST(AutogradTest, ProjectRowsOfGradcheck) {
   CheckGradient(a, loss);
   CheckGradient(table, loss);
 
-  ZeroGrad({a, table, w});
-  Var out = Project({a, consts, RowsOf(table, slot)}, w);
-  Backward(Sum(Mul(Tanh(out), Constant(g))));
-  const Tensor got_out = out->value;
-  const Tensor got_dw = w->grad, got_da = a->grad, got_dt = table->grad;
-  ASSERT_EQ(got_dt.size(), table->value.size());
+  ZeroGrad({table});
+  Backward(loss());
+  ASSERT_EQ(table->grad.size(), table->value.size());
   for (int64_t j = 0; j < table->value.cols(); ++j) {
-    EXPECT_TRUE(IsExactlyZero(got_dt.at(3, j))) << "column " << j;
+    EXPECT_TRUE(IsExactlyZero(table->grad.at(3, j))) << "column " << j;
   }
-  ZeroGrad({a, table, w});
-  std::vector<int64_t> slot64(slot.begin(), slot.end());
-  std::vector<int64_t> idx64(feature_idx.begin(), feature_idx.end());
-  Var oracle = MatMul(ConcatCols({a, GatherRows(Constant(features), idx64),
-                                  GatherRows(table, slot64)}),
-                      w);
-  Backward(Sum(Mul(Tanh(oracle), Constant(g))));
-  ExpectRelClose(got_out, oracle->value, "forward");
-  ExpectRelClose(got_dw, w->grad, "dW");
-  ExpectRelClose(got_da, a->grad, "dense-block grad");
-  ExpectRelClose(got_dt, table->grad, "table grad");
 }
 
 /// Project's bias operand over a dense, a trainable gathered and a

@@ -16,6 +16,7 @@
 #include <iterator>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -26,8 +27,10 @@
 #include "models/factory.h"
 #include "obs/metrics.h"
 #include "runtime/thread_pool.h"
+#include "tensor/autograd.h"
 #include "tensor/debug_check.h"
 #include "tensor/kernels/arena.h"
+#include "tensor/numeric.h"
 #include "tensor/random.h"
 #include "tensor/tensor.h"
 
@@ -193,6 +196,204 @@ TEST_F(KernelsTest, GemmBackwardsMatchNaiveReferences) {
     EXPECT_EQ(FirstBitMismatch(db, want_db), -1) << "GemmTN " << ShapeName(s);
   }
 }
+
+// Project against loops that spell out its order. Forward: the dense
+// blocks continue one increasing-k sum per output element, in block order;
+// each gathered block's table row is projected from zero and added to the
+// rows naming it, in block order; the bias comes last. Backward, bias then
+// block by block: a dense block's dW slice and dX are GemmTN and GemmNT; a
+// gathered block first sums dOut per slot in ascending rows (dU), then
+// projects dU the same way onto its table.
+
+using tensor::ColBlock;
+using tensor::Var;
+
+/// Project's value and gradients computed with plain loops, for
+/// dOut = `g`. `grads` maps each trainable block value, then the weight,
+/// then the bias, to its gradient.
+struct ProjectReferenceRun {
+  Tensor out;
+  std::vector<std::pair<const tensor::VarNode*, Tensor>> grads;
+
+  Tensor& GradOf(const Var& v) {
+    for (auto& [node, grad] : grads) {
+      if (node == v.get()) return grad;
+    }
+    grads.emplace_back(v.get(), Tensor(v->value.shape()));
+    return grads.back().second;
+  }
+};
+
+ProjectReferenceRun ProjectReference(const std::vector<ColBlock>& blocks,
+                                     const Var& w, const Var& bias,
+                                     const Tensor& g) {
+  const int64_t n = blocks[0].rows(), m = w->value.cols();
+  const float* wp = w->value.data();
+  ProjectReferenceRun run{Tensor({n, m}), {}};
+  float* out = run.out.data();
+  int64_t offset = 0;
+  for (const ColBlock& b : blocks) {
+    if (b.dense != nullptr) {
+      GemmReference(b.dense->value.data(), wp + offset * m, out, n, b.cols(),
+                    m);
+    }
+    offset += b.cols();
+  }
+  offset = 0;
+  for (const ColBlock& b : blocks) {
+    const int64_t k = b.cols();
+    if (b.gathered != nullptr) {
+      const float* table = b.gathered->table->value.data();
+      for (int64_t r = 0; r < n; ++r) {
+        const int64_t u = b.gathered->slot[static_cast<size_t>(r)];
+        for (int64_t j = 0; j < m; ++j) {
+          float projected = 0.0f;
+          for (int64_t p = 0; p < k; ++p) {
+            projected += table[u * k + p] * wp[(offset + p) * m + j];
+          }
+          out[r * m + j] += projected;
+        }
+      }
+    }
+    offset += k;
+  }
+  if (bias != nullptr) {
+    float* gb = run.GradOf(bias).data();
+    for (int64_t r = 0; r < n; ++r) {
+      for (int64_t j = 0; j < m; ++j) {
+        out[r * m + j] += bias->value.data()[j];
+        gb[j] += g.data()[r * m + j];
+      }
+    }
+  }
+  float* gw = run.GradOf(w).data();
+  offset = 0;
+  for (const ColBlock& b : blocks) {
+    const int64_t k = b.cols();
+    const Var& x = b.dense != nullptr ? b.dense : b.gathered->table;
+    const int64_t rows = x->value.rows();
+    Tensor du = g;
+    if (b.gathered != nullptr) {
+      du = Tensor({rows, m});
+      for (int64_t r = 0; r < n; ++r) {
+        const int64_t u = b.gathered->slot[static_cast<size_t>(r)];
+        for (int64_t j = 0; j < m; ++j) {
+          du.data()[u * m + j] += g.data()[r * m + j];
+        }
+      }
+    }
+    GemmTNReference(x->value.data(), du.data(), gw + offset * m, rows, k, m);
+    if (x->requires_grad) {
+      GemmNTReference(du.data(), wp + offset * m, run.GradOf(x).data(), rows,
+                      k, m);
+    }
+    offset += k;
+  }
+  return run;
+}
+
+/// Runs Project(blocks, w, bias) forward and backward under dOut = a
+/// random g and expects its value and the gradients of w, the bias and
+/// every `trainable` block value to match ProjectReference bit for bit.
+void ExpectProjectMatchesReference(const std::vector<ColBlock>& blocks,
+                                   const Var& w, const Var& bias,
+                                   const std::vector<Var>& trainable,
+                                   tensor::Rng& rng, const std::string& where) {
+  const Tensor g = Tensor::Randn({blocks[0].rows(), w->value.cols()}, rng);
+  for (const Var& v : trainable) v->grad = Tensor();
+  Var out = tensor::Project(blocks, w, bias);
+  // Sum(out * g) hands Project exactly g as its output gradient.
+  tensor::Backward(tensor::Sum(tensor::Mul(out, tensor::Constant(g))));
+  ProjectReferenceRun want = ProjectReference(blocks, w, bias, g);
+  const auto bits = [](const Tensor& t) {
+    return BitsOf(std::vector<float>(t.data(), t.data() + t.size()));
+  };
+  EXPECT_EQ(bits(out->value), bits(want.out)) << where << " forward";
+  std::vector<Var> grads = trainable;
+  grads.push_back(w);
+  if (bias != nullptr) grads.push_back(bias);
+  for (size_t i = 0; i < grads.size(); ++i) {
+    EXPECT_EQ(bits(grads[i]->grad), bits(want.GradOf(grads[i])))
+        << where << " grad " << i;
+  }
+}
+
+TEST_F(KernelsTest, ProjectMatchesPlainLoopsBitwise) {
+  for (const int64_t n : {1, 5, 300}) {
+    tensor::Rng rng(static_cast<uint64_t>(70 + n));
+    // Table rows 0 and 9 are named by no slot; slots repeat.
+    std::vector<int32_t> slot(static_cast<size_t>(n));
+    for (int32_t& s : slot) {
+      s = tensor::NarrowId(1 + rng.UniformInt(8), "slot");
+    }
+    Var a = tensor::Parameter(Tensor::Randn({n, 13}, rng));
+    Var c = tensor::Constant(Tensor::Randn({n, 5}, rng));
+    Var table = tensor::Parameter(Tensor::Randn({10, 6}, rng));
+    const auto consts = tensor::Rows(Tensor::Randn({12, 3}, rng), slot);
+    const auto learned = tensor::RowsOf(table, slot);
+    const struct {
+      const char* name;
+      std::vector<ColBlock> blocks;
+      std::vector<Var> trainable;
+    } cases[] = {
+        {"dense", {a, c}, {a}},
+        {"gathered", {learned, consts}, {table}},
+        {"mixed", {a, learned, c, consts, learned}, {a, table}},
+    };
+    for (const auto& [name, blocks, trainable] : cases) {
+      int64_t width = 0;
+      for (const ColBlock& b : blocks) width += b.cols();
+      Var w = tensor::Parameter(Tensor::Randn({width, 24}, rng, 0.3f));
+      Var bias = tensor::Parameter(Tensor::Randn({1, 24}, rng));
+      ExpectProjectMatchesReference(blocks, w, bias, trainable, rng,
+                                    std::string(name) +
+                                        " n=" + std::to_string(n));
+      EXPECT_EQ(c->grad.size(), 0) << name;
+    }
+  }
+}
+
+struct IndexPattern {
+  const char* name;
+  std::vector<int32_t> idx;
+};
+
+class ProjectPatternTest : public KernelsTest,
+                           public ::testing::WithParamInterface<IndexPattern> {
+};
+
+TEST_P(ProjectPatternTest, MatchesPlainLoopsBitwise) {
+  // Blocks {a, rows, c, rows}: a trainable dense block, the table's rows
+  // at the pattern (used twice, sharing one index) and a constant block.
+  const std::vector<int32_t>& idx = GetParam().idx;
+  const int64_t n = static_cast<int64_t>(idx.size());
+  tensor::Rng rng(50);
+  Var a = tensor::Parameter(Tensor::Randn({n, 3}, rng));
+  Var c = tensor::Constant(Tensor::Randn({n, 2}, rng));
+  const auto rows = tensor::Rows(Tensor::Randn({12, 5}, rng), idx);
+  Var w = tensor::Parameter(Tensor::Randn({3 + 2 + 2 * 5, 4}, rng, 0.3f));
+  ExpectProjectMatchesReference({a, rows, c, rows}, w, nullptr, {a}, rng,
+                                GetParam().name);
+}
+
+std::vector<int32_t> HeavyDuplicates() {
+  tensor::Rng rng(51);
+  std::vector<int32_t> idx(40);
+  for (int32_t& i : idx) i = tensor::NarrowId(2 + 3 * rng.UniformInt(3), "row");
+  return idx;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Patterns, ProjectPatternTest,
+    ::testing::Values(
+        IndexPattern{"AllDistinct", {3, 7, 1, 11, 0, 5, 9, 2}},
+        IndexPattern{"HeavyDuplicates", HeavyDuplicates()},
+        IndexPattern{"OneRepeatedRow", std::vector<int32_t>(9, 4)},
+        IndexPattern{"PaddingZero", {0, 6, 0, 0, 3, 0, 6, 0}},
+        IndexPattern{"ZeroRows", {}}),
+    [](const ::testing::TestParamInfo<IndexPattern>& info) {
+      return std::string(info.param.name);
+    });
 
 TEST_F(KernelsTest, SoftmaxRowNormalizesAndMasks) {
   const int64_t d = 11;
@@ -627,8 +828,8 @@ TEST_F(KernelsTest, TrainingGoldenAucApAndFlopsPerModel) {
   // its kernels.flops count. The values were recorded with every
   // elementwise op applied one at a time as its own tape node, on the
   // smallest graph tried (2,400 events, one epoch) at which the former
-  // fused elementwise evaluator moved CAWN's bits. Lerp and MatMul's
-  // bias operand must reproduce them exactly. The five MergeLayer rows
+  // fused elementwise evaluator moved CAWN's bits. Lerp and the bias
+  // operand must reproduce them exactly. The five MergeLayer rows
   // (JODIE, DyRep, TGN, TGAT, TeMP) embed each batch's sources once
   // (TgnnModel::SourceEmbeddings); TGN and TGAT also draw fewer
   // neighbour samples, so their AUC/AP bits moved with their flops. The
@@ -647,7 +848,12 @@ TEST_F(KernelsTest, TrainingGoldenAucApAndFlopsPerModel) {
   // queries and their layer outputs the same way (memory rows, the previous
   // layer's self rows, time_enc(0) as one row), which cut their flops and
   // again left their AUC/AP bits unchanged. Linear's bias inside Project
-  // and the heads' column windows changed no row.
+  // and the heads' column windows changed no row. Every layer input is now
+  // a list of column blocks (messages, walk steps, the scorers' pair
+  // features), so Project runs the input-gradient GEMM only over the blocks
+  // that take a gradient, not over the whole concatenation: the flops of
+  // every row but TGAT's (whose inputs were already blocks) fell, and no
+  // AUC/AP bit moved.
 #if defined(__FMA__)
   // Library code outside the kernel layer may contract a*b+c into an FMA
   // on such targets, which rounds differently from these recorded bits.
@@ -660,24 +866,24 @@ TEST_F(KernelsTest, TrainingGoldenAucApAndFlopsPerModel) {
   };
   const Golden goldens[] = {
       {models::ModelKind::kJodie, 0x3fdd9f39c619896bull, 0x3fddd8507d77f9b9ull,
-       0x3fdc8153d0f8cb48ull, 0x3fddf2d4a1f49c34ull, 8541520},
+       0x3fdc8153d0f8cb48ull, 0x3fddf2d4a1f49c34ull, 8170320},
       {models::ModelKind::kDyRep, 0x3fe0526cf94cbc9eull, 0x3fdfe6eb56eae291ull,
-       0x3fe02a08d971254bull, 0x3fe03d3072e5a4a3ull, 10640816},
+       0x3fe02a08d971254bull, 0x3fe03d3072e5a4a3ull, 10529456},
       {models::ModelKind::kTgn, 0x3fddc98359a1b0dcull, 0x3fde7b4c14011300ull,
-       0x3fe0413373ed4a35ull, 0x3fe079303dda1244ull, 31498688},
+       0x3fe0413373ed4a35ull, 0x3fe079303dda1244ull, 30941888},
       {models::ModelKind::kTgat, 0x3fe029367ca65e4full, 0x3fe02007745fa801ull,
        0x3fdfe1275108f9ceull, 0x3fdfbe3e69a7a4e1ull, 27249968},
       {models::ModelKind::kCawn, 0x3fdf19b9f6a51aadull, 0x3fdf20b219a57e66ull,
-       0x3fe0f363bec474d0ull, 0x3fe0e5193f3e7c08ull, 289895984},
+       0x3fe0f363bec474d0ull, 0x3fe0e5193f3e7c08ull, 277746224},
       {models::ModelKind::kNeurTw, 0x3fdeb0cc4b589ec9ull, 0x3fe041a1db54f9f8ull,
-       0x3fde40692e65637eull, 0x3fdf8ed4dbb01401ull, 434836016},
+       0x3fde40692e65637eull, 0x3fdf8ed4dbb01401ull, 422686256},
       {models::ModelKind::kNat, 0x3fe2ca04cdcfb529ull, 0x3fe2711d9845a2d6ull,
-       0x3fe1de8fdd9d23c7ull, 0x3fe0c7bd27fdd09eull, 10572416},
+       0x3fe1de8fdd9d23c7ull, 0x3fe0c7bd27fdd09eull, 9660672},
       {models::ModelKind::kTemp, 0x3fe0503eb4464a15ull, 0x3fe05c7d84200273ull,
-       0x3fde061172283394ull, 0x3fdf056a47ea5626ull, 15866000},
+       0x3fde061172283394ull, 0x3fdf056a47ea5626ull, 15603600},
       {models::ModelKind::kMotifJoint, 0x3fe8471c71c71c72ull,
        0x3fe7b83fcce71e80ull, 0x3fe76d72a9a7c24full, 0x3fe6d2eb00d5d09cull,
-       290945456},
+       278491952},
   };
   obs::MetricRegistry::OverrideEnabledForTest(1);
   auto& registry = obs::MetricRegistry::Global();

@@ -513,8 +513,8 @@ TEST(TgatTest, PlanDrawsOncePerDistinctQuery) {
 // ---------------------------------------------------------------------------
 // Keys projected once per distinct row (memory rows, TGAT's previous-layer
 // rows, time deltas) against the dense composition they replaced:
-// GatherMemory / GatherRows + Encode + ConcatCols, one MatMul per K and V.
-// The two differ only in the order of float sums.
+// GatherMemory / GatherRows + Encode, every row materialized and passed as
+// a dense block. The two differ only in the order of float sums.
 // ---------------------------------------------------------------------------
 
 /// max |got - want| <= tol * max |want| + floor. The floor admits
@@ -573,17 +573,16 @@ class DenseKeyTgn : public Tgn {
     ProcessPending();
     const int64_t k = config_.num_neighbors;
     Var memory = GatherMemory(nodes);
-    Var query = tensor::ConcatCols(
-        {memory, time_encoder_.Encode(std::vector<float>(nodes.size()))});
     const graph::SampledNeighborhood nb =
         finder_->SampleNeighborhood(nodes, ts, k, /*window=*/0.0, rng_);
-    Var keys = tensor::ConcatCols(
+    Var attended = attention.Forward(
+        {memory, time_encoder_.Encode(std::vector<float>(nodes.size()))},
         {GatherMemory(nb.flat_neighbors),
          tensor::GatherRows(tensor::Constant(graph_->edge_features()),
                             Widen(nb.flat_edges)),
-         time_encoder_.Encode(nb.flat_dts)});
-    Var attended = attention.Forward({query}, {keys}, nb.mask, k);
-    return out.Forward(tensor::ConcatCols({attended, memory}));
+         time_encoder_.Encode(nb.flat_dts)},
+        nb.mask, k);
+    return out.Forward({attended, memory});
   }
 };
 
@@ -667,24 +666,20 @@ Var DenseTgatEmbed(const TemporalGraph& g, const ModelConfig& config,
                    const std::vector<tensor::MultiHeadAttention>& layers,
                    const std::vector<tensor::Linear>& layer_out) {
   Var h = feature_proj.Forward(
-      tensor::GatherRows(tensor::Constant(g.node_features()),
-                         Widen(plan.levels.front().nodes)));
+      {tensor::GatherRows(tensor::Constant(g.node_features()),
+                          Widen(plan.levels.front().nodes))});
   for (size_t l = 1; l < plan.levels.size(); ++l) {
     const TgatPlan::Level& level = plan.levels[l];
     const graph::SampledNeighborhood& nb = level.nb;
     Var self_prev = tensor::GatherRows(h, Widen(level.self_rows));
-    Var query = tensor::ConcatCols(
-        {self_prev, encoder.Encode(std::vector<float>(level.nodes.size()))});
-    Var keys = tensor::ConcatCols(
+    Var attended = layers[l - 1].Forward(
+        {self_prev, encoder.Encode(std::vector<float>(level.nodes.size()))},
         {tensor::GatherRows(h, Widen(level.nbr_rows)),
          tensor::GatherRows(tensor::Constant(g.edge_features()),
                             Widen(nb.flat_edges)),
-         encoder.Encode(nb.flat_dts)});
-    Var attended =
-        layers[l - 1].Forward({query}, {keys}, nb.mask,
-                              config.num_neighbors);
-    h = Relu(layer_out[l - 1].Forward(
-        tensor::ConcatCols({attended, self_prev})));
+         encoder.Encode(nb.flat_dts)},
+        nb.mask, config.num_neighbors);
+    h = Relu(layer_out[l - 1].Forward({attended, self_prev}));
   }
   return tensor::GatherRows(h, plan.out_rows);
 }
@@ -753,14 +748,12 @@ TEST(DistinctKeysTest, TgatMatchesDenseComposition) {
   }
 }
 
-/// The first-layer node of a MergeLayer logit node: the Project down the
-/// fc2 -> Relu -> fc1 chain.
+/// The first-layer node of a MergeLayer logit node: the logits are
+/// fc2 = Project({Relu(fc1)}, W2, b2), whose parents are {W2, Relu, b2}.
 const tensor::VarNode* FirstLayerOf(const Var& logits) {
-  const tensor::VarNode* node = logits.get();
-  while (node != nullptr && std::string(node->op) != "Project") {
-    node = node->parents.empty() ? nullptr : node->parents[0].get();
-  }
-  return node;
+  if (std::string(logits->op) != "Project") return nullptr;
+  const tensor::VarNode* relu = logits->parents[1].get();
+  return std::string(relu->op) == "Relu" ? relu->parents[0].get() : nullptr;
 }
 
 /// The source-embedding operand of a MergeLayer logit node: the first
@@ -1012,9 +1005,9 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 /// ScoreCandidates against the composition it replaced: the source
-/// embeddings tiled to one row per candidate (GatherRows), concatenated
-/// with the candidates' embeddings (ConcatCols) and scored with the
-/// predictor's own fc1/fc2 parameters as dense MatMuls. Both sides start
+/// embeddings tiled to one row per candidate (GatherRows) beside the
+/// candidates' embeddings, both dense blocks, scored with the predictor's
+/// own fc1/fc2 parameters as dense projections. Both sides start
 /// from the same temporal state and member RNG state, so they draw the
 /// same neighbourhoods.
 class RankedPassTest : public ::testing::TestWithParam<ModelKind> {};
@@ -1078,10 +1071,9 @@ TEST_P(RankedPassTest, MatchesDenseTiling) {
   // bias, then fc2's.
   ASSERT_GE(params.size(), 4u);
   const Var* fc = params.data() + params.size() - 4;
-  Var hidden = Relu(tensor::MatMul(
-      tensor::ConcatCols({tensor::GatherRows(src_emb, tile), cand_emb}),
-      fc[0], fc[1]));
-  Var want = tensor::MatMul(hidden, fc[2], fc[3]);
+  Var hidden = Relu(tensor::Project(
+      {tensor::GatherRows(src_emb, tile), cand_emb}, fc[0], fc[1]));
+  Var want = tensor::Project({hidden}, fc[2], fc[3]);
   ExpectRelClose(got->value, want->value, "ranked logits");
 }
 

@@ -253,7 +253,7 @@ TEST_F(RobustnessTest, CheckpointFormatsGoldenBytes) {
   const Var x = tensor::Constant(tensor::Tensor::FromVector(
       {2, 3}, {0.5f, -1.0f, 0.25f, 1.5f, 0.75f, -0.5f}));
   for (int step = 0; step < 3; ++step) {
-    const Var y = layer.Forward(x);
+    const Var y = layer.Forward({x});
     opt.ZeroGrad();
     tensor::Backward(tensor::Sum(tensor::Mul(y, y)));
     opt.Step();

@@ -1,6 +1,6 @@
 // Tests of the shared parallel runtime: chunk coverage, nested-call
 // safety, exception propagation, and the determinism contract (identical
-// MatMul / walk-sampling results at 1 vs N threads).
+// Project / walk-sampling results at 1 vs N threads).
 
 #include "runtime/thread_pool.h"
 
@@ -130,37 +130,37 @@ TEST(ThreadPoolTest, DefaultNumThreadsParsesStrictly) {
   }
 }
 
-tensor::Tensor MatMulAt(int threads, const tensor::Tensor& a,
-                        const tensor::Tensor& b, tensor::Tensor* grad_a,
-                        tensor::Tensor* grad_b) {
+/// Forward value and every gradient of a bias-carrying Project over a
+/// trainable dense block, a constant dense block and a trainable table's
+/// gathered rows, at `threads` threads.
+std::vector<tensor::Tensor> ProjectAt(int threads) {
   PoolSizeGuard guard(threads);
-  tensor::Var va = tensor::Parameter(a);
-  tensor::Var vb = tensor::Parameter(b);
-  tensor::Var out = tensor::MatMul(va, vb);
+  tensor::Rng rng(11);
+  const int64_t n = 67;
+  tensor::Var a = tensor::Parameter(tensor::Tensor::Randn({n, 13}, rng));
+  tensor::Var c = tensor::Constant(tensor::Tensor::Randn({n, 11}, rng));
+  tensor::Var table = tensor::Parameter(tensor::Tensor::Randn({20, 19}, rng));
+  tensor::Var w =
+      tensor::Parameter(tensor::Tensor::Randn({13 + 11 + 19, 29}, rng));
+  tensor::Var b = tensor::Parameter(tensor::Tensor::Randn({1, 29}, rng));
+  std::vector<int32_t> slot(static_cast<size_t>(n));
+  for (int32_t& s : slot) s = tensor::NarrowId(rng.UniformInt(20), "slot");
+  tensor::Var out =
+      tensor::Project({a, c, tensor::RowsOf(table, slot)}, w, b);
   tensor::Backward(tensor::Sum(tensor::Sigmoid(out)));
-  *grad_a = va->grad;
-  *grad_b = vb->grad;
-  return out->value;
+  return {out->value, a->grad, table->grad, w->grad, b->grad};
 }
 
-TEST(DeterminismTest, MatMulBitIdenticalAcrossThreadCounts) {
-  tensor::Rng rng(11);
-  const tensor::Tensor a = tensor::Tensor::Randn({67, 43}, rng);
-  const tensor::Tensor b = tensor::Tensor::Randn({43, 29}, rng);
-  tensor::Tensor ga1, gb1, gaN, gbN;
-  const tensor::Tensor out1 = MatMulAt(1, a, b, &ga1, &gb1);
-  const tensor::Tensor outN = MatMulAt(4, a, b, &gaN, &gbN);
-  ASSERT_EQ(out1.size(), outN.size());
-  for (int64_t i = 0; i < out1.size(); ++i) {
-    ASSERT_EQ(out1.at(i), outN.at(i)) << "forward entry " << i;
-  }
-  ASSERT_EQ(ga1.size(), gaN.size());
-  for (int64_t i = 0; i < ga1.size(); ++i) {
-    ASSERT_EQ(ga1.at(i), gaN.at(i)) << "dA entry " << i;
-  }
-  ASSERT_EQ(gb1.size(), gbN.size());
-  for (int64_t i = 0; i < gb1.size(); ++i) {
-    ASSERT_EQ(gb1.at(i), gbN.at(i)) << "dB entry " << i;
+TEST(DeterminismTest, ProjectBitIdenticalAcrossThreadCounts) {
+  const std::vector<tensor::Tensor> one = ProjectAt(1);
+  const std::vector<tensor::Tensor> four = ProjectAt(4);
+  const char* names[] = {"forward", "dA", "dTable", "dW", "dBias"};
+  ASSERT_EQ(one.size(), four.size());
+  for (size_t t = 0; t < one.size(); ++t) {
+    ASSERT_EQ(one[t].size(), four[t].size()) << names[t];
+    for (int64_t i = 0; i < one[t].size(); ++i) {
+      ASSERT_EQ(one[t].at(i), four[t].at(i)) << names[t] << " entry " << i;
+    }
   }
 }
 
