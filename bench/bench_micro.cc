@@ -20,6 +20,7 @@
 #include "models/tgat.h"
 #include "models/tgn.h"
 #include "tensor/autograd.h"
+#include "tensor/distinct.h"
 #include "tensor/kernels/arena.h"
 #include "tensor/kernels/kernels.h"
 #include "tensor/modules.h"
@@ -243,6 +244,58 @@ void BM_TgnScoreCandidates(benchmark::State& state) {
       benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_TgnScoreCandidates)->Unit(benchmark::kMillisecond);
+
+// Dedup, the one first-occurrence index, over node ids (range(0) = 0),
+// float time deltas (1) and TGAT's {node, time} query keys (2).
+// range(1) = 0 is the ranked pass's shape: 160,000 key slots, the ids over
+// perfbench's 600 nodes, the deltas and queries drawn from 10,500 distinct
+// keys (what one tgn-rank batch names). range(1) = 1 is a TGAT plan
+// level at tgat-train's shape: 7,200 keys, the ids over 300 nodes, the
+// deltas and queries drawn from 1,200 distinct keys.
+void BM_Dedup(benchmark::State& state) {
+  struct QueryKey {
+    int64_t node;
+    double t;
+  };
+  const bool ranked = state.range(1) == 0;
+  const size_t n = ranked ? 160000 : 7200;
+  const int64_t nodes = ranked ? 600 : 300;
+  const int64_t distinct = ranked ? 10500 : 1200;
+  tensor::Rng rng(7);
+  std::vector<float> delta_pool;
+  std::vector<QueryKey> query_pool;
+  for (int64_t i = 0; i < distinct; ++i) {
+    delta_pool.push_back(rng.UniformReal(0.0f, 6000.0f));
+    query_pool.push_back(
+        {rng.UniformInt(nodes), static_cast<double>(rng.UniformInt(6000))});
+  }
+  std::vector<int32_t> ids;
+  std::vector<float> deltas;
+  std::vector<QueryKey> queries;
+  for (size_t i = 0; i < n; ++i) {
+    ids.push_back(tensor::NarrowId(rng.UniformInt(nodes), "bench: node id"));
+    deltas.push_back(delta_pool[static_cast<size_t>(rng.UniformInt(distinct))]);
+    queries.push_back(
+        query_pool[static_cast<size_t>(rng.UniformInt(distinct))]);
+  }
+  const auto run = [&state](const auto& keys) {
+    for (auto _ : state) {
+      benchmark::DoNotOptimize(tensor::Dedup(keys).slot.data());
+    }
+  };
+  switch (state.range(0)) {
+    case 0:
+      run(ids);
+      break;
+    case 1:
+      run(deltas);
+      break;
+    default:
+      run(queries);
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
+}
+BENCHMARK(BM_Dedup)->ArgsProduct({{0, 1, 2}, {0, 1}});
 
 void BM_TemporalWalk(benchmark::State& state) {
   const graph::TemporalGraph& g = SharedGraph();

@@ -130,16 +130,15 @@ InductiveEdgeSampler::InductiveEdgeSampler(
     train_pairs.insert(static_cast<int64_t>(e.src) * graph.num_nodes() +
                        e.dst);
   }
-  std::unordered_set<int32_t> dsts;
   for (int64_t i = 0; i < graph.num_events(); ++i) {
     const graph::Interaction& e = graph.event(i);
     const int64_t key =
         static_cast<int64_t>(e.src) * graph.num_nodes() + e.dst;
-    if (train_pairs.count(key) == 0) dsts.insert(e.dst);
+    if (train_pairs.count(key) == 0) unseen_dsts_.push_back(e.dst);
   }
-  // btlint: allow(unordered-drain) — drained once, then sorted below.
-  unseen_dsts_.assign(dsts.begin(), dsts.end());
   std::sort(unseen_dsts_.begin(), unseen_dsts_.end());
+  unseen_dsts_.erase(std::unique(unseen_dsts_.begin(), unseen_dsts_.end()),
+                     unseen_dsts_.end());
 }
 
 std::unique_ptr<EdgeSampler> MakeEdgeSampler(

@@ -1,28 +1,16 @@
 #include "graph/neighbor_finder.h"
 
 #include <algorithm>
+#include <numeric>
 
 namespace benchtemp::graph {
 
-NeighborFinder::NeighborFinder(const TemporalGraph& graph, int64_t limit) {
-  adjacency_.resize(static_cast<size_t>(graph.num_nodes()));
-  const int64_t n =
-      limit < 0 ? graph.num_events() : std::min(limit, graph.num_events());
-  for (int64_t i = 0; i < n; ++i) {
-    const Interaction& e = graph.event(i);
-    adjacency_[static_cast<size_t>(e.src)].push_back(
-        {e.dst, e.edge_idx, e.ts});
-    adjacency_[static_cast<size_t>(e.dst)].push_back(
-        {e.src, e.edge_idx, e.ts});
-  }
-  for (auto& list : adjacency_) {
-    std::stable_sort(list.begin(), list.end(),
-                     [](const TemporalNeighbor& a, const TemporalNeighbor& b) {
-                       return a.ts < b.ts;
-                     });
-  }
-  InitCursors();
-}
+NeighborFinder::NeighborFinder(const TemporalGraph& graph)
+    : NeighborFinder(graph, [&graph] {
+        std::vector<int64_t> all(static_cast<size_t>(graph.num_events()));
+        std::iota(all.begin(), all.end(), int64_t{0});
+        return all;
+      }()) {}
 
 NeighborFinder::NeighborFinder(const TemporalGraph& graph,
                                const std::vector<int64_t>& events) {
@@ -40,13 +28,8 @@ NeighborFinder::NeighborFinder(const TemporalGraph& graph,
                        return a.ts < b.ts;
                      });
   }
-  InitCursors();
-}
-
-void NeighborFinder::InitCursors() {
-  const size_t n = adjacency_.size();
-  cursor_ = std::make_unique<std::atomic<uint32_t>[]>(n);
-  for (size_t i = 0; i < n; ++i) {
+  cursor_ = std::make_unique<std::atomic<uint32_t>[]>(adjacency_.size());
+  for (size_t i = 0; i < adjacency_.size(); ++i) {
     cursor_[i].store(0, std::memory_order_relaxed);
   }
 }

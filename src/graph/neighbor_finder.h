@@ -45,10 +45,10 @@ struct SampledNeighborhood {
 /// queries are a binary search (O(log d)) plus O(k) sampling.
 class NeighborFinder {
  public:
-  /// Indexes events [0, limit) of `graph`; `limit` < 0 indexes everything.
-  /// Edges are treated as undirected for adjacency (both endpoints see the
-  /// interaction), matching the reference TGNN implementations.
-  explicit NeighborFinder(const TemporalGraph& graph, int64_t limit = -1);
+  /// Indexes every event of `graph`. Edges are treated as undirected for
+  /// adjacency (both endpoints see the interaction), matching the
+  /// reference TGNN implementations.
+  explicit NeighborFinder(const TemporalGraph& graph);
 
   /// Indexes only the given event subset (e.g. the masked training stream
   /// used for inductive jobs).
@@ -86,9 +86,6 @@ class NeighborFinder {
   }
 
  private:
-  /// Allocates the per-node cursor array once adjacency_ is final.
-  void InitCursors();
-
   std::vector<std::vector<TemporalNeighbor>> adjacency_;
 
   /// Last Before() prefix length per node. Purely an accelerator hint:

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "tensor/distinct.h"
+
 namespace benchtemp::models {
 
 using tensor::ConcatRows;
@@ -37,7 +39,7 @@ void MemoryModel::ResetImpl() {
   memory_.Fill(0.0f);
   std::fill(last_update_.begin(), last_update_.end(), 0.0);
   pending_ = Batch();
-  live_rows_.clear();
+  live_nodes_.clear();
   live_var_.reset();
 }
 
@@ -48,44 +50,40 @@ void MemoryModel::UpdateStateImpl(const Batch& batch) {
   pending_ = batch;
   // The previous step's live autograd rows are now stale; drop them so the
   // graphs do not chain across optimizer steps.
-  live_rows_.clear();
+  live_nodes_.clear();
   live_var_.reset();
 }
 
 void MemoryModel::ProcessPending() {
   if (pending_.size() == 0) return;
-  // Deduplicate: each endpoint keeps its most recent event in the batch
-  // (TGN's "last message" aggregator).
-  std::unordered_map<int32_t, MemoryEvent> latest;
-  for (int64_t i = 0; i < pending_.size(); ++i) {
-    const MemoryEvent src_event{pending_.srcs[static_cast<size_t>(i)],
-                                pending_.dsts[static_cast<size_t>(i)],
-                                pending_.ts[static_cast<size_t>(i)],
-                                pending_.edge_idxs[static_cast<size_t>(i)]};
-    const MemoryEvent dst_event{src_event.other, src_event.node, src_event.ts,
-                                src_event.edge_idx};
-    latest[src_event.node] = src_event;
-    latest[dst_event.node] = dst_event;
+  // Each node keeps its most recent event in the batch (TGN's "last
+  // message" aggregator): endpoint k of the 2n is the source (k even) or
+  // the destination (k odd) of event k / 2, and a node's last endpoint
+  // wins. The events are then laid out in node order, which decides the
+  // batch row layout (and therefore float accumulation order downstream).
+  std::vector<int32_t> endpoints;
+  endpoints.reserve(2 * pending_.srcs.size());
+  for (size_t i = 0; i < pending_.srcs.size(); ++i) {
+    endpoints.push_back(pending_.srcs[i]);
+    endpoints.push_back(pending_.dsts[i]);
   }
-  // Drain the unordered dedup map in node order: unordered_map iteration
-  // order is implementation-defined, and the event order decides batch row
-  // layout (and therefore float accumulation order downstream).
-  std::vector<MemoryEvent> events;
-  events.reserve(latest.size());
-  // btlint: allow(unordered-drain) — sorted immediately below.
-  for (const auto& entry : latest) events.push_back(entry.second);
+  const tensor::Distinct<int32_t> distinct = tensor::Dedup(endpoints);
+  std::vector<MemoryEvent> events(distinct.values.size());
+  for (size_t k = 0; k < endpoints.size(); ++k) {
+    events[static_cast<size_t>(distinct.slot[k])] = {
+        endpoints[k], endpoints[k ^ 1], pending_.ts[k / 2],
+        pending_.edge_idxs[k / 2]};
+  }
   std::sort(events.begin(), events.end(),
             [](const MemoryEvent& a, const MemoryEvent& b) {
               return a.node < b.node;
             });
   pending_ = Batch();
 
-  Var prev = GatherMemory([&events] {
-    std::vector<int32_t> nodes;
-    nodes.reserve(events.size());
-    for (const MemoryEvent& e : events) nodes.push_back(e.node);
-    return nodes;
-  }());
+  std::vector<int32_t> nodes;
+  nodes.reserve(events.size());
+  for (const MemoryEvent& e : events) nodes.push_back(e.node);
+  Var prev = GatherMemory(nodes);
   Var updated = ComputeMemoryUpdate(events, prev);
   tensor::CheckOrDie(
       updated->value.rows() == static_cast<int64_t>(events.size()) &&
@@ -94,7 +92,6 @@ void MemoryModel::ProcessPending() {
 
   // Write the new values into the detached store and remember the live rows
   // so the subsequent scoring step backpropagates into the updater.
-  live_rows_.clear();
   const int64_t d = config_.embedding_dim;
   for (size_t i = 0; i < events.size(); ++i) {
     const MemoryEvent& e = events[i];
@@ -102,8 +99,8 @@ void MemoryModel::ProcessPending() {
       memory_.at(e.node, c) = updated->value.at(static_cast<int64_t>(i), c);
     }
     last_update_[static_cast<size_t>(e.node)] = e.ts;
-    live_rows_[e.node] = static_cast<int64_t>(i);
   }
+  live_nodes_ = std::move(nodes);
   live_var_ = training_ ? updated : nullptr;
 }
 
@@ -117,9 +114,10 @@ Var MemoryModel::GatherMemory(const std::vector<int32_t>& nodes) const {
   std::vector<int64_t> index;
   index.reserve(nodes.size());
   for (const int32_t node : nodes) {
-    const auto it = live_rows_.find(node);
-    if (it != live_rows_.end()) {
-      index.push_back(it->second);
+    const auto it =
+        std::lower_bound(live_nodes_.begin(), live_nodes_.end(), node);
+    if (it != live_nodes_.end() && *it == node) {
+      index.push_back(it - live_nodes_.begin());
     } else {
       index.push_back(num_live + static_cast<int64_t>(stale.size()));
       stale.push_back(node);

@@ -3,7 +3,6 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "models/model.h"
@@ -95,8 +94,9 @@ class MemoryModel : public TgnnModel {
   tensor::Tensor memory_;  // [num_nodes, embedding_dim], detached store
   std::vector<double> last_update_;
   Batch pending_;
-  /// Live rows from the current step's update: node -> row in live_var_.
-  std::unordered_map<int32_t, int64_t> live_rows_;
+  /// Nodes of the current step's update, ascending: live_nodes_[r] is row
+  /// r of live_var_.
+  std::vector<int32_t> live_nodes_;
   tensor::Var live_var_;
 };
 

@@ -44,10 +44,6 @@ struct ModelConfig {
   /// NeurTW: enable the neural-ODE continuous evolution module
   /// (Table 23's ablation switches this off).
   bool use_nodes = true;
-  /// Euler sub-steps of the NODE integrator.
-  int64_t ode_steps = 3;
-  /// NAT: entries per node in each N-cache level.
-  int64_t ncache_size = 8;
   /// TeMP: quantile of a node's history timestamps used as the subgraph
   /// reference timestamp. Negative = the mean timestamp (the paper's
   /// choice, found best across quantiles in Appendix E).

@@ -11,7 +11,7 @@ MotifJoint::MotifJoint(const graph::TemporalGraph* graph, ModelConfig config)
       hybrid_head_({config.embedding_dim + NCacheTable::kJointFeatureDim,
                     config.embedding_dim, 1},
                    rng_),
-      caches_(graph->num_nodes(), config.ncache_size) {
+      caches_(graph->num_nodes(), NCacheTable::kModelCacheSize) {
   sampler_ = std::make_unique<graph::TemporalWalkSampler>(
       config_.walk_bias, /*alpha=*/1.0 / time_scale_);
 }

@@ -14,7 +14,7 @@ Nat::Nat(const graph::TemporalGraph* graph, ModelConfig config)
                config_.embedding_dim, 1},
               rng_),
       embed_head_(config_.embedding_dim, config_.embedding_dim, rng_),
-      caches_(graph->num_nodes(), config.ncache_size) {}
+      caches_(graph->num_nodes(), NCacheTable::kModelCacheSize) {}
 
 void Nat::ResetImpl() {
   MemoryModel::ResetImpl();

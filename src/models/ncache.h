@@ -16,6 +16,8 @@ class NCacheTable {
  public:
   /// Number of joint-neighborhood features produced by JointFeatures().
   static constexpr int64_t kJointFeatureDim = 6;
+  /// Entries per node in each cache level of NAT and MotifJoint.
+  static constexpr int64_t kModelCacheSize = 8;
 
   NCacheTable(int32_t num_nodes, int64_t cache_size);
 

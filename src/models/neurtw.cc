@@ -24,9 +24,10 @@ Var NeurTw::EvolveHidden(const tensor::Var& hidden,
   // normalized interval (Eq. (6)'s change of variables): each Euler step
   // advances h by (gap / steps) * f(h). Gaps are clamped so extreme
   // intervals cannot blow up the state.
+  constexpr int64_t kOdeSteps = 3;  // Euler sub-steps
   const int64_t rows = hidden->value.rows();
   Tensor step_sizes({rows, 1});
-  const float inv_steps = 1.0f / static_cast<float>(config_.ode_steps);
+  const float inv_steps = 1.0f / static_cast<float>(kOdeSteps);
   for (int64_t r = 0; r < rows; ++r) {
     const float gap = std::min(std::max(gaps[static_cast<size_t>(r)], 0.0f),
                                10.0f);
@@ -34,7 +35,7 @@ Var NeurTw::EvolveHidden(const tensor::Var& hidden,
   }
   Var dt = Constant(std::move(step_sizes));
   Var h = hidden;
-  for (int64_t k = 0; k < config_.ode_steps; ++k) {
+  for (int64_t k = 0; k < kOdeSteps; ++k) {
     Var f = Mul(Sigmoid(ode_gate_.Forward({h})), Tanh(ode_dir_.Forward({h})));
     h = Add(h, Mul(f, dt));
   }

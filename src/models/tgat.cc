@@ -1,10 +1,11 @@
 #include "models/tgat.h"
 
-#include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "tensor/distinct.h"
 #include "tensor/numeric.h"
 
 namespace benchtemp::models {
@@ -16,62 +17,44 @@ using tensor::Var;
 
 namespace {
 
-/// Appends the distinct queries of one plan level to `level` in
-/// first-occurrence order. Layer 0 ignores time, so a dense per-node head
-/// (as tensor::Rows) holds each node's row. The timed layers key by node
-/// and the bits of the query time in an open-addressing table of at least
-/// twice the level's lookups. A per-node chain through the distinct times
-/// would walk 11 rows per lookup at perfbench's tgat-train shape, where hub
-/// nodes are queried at many times.
-class LevelIndex {
- public:
-  LevelIndex(TgatPlan::Level* level, bool timed, size_t lookups,
-             int32_t num_nodes)
-      : level_(level), timed_(timed) {
-    size_t size = static_cast<size_t>(num_nodes);
-    if (timed) {
-      size = 16;
-      while (size < 2 * lookups) size *= 2;
-      level->ts.reserve(lookups);
-    }
-    slots_.assign(size, -1);
-    level->nodes.reserve(timed ? lookups : std::min(lookups, size));
-  }
-
-  /// Row of the query (node, t); a new query is appended.
-  int32_t RowOf(int32_t node, double t) {
-    if (!timed_) {
-      int32_t& row = slots_[static_cast<size_t>(node)];
-      if (row < 0) row = Append(node, t);
-      return row;
-    }
-    const uint64_t bits = std::bit_cast<uint64_t>(t);
-    const size_t mask = slots_.size() - 1;
-    size_t s = tensor::SplitMix64(bits, static_cast<uint64_t>(node)) & mask;
-    for (; slots_[s] >= 0; s = (s + 1) & mask) {
-      const size_t r = static_cast<size_t>(slots_[s]);
-      if (level_->nodes[r] == node &&
-          std::bit_cast<uint64_t>(level_->ts[r]) == bits) {
-        return slots_[s];
-      }
-    }
-    slots_[s] = Append(node, t);
-    return slots_[s];
-  }
-
- private:
-  int32_t Append(int32_t node, double t) {
-    const int32_t row = tensor::NarrowId(
-        static_cast<int64_t>(level_->nodes.size()), "TGAT: plan rows");
-    level_->nodes.push_back(node);
-    if (timed_) level_->ts.push_back(t);
-    return row;
-  }
-
-  TgatPlan::Level* level_;
-  bool timed_;
-  std::vector<int32_t> slots_;
+/// A timed query: a node and the bits of its query time. The node is 64
+/// bits wide so the key has no padding bytes.
+struct Query {
+  int64_t node;
+  double t;
 };
+
+/// Lists the distinct queries among (nodes[i], ts[i]) followed by
+/// (more_nodes[j], more_ts[j]) in `level`, first occurrence first, and
+/// returns each query's row there. Layer 0 ignores time, so an untimed
+/// level keys by node alone.
+std::vector<int32_t> ListDistinct(TgatPlan::Level* level, bool timed,
+                                  const std::vector<int32_t>& nodes,
+                                  const std::vector<double>& ts,
+                                  const std::vector<int32_t>& more_nodes = {},
+                                  const std::vector<double>& more_ts = {}) {
+  if (!timed) {
+    std::vector<int32_t> keys = nodes;
+    keys.insert(keys.end(), more_nodes.begin(), more_nodes.end());
+    tensor::Distinct<int32_t> distinct = tensor::Dedup(keys);
+    level->nodes = std::move(distinct.values);
+    return std::move(distinct.slot);
+  }
+  std::vector<Query> keys;
+  keys.reserve(nodes.size() + more_nodes.size());
+  for (size_t i = 0; i < nodes.size(); ++i) keys.push_back({nodes[i], ts[i]});
+  for (size_t j = 0; j < more_nodes.size(); ++j) {
+    keys.push_back({more_nodes[j], more_ts[j]});
+  }
+  tensor::Distinct<Query> distinct = tensor::Dedup(keys);
+  level->nodes.reserve(distinct.values.size());
+  level->ts.reserve(distinct.values.size());
+  for (const Query& q : distinct.values) {
+    level->nodes.push_back(tensor::NarrowId(q.node, "TGAT: plan node"));
+    level->ts.push_back(q.t);
+  }
+  return std::move(distinct.slot);
+}
 
 }  // namespace
 
@@ -108,30 +91,23 @@ TgatPlan Tgat::Plan(const std::vector<int32_t>& nodes,
   plan.nodes = nodes;
   plan.ts = ts;
   plan.levels.resize(static_cast<size_t>(layers) + 1);
-  LevelIndex top(&plan.levels.back(), layers > 0, nodes.size(),
-                 graph_->num_nodes());
-  plan.out_rows.reserve(nodes.size());
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    plan.out_rows.push_back(top.RowOf(nodes[i], ts[i]));
-  }
+  const std::vector<int32_t> top =
+      ListDistinct(&plan.levels.back(), layers > 0, nodes, ts);
+  plan.out_rows.assign(top.begin(), top.end());
   for (int64_t l = layers; l >= 1; --l) {
     TgatPlan::Level& level = plan.levels[static_cast<size_t>(l)];
     level.nb = finder_->SampleNeighborhood(level.nodes, level.ts,
                                            config_.num_neighbors,
                                            config_.tgat_time_window, rng);
-    const graph::SampledNeighborhood& nb = level.nb;
-    LevelIndex below(&plan.levels[static_cast<size_t>(l - 1)], l > 1,
-                     level.nodes.size() + nb.flat_neighbors.size(),
-                     graph_->num_nodes());
-    level.self_rows.reserve(level.nodes.size());
-    for (size_t i = 0; i < level.nodes.size(); ++i) {
-      level.self_rows.push_back(below.RowOf(level.nodes[i], level.ts[i]));
-    }
-    level.nbr_rows.reserve(nb.flat_neighbors.size());
-    for (size_t s = 0; s < nb.flat_neighbors.size(); ++s) {
-      level.nbr_rows.push_back(
-          below.RowOf(nb.flat_neighbors[s], nb.flat_times[s]));
-    }
+    // The level below lists this level's own queries, then every
+    // neighbour slot.
+    std::vector<int32_t> rows =
+        ListDistinct(&plan.levels[static_cast<size_t>(l - 1)], l > 1,
+                     level.nodes, level.ts, level.nb.flat_neighbors,
+                     level.nb.flat_times);
+    level.nbr_rows.assign(rows.begin() + std::ssize(level.nodes), rows.end());
+    rows.resize(level.nodes.size());
+    level.self_rows = std::move(rows);
   }
   return plan;
 }

@@ -6,7 +6,6 @@ namespace benchtemp::models {
 
 using graph::CawAnonymizer;
 using graph::TemporalWalk;
-using tensor::ConcatRows;
 using tensor::Constant;
 using tensor::Tensor;
 using tensor::Var;

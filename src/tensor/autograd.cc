@@ -1,7 +1,6 @@
 #include "tensor/autograd.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <unordered_set>
 
@@ -9,6 +8,7 @@
 #include "runtime/grain.h"
 #include "runtime/thread_pool.h"
 #include "tensor/debug_check.h"
+#include "tensor/distinct.h"
 #include "tensor/kernels/arena.h"
 #include "tensor/kernels/kernels.h"
 #include "tensor/numeric.h"
@@ -231,36 +231,6 @@ Var Mul(const Var& a, const Var& b) {
     });
   }
   const int64_t n = av.rows(), d = av.cols();
-  if (IsRowBroadcast(av, bv)) {
-    Tensor out = kernels::NewTensor(av.shape());
-    {
-      const float* ap = av.data();
-      const float* bp = bv.data();
-      float* op = out.data();
-      for (int64_t r = 0; r < n; ++r) {
-        kernels::MulOut(op + r * d, ap + r * d, bp, d);
-      }
-    }
-    return MakeNode("Mul", std::move(out), {a, b}, [n, d](VarNode& self) {
-      VarNode& pa = *self.parents[0];
-      VarNode& pb = *self.parents[1];
-      const float* sg = self.grad.data();
-      if (pa.requires_grad) {
-        float* g = pa.EnsureGrad().data();
-        const float* bp = pb.value.data();
-        for (int64_t r = 0; r < n; ++r) {
-          kernels::MulAdd(g + r * d, sg + r * d, bp, d);
-        }
-      }
-      if (pb.requires_grad) {
-        float* g = pb.EnsureGrad().data();
-        const float* ap = pa.value.data();
-        for (int64_t r = 0; r < n; ++r) {
-          kernels::MulAdd(g, sg + r * d, ap + r * d, d);
-        }
-      }
-    });
-  }
   CheckOrDie(IsColBroadcast(av, bv), "Mul: incompatible shapes");
   Tensor out = kernels::NewTensor(av.shape());
   {
@@ -442,65 +412,6 @@ Var GatherRows(const Var& table, const std::vector<int64_t>& indices) {
 // ---------------------------------------------------------------------------
 // Projection over column blocks.
 // ---------------------------------------------------------------------------
-
-Distinct<int32_t> Dedup(const std::vector<int32_t>& keys) {
-  // Dense first-occurrence index: slot_of[key] is key's slot, or -1 before
-  // key is first seen.
-  int32_t max_key = -1;
-  for (const int32_t key : keys) {
-    CheckOrDie(key >= 0, "Dedup: negative id");
-    max_key = std::max(max_key, key);
-  }
-  Distinct<int32_t> out;
-  out.slot.reserve(keys.size());
-  std::vector<int32_t> slot_of(static_cast<size_t>(max_key) + 1, -1);
-  for (const int32_t key : keys) {
-    int32_t& s = slot_of[static_cast<size_t>(key)];
-    if (s < 0) {
-      s = NarrowId(static_cast<int64_t>(out.values.size()), "Dedup: keys");
-      out.values.push_back(key);
-    }
-    out.slot.push_back(s);
-  }
-  return out;
-}
-
-Distinct<float> Dedup(const std::vector<float>& keys) {
-  // Open addressing on the bit patterns, Fibonacci-hashed into a table
-  // that doubles whenever it is half full, so it stays the size of the
-  // distinct set rather than of the input.
-  Distinct<float> out;
-  out.slot.reserve(keys.size());
-  std::vector<uint32_t> bits_of;  // bit pattern of each distinct key
-  int log2_size = 6;
-  std::vector<int32_t> table(size_t{1} << log2_size, -1);
-  const auto find = [&](uint32_t bits) -> int32_t& {
-    const size_t mask = table.size() - 1;
-    size_t s = static_cast<size_t>((bits * 0x9E3779B97F4A7C15ull) >>
-                                   (64 - log2_size));
-    while (table[s] >= 0 && bits_of[static_cast<size_t>(table[s])] != bits) {
-      s = (s + 1) & mask;
-    }
-    return table[s];
-  };
-  for (const float key : keys) {
-    const uint32_t bits = std::bit_cast<uint32_t>(key);
-    int32_t& u = find(bits);
-    if (u < 0) {
-      u = NarrowId(static_cast<int64_t>(bits_of.size()), "Dedup: keys");
-      out.values.push_back(key);
-      bits_of.push_back(bits);
-    }
-    out.slot.push_back(u);
-    if (2 * bits_of.size() > table.size()) {
-      table.assign(size_t{1} << ++log2_size, -1);
-      for (size_t d = 0; d < bits_of.size(); ++d) {
-        find(bits_of[d]) = static_cast<int32_t>(d);
-      }
-    }
-  }
-  return out;
-}
 
 std::shared_ptr<const GatheredRows> Rows(
     const Tensor& table, const std::vector<int32_t>& indices) {

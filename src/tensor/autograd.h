@@ -63,8 +63,8 @@ void ZeroGrad(const std::vector<Var>& params);
 /// a + b. Supports equal shapes, and row-broadcast where b is [1, d] (or a
 /// rank-1 [d]) added to every row of a [n, d] tensor.
 Var Add(const Var& a, const Var& b);
-/// Elementwise a * b. Supports equal shapes, row-broadcast [1, d] on b, and
-/// column-broadcast where b is [n, 1] scaling each row of a [n, d] tensor.
+/// Elementwise a * b. Supports equal shapes and column-broadcast where b is
+/// [n, 1] scaling each row of a [n, d] tensor.
 Var Mul(const Var& a, const Var& b);
 /// a * s for a compile-time constant scalar s.
 Var ScalarMul(const Var& a, float s);
@@ -96,18 +96,6 @@ struct GatheredRows {
   Var table;                  // [U, w]
   std::vector<int32_t> slot;  // [n], each in [0, U)
 };
-
-/// The distinct values of some keys in first-occurrence order, and each
-/// key's slot among them: keys[i] is values[slot[i]].
-template <typename T>
-struct Distinct {
-  std::vector<T> values;
-  std::vector<int32_t> slot;
-};
-/// Non-negative ids.
-Distinct<int32_t> Dedup(const std::vector<int32_t>& keys);
-/// Floats, compared by their bits.
-Distinct<float> Dedup(const std::vector<float>& keys);
 
 /// Deduplicates `table` rows at `indices` over a `Constant` of the distinct
 /// rows. Build it once and pass it to every projection of the same rows

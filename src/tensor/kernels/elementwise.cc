@@ -24,17 +24,11 @@ inline float StableSigmoid(float x) {
 void Add(float* y, const float* x, int64_t n) {
   for (int64_t i = 0; i < n; ++i) y[i] += x[i];
 }
-void Mul(float* y, const float* x, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) y[i] *= x[i];
-}
 void MulAdd(float* y, const float* a, const float* b, int64_t n) {
   for (int64_t i = 0; i < n; ++i) y[i] += a[i] * b[i];
 }
 void Axpy(float* y, float s, const float* x, int64_t n) {
   for (int64_t i = 0; i < n; ++i) y[i] += s * x[i];
-}
-void Scale(float* y, float s, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) y[i] *= s;
 }
 void AddScalar(float* y, float s, int64_t n) {
   for (int64_t i = 0; i < n; ++i) y[i] += s;

@@ -79,10 +79,8 @@ float Dot(const float* a, const float* b, int64_t n);
 // ---------------------------------------------------------------------------
 
 void Add(float* y, const float* x, int64_t n);     // y[i] += x[i]
-void Mul(float* y, const float* x, int64_t n);     // y[i] *= x[i]
 void MulAdd(float* y, const float* a, const float* b, int64_t n);  // y+=a*b
 void Axpy(float* y, float s, const float* x, int64_t n);  // y[i] += s*x[i]
-void Scale(float* y, float s, int64_t n);          // y[i] *= s
 void AddScalar(float* y, float s, int64_t n);      // y[i] += s
 void Set(float* y, const float* x, int64_t n);     // y[i] = x[i]
 void FillOut(float* y, float v, int64_t n);        // y[i] = v

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "tensor/distinct.h"
+
 namespace benchtemp::tensor {
 
 int64_t Module::ParameterCount() const {

@@ -113,14 +113,6 @@ TEST(NeighborFinderTest, Undirected) {
   EXPECT_EQ(history[1].neighbor, 2);
 }
 
-TEST(NeighborFinderTest, LimitPrefix) {
-  TemporalGraph g = MakeLineGraph();
-  NeighborFinder finder(g, /*limit=*/2);  // only the first two events
-  int64_t count = 0;
-  finder.Before(2, 10.0, &count);
-  EXPECT_EQ(count, 1);  // (1,2,@2) only; later events excluded
-}
-
 TEST(NeighborFinderTest, EventSubsetConstructor) {
   TemporalGraph g = MakeLineGraph();
   NeighborFinder finder(g, std::vector<int64_t>{0, 3});
@@ -225,7 +217,7 @@ TEST(NeighborFinderTest, SampleNeighborhoodWindowEdgeCases) {
   // Line graph histories: node 0 has (1,@1) and (2,@4); node 3 has (2,@3).
   TemporalGraph g = MakeLineGraph();
   g.AddInteraction(4, 5, 10.0);  // past the indexed prefix
-  NeighborFinder finder(g, /*limit=*/4);
+  NeighborFinder finder(g, std::vector<int64_t>{0, 1, 2, 3});
   tensor::Rng rng(5);
   const std::string before = rng.SaveState();
   // Node 3's only event (@3) lies before the window [4, 5); node 4 has no

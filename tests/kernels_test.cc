@@ -471,11 +471,6 @@ TEST_F(KernelsTest, ElementwiseMatchNaiveReferences) {
       EXPECT_EQ(BitsOf(got), BitsOf(want)) << "Add";
 
       reset();
-      kernels::Mul(got.data(), a.data(), n);
-      for (size_t i = 0; i < x.size(); ++i) want[i] *= a[i];
-      EXPECT_EQ(BitsOf(got), BitsOf(want)) << "Mul";
-
-      reset();
       kernels::MulAdd(got.data(), a.data(), b.data(), n);
       for (size_t i = 0; i < x.size(); ++i) want[i] += a[i] * b[i];
       EXPECT_EQ(BitsOf(got), BitsOf(want)) << "MulAdd";
@@ -484,11 +479,6 @@ TEST_F(KernelsTest, ElementwiseMatchNaiveReferences) {
       kernels::Axpy(got.data(), s, a.data(), n);
       for (size_t i = 0; i < x.size(); ++i) want[i] += s * a[i];
       EXPECT_EQ(BitsOf(got), BitsOf(want)) << "Axpy";
-
-      reset();
-      kernels::Scale(got.data(), s, n);
-      for (size_t i = 0; i < x.size(); ++i) want[i] *= s;
-      EXPECT_EQ(BitsOf(got), BitsOf(want)) << "Scale";
 
       reset();
       kernels::AddScalar(got.data(), s, n);

@@ -262,6 +262,43 @@ TEST(MemoryModelTest, PendingAppliedExactlyOnce) {
   }
 }
 
+/// TGN's "last message" aggregator: a node named as a source, as a
+/// destination and in a self-loop within one pending batch takes the time
+/// of its last event in the batch, whichever endpoint it was there.
+TEST(MemoryModelTest, LastEventOfEachNodeWins) {
+  struct Probe : Tgn {
+    using Tgn::Tgn;
+    using MemoryModel::LastUpdate;
+  };
+  TemporalGraph g = MakeGraph();
+  NeighborFinder finder(g);
+  Probe model(&g, SmallConfig());
+  model.SetNeighborFinder(&finder);
+  model.Reset();
+  Batch batch;
+  int32_t edge = 0;
+  const auto add = [&batch, &edge](int32_t src, int32_t dst, double t) {
+    batch.edge_idxs.push_back(edge++);
+    batch.srcs.push_back(src);
+    batch.dsts.push_back(dst);
+    batch.ts.push_back(t);
+  };
+  add(3, 45, 1.0);  // 3 as the source
+  add(7, 3, 2.0);   // 3 as the destination
+  add(3, 3, 3.0);   // 3 in a self-loop: its last event
+  add(9, 7, 4.0);   // 7's last event, as the destination
+  add(45, 9, 5.0);  // 45's and 9's last event
+  add(7, 50, 6.0);  // 7 again, as the source
+  model.UpdateState(batch);
+  model.UpdateState(Batch());  // applies the pending batch
+  EXPECT_DOUBLE_EQ(model.LastUpdate(3), 3.0);
+  EXPECT_DOUBLE_EQ(model.LastUpdate(7), 6.0);
+  EXPECT_DOUBLE_EQ(model.LastUpdate(9), 5.0);
+  EXPECT_DOUBLE_EQ(model.LastUpdate(45), 5.0);
+  EXPECT_DOUBLE_EQ(model.LastUpdate(50), 6.0);
+  EXPECT_DOUBLE_EQ(model.LastUpdate(0), 0.0);
+}
+
 /// Distinct tape nodes reachable from `root`, leaves included.
 int64_t TapeNodeCount(const Var& root) {
   std::vector<const tensor::VarNode*> stack = {root.get()};

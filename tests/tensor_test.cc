@@ -1,7 +1,14 @@
 #include "tensor/tensor.h"
 
+#include <array>
+#include <bit>
+#include <cstdint>
+#include <limits>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "tensor/distinct.h"
 #include "tensor/random.h"
 
 namespace benchtemp::tensor {
@@ -108,6 +115,94 @@ TEST(RngTest, NormalMoments) {
   const double var = sq / n - mean * mean;
   EXPECT_NEAR(mean, 2.0, 0.1);
   EXPECT_NEAR(var, 9.0, 0.5);
+}
+
+/// TGAT's plan key: a node and a query time, 16 bytes without padding.
+struct QueryKey {
+  int64_t node;
+  double t;
+};
+
+/// The bit patterns of `values`, so float keys compare exactly.
+template <typename T>
+std::vector<KeyBits<T>> BitsOf(const std::vector<T>& values) {
+  std::vector<KeyBits<T>> bits;
+  for (const T& v : values) bits.push_back(std::bit_cast<KeyBits<T>>(v));
+  return bits;
+}
+
+TEST(DedupTest, IdsInFirstOccurrenceOrder) {
+  const Distinct<int32_t> d = Dedup(std::vector<int32_t>{5, 3, 5, 7, 3, 3});
+  EXPECT_EQ(d.values, (std::vector<int32_t>{5, 3, 7}));
+  EXPECT_EQ(d.slot, (std::vector<int32_t>{0, 1, 0, 2, 1, 1}));
+}
+
+TEST(DedupTest, NegativeIds) {
+  const int32_t lowest = std::numeric_limits<int32_t>::min();
+  const Distinct<int32_t> d =
+      Dedup(std::vector<int32_t>{-1, 4, lowest, -1, 0, 4, lowest});
+  EXPECT_EQ(d.values, (std::vector<int32_t>{-1, 4, lowest, 0}));
+  EXPECT_EQ(d.slot, (std::vector<int32_t>{0, 1, 2, 0, 3, 1, 2}));
+}
+
+TEST(DedupTest, FloatsCompareByBits) {
+  // 0.0f and -0.0f compare equal as floats but are two keys; so are two
+  // NaNs with different payloads, while one NaN repeated is one key.
+  const float nan_a = std::bit_cast<float>(0x7FC00001u);
+  const float nan_b = std::bit_cast<float>(0x7FC00002u);
+  const std::vector<float> keys = {1.5f,  0.0f,  -0.0f, 1.5f,
+                                   nan_a, nan_b, nan_a, -0.0f};
+  const Distinct<float> d = Dedup(keys);
+  EXPECT_EQ(BitsOf(d.values),
+            BitsOf(std::vector<float>{1.5f, 0.0f, -0.0f, nan_a, nan_b}));
+  EXPECT_EQ(d.slot, (std::vector<int32_t>{0, 1, 2, 0, 3, 4, 3, 2}));
+}
+
+TEST(DedupTest, QueryKeysCompareBothWords) {
+  // Keys that differ only in their second word (the time) are distinct,
+  // down to the sign of a zero time.
+  const std::vector<QueryKey> keys = {{1, 2.0}, {1, 3.0},  {1, 2.0},
+                                      {1, 0.0}, {1, -0.0}, {2, 2.0},
+                                      {1, 3.0}, {2, 2.0}};
+  const Distinct<QueryKey> d = Dedup(keys);
+  EXPECT_EQ(BitsOf(d.values),
+            BitsOf(std::vector<QueryKey>{
+                {1, 2.0}, {1, 3.0}, {1, 0.0}, {1, -0.0}, {2, 2.0}}));
+  EXPECT_EQ(d.slot, (std::vector<int32_t>{0, 1, 0, 2, 3, 4, 1, 4}));
+}
+
+TEST(DedupTest, TenThousandDistinctKeysGrowTheTable) {
+  // Every key appears twice, the second pass in reverse: the table
+  // doubles ten times, from 64 entries to 65,536, and slots must stay put.
+  constexpr int32_t kDistinct = 10000;
+  std::vector<int32_t> ids;
+  std::vector<QueryKey> queries;
+  for (int32_t i = 0; i < kDistinct; ++i) {
+    ids.push_back(i * 7919 - 5000000);
+    queries.push_back({i % 97, 0.5 * i});
+  }
+  std::vector<int32_t> want_slot(kDistinct);
+  for (int32_t i = 0; i < kDistinct; ++i) want_slot[i] = i;
+  for (int32_t i = kDistinct - 1; i >= 0; --i) {
+    ids.push_back(ids[static_cast<size_t>(i)]);
+    queries.push_back(queries[static_cast<size_t>(i)]);
+    want_slot.push_back(i);
+  }
+  const Distinct<int32_t> d = Dedup(ids);
+  EXPECT_EQ(d.values,
+            std::vector<int32_t>(ids.begin(), ids.begin() + kDistinct));
+  EXPECT_EQ(d.slot, want_slot);
+  const Distinct<QueryKey> q = Dedup(queries);
+  EXPECT_EQ(BitsOf(q.values),
+            BitsOf(std::vector<QueryKey>(queries.begin(),
+                                         queries.begin() + kDistinct)));
+  EXPECT_EQ(q.slot, want_slot);
+}
+
+TEST(DedupTest, EmptyInput) {
+  const Distinct<float> d = Dedup(std::vector<float>{});
+  EXPECT_TRUE(d.values.empty());
+  EXPECT_TRUE(d.slot.empty());
 }
 
 }  // namespace
