@@ -226,25 +226,12 @@ void ProbeThrowFault() {
   }
 }
 
-/// Accumulates one prefetcher's accounting into the job-wide fields.
-void AccumulatePipelineStats(const pipeline::PipelineStats& s,
-                             EfficiencyStats* eff) {
-  eff->pipeline_batches += s.batches;
-  eff->pipeline_prefetched += s.prefetched;
-  eff->pipeline_prepare_seconds += s.prepare_seconds;
-  eff->pipeline_wait_seconds += s.wait_seconds;
-}
-
 /// Finalizes the job-wide overlap ratio and publishes the pipeline gauges
 /// (gauges are last-write-wins and excluded from the counters digest, so
 /// sync and async runs stay digest-comparable).
 void FinishPipelineStats(int depth, EfficiencyStats* eff) {
   eff->pipeline_depth = depth;
-  pipeline::PipelineStats total;
-  total.batches = eff->pipeline_batches;
-  total.prefetched = eff->pipeline_prefetched;
-  total.prepare_seconds = eff->pipeline_prepare_seconds;
-  total.wait_seconds = eff->pipeline_wait_seconds;
+  const pipeline::PipelineStats& total = eff->pipeline_stats;
   eff->pipeline_overlap_ratio =
       depth > 0 && total.batches > 0 ? total.overlap_ratio() : 0.0;
   if (obs::MetricRegistry::Enabled() && total.batches > 0) {
@@ -536,7 +523,7 @@ TrainExit EpochDriver::Run(const std::vector<Batch>& batches,
         registry.Add(obs::Counter::kTrainBatches, 1);
         registry.Add(obs::Counter::kTrainEvents, batch.size());
       }
-      AccumulatePipelineStats(prefetcher.stats(), eff);
+      eff->pipeline_stats += prefetcher.stats();
     }
     if (canceled) return TrainExit::kCanceled;
     if (nan_event) {

@@ -13,6 +13,7 @@
 #include "models/factory.h"
 #include "models/model.h"
 #include "obs/metrics.h"
+#include "pipeline/pipeline.h"
 
 namespace benchtemp::core {
 
@@ -116,14 +117,8 @@ struct EfficiencyStats {
 
   /// Resolved prefetch depth the job ran with (0 = synchronous).
   int pipeline_depth = 0;
-  /// Training batches delivered through the pipeline.
-  int64_t pipeline_batches = 0;
-  /// Delivered batches whose preparation was fully hidden by the prefetch.
-  int64_t pipeline_prefetched = 0;
-  /// Total wall-time spent preparing batches (any thread).
-  double pipeline_prepare_seconds = 0.0;
-  /// Consumer wall-time blocked waiting on batch preparation.
-  double pipeline_wait_seconds = 0.0;
+  /// The training prefetchers' accounting, summed over the job's epochs.
+  pipeline::PipelineStats pipeline_stats;
   /// 1 - wait/prepare over the whole job, clamped to [0, 1]; 0 when
   /// synchronous.
   double pipeline_overlap_ratio = 0.0;

@@ -28,10 +28,6 @@ NeighborFinder::NeighborFinder(const TemporalGraph& graph,
                        return a.ts < b.ts;
                      });
   }
-  cursor_ = std::make_unique<std::atomic<uint32_t>[]>(adjacency_.size());
-  for (size_t i = 0; i < adjacency_.size(); ++i) {
-    cursor_[i].store(0, std::memory_order_relaxed);
-  }
 }
 
 const TemporalNeighbor* NeighborFinder::Before(int32_t node, double ts,
@@ -39,43 +35,10 @@ const TemporalNeighbor* NeighborFinder::Before(int32_t node, double ts,
   *count = 0;
   if (node < 0 || node >= num_nodes()) return nullptr;
   const auto& list = adjacency_[static_cast<size_t>(node)];
-  const int64_t n = static_cast<int64_t>(list.size());
-  const auto before = [&list](int64_t i, double t) { return list[i].ts < t; };
-
-  // Validate the cached prefix length as a search bracket. `hint` is a
-  // correct starting point iff every entry below it is still < ts.
-  int64_t lo = 0;
-  int64_t hi = n;
-  int64_t hint = static_cast<int64_t>(
-      cursor_[static_cast<size_t>(node)].load(std::memory_order_relaxed));
-  if (hint > n) hint = 0;
-  if (hint == 0 || before(hint - 1, ts)) {
-    // In-order query: gallop forward from the hint (1, 2, 4, ... steps) to
-    // find the bracketing range, then binary-search only inside it. A
-    // batch that lands at or just past the cursor pays O(1) instead of
-    // O(log degree).
-    lo = hint;
-    int64_t step = 1;
-    int64_t probe = hint;
-    while (probe < n && before(probe, ts)) {
-      lo = probe + 1;
-      probe += step;
-      step *= 2;
-    }
-    hi = probe < n ? probe : n;
-  }
-  const auto first = list.begin() + lo;
-  const auto last = list.begin() + hi;
   const auto it = std::lower_bound(
-      first, last, ts,
+      list.begin(), list.end(), ts,
       [](const TemporalNeighbor& entry, double t) { return entry.ts < t; });
   *count = static_cast<int64_t>(it - list.begin());
-  // The cursor stores a degree prefix length, not a node id; per-node
-  // degree cannot reach 2^32, and a wrapped hint would only fail the
-  // bracket check and fall back to the full search.
-  // btlint: allow(id-narrowing)
-  cursor_[static_cast<size_t>(node)].store(static_cast<uint32_t>(*count),
-                                           std::memory_order_relaxed);
   return *count > 0 ? list.data() : nullptr;
 }
 

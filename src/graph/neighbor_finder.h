@@ -1,9 +1,7 @@
 #ifndef BENCHTEMP_GRAPH_NEIGHBOR_FINDER_H_
 #define BENCHTEMP_GRAPH_NEIGHBOR_FINDER_H_
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "graph/temporal_graph.h"
@@ -57,16 +55,9 @@ class NeighborFinder {
 
   /// All interactions of `node` strictly before `ts`, oldest first.
   /// The returned pointers index into internal storage; `count` receives the
-  /// prefix length. Returns nullptr when there are none.
-  ///
-  /// Batches arrive in chronological order, so each node's answer is a
-  /// monotonically growing prefix. A per-node cursor remembers the last
-  /// prefix length and is used as a *verified* search bracket: when the
-  /// cached position still brackets `ts`, the query gallops forward from it
-  /// instead of binary-searching the whole list; an out-of-order query
-  /// fails the bracket check and falls back to a full lower_bound. Either
-  /// way the result is the exact lower-bound index, so answers are
-  /// independent of the query history.
+  /// prefix length, one lower_bound over the node's sorted list. Returns
+  /// nullptr when there are none. The index is immutable after
+  /// construction, so concurrent queries need no synchronisation.
   const TemporalNeighbor* Before(int32_t node, double ts,
                                  int64_t* count) const;
 
@@ -87,12 +78,6 @@ class NeighborFinder {
 
  private:
   std::vector<std::vector<TemporalNeighbor>> adjacency_;
-
-  /// Last Before() prefix length per node. Purely an accelerator hint:
-  /// stale or concurrent values only change where the search starts, never
-  /// its result, so relaxed atomics suffice. Heap-owned to keep the finder
-  /// movable while the element type stays non-copyable.
-  mutable std::unique_ptr<std::atomic<uint32_t>[]> cursor_;
 };
 
 }  // namespace benchtemp::graph

@@ -50,6 +50,12 @@ int32_t TemporalGraph::NumLabelClasses() const {
   return max_label + 1;
 }
 
+double TemporalGraph::MeanEventGap() const {
+  if (num_events() < 2) return 1.0;
+  const double span = events_.back().ts - events_.front().ts;
+  return span > 0.0 ? span / static_cast<double>(num_events()) : 1.0;
+}
+
 TemporalGraph::Stats TemporalGraph::ComputeStats() const {
   Stats stats;
   stats.num_nodes = num_nodes_;

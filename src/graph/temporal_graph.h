@@ -74,6 +74,11 @@ class TemporalGraph {
   /// Number of distinct non-negative labels (max label + 1).
   int32_t NumLabelClasses() const;
 
+  /// The graph's time scale: its span over its event count, or 1.0 when it
+  /// has fewer than 2 events or a zero span (no two of its events are then
+  /// apart in time).
+  double MeanEventGap() const;
+
   /// Dataset statistics of the kind reported in the paper's Table 2.
   struct Stats {
     int64_t num_nodes = 0;

@@ -40,12 +40,7 @@ Var Jodie::ComputeEmbeddings(const std::vector<int32_t>& nodes,
   Var memory = GatherMemory(nodes);
   // Projection: e = (1 + dt * w) ⊙ m. dt is normalized by the graph's mean
   // inter-event gap so the drift magnitude is scale-free.
-  const double span = graph_->num_events() > 0
-                          ? graph_->event(graph_->num_events() - 1).ts -
-                                graph_->event(0).ts
-                          : 1.0;
-  const double mean_gap =
-      span > 0.0 ? span / static_cast<double>(graph_->num_events()) : 1.0;
+  const double mean_gap = graph_->MeanEventGap();
   Var dt = DeltaTimeColumn(nodes, ts);
   Var dt_scaled = ScalarMul(dt, static_cast<float>(1.0 / (mean_gap * 100.0)));
   Var mm = Project({dt_scaled}, projection_);

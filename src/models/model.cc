@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <string>
 
 #include "tensor/kernels/arena.h"
 #include "tensor/numeric.h"
@@ -12,6 +13,20 @@ namespace benchtemp::models {
 
 using tensor::Tensor;
 using tensor::Var;
+
+namespace {
+
+/// Element-wise bit equality: 0.0 and -0.0 differ, so a match never
+/// changes a single bit of what the times feed.
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](double x, double y) {
+                      return std::bit_cast<uint64_t>(x) ==
+                             std::bit_cast<uint64_t>(y);
+                    });
+}
+
+}  // namespace
 
 TgnnModel::TgnnModel(const graph::TemporalGraph* graph, ModelConfig config)
     : graph_(graph), config_(config), rng_(config.seed) {
@@ -22,6 +37,28 @@ void TgnnModel::InitPredictor(int64_t dim_src, int64_t dim_dst,
                               tensor::Rng& rng) {
   predictor_ = std::make_unique<tensor::MergeLayer>(
       dim_src, dim_dst, config_.embedding_dim, 1, rng);
+}
+
+const PreparedCall* TgnnModel::NextPreparedCall(
+    const std::vector<int32_t>& nodes, const std::vector<double>& ts) {
+  if (prepared_ == nullptr) return nullptr;
+  const auto where = [this] {
+    return " (cursor " + std::to_string(prepared_cursor_) + " of " +
+           std::to_string(prepared_->calls.size()) + ")";
+  };
+  if (prepared_cursor_ >= prepared_->calls.size()) {
+    const std::string message =
+        name() + ": prepared calls exhausted" + where();
+    tensor::CheckOrDie(false, message.c_str());
+  }
+  const PreparedCall& call = *prepared_->calls[prepared_cursor_];
+  if (call.nodes != nodes || !SameBits(call.ts, ts)) {
+    const std::string message =
+        name() + ": prepared call built for other queries" + where();
+    tensor::CheckOrDie(false, message.c_str());
+  }
+  ++prepared_cursor_;
+  return &call;
 }
 
 Var TgnnModel::ScoreEdges(const std::vector<int32_t>& srcs,
@@ -38,15 +75,11 @@ Var TgnnModel::SourceEmbeddings(const std::vector<int32_t>& srcs,
                                 const std::vector<double>& ts) {
   const tensor::kernels::Arena& arena = tensor::kernels::Arena::ThreadLocal();
   SourceMemo& memo = source_memo_;
-  // ts is compared bit for bit: 0.0 and -0.0 are different keys, so a hit
-  // never changes a single bit of the embeddings.
-  const auto same_bits = [](double a, double b) {
-    return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
-  };
+  // ts is compared bit for bit (SameBits), so a hit never changes a single
+  // bit of the embeddings.
   if (memo.embeddings != nullptr && memo.arena == &arena &&
       memo.generation == arena.Generation() && memo.srcs == srcs &&
-      std::equal(memo.ts.begin(), memo.ts.end(), ts.begin(), ts.end(),
-                 same_bits)) {
+      SameBits(memo.ts, ts)) {
     return memo.embeddings;
   }
   memo.embeddings = ComputeEmbeddings(srcs, ts);

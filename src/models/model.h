@@ -65,12 +65,24 @@ struct Batch {
   int64_t size() const { return static_cast<int64_t>(srcs.size()); }
 };
 
-/// Opaque precomputed batch inputs produced by TgnnModel::PrepareBatch on a
+/// The precomputed inputs of one scoring call (a TGAT plan, a walk pair
+/// set), tagged with the `nodes` and `ts` it was built for so the consuming
+/// call can check it was handed its own inputs.
+struct PreparedCall {
+  PreparedCall() = default;
+  PreparedCall(PreparedCall&&) = default;
+  PreparedCall& operator=(PreparedCall&&) = default;
+  virtual ~PreparedCall() = default;
+  std::vector<int32_t> nodes;
+  std::vector<double> ts;
+};
+
+/// Precomputed batch inputs produced by TgnnModel::PrepareBatch on a
 /// prefetch thread and consumed by the same model's ScoreEdges calls on the
-/// training thread. Each model defines its own derived payload (walk trees,
-/// sampled neighborhoods); the trainer only moves it around.
+/// training thread: one PreparedCall per sampling call, in call order. The
+/// trainer only moves it around.
 struct PreparedInputs {
-  virtual ~PreparedInputs() = default;
+  std::vector<std::unique_ptr<PreparedCall>> calls;
 };
 
 /// Common interface of the benchmark's TGNN implementations.
@@ -145,13 +157,15 @@ class TgnnModel {
   }
 
   /// Installs prepared inputs for the *next* ScoreEdges calls (borrowed, not
-  /// owned; pass nullptr to clear). When set, the model consumes the
-  /// precomputed samples instead of drawing from its member RNG, and the
-  /// draws match what the synchronous path would have produced because both
-  /// are keyed off the same per-batch seed.
+  /// owned; pass nullptr to clear) and rewinds their cursor. When set, the
+  /// model consumes the precomputed calls in order instead of drawing from
+  /// its member RNG (see NextPreparedCall), and the draws match what the
+  /// synchronous path would have produced because both are keyed off the
+  /// same per-batch seed.
   void SetPreparedInputs(const PreparedInputs* prepared) {
     DropSourceMemo();
     prepared_ = prepared;
+    prepared_cursor_ = 0;
   }
 
   /// Trainable parameters of the model (empty for heuristics).
@@ -206,6 +220,14 @@ class TgnnModel {
   /// Creates the MergeLayer edge scorer once the embedding width is known.
   void InitPredictor(int64_t dim_src, int64_t dim_dst, tensor::Rng& rng);
 
+  /// The next prepared call for a sampling call over (nodes, ts), or nullptr
+  /// when no inputs are installed (the caller then draws inline). With
+  /// inputs installed, running past the last call or reaching a call built
+  /// for other queries (compared bit for bit) is fatal: drawing inline
+  /// instead would make prefetched and synchronous training disagree.
+  const PreparedCall* NextPreparedCall(const std::vector<int32_t>& nodes,
+                                       const std::vector<double>& ts);
+
   const graph::TemporalGraph* graph_;
   const graph::NeighborFinder* finder_ = nullptr;
   ModelConfig config_;
@@ -213,11 +235,14 @@ class TgnnModel {
   bool training_ = false;
   ModelStatus status_ = ModelStatus::kOk;
   std::unique_ptr<tensor::MergeLayer> predictor_;
-  /// Borrowed prepared inputs for the in-flight batch (see PrepareBatch);
-  /// nullptr outside the pipelined scoring window.
-  const PreparedInputs* prepared_ = nullptr;
 
  private:
+  /// Borrowed prepared inputs for the in-flight batch (see PrepareBatch);
+  /// nullptr outside the pipelined scoring window. `prepared_cursor_` is
+  /// the index of the next call NextPreparedCall hands out.
+  const PreparedInputs* prepared_ = nullptr;
+  size_t prepared_cursor_ = 0;
+
   /// ComputeEmbeddings(srcs, ts), computed once per batch: a repeat call
   /// with the same srcs and bit-identical ts on the same tape returns the
   /// same Var, so autograd sums the positive and negative gradients at one

@@ -13,7 +13,7 @@ MotifJoint::MotifJoint(const graph::TemporalGraph* graph, ModelConfig config)
                    rng_),
       caches_(graph->num_nodes(), NCacheTable::kModelCacheSize) {
   sampler_ = std::make_unique<graph::TemporalWalkSampler>(
-      config_.walk_bias, /*alpha=*/1.0 / time_scale_);
+      config_.walk_bias, /*alpha=*/1.0 / graph_->MeanEventGap());
 }
 
 void MotifJoint::ResetImpl() {

@@ -14,7 +14,7 @@ NeurTw::NeurTw(const graph::TemporalGraph* graph, ModelConfig config)
       ode_gate_(config.embedding_dim, config.embedding_dim, rng_),
       ode_dir_(config.embedding_dim, config.embedding_dim, rng_) {
   sampler_ = std::make_unique<graph::TemporalWalkSampler>(
-      config_.walk_bias, /*alpha=*/1.0 / time_scale_);
+      config_.walk_bias, /*alpha=*/1.0 / graph_->MeanEventGap());
 }
 
 Var NeurTw::EvolveHidden(const tensor::Var& hidden,

@@ -40,12 +40,7 @@ Var TempModel::ComputeEmbeddings(const std::vector<int32_t>& nodes,
   Tensor lpa_weights({n, k});
   Tensor mp_weights({n, k});
   std::vector<float> flat_dts(static_cast<size_t>(n * k), 0.0f);
-  const double span = graph_->num_events() > 1
-                          ? graph_->event(graph_->num_events() - 1).ts -
-                                graph_->event(0).ts
-                          : 1.0;
-  const double scale =
-      std::max(span / static_cast<double>(graph_->num_events()), 1e-9) * 16.0;
+  const double scale = graph_->MeanEventGap() * 16.0;
   for (int64_t i = 0; i < n; ++i) {
     const int32_t node = nodes[static_cast<size_t>(i)];
     const double t = ts[static_cast<size_t>(i)];

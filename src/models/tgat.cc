@@ -1,7 +1,6 @@
 #include "models/tgat.h"
 
 #include <cstdint>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -115,14 +114,16 @@ TgatPlan Tgat::Plan(const std::vector<int32_t>& nodes,
 std::unique_ptr<PreparedInputs> Tgat::PrepareBatch(
     const Batch& batch, const std::vector<int32_t>& negatives,
     uint64_t seed) const {
-  auto out = std::make_unique<TgatPreparedInputs>();
+  auto out = std::make_unique<PreparedInputs>();
   tensor::Rng rng(tensor::SplitMix64(seed, 3));
   // ScoreEdges(pos) embeds srcs then dsts; ScoreEdges(neg) reuses the
   // source embeddings (SourceEmbeddings) and embeds negatives — build the
   // three plans in that consumption order.
-  out->fifo.push_back(Plan(batch.srcs, batch.ts, rng));
-  out->fifo.push_back(Plan(batch.dsts, batch.ts, rng));
-  out->fifo.push_back(Plan(negatives, batch.ts, rng));
+  for (const std::vector<int32_t>* nodes :
+       {&batch.srcs, &batch.dsts, &negatives}) {
+    out->calls.push_back(
+        std::make_unique<TgatPlan>(Plan(*nodes, batch.ts, rng)));
+  }
   return out;
 }
 
@@ -161,35 +162,12 @@ Var Tgat::Embed(const TgatPlan& plan) {
 
 Var Tgat::ComputeEmbeddings(const std::vector<int32_t>& nodes,
                             const std::vector<double>& ts) {
-  const auto* tp = dynamic_cast<const TgatPreparedInputs*>(prepared_);
-  if (tp == nullptr) return Embed(Plan(nodes, ts, rng_));
-  // Pipelined path: take the next prepared plan. Both sync and async modes
-  // install identical prepared inputs, so consumption order — and
-  // therefore every sampled neighbor — is mode-independent. Running past
-  // the end would mean drawing from the member RNG instead, which breaks
-  // that equality, and a plan built for another query list (say the
-  // negatives scored before the destinations, both n long) would embed the
-  // wrong neighbourhoods; both are fatal.
-  const auto where = [tp] {
-    return " (cursor " + std::to_string(tp->cursor) + " of " +
-           std::to_string(tp->fifo.size()) + ")";
-  };
-  if (tp->cursor >= tp->fifo.size()) {
-    const std::string message = "TGAT: prepared plans exhausted" + where();
-    tensor::CheckOrDie(false, message.c_str());
-  }
-  const TgatPlan& plan = tp->fifo[tp->cursor];
-  const auto same_bits = [](double a, double b) {
-    return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
-  };
-  if (plan.nodes != nodes || !std::equal(plan.ts.begin(), plan.ts.end(),
-                                         ts.begin(), ts.end(), same_bits)) {
-    const std::string message =
-        "TGAT: prepared plan built for other queries" + where();
-    tensor::CheckOrDie(false, message.c_str());
-  }
-  ++tp->cursor;
-  return Embed(plan);
+  // Pipelined path: the next prepared plan. Both sync and async modes
+  // install identical prepared inputs, so every sampled neighbour is
+  // mode-independent.
+  const PreparedCall* call = NextPreparedCall(nodes, ts);
+  if (call == nullptr) return Embed(Plan(nodes, ts, rng_));
+  return Embed(static_cast<const TgatPlan&>(*call));
 }
 
 std::vector<Var> Tgat::Parameters() const {

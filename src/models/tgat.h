@@ -11,12 +11,13 @@
 
 namespace benchtemp::models {
 
-/// One TGAT embedding call laid out breadth first. `levels[l]` holds the
-/// distinct queries whose layer-l embedding the call needs: keyed by node
-/// and the bits of the query time for l >= 1, and by node alone at layer 0,
-/// which ignores time. Duplicates within one level share one row, one
-/// neighbourhood draw and one attention row.
-struct TgatPlan {
+/// One TGAT embedding call laid out breadth first; `nodes` and `ts` are
+/// the call's queries, as given. `levels[l]` holds the distinct queries
+/// whose layer-l embedding the call needs: keyed by node and the bits of
+/// the query time for l >= 1, and by node alone at layer 0, which ignores
+/// time. Duplicates within one level share one row, one neighbourhood draw
+/// and one attention row.
+struct TgatPlan : public PreparedCall {
   struct Level {
     std::vector<int32_t> nodes;
     /// Query times; empty at layer 0.
@@ -27,25 +28,10 @@ struct TgatPlan {
     std::vector<int32_t> self_rows;
     std::vector<int32_t> nbr_rows;
   };
-  /// The call's queries, as given, so a consumer can check it was handed
-  /// the plan built for its own query list.
-  std::vector<int32_t> nodes;
-  std::vector<double> ts;
   /// Row of each query in the top level.
   std::vector<int64_t> out_rows;
   /// Index l is layer l; `levels.back()` is the top layer.
   std::vector<Level> levels;
-};
-
-/// Prefetched TGAT inputs of one training batch: the plans of the batch's
-/// three embedding calls (srcs, dsts, negatives; both ScoreEdges calls
-/// share the source embeddings) in consumption order, drained through
-/// `cursor`.
-struct TgatPreparedInputs : public PreparedInputs {
-  std::vector<TgatPlan> fifo;
-  /// Consumption cursor; mutated by the (single) training thread while the
-  /// trainer holds the prepared inputs as const.
-  mutable size_t cursor = 0;
 };
 
 /// TGAT (Xu et al., ICLR 2020): stateless stacked temporal self-attention.
@@ -69,7 +55,8 @@ class Tgat : public TgnnModel {
                                 const std::vector<double>& ts) override;
   std::vector<tensor::Var> Parameters() const override;
 
-  /// Pre-samples the plans of the batch's scoring calls.
+  /// Pre-samples the plans of the batch's three embedding calls (srcs,
+  /// dsts, negatives; both ScoreEdges calls share the source embeddings).
   /// Pure: draws from a local RNG keyed by `seed` (SplitMix64 lane 3), never
   /// the member RNG, so it is safe on a prefetch thread and bit-identical to
   /// inline preparation.

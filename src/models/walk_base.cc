@@ -1,7 +1,5 @@
 #include "models/walk_base.h"
 
-#include <algorithm>
-
 namespace benchtemp::models {
 
 using graph::CawAnonymizer;
@@ -18,14 +16,7 @@ WalkModel::WalkModel(const graph::TemporalGraph* graph, ModelConfig config)
                  config.embedding_dim, rng_),
       encoder_(config.embedding_dim, config.embedding_dim, rng_),
       score_head_({config.embedding_dim, config.embedding_dim, 1}, rng_),
-      embed_head_(config.embedding_dim, config.embedding_dim, rng_) {
-  if (graph->num_events() > 1) {
-    const double span =
-        graph->event(graph->num_events() - 1).ts - graph->event(0).ts;
-    time_scale_ =
-        std::max(span / static_cast<double>(graph->num_events()), 1e-9);
-  }
-}
+      embed_head_(config.embedding_dim, config.embedding_dim, rng_) {}
 
 void WalkModel::ResetImpl() {
   ClearStatus();
@@ -51,6 +42,7 @@ Var WalkModel::EncodeWalkGroups(
   const int64_t anon_dim = 2 * (config_.walk_length + 1);
   const int64_t edge_dim = graph_->edge_feature_dim();
   const Tensor& edge_features = graph_->edge_features();
+  const double time_scale = graph_->MeanEventGap();
 
   last_walk_bytes_ = rows * steps *
                      static_cast<int64_t>(sizeof(graph::WalkStep));
@@ -85,10 +77,10 @@ Var WalkModel::EncodeWalkGroups(
           }
         }
         dts[static_cast<size_t>(row)] = static_cast<float>(
-            (root_ts[static_cast<size_t>(g)] - step.ts) / time_scale_);
+            (root_ts[static_cast<size_t>(g)] - step.ts) / time_scale);
         if (s > 0 && s < static_cast<int64_t>(walk.size())) {
           gaps[static_cast<size_t>(row)] = static_cast<float>(
-              (walk[static_cast<size_t>(s - 1)].ts - step.ts) / time_scale_);
+              (walk[static_cast<size_t>(s - 1)].ts - step.ts) / time_scale);
         }
       }
     }
@@ -106,79 +98,72 @@ Var WalkModel::EncodeWalkGroups(
                           walks_per_group);
 }
 
-void WalkModel::BuildPairGroups(
-    const std::vector<int32_t>& srcs, const std::vector<int32_t>& dsts,
-    const std::vector<double>& ts, uint64_t batch_seed,
-    std::vector<std::vector<TemporalWalk>>* groups,
-    std::vector<CawAnonymizer>* anonymizers) const {
+namespace {
+
+/// `a` followed by `b`.
+template <typename T>
+std::vector<T> Concat(const std::vector<T>& a, const std::vector<T>& b) {
+  std::vector<T> out(a);
+  out.insert(out.end(), b.begin(), b.end());
+  return out;
+}
+
+}  // namespace
+
+void WalkModel::BuildPairGroups(uint64_t batch_seed, WalkPairSet* set) const {
   tensor::CheckOrDie(finder_ != nullptr, "WalkModel: neighbor finder not set");
-  const size_t n = srcs.size();
-  std::vector<int32_t> roots(srcs);
-  roots.insert(roots.end(), dsts.begin(), dsts.end());
-  std::vector<double> root_ts(ts);
-  root_ts.insert(root_ts.end(), ts.begin(), ts.end());
+  const size_t n = set->nodes.size() / 2;
   auto sampled =
-      sampler_->SampleWalkBatch(*finder_, roots, root_ts, config_.num_walks,
-                                config_.walk_length, batch_seed);
-  groups->clear();
-  anonymizers->clear();
-  groups->reserve(n);
-  anonymizers->reserve(n);
+      sampler_->SampleWalkBatch(*finder_, set->nodes, set->ts,
+                                config_.num_walks, config_.walk_length,
+                                batch_seed);
+  set->groups.reserve(n);
+  set->anonymizers.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     std::vector<TemporalWalk>& walks_u = sampled[i];
     std::vector<TemporalWalk>& walks_v = sampled[n + i];
-    anonymizers->emplace_back(walks_u, walks_v, config_.walk_length);
+    set->anonymizers.emplace_back(walks_u, walks_v, config_.walk_length);
     std::vector<TemporalWalk> group = std::move(walks_u);
     for (auto& w : walks_v) group.push_back(std::move(w));
-    groups->push_back(std::move(group));
+    set->groups.push_back(std::move(group));
   }
 }
 
 std::unique_ptr<PreparedInputs> WalkModel::PrepareBatch(
     const Batch& batch, const std::vector<int32_t>& negatives,
     uint64_t seed) const {
-  auto out = std::make_unique<WalkPreparedInputs>();
-  out->pos.dsts = batch.dsts;
-  BuildPairGroups(batch.srcs, batch.dsts, batch.ts,
-                  tensor::SplitMix64(seed, 1), &out->pos.groups,
-                  &out->pos.anonymizers);
-  out->neg.dsts = negatives;
-  BuildPairGroups(batch.srcs, negatives, batch.ts, tensor::SplitMix64(seed, 2),
-                  &out->neg.groups, &out->neg.anonymizers);
+  auto out = std::make_unique<PreparedInputs>();
+  uint64_t lane = 1;
+  for (const std::vector<int32_t>* dsts : {&batch.dsts, &negatives}) {
+    auto set = std::make_unique<WalkPairSet>();
+    set->nodes = Concat(batch.srcs, *dsts);
+    set->ts = Concat(batch.ts, batch.ts);
+    BuildPairGroups(tensor::SplitMix64(seed, lane++), set.get());
+    out->calls.push_back(std::move(set));
+  }
   return out;
 }
 
 Var WalkModel::EncodePairs(const std::vector<int32_t>& srcs,
                            const std::vector<int32_t>& dsts,
                            const std::vector<double>& ts) {
-  tensor::CheckOrDie(finder_ != nullptr, "WalkModel: neighbor finder not set");
-  if (prepared_ != nullptr) {
-    // Pipelined path: consume the precomputed pair set whose dsts match the
-    // incoming call (pos first, then neg — the trainer scores in that
-    // order, and both the sync and async modes install the same prepared
-    // inputs, so the match is mode-independent).
-    const auto* wp = dynamic_cast<const WalkPreparedInputs*>(prepared_);
-    if (wp != nullptr) {
-      const WalkPreparedInputs::PairSet* set = nullptr;
-      if (wp->pos.dsts == dsts) {
-        set = &wp->pos;
-      } else if (wp->neg.dsts == dsts) {
-        set = &wp->neg;
-      }
-      if (set != nullptr) {
-        return EncodeWalkGroups(set->groups, set->anonymizers, ts);
-      }
-    }
+  WalkPairSet inline_set;
+  inline_set.nodes = Concat(srcs, dsts);
+  inline_set.ts = Concat(ts, ts);
+  // Pipelined path: the next prepared pair set (pos, then neg). Both sync
+  // and async modes install the same prepared inputs, so every walk is
+  // mode-independent.
+  const PreparedCall* call = NextPreparedCall(inline_set.nodes, inline_set.ts);
+  if (call != nullptr) {
+    const auto& set = static_cast<const WalkPairSet&>(*call);
+    return EncodeWalkGroups(set.groups, set.anonymizers, ts);
   }
   // Inline path (evaluation, or a call outside the trainer's prepared
   // window): one batch seed drawn serially keeps the model's RNG stream
   // deterministic; the batch sampler derives per-root streams from it so
   // the walks are identical at any thread count.
-  const uint64_t batch_seed = rng_.engine()();
-  std::vector<std::vector<TemporalWalk>> groups;
-  std::vector<CawAnonymizer> anonymizers;
-  BuildPairGroups(srcs, dsts, ts, batch_seed, &groups, &anonymizers);
-  return EncodeWalkGroups(groups, anonymizers, ts);
+  BuildPairGroups(rng_.engine()(), &inline_set);
+  return EncodeWalkGroups(inline_set.groups, inline_set.anonymizers, ts);
 }
 
 Var WalkModel::ScoreEdges(const std::vector<int32_t>& srcs,

@@ -11,18 +11,12 @@
 
 namespace benchtemp::models {
 
-/// Prefetched walk inputs of one training batch: the positive and negative
-/// pair sets' sampled walk groups + anonymizers. Each set carries the dsts
-/// vector it was built for so EncodePairs can match the incoming call to
-/// the right precomputed set by value.
-struct WalkPreparedInputs : public PreparedInputs {
-  struct PairSet {
-    std::vector<int32_t> dsts;
-    std::vector<std::vector<graph::TemporalWalk>> groups;
-    std::vector<graph::CawAnonymizer> anonymizers;
-  };
-  PairSet pos;
-  PairSet neg;
+/// The walk inputs of one pair-scoring call over (srcs, dsts, ts): the
+/// call's `nodes` are the walk roots srcs ++ dsts at `ts` = ts ++ ts, and
+/// pair i has one merged walk group and its anonymizer.
+struct WalkPairSet : public PreparedCall {
+  std::vector<std::vector<graph::TemporalWalk>> groups;
+  std::vector<graph::CawAnonymizer> anonymizers;
 };
 
 /// Shared machinery of the temporal-walk models (CAWN, NeurTW): batched
@@ -41,8 +35,8 @@ class WalkModel : public TgnnModel {
   std::vector<tensor::Var> Parameters() const override;
   int64_t StateBytes() const override;
 
-  /// Pre-samples the pos/neg walk trees + anonymizers. Pure: derives both
-  /// pair sets' walk streams from `seed` (SplitMix64 lanes 1 and 2) without
+  /// Pre-samples the positive, then the negative pair set. Pure: derives
+  /// their walk streams from `seed` (SplitMix64 lanes 1 and 2) without
   /// touching the member RNG, so it is safe on a prefetch thread and
   /// bit-identical to inline preparation.
   std::unique_ptr<PreparedInputs> PrepareBatch(
@@ -76,15 +70,11 @@ class WalkModel : public TgnnModel {
       const std::vector<graph::CawAnonymizer>& anonymizers,
       const std::vector<double>& root_ts);
 
-  /// Samples the (src, dst) pair walk sets keyed by `batch_seed` and builds
-  /// the per-pair merged groups + anonymizers. Pure w.r.t. the model (const,
-  /// no member RNG) — the shared workhorse of both the inline EncodePairs
-  /// path and PrepareBatch.
-  void BuildPairGroups(
-      const std::vector<int32_t>& srcs, const std::vector<int32_t>& dsts,
-      const std::vector<double>& ts, uint64_t batch_seed,
-      std::vector<std::vector<graph::TemporalWalk>>* groups,
-      std::vector<graph::CawAnonymizer>* anonymizers) const;
+  /// Samples the walks of `set->nodes` at `set->ts` (see WalkPairSet)
+  /// keyed by `batch_seed` and builds the per-pair merged groups +
+  /// anonymizers. Pure w.r.t. the model (const, no member RNG) — the shared
+  /// workhorse of both the inline EncodePairs path and PrepareBatch.
+  void BuildPairGroups(uint64_t batch_seed, WalkPairSet* set) const;
 
   std::unique_ptr<graph::TemporalWalkSampler> sampler_;
   tensor::TimeEncoder time_encoder_;
@@ -92,8 +82,6 @@ class WalkModel : public TgnnModel {
   tensor::GruCell encoder_;
   tensor::Mlp score_head_;
   tensor::Linear embed_head_;
-  /// Mean inter-event gap of the graph; normalizes time deltas.
-  double time_scale_ = 1.0;
   /// Rough accounting of walk buffer bytes for the efficiency report.
   int64_t last_walk_bytes_ = 0;
 };

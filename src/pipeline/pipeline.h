@@ -54,6 +54,15 @@ struct PipelineStats {
   /// mode charges the full inline prepare here).
   double wait_seconds = 0.0;
 
+  /// Adds another prefetcher's accounting (one per training epoch).
+  PipelineStats& operator+=(const PipelineStats& other) {
+    batches += other.batches;
+    prefetched += other.prefetched;
+    prepare_seconds += other.prepare_seconds;
+    wait_seconds += other.wait_seconds;
+    return *this;
+  }
+
   /// Fraction of preparation time hidden from the consumer:
   /// 1 - wait/prepare, clamped to [0, 1]. Synchronous mode reports 0.
   double overlap_ratio() const {

@@ -75,6 +75,22 @@ TEST(TemporalGraphTest, Labels) {
   EXPECT_FALSE(unlabeled.HasLabels());
 }
 
+TEST(TemporalGraphTest, MeanEventGap) {
+  TemporalGraph empty;
+  EXPECT_DOUBLE_EQ(empty.MeanEventGap(), 1.0);
+  TemporalGraph one;
+  one.AddInteraction(0, 1, 7.0);
+  EXPECT_DOUBLE_EQ(one.MeanEventGap(), 1.0);
+  // Equal timestamps: a zero span, so the scale stays 1.
+  TemporalGraph same;
+  for (int i = 0; i < 3; ++i) same.AddInteraction(0, 1, 4.0);
+  EXPECT_DOUBLE_EQ(same.MeanEventGap(), 1.0);
+  // Span 10 over 4 events.
+  TemporalGraph g;
+  for (const double ts : {2.0, 3.0, 8.0, 12.0}) g.AddInteraction(0, 1, ts);
+  EXPECT_DOUBLE_EQ(g.MeanEventGap(), 2.5);
+}
+
 TEST(TemporalGraphTest, StatsReuseAndDensity) {
   TemporalGraph g;
   g.AddInteraction(0, 1, 1.0);
@@ -257,16 +273,16 @@ TEST(NeighborFinderTest, BeforeCountIsStrict) {
   EXPECT_EQ(CountBefore(finder, 0, 10.0), 2);
 }
 
-TEST(NeighborFinderTest, CursorMonotonicQueries) {
-  // A sorted-timestamp query stream exercises the cursor fast path: each
-  // query must still return the exact lower-bound prefix.
+TEST(NeighborFinderTest, InOrderQueryStreamReturnsLowerBound) {
+  // A sorted-timestamp query stream, the trainer's order: each query
+  // returns the exact lower-bound prefix.
   TemporalGraph g;
   for (int i = 0; i < 100; ++i) g.AddInteraction(0, 1 + i % 5, i);
   NeighborFinder finder(g);
   for (int t = 0; t <= 100; ++t) {
     EXPECT_EQ(CountBefore(finder, 0, t), t) << "ts=" << t;
   }
-  // Repeated identical timestamps (cursor exactly at the answer).
+  // Repeated identical timestamps.
   EXPECT_EQ(CountBefore(finder, 0, 42.0), 42);
   EXPECT_EQ(CountBefore(finder, 0, 42.0), 42);
   // Ties: multiple events at one timestamp, Before() is strict.
@@ -278,9 +294,9 @@ TEST(NeighborFinderTest, CursorMonotonicQueries) {
   EXPECT_EQ(CountBefore(tie_finder, 0, 5.0), 0);  // rewind after advance
 }
 
-TEST(NeighborFinderTest, CursorOutOfOrderFallback) {
-  // Out-of-order queries fail the cursor's bracket check and must fall
-  // back to a full binary search with identical results.
+TEST(NeighborFinderTest, OutOfOrderQueryStreamReturnsLowerBound) {
+  // An unsorted query stream gets the same answers: no query depends on
+  // the ones before it.
   TemporalGraph g;
   for (int i = 0; i < 100; ++i) g.AddInteraction(0, 1, i);
   NeighborFinder finder(g);
@@ -290,7 +306,7 @@ TEST(NeighborFinderTest, CursorOutOfOrderFallback) {
     EXPECT_EQ(CountBefore(finder, 0, ts), std::min<int64_t>(expected, 100))
         << "ts=" << ts;
   }
-  // Interleaving nodes keeps per-node cursors independent.
+  // Interleaved queries on two nodes answer each node independently.
   TemporalGraph two;
   for (int i = 0; i < 10; ++i) {
     two.AddInteraction(0, 2, i);

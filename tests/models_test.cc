@@ -388,10 +388,8 @@ TEST(TgatTest, ExhaustedPreparedInputsAreFatal) {
   const Batch batch = FirstBatch(g, 8);
   std::unique_ptr<PreparedInputs> prepared =
       model.PrepareBatch(batch, batch.dsts, /*seed=*/7);
-  auto* fifo = dynamic_cast<TgatPreparedInputs*>(prepared.get());
-  ASSERT_NE(fifo, nullptr);
-  ASSERT_EQ(fifo->fifo.size(), 3u);
-  fifo->fifo.resize(fifo->fifo.size() - 1);  // one plan short
+  ASSERT_EQ(prepared->calls.size(), 3u);
+  prepared->calls.pop_back();  // one plan short
   model.SetPreparedInputs(prepared.get());
   EXPECT_DEATH(
       {
@@ -976,9 +974,6 @@ TEST_P(SourceMemoTest, PairLossGradientMatchesFiniteDifferences) {
     model->Reset();
     model->UpdateState(warm);
     model->LoadRngState(rng_state);
-    if (auto* tgat = dynamic_cast<TgatPreparedInputs*>(prepared.get())) {
-      tgat->cursor = 0;
-    }
     model->SetPreparedInputs(prepared.get());
     Var pos = model->ScoreEdges(batch.srcs, batch.dsts, batch.ts);
     Var neg = model->ScoreEdges(batch.srcs, negatives, batch.ts);
@@ -1185,6 +1180,48 @@ TEST(NeurTwTest, NodeAblationChangesEncoding) {
   Var sa = a->ScoreEdges(srcs, dsts, ts);
   Var sb = b->ScoreEdges(srcs, dsts, ts);
   EXPECT_NE(sa->value.at(0), sb->value.at(0));
+}
+
+TEST(WalkModelTest, PreparedPairSetForOtherDestinationsIsFatal) {
+  // Prepared inputs hold the positive, then the negative pair set; scoring
+  // the negatives first must not encode them with the positives' walks.
+  // The pool's threads are running, so the death test re-executes the
+  // binary instead of forking.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  TemporalGraph g = MakeGraph();
+  NeighborFinder finder(g);
+  auto model = CreateModel(ModelKind::kCawn, &g, SmallConfig(), 40);
+  model->SetNeighborFinder(&finder);
+  const Batch batch = FirstBatch(g, 8);
+  std::vector<int32_t> negatives;
+  for (int32_t i = 0; i < 8; ++i) negatives.push_back(40 + i);
+  ASSERT_NE(negatives, batch.dsts);
+  std::unique_ptr<PreparedInputs> prepared =
+      model->PrepareBatch(batch, negatives, /*seed=*/7);
+  model->SetPreparedInputs(prepared.get());
+  EXPECT_DEATH((void)model->ScoreEdges(batch.srcs, negatives, batch.ts),
+               "built for other queries \\(cursor 0 of 2\\)");
+}
+
+TEST(WalkModelTest, ExhaustedPreparedPairSetsAreFatal) {
+  // Two pair sets serve exactly the positive and the negative scoring
+  // call; a third call must not fall back to the member RNG. As above, the
+  // death test re-executes the binary instead of forking.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  TemporalGraph g = MakeGraph();
+  NeighborFinder finder(g);
+  auto model = CreateModel(ModelKind::kCawn, &g, SmallConfig(), 40);
+  model->SetNeighborFinder(&finder);
+  const Batch batch = FirstBatch(g, 8);
+  std::vector<int32_t> negatives;
+  for (int32_t i = 0; i < 8; ++i) negatives.push_back(40 + i);
+  std::unique_ptr<PreparedInputs> prepared =
+      model->PrepareBatch(batch, negatives, /*seed=*/7);
+  model->SetPreparedInputs(prepared.get());
+  (void)model->ScoreEdges(batch.srcs, batch.dsts, batch.ts);
+  (void)model->ScoreEdges(batch.srcs, negatives, batch.ts);
+  EXPECT_DEATH((void)model->ScoreEdges(batch.srcs, negatives, batch.ts),
+               "exhausted \\(cursor 2 of 2\\)");
 }
 
 TEST(WalkModelTest, ColdStartStillScores) {

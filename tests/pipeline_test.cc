@@ -226,7 +226,7 @@ TEST_F(PipelineTest, ResultsBitIdenticalAcrossDepths) {
           << models::ModelKindName(kind) << " depth=" << depth;
       EXPECT_EQ(result.efficiency.pipeline_depth, depth);
       if (depth > 0) {
-        EXPECT_GT(result.efficiency.pipeline_batches, 0)
+        EXPECT_GT(result.efficiency.pipeline_stats.batches, 0)
             << models::ModelKindName(kind);
       }
       bits.push_back(BitsOf(result.val_transductive.auc));
@@ -305,17 +305,17 @@ TEST_F(PipelineTest, OverlapRatioReportedByTrainer) {
   const core::LinkPredictionResult result = core::RunLinkPrediction(job);
   ASSERT_EQ(result.status, models::ModelStatus::kOk);
   EXPECT_EQ(result.efficiency.pipeline_depth, 2);
-  EXPECT_GT(result.efficiency.pipeline_batches, 0);
+  EXPECT_GT(result.efficiency.pipeline_stats.batches, 0);
   EXPECT_GE(result.efficiency.pipeline_overlap_ratio, 0.0);
   EXPECT_LE(result.efficiency.pipeline_overlap_ratio, 1.0);
-  EXPECT_GE(result.efficiency.pipeline_prepare_seconds, 0.0);
+  EXPECT_GE(result.efficiency.pipeline_stats.prepare_seconds, 0.0);
 
   job.train_config.pipeline_depth = 0;
   const core::LinkPredictionResult sync = core::RunLinkPrediction(job);
   ASSERT_EQ(sync.status, models::ModelStatus::kOk);
   EXPECT_EQ(sync.efficiency.pipeline_depth, 0);
   EXPECT_DOUBLE_EQ(sync.efficiency.pipeline_overlap_ratio, 0.0);
-  EXPECT_EQ(sync.efficiency.pipeline_prefetched, 0);
+  EXPECT_EQ(sync.efficiency.pipeline_stats.prefetched, 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -545,7 +545,7 @@ TEST_F(RobustnessTest, NodeClassificationDeadlineCutsPretraining) {
   job.train_config.deadline = obs::NowSeconds() + 0.05;
   const core::NodeClassificationResult cut = core::RunNodeClassification(job);
   EXPECT_EQ(cut.annotation, "x");
-  EXPECT_LE(cut.efficiency.pipeline_batches, 1);
+  EXPECT_LE(cut.efficiency.pipeline_stats.batches, 1);
   EXPECT_EQ(cut.efficiency.epochs_run, 0);  // decoder epochs
   EXPECT_DOUBLE_EQ(cut.accuracy, 0.0);
   EXPECT_DOUBLE_EQ(cut.f1_weighted, 0.0);
