@@ -8,6 +8,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstring>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -17,6 +18,7 @@
 #include "datagen/synthetic.h"
 #include "graph/neighbor_finder.h"
 #include "graph/walks.h"
+#include "models/cawn.h"
 #include "models/tgat.h"
 #include "models/tgn.h"
 #include "tensor/autograd.h"
@@ -244,6 +246,69 @@ void BM_TgnScoreCandidates(benchmark::State& state) {
       benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_TgnScoreCandidates)->Unit(benchmark::kMillisecond);
+
+// CAWN's walk encoder at perfbench's cawn-train shape (300 users, 100
+// items, 6,000 events, 3 walks of length 2 per root, edge dim 100): the
+// forward and backward pass of one prepared pair set of 200 pairs, the
+// positive half of a training batch from the graph's second half.
+void BM_WalkEncode(benchmark::State& state) {
+  // Immortal fixture, as SharedGraph.
+  // btlint: allow(mutable-static, raw-new)
+  static graph::TemporalGraph& g = *new graph::TemporalGraph([] {
+    datagen::SyntheticConfig cfg;
+    cfg.num_users = 300;
+    cfg.num_items = 100;
+    cfg.num_edges = 6000;
+    cfg.zipf_src = 1.2;
+    cfg.zipf_dst = 1.2;
+    cfg.time_granularity = 6000;
+    cfg.time_span = 6000.0;
+    cfg.edge_reuse_prob = 0.5;
+    cfg.affinity = 0.9;
+    cfg.edge_feature_dim = 100;
+    cfg.seed = 1;
+    return datagen::Generate(cfg);
+  }());
+  graph::NeighborFinder finder(g);
+  models::ModelConfig config;
+  config.embedding_dim = 24;
+  config.time_dim = 16;
+  config.num_walks = 3;
+  config.walk_length = 2;
+  models::Cawn model(&g, config);
+  model.SetNeighborFinder(&finder);
+  model.set_training(true);
+  models::Batch batch;
+  std::vector<int32_t> negatives;
+  tensor::Rng rng(1);
+  for (int64_t i = 3000; i < 3200; ++i) {
+    const auto& e = g.event(i);
+    batch.srcs.push_back(e.src);
+    batch.dsts.push_back(e.dst);
+    batch.ts.push_back(e.ts);
+    batch.edge_idxs.push_back(e.edge_idx);
+    negatives.push_back(
+        tensor::NarrowId(rng.UniformInt(g.num_nodes()), "bench: node id"));
+  }
+  const std::unique_ptr<models::PreparedInputs> prepared =
+      model.PrepareBatch(batch, negatives, /*seed=*/1);
+  int64_t arena_floats = 0;
+  for (auto _ : state) {
+    tensor::kernels::TapeScope scope;
+    model.SetPreparedInputs(prepared.get());
+    tensor::Var logits = model.ScoreEdges(batch.srcs, batch.dsts, batch.ts);
+    model.SetPreparedInputs(nullptr);
+    tensor::Backward(tensor::Sum(logits));
+    benchmark::DoNotOptimize(logits->value.data());
+    arena_floats += tensor::kernels::Arena::ThreadLocal().LiveFloats();
+  }
+  state.SetItemsProcessed(state.iterations() * 200);
+  // Bytes one call bump-allocates from the tape arena, as above.
+  state.counters["arena_bytes"] = benchmark::Counter(
+      static_cast<double>(arena_floats) * sizeof(float),
+      benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_WalkEncode)->Unit(benchmark::kMillisecond);
 
 // Dedup, the one first-occurrence index, over node ids (range(0) = 0),
 // float time deltas (1) and TGAT's {node, time} query keys (2).

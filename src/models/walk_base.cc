@@ -40,17 +40,19 @@ Var WalkModel::EncodeWalkGroups(
   const int64_t rows = num_groups * walks_per_group;
   const int64_t steps = config_.walk_length + 1;
   const int64_t anon_dim = 2 * (config_.walk_length + 1);
-  const int64_t edge_dim = graph_->edge_feature_dim();
   const Tensor& edge_features = graph_->edge_features();
   const double time_scale = graph_->MeanEventGap();
 
   last_walk_bytes_ = rows * steps *
                      static_cast<int64_t>(sizeof(graph::WalkStep));
 
-  Var hidden = Constant(Tensor({rows, config_.embedding_dim}));
+  // Null is the GRU's zero state: every walk starts at its root, so none
+  // has ended at step 0 and its output is the first hidden state.
+  Var hidden;
   for (int64_t s = 0; s < steps; ++s) {
     Tensor anon({rows, anon_dim});
-    Tensor edge_block({rows, edge_dim});
+    // -1 (a root step, or a walk that already ended) reads a zero row.
+    std::vector<int32_t> edge_ids(static_cast<size_t>(rows), -1);
     std::vector<float> dts(static_cast<size_t>(rows), 0.0f);
     std::vector<float> gaps(static_cast<size_t>(rows), 0.0f);
     // 1 for walks that already ended: they keep their previous state.
@@ -63,6 +65,8 @@ Var WalkModel::EncodeWalkGroups(
       for (int64_t w = 0; w < walks_per_group; ++w) {
         const TemporalWalk& walk = group[static_cast<size_t>(w)];
         const int64_t row = g * walks_per_group + w;
+        tensor::CheckOrDie(!walk.empty(),
+                           "EncodeWalkGroups: walk without a root");
         if (s >= static_cast<int64_t>(walk.size())) continue;  // ended
         const graph::WalkStep& step = walk[static_cast<size_t>(s)];
         ended.at(row) = 0.0f;
@@ -71,23 +75,24 @@ Var WalkModel::EncodeWalkGroups(
         for (int64_t c = 0; c < anon_dim; ++c) {
           anon.at(row, c) = feature[static_cast<size_t>(c)];
         }
-        if (step.edge_idx >= 0) {
-          for (int64_t c = 0; c < edge_dim; ++c) {
-            edge_block.at(row, c) = edge_features.at(step.edge_idx, c);
-          }
-        }
+        edge_ids[static_cast<size_t>(row)] = step.edge_idx;
         dts[static_cast<size_t>(row)] = static_cast<float>(
             (root_ts[static_cast<size_t>(g)] - step.ts) / time_scale);
-        if (s > 0 && s < static_cast<int64_t>(walk.size())) {
+        if (s > 0) {
           gaps[static_cast<size_t>(row)] = static_cast<float>(
               (walk[static_cast<size_t>(s - 1)].ts - step.ts) / time_scale);
         }
       }
     }
+    // Distinct edge rows and deltas are projected once each.
     Var x = Relu(step_proj_.Forward({Constant(std::move(anon)),
-                                     time_encoder_.Encode(dts),
-                                     Constant(std::move(edge_block))}));
-    if (s > 0) hidden = EvolveHidden(hidden, gaps);
+                                     time_encoder_.EncodeRows(dts),
+                                     tensor::Rows(edge_features, edge_ids)}));
+    if (hidden == nullptr) {
+      hidden = encoder_.Forward({x}, nullptr);
+      continue;
+    }
+    hidden = EvolveHidden(hidden, gaps);
     Var next = encoder_.Forward({x}, hidden);
     hidden = Lerp(next, hidden, Constant(std::move(ended)));
   }

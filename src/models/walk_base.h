@@ -19,10 +19,12 @@ struct WalkPairSet : public PreparedCall {
   std::vector<graph::CawAnonymizer> anonymizers;
 };
 
-/// Shared machinery of the temporal-walk models (CAWN, NeurTW): batched
-/// sampling of backward-in-time walks, set-based anonymization, and an
-/// RNN encoder that processes *all* walks of a batch step-synchronously
-/// (one GRU call per walk position instead of one per walk).
+/// Shared machinery of the temporal-walk models (CAWN, NeurTW,
+/// MotifJoint): batched sampling of backward-in-time walks, set-based
+/// anonymization, and an RNN encoder that processes *all* walks of a batch
+/// step-synchronously (one GRU call per walk position instead of one per
+/// walk). Each step projects its distinct edge rows and time deltas once,
+/// and the first step runs the GRU from the zero state.
 class WalkModel : public TgnnModel {
  public:
   WalkModel(const graph::TemporalGraph* graph, ModelConfig config);

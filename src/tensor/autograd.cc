@@ -419,15 +419,18 @@ std::shared_ptr<const GatheredRows> Rows(
              "Rows: rank-2 table required");
   const int64_t w = table.rank() == 2 ? table.cols() : 0;
   for (const int32_t idx : indices) {
-    CheckOrDie(idx >= 0 && (w == 0 || idx < table.rows()),
+    CheckOrDie(idx >= -1 && (w == 0 || idx < table.rows()),
                "Rows: index range");
   }
   Distinct<int32_t> rows = Dedup(indices);
   const int64_t u = static_cast<int64_t>(rows.values.size());
+  // NewTensor is zero-filled, so the row of a -1 is left as it is.
   Tensor unique = kernels::NewTensor({u, w});
   for (int64_t i = 0; i < u && w > 0; ++i) {
     const int64_t idx = rows.values[static_cast<size_t>(i)];
-    kernels::Set(unique.data() + i * w, table.data() + idx * w, w);
+    if (idx >= 0) {
+      kernels::Set(unique.data() + i * w, table.data() + idx * w, w);
+    }
   }
   return RowsOf(Constant(std::move(unique)), std::move(rows.slot));
 }

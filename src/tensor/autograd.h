@@ -99,8 +99,9 @@ struct GatheredRows {
 
 /// Deduplicates `table` rows at `indices` over a `Constant` of the distinct
 /// rows. Build it once and pass it to every projection of the same rows
-/// (attention keys and values) so they share the index. A rank-0 (absent)
-/// table gathers zero-width rows.
+/// (attention keys and values) so they share the index. An index of -1
+/// names a zero row (a walk's root step has no edge); all of them share one
+/// table row. A rank-0 (absent) table gathers zero-width rows.
 std::shared_ptr<const GatheredRows> Rows(const Tensor& table,
                                          const std::vector<int32_t>& indices);
 

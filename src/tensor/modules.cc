@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "tensor/distinct.h"
+#include "tensor/kernels/arena.h"
 
 namespace benchtemp::tensor {
 
@@ -113,6 +114,12 @@ GruCell::GruCell(int64_t input_dim, int64_t hidden_dim, Rng& rng)
       cand_h_(hidden_dim, hidden_dim, rng, /*bias=*/false) {}
 
 Var GruCell::Forward(const std::vector<ColBlock>& x, const Var& h) const {
+  if (h == nullptr) {
+    // Every h-side term is zero: h' = (1 - z) * n, with no reset gate.
+    Var z = Sigmoid(update_x_.Forward(x));
+    Var n = Tanh(cand_x_.Forward(x));
+    return Lerp(n, Constant(kernels::NewTensor(n->value.shape())), z);
+  }
   Var z = Sigmoid(Add(update_x_.Forward(x), update_h_.Forward({h})));
   Var r = Sigmoid(Add(reset_x_.Forward(x), reset_h_.Forward({h})));
   Var n = Tanh(Add(cand_x_.Forward(x), cand_h_.Forward({Mul(r, h)})));

@@ -100,6 +100,9 @@ class GruCell : public Module {
  public:
   GruCell(int64_t input_dim, int64_t hidden_dim, Rng& rng);
 
+  /// A null `h` is the zero state (PyTorch's GRUCell with hx=None): the
+  /// h-side projections and the reset gate are skipped, since each would
+  /// compute only zeros.
   Var Forward(const std::vector<ColBlock>& x, const Var& h) const;
   std::vector<Var> Parameters() const override;
 

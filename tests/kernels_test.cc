@@ -843,7 +843,13 @@ TEST_F(KernelsTest, TrainingGoldenAucApAndFlopsPerModel) {
   // features), so Project runs the input-gradient GEMM only over the blocks
   // that take a gradient, not over the whole concatenation: the flops of
   // every row but TGAT's (whose inputs were already blocks) fell, and no
-  // AUC/AP bit moved.
+  // AUC/AP bit moved. The walk models (CAWN, NeurTW, MotifJoint) pass each
+  // walk step's edge rows and deltas as gathered blocks, projected once per
+  // distinct row, and run the first step's GRU from the zero state, with no
+  // h-side GEMMs and no reset gate: their flops fell by 20-30%. The zero
+  // state alone, over dense blocks, kept every AUC/AP bit. Each gathered
+  // term enters a step's sum as one precomputed term, a reassociation that
+  // moved some of their AUC/AP bits in the last places.
 #if defined(__FMA__)
   // Library code outside the kernel layer may contract a*b+c into an FMA
   // on such targets, which rounds differently from these recorded bits.
@@ -863,17 +869,17 @@ TEST_F(KernelsTest, TrainingGoldenAucApAndFlopsPerModel) {
        0x3fe0413373ed4a35ull, 0x3fe079303dda1244ull, 30941888},
       {models::ModelKind::kTgat, 0x3fe029367ca65e4full, 0x3fe02007745fa801ull,
        0x3fdfe1275108f9ceull, 0x3fdfbe3e69a7a4e1ull, 27249968},
-      {models::ModelKind::kCawn, 0x3fdf19b9f6a51aadull, 0x3fdf20b219a57e66ull,
-       0x3fe0f363bec474d0ull, 0x3fe0e5193f3e7c08ull, 277746224},
-      {models::ModelKind::kNeurTw, 0x3fdeb0cc4b589ec9ull, 0x3fe041a1db54f9f8ull,
-       0x3fde40692e65637eull, 0x3fdf8ed4dbb01401ull, 422686256},
+      {models::ModelKind::kCawn, 0x3fdf19b9f6a51aadull, 0x3fdf20ca450548a5ull,
+       0x3fe0f35ba781948bull, 0x3fe0e505d0c9553aull, 194123312},
+      {models::ModelKind::kNeurTw, 0x3fdeb0cc4b589ec9ull, 0x3fe041956e2c90e6ull,
+       0x3fde40692e65637eull, 0x3fdf8ec9e772d768ull, 339063904},
       {models::ModelKind::kNat, 0x3fe2ca04cdcfb529ull, 0x3fe2711d9845a2d6ull,
        0x3fe1de8fdd9d23c7ull, 0x3fe0c7bd27fdd09eull, 9660672},
       {models::ModelKind::kTemp, 0x3fe0503eb4464a15ull, 0x3fe05c7d84200273ull,
        0x3fde061172283394ull, 0x3fdf056a47ea5626ull, 15603600},
       {models::ModelKind::kMotifJoint, 0x3fe8471c71c71c72ull,
-       0x3fe7b83fcce71e80ull, 0x3fe76d72a9a7c24full, 0x3fe6d2eb00d5d09cull,
-       278491952},
+       0x3fe7b83fcce71e80ull, 0x3fe76d72a9a7c24full, 0x3fe6d2df2a6122e4ull,
+       194871888},
   };
   obs::MetricRegistry::OverrideEnabledForTest(1);
   auto& registry = obs::MetricRegistry::Global();

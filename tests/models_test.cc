@@ -15,6 +15,7 @@
 
 #include "datagen/synthetic.h"
 #include "graph/neighbor_finder.h"
+#include "models/cawn.h"
 #include "models/edgebank.h"
 #include "models/nat.h"
 #include "models/tgat.h"
@@ -1236,6 +1237,236 @@ TEST(WalkModelTest, ColdStartStillScores) {
   std::vector<double> ts = {0.0};
   Var scores = model->ScoreEdges(srcs, dsts, ts);
   EXPECT_TRUE(std::isfinite(scores->value.at(0)));
+}
+
+/// CAWN beside the dense composition of its walk encoder, over its own
+/// modules: at every step each row's edge features are copied into a dense
+/// block, each row's delta is encoded, and the GRU starts from a zero
+/// hidden state.
+class DenseWalkCawn : public Cawn {
+ public:
+  using Cawn::Cawn;
+
+  Var DenseScores(const WalkPairSet& set, const std::vector<double>& ts) {
+    const auto& groups = set.groups;
+    const int64_t walks = static_cast<int64_t>(groups[0].size());
+    const int64_t rows = static_cast<int64_t>(groups.size()) * walks;
+    const int64_t anon_dim = 2 * (config_.walk_length + 1);
+    const tensor::Tensor& edges = graph_->edge_features();
+    const double scale = graph_->MeanEventGap();
+    Var hidden =
+        tensor::Constant(tensor::Tensor({rows, config_.embedding_dim}));
+    for (int64_t s = 0; s <= config_.walk_length; ++s) {
+      tensor::Tensor anon({rows, anon_dim});
+      tensor::Tensor edge_block({rows, edges.cols()});
+      std::vector<float> dts(static_cast<size_t>(rows), 0.0f);
+      tensor::Tensor ended = tensor::Tensor::Full({rows, 1}, 1.0f);
+      for (int64_t r = 0; r < rows; ++r) {
+        const size_t g = static_cast<size_t>(r / walks);
+        const graph::TemporalWalk& walk =
+            groups[g][static_cast<size_t>(r % walks)];
+        if (s >= static_cast<int64_t>(walk.size())) continue;
+        const graph::WalkStep& step = walk[static_cast<size_t>(s)];
+        ended.at(r) = 0.0f;
+        const std::vector<float> f = set.anonymizers[g].Encode(step.node);
+        for (int64_t c = 0; c < anon_dim; ++c) {
+          anon.at(r, c) = f[static_cast<size_t>(c)];
+        }
+        for (int64_t c = 0; c < edges.cols() && step.edge_idx >= 0; ++c) {
+          edge_block.at(r, c) = edges.at(step.edge_idx, c);
+        }
+        dts[static_cast<size_t>(r)] =
+            static_cast<float>((ts[g] - step.ts) / scale);
+      }
+      const std::vector<Var> proj = step_proj_.Parameters();
+      Var x = Relu(tensor::Project(
+          {tensor::Constant(std::move(anon)), time_encoder_.Encode(dts),
+           tensor::Constant(std::move(edge_block))},
+          proj[0], proj[1]));
+      Var next = encoder_.Forward({x}, hidden);
+      hidden = Lerp(next, hidden, tensor::Constant(std::move(ended)));
+    }
+    tensor::Tensor pool({static_cast<int64_t>(groups.size()), walks});
+    pool.Fill(1.0f / static_cast<float>(walks));
+    return score_head_.Forward(
+        {BatchWeightedSum(tensor::Constant(std::move(pool)), hidden, walks)});
+  }
+};
+
+TEST(WalkModelTest, GatheredStepsMatchDenseBlocks) {
+  TemporalGraph g = MakeGraph();
+  NeighborFinder finder(g);
+  DenseWalkCawn model(&g, SmallConfig());
+  model.SetNeighborFinder(&finder);
+  model.set_training(true);
+  tensor::Rng pick(23);
+  // Off the initial point, so that no logit hides behind a zero bias.
+  const std::vector<Var> params = model.Parameters();
+  for (const Var& p : params) {
+    for (int64_t i = 0; i < p->value.size(); ++i) {
+      p->value.at(i) += pick.Normal(0.0f, 0.3f);
+    }
+  }
+  // Roots at the first event's time have no history; the early events'
+  // walks end before their last step; the later ones revisit edges.
+  Batch batch;
+  for (const int64_t i : {0, 1, 5, 6, 7, 8, 100, 101, 102, 103, 104, 105}) {
+    const auto& e = g.event(i);
+    batch.srcs.push_back(e.src);
+    batch.dsts.push_back(e.dst);
+    batch.ts.push_back(i < 2 ? g.event(0).ts : e.ts);
+    batch.edge_idxs.push_back(e.edge_idx);
+  }
+  std::vector<int32_t> negatives(batch.srcs.size());
+  for (auto& d : negatives) d = 40 + static_cast<int32_t>(pick.UniformInt(15));
+  std::unique_ptr<PreparedInputs> prepared =
+      model.PrepareBatch(batch, negatives, /*seed=*/5);
+  const auto& set = static_cast<const WalkPairSet&>(*prepared->calls[0]);
+  // The batch holds what it is meant to.
+  const size_t full = static_cast<size_t>(SmallConfig().walk_length) + 1;
+  int64_t roots_only = 0, ended = 0, full_walks = 0;
+  std::vector<int32_t> step_edges;
+  for (const auto& group : set.groups) {
+    for (const graph::TemporalWalk& walk : group) {
+      roots_only += walk.size() == 1;
+      ended += walk.size() > 1 && walk.size() < full;
+      full_walks += walk.size() == full;
+      if (walk.size() > 1) step_edges.push_back(walk[1].edge_idx);
+    }
+  }
+  EXPECT_GT(roots_only, 0);
+  EXPECT_GT(ended, 0);
+  EXPECT_GT(full_walks, 0);
+  EXPECT_LT(std::set<int32_t>(step_edges.begin(), step_edges.end()).size(),
+            step_edges.size());
+
+  obs::MetricRegistry& registry = obs::MetricRegistry::Global();
+  obs::MetricRegistry::OverrideEnabledForTest(1);
+  registry.Reset();
+  std::vector<tensor::Tensor> got_grads;
+  {
+    tensor::kernels::TapeScope scope;
+    model.SetPreparedInputs(prepared.get());
+    Var got = model.ScoreEdges(batch.srcs, batch.dsts, batch.ts);
+    model.SetPreparedInputs(nullptr);
+    EXPECT_LT(registry.value(obs::Counter::kProjectUniqueRows),
+              registry.value(obs::Counter::kProjectRows));
+    Var want = model.DenseScores(set, batch.ts);
+    ExpectRelClose(got->value, want->value, "walk logits", 1e-6f);
+    // The same parameters take both gradients, one pass at a time.
+    tensor::ZeroGrad(params);
+    Backward(Sum(got));
+    for (const Var& p : params) got_grads.push_back(p->grad);
+    tensor::ZeroGrad(params);
+    Backward(Sum(want));
+  }
+  obs::MetricRegistry::OverrideEnabledForTest(-1);
+  registry.Reset();
+  for (size_t t = 0; t < params.size(); ++t) {
+    ExpectRelClose(got_grads[t], params[t]->grad,
+                   "parameter " + std::to_string(t), 1e-4f, 1e-6f);
+  }
+}
+
+/// Central differences of PairLoss(ScoreEdges(pos), ScoreEdges(neg)) for
+/// the walk models, on a sampled subset of the walk encoder's parameters:
+/// the time encoder, `step_proj_` and every GRU gate, hidden side
+/// included. Every evaluation scores the same prepared walks, so all of
+/// them see one function.
+TEST(WalkModelTest, PairLossGradientMatchesFiniteDifferences) {
+  TemporalGraph g = MakeGraph();
+  NeighborFinder finder(g);
+  const Batch warm = FirstBatch(g, 100);
+  Batch batch;
+  for (int64_t i = 100; i < 124; ++i) {
+    const auto& e = g.event(i);
+    batch.srcs.push_back(e.src);
+    batch.dsts.push_back(e.dst);
+    batch.ts.push_back(e.ts);
+    batch.edge_idxs.push_back(e.edge_idx);
+  }
+  for (const ModelKind kind :
+       {ModelKind::kCawn, ModelKind::kNeurTw, ModelKind::kMotifJoint}) {
+    SCOPED_TRACE(ModelKindName(kind));
+    auto model = CreateModel(kind, &g, SmallConfig(), 40);
+    model->SetNeighborFinder(&finder);
+    model->set_training(true);
+    std::vector<int32_t> negatives(batch.srcs.size());
+    tensor::Rng pick(3);
+    for (auto& d : negatives) {
+      d = 40 + static_cast<int32_t>(pick.UniformInt(15));
+    }
+    std::unique_ptr<PreparedInputs> prepared =
+        model->PrepareBatch(batch, negatives, /*seed=*/9);
+    // MotifJoint's N-caches draw from the member RNG as they observe.
+    const std::string rng_state = model->SaveRngState();
+    const auto loss_at_current_parameters = [&] {
+      model->Reset();
+      model->LoadRngState(rng_state);
+      model->UpdateState(warm);
+      model->SetPreparedInputs(prepared.get());
+      Var pos = model->ScoreEdges(batch.srcs, batch.dsts, batch.ts);
+      Var neg = model->ScoreEdges(batch.srcs, negatives, batch.ts);
+      model->SetPreparedInputs(nullptr);
+      return PairLoss(pos, neg);
+    };
+    // WalkModel::Parameters() opens with the time encoder (frequency,
+    // phase), `step_proj_` (weight, bias) and the GRU: update_x (weight,
+    // bias), update_h, reset_x (weight, bias), reset_h, cand_x (weight,
+    // bias), cand_h.
+    const std::vector<Var> params = model->Parameters();
+    const size_t checked = 2 + 2 + 9;
+    ASSERT_GT(params.size(), checked);
+    // Off the initial point: zero-initialised biases put many Relu inputs
+    // exactly at 0, where the derivative jumps.
+    for (const Var& p : params) {
+      for (int64_t i = 0; i < p->value.size(); ++i) {
+        p->value.at(i) += pick.Normal(0.0f, 0.1f);
+      }
+    }
+    {
+      tensor::kernels::TapeScope scope;
+      Var loss = loss_at_current_parameters();
+      ASSERT_TRUE(std::isfinite(loss->value.at(0)));
+      tensor::ZeroGrad(params);
+      Backward(loss);
+    }
+    for (size_t t = 0; t < checked; ++t) {
+      const Var& p = params[t];
+      ASSERT_EQ(p->grad.size(), p->value.size()) << "parameter " << t;
+      // A walk step's delta spans tens of mean event gaps, so the loss
+      // curves in the frequencies about dt² times faster than in the other
+      // parameters: a smaller step keeps the difference's truncation error
+      // (and its Relu kink crossings) down, and the wider floor admits the
+      // float32 rounding of the loss over that step.
+      const bool frequency = t == 0;
+      const float eps = frequency ? 1e-4f : 5e-4f;
+      const float floor = frequency ? 1.5e-3f : 5e-4f;
+      for (int sample = 0; sample < 3; ++sample) {
+        const int64_t i = pick.UniformInt(p->value.size());
+        const float saved = p->value.at(i);
+        float up = 0.0f, down = 0.0f;
+        p->value.at(i) = saved + eps;
+        {
+          tensor::kernels::TapeScope scope;
+          up = loss_at_current_parameters()->value.at(0);
+        }
+        p->value.at(i) = saved - eps;
+        {
+          tensor::kernels::TapeScope scope;
+          down = loss_at_current_parameters()->value.at(0);
+        }
+        p->value.at(i) = saved;
+        const float numeric = (up - down) / (2.0f * eps);
+        const float analytic = p->grad.at(i);
+        EXPECT_NEAR(analytic, numeric,
+                    5e-2f * std::max(std::fabs(analytic),
+                                     std::fabs(numeric)) +
+                        floor)
+            << "entry " << i << " of parameter " << t;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "obs/metrics.h"
+#include "tensor/numeric.h"
 #include "tensor/optimizer.h"
 
 namespace benchtemp::tensor {
@@ -145,6 +146,72 @@ TEST(ModulesTest, GruCellBlocksGradcheck) {
   CheckBlockModule(
       gru, {x, h}, c, [&] { return gru.Forward({c, x}, h); },
       3 * 2 * n * hd * (kConstW + 2 * kTrainW) + 3 * 4 * n * hd * hd);
+}
+
+TEST(ModulesTest, GruCellZeroStateMatchesZeroHidden) {
+  Rng rng(44);
+  GruCell gru(kConstW + kTrainW, kHidden, rng);
+  Var c = Constant(Tensor::Randn({kRows, kConstW}, rng));
+  Var x = Parameter(Tensor::Randn({kRows, kTrainW}, rng));
+  const Tensor g = Tensor::Randn({kRows, kHidden}, rng);
+  std::vector<Var> leaves = gru.Parameters();
+  leaves.push_back(x);
+  const auto loss = [&](const Var& y) {
+    return Sum(Mul(Tanh(y), Constant(g)));
+  };
+  // The output, then every leaf's gradient; one the pass never touched
+  // reads as zeros.
+  const auto run = [&](const Var& h) {
+    for (const Var& p : leaves) p->grad = Tensor();
+    Var y = gru.Forward({c, x}, h);
+    Backward(loss(y));
+    std::vector<Tensor> out = {y->value};
+    for (const Var& p : leaves) {
+      out.push_back(p->grad.size() > 0 ? p->grad
+                                       : Tensor::Zeros(p->value.shape()));
+    }
+    return out;
+  };
+  const std::vector<Tensor> zero_state = run(nullptr);
+  const std::vector<Tensor> zero_hidden =
+      run(Constant(Tensor::Zeros({kRows, kHidden})));
+  ASSERT_EQ(zero_state.size(), zero_hidden.size());
+  for (size_t t = 0; t < zero_state.size(); ++t) {
+    ASSERT_EQ(zero_state[t].shape(), zero_hidden[t].shape()) << t;
+    for (int64_t i = 0; i < zero_state[t].size(); ++i) {
+      // Equal, with +0 and -0 equal.
+      EXPECT_TRUE(ExactlyEqual(zero_state[t].at(i), zero_hidden[t].at(i)))
+          << "tensor " << t << " entry " << i;
+    }
+  }
+
+  // The zero-state tape: the update and candidate gates' x-side Project,
+  // with no h-side Project, no reset gate and no r * h.
+  Var y = gru.Forward({c, x}, nullptr);
+  std::multiset<std::string> ops;
+  std::set<const VarNode*> seen;
+  std::vector<const VarNode*> stack = {y.get()};
+  while (!stack.empty()) {
+    const VarNode* node = stack.back();
+    stack.pop_back();
+    if (!seen.insert(node).second) continue;
+    ops.insert(node->op);
+    for (const Var& p : node->parents) stack.push_back(p.get());
+  }
+  EXPECT_EQ(ops.count("Project"), 2u);
+  EXPECT_EQ(ops.count("Sigmoid"), 1u);
+  EXPECT_EQ(ops.count("Mul"), 0u);
+  EXPECT_EQ(ops.count("Add"), 0u);
+  // Per gate, dW over both blocks and dX over x alone.
+  obs::MetricRegistry& registry = obs::MetricRegistry::Global();
+  obs::MetricRegistry::OverrideEnabledForTest(1);
+  Var l = loss(y);
+  registry.Reset();
+  Backward(l);
+  EXPECT_EQ(registry.value(obs::Counter::kKernelFlops),
+            2 * 2 * kRows * kHidden * (kConstW + 2 * kTrainW));
+  obs::MetricRegistry::OverrideEnabledForTest(-1);
+  registry.Reset();
 }
 
 TEST(ModulesTest, RnnCellBlocksGradcheck) {

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "tensor/autograd.h"
 #include "tensor/distinct.h"
 #include "tensor/random.h"
 
@@ -203,6 +204,28 @@ TEST(DedupTest, EmptyInput) {
   const Distinct<float> d = Dedup(std::vector<float>{});
   EXPECT_TRUE(d.values.empty());
   EXPECT_TRUE(d.slot.empty());
+}
+
+TEST(RowsTest, MinusOneSlotsShareOneZeroRow) {
+  Rng rng(12);
+  const Tensor table = Tensor::Randn({4, 3}, rng);
+  const auto rows = Rows(table, {-1, 2, -1, 2, 0, -1});
+  EXPECT_EQ(rows->slot, (std::vector<int32_t>{0, 1, 0, 1, 2, 0}));
+  const Tensor& unique = rows->table->value;
+  ASSERT_EQ(unique.shape(), (std::vector<int64_t>{3, 3}));
+  for (int64_t c = 0; c < 3; ++c) {
+    EXPECT_EQ(std::bit_cast<uint32_t>(unique.at(0, c)), 0u);
+    EXPECT_EQ(unique.at(1, c), table.at(2, c));
+    EXPECT_EQ(unique.at(2, c), table.at(0, c));
+  }
+}
+
+TEST(RowsTest, OtherNegativeIndicesAreFatal) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Rng rng(13);
+  const Tensor table = Tensor::Randn({4, 3}, rng);
+  EXPECT_DEATH((void)Rows(table, {0, -2}), "Rows: index range");
+  EXPECT_DEATH((void)Rows(table, {4}), "Rows: index range");
 }
 
 }  // namespace
