@@ -36,7 +36,7 @@ int main() {
       if (agg.annotation == "*") {
         std::printf("%10s", "*");
       } else {
-        std::printf("%10.2f", agg.efficiency.inference_seconds_per_100k);
+        std::printf("%10.4g", agg.efficiency.inference_seconds_per_100k);
       }
       std::fflush(stdout);
     }

@@ -46,7 +46,7 @@ int main() {
         continue;
       }
       const core::EfficiencyStats& eff = agg.efficiency;
-      std::snprintf(buf, sizeof(buf), "%.3f", eff.seconds_per_epoch);
+      std::snprintf(buf, sizeof(buf), "%.4g", eff.seconds_per_epoch);
       rt.cells[m] = buf;
       if (eff.converged) {
         std::snprintf(buf, sizeof(buf), "%d", eff.best_epoch + 1);
@@ -56,7 +56,7 @@ int main() {
       }
       std::snprintf(buf, sizeof(buf), "%.2f", eff.max_rss_gb);
       rm.cells[m] = buf;
-      std::snprintf(buf, sizeof(buf), "%.3f",
+      std::snprintf(buf, sizeof(buf), "%.4g",
                     static_cast<double>(eff.state_bytes +
                                         eff.parameter_bytes) /
                         (1024.0 * 1024.0));

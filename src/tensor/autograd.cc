@@ -70,6 +70,12 @@ bool IsColBroadcast(const Tensor& a, const Tensor& b) {
   return b.size() == a.rows() && a.cols() > 1;
 }
 
+/// p + offset; an empty tensor's null data stays null.
+template <typename T>
+T* Offset(T* p, int64_t offset) {
+  return p == nullptr ? p : p + offset;
+}
+
 }  // namespace
 
 VarNode::~VarNode() {
@@ -459,12 +465,13 @@ int64_t ColBlock::cols() const {
   return (dense != nullptr ? dense : gathered->table)->value.cols();
 }
 
-Var Project(const std::vector<ColBlock>& blocks, const Var& weight,
-            const Var& bias) {
-  const Tensor& wv = weight->value;
+namespace {
+
+/// Checks Project's blocks against `wv` and returns their row count.
+int64_t BlockRows(const std::vector<ColBlock>& blocks, const Tensor& wv) {
   CheckOrDie(!blocks.empty() && wv.rank() == 2,
              "Project: need blocks and a rank-2 weight");
-  const int64_t n = blocks[0].rows(), m = wv.cols();
+  const int64_t n = blocks[0].rows();
   int64_t width = 0;
   for (const ColBlock& b : blocks) {
     CheckOrDie(b.rows() == n, "Project: block row count mismatch");
@@ -472,31 +479,88 @@ Var Project(const std::vector<ColBlock>& blocks, const Var& weight,
   }
   CheckOrDie(wv.rows() == width,
              "Project: weight rows must equal the summed block width");
-  Tensor out = kernels::NewTensor({n, m});
-  // Dense blocks accumulate into `out` in block order, each Gemm
-  // continuing every output element's increasing-k sum. A gathered block
-  // projects its table once; one pass then adds each output row's
-  // projected rows, in block order.
-  std::vector<Var> parents = {weight};
-  std::vector<std::shared_ptr<const GatheredRows>> gathered;
-  std::vector<Tensor> projected;
-  int64_t offset = 0;
+  return n;
+}
+
+/// Project's products. Each block multiplies its row slice of `wv`: the
+/// dense blocks accumulate into `dense` ([n, m]) in block order, each Gemm
+/// continuing every element's increasing-k sum, and each gathered block's
+/// table is projected once into its own rows of `tables`, stacked in block
+/// order. Appends each block's tape value to `parents`.
+void MultiplyBlocks(const std::vector<ColBlock>& blocks, const Tensor& wv,
+                    float* dense, float* tables, std::vector<Var>& parents) {
+  const int64_t n = blocks[0].rows(), m = wv.cols();
+  int64_t offset = 0, first = 0;
   for (const ColBlock& b : blocks) {
     const int64_t w = b.cols();
     const float* wp = wv.data() + offset * m;
-    if (b.dense != nullptr) {
-      kernels::Gemm(b.dense->value.data(), wp, out.data(), n, w, m);
-      parents.push_back(b.dense);
-    } else {
-      const Tensor& table = b.gathered->table->value;
-      projected.push_back(kernels::NewTensor({table.rows(), m}));
-      kernels::Gemm(table.data(), wp, projected.back().data(), table.rows(),
-                    w, m);
-      parents.push_back(b.gathered->table);
-    }
-    gathered.push_back(b.gathered);
     offset += w;
+    if (b.dense != nullptr) {
+      kernels::Gemm(b.dense->value.data(), wp, dense, n, w, m);
+      parents.push_back(b.dense);
+      continue;
+    }
+    const Tensor& table = b.gathered->table->value;
+    kernels::Gemm(table.data(), wp, Offset(tables, first * m), table.rows(),
+                  w, m);
+    first += table.rows();
+    parents.push_back(b.gathered->table);
   }
+}
+
+/// MultiplyBlocks' backward from the gradients of its outputs: `ddense`
+/// for the dense blocks and `dtables` for the gathered tables' rows. Block
+/// i (self.parents[i + 1]; `gathered[i]` is null when it is dense) adds
+/// its dW slice and, when it requires one, its input gradient.
+void MultiplyBlocksBackward(
+    VarNode& self,
+    const std::vector<std::shared_ptr<const GatheredRows>>& gathered,
+    const float* ddense, const float* dtables, int64_t n, int64_t m) {
+  VarNode& pw = *self.parents[0];
+  float* gw = pw.requires_grad ? pw.EnsureGrad().data() : nullptr;
+  int64_t offset = 0, first = 0;
+  for (size_t i = 0; i < gathered.size(); ++i) {
+    VarNode& pa = *self.parents[i + 1];
+    const int64_t w = pa.value.cols();
+    const float* wp = pw.value.data() + offset * m;
+    float* gws = gw != nullptr ? gw + offset * m : nullptr;
+    offset += w;
+    const int64_t rows = gathered[i] == nullptr ? n : pa.value.rows();
+    const float* dout =
+        gathered[i] == nullptr ? ddense : Offset(dtables, first * m);
+    if (gathered[i] != nullptr) first += rows;
+    if (gws != nullptr) kernels::GemmTN(pa.value.data(), dout, gws, rows, w, m);
+    if (pa.requires_grad) {
+      kernels::GemmNT(dout, wp, pa.EnsureGrad().data(), rows, w, m);
+    }
+  }
+}
+
+/// The gathered blocks of `blocks` (null for a dense one), and their
+/// total table rows.
+std::vector<std::shared_ptr<const GatheredRows>> GatheredOf(
+    const std::vector<ColBlock>& blocks, int64_t& table_rows) {
+  std::vector<std::shared_ptr<const GatheredRows>> gathered;
+  table_rows = 0;
+  for (const ColBlock& b : blocks) {
+    gathered.push_back(b.gathered);
+    if (b.gathered != nullptr) table_rows += b.gathered->table->value.rows();
+  }
+  return gathered;
+}
+
+}  // namespace
+
+Var Project(const std::vector<ColBlock>& blocks, const Var& weight,
+            const Var& bias) {
+  const Tensor& wv = weight->value;
+  const int64_t n = BlockRows(blocks, wv), m = wv.cols();
+  int64_t table_rows = 0;
+  auto gathered = GatheredOf(blocks, table_rows);
+  Tensor out = kernels::NewTensor({n, m});
+  Tensor projected = kernels::NewTensor({table_rows, m});
+  std::vector<Var> parents = {weight};
+  MultiplyBlocks(blocks, wv, out.data(), projected.data(), parents);
   const float* bp = nullptr;
   if (bias != nullptr) {
     CheckOrDie(IsRowBroadcast(out, bias->value),
@@ -504,23 +568,22 @@ Var Project(const std::vector<ColBlock>& blocks, const Var& weight,
     bp = bias->value.data();
     parents.push_back(bias);
   }
-  if (!projected.empty() || bp != nullptr) {
-    struct Term {
-      const float* rows;
-      const int32_t* slot;
-    };
-    std::vector<Term> terms;
-    for (const auto& g : gathered) {
-      if (g != nullptr) {
-        terms.push_back({projected[terms.size()].data(), g->slot.data()});
-      }
-    }
+  // One pass adds each output row's projected rows, in block order, then
+  // the bias.
+  std::vector<kernels::RowTerm> terms;
+  int64_t first = 0;
+  for (const auto& g : gathered) {
+    if (g == nullptr) continue;
+    terms.push_back({projected.data() + first * m, g->slot.data()});
+    first += g->table->value.rows();
+  }
+  if (!terms.empty() || bp != nullptr) {
     const int64_t t = static_cast<int64_t>(terms.size());
     float* op = out.data();
     kernels::CountFlops(t * n * m);
     runtime::ParallelFor(
         0, n, RowGrain((t + 1) * m), [&](int64_t r0, int64_t r1) {
-          for (const Term& term : terms) {
+          for (const kernels::RowTerm& term : terms) {
             kernels::GatherAdd(op + r0 * m, term.rows, term.slot + r0,
                                r1 - r0, m);
           }
@@ -531,10 +594,9 @@ Var Project(const std::vector<ColBlock>& blocks, const Var& weight,
   }
   return MakeNode(
       "Project", std::move(out), std::move(parents),
-      [n, m, gathered](VarNode& self) {
+      [n, m, table_rows, gathered](VarNode& self) {
         // parents[i + 1] is block i's value (its table when gathered); a
         // bias is the last parent.
-        VarNode& pw = *self.parents[0];
         const float* sg = self.grad.data();
         if (self.parents.size() > gathered.size() + 1 &&
             self.parents.back()->requires_grad) {
@@ -542,40 +604,61 @@ Var Project(const std::vector<ColBlock>& blocks, const Var& weight,
           float* gb = self.parents.back()->EnsureGrad().data();
           for (int64_t r = 0; r < n; ++r) kernels::Add(gb, sg + r * m, m);
         }
-        float* gw = pw.requires_grad ? pw.EnsureGrad().data() : nullptr;
-        int64_t offset = 0;
+        // dU sums dOut over the rows sharing a table row, in ascending row
+        // order; the dW slice is tableᵀ · dU and the table's gradient
+        // dU · W_sliceᵀ.
+        Tensor du = kernels::NewTensor({table_rows, m});
+        const bool dw = self.parents[0]->requires_grad;
+        int64_t first = 0;
         for (size_t i = 0; i < gathered.size(); ++i) {
-          VarNode& pa = *self.parents[i + 1];
-          const int64_t w = pa.value.cols();
-          const float* wp = pw.value.data() + offset * m;
-          float* gws = gw != nullptr ? gw + offset * m : nullptr;
-          offset += w;
-          if (gathered[i] == nullptr) {
-            if (gws != nullptr) {
-              kernels::GemmTN(pa.value.data(), sg, gws, n, w, m);
-            }
-            if (pa.requires_grad) {
-              kernels::GemmNT(sg, wp, pa.EnsureGrad().data(), n, w, m);
-            }
-            continue;
+          if (gathered[i] == nullptr) continue;
+          const int64_t u = gathered[i]->table->value.rows();
+          if (dw || self.parents[i + 1]->requires_grad) {
+            kernels::CountFlops(n * m);
+            kernels::ScatterAdd(du.data() + first * m, sg,
+                                gathered[i]->slot.data(), n, m);
           }
-          if (gws == nullptr && !pa.requires_grad) continue;
-          // dU sums dOut over the rows sharing a table row, in ascending
-          // row order; the dW slice is tableᵀ · dU and the table's
-          // gradient dU · W_sliceᵀ.
-          const int64_t u = pa.value.rows();
-          Tensor du = kernels::NewTensor({u, m});
-          float* dp = du.data();
-          kernels::CountFlops(n * m);
-          kernels::ScatterAdd(dp, sg, gathered[i]->slot.data(), n, m);
-          if (gws != nullptr) {
-            kernels::GemmTN(pa.value.data(), dp, gws, u, w, m);
-          }
-          if (pa.requires_grad) {
-            kernels::GemmNT(dp, wp, pa.EnsureGrad().data(), u, w, m);
-          }
+          first += u;
         }
+        MultiplyBlocksBackward(self, gathered, sg, du.data(), n, m);
       });
+}
+
+SummedRows ProjectRows(const std::vector<ColBlock>& blocks, const Var& weight,
+                       const Var& bias) {
+  const Tensor& wv = weight->value;
+  const int64_t n = BlockRows(blocks, wv), m = wv.cols();
+  int64_t table_rows = 0;
+  auto gathered = GatheredOf(blocks, table_rows);
+  const bool any_dense = std::count(gathered.begin(), gathered.end(),
+                                    nullptr) > 0;
+  const int64_t dense_rows = any_dense ? n : 0;
+  SummedRows rows;
+  rows.rows = n;
+  rows.bias = bias;
+  if (any_dense) rows.terms.push_back({0, nullptr});
+  int64_t first = dense_rows;
+  for (const auto& g : gathered) {
+    if (g == nullptr) continue;
+    rows.terms.push_back({first, g});
+    first += g->table->value.rows();
+  }
+  Tensor tables = kernels::NewTensor({dense_rows + table_rows, m});
+  if (bias != nullptr) {
+    CheckOrDie(IsRowBroadcast(tables, bias->value),
+               "Project: bias must be [1, m]");
+  }
+  std::vector<Var> parents = {weight};
+  MultiplyBlocks(blocks, wv, tables.data(),
+                 Offset(tables.data(), dense_rows * m), parents);
+  rows.tables = MakeNode(
+      "ProjectRows", std::move(tables), std::move(parents),
+      [n, m, dense_rows, gathered](VarNode& self) {
+        const float* sg = self.grad.data();
+        MultiplyBlocksBackward(self, gathered, sg, Offset(sg, dense_rows * m),
+                               n, m);
+      });
+  return rows;
 }
 
 // ---------------------------------------------------------------------------
@@ -787,73 +870,7 @@ ColWindow Resolve(ColWindow window, int64_t width, const char* what) {
   return window;
 }
 
-/// p + offset; an empty tensor's null data stays null.
-template <typename T>
-T* Offset(T* p, int64_t offset) {
-  return p == nullptr ? p : p + offset;
-}
-
 }  // namespace
-
-Var BatchDot(const Var& q, const Var& k_block, int64_t num_keys,
-             ColWindow window) {
-  const Tensor& qv = q->value;
-  const Tensor& kv = k_block->value;
-  CheckOrDie(qv.rank() == 2 && kv.rank() == 2, "BatchDot: rank-2 required");
-  const int64_t b = qv.shape()[0], w = qv.shape()[1];
-  CheckOrDie(kv.shape()[0] == b * num_keys && kv.shape()[1] == w,
-             "BatchDot: key block shape");
-  const auto [c, d] = Resolve(window, w, "BatchDot: column window range");
-  Tensor out = kernels::NewTensor({b, num_keys});
-  {
-    const float* qp = Offset(qv.data(), c);
-    const float* kp = Offset(kv.data(), c);
-    float* op = out.data();
-    kernels::CountFlops(2 * b * num_keys * d);
-    runtime::ParallelFor(
-        0, b, RowGrain(num_keys * d), [&](int64_t b0, int64_t b1) {
-          for (int64_t i = b0; i < b1; ++i) {
-            const float* qrow = qp + i * w;
-            for (int64_t k = 0; k < num_keys; ++k) {
-              op[i * num_keys + k] =
-                  kernels::Dot(qrow, kp + (i * num_keys + k) * w, d);
-            }
-          }
-        });
-  }
-  return MakeNode(
-      "BatchDot", std::move(out), {q, k_block},
-      [b, w, c, d, num_keys](VarNode& self) {
-        VarNode& pq = *self.parents[0];
-        VarNode& pk = *self.parents[1];
-        // Gradients go straight into the window's columns of the parents.
-        float* gq =
-            pq.requires_grad ? Offset(pq.EnsureGrad().data(), c) : nullptr;
-        float* gk =
-            pk.requires_grad ? Offset(pk.EnsureGrad().data(), c) : nullptr;
-        const float* sg = self.grad.data();
-        const float* qp = Offset(pq.value.data(), c);
-        const float* kp = Offset(pk.value.data(), c);
-        // Both gradients are blocked by batch row i: gq row i and gk rows
-        // [i*num_keys, (i+1)*num_keys) belong to exactly one chunk.
-        runtime::ParallelFor(
-            0, b, RowGrain(2 * num_keys * d), [&](int64_t b0, int64_t b1) {
-              for (int64_t i = b0; i < b1; ++i) {
-                for (int64_t k = 0; k < num_keys; ++k) {
-                  const float gval = sg[i * num_keys + k];
-                  if (IsExactlyZero(gval)) continue;
-                  const int64_t krow = (i * num_keys + k) * w;
-                  if (gq != nullptr) {
-                    kernels::Axpy(gq + i * w, gval, kp + krow, d);
-                  }
-                  if (gk != nullptr) {
-                    kernels::Axpy(gk + krow, gval, qp + i * w, d);
-                  }
-                }
-              }
-            });
-      });
-}
 
 Var BatchWeightedSum(const Var& w, const Var& v_block, int64_t num_keys,
                      ColWindow window) {
@@ -917,6 +934,187 @@ Var BatchWeightedSum(const Var& w, const Var& v_block, int64_t num_keys,
                 }
               }
             });
+      });
+}
+
+namespace {
+
+/// An attention head's reading of summed rows: the column window [c, c+d)
+/// of each query's num_keys keys, summed from the terms on the fly.
+class SummedWindow {
+ public:
+  SummedWindow(const SummedRows& s, int64_t num_keys, ColWindow window,
+               const char* what)
+      : held_(s.terms), num_keys_(num_keys), m_(s.tables->value.cols()) {
+    const ColWindow resolved = Resolve(window, m_, what);
+    c_ = resolved.start;
+    d_ = resolved.len;
+    for (const SummedRows::Term& t : s.terms) {
+      const int32_t* slot =
+          t.gathered != nullptr ? t.gathered->slot.data() : nullptr;
+      terms_.push_back({Offset(s.tables->value.data(), t.first * m_ + c_),
+                        slot});
+      gathered_terms_ += slot != nullptr ? 1 : 0;
+    }
+    if (s.bias != nullptr) bias_ = s.bias->value.data() + c_;
+  }
+
+  int64_t c() const { return c_; }
+  int64_t d() const { return d_; }
+
+  /// The adds Project's row pass counted for these windows of `queries`
+  /// queries' keys: one per gathered term and column.
+  int64_t SumFlops(int64_t queries) const {
+    return gathered_terms_ * queries * num_keys_ * d_;
+  }
+
+  /// fn(i, windows) for every query i < b, in parallel over queries, where
+  /// `windows` ([num_keys, d], a per-thread buffer) holds query i's keys'
+  /// windows.
+  template <typename Fn>
+  void ForEachQuery(int64_t b, Fn fn) const {
+    const int64_t t = static_cast<int64_t>(terms_.size());
+    runtime::ParallelFor(
+        0, b, RowGrain(num_keys_ * d_ * (t + 2)), [&](int64_t b0, int64_t b1) {
+          std::vector<float> windows(static_cast<size_t>(num_keys_ * d_));
+          for (int64_t i = b0; i < b1; ++i) {
+            kernels::SumRowTerms(windows.data(), terms_.data(), t, bias_,
+                                 i * num_keys_, num_keys_, m_, d_);
+            fn(i, windows.data());
+          }
+        });
+  }
+
+  /// The transpose of the sum, into `self`'s parents: the tables (parent
+  /// 1) and the bias (parent 2), each where it requires a gradient. Key k
+  /// of query i adds scale[i * num_keys + k] * x_i (d floats at
+  /// x + i * x_stride) to every term's row and then to the bias. One
+  /// thread runs the keys in ascending order, so each table row and the
+  /// bias sum their keys in the order Project's ScatterAdd and bias column
+  /// sum do.
+  void Scatter(VarNode& self, int64_t b, const float* scale, const float* x,
+               int64_t x_stride) const {
+    VarNode& pt = *self.parents[1];
+    std::vector<kernels::GradRowTerm> terms;
+    if (pt.requires_grad) {
+      float* gt = pt.EnsureGrad().data();
+      for (size_t j = 0; j < terms_.size(); ++j) {
+        terms.push_back({gt + held_[j].first * m_ + c_, terms_[j].slot});
+      }
+      kernels::CountFlops(SumFlops(b));
+    }
+    float* gb = nullptr;
+    if (self.parents.size() > 2 && self.parents[2]->requires_grad) {
+      gb = self.parents[2]->EnsureGrad().data() + c_;
+    }
+    for (int64_t i = 0; i < b; ++i) {
+      kernels::ScatterRowTerms(terms.data(), static_cast<int64_t>(terms.size()),
+                               gb, scale + i * num_keys_, x + i * x_stride,
+                               i * num_keys_, num_keys_, m_, d_);
+    }
+  }
+
+ private:
+  std::vector<SummedRows::Term> held_;  // keeps the slots alive
+  int64_t num_keys_;
+  int64_t m_;
+  int64_t c_ = 0, d_ = 0;
+  std::vector<kernels::RowTerm> terms_;
+  const float* bias_ = nullptr;
+  int64_t gathered_terms_ = 0;
+};
+
+/// The tape parents of a head reading `s` after its own input `a`.
+std::vector<Var> HeadParents(const Var& a, const SummedRows& s) {
+  std::vector<Var> parents = {a, s.tables};
+  if (s.bias != nullptr) parents.push_back(s.bias);
+  return parents;
+}
+
+}  // namespace
+
+Var BatchDot(const Var& q, const SummedRows& keys, int64_t num_keys,
+             ColWindow window) {
+  const Tensor& qv = q->value;
+  CheckOrDie(qv.rank() == 2 && keys.tables != nullptr,
+             "BatchDot: rank-2 required");
+  const int64_t b = qv.rows(), w = qv.cols();
+  CheckOrDie(keys.rows == b * num_keys && keys.tables->value.cols() == w,
+             "BatchDot: key block shape");
+  auto read = std::make_shared<const SummedWindow>(
+      keys, num_keys, window, "BatchDot: column window range");
+  const int64_t c = read->c(), d = read->d();
+  Tensor out = kernels::NewTensor({b, num_keys});
+  {
+    const float* qp = Offset(qv.data(), c);
+    float* op = out.data();
+    kernels::CountFlops(2 * b * num_keys * d + read->SumFlops(b));
+    read->ForEachQuery(b, [&](int64_t i, const float* keys_i) {
+      for (int64_t k = 0; k < num_keys; ++k) {
+        op[i * num_keys + k] = kernels::Dot(qp + i * w, keys_i + k * d, d);
+      }
+    });
+  }
+  return MakeNode(
+      "BatchDot", std::move(out), HeadParents(q, keys),
+      [b, w, c, d, num_keys, read](VarNode& self) {
+        VarNode& pq = *self.parents[0];
+        const float* sg = self.grad.data();
+        if (pq.requires_grad) {
+          // Straight into q's window; row i belongs to one chunk.
+          float* gq = Offset(pq.EnsureGrad().data(), c);
+          read->ForEachQuery(b, [&](int64_t i, const float* keys_i) {
+            for (int64_t k = 0; k < num_keys; ++k) {
+              const float gval = sg[i * num_keys + k];
+              if (IsExactlyZero(gval)) continue;
+              kernels::Axpy(gq + i * w, gval, keys_i + k * d, d);
+            }
+          });
+        }
+        read->Scatter(self, b, sg, Offset(pq.value.data(), c), w);
+      });
+}
+
+Var BatchWeightedSum(const Var& w, const SummedRows& values, int64_t num_keys,
+                     ColWindow window) {
+  const Tensor& wv = w->value;
+  CheckOrDie(wv.rank() == 2 && values.tables != nullptr,
+             "BatchWeightedSum: rank-2 required");
+  const int64_t b = wv.rows();
+  CheckOrDie(wv.cols() == num_keys, "BatchWeightedSum: weight shape");
+  CheckOrDie(values.rows == b * num_keys, "BatchWeightedSum: value shape");
+  auto read = std::make_shared<const SummedWindow>(
+      values, num_keys, window, "BatchWeightedSum: column window range");
+  const int64_t d = read->d();
+  Tensor out = kernels::NewTensor({b, d});
+  {
+    const float* wp = wv.data();
+    float* op = out.data();
+    kernels::CountFlops(2 * b * num_keys * d + read->SumFlops(b));
+    read->ForEachQuery(b, [&](int64_t i, const float* values_i) {
+      for (int64_t k = 0; k < num_keys; ++k) {
+        const float weight = wp[i * num_keys + k];
+        if (IsExactlyZero(weight)) continue;
+        kernels::Axpy(op + i * d, weight, values_i + k * d, d);
+      }
+    });
+  }
+  return MakeNode(
+      "BatchWeightedSum", std::move(out), HeadParents(w, values),
+      [b, d, num_keys, read](VarNode& self) {
+        VarNode& pw = *self.parents[0];
+        const float* sg = self.grad.data();
+        if (pw.requires_grad) {
+          // Weight row i belongs to one chunk.
+          float* gw = pw.EnsureGrad().data();
+          read->ForEachQuery(b, [&](int64_t i, const float* values_i) {
+            for (int64_t k = 0; k < num_keys; ++k) {
+              gw[i * num_keys + k] +=
+                  kernels::Dot(sg + i * d, values_i + k * d, d);
+            }
+          });
+        }
+        read->Scatter(self, b, pw.value.data(), sg, d);
       });
 }
 

@@ -136,6 +136,31 @@ struct ColBlock {
 Var Project(const std::vector<ColBlock>& blocks, const Var& weight,
             const Var& bias = nullptr);
 
+/// Project(blocks, weight, bias) without its row pass: the n output rows
+/// are never built. Each is the sum of its terms (the dense blocks' product
+/// row, then each gathered block's projected table row, in block order)
+/// and the bias, and a reader sums only the columns it reads, in that
+/// order, so it sees the bits Project's rows hold.
+struct SummedRows {
+  struct Term {
+    int64_t first;  // the term's first row in `tables`
+    std::shared_ptr<const GatheredRows> gathered;  // null: the dense term
+  };
+
+  /// The terms' rows, stacked: the dense blocks' product ([n, m], when any
+  /// block is dense), then each gathered block's table times its weight
+  /// slice ([U, m]). Gradients reach it per table row, and its backward is
+  /// Project's per-block GEMMs.
+  Var tables;
+  /// Key r reads row `first + r` of a dense term, `first + slot[r]` of a
+  /// gathered one.
+  std::vector<Term> terms;
+  Var bias;  // [1, m], or null
+  int64_t rows = 0;  // n
+};
+SummedRows ProjectRows(const std::vector<ColBlock>& blocks, const Var& weight,
+                       const Var& bias = nullptr);
+
 // ---------------------------------------------------------------------------
 // Nonlinearities.
 // ---------------------------------------------------------------------------
@@ -166,10 +191,11 @@ Var SoftmaxCrossEntropy(const Var& logits, const std::vector<int64_t>& labels);
 // Batched attention primitives.
 //
 // Attention over sampled temporal neighbors operates on a [B, K, D] block
-// stored flat as [B*K, D]. These fused primitives avoid per-row graph nodes.
-// Each reads one column window of its rows in place, so an attention head
-// works on its columns of the projected queries, keys and values without a
-// copy, and its gradients land in those columns of the parents.
+// of key rows, key b*K + k for query b. These fused primitives avoid
+// per-row graph nodes. Each reads one column window of its rows, so an
+// attention head works on its columns of the projected queries, keys and
+// values without a copy, and its gradients land in those columns of the
+// parents. Keys and values come as SummedRows, never built as [B*K, D].
 // ---------------------------------------------------------------------------
 
 /// Columns [start, start + len) of every row; the default window covers
@@ -179,13 +205,19 @@ struct ColWindow {
   int64_t len = -1;  // -1: through the last column
 };
 
-/// scores[b, k] = dot(q[b, c], k_block[b*K + k, c]) over the window's
-/// columns c -> [B, K]. q and k_block have the same width.
-Var BatchDot(const Var& q, const Var& k_block, int64_t num_keys,
+/// scores[b, k] = dot(q[b, c], key row b*K + k at c) over the window's
+/// columns c -> [B, K]. q and the key rows have the same width. Each key's
+/// window is summed from its terms on the fly; its gradient is scattered
+/// straight into the terms' table rows and the bias, in ascending key
+/// order.
+Var BatchDot(const Var& q, const SummedRows& keys, int64_t num_keys,
              ColWindow window = {});
 /// out[b, :] = sum_k w[b, k] * v_block[b*K + k, c] over the window's
 /// columns c -> [B, len].
 Var BatchWeightedSum(const Var& w, const Var& v_block, int64_t num_keys,
+                     ColWindow window = {});
+/// The same over summed value rows, read as BatchDot reads its keys.
+Var BatchWeightedSum(const Var& w, const SummedRows& values, int64_t num_keys,
                      ColWindow window = {});
 
 }  // namespace benchtemp::tensor

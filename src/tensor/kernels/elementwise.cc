@@ -52,6 +52,53 @@ void ScatterAdd(float* y, const float* x, const int32_t* idx, int64_t n,
     for (int64_t j = 0; j < m; ++j) yr[j] += xr[j];
   }
 }
+void SumRowTerms(float* y, const RowTerm* terms, int64_t t, const float* bias,
+                 int64_t first, int64_t n, int64_t m, int64_t d) {
+  // Four columns at a time are held in registers across the terms and
+  // stored once; the d % 4 trailing columns run one at a time.
+  constexpr int64_t kW = 4;
+  for (int64_t r = first; r < first + n; ++r) {
+    float* yr = y + (r - first) * d;
+    int64_t c0 = 0;
+    for (; c0 + kW <= d; c0 += kW) {
+      float acc[kW] = {};
+      for (int64_t j = 0; j < t; ++j) {
+        const int32_t* slot = terms[j].slot;
+        const float* xr =
+            terms[j].rows + (slot != nullptr ? int64_t{slot[r]} : r) * m + c0;
+        for (int64_t l = 0; l < kW; ++l) acc[l] += xr[l];
+      }
+      if (bias != nullptr) {
+        for (int64_t l = 0; l < kW; ++l) acc[l] += bias[c0 + l];
+      }
+      for (int64_t l = 0; l < kW; ++l) yr[c0 + l] = acc[l];
+    }
+    for (; c0 < d; ++c0) {
+      float acc = 0.0f;
+      for (int64_t j = 0; j < t; ++j) {
+        const int32_t* slot = terms[j].slot;
+        acc += terms[j].rows[(slot != nullptr ? int64_t{slot[r]} : r) * m + c0];
+      }
+      if (bias != nullptr) acc += bias[c0];
+      yr[c0] = acc;
+    }
+  }
+}
+void ScatterRowTerms(const GradRowTerm* terms, int64_t t, float* bias,
+                     const float* scale, const float* x, int64_t first,
+                     int64_t n, int64_t m, int64_t d) {
+  for (int64_t r = first; r < first + n; ++r) {
+    const float s = scale[r - first];
+    if (IsExactlyZero(s)) continue;
+    for (int64_t j = 0; j < t; ++j) {
+      const int32_t* slot = terms[j].slot;
+      float* yr = terms[j].rows + (slot != nullptr ? int64_t{slot[r]} : r) * m;
+      for (int64_t c = 0; c < d; ++c) yr[c] += s * x[c];
+    }
+    if (bias == nullptr) continue;
+    for (int64_t c = 0; c < d; ++c) bias[c] += s * x[c];
+  }
+}
 void FillOut(float* y, float v, int64_t n) {
   for (int64_t i = 0; i < n; ++i) y[i] = v;
 }

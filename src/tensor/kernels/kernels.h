@@ -94,6 +94,31 @@ void GatherAdd(float* y, const float* x, const int32_t* idx, int64_t n,
 void ScatterAdd(float* y, const float* x, const int32_t* idx, int64_t n,
                 int64_t m);
 
+/// One term of a summed row: key r reads row slot[r] of `rows` (row r when
+/// `slot` is null); rows are m floats apart.
+struct RowTerm {
+  const float* rows;
+  const int32_t* slot;
+};
+/// y[r - first, :] = (((+0 + T_0) + T_1) + ...) + bias over the first d
+/// floats of each key r's term rows T_j, for r in [first, first + n); y is
+/// [n, d] and a null bias adds nothing. Each element adds its terms one at
+/// a time in term order and the bias last: Project's per-element order.
+void SumRowTerms(float* y, const RowTerm* terms, int64_t t, const float* bias,
+                 int64_t first, int64_t n, int64_t m, int64_t d);
+/// A term whose rows receive SumRowTerms' gradient.
+struct GradRowTerm {
+  float* rows;
+  const int32_t* slot;
+};
+/// SumRowTerms' transpose: for keys r in [first, first + n) in ascending
+/// order, adds s * x[0..d) (s = scale[r - first]; a zero s adds nothing)
+/// to each term's row for key r, in term order, and then to the bias when
+/// it is not null. Each element adds s * x[c] as Axpy does.
+void ScatterRowTerms(const GradRowTerm* terms, int64_t t, float* bias,
+                     const float* scale, const float* x, int64_t first,
+                     int64_t n, int64_t m, int64_t d);
+
 // Out-of-place forms (y never aliases the inputs).
 void AddOut(float* y, const float* a, const float* b, int64_t n);  // y=a+b
 void MulOut(float* y, const float* a, const float* b, int64_t n);  // y=a*b

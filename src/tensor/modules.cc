@@ -30,6 +30,10 @@ Var Linear::Forward(const std::vector<ColBlock>& blocks) const {
   return Project(blocks, weight_, bias_);
 }
 
+SummedRows Linear::ForwardRows(const std::vector<ColBlock>& blocks) const {
+  return ProjectRows(blocks, weight_, bias_);
+}
+
 std::vector<Var> Linear::Parameters() const {
   std::vector<Var> params = {weight_};
   if (bias_ != nullptr) params.push_back(bias_);
@@ -199,12 +203,13 @@ Var MultiHeadAttention::Forward(const std::vector<ColBlock>& queries,
              "MultiHeadAttention: mask shape");
   Var q = q_proj_.Forward(queries);  // [B, model]
   // Keys double as values: both projections read the same blocks, so a
-  // gathered block's unique-row index is shared by the two.
-  Var k = k_proj_.Forward(keys);  // [B*K, model]
-  Var v = v_proj_.Forward(keys);  // [B*K, model]
+  // gathered block's unique-row index is shared by the two. Neither builds
+  // its [B*K, model] rows: each head sums the window it reads per key.
+  const SummedRows k = k_proj_.ForwardRows(keys);
+  const SummedRows v = v_proj_.ForwardRows(keys);
   const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
-  // Head h reads its column window of q, k and v in place, and the heads'
-  // outputs enter the output projection as its column blocks.
+  // Head h reads its column window of q, k and v, and the heads' outputs
+  // enter the output projection as its column blocks.
   std::vector<ColBlock> heads;
   heads.reserve(static_cast<size_t>(num_heads_));
   for (int64_t h = 0; h < num_heads_; ++h) {

@@ -33,6 +33,9 @@ class Linear : public Module {
   /// concatenation is built and gathered feature rows are projected once
   /// per distinct row. One tensor x is Forward({x}).
   Var Forward(const std::vector<ColBlock>& blocks) const;
+  /// The same rows left unsummed (tensor::ProjectRows), for readers that
+  /// sum only the columns they read.
+  SummedRows ForwardRows(const std::vector<ColBlock>& blocks) const;
   std::vector<Var> Parameters() const override;
 
   int64_t in_dim() const { return in_dim_; }

@@ -43,6 +43,15 @@ void CheckGradient(const Var& param, const std::function<Var()>& loss_fn,
   }
 }
 
+/// `x`'s rows as summed rows: one dense term through an identity weight,
+/// so BatchDot reads exactly x's rows.
+SummedRows DenseRows(const Var& x) {
+  const int64_t w = x->value.cols();
+  Tensor identity({w, w});
+  for (int64_t i = 0; i < w; ++i) identity.at(i, i) = 1.0f;
+  return ProjectRows({x}, Constant(std::move(identity)));
+}
+
 TEST(AutogradTest, AddBackward) {
   Rng rng(1);
   Var a = Parameter(Tensor::Randn({3, 4}, rng));
@@ -198,7 +207,7 @@ TEST(AutogradTest, BatchDotBackward) {
   const int64_t k = 3;
   Var q = Parameter(Tensor::Randn({2, 4}, rng));
   Var keys = Parameter(Tensor::Randn({2 * k, 4}, rng));
-  auto loss = [&] { return Sum(Tanh(BatchDot(q, keys, k))); };
+  auto loss = [&] { return Sum(Tanh(BatchDot(q, DenseRows(keys), k))); };
   CheckGradient(q, loss);
   CheckGradient(keys, loss);
 }
@@ -671,11 +680,13 @@ TEST(AutogradTest, BatchDotColumnWindowGradcheck) {
   const ColWindow window{2, 3};
   Var q = Parameter(Tensor::Randn({b, width}, rng));
   Var keys = Parameter(Tensor::Randn({b * k, width}, rng));
-  auto loss = [&] { return Sum(Tanh(BatchDot(q, keys, k, window))); };
+  auto loss = [&] {
+    return Sum(Tanh(BatchDot(q, DenseRows(keys), k, window)));
+  };
   CheckGradient(q, loss);
   CheckGradient(keys, loss);
 
-  const Tensor scores = BatchDot(q, keys, k, window)->value;
+  const Tensor scores = BatchDot(q, DenseRows(keys), k, window)->value;
   ASSERT_EQ(scores.shape(), (std::vector<int64_t>{b, k}));
   for (int64_t i = 0; i < b; ++i) {
     for (int64_t j = 0; j < k; ++j) {
@@ -721,13 +732,54 @@ TEST(AutogradTest, BatchWeightedSumColumnWindowGradcheck) {
   ExpectZeroOutsideWindow(values->grad, window, "values");
 }
 
+TEST(AutogradTest, SummedRowsGradcheck) {
+  // Keys with one dense block and two gathered ones (a trainable table
+  // whose row 4 no slot names, and constant rows), read by both heads'
+  // windows. An all-masked query row gets no gradient through softmax.
+  Rng rng(67);
+  const int64_t b = 3, k = 4, m = 6;
+  Var q = Parameter(Tensor::Randn({b, m}, rng));
+  Var a = Parameter(Tensor::Randn({b * k, 3}, rng));
+  Var table = Parameter(Tensor::Randn({5, 4}, rng));
+  std::vector<int32_t> slot(static_cast<size_t>(b * k));
+  for (int32_t& s : slot) s = NarrowId(rng.UniformInt(4), "slot");
+  std::vector<int32_t> idx(static_cast<size_t>(b * k));
+  for (int32_t& i : idx) i = NarrowId(rng.UniformInt(6), "row");
+  const auto consts = Rows(Tensor::Randn({6, 2}, rng), idx);
+  Var wk = Parameter(Tensor::Randn({3 + 4 + 2, m}, rng, 0.5f));
+  Var bk = Parameter(Tensor::Randn({1, m}, rng));
+  Var wv = Parameter(Tensor::Randn({3 + 4 + 2, m}, rng, 0.5f));
+  Var bv = Parameter(Tensor::Randn({1, m}, rng));
+  Tensor mask({b, k});
+  mask.Fill(1.0f);
+  for (int64_t j = 0; j < k; ++j) mask.at(0, j) = 0.0f;
+  mask.at(1, 2) = 0.0f;
+  auto loss = [&] {
+    const std::vector<ColBlock> blocks = {RowsOf(table, slot), a, consts};
+    const SummedRows keys = ProjectRows(blocks, wk, bk);
+    const SummedRows values = ProjectRows(blocks, wv, bv);
+    std::vector<Var> parts;
+    for (const ColWindow window : {ColWindow{0, 3}, ColWindow{3, 3}}) {
+      Var weights =
+          MaskedSoftmaxRows(BatchDot(q, keys, k, window), mask);
+      parts.push_back(Sum(Sigmoid(BatchWeightedSum(weights, values, k,
+                                                   window))));
+    }
+    return Add(parts[0], parts[1]);
+  };
+  for (const Var& p : {q, wk, bk, wv, bv, table, a}) CheckGradient(p, loss);
+  for (int64_t c = 0; c < table->grad.cols(); ++c) {
+    EXPECT_TRUE(IsExactlyZero(table->grad.at(4, c))) << c;
+  }
+}
+
 TEST(AutogradTest, ColumnWindowPastRowWidthIsFatal) {
   Rng rng(66);
   Var q = Constant(Tensor::Randn({2, 4}, rng));
   Var keys = Constant(Tensor::Randn({4, 4}, rng));
   Var w = Constant(Tensor::Randn({2, 2}, rng));
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  EXPECT_DEATH((void)BatchDot(q, keys, 2, {2, 3}),
+  EXPECT_DEATH((void)BatchDot(q, DenseRows(keys), 2, {2, 3}),
                "BatchDot: column window range");
   EXPECT_DEATH((void)BatchWeightedSum(w, keys, 2, {4, 1}),
                "BatchWeightedSum: column window range");
@@ -735,7 +787,7 @@ TEST(AutogradTest, ColumnWindowPastRowWidthIsFatal) {
                "BatchWeightedSum: column window range");
   // Only -1 means "through the last column"; any other negative length
   // is out of range.
-  EXPECT_DEATH((void)BatchDot(q, keys, 2, {0, -2}),
+  EXPECT_DEATH((void)BatchDot(q, DenseRows(keys), 2, {0, -2}),
                "BatchDot: column window range");
   EXPECT_DEATH((void)BatchWeightedSum(w, keys, 2, {0, -2}),
                "BatchWeightedSum: column window range");

@@ -210,7 +210,8 @@ using tensor::Var;
 
 /// Project's value and gradients computed with plain loops, for
 /// dOut = `g`. `grads` maps each trainable block value, then the weight,
-/// then the bias, to its gradient.
+/// then the bias, to its gradient; a `run` passed in continues its
+/// gradients, as a second Project node over the same values would.
 struct ProjectReferenceRun {
   Tensor out;
   std::vector<std::pair<const tensor::VarNode*, Tensor>> grads;
@@ -226,10 +227,11 @@ struct ProjectReferenceRun {
 
 ProjectReferenceRun ProjectReference(const std::vector<ColBlock>& blocks,
                                      const Var& w, const Var& bias,
-                                     const Tensor& g) {
+                                     const Tensor& g,
+                                     ProjectReferenceRun run = {}) {
   const int64_t n = blocks[0].rows(), m = w->value.cols();
   const float* wp = w->value.data();
-  ProjectReferenceRun run{Tensor({n, m}), {}};
+  run.out = Tensor({n, m});
   float* out = run.out.data();
   int64_t offset = 0;
   for (const ColBlock& b : blocks) {
@@ -353,6 +355,157 @@ TEST_F(KernelsTest, ProjectMatchesPlainLoopsBitwise) {
   }
 }
 
+/// The determinism contract's reduction tree, written out: lane l sums
+/// terms l, l + 8, l + 16, ... in order; the lanes combine pairwise.
+float LaneTreeSum(const std::vector<float>& terms) {
+  float lane[8] = {};
+  for (size_t i = 0; i < terms.size(); ++i) lane[i % 8] += terms[i];
+  return ((lane[0] + lane[1]) + (lane[2] + lane[3])) +
+         ((lane[4] + lane[5]) + (lane[6] + lane[7]));
+}
+
+// The attention heads over summed rows (ProjectRows) read each key's
+// window as the sum of its terms, and scatter its gradient straight into
+// the terms' table rows. The oracle is the dense path spelled out: key rows
+// built by ProjectReference (zero row, dense terms, gathered terms, bias),
+// heads as plain loops over those rows (a Dot lane tree per score, one
+// weighted add per key), and the key-row gradients fed back through
+// ProjectReference's backward.
+
+/// Every bit of `t`.
+std::vector<uint32_t> TensorBits(const Tensor& t) {
+  return BitsOf(std::vector<float>(t.data(), t.data() + t.size()));
+}
+
+TEST_F(KernelsTest, AttentionOverSummedRowsMatchesPlainLoopsBitwise) {
+  // Two 11-column head windows: each Dot has a main lane block and a
+  // tail, and each window sum whole four-column groups and a tail.
+  const int64_t num_keys = 3, m = 22, d = 11;
+  const tensor::ColWindow windows[] = {{0, d}, {d, d}};
+  for (const int threads : {1, 4}) {
+    runtime::ThreadPool::Global().SetNumThreads(threads);
+    for (const int64_t n : {1, 5, 300}) {
+      const std::string where = "threads=" + std::to_string(threads) +
+                                " n=" + std::to_string(n);
+      const int64_t keys = n * num_keys;
+      tensor::Rng rng(static_cast<uint64_t>(90 + n));
+      // Table row 0 is named by no slot; slots repeat.
+      std::vector<int32_t> slot(static_cast<size_t>(keys));
+      for (int32_t& s : slot) {
+        s = tensor::NarrowId(1 + rng.UniformInt(5), "slot");
+      }
+      std::vector<int32_t> idx(static_cast<size_t>(keys));
+      for (int32_t& i : idx) i = tensor::NarrowId(rng.UniformInt(4), "row");
+      Var table = tensor::Parameter(Tensor::Randn({6, 4}, rng));
+      Var dense = tensor::Parameter(Tensor::Randn({keys, 3}, rng));
+      const auto consts = tensor::Rows(Tensor::Randn({4, 2}, rng), idx);
+      // The dense block sits between the gathered ones: its term still
+      // comes first.
+      const std::vector<ColBlock> blocks = {tensor::RowsOf(table, slot), dense,
+                                            consts};
+      Var w = tensor::Parameter(Tensor::Randn({4 + 3 + 2, m}, rng, 0.4f));
+      Var bias = tensor::Parameter(Tensor::Randn({1, m}, rng));
+      Var q = tensor::Parameter(Tensor::Randn({n, m}, rng));
+      // Upstream gradients and attention weights: query row 0 is all
+      // masked (zero), and some single keys are masked too.
+      std::vector<Tensor> gs, weights, go;
+      for (int h = 0; h < 2; ++h) {
+        gs.push_back(Tensor::Randn({n, num_keys}, rng));
+        weights.push_back(Tensor::Randn({n, num_keys}, rng));
+        go.push_back(Tensor::Randn({n, d}, rng));
+        for (int64_t i = 0; i < n; ++i) {
+          for (int64_t k = 0; k < num_keys; ++k) {
+            if (i == 0 || rng.UniformInt(4) == 0) {
+              gs.back().at(i, k) = 0.0f;
+              weights.back().at(i, k) = 0.0f;
+            }
+          }
+        }
+      }
+
+      // The heads over summed rows, both windows on one tape, laid out as
+      // MultiHeadAttention lays them: keys and values are two ProjectRows
+      // nodes (here over the same weight and bias).
+      for (const Var& v : {table, dense, w, bias, q}) v->grad = Tensor();
+      std::vector<Var> weight_vars;
+      std::vector<Tensor> got_scores, got_out;
+      {
+        const tensor::SummedRows k_rows = tensor::ProjectRows(blocks, w, bias);
+        const tensor::SummedRows v_rows = tensor::ProjectRows(blocks, w, bias);
+        std::vector<Var> terms;
+        for (int h = 0; h < 2; ++h) {
+          Var scores = tensor::BatchDot(q, k_rows, num_keys, windows[h]);
+          weight_vars.push_back(tensor::Parameter(weights[h]));
+          Var out = tensor::BatchWeightedSum(weight_vars.back(), v_rows,
+                                             num_keys, windows[h]);
+          got_scores.push_back(scores->value);
+          got_out.push_back(out->value);
+          terms.push_back(tensor::Mul(scores, tensor::Constant(gs[h])));
+          terms.push_back(tensor::Mul(out, tensor::Constant(go[h])));
+        }
+        Var total = tensor::Sum(terms[0]);
+        for (size_t t = 1; t < terms.size(); ++t) {
+          total = tensor::Add(total, tensor::Sum(terms[t]));
+        }
+        tensor::Backward(total);
+      }
+
+      // The oracle: the dense rows (keys and values hold the same ones),
+      // the heads over them, and each side's row gradient.
+      Tensor gk({keys, m}), gv({keys, m}), gq({n, m});
+      const Tensor dense_rows =
+          ProjectReference(blocks, w, bias, Tensor({keys, m})).out;
+      const float* kr = dense_rows.data();
+      for (int h = 0; h < 2; ++h) {
+        const int64_t c = windows[h].start;
+        Tensor scores({n, num_keys}), out({n, d}), gwh({n, num_keys});
+        for (int64_t i = 0; i < n; ++i) {
+          const float* qi = q->value.data() + i * m + c;
+          for (int64_t k = 0; k < num_keys; ++k) {
+            const int64_t r = i * num_keys + k;
+            const float* key = kr + r * m + c;
+            std::vector<float> prod(static_cast<size_t>(d));
+            for (int64_t x = 0; x < d; ++x) prod[x] = qi[x] * key[x];
+            scores.at(i, k) = LaneTreeSum(prod);
+            const float gval = gs[h].at(i, k);
+            for (int64_t x = 0; x < d && !tensor::IsExactlyZero(gval); ++x) {
+              gq.at(i, c + x) += gval * key[x];
+              gk.at(r, c + x) += gval * qi[x];
+            }
+            for (int64_t x = 0; x < d; ++x) prod[x] = go[h].at(i, x) * key[x];
+            gwh.at(i, k) = LaneTreeSum(prod);
+            const float wt = weights[h].at(i, k);
+            for (int64_t x = 0; x < d && !tensor::IsExactlyZero(wt); ++x) {
+              out.at(i, x) += wt * key[x];
+              gv.at(r, c + x) += wt * go[h].at(i, x);
+            }
+          }
+        }
+        EXPECT_EQ(TensorBits(got_scores[h]), TensorBits(scores))
+            << where << " scores " << h;
+        EXPECT_EQ(TensorBits(got_out[h]), TensorBits(out))
+            << where << " outputs " << h;
+        EXPECT_EQ(TensorBits(weight_vars[h]->grad), TensorBits(gwh))
+            << where << " weights grad " << h;
+      }
+      EXPECT_EQ(TensorBits(q->grad), TensorBits(gq)) << where << " q grad";
+      // The values' Project backward runs first on the tape, then the
+      // keys' continues every parameter's gradient.
+      ProjectReferenceRun back = ProjectReference(
+          blocks, w, bias, gk, ProjectReference(blocks, w, bias, gv));
+      const std::pair<const char*, Var> params[] = {
+          {"table", table}, {"dense", dense}, {"w", w}, {"bias", bias}};
+      for (const auto& [name, v] : params) {
+        EXPECT_EQ(TensorBits(v->grad), TensorBits(back.GradOf(v)))
+            << where << " " << name << " grad";
+      }
+      for (int64_t x = 0; x < table->grad.cols(); ++x) {
+        EXPECT_TRUE(tensor::IsExactlyZero(table->grad.at(0, x))) << where;
+      }
+    }
+  }
+}
+
 struct IndexPattern {
   const char* name;
   std::vector<int32_t> idx;
@@ -430,15 +583,6 @@ TEST_F(KernelsTest, BceMatchesStableFormula) {
     want += -(t * std::log(p) + (1.0 - t) * std::log(1.0 - p));
   }
   EXPECT_NEAR(mean, want / static_cast<double>(n), 1e-4);
-}
-
-/// The determinism contract's reduction tree, written out: lane l sums
-/// terms l, l + 8, l + 16, ... in order; the lanes combine pairwise.
-float LaneTreeSum(const std::vector<float>& terms) {
-  float lane[8] = {};
-  for (size_t i = 0; i < terms.size(); ++i) lane[i % 8] += terms[i];
-  return ((lane[0] + lane[1]) + (lane[2] + lane[3])) +
-         ((lane[4] + lane[5]) + (lane[6] + lane[7]));
 }
 
 float ReferenceSigmoid(float x) {

@@ -1118,6 +1118,53 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(ModelKindName(info.param));
     });
 
+TEST(RankedPassTest, BuildsNoKeySlotSizedTensors) {
+  // TGN's attention reads its keys and values as summed rows: the ranked
+  // pass over n queries with K neighbours each records no tape value of
+  // n * K rows, for the sources' call or the candidates'.
+  TemporalGraph g = MakeGraph();
+  NeighborFinder finder(g);
+  const ModelConfig config = SmallConfig();
+  auto model = CreateModel(ModelKind::kTgn, &g, config, 40);
+  model->SetNeighborFinder(&finder);
+  model->set_training(false);
+  model->Reset();
+  model->UpdateState(FirstBatch(g, 120));
+  const int k = 6;
+  std::vector<int32_t> srcs, candidates;
+  std::vector<double> ts;
+  tensor::Rng pick(18);
+  for (int64_t i = 120; i < 132; ++i) {
+    srcs.push_back(g.event(i).src);
+    ts.push_back(g.event(i).ts);
+    for (int j = 0; j < k; ++j) {
+      candidates.push_back(40 + static_cast<int32_t>(pick.UniformInt(15)));
+    }
+  }
+  tensor::kernels::TapeScope scope;
+  Var scores = model->ScoreCandidates(srcs, candidates, ts, k);
+  const int64_t neighbors = config.num_neighbors;
+  const std::set<int64_t> key_slots = {
+      static_cast<int64_t>(srcs.size()) * neighbors,
+      static_cast<int64_t>(candidates.size()) * neighbors};
+  std::vector<const tensor::VarNode*> stack = {scores.get()};
+  std::set<const tensor::VarNode*> seen = {scores.get()};
+  int64_t nodes = 0;
+  while (!stack.empty()) {
+    const tensor::VarNode* node = stack.back();
+    stack.pop_back();
+    ++nodes;
+    if (node->value.rank() == 2) {
+      EXPECT_EQ(key_slots.count(node->value.rows()), 0u)
+          << node->op << " holds " << node->value.rows() << " rows";
+    }
+    for (const Var& p : node->parents) {
+      if (seen.insert(p.get()).second) stack.push_back(p.get());
+    }
+  }
+  EXPECT_GT(nodes, 10);
+}
+
 TEST(EdgeBankTest, MemorizesSeenEdges) {
   TemporalGraph g = MakeGraph();
   EdgeBank model(&g, SmallConfig());

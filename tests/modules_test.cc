@@ -339,9 +339,11 @@ TEST(ModulesTest, AttentionOverGatheredBlocksMatchesDenseBlocks) {
 }
 
 TEST(ModulesTest, AttentionBuildsNoCopyOrBiasNodes) {
-  // The heads read column windows of q, K and V in place, their outputs
-  // enter the output projection as blocks, and every bias is added inside
-  // its projection: no slice, concatenation or Add node on the tape.
+  // The heads read column windows of q in place and sum each key's window
+  // of K and V from the projected rows (ProjectRows: no [B*K, model]
+  // tensor), their outputs enter the output projection as blocks, and
+  // every bias is added inside its projection or head: no slice,
+  // concatenation or Add node on the tape.
   const int64_t b = 4, k = 3;
   Rng rng(14);
   MultiHeadAttention attn(5, 6, 8, 2, rng);
@@ -364,8 +366,10 @@ TEST(ModulesTest, AttentionBuildsNoCopyOrBiasNodes) {
   for (const char* banned : {"ConcatRows", "GatherRows", "Add"}) {
     EXPECT_EQ(std::count(ops.begin(), ops.end(), banned), 0) << banned;
   }
-  EXPECT_EQ(std::count(ops.begin(), ops.end(), "Project"), 4);
+  EXPECT_EQ(std::count(ops.begin(), ops.end(), "Project"), 2);
+  EXPECT_EQ(std::count(ops.begin(), ops.end(), "ProjectRows"), 2);
   EXPECT_EQ(std::count(ops.begin(), ops.end(), "BatchDot"), 2);
+  EXPECT_EQ(std::count(ops.begin(), ops.end(), "BatchWeightedSum"), 2);
 }
 
 TEST(ModulesTest, AttentionHeadConstraintEnforced) {
