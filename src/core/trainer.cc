@@ -157,37 +157,42 @@ bool ScorePass(TgnnModel* model, const TemporalGraph& graph,
   return true;
 }
 
-/// Ranking metrics over the subset of `events` listed in `subset`.
-RankingMetrics SubsetRanking(const std::vector<int64_t>& events,
-                             const std::vector<int64_t>& subset,
+/// The positions in `events` of the events listed in `subset`, ascending.
+std::vector<size_t> SubsetPositions(const std::vector<int64_t>& events,
+                                    const std::vector<int64_t>& subset) {
+  std::unordered_set<int64_t> members(subset.begin(), subset.end());
+  std::vector<size_t> positions;
+  for (size_t i = 0; i < events.size(); ++i) {
+    if (members.count(events[i]) != 0) positions.push_back(i);
+  }
+  return positions;
+}
+
+/// Ranking metrics over the events at `positions`.
+RankingMetrics SubsetRanking(const std::vector<size_t>& positions,
                              const std::vector<double>& ranks) {
   if (ranks.empty()) return RankingMetrics{};
-  std::unordered_set<int64_t> members(subset.begin(), subset.end());
   std::vector<double> selected;
-  for (size_t i = 0; i < events.size(); ++i) {
-    if (members.count(events[i]) == 0) continue;
-    selected.push_back(ranks[i]);
-  }
+  selected.reserve(positions.size());
+  for (const size_t i : positions) selected.push_back(ranks[i]);
   return RankingFromRanks(selected);
 }
 
-/// AUC/AP over the subset of `events` listed in `subset`.
-SettingMetrics SubsetMetrics(const std::vector<int64_t>& events,
-                             const std::vector<int64_t>& subset,
+/// AUC/AP over the events at `positions`, of a subset of `count` events.
+SettingMetrics SubsetMetrics(const std::vector<size_t>& positions,
+                             int64_t count,
                              const std::vector<double>& pos_scores,
                              const std::vector<double>& neg_scores) {
-  std::unordered_set<int64_t> members(subset.begin(), subset.end());
   std::vector<double> scores;
   std::vector<int> labels;
-  for (size_t i = 0; i < events.size(); ++i) {
-    if (members.count(events[i]) == 0) continue;
+  for (const size_t i : positions) {
     scores.push_back(pos_scores[i]);
     labels.push_back(1);
     scores.push_back(neg_scores[i]);
     labels.push_back(0);
   }
   SettingMetrics metrics;
-  metrics.count = static_cast<int64_t>(subset.size());
+  metrics.count = count;
   if (!scores.empty()) {
     metrics.auc = RocAuc(scores, labels);
     metrics.ap = AveragePrecision(scores, labels);
@@ -902,13 +907,15 @@ LinkPredictionResult RunLinkPrediction(const LinkPredictionJob& job) {
                          &val_pos, &val_neg, &val_ranks);
     }
     if (!scored) return false;
+    const std::vector<size_t> positions =
+        SubsetPositions(split.val_events, split.val_events);
     if (candidate_sampler != nullptr &&
         model->status() != ModelStatus::kRuntimeError) {
-      result.val_ranking =
-          SubsetRanking(split.val_events, split.val_events, val_ranks);
+      result.val_ranking = SubsetRanking(positions, val_ranks);
     }
-    *val = SubsetMetrics(split.val_events, split.val_events, val_pos,
-                         val_neg);
+    *val = SubsetMetrics(positions,
+                         static_cast<int64_t>(split.val_events.size()),
+                         val_pos, val_neg);
     return true;
   };
   TrainExit exit =
@@ -956,11 +963,13 @@ LinkPredictionResult RunLinkPrediction(const LinkPredictionJob& job) {
           &split.test_events, &split.test_inductive, &split.test_new_old,
           &split.test_new_new};
       for (size_t s = 0; s < subsets.size(); ++s) {
-        result.test[s] = SubsetMetrics(split.test_events, *subsets[s],
-                                       test_pos, test_neg);
+        const std::vector<size_t> positions =
+            SubsetPositions(split.test_events, *subsets[s]);
+        result.test[s] =
+            SubsetMetrics(positions, static_cast<int64_t>(subsets[s]->size()),
+                          test_pos, test_neg);
         if (candidate_sampler != nullptr) {
-          result.test_ranking[s] =
-              SubsetRanking(split.test_events, *subsets[s], test_ranks);
+          result.test_ranking[s] = SubsetRanking(positions, test_ranks);
         }
       }
       // Pairs scored by the test pass: positive + negative per event, plus

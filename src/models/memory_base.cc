@@ -30,7 +30,7 @@ Tensor CopyRows(const Tensor& table, const std::vector<int32_t>& rows) {
 
 MemoryModel::MemoryModel(const graph::TemporalGraph* graph,
                          ModelConfig config)
-    : TgnnModel(graph, config), time_encoder_(config.time_dim, rng_) {
+    : TgnnModel(graph, config), time_encoder_(config.time_dim) {
   memory_ = Tensor({graph->num_nodes(), config_.embedding_dim});
   last_update_.assign(static_cast<size_t>(graph->num_nodes()), 0.0);
 }

@@ -98,11 +98,13 @@ Var TempModel::ComputeEmbeddings(const std::vector<int32_t>& nodes,
 
   // (c) Two aggregation channels + own memory.
   Var nbr_memory = GatherMemory(flat_neighbors);
-  Var lpa = BatchWeightedSum(Constant(std::move(lpa_weights)), nbr_memory, k);
+  Var lpa = BatchWeightedSum(Constant(std::move(lpa_weights)),
+                             tensor::DenseRows(nbr_memory), k);
   Var messages = Relu(message_proj_.Forward(
       {tensor::Rows(graph_->edge_features(), flat_edges),
        time_encoder_.EncodeRows(flat_dts)}));
-  Var mp = BatchWeightedSum(Constant(std::move(mp_weights)), messages, k);
+  Var mp = BatchWeightedSum(Constant(std::move(mp_weights)),
+                            tensor::DenseRows(messages), k);
   Var own = GatherMemory(nodes);
   return Tanh(combine_.Forward({own, lpa, mp}));
 }

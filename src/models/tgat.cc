@@ -60,7 +60,7 @@ std::vector<int32_t> ListDistinct(TgatPlan::Level* level, bool timed,
 Tgat::Tgat(const graph::TemporalGraph* graph, ModelConfig config)
     : TgnnModel(graph, config),
       feature_proj_(graph->node_feature_dim(), config_.embedding_dim, rng_),
-      time_encoder_(config_.time_dim, rng_) {
+      time_encoder_(config_.time_dim) {
   for (int64_t l = 0; l < config_.num_layers; ++l) {
     layers_.push_back(std::make_unique<tensor::MultiHeadAttention>(
         config_.embedding_dim + config_.time_dim,

@@ -10,7 +10,7 @@ using tensor::Var;
 
 WalkModel::WalkModel(const graph::TemporalGraph* graph, ModelConfig config)
     : TgnnModel(graph, config),
-      time_encoder_(config.time_dim, rng_),
+      time_encoder_(config.time_dim),
       step_proj_(2 * (config.walk_length + 1) + config.time_dim +
                      graph->edge_feature_dim(),
                  config.embedding_dim, rng_),
@@ -99,8 +99,8 @@ Var WalkModel::EncodeWalkGroups(
   // Mean-pool each group's walk encodings.
   Tensor pool_weights({num_groups, walks_per_group});
   pool_weights.Fill(1.0f / static_cast<float>(walks_per_group));
-  return BatchWeightedSum(Constant(std::move(pool_weights)), hidden,
-                          walks_per_group);
+  return BatchWeightedSum(Constant(std::move(pool_weights)),
+                          tensor::DenseRows(hidden), walks_per_group);
 }
 
 namespace {

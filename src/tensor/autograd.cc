@@ -568,57 +568,62 @@ Var Project(const std::vector<ColBlock>& blocks, const Var& weight,
     bp = bias->value.data();
     parents.push_back(bias);
   }
-  // One pass adds each output row's projected rows, in block order, then
-  // the bias.
+  // One pass sums each output row in place: the dense product (when any
+  // block is dense), each gathered block's projected row in block order,
+  // then the bias. With neither a gathered term nor a bias it adds nothing.
+  float* op = out.data();
   std::vector<kernels::RowTerm> terms;
-  int64_t first = 0;
+  if (std::count(gathered.begin(), gathered.end(), nullptr) > 0) {
+    terms.push_back({op, nullptr});
+  }
+  int64_t t = 0, first = 0;  // t: the gathered terms
   for (const auto& g : gathered) {
     if (g == nullptr) continue;
     terms.push_back({projected.data() + first * m, g->slot.data()});
     first += g->table->value.rows();
+    ++t;
   }
-  if (!terms.empty() || bp != nullptr) {
-    const int64_t t = static_cast<int64_t>(terms.size());
-    float* op = out.data();
+  if (t > 0 || bp != nullptr) {
     kernels::CountFlops(t * n * m);
     runtime::ParallelFor(
         0, n, RowGrain((t + 1) * m), [&](int64_t r0, int64_t r1) {
-          for (const kernels::RowTerm& term : terms) {
-            kernels::GatherAdd(op + r0 * m, term.rows, term.slot + r0,
-                               r1 - r0, m);
-          }
-          if (bp == nullptr) return;
-          // The bias last, per element: Add's row-broadcast order.
-          for (int64_t r = r0; r < r1; ++r) kernels::Add(op + r * m, bp, m);
+          kernels::SumRowTerms(op + r0 * m, terms.data(),
+                               static_cast<int64_t>(terms.size()), bp, r0,
+                               r1 - r0, m, m);
         });
   }
   return MakeNode(
       "Project", std::move(out), std::move(parents),
       [n, m, table_rows, gathered](VarNode& self) {
         // parents[i + 1] is block i's value (its table when gathered); a
-        // bias is the last parent.
+        // bias is the last parent. dU sums dOut over the rows sharing a
+        // table row and the bias over all rows, in ascending row order; the
+        // dW slice is tableᵀ · dU and the table's gradient dU · W_sliceᵀ.
         const float* sg = self.grad.data();
-        if (self.parents.size() > gathered.size() + 1 &&
-            self.parents.back()->requires_grad) {
-          // Column reduction over rows, in fixed ascending row order.
-          float* gb = self.parents.back()->EnsureGrad().data();
-          for (int64_t r = 0; r < n; ++r) kernels::Add(gb, sg + r * m, m);
-        }
-        // dU sums dOut over the rows sharing a table row, in ascending row
-        // order; the dW slice is tableᵀ · dU and the table's gradient
-        // dU · W_sliceᵀ.
         Tensor du = kernels::NewTensor({table_rows, m});
         const bool dw = self.parents[0]->requires_grad;
+        std::vector<kernels::GradRowTerm> terms;
         int64_t first = 0;
         for (size_t i = 0; i < gathered.size(); ++i) {
           if (gathered[i] == nullptr) continue;
-          const int64_t u = gathered[i]->table->value.rows();
           if (dw || self.parents[i + 1]->requires_grad) {
             kernels::CountFlops(n * m);
-            kernels::ScatterAdd(du.data() + first * m, sg,
-                                gathered[i]->slot.data(), n, m);
+            terms.push_back({du.data() + first * m, gathered[i]->slot.data()});
           }
-          first += u;
+          first += gathered[i]->table->value.rows();
+        }
+        float* gb = nullptr;
+        if (self.parents.size() > gathered.size() + 1 &&
+            self.parents.back()->requires_grad) {
+          gb = self.parents.back()->EnsureGrad().data();
+        }
+        if (!terms.empty() || gb != nullptr) {
+          const float one = 1.0f;
+          for (int64_t r = 0; r < n; ++r) {
+            kernels::ScatterRowTerms(terms.data(),
+                                     static_cast<int64_t>(terms.size()), gb,
+                                     &one, sg + r * m, r, 1, m, m);
+          }
         }
         MultiplyBlocksBackward(self, gathered, sg, du.data(), n, m);
       });
@@ -658,6 +663,16 @@ SummedRows ProjectRows(const std::vector<ColBlock>& blocks, const Var& weight,
         MultiplyBlocksBackward(self, gathered, sg, Offset(sg, dense_rows * m),
                                n, m);
       });
+  return rows;
+}
+
+SummedRows DenseRows(const Var& x) {
+  CheckOrDie(x != nullptr && x->value.rank() == 2,
+             "DenseRows: rank-2 value required");
+  SummedRows rows;
+  rows.rows = x->value.rows();
+  rows.tables = x;
+  rows.terms.push_back({0, nullptr});
   return rows;
 }
 
@@ -870,75 +885,6 @@ ColWindow Resolve(ColWindow window, int64_t width, const char* what) {
   return window;
 }
 
-}  // namespace
-
-Var BatchWeightedSum(const Var& w, const Var& v_block, int64_t num_keys,
-                     ColWindow window) {
-  const Tensor& wv = w->value;
-  const Tensor& vv = v_block->value;
-  CheckOrDie(wv.rank() == 2 && vv.rank() == 2,
-             "BatchWeightedSum: rank-2 required");
-  const int64_t b = wv.shape()[0];
-  CheckOrDie(wv.shape()[1] == num_keys, "BatchWeightedSum: weight shape");
-  const int64_t vw = vv.shape()[1];
-  CheckOrDie(vv.shape()[0] == b * num_keys, "BatchWeightedSum: value shape");
-  const auto [c, d] =
-      Resolve(window, vw, "BatchWeightedSum: column window range");
-  Tensor out = kernels::NewTensor({b, d});
-  {
-    const float* wp = wv.data();
-    const float* vp = Offset(vv.data(), c);
-    float* op = out.data();
-    kernels::CountFlops(2 * b * num_keys * d);
-    runtime::ParallelFor(
-        0, b, RowGrain(num_keys * d), [&](int64_t b0, int64_t b1) {
-          for (int64_t i = b0; i < b1; ++i) {
-            float* orow = op + i * d;
-            for (int64_t k = 0; k < num_keys; ++k) {
-              const float weight = wp[i * num_keys + k];
-              if (IsExactlyZero(weight)) continue;
-              kernels::Axpy(orow, weight, vp + (i * num_keys + k) * vw, d);
-            }
-          }
-        });
-  }
-  return MakeNode(
-      "BatchWeightedSum", std::move(out), {w, v_block},
-      [b, vw, c, d, num_keys](VarNode& self) {
-        VarNode& pw = *self.parents[0];
-        VarNode& pv = *self.parents[1];
-        float* gw = pw.requires_grad ? pw.EnsureGrad().data() : nullptr;
-        // Value gradients go straight into the window's columns.
-        float* gv =
-            pv.requires_grad ? Offset(pv.EnsureGrad().data(), c) : nullptr;
-        const float* sg = self.grad.data();
-        const float* wp = pw.value.data();
-        const float* vp = Offset(pv.value.data(), c);
-        // Blocked by batch row i: weight grads (i, :) and value grads
-        // [i*num_keys, (i+1)*num_keys) are owned by one chunk each.
-        runtime::ParallelFor(
-            0, b, RowGrain(2 * num_keys * d), [&](int64_t b0, int64_t b1) {
-              for (int64_t i = b0; i < b1; ++i) {
-                const float* grow = sg + i * d;
-                for (int64_t k = 0; k < num_keys; ++k) {
-                  const int64_t vrow = (i * num_keys + k) * vw;
-                  if (gw != nullptr) {
-                    gw[i * num_keys + k] +=
-                        kernels::Dot(grow, vp + vrow, d);
-                  }
-                  if (gv != nullptr) {
-                    const float weight = wp[i * num_keys + k];
-                    if (IsExactlyZero(weight)) continue;
-                    kernels::Axpy(gv + vrow, weight, grow, d);
-                  }
-                }
-              }
-            });
-      });
-}
-
-namespace {
-
 /// An attention head's reading of summed rows: the column window [c, c+d)
 /// of each query's num_keys keys, summed from the terms on the fly.
 class SummedWindow {
@@ -989,9 +935,8 @@ class SummedWindow {
   /// 1) and the bias (parent 2), each where it requires a gradient. Key k
   /// of query i adds scale[i * num_keys + k] * x_i (d floats at
   /// x + i * x_stride) to every term's row and then to the bias. One
-  /// thread runs the keys in ascending order, so each table row and the
-  /// bias sum their keys in the order Project's ScatterAdd and bias column
-  /// sum do.
+  /// thread runs the keys in ascending order, as Project's backward runs
+  /// its rows.
   void Scatter(VarNode& self, int64_t b, const float* scale, const float* x,
                int64_t x_stride) const {
     VarNode& pt = *self.parents[1];

@@ -160,6 +160,9 @@ struct SummedRows {
 };
 SummedRows ProjectRows(const std::vector<ColBlock>& blocks, const Var& weight,
                        const Var& bias = nullptr);
+/// x's rows as SummedRows of one dense term and no bias: a head reads x
+/// itself, with no projection and no copy, and its gradient reaches x.
+SummedRows DenseRows(const Var& x);
 
 // ---------------------------------------------------------------------------
 // Nonlinearities.
@@ -212,11 +215,9 @@ struct ColWindow {
 /// order.
 Var BatchDot(const Var& q, const SummedRows& keys, int64_t num_keys,
              ColWindow window = {});
-/// out[b, :] = sum_k w[b, k] * v_block[b*K + k, c] over the window's
-/// columns c -> [B, len].
-Var BatchWeightedSum(const Var& w, const Var& v_block, int64_t num_keys,
-                     ColWindow window = {});
-/// The same over summed value rows, read as BatchDot reads its keys.
+/// out[b, :] = sum_k w[b, k] * value row b*K + k at c over the window's
+/// columns c -> [B, len], the value rows read as BatchDot reads its keys
+/// (DenseRows for a plain [B*K, D] value).
 Var BatchWeightedSum(const Var& w, const SummedRows& values, int64_t num_keys,
                      ColWindow window = {});
 

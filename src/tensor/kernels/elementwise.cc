@@ -36,22 +36,6 @@ void AddScalar(float* y, float s, int64_t n) {
 void Set(float* y, const float* x, int64_t n) {
   for (int64_t i = 0; i < n; ++i) y[i] = x[i];
 }
-void GatherAdd(float* y, const float* x, const int32_t* idx, int64_t n,
-               int64_t m) {
-  for (int64_t r = 0; r < n; ++r) {
-    float* yr = y + r * m;
-    const float* xr = x + int64_t{idx[r]} * m;
-    for (int64_t j = 0; j < m; ++j) yr[j] += xr[j];
-  }
-}
-void ScatterAdd(float* y, const float* x, const int32_t* idx, int64_t n,
-                int64_t m) {
-  for (int64_t r = 0; r < n; ++r) {
-    float* yr = y + int64_t{idx[r]} * m;
-    const float* xr = x + r * m;
-    for (int64_t j = 0; j < m; ++j) yr[j] += xr[j];
-  }
-}
 void SumRowTerms(float* y, const RowTerm* terms, int64_t t, const float* bias,
                  int64_t first, int64_t n, int64_t m, int64_t d) {
   // Four columns at a time are held in registers across the terms and

@@ -85,15 +85,6 @@ void AddScalar(float* y, float s, int64_t n);      // y[i] += s
 void Set(float* y, const float* x, int64_t n);     // y[i] = x[i]
 void FillOut(float* y, float v, int64_t n);        // y[i] = v
 
-// Row-indexed forms over rows of width m, in ascending r (x never aliases
-// y). Each element gets the single add Add would give it.
-/// y[r, :] += x[idx[r], :] for r in [0, n).
-void GatherAdd(float* y, const float* x, const int32_t* idx, int64_t n,
-               int64_t m);
-/// y[idx[r], :] += x[r, :] for r in [0, n).
-void ScatterAdd(float* y, const float* x, const int32_t* idx, int64_t n,
-                int64_t m);
-
 /// One term of a summed row: key r reads row slot[r] of `rows` (row r when
 /// `slot` is null); rows are m floats apart.
 struct RowTerm {
@@ -103,7 +94,10 @@ struct RowTerm {
 /// y[r - first, :] = (((+0 + T_0) + T_1) + ...) + bias over the first d
 /// floats of each key r's term rows T_j, for r in [first, first + n); y is
 /// [n, d] and a null bias adds nothing. Each element adds its terms one at
-/// a time in term order and the bias last: Project's per-element order.
+/// a time in term order and the bias last. Project's row pass sums its
+/// output rows with it in place (y is then a dense term's rows, d == m:
+/// each row reads a column before it stores it), and the attention heads
+/// sum their keys' windows with it.
 void SumRowTerms(float* y, const RowTerm* terms, int64_t t, const float* bias,
                  int64_t first, int64_t n, int64_t m, int64_t d);
 /// A term whose rows receive SumRowTerms' gradient.
@@ -114,7 +108,9 @@ struct GradRowTerm {
 /// SumRowTerms' transpose: for keys r in [first, first + n) in ascending
 /// order, adds s * x[0..d) (s = scale[r - first]; a zero s adds nothing)
 /// to each term's row for key r, in term order, and then to the bias when
-/// it is not null. Each element adds s * x[c] as Axpy does.
+/// it is not null. Each element adds s * x[c] as Axpy does. Project's
+/// backward scatters each output row's gradient into dU and the bias with
+/// it (scale 1, one row per call), and the heads their keys' gradients.
 void ScatterRowTerms(const GradRowTerm* terms, int64_t t, float* bias,
                      const float* scale, const float* x, int64_t first,
                      int64_t n, int64_t m, int64_t d);

@@ -144,8 +144,7 @@ std::vector<Var> GruCell::Parameters() const {
 // TimeEncoder.
 // ---------------------------------------------------------------------------
 
-TimeEncoder::TimeEncoder(int64_t dim, Rng& rng) : dim_(dim) {
-  (void)rng;
+TimeEncoder::TimeEncoder(int64_t dim) : dim_(dim) {
   // Log-spaced frequency grid 1 / 10^(i * alpha), as in TGAT's functional
   // time encoding; trainable afterwards.
   Tensor freq({1, dim});

@@ -123,7 +123,7 @@ class GruCell : public Module {
 /// log-spaced grid (as in TGAT) and trainable.
 class TimeEncoder : public Module {
  public:
-  TimeEncoder(int64_t dim, Rng& rng);
+  explicit TimeEncoder(int64_t dim);
 
   /// Encodes n time deltas -> [n, dim].
   Var Encode(const std::vector<float>& dt) const;

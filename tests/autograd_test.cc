@@ -44,8 +44,8 @@ void CheckGradient(const Var& param, const std::function<Var()>& loss_fn,
 }
 
 /// `x`'s rows as summed rows: one dense term through an identity weight,
-/// so BatchDot reads exactly x's rows.
-SummedRows DenseRows(const Var& x) {
+/// so BatchDot reads exactly x's rows through ProjectRows' backward.
+SummedRows IdentityRows(const Var& x) {
   const int64_t w = x->value.cols();
   Tensor identity({w, w});
   for (int64_t i = 0; i < w; ++i) identity.at(i, i) = 1.0f;
@@ -207,7 +207,7 @@ TEST(AutogradTest, BatchDotBackward) {
   const int64_t k = 3;
   Var q = Parameter(Tensor::Randn({2, 4}, rng));
   Var keys = Parameter(Tensor::Randn({2 * k, 4}, rng));
-  auto loss = [&] { return Sum(Tanh(BatchDot(q, DenseRows(keys), k))); };
+  auto loss = [&] { return Sum(Tanh(BatchDot(q, IdentityRows(keys), k))); };
   CheckGradient(q, loss);
   CheckGradient(keys, loss);
 }
@@ -217,7 +217,9 @@ TEST(AutogradTest, BatchWeightedSumBackward) {
   const int64_t k = 3;
   Var w = Parameter(Tensor::Randn({2, k}, rng));
   Var values = Parameter(Tensor::Randn({2 * k, 4}, rng));
-  auto loss = [&] { return Sum(Sigmoid(BatchWeightedSum(w, values, k))); };
+  auto loss = [&] {
+    return Sum(Sigmoid(BatchWeightedSum(w, DenseRows(values), k)));
+  };
   CheckGradient(w, loss);
   CheckGradient(values, loss);
 }
@@ -681,12 +683,12 @@ TEST(AutogradTest, BatchDotColumnWindowGradcheck) {
   Var q = Parameter(Tensor::Randn({b, width}, rng));
   Var keys = Parameter(Tensor::Randn({b * k, width}, rng));
   auto loss = [&] {
-    return Sum(Tanh(BatchDot(q, DenseRows(keys), k, window)));
+    return Sum(Tanh(BatchDot(q, IdentityRows(keys), k, window)));
   };
   CheckGradient(q, loss);
   CheckGradient(keys, loss);
 
-  const Tensor scores = BatchDot(q, DenseRows(keys), k, window)->value;
+  const Tensor scores = BatchDot(q, IdentityRows(keys), k, window)->value;
   ASSERT_EQ(scores.shape(), (std::vector<int64_t>{b, k}));
   for (int64_t i = 0; i < b; ++i) {
     for (int64_t j = 0; j < k; ++j) {
@@ -710,12 +712,12 @@ TEST(AutogradTest, BatchWeightedSumColumnWindowGradcheck) {
   Var w = Parameter(Tensor::Randn({b, k}, rng));
   Var values = Parameter(Tensor::Randn({b * k, width}, rng));
   auto loss = [&] {
-    return Sum(Sigmoid(BatchWeightedSum(w, values, k, window)));
+    return Sum(Sigmoid(BatchWeightedSum(w, DenseRows(values), k, window)));
   };
   CheckGradient(w, loss);
   CheckGradient(values, loss);
 
-  const Tensor out = BatchWeightedSum(w, values, k, window)->value;
+  const Tensor out = BatchWeightedSum(w, DenseRows(values), k, window)->value;
   ASSERT_EQ(out.shape(), (std::vector<int64_t>{b, window.len}));
   for (int64_t i = 0; i < b; ++i) {
     for (int64_t c = 0; c < window.len; ++c) {
@@ -779,17 +781,17 @@ TEST(AutogradTest, ColumnWindowPastRowWidthIsFatal) {
   Var keys = Constant(Tensor::Randn({4, 4}, rng));
   Var w = Constant(Tensor::Randn({2, 2}, rng));
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  EXPECT_DEATH((void)BatchDot(q, DenseRows(keys), 2, {2, 3}),
+  EXPECT_DEATH((void)BatchDot(q, IdentityRows(keys), 2, {2, 3}),
                "BatchDot: column window range");
-  EXPECT_DEATH((void)BatchWeightedSum(w, keys, 2, {4, 1}),
+  EXPECT_DEATH((void)BatchWeightedSum(w, DenseRows(keys), 2, {4, 1}),
                "BatchWeightedSum: column window range");
-  EXPECT_DEATH((void)BatchWeightedSum(w, keys, 2, {-1, 2}),
+  EXPECT_DEATH((void)BatchWeightedSum(w, DenseRows(keys), 2, {-1, 2}),
                "BatchWeightedSum: column window range");
   // Only -1 means "through the last column"; any other negative length
   // is out of range.
-  EXPECT_DEATH((void)BatchDot(q, DenseRows(keys), 2, {0, -2}),
+  EXPECT_DEATH((void)BatchDot(q, IdentityRows(keys), 2, {0, -2}),
                "BatchDot: column window range");
-  EXPECT_DEATH((void)BatchWeightedSum(w, keys, 2, {0, -2}),
+  EXPECT_DEATH((void)BatchWeightedSum(w, DenseRows(keys), 2, {0, -2}),
                "BatchWeightedSum: column window range");
 }
 
@@ -797,8 +799,7 @@ TEST(AutogradTest, EncodeRowsSharesEqualDeltas) {
   obs::MetricRegistry& registry = obs::MetricRegistry::Global();
   obs::MetricRegistry::OverrideEnabledForTest(1);
   registry.Reset();
-  Rng rng(59);
-  const TimeEncoder encoder(6, rng);
+  const TimeEncoder encoder(6);
   // 0.0 and -0.0 have different bits, so they are different keys.
   const std::vector<float> dts = {3.0f, 1.5f, 3.0f, 0.0f, 1.5f, -0.0f, 3.0f};
   const auto rows = encoder.EncodeRows(dts);

@@ -345,12 +345,22 @@ TEST_F(KernelsTest, ProjectMatchesPlainLoopsBitwise) {
     for (const auto& [name, blocks, trainable] : cases) {
       int64_t width = 0;
       for (const ColBlock& b : blocks) width += b.cols();
-      Var w = tensor::Parameter(Tensor::Randn({width, 24}, rng, 0.3f));
-      Var bias = tensor::Parameter(Tensor::Randn({1, 24}, rng));
-      ExpectProjectMatchesReference(blocks, w, bias, trainable, rng,
-                                    std::string(name) +
-                                        " n=" + std::to_string(n));
-      EXPECT_EQ(c->grad.size(), 0) << name;
+      // Output widths with and without a scalar column tail (1 is
+      // MergeLayer's fc2), each with and without a bias; the dense case
+      // without one skips the row pass.
+      for (const int64_t m : {24, 7, 1}) {
+        for (const bool with_bias : {true, false}) {
+          Var w = tensor::Parameter(Tensor::Randn({width, m}, rng, 0.3f));
+          Var bias = with_bias ? tensor::Parameter(Tensor::Randn({1, m}, rng))
+                               : nullptr;
+          ExpectProjectMatchesReference(
+              blocks, w, bias, trainable, rng,
+              std::string(name) + " n=" + std::to_string(n) +
+                  " m=" + std::to_string(m) +
+                  (with_bias ? " bias" : " no bias"));
+          EXPECT_EQ(c->grad.size(), 0) << name;
+        }
+      }
     }
   }
 }
@@ -633,34 +643,6 @@ TEST_F(KernelsTest, ElementwiseMatchNaiveReferences) {
       kernels::Set(got.data(), a.data(), n);
       for (size_t i = 0; i < x.size(); ++i) want[i] = a[i];
       EXPECT_EQ(BitsOf(got), BitsOf(want)) << "Set";
-
-      // Rows of width 2 and 3 over an index that repeats and skips rows.
-      for (const int64_t m : {2, 3}) {
-        const int64_t rows = n / m;
-        std::vector<int32_t> idx(static_cast<size_t>(rows));
-        for (int64_t r = 0; r < rows; ++r) {
-          idx[static_cast<size_t>(r)] = static_cast<int32_t>(r * 5 / 3 % rows);
-        }
-        reset();
-        kernels::GatherAdd(got.data(), a.data(), idx.data(), rows, m);
-        for (int64_t r = 0; r < rows; ++r) {
-          for (int64_t j = 0; j < m; ++j) {
-            want[static_cast<size_t>(r * m + j)] +=
-                a[static_cast<size_t>(idx[static_cast<size_t>(r)] * m + j)];
-          }
-        }
-        EXPECT_EQ(BitsOf(got), BitsOf(want)) << "GatherAdd m=" << m;
-
-        reset();
-        kernels::ScatterAdd(got.data(), a.data(), idx.data(), rows, m);
-        for (int64_t r = 0; r < rows; ++r) {
-          for (int64_t j = 0; j < m; ++j) {
-            want[static_cast<size_t>(idx[static_cast<size_t>(r)] * m + j)] +=
-                a[static_cast<size_t>(r * m + j)];
-          }
-        }
-        EXPECT_EQ(BitsOf(got), BitsOf(want)) << "ScatterAdd m=" << m;
-      }
 
       reset();
       kernels::FillOut(got.data(), s, n);

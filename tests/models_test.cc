@@ -744,7 +744,7 @@ TEST(DistinctKeysTest, TgatMatchesDenseComposition) {
     // Tgat::Parameters(): feature projection, time encoder, the attention
     // layers, their output projections, predictor.
     tensor::Linear feature_proj(g.node_feature_dim(), d, rng);
-    tensor::TimeEncoder encoder(config.time_dim, rng);
+    tensor::TimeEncoder encoder(config.time_dim);
     std::vector<tensor::MultiHeadAttention> layers;
     std::vector<tensor::Linear> layer_out;
     layers.reserve(static_cast<size_t>(config.num_layers));
@@ -1336,7 +1336,8 @@ class DenseWalkCawn : public Cawn {
     tensor::Tensor pool({static_cast<int64_t>(groups.size()), walks});
     pool.Fill(1.0f / static_cast<float>(walks));
     return score_head_.Forward(
-        {BatchWeightedSum(tensor::Constant(std::move(pool)), hidden, walks)});
+        {BatchWeightedSum(tensor::Constant(std::move(pool)),
+                          tensor::DenseRows(hidden), walks)});
   }
 };
 

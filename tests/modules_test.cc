@@ -238,8 +238,7 @@ TEST(ModulesTest, MlpBlocksGradcheck) {
 }
 
 TEST(ModulesTest, TimeEncoderRangeAndZeroDelta) {
-  Rng rng(5);
-  TimeEncoder encoder(8, rng);
+  TimeEncoder encoder(8);
   Var enc = encoder.Encode({0.0f, 1.0f, 100.0f});
   EXPECT_EQ(enc->value.shape(), (std::vector<int64_t>{3, 8}));
   // cos(0 * w + 0) == 1 for every frequency.
@@ -250,8 +249,7 @@ TEST(ModulesTest, TimeEncoderRangeAndZeroDelta) {
 }
 
 TEST(ModulesTest, TimeEncoderDistinguishesDeltas) {
-  Rng rng(6);
-  TimeEncoder encoder(8, rng);
+  TimeEncoder encoder(8);
   Var enc = encoder.Encode({1.0f, 50.0f});
   float diff = 0.0f;
   for (int64_t c = 0; c < 8; ++c) {
