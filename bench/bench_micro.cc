@@ -455,6 +455,68 @@ void BM_AttentionForward(benchmark::State& state) {
 }
 BENCHMARK(BM_AttentionForward);
 
+// One TGN attention call at perfbench's tgn-train shape (500 nodes, 4,000
+// events with 100 edge features, 200 queries over 8 neighbours, model 24,
+// time 16, 2 heads), forward and backward. The query and key terms are
+// gathered as Tgn::ComputeEmbeddings gathers them: memory rows once per
+// distinct node (from a trainable table), the neighbours' edge rows, and
+// each distinct time delta's encoding (a trainable TimeEncoder).
+void BM_AttentionForwardBackward(benchmark::State& state) {
+  tensor::Rng rng(1);
+  constexpr int64_t kQueries = 200, kKeys = 8, kNodes = 500, kEdges = 4000;
+  tensor::MultiHeadAttention attn(24 + 16, 24 + 100 + 16, 24, 2, rng);
+  tensor::TimeEncoder time_encoder(16);
+  tensor::Var memory =
+      tensor::Parameter(tensor::Tensor::Randn({kNodes, 24}, rng));
+  const tensor::Tensor edges = tensor::Tensor::Randn({kEdges, 100}, rng);
+  std::vector<int32_t> nodes(kQueries), neighbors(kQueries * kKeys);
+  std::vector<int32_t> edge_idxs(kQueries * kKeys);
+  std::vector<float> dts(kQueries * kKeys);
+  for (int32_t& n : nodes) n = tensor::NarrowId(rng.UniformInt(kNodes), "node");
+  for (int32_t& n : neighbors) {
+    n = tensor::NarrowId(rng.UniformInt(kNodes), "node");
+  }
+  for (int32_t& e : edge_idxs) {
+    e = tensor::NarrowId(rng.UniformInt(kEdges), "edge");
+  }
+  for (float& dt : dts) dt = static_cast<float>(rng.UniformInt(kEdges));
+  const std::vector<float> zero_dts(kQueries, 0.0f);
+  tensor::Tensor mask = tensor::Tensor::Ones({kQueries, kKeys});
+  for (int64_t i = 0; i < kQueries; i += 7) mask.at(i, kKeys - 1) = 0.0f;
+  std::vector<tensor::Var> params = attn.Parameters();
+  for (const tensor::Var& p : time_encoder.Parameters()) params.push_back(p);
+  params.push_back(memory);
+  // MemoryModel::MemoryRows: one gathered row per distinct node.
+  const auto memory_rows = [&](const std::vector<int32_t>& ids) {
+    tensor::Distinct<int32_t> distinct = tensor::Dedup(ids);
+    const std::vector<int64_t> rows(distinct.values.begin(),
+                                    distinct.values.end());
+    return tensor::RowsOf(tensor::GatherRows(memory, rows),
+                          std::move(distinct.slot));
+  };
+  int64_t arena_floats = 0;
+  for (auto _ : state) {
+    tensor::kernels::TapeScope scope;
+    const auto query_memory = memory_rows(nodes);
+    tensor::Var loss = tensor::Sum(attn.Forward(
+        {query_memory, time_encoder.EncodeRows(zero_dts)},
+        {memory_rows(neighbors), tensor::Rows(edges, edge_idxs),
+         time_encoder.EncodeRows(dts)},
+        mask, kKeys));
+    tensor::ZeroGrad(params);
+    tensor::Backward(loss);
+    benchmark::DoNotOptimize(loss->value.at(0));
+    arena_floats += tensor::kernels::Arena::ThreadLocal().LiveFloats();
+  }
+  state.SetItemsProcessed(state.iterations() * kQueries * kKeys);
+  // Bytes one call bump-allocates from the tape arena, forward and
+  // backward together.
+  state.counters["arena_bytes"] = benchmark::Counter(
+      static_cast<double>(arena_floats) * sizeof(float),
+      benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_AttentionForwardBackward)->Unit(benchmark::kMicrosecond);
+
 // ---------------------------------------------------------------------------
 // Kernel-layer microbenchmarks (BM_Kernel*; `--kernels` runs only these and
 // emits BENCH_kernels.json). Each GEMM benchmark takes (n, k, m) for

@@ -308,12 +308,12 @@ Var Lerp(const Var& a, const Var& b, const Var& w) {
     // The eager composition counts its flat Mul/Add passes only.
     kernels::CountFlops((full ? 3 : 1) * out.size());
     runtime::ParallelFor(0, rows, RowGrain(3 * d), [&](int64_t r0, int64_t r1) {
+      if (full) {
+        kernels::LerpOut(op + r0, ap + r0, bp + r0, wp + r0, r1 - r0);
+        return;
+      }
       for (int64_t r = r0; r < r1; ++r) {
-        const float wr = wp[r];
-        const float ur = 1.0f - wr;
-        for (int64_t i = r * d; i < (r + 1) * d; ++i) {
-          op[i] = ur * ap[i] + wr * bp[i];
-        }
+        kernels::LerpOut(op + r * d, ap + r * d, bp + r * d, wp[r], d);
       }
     });
   }
@@ -332,15 +332,16 @@ Var Lerp(const Var& a, const Var& b, const Var& w) {
     // Per entry, the eager tape's order: Mul(b, w)'s two gradients, then
     // Mul(a, 1 - w)'s, then the -1 that 1 - w passes back to w.
     runtime::ParallelFor(0, rows, RowGrain(6 * d), [&](int64_t r0, int64_t r1) {
+      if (d == 1) {
+        kernels::LerpBackward(Offset(gw, r0), Offset(ga, r0), Offset(gb, r0),
+                              sg + r0, ap + r0, bp + r0, wp + r0, r1 - r0);
+        return;
+      }
       for (int64_t r = r0; r < r1; ++r) {
         const float wr = wp[r];
-        const float ur = 1.0f - wr;
-        for (int64_t i = r * d; i < (r + 1) * d; ++i) {
-          const float g = sg[i];
-          if (gw != nullptr) gw[r] += g * bp[i];
-          if (gb != nullptr) gb[i] += g * wr;
-          if (ga != nullptr) ga[i] += g * ur;
-          if (gw != nullptr) gw[r] += (g * ap[i]) * -1.0f;
+        if (gb != nullptr) kernels::Axpy(gb + r * d, wr, sg + r * d, d);
+        if (ga != nullptr) {
+          kernels::Axpy(ga + r * d, 1.0f - wr, sg + r * d, d);
         }
       }
     });
@@ -589,7 +590,7 @@ Var Project(const std::vector<ColBlock>& blocks, const Var& weight,
         0, n, RowGrain((t + 1) * m), [&](int64_t r0, int64_t r1) {
           kernels::SumRowTerms(op + r0 * m, terms.data(),
                                static_cast<int64_t>(terms.size()), bp, r0,
-                               r1 - r0, m, m);
+                               r1 - r0, m);
         });
   }
   return MakeNode(
@@ -622,7 +623,7 @@ Var Project(const std::vector<ColBlock>& blocks, const Var& weight,
           for (int64_t r = 0; r < n; ++r) {
             kernels::ScatterRowTerms(terms.data(),
                                      static_cast<int64_t>(terms.size()), gb,
-                                     &one, sg + r * m, r, 1, m, m);
+                                     &one, 1, sg + r * m, r, 1, m);
           }
         }
         MultiplyBlocksBackward(self, gathered, sg, du.data(), n, m);
@@ -682,18 +683,19 @@ SummedRows DenseRows(const Var& x) {
 
 namespace {
 
-/// Shared scaffold for elementwise unary ops: `fwd` computes the output
-/// entry, `bwd(out, in)` the local derivative. (Sigmoid has a dedicated
-/// kernel below; the rest are libm-bound, so a generic scalar loop costs
-/// nothing extra.)
+/// Shared scaffold for elementwise unary ops, run per ParallelFor chunk:
+/// fwd(x, y, n) writes y = f(x), and bwd(gx, gy, y, x, n) adds gy·f'(x)
+/// to gx, given the op's output y and input x.
 template <typename Fwd, typename Bwd>
-Var Unary(const char* op_name, const Var& a, Fwd fwd, Bwd bwd) {
+Var Unary(const char* op_name, const Var& a, int64_t flops_per_entry,
+          Fwd fwd, Bwd bwd) {
   Tensor out = kernels::NewTensor(a->value.shape());
   const float* ap = a->value.data();
   float* op = out.data();
+  kernels::CountFlops(flops_per_entry * out.size());
   runtime::ParallelFor(0, out.size(), kElementwiseGrain,
                        [&](int64_t lo, int64_t hi) {
-                         for (int64_t i = lo; i < hi; ++i) op[i] = fwd(ap[i]);
+                         fwd(ap + lo, op + lo, hi - lo);
                        });
   return MakeNode(op_name, std::move(out), {a}, [bwd](VarNode& self) {
     VarNode& p = *self.parents[0];
@@ -704,8 +706,7 @@ Var Unary(const char* op_name, const Var& a, Fwd fwd, Bwd bwd) {
     const float* pv = p.value.data();
     runtime::ParallelFor(0, self.grad.size(), kElementwiseGrain,
                          [&](int64_t lo, int64_t hi) {
-                           for (int64_t i = lo; i < hi; ++i)
-                             g[i] += sg[i] * bwd(sv[i], pv[i]);
+                           bwd(g + lo, sg + lo, sv + lo, pv + lo, hi - lo);
                          });
   });
 }
@@ -713,41 +714,41 @@ Var Unary(const char* op_name, const Var& a, Fwd fwd, Bwd bwd) {
 }  // namespace
 
 Var Sigmoid(const Var& a) {
-  Tensor out = kernels::NewTensor(a->value.shape());
-  const float* ap = a->value.data();
-  float* op = out.data();
-  kernels::CountFlops(4 * out.size());
-  runtime::ParallelFor(0, out.size(), kElementwiseGrain,
-                       [&](int64_t lo, int64_t hi) {
-                         kernels::SigmoidForward(ap + lo, op + lo, hi - lo);
-                       });
-  return MakeNode("Sigmoid", std::move(out), {a}, [](VarNode& self) {
-    VarNode& p = *self.parents[0];
-    if (!p.requires_grad) return;
-    float* g = p.EnsureGrad().data();
-    const float* sg = self.grad.data();
-    const float* sv = self.value.data();
-    runtime::ParallelFor(0, self.grad.size(), kElementwiseGrain,
-                         [&](int64_t lo, int64_t hi) {
-                           kernels::SigmoidBackward(g + lo, sg + lo, sv + lo,
-                                                    hi - lo);
-                         });
-  });
+  return Unary(
+      "Sigmoid", a, 4, kernels::SigmoidForward,
+      [](float* gx, const float* gy, const float* y, const float*, int64_t n) {
+        kernels::SigmoidBackward(gx, gy, y, n);
+      });
 }
 
 Var Tanh(const Var& a) {
-  return Unary("Tanh", a, [](float x) { return std::tanh(x); },
-               [](float out, float) { return 1.0f - out * out; });
+  return Unary(
+      "Tanh", a, 0,
+      [](const float* x, float* y, int64_t n) {
+        for (int64_t i = 0; i < n; ++i) y[i] = std::tanh(x[i]);
+      },
+      [](float* gx, const float* gy, const float* y, const float*, int64_t n) {
+        for (int64_t i = 0; i < n; ++i) gx[i] += gy[i] * (1.0f - y[i] * y[i]);
+      });
 }
 
 Var Relu(const Var& a) {
-  return Unary("Relu", a, [](float x) { return x > 0.0f ? x : 0.0f; },
-               [](float, float in) { return in > 0.0f ? 1.0f : 0.0f; });
+  return Unary(
+      "Relu", a, 0, kernels::ReluForward,
+      [](float* gx, const float* gy, const float*, const float* x, int64_t n) {
+        kernels::ReluBackward(gx, gy, x, n);
+      });
 }
 
 Var Cos(const Var& a) {
-  return Unary("Cos", a, [](float x) { return std::cos(x); },
-               [](float, float in) { return -std::sin(in); });
+  return Unary(
+      "Cos", a, 0,
+      [](const float* x, float* y, int64_t n) {
+        for (int64_t i = 0; i < n; ++i) y[i] = std::cos(x[i]);
+      },
+      [](float* gx, const float* gy, const float*, const float* x, int64_t n) {
+        for (int64_t i = 0; i < n; ++i) gx[i] += gy[i] * -std::sin(x[i]);
+      });
 }
 
 // ---------------------------------------------------------------------------
@@ -769,44 +770,6 @@ Var Sum(const Var& a) {
                            kernels::AddScalar(gp + lo, s, hi - lo);
                          });
   });
-}
-
-Var MaskedSoftmaxRows(const Var& a, const Tensor& mask) {
-  const Tensor& av = a->value;
-  CheckOrDie(av.rank() == 2, "MaskedSoftmaxRows: rank-2 required");
-  const int64_t n = av.shape()[0], d = av.shape()[1];
-  CheckOrDie(mask.size() == n * d, "MaskedSoftmaxRows: mask size");
-  Tensor out = kernels::NewTensor({n, d});
-  const float* ap = av.data();
-  const float* mp = mask.data();
-  float* op = out.data();
-  kernels::CountFlops(4 * n * d);
-  runtime::ParallelFor(0, n, RowGrain(4 * d), [&](int64_t r0, int64_t r1) {
-    for (int64_t r = r0; r < r1; ++r) {
-      kernels::SoftmaxRow(ap + r * d, mp + r * d, d, op + r * d);
-    }
-  });
-  return MakeNode(
-      "MaskedSoftmaxRows", std::move(out), {a}, [n, d](VarNode& self) {
-        VarNode& p = *self.parents[0];
-        if (!p.requires_grad) return;
-        float* gp = p.EnsureGrad().data();
-        const float* sv = self.value.data();
-        const float* sgp = self.grad.data();
-        // dx = s * (g - dot(g, s)) per row; masked entries have s == 0 so they
-        // receive no gradient automatically. Rows are independent, so the
-        // row-blocked parallel loop writes disjoint gradient slices.
-        runtime::ParallelFor(
-            0, n, RowGrain(4 * d), [&](int64_t r0, int64_t r1) {
-              for (int64_t r = r0; r < r1; ++r) {
-                const float* s = sv + r * d;
-                const float* go = sgp + r * d;
-                const float dot = kernels::Dot(go, s, d);
-                float* gi = gp + r * d;
-                for (int64_t c = 0; c < d; ++c) gi[c] += s[c] * (go[c] - dot);
-              }
-            });
-      });
 }
 
 Var BceWithLogits(const Var& logits, const Tensor& targets) {
@@ -870,92 +833,65 @@ Var SoftmaxCrossEntropy(const Var& logits,
 }
 
 // ---------------------------------------------------------------------------
-// Batched attention primitives.
+// Attention over summed rows.
 // ---------------------------------------------------------------------------
 
 namespace {
 
-/// The window's columns of rows `width` wide, resolving the default
-/// through-the-end length.
-ColWindow Resolve(ColWindow window, int64_t width, const char* what) {
-  if (window.len == -1) window.len = width - window.start;
-  CheckOrDie(window.start >= 0 && window.len >= 0 &&
-                 window.start + window.len <= width,
-             what);
-  return window;
-}
-
-/// An attention head's reading of summed rows: the column window [c, c+d)
-/// of each query's num_keys keys, summed from the terms on the fly.
-class SummedWindow {
+/// Summed rows read a query at a time: query i's num_keys keys are rows
+/// [i * num_keys, (i + 1) * num_keys), each summed whole from its terms.
+class SummedKeys {
  public:
-  SummedWindow(const SummedRows& s, int64_t num_keys, ColWindow window,
-               const char* what)
+  SummedKeys(const SummedRows& s, int64_t num_keys)
       : held_(s.terms), num_keys_(num_keys), m_(s.tables->value.cols()) {
-    const ColWindow resolved = Resolve(window, m_, what);
-    c_ = resolved.start;
-    d_ = resolved.len;
     for (const SummedRows::Term& t : s.terms) {
       const int32_t* slot =
           t.gathered != nullptr ? t.gathered->slot.data() : nullptr;
-      terms_.push_back({Offset(s.tables->value.data(), t.first * m_ + c_),
-                        slot});
+      terms_.push_back({Offset(s.tables->value.data(), t.first * m_), slot});
       gathered_terms_ += slot != nullptr ? 1 : 0;
     }
-    if (s.bias != nullptr) bias_ = s.bias->value.data() + c_;
+    if (s.bias != nullptr) bias_ = s.bias->value.data();
   }
 
-  int64_t c() const { return c_; }
-  int64_t d() const { return d_; }
+  int64_t m() const { return m_; }
+  /// The floats a per-thread buffer needs for one query's keys.
+  int64_t QueryFloats() const { return num_keys_ * m_; }
+  int64_t terms() const { return static_cast<int64_t>(terms_.size()); }
 
-  /// The adds Project's row pass counted for these windows of `queries`
-  /// queries' keys: one per gathered term and column.
+  /// The adds Project's row pass counted for the keys of `queries`
+  /// queries: one per gathered term and column.
   int64_t SumFlops(int64_t queries) const {
-    return gathered_terms_ * queries * num_keys_ * d_;
+    return gathered_terms_ * queries * num_keys_ * m_;
   }
 
-  /// fn(i, windows) for every query i < b, in parallel over queries, where
-  /// `windows` ([num_keys, d], a per-thread buffer) holds query i's keys'
-  /// windows.
-  template <typename Fn>
-  void ForEachQuery(int64_t b, Fn fn) const {
-    const int64_t t = static_cast<int64_t>(terms_.size());
-    runtime::ParallelFor(
-        0, b, RowGrain(num_keys_ * d_ * (t + 2)), [&](int64_t b0, int64_t b1) {
-          std::vector<float> windows(static_cast<size_t>(num_keys_ * d_));
-          for (int64_t i = b0; i < b1; ++i) {
-            kernels::SumRowTerms(windows.data(), terms_.data(), t, bias_,
-                                 i * num_keys_, num_keys_, m_, d_);
-            fn(i, windows.data());
-          }
-        });
+  /// Query i's keys, summed into y ([num_keys, m]).
+  void Sum(int64_t i, float* y) const {
+    kernels::SumRowTerms(y, terms_.data(),
+                         static_cast<int64_t>(terms_.size()), bias_,
+                         i * num_keys_, num_keys_, m_);
   }
 
-  /// The transpose of the sum, into `self`'s parents: the tables (parent
-  /// 1) and the bias (parent 2), each where it requires a gradient. Key k
-  /// of query i adds scale[i * num_keys + k] * x_i (d floats at
-  /// x + i * x_stride) to every term's row and then to the bias. One
-  /// thread runs the keys in ascending order, as Project's backward runs
-  /// its rows.
-  void Scatter(VarNode& self, int64_t b, const float* scale, const float* x,
-               int64_t x_stride) const {
-    VarNode& pt = *self.parents[1];
+  /// The transpose of the sum for b queries into the tables' gradient
+  /// `gt` and the bias gradient `gb` (either null: not wanted). Query i's
+  /// keys add, per head h, scale * x_i over the head's columns, with the
+  /// [heads, num_keys] scales at scale + i * heads * num_keys and the m
+  /// floats x_i at x + i * m. One thread runs the keys in ascending order,
+  /// as Project's backward runs its rows.
+  void Scatter(float* gt, float* gb, int64_t b, const float* scale,
+               int64_t heads, const float* x) const {
     std::vector<kernels::GradRowTerm> terms;
-    if (pt.requires_grad) {
-      float* gt = pt.EnsureGrad().data();
+    if (gt != nullptr) {
       for (size_t j = 0; j < terms_.size(); ++j) {
-        terms.push_back({gt + held_[j].first * m_ + c_, terms_[j].slot});
+        terms.push_back({gt + held_[j].first * m_, terms_[j].slot});
       }
       kernels::CountFlops(SumFlops(b));
     }
-    float* gb = nullptr;
-    if (self.parents.size() > 2 && self.parents[2]->requires_grad) {
-      gb = self.parents[2]->EnsureGrad().data() + c_;
-    }
+    if (terms.empty() && gb == nullptr) return;
     for (int64_t i = 0; i < b; ++i) {
-      kernels::ScatterRowTerms(terms.data(), static_cast<int64_t>(terms.size()),
-                               gb, scale + i * num_keys_, x + i * x_stride,
-                               i * num_keys_, num_keys_, m_, d_);
+      kernels::ScatterRowTerms(terms.data(),
+                               static_cast<int64_t>(terms.size()), gb,
+                               scale + i * heads * num_keys_, heads,
+                               x + i * m_, i * num_keys_, num_keys_, m_);
     }
   }
 
@@ -963,103 +899,210 @@ class SummedWindow {
   std::vector<SummedRows::Term> held_;  // keeps the slots alive
   int64_t num_keys_;
   int64_t m_;
-  int64_t c_ = 0, d_ = 0;
   std::vector<kernels::RowTerm> terms_;
   const float* bias_ = nullptr;
   int64_t gathered_terms_ = 0;
 };
 
-/// The tape parents of a head reading `s` after its own input `a`.
-std::vector<Var> HeadParents(const Var& a, const SummedRows& s) {
-  std::vector<Var> parents = {a, s.tables};
+/// `s`'s tape parents: its tables, then its bias when it has one.
+void AppendParents(const SummedRows& s, std::vector<Var>& parents) {
+  parents.push_back(s.tables);
   if (s.bias != nullptr) parents.push_back(s.bias);
-  return parents;
+}
+
+/// The gradient buffer of `p` when it takes one, else null.
+float* GradOrNull(VarNode* p) {
+  return p != nullptr && p->requires_grad ? p->EnsureGrad().data() : nullptr;
 }
 
 }  // namespace
 
-Var BatchDot(const Var& q, const SummedRows& keys, int64_t num_keys,
-             ColWindow window) {
+Var Attention(const Var& q, const SummedRows& keys, const SummedRows& values,
+              const Tensor& mask, int64_t num_keys, int64_t num_heads) {
   const Tensor& qv = q->value;
-  CheckOrDie(qv.rank() == 2 && keys.tables != nullptr,
-             "BatchDot: rank-2 required");
-  const int64_t b = qv.rows(), w = qv.cols();
-  CheckOrDie(keys.rows == b * num_keys && keys.tables->value.cols() == w,
-             "BatchDot: key block shape");
-  auto read = std::make_shared<const SummedWindow>(
-      keys, num_keys, window, "BatchDot: column window range");
-  const int64_t c = read->c(), d = read->d();
-  Tensor out = kernels::NewTensor({b, num_keys});
+  CheckOrDie(qv.rank() == 2 && keys.tables != nullptr &&
+                 values.tables != nullptr,
+             "Attention: rank-2 required");
+  const int64_t b = qv.rows(), m = qv.cols();
+  CheckOrDie(num_heads > 0 && m % num_heads == 0,
+             "Attention: num_heads must divide the query width");
+  CheckOrDie(keys.rows == b * num_keys && keys.tables->value.cols() == m,
+             "Attention: key block shape");
+  CheckOrDie(values.rows == b * num_keys && values.tables->value.cols() == m,
+             "Attention: value block shape");
+  CheckOrDie(mask.size() == b * num_keys, "Attention: mask shape");
+  const int64_t d = m / num_heads, kh = num_heads * num_keys;
+  const float scale = 1.0f / std::sqrt(static_cast<float>(d));
+  auto k = std::make_shared<const SummedKeys>(keys, num_keys);
+  auto v = std::make_shared<const SummedKeys>(values, num_keys);
+  // Per query: both sums, and each head's Dot and Axpy over its columns.
+  const int64_t grain =
+      RowGrain(num_keys * m * (k->terms() + v->terms() + 4));
+  std::vector<Var> parents = {q};
+  AppendParents(keys, parents);
+  AppendParents(values, parents);
+  const bool any_grad =
+      std::any_of(parents.begin(), parents.end(),
+                  [](const Var& p) { return p->requires_grad; });
+  Tensor out = kernels::NewTensor({b, m});
+  // The softmax weights, [b, heads, num_keys], kept for the backward pass.
+  Tensor weights;
+  if (any_grad) weights = kernels::NewTensor({b, kh});
   {
-    const float* qp = Offset(qv.data(), c);
+    const float* qp = qv.data();
+    const float* mp = mask.data();
     float* op = out.data();
-    kernels::CountFlops(2 * b * num_keys * d + read->SumFlops(b));
-    read->ForEachQuery(b, [&](int64_t i, const float* keys_i) {
-      for (int64_t k = 0; k < num_keys; ++k) {
-        op[i * num_keys + k] = kernels::Dot(qp + i * w, keys_i + k * d, d);
-      }
-    });
+    float* wp = weights.data();
+    kernels::CountFlops(4 * b * num_keys * m + 4 * b * kh + k->SumFlops(b) +
+                        v->SumFlops(b));
+    runtime::ParallelFor(
+        0, b, grain, [&](int64_t b0, int64_t b1) {
+          std::vector<float> buf(
+              static_cast<size_t>(2 * num_keys * m + 2 * num_keys));
+          float* kr = buf.data();
+          float* vr = kr + num_keys * m;
+          float* scores = vr + num_keys * m;
+          float* scratch = scores + num_keys;
+          for (int64_t i = b0; i < b1; ++i) {
+            k->Sum(i, kr);
+            v->Sum(i, vr);
+            for (int64_t h = 0; h < num_heads; ++h) {
+              const int64_t c = h * d;
+              for (int64_t j = 0; j < num_keys; ++j) {
+                scores[j] = scale * kernels::Dot(qp + i * m + c,
+                                                 kr + j * m + c, d);
+              }
+              float* w = wp != nullptr ? wp + (i * num_heads + h) * num_keys
+                                       : scratch;
+              kernels::SoftmaxRow(scores, mp + i * num_keys, num_keys, w);
+              for (int64_t j = 0; j < num_keys; ++j) {
+                if (IsExactlyZero(w[j])) continue;
+                kernels::Axpy(op + i * m + c, w[j], vr + j * m + c, d);
+              }
+            }
+          }
+        });
   }
   return MakeNode(
-      "BatchDot", std::move(out), HeadParents(q, keys),
-      [b, w, c, d, num_keys, read](VarNode& self) {
+      "Attention", std::move(out), std::move(parents),
+      [b, m, d, num_keys, num_heads, scale, grain, k, v,
+       has_kbias = keys.bias != nullptr,
+       weights = std::move(weights)](VarNode& self) {
         VarNode& pq = *self.parents[0];
+        VarNode& pk = *self.parents[1];
+        VarNode* pkb = has_kbias ? self.parents[2].get() : nullptr;
+        VarNode* pv = self.parents[has_kbias ? 3 : 2].get();
+        VarNode* pvb = self.parents.size() > (has_kbias ? 4u : 3u)
+                           ? self.parents.back().get()
+                           : nullptr;
         const float* sg = self.grad.data();
-        if (pq.requires_grad) {
-          // Straight into q's window; row i belongs to one chunk.
-          float* gq = Offset(pq.EnsureGrad().data(), c);
-          read->ForEachQuery(b, [&](int64_t i, const float* keys_i) {
-            for (int64_t k = 0; k < num_keys; ++k) {
-              const float gval = sg[i * num_keys + k];
-              if (IsExactlyZero(gval)) continue;
-              kernels::Axpy(gq + i * w, gval, keys_i + k * d, d);
-            }
-          });
+        const float* wp = weights.data();
+        // The scores take a gradient when q or the keys do. gd holds each
+        // raw score's, [b, heads, num_keys]; every step starts its
+        // gradient at +0, as the separate ops' zero-filled buffers did.
+        const bool scores_grad = pq.requires_grad || pk.requires_grad ||
+                                 (pkb != nullptr && pkb->requires_grad);
+        Tensor gd;
+        if (scores_grad) {
+          gd = kernels::NewTensor({b, num_heads * num_keys});
+          float* gdp = gd.data();
+          float* gq = GradOrNull(&pq);
+          runtime::ParallelFor(
+              0, b, grain, [&](int64_t b0, int64_t b1) {
+                std::vector<float> buf(
+                    static_cast<size_t>(2 * num_keys * m + num_keys));
+                float* kr = buf.data();
+                float* vr = kr + num_keys * m;
+                float* gw = vr + num_keys * m;
+                for (int64_t i = b0; i < b1; ++i) {
+                  v->Sum(i, vr);
+                  if (gq != nullptr) k->Sum(i, kr);
+                  for (int64_t h = 0; h < num_heads; ++h) {
+                    const int64_t c = h * d;
+                    const float* w = wp + (i * num_heads + h) * num_keys;
+                    float* g = gdp + (i * num_heads + h) * num_keys;
+                    for (int64_t j = 0; j < num_keys; ++j) {
+                      gw[j] = 0.0f;
+                      gw[j] += kernels::Dot(sg + i * m + c, vr + j * m + c, d);
+                    }
+                    // Softmax, then the scale.
+                    const float dot = kernels::Dot(gw, w, num_keys);
+                    for (int64_t j = 0; j < num_keys; ++j) {
+                      float gs = 0.0f;
+                      gs += w[j] * (gw[j] - dot);
+                      g[j] += scale * gs;
+                    }
+                    if (gq == nullptr) continue;
+                    for (int64_t j = 0; j < num_keys; ++j) {
+                      if (IsExactlyZero(g[j])) continue;
+                      kernels::Axpy(gq + i * m + c, g[j], kr + j * m + c, d);
+                    }
+                  }
+                }
+              });
         }
-        read->Scatter(self, b, sg, Offset(pq.value.data(), c), w);
+        v->Scatter(GradOrNull(pv), GradOrNull(pvb), b, wp, num_heads, sg);
+        if (scores_grad) {
+          k->Scatter(GradOrNull(&pk), GradOrNull(pkb), b, gd.data(),
+                     num_heads, pq.value.data());
+        }
       });
 }
 
-Var BatchWeightedSum(const Var& w, const SummedRows& values, int64_t num_keys,
-                     ColWindow window) {
+Var BatchWeightedSum(const Var& w, const SummedRows& values,
+                     int64_t num_keys) {
   const Tensor& wv = w->value;
   CheckOrDie(wv.rank() == 2 && values.tables != nullptr,
              "BatchWeightedSum: rank-2 required");
   const int64_t b = wv.rows();
   CheckOrDie(wv.cols() == num_keys, "BatchWeightedSum: weight shape");
   CheckOrDie(values.rows == b * num_keys, "BatchWeightedSum: value shape");
-  auto read = std::make_shared<const SummedWindow>(
-      values, num_keys, window, "BatchWeightedSum: column window range");
-  const int64_t d = read->d();
-  Tensor out = kernels::NewTensor({b, d});
+  auto read = std::make_shared<const SummedKeys>(values, num_keys);
+  const int64_t m = read->m();
+  const int64_t grain = RowGrain(read->QueryFloats() * (read->terms() + 2));
+  Tensor out = kernels::NewTensor({b, m});
   {
     const float* wp = wv.data();
     float* op = out.data();
-    kernels::CountFlops(2 * b * num_keys * d + read->SumFlops(b));
-    read->ForEachQuery(b, [&](int64_t i, const float* values_i) {
-      for (int64_t k = 0; k < num_keys; ++k) {
-        const float weight = wp[i * num_keys + k];
-        if (IsExactlyZero(weight)) continue;
-        kernels::Axpy(op + i * d, weight, values_i + k * d, d);
+    kernels::CountFlops(2 * b * num_keys * m + read->SumFlops(b));
+    runtime::ParallelFor(0, b, grain, [&](int64_t b0, int64_t b1) {
+      std::vector<float> rows(static_cast<size_t>(read->QueryFloats()));
+      for (int64_t i = b0; i < b1; ++i) {
+        read->Sum(i, rows.data());
+        for (int64_t j = 0; j < num_keys; ++j) {
+          const float weight = wp[i * num_keys + j];
+          if (IsExactlyZero(weight)) continue;
+          kernels::Axpy(op + i * m, weight, rows.data() + j * m, m);
+        }
       }
     });
   }
+  std::vector<Var> parents = {w};
+  AppendParents(values, parents);
   return MakeNode(
-      "BatchWeightedSum", std::move(out), HeadParents(w, values),
-      [b, d, num_keys, read](VarNode& self) {
+      "BatchWeightedSum", std::move(out), std::move(parents),
+      [b, m, num_keys, grain, read](VarNode& self) {
         VarNode& pw = *self.parents[0];
         const float* sg = self.grad.data();
         if (pw.requires_grad) {
           // Weight row i belongs to one chunk.
           float* gw = pw.EnsureGrad().data();
-          read->ForEachQuery(b, [&](int64_t i, const float* values_i) {
-            for (int64_t k = 0; k < num_keys; ++k) {
-              gw[i * num_keys + k] +=
-                  kernels::Dot(sg + i * d, values_i + k * d, d);
-            }
-          });
+          runtime::ParallelFor(
+              0, b, grain, [&](int64_t b0, int64_t b1) {
+                std::vector<float> rows(
+                    static_cast<size_t>(read->QueryFloats()));
+                for (int64_t i = b0; i < b1; ++i) {
+                  read->Sum(i, rows.data());
+                  for (int64_t j = 0; j < num_keys; ++j) {
+                    gw[i * num_keys + j] +=
+                        kernels::Dot(sg + i * m, rows.data() + j * m, m);
+                  }
+                }
+              });
         }
-        read->Scatter(self, b, pw.value.data(), sg, d);
+        VarNode* pb = self.parents.size() > 2 ? self.parents[2].get() : nullptr;
+        read->Scatter(GradOrNull(self.parents[1].get()), GradOrNull(pb), b,
+                      pw.value.data(), 1, sg);
       });
 }
 

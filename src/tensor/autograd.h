@@ -139,8 +139,8 @@ Var Project(const std::vector<ColBlock>& blocks, const Var& weight,
 /// Project(blocks, weight, bias) without its row pass: the n output rows
 /// are never built. Each is the sum of its terms (the dense blocks' product
 /// row, then each gathered block's projected table row, in block order)
-/// and the bias, and a reader sums only the columns it reads, in that
-/// order, so it sees the bits Project's rows hold.
+/// and the bias, and a reader sums the rows it reads in that order, so it
+/// sees the bits Project's rows hold.
 struct SummedRows {
   struct Term {
     int64_t first;  // the term's first row in `tables`
@@ -160,7 +160,7 @@ struct SummedRows {
 };
 SummedRows ProjectRows(const std::vector<ColBlock>& blocks, const Var& weight,
                        const Var& bias = nullptr);
-/// x's rows as SummedRows of one dense term and no bias: a head reads x
+/// x's rows as SummedRows of one dense term and no bias: a reader reads x
 /// itself, with no projection and no copy, and its gradient reaches x.
 SummedRows DenseRows(const Var& x);
 
@@ -179,9 +179,6 @@ Var Cos(const Var& a);
 
 /// Sum of all entries -> scalar [1].
 Var Sum(const Var& a);
-/// Row-wise softmax where masked-out entries (mask == 0) receive zero
-/// probability. Rows whose mask is entirely zero produce all-zero outputs.
-Var MaskedSoftmaxRows(const Var& a, const Tensor& mask);
 /// Numerically stable mean binary cross entropy with logits.
 /// `logits` has n entries (any shape), `targets` has matching size with
 /// values in {0, 1}. Returns a scalar.
@@ -191,35 +188,31 @@ Var BceWithLogits(const Var& logits, const Tensor& targets);
 Var SoftmaxCrossEntropy(const Var& logits, const std::vector<int64_t>& labels);
 
 // ---------------------------------------------------------------------------
-// Batched attention primitives.
+// Attention over summed rows.
 //
 // Attention over sampled temporal neighbors operates on a [B, K, D] block
-// of key rows, key b*K + k for query b. These fused primitives avoid
-// per-row graph nodes. Each reads one column window of its rows, so an
-// attention head works on its columns of the projected queries, keys and
-// values without a copy, and its gradients land in those columns of the
-// parents. Keys and values come as SummedRows, never built as [B*K, D].
+// of key rows, key b*K + k for query b. Keys and values come as
+// SummedRows, never built as [B*K, D]: each query's keys are summed whole
+// from their terms into a per-thread buffer, and their gradients are
+// scattered straight into the terms' table rows and the bias, one thread,
+// in ascending key order.
 // ---------------------------------------------------------------------------
 
-/// Columns [start, start + len) of every row; the default window covers
-/// all columns.
-struct ColWindow {
-  int64_t start = 0;
-  int64_t len = -1;  // -1: through the last column
-};
-
-/// scores[b, k] = dot(q[b, c], key row b*K + k at c) over the window's
-/// columns c -> [B, K]. q and the key rows have the same width. Each key's
-/// window is summed from its terms on the fly; its gradient is scattered
-/// straight into the terms' table rows and the bias, in ascending key
-/// order.
-Var BatchDot(const Var& q, const SummedRows& keys, int64_t num_keys,
-             ColWindow window = {});
-/// out[b, :] = sum_k w[b, k] * value row b*K + k at c over the window's
-/// columns c -> [B, len], the value rows read as BatchDot reads its keys
-/// (DenseRows for a plain [B*K, D] value).
-Var BatchWeightedSum(const Var& w, const SummedRows& values, int64_t num_keys,
-                     ColWindow window = {});
+/// Multi-head scaled dot-product attention -> [B, m], as one node. q is
+/// [B, m]; the keys and values are B*K rows of width m. Head h reads
+/// columns [h*d, (h+1)*d), d = m / num_heads (num_heads must divide m):
+/// score_k = (1/sqrt(d)) · dot(q, key_k), weights = the row softmax over
+/// the keys with masked keys (mask[b, k] == 0) at exactly 0 (an all-masked
+/// row is all 0), and the head's output columns sum weight_k · value_k.
+/// Each key's K and V rows are summed once for all heads, and every score,
+/// weight, output and gradient holds the bits of the per-head composition
+/// Dot → scale → masked softmax → weighted sum. The parents are [q, the
+/// keys' tables and bias, the values' tables and bias].
+Var Attention(const Var& q, const SummedRows& keys, const SummedRows& values,
+              const Tensor& mask, int64_t num_keys, int64_t num_heads);
+/// out[b, :] = sum_k w[b, k] * value row b*K + k -> [B, m], the value rows
+/// read as Attention reads them (DenseRows for a plain [B*K, m] value).
+Var BatchWeightedSum(const Var& w, const SummedRows& values, int64_t num_keys);
 
 }  // namespace benchtemp::tensor
 

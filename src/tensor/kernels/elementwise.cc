@@ -1,5 +1,7 @@
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 
 #include "tensor/kernels/kernels.h"
 #include "tensor/numeric.h"
@@ -8,6 +10,17 @@ namespace benchtemp::tensor::kernels {
 
 namespace {
 
+// Four-float vectors (GCC/Clang vector extensions), as the GEMM tiles use.
+constexpr int64_t kVecW = 4;
+using Vec = float __attribute__((vector_size(kVecW * sizeof(float))));
+
+inline Vec LoadVec(const float* p) {
+  Vec v;
+  std::memcpy(&v, p, sizeof(Vec));
+  return v;
+}
+inline void StoreVec(float* p, Vec v) { std::memcpy(p, &v, sizeof(Vec)); }
+
 inline float StableSigmoid(float x) {
   return x >= 0.0f ? 1.0f / (1.0f + std::exp(-x))
                    : std::exp(x) / (1.0f + std::exp(x));
@@ -15,11 +28,11 @@ inline float StableSigmoid(float x) {
 
 }  // namespace
 
-// Each primitive is one plain loop the compiler autovectorizes (this file
-// is built with -O3 -ffp-contract=off). Reductions stripe over kLanes
-// accumulators — lane l owns x[l], x[l + kLanes], ... — and combine the
-// lanes in a fixed pairwise order: the reduction tree of the determinism
-// contract.
+// Each primitive but SumRowTerms (whose column groups are vectors) is one
+// plain loop the compiler autovectorizes (this file is built with -O3
+// -ffp-contract=off). Reductions stripe over kLanes accumulators — lane l
+// owns x[l], x[l + kLanes], ... — and combine the lanes in a fixed
+// pairwise order: the reduction tree of the determinism contract.
 
 void Add(float* y, const float* x, int64_t n) {
   for (int64_t i = 0; i < n; ++i) y[i] += x[i];
@@ -37,50 +50,66 @@ void Set(float* y, const float* x, int64_t n) {
   for (int64_t i = 0; i < n; ++i) y[i] = x[i];
 }
 void SumRowTerms(float* y, const RowTerm* terms, int64_t t, const float* bias,
-                 int64_t first, int64_t n, int64_t m, int64_t d) {
-  // Four columns at a time are held in registers across the terms and
-  // stored once; the d % 4 trailing columns run one at a time.
-  constexpr int64_t kW = 4;
+                 int64_t first, int64_t n, int64_t m) {
+  // Each key's term rows are resolved once, kT at a time. Eight columns
+  // are held in two four-float vectors across a pass's terms and stored
+  // once; a later pass (more than kT terms) continues from the stored
+  // partial sums, which hold the same bits. The m % 8 trailing columns run
+  // one at a time.
+  constexpr int64_t kT = 8;
   for (int64_t r = first; r < first + n; ++r) {
-    float* yr = y + (r - first) * d;
-    int64_t c0 = 0;
-    for (; c0 + kW <= d; c0 += kW) {
-      float acc[kW] = {};
-      for (int64_t j = 0; j < t; ++j) {
-        const int32_t* slot = terms[j].slot;
-        const float* xr =
-            terms[j].rows + (slot != nullptr ? int64_t{slot[r]} : r) * m + c0;
-        for (int64_t l = 0; l < kW; ++l) acc[l] += xr[l];
+    float* yr = y + (r - first) * m;
+    for (int64_t j0 = 0; j0 == 0 || j0 < t; j0 += kT) {
+      const int64_t tj = std::min(kT, t - j0);
+      const float* xr[kT];
+      for (int64_t j = 0; j < tj; ++j) {
+        const int32_t* slot = terms[j0 + j].slot;
+        xr[j] = terms[j0 + j].rows +
+                (slot != nullptr ? int64_t{slot[r]} : r) * m;
       }
-      if (bias != nullptr) {
-        for (int64_t l = 0; l < kW; ++l) acc[l] += bias[c0 + l];
+      const float* br = j0 + kT >= t ? bias : nullptr;
+      int64_t c = 0;
+      for (; c + 2 * kVecW <= m; c += 2 * kVecW) {
+        Vec lo = j0 == 0 ? Vec{} : LoadVec(yr + c);
+        Vec hi = j0 == 0 ? Vec{} : LoadVec(yr + c + kVecW);
+        for (int64_t j = 0; j < tj; ++j) {
+          lo += LoadVec(xr[j] + c);
+          hi += LoadVec(xr[j] + c + kVecW);
+        }
+        if (br != nullptr) {
+          lo += LoadVec(br + c);
+          hi += LoadVec(br + c + kVecW);
+        }
+        StoreVec(yr + c, lo);
+        StoreVec(yr + c + kVecW, hi);
       }
-      for (int64_t l = 0; l < kW; ++l) yr[c0 + l] = acc[l];
-    }
-    for (; c0 < d; ++c0) {
-      float acc = 0.0f;
-      for (int64_t j = 0; j < t; ++j) {
-        const int32_t* slot = terms[j].slot;
-        acc += terms[j].rows[(slot != nullptr ? int64_t{slot[r]} : r) * m + c0];
+      for (; c < m; ++c) {
+        float acc = j0 == 0 ? 0.0f : yr[c];
+        for (int64_t j = 0; j < tj; ++j) acc += xr[j][c];
+        if (br != nullptr) acc += br[c];
+        yr[c] = acc;
       }
-      if (bias != nullptr) acc += bias[c0];
-      yr[c0] = acc;
     }
   }
 }
 void ScatterRowTerms(const GradRowTerm* terms, int64_t t, float* bias,
-                     const float* scale, const float* x, int64_t first,
-                     int64_t n, int64_t m, int64_t d) {
+                     const float* scale, int64_t heads, const float* x,
+                     int64_t first, int64_t n, int64_t m) {
+  const int64_t d = m / heads;
   for (int64_t r = first; r < first + n; ++r) {
-    const float s = scale[r - first];
-    if (IsExactlyZero(s)) continue;
-    for (int64_t j = 0; j < t; ++j) {
-      const int32_t* slot = terms[j].slot;
-      float* yr = terms[j].rows + (slot != nullptr ? int64_t{slot[r]} : r) * m;
-      for (int64_t c = 0; c < d; ++c) yr[c] += s * x[c];
+    for (int64_t h = 0; h < heads; ++h) {
+      const float s = scale[h * n + (r - first)];
+      if (IsExactlyZero(s)) continue;
+      const int64_t c0 = h * d;
+      for (int64_t j = 0; j < t; ++j) {
+        const int32_t* slot = terms[j].slot;
+        float* yr = terms[j].rows +
+                    (slot != nullptr ? int64_t{slot[r]} : r) * m + c0;
+        for (int64_t c = 0; c < d; ++c) yr[c] += s * x[c0 + c];
+      }
+      if (bias == nullptr) continue;
+      for (int64_t c = 0; c < d; ++c) bias[c0 + c] += s * x[c0 + c];
     }
-    if (bias == nullptr) continue;
-    for (int64_t c = 0; c < d; ++c) bias[c] += s * x[c];
   }
 }
 void FillOut(float* y, float v, int64_t n) {
@@ -104,6 +133,38 @@ void SigmoidForward(const float* x, float* y, int64_t n) {
 }
 void SigmoidBackward(float* gx, const float* gy, const float* y, int64_t n) {
   for (int64_t i = 0; i < n; ++i) gx[i] += gy[i] * y[i] * (1.0f - y[i]);
+}
+void ReluForward(const float* x, float* y, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) y[i] = x[i] > 0.0f ? x[i] : 0.0f;
+}
+void ReluBackward(float* gx, const float* gy, const float* x, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) gx[i] += gy[i] * (x[i] > 0.0f ? 1.0f : 0.0f);
+}
+
+void LerpOut(float* y, const float* a, const float* b, const float* w,
+             int64_t n) {
+  for (int64_t i = 0; i < n; ++i) y[i] = (1.0f - w[i]) * a[i] + w[i] * b[i];
+}
+void LerpOut(float* y, const float* a, const float* b, float w, int64_t n) {
+  const float u = 1.0f - w;
+  for (int64_t i = 0; i < n; ++i) y[i] = u * a[i] + w * b[i];
+}
+void LerpBackward(float* gw, float* ga, float* gb, const float* g,
+                  const float* a, const float* b, const float* w, int64_t n) {
+  // One loop per gradient, in the eager tape's order, so each entry sees
+  // that order even when two gradients are one buffer.
+  if (gw != nullptr) {
+    for (int64_t i = 0; i < n; ++i) gw[i] += g[i] * b[i];
+  }
+  if (gb != nullptr) {
+    for (int64_t i = 0; i < n; ++i) gb[i] += g[i] * w[i];
+  }
+  if (ga != nullptr) {
+    for (int64_t i = 0; i < n; ++i) ga[i] += g[i] * (1.0f - w[i]);
+  }
+  if (gw != nullptr) {
+    for (int64_t i = 0; i < n; ++i) gw[i] += (g[i] * a[i]) * -1.0f;
+  }
 }
 
 float ReduceSum(const float* x, int64_t n) {

@@ -18,8 +18,9 @@
 //     the obs ParallelFor counters) is unchanged by the kernel layer.
 //
 // Every elementwise primitive is one plain fixed-width loop the compiler
-// autovectorizes; the GEMM tiles are written with GCC/Clang vector
-// extensions (four-float vectors, no intrinsics). The kernel translation
+// autovectorizes; the GEMM tiles and SumRowTerms' eight-column groups are
+// written with GCC/Clang vector extensions (four-float vectors, no
+// intrinsics). The kernel translation
 // units are built with -O3 -ffp-contract=off, so no a*b+c is ever
 // contracted into an FMA. Each primitive executes a fixed accumulation
 // tree — reductions stripe over kLanes accumulators combined in a fixed
@@ -91,29 +92,34 @@ struct RowTerm {
   const float* rows;
   const int32_t* slot;
 };
-/// y[r - first, :] = (((+0 + T_0) + T_1) + ...) + bias over the first d
-/// floats of each key r's term rows T_j, for r in [first, first + n); y is
-/// [n, d] and a null bias adds nothing. Each element adds its terms one at
-/// a time in term order and the bias last. Project's row pass sums its
-/// output rows with it in place (y is then a dense term's rows, d == m:
-/// each row reads a column before it stores it), and the attention heads
-/// sum their keys' windows with it.
+/// y[r - first, :] = (((+0 + T_0) + T_1) + ...) + bias over the m floats
+/// of each key r's term rows T_j, for r in [first, first + n); y is
+/// [n, m] and a null bias adds nothing. Each element adds its terms one at
+/// a time in term order and the bias last, so a column's bits do not
+/// depend on which other columns are summed with it. Each key's term rows
+/// are resolved once for its whole row. Project's row pass sums its output
+/// rows with it in place (y is then a dense term's rows: each row reads a
+/// column before it stores it), and Attention and BatchWeightedSum sum
+/// each query's keys into a per-thread buffer.
 void SumRowTerms(float* y, const RowTerm* terms, int64_t t, const float* bias,
-                 int64_t first, int64_t n, int64_t m, int64_t d);
+                 int64_t first, int64_t n, int64_t m);
 /// A term whose rows receive SumRowTerms' gradient.
 struct GradRowTerm {
   float* rows;
   const int32_t* slot;
 };
-/// SumRowTerms' transpose: for keys r in [first, first + n) in ascending
-/// order, adds s * x[0..d) (s = scale[r - first]; a zero s adds nothing)
-/// to each term's row for key r, in term order, and then to the bias when
-/// it is not null. Each element adds s * x[c] as Axpy does. Project's
-/// backward scatters each output row's gradient into dU and the bias with
-/// it (scale 1, one row per call), and the heads their keys' gradients.
+/// SumRowTerms' transpose over `heads` column windows of m / heads floats
+/// each (heads divides m). For keys r in [first, first + n) in ascending
+/// order and each window h, adds s * x[c] for the window's columns c
+/// (s = scale[h * n + r - first]; a zero s adds nothing) to each term's
+/// row for key r, in term order, and then to the bias when it is not
+/// null. Each element adds s * x[c] as Axpy does. Project's backward
+/// scatters each output row's gradient into dU and the bias with it (one
+/// window, scale 1, one row per call), and Attention and BatchWeightedSum
+/// their keys' gradients, one query per call.
 void ScatterRowTerms(const GradRowTerm* terms, int64_t t, float* bias,
-                     const float* scale, const float* x, int64_t first,
-                     int64_t n, int64_t m, int64_t d);
+                     const float* scale, int64_t heads, const float* x,
+                     int64_t first, int64_t n, int64_t m);
 
 // Out-of-place forms (y never aliases the inputs).
 void AddOut(float* y, const float* a, const float* b, int64_t n);  // y=a+b
@@ -125,6 +131,22 @@ void AddScalarOut(float* y, float s, const float* x, int64_t n);   // y=x+s
 void SigmoidForward(const float* x, float* y, int64_t n);
 /// gx[i] += gy[i] * y[i] * (1 - y[i]) where y is the forward output.
 void SigmoidBackward(float* gx, const float* gy, const float* y, int64_t n);
+/// y[i] = x[i] > 0 ? x[i] : 0.
+void ReluForward(const float* x, float* y, int64_t n);
+/// gx[i] += gy[i] * (x[i] > 0 ? 1 : 0) where x is the forward input.
+void ReluBackward(float* gx, const float* gy, const float* x, int64_t n);
+
+/// y[i] = (1 - w[i]) * a[i] + w[i] * b[i].
+void LerpOut(float* y, const float* a, const float* b, const float* w,
+             int64_t n);
+/// y[i] = (1 - w) * a[i] + w * b[i]: one row under a column weight.
+void LerpOut(float* y, const float* a, const float* b, float w, int64_t n);
+/// LerpOut's backward for a per-entry weight, g the output gradient: for
+/// every i, gw += g * b, then gb += g * w, then ga += g * (1 - w), then
+/// gw += (g * a) * -1, one whole loop each in that order; a null gradient
+/// is skipped.
+void LerpBackward(float* gw, float* ga, float* gb, const float* g,
+                  const float* a, const float* b, const float* w, int64_t n);
 
 // ---------------------------------------------------------------------------
 // Row/loss kernels.

@@ -181,7 +181,6 @@ MultiHeadAttention::MultiHeadAttention(int64_t q_dim, int64_t kv_dim,
                                        Rng& rng)
     : model_dim_(model_dim),
       num_heads_(num_heads),
-      head_dim_(model_dim / num_heads),
       q_proj_(q_dim, model_dim, rng),
       k_proj_(kv_dim, model_dim, rng),
       v_proj_(kv_dim, model_dim, rng),
@@ -203,22 +202,11 @@ Var MultiHeadAttention::Forward(const std::vector<ColBlock>& queries,
   Var q = q_proj_.Forward(queries);  // [B, model]
   // Keys double as values: both projections read the same blocks, so a
   // gathered block's unique-row index is shared by the two. Neither builds
-  // its [B*K, model] rows: each head sums the window it reads per key.
+  // its [B*K, model] rows: the attention node sums each key's rows once
+  // for all heads, and its [B, model] output enters out_proj_ as one block.
   const SummedRows k = k_proj_.ForwardRows(keys);
   const SummedRows v = v_proj_.ForwardRows(keys);
-  const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
-  // Head h reads its column window of q, k and v, and the heads' outputs
-  // enter the output projection as its column blocks.
-  std::vector<ColBlock> heads;
-  heads.reserve(static_cast<size_t>(num_heads_));
-  for (int64_t h = 0; h < num_heads_; ++h) {
-    const ColWindow window{h * head_dim_, head_dim_};
-    Var scores =
-        ScalarMul(BatchDot(q, k, num_keys, window), scale);  // [B, K]
-    Var weights = MaskedSoftmaxRows(scores, mask);
-    heads.emplace_back(BatchWeightedSum(weights, v, num_keys, window));
-  }
-  return out_proj_.Forward(heads);
+  return out_proj_.Forward({Attention(q, k, v, mask, num_keys, num_heads_)});
 }
 
 std::vector<Var> MultiHeadAttention::Parameters() const {

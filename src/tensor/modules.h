@@ -146,8 +146,8 @@ class TimeEncoder : public Module {
 /// Queries are [B, q_dim], given as column blocks whose widths sum to
 /// q_dim; each query attends over `num_keys` keys stored flat as
 /// [B*K, kv_dim], given the same way. The keys also serve as the values.
-/// `mask` ([B, K]) zeroes out padding neighbors. Output is [B, out_dim]
-/// (the heads' outputs projected as column blocks).
+/// `mask` ([B, K]) zeroes out padding neighbors. Output is [B, model_dim]:
+/// one `Attention` node over the projected q, K and V, then `out_proj_`.
 class MultiHeadAttention : public Module {
  public:
   MultiHeadAttention(int64_t q_dim, int64_t kv_dim, int64_t model_dim,
@@ -163,7 +163,6 @@ class MultiHeadAttention : public Module {
  private:
   int64_t model_dim_;
   int64_t num_heads_;
-  int64_t head_dim_;
   Linear q_proj_;
   Linear k_proj_;
   Linear v_proj_;

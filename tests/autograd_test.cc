@@ -44,12 +44,31 @@ void CheckGradient(const Var& param, const std::function<Var()>& loss_fn,
 }
 
 /// `x`'s rows as summed rows: one dense term through an identity weight,
-/// so BatchDot reads exactly x's rows through ProjectRows' backward.
+/// so Attention reads exactly x's rows through ProjectRows' backward.
 SummedRows IdentityRows(const Var& x) {
   const int64_t w = x->value.cols();
   Tensor identity({w, w});
   for (int64_t i = 0; i < w; ++i) identity.at(i, i) = 1.0f;
   return ProjectRows({x}, Constant(std::move(identity)));
+}
+
+/// The width of AttentionWeights' one head: 1/sqrt(16) = 0.25 is exact.
+constexpr int64_t kProbeWidth = 16;
+
+/// One Attention head whose scaled scores are exactly `scores` (B·K rows
+/// of one column, query b's K keys in a row; K <= kProbeWidth) and whose
+/// values are one-hot rows, so column k of the [B, kProbeWidth] output is
+/// key k's softmax weight: q = 4·e_0, key r = scores[r]·e_0, value k = e_k.
+Var AttentionWeights(const Var& scores, const Tensor& mask, int64_t k) {
+  const int64_t n = scores->value.rows();
+  Tensor q({n / k, kProbeWidth}), first({1, kProbeWidth});
+  Tensor values({n, kProbeWidth});
+  for (int64_t i = 0; i < n / k; ++i) q.at(i, 0) = 4.0f;
+  first.at(0, 0) = 1.0f;
+  for (int64_t r = 0; r < n; ++r) values.at(r, r % k) = 1.0f;
+  return Attention(Constant(std::move(q)),
+                   ProjectRows({scores}, Constant(std::move(first))),
+                   DenseRows(Constant(std::move(values))), mask, k, 1);
 }
 
 TEST(AutogradTest, AddBackward) {
@@ -146,34 +165,65 @@ TEST(AutogradTest, ReluBackwardAwayFromKink) {
   CheckGradient(a, [&] { return Sum(Relu(a)); });
 }
 
-TEST(AutogradTest, SoftmaxRowsSumsToOne) {
+TEST(AutogradTest, AttentionWeightsSumToOne) {
   Rng rng(10);
-  Var a = Constant(Tensor::Randn({6, 5}, rng));
-  Var s = MaskedSoftmaxRows(a, Tensor::Ones({6, 5}));
+  const int64_t k = 5;
+  Var w = AttentionWeights(Constant(Tensor::Randn({6 * k, 1}, rng)),
+                           Tensor::Ones({6, k}), k);
   for (int64_t r = 0; r < 6; ++r) {
     float total = 0.0f;
-    for (int64_t c = 0; c < 5; ++c) total += s->value.at(r, c);
+    for (int64_t c = 0; c < k; ++c) total += w->value.at(r, c);
     EXPECT_NEAR(total, 1.0f, 1e-5f);
+    for (int64_t c = k; c < kProbeWidth; ++c) {
+      EXPECT_TRUE(IsExactlyZero(w->value.at(r, c))) << r << ", " << c;
+    }
   }
 }
 
-TEST(AutogradTest, SoftmaxBackward) {
+TEST(AutogradTest, AttentionSoftmaxBackward) {
   Rng rng(11);
-  Var a = Parameter(Tensor::Randn({3, 4}, rng));
-  Var weights = Constant(Tensor::Randn({3, 4}, rng));
-  const Tensor ones = Tensor::Ones({3, 4});
-  CheckGradient(a,
-                [&] { return Sum(Mul(MaskedSoftmaxRows(a, ones), weights)); });
+  const int64_t k = 4;
+  Var scores = Parameter(Tensor::Randn({3 * k, 1}, rng));
+  Var weights = Constant(Tensor::Randn({3, kProbeWidth}, rng));
+  const Tensor ones = Tensor::Ones({3, k});
+  CheckGradient(scores, [&] {
+    return Sum(Mul(AttentionWeights(scores, ones, k), weights));
+  });
 }
 
-TEST(AutogradTest, MaskedSoftmaxZerosMaskedEntries) {
-  Var a = Constant(Tensor::FromVector({2, 3}, {1, 2, 3, 4, 5, 6}));
+TEST(AutogradTest, AttentionZerosMaskedKeys) {
+  Var scores = Parameter(Tensor::FromVector({6, 1}, {1, 2, 3, 4, 5, 6}));
   Tensor mask = Tensor::FromVector({2, 3}, {1, 0, 1, 0, 0, 0});
-  Var s = MaskedSoftmaxRows(a, mask);
-  EXPECT_FLOAT_EQ(s->value.at(0, 1), 0.0f);
-  EXPECT_NEAR(s->value.at(0, 0) + s->value.at(0, 2), 1.0f, 1e-5f);
+  Var w = AttentionWeights(scores, mask, 3);
+  EXPECT_TRUE(IsExactlyZero(w->value.at(0, 1)));
+  EXPECT_NEAR(w->value.at(0, 0) + w->value.at(0, 2), 1.0f, 1e-5f);
   // Fully masked row: all zeros, no NaNs.
-  for (int64_t c = 0; c < 3; ++c) EXPECT_FLOAT_EQ(s->value.at(1, c), 0.0f);
+  for (int64_t c = 0; c < 3; ++c) {
+    EXPECT_TRUE(IsExactlyZero(w->value.at(1, c))) << c;
+  }
+  // A masked key's score takes exactly zero gradient.
+  Rng rng(13);
+  Backward(Sum(Mul(w, Constant(Tensor::Randn({2, kProbeWidth}, rng)))));
+  for (const int64_t r : {1, 3, 4, 5}) {
+    EXPECT_TRUE(IsExactlyZero(scores->grad.at(r))) << r;
+  }
+  EXPECT_FALSE(IsExactlyZero(scores->grad.at(0)));
+
+  // Over two heads with trainable q, keys and values: the masked keys'
+  // rows and the all-masked query's row take exactly zero gradient.
+  Var q = Parameter(Tensor::Randn({2, 4}, rng));
+  Var keys = Parameter(Tensor::Randn({6, 4}, rng));
+  Var values = Parameter(Tensor::Randn({6, 4}, rng));
+  Var out = Attention(q, IdentityRows(keys), DenseRows(values), mask, 3, 2);
+  Backward(Sum(Mul(out, Constant(Tensor::Randn({2, 4}, rng)))));
+  for (int64_t c = 0; c < 4; ++c) {
+    EXPECT_TRUE(IsExactlyZero(out->value.at(1, c))) << c;
+    EXPECT_TRUE(IsExactlyZero(q->grad.at(1, c))) << c;
+    for (const int64_t r : {1, 3, 4, 5}) {
+      EXPECT_TRUE(IsExactlyZero(keys->grad.at(r, c))) << r << ", " << c;
+      EXPECT_TRUE(IsExactlyZero(values->grad.at(r, c))) << r << ", " << c;
+    }
+  }
 }
 
 TEST(AutogradTest, BceWithLogitsMatchesManual) {
@@ -202,14 +252,20 @@ TEST(AutogradTest, SoftmaxCrossEntropyBackward) {
   CheckGradient(logits, [&] { return SoftmaxCrossEntropy(logits, labels); });
 }
 
-TEST(AutogradTest, BatchDotBackward) {
+TEST(AutogradTest, AttentionBackward) {
   Rng rng(14);
   const int64_t k = 3;
   Var q = Parameter(Tensor::Randn({2, 4}, rng));
   Var keys = Parameter(Tensor::Randn({2 * k, 4}, rng));
-  auto loss = [&] { return Sum(Tanh(BatchDot(q, IdentityRows(keys), k))); };
+  Var values = Parameter(Tensor::Randn({2 * k, 4}, rng));
+  const Tensor ones = Tensor::Ones({2, k});
+  auto loss = [&] {
+    return Sum(Tanh(
+        Attention(q, IdentityRows(keys), DenseRows(values), ones, k, 2)));
+  };
   CheckGradient(q, loss);
   CheckGradient(keys, loss);
+  CheckGradient(values, loss);
 }
 
 TEST(AutogradTest, BatchWeightedSumBackward) {
@@ -222,6 +278,18 @@ TEST(AutogradTest, BatchWeightedSumBackward) {
   };
   CheckGradient(w, loss);
   CheckGradient(values, loss);
+
+  const Tensor out = BatchWeightedSum(w, DenseRows(values), k)->value;
+  ASSERT_EQ(out.shape(), (std::vector<int64_t>{2, 4}));
+  for (int64_t i = 0; i < 2; ++i) {
+    for (int64_t c = 0; c < 4; ++c) {
+      float want = 0.0f;
+      for (int64_t j = 0; j < k; ++j) {
+        want += w->value.at(i, j) * values->value.at(i * k + j, c);
+      }
+      EXPECT_NEAR(out.at(i, c), want, 1e-5f) << i << ", " << c;
+    }
+  }
 }
 
 TEST(AutogradTest, DiamondGraphAccumulates) {
@@ -409,29 +477,28 @@ TEST(AutogradTest, LerpRejectsBadShapes) {
                "Lerp: w must be");
 }
 
-TEST(AutogradTest, SoftmaxRowsGolden) {
-  // MaskedSoftmaxRows runs Exp / Sum / normalize as one internal kernel
+TEST(AutogradTest, AttentionWeightsGolden) {
+  // The softmax inside Attention runs Exp / Sum / normalize as one kernel
   // pass; pin its exact output for a known unmasked row so that path stays
   // put.
-  Var a = Constant(Tensor::FromVector({1, 3}, {1.0f, 2.0f, 3.0f}));
-  Var s = MaskedSoftmaxRows(a, Tensor::Ones({1, 3}));
+  Var w = AttentionWeights(Constant(Tensor::FromVector({3, 1}, {1, 2, 3})),
+                           Tensor::Ones({1, 3}), 3);
   const double z = std::exp(1.0 - 3.0) + std::exp(2.0 - 3.0) + 1.0;
-  EXPECT_NEAR(s->value.at(0, 0), static_cast<float>(std::exp(-2.0) / z),
+  EXPECT_NEAR(w->value.at(0, 0), static_cast<float>(std::exp(-2.0) / z),
               1e-6f);
-  EXPECT_NEAR(s->value.at(0, 1), static_cast<float>(std::exp(-1.0) / z),
+  EXPECT_NEAR(w->value.at(0, 1), static_cast<float>(std::exp(-1.0) / z),
               1e-6f);
-  EXPECT_NEAR(s->value.at(0, 2), static_cast<float>(1.0 / z), 1e-6f);
+  EXPECT_NEAR(w->value.at(0, 2), static_cast<float>(1.0 / z), 1e-6f);
 }
 
-TEST(AutogradTest, MaskedSoftmaxRowsGolden) {
-  Var a = Constant(Tensor::FromVector({1, 3}, {2.0f, 5.0f, 4.0f}));
-  Tensor mask = Tensor::FromVector({1, 3}, {1.0f, 0.0f, 1.0f});
-  Var s = MaskedSoftmaxRows(a, mask);
+TEST(AutogradTest, AttentionMaskedWeightsGolden) {
+  Var w = AttentionWeights(Constant(Tensor::FromVector({3, 1}, {2, 5, 4})),
+                           Tensor::FromVector({1, 3}, {1.0f, 0.0f, 1.0f}), 3);
   const double z = std::exp(2.0 - 4.0) + 1.0;
-  EXPECT_NEAR(s->value.at(0, 0), static_cast<float>(std::exp(-2.0) / z),
+  EXPECT_NEAR(w->value.at(0, 0), static_cast<float>(std::exp(-2.0) / z),
               1e-6f);
-  EXPECT_FLOAT_EQ(s->value.at(0, 1), 0.0f);
-  EXPECT_NEAR(s->value.at(0, 2), static_cast<float>(1.0 / z), 1e-6f);
+  EXPECT_TRUE(IsExactlyZero(w->value.at(0, 1)));
+  EXPECT_NEAR(w->value.at(0, 2), static_cast<float>(1.0 / z), 1e-6f);
 }
 
 // ---------------------------------------------------------------------------
@@ -664,80 +731,78 @@ TEST(AutogradTest, ProjectBiasGradcheck) {
 }
 
 /// Every entry of `grad` outside columns [start, start + len) is exactly 0.
-void ExpectZeroOutsideWindow(const Tensor& grad, ColWindow window,
+void ExpectZeroOutsideWindow(const Tensor& grad, int64_t start, int64_t len,
                              const char* what) {
   ASSERT_EQ(grad.rank(), 2) << what;
   for (int64_t r = 0; r < grad.rows(); ++r) {
     for (int64_t c = 0; c < grad.cols(); ++c) {
-      if (c >= window.start && c < window.start + window.len) continue;
+      if (c >= start && c < start + len) continue;
       EXPECT_TRUE(IsExactlyZero(grad.at(r, c)))
           << what << " (" << r << ", " << c << ")";
     }
   }
 }
 
-TEST(AutogradTest, BatchDotColumnWindowGradcheck) {
+TEST(AutogradTest, AttentionHeadWindowsGradcheck) {
+  // Two heads of three columns: head h scores, weighs and writes only its
+  // own columns.
   Rng rng(64);
-  const int64_t b = 3, k = 2, width = 7;
-  const ColWindow window{2, 3};
-  Var q = Parameter(Tensor::Randn({b, width}, rng));
-  Var keys = Parameter(Tensor::Randn({b * k, width}, rng));
-  auto loss = [&] {
-    return Sum(Tanh(BatchDot(q, IdentityRows(keys), k, window)));
+  const int64_t b = 3, k = 2, heads = 2, d = 3, m = heads * d;
+  Var q = Parameter(Tensor::Randn({b, m}, rng));
+  Var keys = Parameter(Tensor::Randn({b * k, m}, rng));
+  Var values = Parameter(Tensor::Randn({b * k, m}, rng));
+  Tensor mask = Tensor::Ones({b, k});
+  mask.at(2, 1) = 0.0f;
+  auto attend = [&] {
+    return Attention(q, IdentityRows(keys), DenseRows(values), mask, k, heads);
   };
+  auto loss = [&] { return Sum(Tanh(attend())); };
   CheckGradient(q, loss);
   CheckGradient(keys, loss);
-
-  const Tensor scores = BatchDot(q, IdentityRows(keys), k, window)->value;
-  ASSERT_EQ(scores.shape(), (std::vector<int64_t>{b, k}));
-  for (int64_t i = 0; i < b; ++i) {
-    for (int64_t j = 0; j < k; ++j) {
-      float want = 0.0f;
-      for (int64_t c = window.start; c < window.start + window.len; ++c) {
-        want += q->value.at(i, c) * keys->value.at(i * k + j, c);
-      }
-      EXPECT_NEAR(scores.at(i, j), want, 1e-5f) << i << ", " << j;
-    }
-  }
-  ZeroGrad({q, keys});
-  Backward(loss());
-  ExpectZeroOutsideWindow(q->grad, window, "q");
-  ExpectZeroOutsideWindow(keys->grad, window, "keys");
-}
-
-TEST(AutogradTest, BatchWeightedSumColumnWindowGradcheck) {
-  Rng rng(65);
-  const int64_t b = 2, k = 3, width = 6;
-  const ColWindow window{1, 4};
-  Var w = Parameter(Tensor::Randn({b, k}, rng));
-  Var values = Parameter(Tensor::Randn({b * k, width}, rng));
-  auto loss = [&] {
-    return Sum(Sigmoid(BatchWeightedSum(w, DenseRows(values), k, window)));
-  };
-  CheckGradient(w, loss);
   CheckGradient(values, loss);
 
-  const Tensor out = BatchWeightedSum(w, DenseRows(values), k, window)->value;
-  ASSERT_EQ(out.shape(), (std::vector<int64_t>{b, window.len}));
+  const Tensor out = attend()->value;
+  ASSERT_EQ(out.shape(), (std::vector<int64_t>{b, m}));
+  const float scale = 1.0f / std::sqrt(static_cast<float>(d));
   for (int64_t i = 0; i < b; ++i) {
-    for (int64_t c = 0; c < window.len; ++c) {
-      float want = 0.0f;
+    for (int64_t h = 0; h < heads; ++h) {
+      std::vector<float> w(k);
+      float total = 0.0f;
       for (int64_t j = 0; j < k; ++j) {
-        want += w->value.at(i, j) *
-                values->value.at(i * k + j, window.start + c);
+        float score = 0.0f;
+        for (int64_t c = h * d; c < (h + 1) * d; ++c) {
+          score += q->value.at(i, c) * keys->value.at(i * k + j, c);
+        }
+        w[j] = IsExactlyZero(mask.at(i, j)) ? 0.0f : std::exp(scale * score);
+        total += w[j];
       }
-      EXPECT_NEAR(out.at(i, c), want, 1e-5f) << i << ", " << c;
+      for (int64_t c = h * d; c < (h + 1) * d; ++c) {
+        float want = 0.0f;
+        for (int64_t j = 0; j < k; ++j) {
+          want += w[j] / total * values->value.at(i * k + j, c);
+        }
+        EXPECT_NEAR(out.at(i, c), want, 1e-5f) << i << ", " << c;
+      }
     }
   }
-  ZeroGrad({w, values});
-  Backward(loss());
-  ExpectZeroOutsideWindow(values->grad, window, "values");
+
+  // A loss over head 0's output columns reaches only head 0's columns.
+  Tensor head0({b, m});
+  for (int64_t i = 0; i < b; ++i) {
+    for (int64_t c = 0; c < d; ++c) head0.at(i, c) = 1.0f;
+  }
+  ZeroGrad({q, keys, values});
+  Backward(Sum(Mul(Tanh(attend()), Constant(head0))));
+  ExpectZeroOutsideWindow(q->grad, 0, d, "q");
+  ExpectZeroOutsideWindow(keys->grad, 0, d, "keys");
+  ExpectZeroOutsideWindow(values->grad, 0, d, "values");
 }
 
 TEST(AutogradTest, SummedRowsGradcheck) {
   // Keys with one dense block and two gathered ones (a trainable table
-  // whose row 4 no slot names, and constant rows), read by both heads'
-  // windows. An all-masked query row gets no gradient through softmax.
+  // whose row 4 no slot names, and constant rows), read by both heads of
+  // one Attention. An all-masked query row gets no gradient through
+  // softmax.
   Rng rng(67);
   const int64_t b = 3, k = 4, m = 6;
   Var q = Parameter(Tensor::Randn({b, m}, rng));
@@ -760,14 +825,7 @@ TEST(AutogradTest, SummedRowsGradcheck) {
     const std::vector<ColBlock> blocks = {RowsOf(table, slot), a, consts};
     const SummedRows keys = ProjectRows(blocks, wk, bk);
     const SummedRows values = ProjectRows(blocks, wv, bv);
-    std::vector<Var> parts;
-    for (const ColWindow window : {ColWindow{0, 3}, ColWindow{3, 3}}) {
-      Var weights =
-          MaskedSoftmaxRows(BatchDot(q, keys, k, window), mask);
-      parts.push_back(Sum(Sigmoid(BatchWeightedSum(weights, values, k,
-                                                   window))));
-    }
-    return Add(parts[0], parts[1]);
+    return Sum(Sigmoid(Attention(q, keys, values, mask, k, 2)));
   };
   for (const Var& p : {q, wk, bk, wv, bv, table, a}) CheckGradient(p, loss);
   for (int64_t c = 0; c < table->grad.cols(); ++c) {
@@ -775,24 +833,17 @@ TEST(AutogradTest, SummedRowsGradcheck) {
   }
 }
 
-TEST(AutogradTest, ColumnWindowPastRowWidthIsFatal) {
+TEST(AutogradTest, AttentionHeadCountNotDividingWidthIsFatal) {
   Rng rng(66);
   Var q = Constant(Tensor::Randn({2, 4}, rng));
   Var keys = Constant(Tensor::Randn({4, 4}, rng));
-  Var w = Constant(Tensor::Randn({2, 2}, rng));
+  const Tensor mask = Tensor::Ones({2, 2});
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  EXPECT_DEATH((void)BatchDot(q, IdentityRows(keys), 2, {2, 3}),
-               "BatchDot: column window range");
-  EXPECT_DEATH((void)BatchWeightedSum(w, DenseRows(keys), 2, {4, 1}),
-               "BatchWeightedSum: column window range");
-  EXPECT_DEATH((void)BatchWeightedSum(w, DenseRows(keys), 2, {-1, 2}),
-               "BatchWeightedSum: column window range");
-  // Only -1 means "through the last column"; any other negative length
-  // is out of range.
-  EXPECT_DEATH((void)BatchDot(q, IdentityRows(keys), 2, {0, -2}),
-               "BatchDot: column window range");
-  EXPECT_DEATH((void)BatchWeightedSum(w, DenseRows(keys), 2, {0, -2}),
-               "BatchWeightedSum: column window range");
+  for (const int64_t heads : {3, 0}) {
+    EXPECT_DEATH((void)Attention(q, IdentityRows(keys), DenseRows(keys), mask,
+                                 2, heads),
+                 "Attention: num_heads must divide the query width");
+  }
 }
 
 TEST(AutogradTest, EncodeRowsSharesEqualDeltas) {

@@ -341,6 +341,12 @@ TEST_F(KernelsTest, ProjectMatchesPlainLoopsBitwise) {
         {"dense", {a, c}, {a}},
         {"gathered", {learned, consts}, {table}},
         {"mixed", {a, learned, c, consts, learned}, {a, table}},
+        // Ten terms: a row sum resolves eight term rows a pass, so the
+        // second pass continues the stored partial sums.
+        {"many",
+         {a, learned, consts, learned, consts, learned, consts, learned,
+          consts, learned},
+         {a, table}},
     };
     for (const auto& [name, blocks, trainable] : cases) {
       int64_t width = 0;
@@ -374,24 +380,33 @@ float LaneTreeSum(const std::vector<float>& terms) {
          ((lane[4] + lane[5]) + (lane[6] + lane[7]));
 }
 
-// The attention heads over summed rows (ProjectRows) read each key's
-// window as the sum of its terms, and scatter its gradient straight into
-// the terms' table rows. The oracle is the dense path spelled out: key rows
-// built by ProjectReference (zero row, dense terms, gathered terms, bias),
-// heads as plain loops over those rows (a Dot lane tree per score, one
-// weighted add per key), and the key-row gradients fed back through
-// ProjectReference's backward.
+// The attention node over summed rows (ProjectRows) sums each key's whole
+// K and V rows from their terms once for all heads, and scatters each
+// key's gradients straight into the terms' table rows. The oracle is the
+// dense path spelled out: key and value rows built by ProjectReference
+// (zero row, dense terms, gathered terms, bias), each head as plain loops
+// over its columns of those rows (a Dot lane tree per score, the scale,
+// the masked softmax, one weighted add per key), the gradients through
+// the same steps backward, each starting at +0, and the row gradients fed
+// back through ProjectReference's backward.
 
 /// Every bit of `t`.
 std::vector<uint32_t> TensorBits(const Tensor& t) {
   return BitsOf(std::vector<float>(t.data(), t.data() + t.size()));
 }
 
+/// The lane-tree dot of a[0..n) and b[0..n).
+float LaneTreeDot(const float* a, const float* b, int64_t n) {
+  std::vector<float> prod(static_cast<size_t>(n));
+  for (int64_t x = 0; x < n; ++x) prod[static_cast<size_t>(x)] = a[x] * b[x];
+  return LaneTreeSum(prod);
+}
+
 TEST_F(KernelsTest, AttentionOverSummedRowsMatchesPlainLoopsBitwise) {
   // Two 11-column head windows: each Dot has a main lane block and a
-  // tail, and each window sum whole four-column groups and a tail.
-  const int64_t num_keys = 3, m = 22, d = 11;
-  const tensor::ColWindow windows[] = {{0, d}, {d, d}};
+  // tail, and each row sum one eight-column group and a tail per head.
+  const int64_t num_keys = 3, heads = 2, d = 11, m = heads * d;
+  const float scale = 1.0f / std::sqrt(static_cast<float>(d));
   for (const int threads : {1, 4}) {
     runtime::ThreadPool::Global().SetNumThreads(threads);
     for (const int64_t n : {1, 5, 300}) {
@@ -413,98 +428,97 @@ TEST_F(KernelsTest, AttentionOverSummedRowsMatchesPlainLoopsBitwise) {
       // comes first.
       const std::vector<ColBlock> blocks = {tensor::RowsOf(table, slot), dense,
                                             consts};
-      Var w = tensor::Parameter(Tensor::Randn({4 + 3 + 2, m}, rng, 0.4f));
-      Var bias = tensor::Parameter(Tensor::Randn({1, m}, rng));
+      Var wk = tensor::Parameter(Tensor::Randn({4 + 3 + 2, m}, rng, 0.4f));
+      Var bk = tensor::Parameter(Tensor::Randn({1, m}, rng));
+      Var wv = tensor::Parameter(Tensor::Randn({4 + 3 + 2, m}, rng, 0.4f));
+      Var bv = tensor::Parameter(Tensor::Randn({1, m}, rng));
       Var q = tensor::Parameter(Tensor::Randn({n, m}, rng));
-      // Upstream gradients and attention weights: query row 0 is all
-      // masked (zero), and some single keys are masked too.
-      std::vector<Tensor> gs, weights, go;
-      for (int h = 0; h < 2; ++h) {
-        gs.push_back(Tensor::Randn({n, num_keys}, rng));
-        weights.push_back(Tensor::Randn({n, num_keys}, rng));
-        go.push_back(Tensor::Randn({n, d}, rng));
-        for (int64_t i = 0; i < n; ++i) {
-          for (int64_t k = 0; k < num_keys; ++k) {
-            if (i == 0 || rng.UniformInt(4) == 0) {
-              gs.back().at(i, k) = 0.0f;
-              weights.back().at(i, k) = 0.0f;
-            }
-          }
+      // Query row 0 is all masked, and some single keys are masked too.
+      Tensor mask = Tensor::Ones({n, num_keys});
+      for (int64_t i = 0; i < n; ++i) {
+        for (int64_t k = 0; k < num_keys; ++k) {
+          if (i == 0 || rng.UniformInt(4) == 0) mask.at(i, k) = 0.0f;
         }
       }
+      const Tensor go = Tensor::Randn({n, m}, rng);
 
-      // The heads over summed rows, both windows on one tape, laid out as
-      // MultiHeadAttention lays them: keys and values are two ProjectRows
-      // nodes (here over the same weight and bias).
-      for (const Var& v : {table, dense, w, bias, q}) v->grad = Tensor();
-      std::vector<Var> weight_vars;
-      std::vector<Tensor> got_scores, got_out;
+      // The node, keys and values as MultiHeadAttention lays them: two
+      // ProjectRows nodes over the same blocks.
+      for (const Var& v : {table, dense, wk, bk, wv, bv, q}) {
+        v->grad = Tensor();
+      }
+      Tensor got_out;
       {
-        const tensor::SummedRows k_rows = tensor::ProjectRows(blocks, w, bias);
-        const tensor::SummedRows v_rows = tensor::ProjectRows(blocks, w, bias);
-        std::vector<Var> terms;
-        for (int h = 0; h < 2; ++h) {
-          Var scores = tensor::BatchDot(q, k_rows, num_keys, windows[h]);
-          weight_vars.push_back(tensor::Parameter(weights[h]));
-          Var out = tensor::BatchWeightedSum(weight_vars.back(), v_rows,
-                                             num_keys, windows[h]);
-          got_scores.push_back(scores->value);
-          got_out.push_back(out->value);
-          terms.push_back(tensor::Mul(scores, tensor::Constant(gs[h])));
-          terms.push_back(tensor::Mul(out, tensor::Constant(go[h])));
-        }
-        Var total = tensor::Sum(terms[0]);
-        for (size_t t = 1; t < terms.size(); ++t) {
-          total = tensor::Add(total, tensor::Sum(terms[t]));
-        }
-        tensor::Backward(total);
+        const tensor::SummedRows k_rows = tensor::ProjectRows(blocks, wk, bk);
+        const tensor::SummedRows v_rows = tensor::ProjectRows(blocks, wv, bv);
+        Var out = tensor::Attention(q, k_rows, v_rows, mask, num_keys, heads);
+        got_out = out->value;
+        tensor::Backward(
+            tensor::Sum(tensor::Mul(out, tensor::Constant(go))));
       }
 
-      // The oracle: the dense rows (keys and values hold the same ones),
-      // the heads over them, and each side's row gradient.
-      Tensor gk({keys, m}), gv({keys, m}), gq({n, m});
-      const Tensor dense_rows =
-          ProjectReference(blocks, w, bias, Tensor({keys, m})).out;
-      const float* kr = dense_rows.data();
-      for (int h = 0; h < 2; ++h) {
-        const int64_t c = windows[h].start;
-        Tensor scores({n, num_keys}), out({n, d}), gwh({n, num_keys});
-        for (int64_t i = 0; i < n; ++i) {
+      // The oracle: the dense rows, the heads over them, and each side's
+      // row gradient.
+      const Tensor zeros({keys, m});
+      const Tensor k_dense = ProjectReference(blocks, wk, bk, zeros).out;
+      const Tensor v_dense = ProjectReference(blocks, wv, bv, zeros).out;
+      Tensor out({n, m}), gq({n, m}), gk({keys, m}), gv({keys, m});
+      for (int64_t i = 0; i < n; ++i) {
+        for (int64_t h = 0; h < heads; ++h) {
+          const int64_t c = h * d;
           const float* qi = q->value.data() + i * m + c;
+          const float* goi = go.data() + i * m + c;
+          const float* kr = k_dense.data() + i * num_keys * m + c;
+          const float* vr = v_dense.data() + i * num_keys * m + c;
+          std::vector<float> w(num_keys, 0.0f), gw(num_keys, 0.0f);
+          // Scale, then the masked softmax: max, exp, lane-tree normalizer.
+          float max_val = -1e30f;
+          bool any = false;
+          for (int64_t k = 0; k < num_keys; ++k) {
+            if (tensor::IsExactlyZero(mask.at(i, k))) continue;
+            w[k] = scale * LaneTreeDot(qi, kr + k * m, d);
+            max_val = std::max(max_val, w[k]);
+            any = true;
+          }
+          for (int64_t k = 0; k < num_keys; ++k) {
+            w[k] = tensor::IsExactlyZero(mask.at(i, k))
+                       ? 0.0f
+                       : std::exp(w[k] - max_val);
+          }
+          const float total = LaneTreeSum(w);
+          for (int64_t k = 0; k < num_keys && any; ++k) w[k] /= total;
           for (int64_t k = 0; k < num_keys; ++k) {
             const int64_t r = i * num_keys + k;
-            const float* key = kr + r * m + c;
-            std::vector<float> prod(static_cast<size_t>(d));
-            for (int64_t x = 0; x < d; ++x) prod[x] = qi[x] * key[x];
-            scores.at(i, k) = LaneTreeSum(prod);
-            const float gval = gs[h].at(i, k);
-            for (int64_t x = 0; x < d && !tensor::IsExactlyZero(gval); ++x) {
-              gq.at(i, c + x) += gval * key[x];
-              gk.at(r, c + x) += gval * qi[x];
+            for (int64_t x = 0; x < d && !tensor::IsExactlyZero(w[k]); ++x) {
+              out.at(i, c + x) += w[k] * vr[k * m + x];
+              gv.at(r, c + x) += w[k] * goi[x];
             }
-            for (int64_t x = 0; x < d; ++x) prod[x] = go[h].at(i, x) * key[x];
-            gwh.at(i, k) = LaneTreeSum(prod);
-            const float wt = weights[h].at(i, k);
-            for (int64_t x = 0; x < d && !tensor::IsExactlyZero(wt); ++x) {
-              out.at(i, x) += wt * key[x];
-              gv.at(r, c + x) += wt * go[h].at(i, x);
+            gw[k] += LaneTreeDot(goi, vr + k * m, d);
+          }
+          // Backward through the softmax and the scale.
+          const float dot = LaneTreeDot(gw.data(), w.data(), num_keys);
+          for (int64_t k = 0; k < num_keys; ++k) {
+            const int64_t r = i * num_keys + k;
+            float gs = 0.0f;
+            gs += w[k] * (gw[k] - dot);
+            float gd = 0.0f;
+            gd += scale * gs;
+            for (int64_t x = 0; x < d && !tensor::IsExactlyZero(gd); ++x) {
+              gq.at(i, c + x) += gd * kr[k * m + x];
+              gk.at(r, c + x) += gd * qi[x];
             }
           }
         }
-        EXPECT_EQ(TensorBits(got_scores[h]), TensorBits(scores))
-            << where << " scores " << h;
-        EXPECT_EQ(TensorBits(got_out[h]), TensorBits(out))
-            << where << " outputs " << h;
-        EXPECT_EQ(TensorBits(weight_vars[h]->grad), TensorBits(gwh))
-            << where << " weights grad " << h;
       }
+      EXPECT_EQ(TensorBits(got_out), TensorBits(out)) << where << " outputs";
       EXPECT_EQ(TensorBits(q->grad), TensorBits(gq)) << where << " q grad";
       // The values' Project backward runs first on the tape, then the
-      // keys' continues every parameter's gradient.
+      // keys' continues the blocks' gradients.
       ProjectReferenceRun back = ProjectReference(
-          blocks, w, bias, gk, ProjectReference(blocks, w, bias, gv));
+          blocks, wk, bk, gk, ProjectReference(blocks, wv, bv, gv));
       const std::pair<const char*, Var> params[] = {
-          {"table", table}, {"dense", dense}, {"w", w}, {"bias", bias}};
+          {"table", table}, {"dense", dense}, {"wk", wk},
+          {"bk", bk},       {"wv", wv},       {"bv", bv}};
       for (const auto& [name, v] : params) {
         EXPECT_EQ(TensorBits(v->grad), TensorBits(back.GradOf(v)))
             << where << " " << name << " grad";
@@ -682,6 +696,59 @@ TEST_F(KernelsTest, ElementwiseMatchNaiveReferences) {
         want[i] += a[i] * sig[i] * (1.0f - sig[i]);
       }
       EXPECT_EQ(BitsOf(got), BitsOf(want)) << "SigmoidBackward";
+
+      reset();
+      kernels::ReluForward(a.data(), got.data(), n);
+      for (size_t i = 0; i < x.size(); ++i) want[i] = a[i] > 0.0f ? a[i] : 0.0f;
+      EXPECT_EQ(BitsOf(got), BitsOf(want)) << "ReluForward";
+
+      reset();
+      kernels::ReluBackward(got.data(), a.data(), b.data(), n);
+      for (size_t i = 0; i < x.size(); ++i) {
+        want[i] += a[i] * (b[i] > 0.0f ? 1.0f : 0.0f);
+      }
+      EXPECT_EQ(BitsOf(got), BitsOf(want)) << "ReluBackward";
+
+      // Lerp's weights lie in (0, 1), as a gate's do.
+      std::vector<float> w(x.size());
+      for (size_t i = 0; i < w.size(); ++i) w[i] = ReferenceSigmoid(b[i]);
+      reset();
+      kernels::LerpOut(got.data(), a.data(), b.data(), w.data(), n);
+      for (size_t i = 0; i < x.size(); ++i) {
+        want[i] = (1.0f - w[i]) * a[i] + w[i] * b[i];
+      }
+      EXPECT_EQ(BitsOf(got), BitsOf(want)) << "LerpOut";
+
+      reset();
+      kernels::LerpOut(got.data(), a.data(), b.data(), s, n);
+      for (size_t i = 0; i < x.size(); ++i) {
+        want[i] = (1.0f - s) * a[i] + s * b[i];
+      }
+      EXPECT_EQ(BitsOf(got), BitsOf(want)) << "LerpOut column weight";
+
+      // The three gradients, and then one buffer serving as both ga and gb
+      // and as gw: every entry sees the loops' order.
+      std::vector<float> ga = a, gb = b, gw = w;
+      std::vector<float> want_ga = a, want_gb = b, want_gw = w;
+      reset();
+      kernels::LerpBackward(gw.data(), ga.data(), gb.data(), x.data(),
+                            a.data(), b.data(), w.data(), n);
+      kernels::LerpBackward(got.data(), got.data(), got.data(), x.data(),
+                            a.data(), b.data(), w.data(), n);
+      for (size_t i = 0; i < x.size(); ++i) {
+        want_gw[i] += x[i] * b[i];
+        want_gb[i] += x[i] * w[i];
+        want_ga[i] += x[i] * (1.0f - w[i]);
+        want_gw[i] += (x[i] * a[i]) * -1.0f;
+        want[i] += x[i] * b[i];
+        want[i] += x[i] * w[i];
+        want[i] += x[i] * (1.0f - w[i]);
+        want[i] += (x[i] * a[i]) * -1.0f;
+      }
+      EXPECT_EQ(BitsOf(gw), BitsOf(want_gw)) << "LerpBackward gw";
+      EXPECT_EQ(BitsOf(ga), BitsOf(want_ga)) << "LerpBackward ga";
+      EXPECT_EQ(BitsOf(gb), BitsOf(want_gb)) << "LerpBackward gb";
+      EXPECT_EQ(BitsOf(got), BitsOf(want)) << "LerpBackward aliased";
 
       // Reductions: bit-exact against the written-out lane tree, and close
       // to a double-precision sum — relative to the sum of magnitudes, the

@@ -337,10 +337,11 @@ TEST(ModulesTest, AttentionOverGatheredBlocksMatchesDenseBlocks) {
 }
 
 TEST(ModulesTest, AttentionBuildsNoCopyOrBiasNodes) {
-  // The heads read column windows of q in place and sum each key's window
-  // of K and V from the projected rows (ProjectRows: no [B*K, model]
-  // tensor), their outputs enter the output projection as blocks, and
-  // every bias is added inside its projection or head: no slice,
+  // One Attention node runs every head: it reads q's columns in place and
+  // sums each key's K and V rows once from the projected rows
+  // (ProjectRows: no [B*K, model] tensor), its [B, model] output enters
+  // the output projection as one block, and every bias is added inside
+  // its projection or the node: no per-head score, softmax, slice,
   // concatenation or Add node on the tape.
   const int64_t b = 4, k = 3;
   Rng rng(14);
@@ -366,8 +367,60 @@ TEST(ModulesTest, AttentionBuildsNoCopyOrBiasNodes) {
   }
   EXPECT_EQ(std::count(ops.begin(), ops.end(), "Project"), 2);
   EXPECT_EQ(std::count(ops.begin(), ops.end(), "ProjectRows"), 2);
-  EXPECT_EQ(std::count(ops.begin(), ops.end(), "BatchDot"), 2);
-  EXPECT_EQ(std::count(ops.begin(), ops.end(), "BatchWeightedSum"), 2);
+  EXPECT_EQ(std::count(ops.begin(), ops.end(), "Attention"), 1);
+  EXPECT_EQ(ops.size(), 5u + 2u * 4u + 2u);  // nodes, parameters, inputs
+}
+
+TEST(ModulesTest, MultiHeadAttentionBlocksGradcheck) {
+  // Queries {constant, trainable}; keys {trainable dense, a trainable
+  // RowsOf table whose row 4 no slot names, constant gathered rows}. Key 1
+  // of query 1 is masked and query 2 masks every key.
+  Rng rng(46);
+  const int64_t b = 3, k = 4, m = 6, n = b * k;
+  const int64_t qc = 2, qx = 3, kd = 3, kt = 4, kc = 2, table_rows = 5;
+  MultiHeadAttention attn(qc + qx, kd + kt + kc, m, 2, rng);
+  Var c = Constant(Tensor::Randn({b, qc}, rng));
+  Var x = Parameter(Tensor::Randn({b, qx}, rng));
+  Var dense = Parameter(Tensor::Randn({n, kd}, rng));
+  Var table = Parameter(Tensor::Randn({table_rows, kt}, rng));
+  std::vector<int32_t> slot(static_cast<size_t>(n));
+  for (int32_t& s : slot) s = NarrowId(rng.UniformInt(table_rows - 1), "slot");
+  std::vector<int32_t> idx(static_cast<size_t>(n));
+  for (int32_t& i : idx) i = NarrowId(rng.UniformInt(6), "row");
+  const auto consts = Rows(Tensor::Randn({6, kc}, rng), idx);
+  const int64_t uc = consts->table->value.rows();
+  Tensor mask = Tensor::Ones({b, k});
+  mask.at(1, 1) = 0.0f;
+  for (int64_t j = 0; j < k; ++j) mask.at(2, j) = 0.0f;
+  // Backward: out_proj_'s dW and dX; the node's two scatters over the two
+  // gathered key terms; per key projection dW over every block and dX
+  // over the dense block and the table; q_proj_'s dW over both blocks and
+  // dX over x.
+  const int64_t proj = 2 * m * (2 * n * kd + 2 * table_rows * kt + uc * kc);
+  CheckBlockModule(
+      attn, {x, dense, table}, c,
+      [&] {
+        return attn.Forward({c, x}, {dense, RowsOf(table, slot), consts},
+                            mask, k);
+      },
+      4 * b * m * m + 2 * 2 * n * m + 2 * proj + 2 * b * m * (qc + 2 * qx));
+  for (int64_t col = 0; col < kt; ++col) {
+    EXPECT_TRUE(IsExactlyZero(table->grad.at(table_rows - 1, col))) << col;
+  }
+}
+
+TEST(ModulesTest, TimeEncoderGradcheck) {
+  TimeEncoder encoder(5);
+  Rng rng(47);
+  const std::vector<float> dt = {0.0f, 0.5f, 1.5f, 3.0f, 0.5f};
+  const Tensor g = Tensor::Randn({5, 5}, rng);
+  // Encode and the distinct-delta rows EncodeRows projects.
+  Var w = Constant(Tensor::Randn({5, 3}, rng));
+  const auto loss = [&] {
+    return Add(Sum(Mul(encoder.Encode(dt), Constant(g))),
+               Sum(Project({encoder.EncodeRows(dt)}, w)));
+  };
+  for (const Var& p : encoder.Parameters()) CheckGradient(p, loss);
 }
 
 TEST(ModulesTest, AttentionHeadConstraintEnforced) {
