@@ -428,12 +428,6 @@ robustness::JobCheckpoint EpochDriver::Snapshot() {
 bool EpochDriver::Restore(const robustness::JobCheckpoint& s) {
   if (!tensor::RestoreParameters(s.params, params_)) return false;
   if (!optimizer_.RestoreState(s.adam)) return false;
-  // Grad-buffer allocation is trajectory state: Adam skips parameters whose
-  // lazily allocated grad buffer is still empty, but applies momentum decay
-  // to ones that were touched in an earlier epoch and merely zeroed since.
-  // Pre-allocating every buffer makes a restored process bit-identical to
-  // the uninterrupted one (a zero grad with zero moments is an exact no-op).
-  for (const Var& p : params_) p->EnsureGrad();
   if (!model_->LoadRngState(s.model_rng)) return false;
   if (!sampler_->LoadRngState(s.sampler_rng)) return false;
   optimizer_.set_learning_rate(s.learning_rate);

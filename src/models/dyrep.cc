@@ -13,6 +13,9 @@ DyRep::DyRep(const graph::TemporalGraph* graph, ModelConfig config)
                           config_.embedding_dim + config_.time_dim,
                           config_.embedding_dim, 1, rng_),
       identity_(config_.embedding_dim, config_.embedding_dim, rng_) {
+  Own(rnn_);
+  Own(neighbor_attention_);
+  Own(identity_);
   InitPredictor(config_.embedding_dim, config_.embedding_dim, rng_);
 }
 
@@ -58,13 +61,6 @@ Var DyRep::ComputeEmbeddings(const std::vector<int32_t>& nodes,
   // DyRep reads the memory directly ("identity" embedding) through a linear
   // head.
   return identity_.Forward({GatherMemory(nodes)});
-}
-
-std::vector<Var> DyRep::UpdaterParameters() const {
-  std::vector<Var> params = rnn_.Parameters();
-  for (const Var& p : neighbor_attention_.Parameters()) params.push_back(p);
-  for (const Var& p : identity_.Parameters()) params.push_back(p);
-  return params;
 }
 
 }  // namespace benchtemp::models

@@ -23,7 +23,6 @@ class DyRep : public MemoryModel {
  protected:
   tensor::Var ComputeMemoryUpdate(const std::vector<MemoryEvent>& events,
                                   const tensor::Var& prev_memory) override;
-  std::vector<tensor::Var> UpdaterParameters() const override;
 
  private:
   /// Attention-aggregated neighborhood memory of each event's `other`

@@ -24,7 +24,6 @@ class EdgeBank : public TgnnModel {
   tensor::Var ScoreEdges(const std::vector<int32_t>& srcs,
                          const std::vector<int32_t>& dsts,
                          const std::vector<double>& ts) override;
-  std::vector<tensor::Var> Parameters() const override { return {}; }
   bool trainable() const override { return false; }
   int64_t StateBytes() const override;
 

@@ -14,6 +14,10 @@ Jodie::Jodie(const graph::TemporalGraph* graph, ModelConfig config,
       projection_(tensor::Parameter(
           Tensor::Full({1, config_.embedding_dim}, 0.01f))),
       output_(config_.embedding_dim, config_.embedding_dim, rng_) {
+  Own(user_rnn_);
+  Own(item_rnn_);
+  Own(projection_);
+  Own(output_);
   InitPredictor(config_.embedding_dim, config_.embedding_dim, rng_);
 }
 
@@ -45,14 +49,6 @@ Var Jodie::ComputeEmbeddings(const std::vector<int32_t>& nodes,
   Var dt_scaled = ScalarMul(dt, static_cast<float>(1.0 / (mean_gap * 100.0)));
   Var mm = Project({dt_scaled}, projection_);
   return output_.Forward({Mul(memory, ScalarAdd(mm, 1.0f))});
-}
-
-std::vector<Var> Jodie::UpdaterParameters() const {
-  std::vector<Var> params = user_rnn_.Parameters();
-  for (const Var& p : item_rnn_.Parameters()) params.push_back(p);
-  params.push_back(projection_);
-  for (const Var& p : output_.Parameters()) params.push_back(p);
-  return params;
 }
 
 }  // namespace benchtemp::models

@@ -27,7 +27,6 @@ class Jodie : public MemoryModel {
  protected:
   tensor::Var ComputeMemoryUpdate(const std::vector<MemoryEvent>& events,
                                   const tensor::Var& prev_memory) override;
-  std::vector<tensor::Var> UpdaterParameters() const override;
 
  private:
   int32_t num_users_;

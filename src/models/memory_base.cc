@@ -31,6 +31,7 @@ Tensor CopyRows(const Tensor& table, const std::vector<int32_t>& rows) {
 MemoryModel::MemoryModel(const graph::TemporalGraph* graph,
                          ModelConfig config)
     : TgnnModel(graph, config), time_encoder_(config.time_dim) {
+  Own(time_encoder_);
   memory_ = Tensor({graph->num_nodes(), config_.embedding_dim});
   last_update_.assign(static_cast<size_t>(graph->num_nodes()), 0.0);
 }
@@ -173,15 +174,6 @@ std::vector<tensor::ColBlock> MemoryModel::BuildMessages(
   return {Constant(CopyRows(memory_, nodes)),
           Constant(CopyRows(memory_, others)), EdgeFeatureBlock(edge_idxs),
           time_encoder_.Encode(dts)};
-}
-
-std::vector<Var> MemoryModel::Parameters() const {
-  std::vector<Var> params = time_encoder_.Parameters();
-  for (const Var& p : UpdaterParameters()) params.push_back(p);
-  if (predictor_ != nullptr) {
-    for (const Var& p : predictor_->Parameters()) params.push_back(p);
-  }
-  return params;
 }
 
 int64_t MemoryModel::StateBytes() const {

@@ -24,7 +24,6 @@ class MemoryModel : public TgnnModel {
  public:
   MemoryModel(const graph::TemporalGraph* graph, ModelConfig config);
 
-  std::vector<tensor::Var> Parameters() const override;
   int64_t StateBytes() const override;
 
  protected:
@@ -46,9 +45,6 @@ class MemoryModel : public TgnnModel {
   virtual tensor::Var ComputeMemoryUpdate(
       const std::vector<MemoryEvent>& events, const tensor::Var& prev_memory)
       = 0;
-
-  /// Updater parameters (in addition to the base message modules).
-  virtual std::vector<tensor::Var> UpdaterParameters() const = 0;
 
   /// Applies and clears the pending batch. Called by ScoreEdges overrides
   /// (and by UpdateState when scoring was skipped, e.g. state replay).

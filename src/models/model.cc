@@ -35,8 +35,9 @@ TgnnModel::TgnnModel(const graph::TemporalGraph* graph, ModelConfig config)
 
 void TgnnModel::InitPredictor(int64_t dim_src, int64_t dim_dst,
                               tensor::Rng& rng) {
-  predictor_ = std::make_unique<tensor::MergeLayer>(
-      dim_src, dim_dst, config_.embedding_dim, 1, rng);
+  predictor_ = std::make_unique<tensor::Mlp>(
+      std::vector<int64_t>{dim_src + dim_dst, config_.embedding_dim, 1}, rng);
+  Own(*predictor_);
 }
 
 const PreparedCall* TgnnModel::NextPreparedCall(
@@ -106,7 +107,7 @@ Var TgnnModel::ScoreCandidates(const std::vector<int32_t>& srcs,
   }
   if (predictor_ != nullptr) {
     // Fused path: one [n, d] source embedding, one [n * k, d] candidate
-    // embedding, one MergeLayer forward over all n * k rows. Row r of the
+    // embedding, one predictor forward over all n * k rows. Row r of the
     // source block is source r / k, so each source's half of the first
     // layer is projected once rather than k times.
     Var src_emb = SourceEmbeddings(srcs, ts);
@@ -128,12 +129,6 @@ Var TgnnModel::ScoreCandidates(const std::vector<int32_t>& srcs,
     }
   }
   return ScoreEdges(src_rep, candidates, cand_ts);
-}
-
-int64_t TgnnModel::ParameterBytes() const {
-  int64_t total = 0;
-  for (const Var& p : Parameters()) total += p->value.size() * 4;
-  return total;
 }
 
 }  // namespace benchtemp::models

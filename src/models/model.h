@@ -85,19 +85,20 @@ struct PreparedInputs {
   std::vector<std::unique_ptr<PreparedCall>> calls;
 };
 
-/// Common interface of the benchmark's TGNN implementations.
+/// Common interface of the benchmark's TGNN implementations. A model is a
+/// module: its constructors own its modules (see tensor::Module), the base
+/// class's first and the predictor last.
 ///
 /// The pipeline drives a model through chronological batches:
 ///   1. `ScoreEdges(pos)` / `ScoreEdges(neg)` — edge logits, with gradients
-///      when `set_training(true)`; MergeLayer models embed the shared
+///      when `set_training(true)`; predictor models embed the shared
 ///      sources once per batch (see SourceEmbeddings);
 ///   2. `UpdateState(pos)` — the observed events advance the model's
 ///      internal temporal state (memory, caches);
 /// and evaluates node classification through `ComputeEmbeddings`.
-class TgnnModel {
+class TgnnModel : public tensor::Module {
  public:
   TgnnModel(const graph::TemporalGraph* graph, ModelConfig config);
-  virtual ~TgnnModel() = default;
 
   TgnnModel(const TgnnModel&) = delete;
   TgnnModel& operator=(const TgnnModel&) = delete;
@@ -115,7 +116,7 @@ class TgnnModel {
                                         const std::vector<double>& ts) = 0;
 
   /// Edge logits [n, 1] for the candidate pairs. The default merges the
-  /// endpoint embeddings through the model's MergeLayer scorer, taking the
+  /// endpoint embeddings through the model's predictor, taking the
   /// sources from SourceEmbeddings; pair-feature models (CAWN, NeurTW, NAT,
   /// EdgeBank, MotifJoint) override this.
   virtual tensor::Var ScoreEdges(const std::vector<int32_t>& srcs,
@@ -124,7 +125,7 @@ class TgnnModel {
 
   /// Scores the k-way ranking candidate sets of one batch through ONE fused
   /// forward: `candidates` is row-major [srcs.size() * k], the result is
-  /// flat logits [srcs.size() * k, 1] in the same order. MergeLayer models
+  /// flat logits [srcs.size() * k, 1] in the same order. Predictor models
   /// embed each source once and tile the [n, d] block against the
   /// [n * k, d] candidate embeddings (the GEMM shape the kernel layer is
   /// fast at), reusing the batch's ScoreEdges source embeddings when they
@@ -168,9 +169,6 @@ class TgnnModel {
     prepared_cursor_ = 0;
   }
 
-  /// Trainable parameters of the model (empty for heuristics).
-  virtual std::vector<tensor::Var> Parameters() const = 0;
-
   /// Bytes of non-parameter runtime state (memory tables, caches) — the
   /// CPU stand-in for the paper's "GPU memory" column.
   virtual int64_t StateBytes() const { return 0; }
@@ -199,9 +197,6 @@ class TgnnModel {
   int64_t embedding_dim() const { return config_.embedding_dim; }
   const ModelConfig& config() const { return config_; }
 
-  /// Total parameter bytes (float32).
-  int64_t ParameterBytes() const;
-
   /// Serialized neighbor-sampling RNG state for job checkpointing: a
   /// resumed job replays the exact draws an uninterrupted run would make.
   std::string SaveRngState() const { return rng_.SaveState(); }
@@ -217,7 +212,9 @@ class TgnnModel {
   /// Model-specific part of UpdateState; the default keeps no state.
   virtual void UpdateStateImpl(const Batch& batch) { (void)batch; }
 
-  /// Creates the MergeLayer edge scorer once the embedding width is known.
+  /// Creates and owns the edge scorer once the embedding width is known:
+  /// fc2(relu(fc1([src | dst]))), an Mlp over the two embeddings' column
+  /// blocks whose hidden width is the embedding width.
   void InitPredictor(int64_t dim_src, int64_t dim_dst, tensor::Rng& rng);
 
   /// The next prepared call for a sampling call over (nodes, ts), or nullptr
@@ -234,7 +231,7 @@ class TgnnModel {
   tensor::Rng rng_;
   bool training_ = false;
   ModelStatus status_ = ModelStatus::kOk;
-  std::unique_ptr<tensor::MergeLayer> predictor_;
+  std::unique_ptr<tensor::Mlp> predictor_;
 
  private:
   /// Borrowed prepared inputs for the in-flight batch (see PrepareBatch);

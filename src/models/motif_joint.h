@@ -33,7 +33,6 @@ class MotifJoint : public WalkModel {
  protected:
   void ResetImpl() override;
   void UpdateStateImpl(const Batch& batch) override;
-  std::vector<tensor::Var> SubclassParameters() const override;
 
  private:
   tensor::Mlp hybrid_head_;

@@ -41,7 +41,6 @@ class Nat : public MemoryModel {
   void UpdateStateImpl(const Batch& batch) override;
   tensor::Var ComputeMemoryUpdate(const std::vector<MemoryEvent>& events,
                                   const tensor::Var& prev_memory) override;
-  std::vector<tensor::Var> UpdaterParameters() const override;
 
  private:
   tensor::GruCell gru_;

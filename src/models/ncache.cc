@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "models/model.h"
+
 namespace benchtemp::models {
 
 NCacheTable::NCacheTable(int32_t num_nodes, int64_t cache_size)
@@ -67,6 +69,12 @@ void NCacheTable::Observe(int32_t u, int32_t v, tensor::Rng& rng) {
   if (v_two_hop >= 0 && v_two_hop != v) Push(hop2_, v, v_two_hop);
 }
 
+void NCacheTable::ObserveBatch(const Batch& batch, tensor::Rng& rng) {
+  for (size_t i = 0; i < batch.srcs.size(); ++i) {
+    Observe(batch.srcs[i], batch.dsts[i], rng);
+  }
+}
+
 std::vector<float> NCacheTable::JointFeatures(int32_t u, int32_t v) const {
   const Cache& u1 = hop1_[static_cast<size_t>(u)];
   const Cache& v1 = hop1_[static_cast<size_t>(v)];
@@ -81,6 +89,17 @@ std::vector<float> NCacheTable::JointFeatures(int32_t u, int32_t v) const {
       static_cast<float>(Overlap(u2, v1)) * inv,
       static_cast<float>(Overlap(u2, v2)) * inv,
   };
+}
+
+tensor::Tensor NCacheTable::JointFeatureBlock(
+    const std::vector<int32_t>& srcs, const std::vector<int32_t>& dsts) const {
+  tensor::Tensor block({static_cast<int64_t>(srcs.size()), kJointFeatureDim});
+  for (size_t i = 0; i < srcs.size(); ++i) {
+    const std::vector<float> features = JointFeatures(srcs[i], dsts[i]);
+    std::copy(features.begin(), features.end(),
+              block.data() + static_cast<int64_t>(i) * kJointFeatureDim);
+  }
+  return block;
 }
 
 int64_t NCacheTable::SizeBytes() const {

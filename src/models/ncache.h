@@ -5,8 +5,11 @@
 #include <vector>
 
 #include "tensor/random.h"
+#include "tensor/tensor.h"
 
 namespace benchtemp::models {
+
+struct Batch;
 
 /// NAT's *N-cache* data structure (Luo & Li, 2022), factored out so other
 /// models can reuse it: per-node fixed-size ring buffers of recent 1-hop
@@ -28,12 +31,17 @@ class NCacheTable {
   /// other's 1-hop cache and one sampled member of the partner's 1-hop
   /// cache enters the 2-hop cache.
   void Observe(int32_t u, int32_t v, tensor::Rng& rng);
+  /// Observes each event of `batch` in event order.
+  void ObserveBatch(const Batch& batch, tensor::Rng& rng);
 
   /// Joint-neighborhood features of a candidate pair:
   ///   [v in c1(u), u in c1(v), |c1(u) ∩ c1(v)|, |c1(u) ∩ c2(v)|,
   ///    |c2(u) ∩ c1(v)|, |c2(u) ∩ c2(v)|], overlaps normalized by the
   /// cache size.
   std::vector<float> JointFeatures(int32_t u, int32_t v) const;
+  /// JointFeatures(srcs[i], dsts[i]) as row i -> [n, kJointFeatureDim].
+  tensor::Tensor JointFeatureBlock(const std::vector<int32_t>& srcs,
+                                   const std::vector<int32_t>& dsts) const;
 
   int64_t cache_size() const { return cache_size_; }
   /// Bytes held by the caches (for efficiency accounting).

@@ -13,6 +13,8 @@ NeurTw::NeurTw(const graph::TemporalGraph* graph, ModelConfig config)
     : WalkModel(graph, config),
       ode_gate_(config.embedding_dim, config.embedding_dim, rng_),
       ode_dir_(config.embedding_dim, config.embedding_dim, rng_) {
+  Own(ode_gate_);
+  Own(ode_dir_);
   sampler_ = std::make_unique<graph::TemporalWalkSampler>(
       config_.walk_bias, /*alpha=*/1.0 / graph_->MeanEventGap());
 }
@@ -40,12 +42,6 @@ Var NeurTw::EvolveHidden(const tensor::Var& hidden,
     h = Add(h, Mul(f, dt));
   }
   return h;
-}
-
-std::vector<Var> NeurTw::SubclassParameters() const {
-  std::vector<Var> params = ode_gate_.Parameters();
-  for (const Var& p : ode_dir_.Parameters()) params.push_back(p);
-  return params;
 }
 
 }  // namespace benchtemp::models

@@ -26,7 +26,6 @@ class NeurTw : public WalkModel {
  protected:
   tensor::Var EvolveHidden(const tensor::Var& hidden,
                            const std::vector<float>& gaps) override;
-  std::vector<tensor::Var> SubclassParameters() const override;
 
  private:
   /// ODE dynamics f(h) — a gated update direction.

@@ -16,6 +16,9 @@ TempModel::TempModel(const graph::TemporalGraph* graph, ModelConfig config)
       message_proj_(graph->edge_feature_dim() + config_.time_dim,
                     config_.embedding_dim, rng_),
       combine_(3 * config_.embedding_dim, config_.embedding_dim, rng_) {
+  Own(rnn_);
+  Own(message_proj_);
+  Own(combine_);
   InitPredictor(config_.embedding_dim, config_.embedding_dim, rng_);
 }
 
@@ -98,22 +101,13 @@ Var TempModel::ComputeEmbeddings(const std::vector<int32_t>& nodes,
 
   // (c) Two aggregation channels + own memory.
   Var nbr_memory = GatherMemory(flat_neighbors);
-  Var lpa = BatchWeightedSum(Constant(std::move(lpa_weights)),
-                             tensor::DenseRows(nbr_memory), k);
+  Var lpa = BatchWeightedSum(Constant(std::move(lpa_weights)), nbr_memory, k);
   Var messages = Relu(message_proj_.Forward(
       {tensor::Rows(graph_->edge_features(), flat_edges),
        time_encoder_.EncodeRows(flat_dts)}));
-  Var mp = BatchWeightedSum(Constant(std::move(mp_weights)),
-                            tensor::DenseRows(messages), k);
+  Var mp = BatchWeightedSum(Constant(std::move(mp_weights)), messages, k);
   Var own = GatherMemory(nodes);
   return Tanh(combine_.Forward({own, lpa, mp}));
-}
-
-std::vector<Var> TempModel::UpdaterParameters() const {
-  std::vector<Var> params = rnn_.Parameters();
-  for (const Var& p : message_proj_.Parameters()) params.push_back(p);
-  for (const Var& p : combine_.Parameters()) params.push_back(p);
-  return params;
 }
 
 }  // namespace benchtemp::models

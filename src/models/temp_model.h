@@ -31,7 +31,6 @@ class TempModel : public MemoryModel {
  protected:
   tensor::Var ComputeMemoryUpdate(const std::vector<MemoryEvent>& events,
                                   const tensor::Var& prev_memory) override;
-  std::vector<tensor::Var> UpdaterParameters() const override;
 
  private:
   tensor::RnnCell rnn_;

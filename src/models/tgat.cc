@@ -69,6 +69,12 @@ Tgat::Tgat(const graph::TemporalGraph* graph, ModelConfig config)
     layer_out_.push_back(std::make_unique<tensor::Linear>(
         2 * config_.embedding_dim, config_.embedding_dim, rng_));
   }
+  // Listed by kind, not in construction order: every attention layer,
+  // then every output projection.
+  Own(feature_proj_);
+  Own(time_encoder_);
+  for (const auto& layer : layers_) Own(*layer);
+  for (const auto& out : layer_out_) Own(*out);
   InitPredictor(config_.embedding_dim, config_.embedding_dim, rng_);
 }
 
@@ -168,19 +174,6 @@ Var Tgat::ComputeEmbeddings(const std::vector<int32_t>& nodes,
   const PreparedCall* call = NextPreparedCall(nodes, ts);
   if (call == nullptr) return Embed(Plan(nodes, ts, rng_));
   return Embed(static_cast<const TgatPlan&>(*call));
-}
-
-std::vector<Var> Tgat::Parameters() const {
-  std::vector<Var> params = feature_proj_.Parameters();
-  for (const Var& p : time_encoder_.Parameters()) params.push_back(p);
-  for (const auto& layer : layers_) {
-    for (const Var& p : layer->Parameters()) params.push_back(p);
-  }
-  for (const auto& out : layer_out_) {
-    for (const Var& p : out->Parameters()) params.push_back(p);
-  }
-  for (const Var& p : predictor_->Parameters()) params.push_back(p);
-  return params;
 }
 
 }  // namespace benchtemp::models

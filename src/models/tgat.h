@@ -53,7 +53,6 @@ class Tgat : public TgnnModel {
   std::string name() const override { return "TGAT"; }
   tensor::Var ComputeEmbeddings(const std::vector<int32_t>& nodes,
                                 const std::vector<double>& ts) override;
-  std::vector<tensor::Var> Parameters() const override;
 
   /// Pre-samples the plans of the batch's three embedding calls (srcs,
   /// dsts, negatives; both ScoreEdges calls share the source embeddings).

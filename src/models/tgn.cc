@@ -12,6 +12,9 @@ Tgn::Tgn(const graph::TemporalGraph* graph, ModelConfig config)
                      config_.time_dim,
                  config_.embedding_dim, config_.num_heads, rng_),
       out_(2 * config_.embedding_dim, config_.embedding_dim, rng_) {
+  Own(gru_);
+  Own(attention_);
+  Own(out_);
   InitPredictor(config_.embedding_dim, config_.embedding_dim, rng_);
 }
 
@@ -45,13 +48,6 @@ Var Tgn::ComputeEmbeddings(const std::vector<int32_t>& nodes,
       nb.mask, k);
   // Residual combine with the node's own memory.
   return out_.Forward({attended, memory});
-}
-
-std::vector<Var> Tgn::UpdaterParameters() const {
-  std::vector<Var> params = gru_.Parameters();
-  for (const Var& p : attention_.Parameters()) params.push_back(p);
-  for (const Var& p : out_.Parameters()) params.push_back(p);
-  return params;
 }
 
 }  // namespace benchtemp::models

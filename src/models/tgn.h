@@ -22,7 +22,6 @@ class Tgn : public MemoryModel {
  protected:
   tensor::Var ComputeMemoryUpdate(const std::vector<MemoryEvent>& events,
                                   const tensor::Var& prev_memory) override;
-  std::vector<tensor::Var> UpdaterParameters() const override;
 
  private:
   tensor::GruCell gru_;

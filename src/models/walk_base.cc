@@ -16,7 +16,13 @@ WalkModel::WalkModel(const graph::TemporalGraph* graph, ModelConfig config)
                  config.embedding_dim, rng_),
       encoder_(config.embedding_dim, config.embedding_dim, rng_),
       score_head_({config.embedding_dim, config.embedding_dim, 1}, rng_),
-      embed_head_(config.embedding_dim, config.embedding_dim, rng_) {}
+      embed_head_(config.embedding_dim, config.embedding_dim, rng_) {
+  Own(time_encoder_);
+  Own(step_proj_);
+  Own(encoder_);
+  Own(score_head_);
+  Own(embed_head_);
+}
 
 void WalkModel::ResetImpl() {
   ClearStatus();
@@ -99,8 +105,8 @@ Var WalkModel::EncodeWalkGroups(
   // Mean-pool each group's walk encodings.
   Tensor pool_weights({num_groups, walks_per_group});
   pool_weights.Fill(1.0f / static_cast<float>(walks_per_group));
-  return BatchWeightedSum(Constant(std::move(pool_weights)),
-                          tensor::DenseRows(hidden), walks_per_group);
+  return BatchWeightedSum(Constant(std::move(pool_weights)), hidden,
+                          walks_per_group);
 }
 
 namespace {
@@ -195,16 +201,6 @@ Var WalkModel::ComputeEmbeddings(const std::vector<int32_t>& nodes,
   }
   Var pooled = EncodeWalkGroups(groups, anonymizers, ts);
   return embed_head_.Forward({pooled});
-}
-
-std::vector<Var> WalkModel::Parameters() const {
-  std::vector<Var> params = time_encoder_.Parameters();
-  for (const Var& p : step_proj_.Parameters()) params.push_back(p);
-  for (const Var& p : encoder_.Parameters()) params.push_back(p);
-  for (const Var& p : score_head_.Parameters()) params.push_back(p);
-  for (const Var& p : embed_head_.Parameters()) params.push_back(p);
-  for (const Var& p : SubclassParameters()) params.push_back(p);
-  return params;
 }
 
 int64_t WalkModel::StateBytes() const { return last_walk_bytes_; }

@@ -34,7 +34,6 @@ class WalkModel : public TgnnModel {
                          const std::vector<double>& ts) override;
   tensor::Var ComputeEmbeddings(const std::vector<int32_t>& nodes,
                                 const std::vector<double>& ts) override;
-  std::vector<tensor::Var> Parameters() const override;
   int64_t StateBytes() const override;
 
   /// Pre-samples the positive, then the negative pair set. Pure: derives
@@ -53,9 +52,6 @@ class WalkModel : public TgnnModel {
   /// next walk step is consumed. Default: identity.
   virtual tensor::Var EvolveHidden(const tensor::Var& hidden,
                                    const std::vector<float>& gaps);
-
-  /// Extra parameters of subclass modules.
-  virtual std::vector<tensor::Var> SubclassParameters() const { return {}; }
 
   /// Pooled walk encoding of each candidate pair (the representation the
   /// score head consumes) -> [n, embedding_dim]. Exposed so hybrid models

@@ -95,9 +95,9 @@ VarNode::~VarNode() {
 Tensor& VarNode::EnsureGrad() {
   if (grad.size() != value.size()) {
     // Interior grads die with the batch's tape, so they come from the
-    // tape-scoped arena. Leaf (parameter) grads are Adam trajectory state
-    // that survives across batches — and the checkpointer pre-allocates
-    // them on restore — so they must stay heap-backed.
+    // tape-scoped arena. A parameter's grad outlives every batch, so it is
+    // heap-backed: Parameter() creates it, and a leaf whose grad was
+    // dropped gets a heap buffer again.
     grad = parents.empty() ? Tensor(value.shape())
                            : kernels::NewTensor(value.shape());
   }
@@ -115,6 +115,7 @@ Var Parameter(Tensor value) {
   auto node = std::make_shared<VarNode>();
   node->value = std::move(value);
   node->requires_grad = true;
+  node->grad = Tensor(node->value.shape());
   return node;
 }
 
@@ -138,9 +139,7 @@ void Backward(const Var& root) {
 }
 
 void ZeroGrad(const std::vector<Var>& params) {
-  for (const Var& p : params) {
-    if (p->grad.size() > 0) p->grad.Fill(0.0f);
-  }
+  for (const Var& p : params) p->grad.Fill(0.0f);
 }
 
 // ---------------------------------------------------------------------------
@@ -667,16 +666,6 @@ SummedRows ProjectRows(const std::vector<ColBlock>& blocks, const Var& weight,
   return rows;
 }
 
-SummedRows DenseRows(const Var& x) {
-  CheckOrDie(x != nullptr && x->value.rank() == 2,
-             "DenseRows: rank-2 value required");
-  SummedRows rows;
-  rows.rows = x->value.rows();
-  rows.tables = x;
-  rows.terms.push_back({0, nullptr});
-  return rows;
-}
-
 // ---------------------------------------------------------------------------
 // Nonlinearities.
 // ---------------------------------------------------------------------------
@@ -853,9 +842,6 @@ class SummedKeys {
     if (s.bias != nullptr) bias_ = s.bias->value.data();
   }
 
-  int64_t m() const { return m_; }
-  /// The floats a per-thread buffer needs for one query's keys.
-  int64_t QueryFloats() const { return num_keys_ * m_; }
   int64_t terms() const { return static_cast<int64_t>(terms_.size()); }
 
   /// The adds Project's row pass counted for the keys of `queries`
@@ -1049,60 +1035,55 @@ Var Attention(const Var& q, const SummedRows& keys, const SummedRows& values,
       });
 }
 
-Var BatchWeightedSum(const Var& w, const SummedRows& values,
-                     int64_t num_keys) {
+Var BatchWeightedSum(const Var& w, const Var& values, int64_t num_keys) {
   const Tensor& wv = w->value;
-  CheckOrDie(wv.rank() == 2 && values.tables != nullptr,
+  const Tensor& vv = values->value;
+  CheckOrDie(wv.rank() == 2 && vv.rank() == 2,
              "BatchWeightedSum: rank-2 required");
-  const int64_t b = wv.rows();
+  const int64_t b = wv.rows(), m = vv.cols();
   CheckOrDie(wv.cols() == num_keys, "BatchWeightedSum: weight shape");
-  CheckOrDie(values.rows == b * num_keys, "BatchWeightedSum: value shape");
-  auto read = std::make_shared<const SummedKeys>(values, num_keys);
-  const int64_t m = read->m();
-  const int64_t grain = RowGrain(read->QueryFloats() * (read->terms() + 2));
+  CheckOrDie(vv.rows() == b * num_keys, "BatchWeightedSum: value shape");
+  const int64_t grain = RowGrain(3 * num_keys * m);
   Tensor out = kernels::NewTensor({b, m});
   {
     const float* wp = wv.data();
+    const float* vp = vv.data();
     float* op = out.data();
-    kernels::CountFlops(2 * b * num_keys * m + read->SumFlops(b));
+    kernels::CountFlops(2 * b * num_keys * m);
     runtime::ParallelFor(0, b, grain, [&](int64_t b0, int64_t b1) {
-      std::vector<float> rows(static_cast<size_t>(read->QueryFloats()));
       for (int64_t i = b0; i < b1; ++i) {
-        read->Sum(i, rows.data());
         for (int64_t j = 0; j < num_keys; ++j) {
           const float weight = wp[i * num_keys + j];
           if (IsExactlyZero(weight)) continue;
-          kernels::Axpy(op + i * m, weight, rows.data() + j * m, m);
+          kernels::Axpy(op + i * m, weight, vp + (i * num_keys + j) * m, m);
         }
       }
     });
   }
-  std::vector<Var> parents = {w};
-  AppendParents(values, parents);
   return MakeNode(
-      "BatchWeightedSum", std::move(out), std::move(parents),
-      [b, m, num_keys, grain, read](VarNode& self) {
+      "BatchWeightedSum", std::move(out), {w, values},
+      [b, m, num_keys, grain](VarNode& self) {
         VarNode& pw = *self.parents[0];
+        VarNode& pv = *self.parents[1];
         const float* sg = self.grad.data();
+        const float* wp = pw.value.data();
         if (pw.requires_grad) {
           // Weight row i belongs to one chunk.
           float* gw = pw.EnsureGrad().data();
-          runtime::ParallelFor(
-              0, b, grain, [&](int64_t b0, int64_t b1) {
-                std::vector<float> rows(
-                    static_cast<size_t>(read->QueryFloats()));
-                for (int64_t i = b0; i < b1; ++i) {
-                  read->Sum(i, rows.data());
-                  for (int64_t j = 0; j < num_keys; ++j) {
-                    gw[i * num_keys + j] +=
-                        kernels::Dot(sg + i * m, rows.data() + j * m, m);
-                  }
-                }
-              });
+          const float* vp = pv.value.data();
+          runtime::ParallelFor(0, b, grain, [&](int64_t b0, int64_t b1) {
+            for (int64_t r = b0 * num_keys; r < b1 * num_keys; ++r) {
+              gw[r] += kernels::Dot(sg + r / num_keys * m, vp + r * m, m);
+            }
+          });
         }
-        VarNode* pb = self.parents.size() > 2 ? self.parents[2].get() : nullptr;
-        read->Scatter(GradOrNull(self.parents[1].get()), GradOrNull(pb), b,
-                      pw.value.data(), 1, sg);
+        if (!pv.requires_grad) return;
+        // Each key's row adds weight * dOut, in ascending key order.
+        float* gv = pv.EnsureGrad().data();
+        for (int64_t r = 0; r < b * num_keys; ++r) {
+          if (IsExactlyZero(wp[r])) continue;
+          kernels::Axpy(gv + r * m, wp[r], sg + r / num_keys * m, m);
+        }
       });
 }
 

@@ -20,7 +20,8 @@ namespace benchtemp::tensor {
 /// of the DL frameworks the original BenchTemp is built on, at CPU scale.
 struct VarNode {
   Tensor value;
-  /// Accumulated gradient; lazily allocated to `value`'s shape on first use.
+  /// Accumulated gradient: a parameter's is allocated with it (zeros, on
+  /// the heap); an interior node's on its first use, from the arena.
   Tensor grad;
   /// Whether gradients should flow to/through this node.
   bool requires_grad = false;
@@ -38,7 +39,8 @@ struct VarNode {
   /// would otherwise recurse once per tape level through `shared_ptr`.
   ~VarNode();
 
-  /// Ensures `grad` is allocated (zero-filled) with `value`'s shape.
+  /// Ensures `grad` is allocated (zero-filled) with `value`'s shape. A
+  /// parameter's already is.
   Tensor& EnsureGrad();
 };
 
@@ -46,7 +48,8 @@ using Var = std::shared_ptr<VarNode>;
 
 /// Creates a leaf node that does not require gradients (an input).
 Var Constant(Tensor value);
-/// Creates a leaf node that requires gradients (a trainable parameter).
+/// Creates a leaf node that requires gradients (a trainable parameter),
+/// with its zero gradient buffer.
 Var Parameter(Tensor value);
 
 /// Runs reverse-mode differentiation from `root`, which must be a scalar
@@ -160,9 +163,6 @@ struct SummedRows {
 };
 SummedRows ProjectRows(const std::vector<ColBlock>& blocks, const Var& weight,
                        const Var& bias = nullptr);
-/// x's rows as SummedRows of one dense term and no bias: a reader reads x
-/// itself, with no projection and no copy, and its gradient reaches x.
-SummedRows DenseRows(const Var& x);
 
 // ---------------------------------------------------------------------------
 // Nonlinearities.
@@ -210,9 +210,9 @@ Var SoftmaxCrossEntropy(const Var& logits, const std::vector<int64_t>& labels);
 /// keys' tables and bias, the values' tables and bias].
 Var Attention(const Var& q, const SummedRows& keys, const SummedRows& values,
               const Tensor& mask, int64_t num_keys, int64_t num_heads);
-/// out[b, :] = sum_k w[b, k] * value row b*K + k -> [B, m], the value rows
-/// read as Attention reads them (DenseRows for a plain [B*K, m] value).
-Var BatchWeightedSum(const Var& w, const SummedRows& values, int64_t num_keys);
+/// out[b, :] = sum_k w[b, k] * values[b*K + k, :] -> [B, m], for w [B, K]
+/// and values [B*K, m] (mean pooling, TeMP's neighbour pools).
+Var BatchWeightedSum(const Var& w, const Var& values, int64_t num_keys);
 
 }  // namespace benchtemp::tensor
 

@@ -21,9 +21,9 @@ namespace benchtemp::tensor::kernels {
 //
 // Lifetime rules (enforced by convention + the BENCHTEMP_CHECK poison):
 //   - Only per-batch storage is arena-allocated: op outputs recorded by
-//     MakeNode and interior (non-leaf) grad buffers. Leaf parameters, their
-//     grads (Adam trajectory state, pre-allocated by checkpoint restore),
-//     and anything reachable after the batch stay on the heap.
+//     MakeNode and interior (non-leaf) grad buffers. Parameters, their
+//     grads (created with them; Adam trajectory state) and anything
+//     reachable after the batch stay on the heap.
 //   - Tensor copies always deep-copy to the heap, so `Constant` copies of
 //     op values, memory-table writes, best-epoch snapshots and checkpoints
 //     never alias the arena.

@@ -7,11 +7,19 @@
 
 namespace benchtemp::tensor {
 
-int64_t Module::ParameterCount() const {
+int64_t Module::ParameterBytes() const {
   int64_t total = 0;
-  for (const Var& p : Parameters()) total += p->value.size();
+  for (const Var& p : params_) {
+    total += p->value.size() * static_cast<int64_t>(sizeof(float));
+  }
   return total;
 }
+
+void Module::Own(const Module& module) {
+  params_.insert(params_.end(), module.params_.begin(), module.params_.end());
+}
+
+void Module::Own(const Var& param) { params_.push_back(param); }
 
 // ---------------------------------------------------------------------------
 // Linear.
@@ -23,7 +31,11 @@ Linear::Linear(int64_t in_dim, int64_t out_dim, Rng& rng, bool bias)
       std::sqrt(6.0f / static_cast<float>(in_dim + out_dim));
   weight_ = tensor::Parameter(
       Tensor::Uniform({in_dim, out_dim}, rng, -bound, bound));
-  if (bias) bias_ = tensor::Parameter(Tensor::Zeros({1, out_dim}));
+  Own(weight_);
+  if (bias) {
+    bias_ = tensor::Parameter(Tensor::Zeros({1, out_dim}));
+    Own(bias_);
+  }
 }
 
 Var Linear::Forward(const std::vector<ColBlock>& blocks) const {
@@ -32,12 +44,6 @@ Var Linear::Forward(const std::vector<ColBlock>& blocks) const {
 
 SummedRows Linear::ForwardRows(const std::vector<ColBlock>& blocks) const {
   return ProjectRows(blocks, weight_, bias_);
-}
-
-std::vector<Var> Linear::Parameters() const {
-  std::vector<Var> params = {weight_};
-  if (bias_ != nullptr) params.push_back(bias_);
-  return params;
 }
 
 // ---------------------------------------------------------------------------
@@ -49,6 +55,7 @@ Mlp::Mlp(const std::vector<int64_t>& dims, Rng& rng) {
   for (size_t i = 0; i + 1 < dims.size(); ++i) {
     layers_.emplace_back(dims[i], dims[i + 1], rng);
   }
+  for (const Linear& layer : layers_) Own(layer);
 }
 
 Var Mlp::Forward(const std::vector<ColBlock>& blocks) const {
@@ -59,32 +66,6 @@ Var Mlp::Forward(const std::vector<ColBlock>& blocks) const {
   return h;
 }
 
-std::vector<Var> Mlp::Parameters() const {
-  std::vector<Var> params;
-  for (const Linear& layer : layers_) {
-    for (const Var& p : layer.Parameters()) params.push_back(p);
-  }
-  return params;
-}
-
-// ---------------------------------------------------------------------------
-// MergeLayer.
-// ---------------------------------------------------------------------------
-
-MergeLayer::MergeLayer(int64_t dim_a, int64_t dim_b, int64_t hidden,
-                       int64_t out, Rng& rng)
-    : fc1_(dim_a + dim_b, hidden, rng), fc2_(hidden, out, rng) {}
-
-Var MergeLayer::Forward(const std::vector<ColBlock>& blocks) const {
-  return fc2_.Forward({Relu(fc1_.Forward(blocks))});
-}
-
-std::vector<Var> MergeLayer::Parameters() const {
-  std::vector<Var> params = fc1_.Parameters();
-  for (const Var& p : fc2_.Parameters()) params.push_back(p);
-  return params;
-}
-
 // ---------------------------------------------------------------------------
 // RnnCell.
 // ---------------------------------------------------------------------------
@@ -92,16 +73,13 @@ std::vector<Var> MergeLayer::Parameters() const {
 RnnCell::RnnCell(int64_t input_dim, int64_t hidden_dim, Rng& rng)
     : hidden_dim_(hidden_dim),
       input_map_(input_dim, hidden_dim, rng),
-      hidden_map_(hidden_dim, hidden_dim, rng, /*bias=*/false) {}
+      hidden_map_(hidden_dim, hidden_dim, rng, /*bias=*/false) {
+  Own(input_map_);
+  Own(hidden_map_);
+}
 
 Var RnnCell::Forward(const std::vector<ColBlock>& x, const Var& h) const {
   return Tanh(Add(input_map_.Forward(x), hidden_map_.Forward({h})));
-}
-
-std::vector<Var> RnnCell::Parameters() const {
-  std::vector<Var> params = input_map_.Parameters();
-  for (const Var& p : hidden_map_.Parameters()) params.push_back(p);
-  return params;
 }
 
 // ---------------------------------------------------------------------------
@@ -115,7 +93,12 @@ GruCell::GruCell(int64_t input_dim, int64_t hidden_dim, Rng& rng)
       reset_x_(input_dim, hidden_dim, rng),
       reset_h_(hidden_dim, hidden_dim, rng, /*bias=*/false),
       cand_x_(input_dim, hidden_dim, rng),
-      cand_h_(hidden_dim, hidden_dim, rng, /*bias=*/false) {}
+      cand_h_(hidden_dim, hidden_dim, rng, /*bias=*/false) {
+  for (const Linear* layer :
+       {&update_x_, &update_h_, &reset_x_, &reset_h_, &cand_x_, &cand_h_}) {
+    Own(*layer);
+  }
+}
 
 Var GruCell::Forward(const std::vector<ColBlock>& x, const Var& h) const {
   if (h == nullptr) {
@@ -129,15 +112,6 @@ Var GruCell::Forward(const std::vector<ColBlock>& x, const Var& h) const {
   Var n = Tanh(Add(cand_x_.Forward(x), cand_h_.Forward({Mul(r, h)})));
   // h' = (1 - z) * n + z * h.
   return Lerp(n, h, z);
-}
-
-std::vector<Var> GruCell::Parameters() const {
-  std::vector<Var> params;
-  for (const Linear* layer :
-       {&update_x_, &update_h_, &reset_x_, &reset_h_, &cand_x_, &cand_h_}) {
-    for (const Var& p : layer->Parameters()) params.push_back(p);
-  }
-  return params;
 }
 
 // ---------------------------------------------------------------------------
@@ -154,6 +128,8 @@ TimeEncoder::TimeEncoder(int64_t dim) : dim_(dim) {
   }
   freq_ = tensor::Parameter(std::move(freq));
   phase_ = tensor::Parameter(Tensor::Zeros({1, dim}));
+  Own(freq_);
+  Own(phase_);
 }
 
 Var TimeEncoder::Encode(const std::vector<float>& dt) const {
@@ -169,8 +145,6 @@ std::shared_ptr<const GatheredRows> TimeEncoder::EncodeRows(
   Distinct<float> deltas = Dedup(dt);
   return RowsOf(Encode(deltas.values), std::move(deltas.slot));
 }
-
-std::vector<Var> TimeEncoder::Parameters() const { return {freq_, phase_}; }
 
 // ---------------------------------------------------------------------------
 // MultiHeadAttention.
@@ -188,6 +162,9 @@ MultiHeadAttention::MultiHeadAttention(int64_t q_dim, int64_t kv_dim,
   CheckOrDie(model_dim % num_heads == 0,
              "MultiHeadAttention: model_dim must divide by num_heads "
              "(the paper's Formula (1) constraint)");
+  for (const Linear* layer : {&q_proj_, &k_proj_, &v_proj_, &out_proj_}) {
+    Own(*layer);
+  }
 }
 
 Var MultiHeadAttention::Forward(const std::vector<ColBlock>& queries,
@@ -207,14 +184,6 @@ Var MultiHeadAttention::Forward(const std::vector<ColBlock>& queries,
   const SummedRows k = k_proj_.ForwardRows(keys);
   const SummedRows v = v_proj_.ForwardRows(keys);
   return out_proj_.Forward({Attention(q, k, v, mask, num_keys, num_heads_)});
-}
-
-std::vector<Var> MultiHeadAttention::Parameters() const {
-  std::vector<Var> params;
-  for (const Linear* layer : {&q_proj_, &k_proj_, &v_proj_, &out_proj_}) {
-    for (const Var& p : layer->Parameters()) params.push_back(p);
-  }
-  return params;
 }
 
 }  // namespace benchtemp::tensor

@@ -12,16 +12,27 @@
 
 namespace benchtemp::tensor {
 
-/// Base class for trainable components. A module owns `Parameter` leaves and
-/// exposes them for the optimizer; composition is by membership, matching
-/// the layer/module idiom of the frameworks the paper's models ship in.
+/// Base class for trainable components. A module owns `Parameter` leaves
+/// and lists them once, in its constructor: `Own` appends one leaf, or every
+/// leaf of a submodule, in call order. The list's order is state (the
+/// checkpoint's parameter and Adam layout, ClipGradNorm's summation order),
+/// so reordering `Own` calls changes what a checkpoint holds.
+/// Composition is by membership, matching the layer/module idiom of the
+/// frameworks the paper's models ship in.
 class Module {
  public:
   virtual ~Module() = default;
   /// All trainable leaves of this module (including those of submodules).
-  virtual std::vector<Var> Parameters() const = 0;
-  /// Total number of trainable scalars.
-  int64_t ParameterCount() const;
+  const std::vector<Var>& Parameters() const { return params_; }
+  /// Total parameter bytes (float32).
+  int64_t ParameterBytes() const;
+
+ protected:
+  void Own(const Module& module);
+  void Own(const Var& param);
+
+ private:
+  std::vector<Var> params_;
 };
 
 /// Affine map y = x W + b with Xavier-uniform initialization.
@@ -36,7 +47,6 @@ class Linear : public Module {
   /// The same rows left unsummed (tensor::ProjectRows), for readers that
   /// sum only the columns they read.
   SummedRows ForwardRows(const std::vector<ColBlock>& blocks) const;
-  std::vector<Var> Parameters() const override;
 
   int64_t in_dim() const { return in_dim_; }
   int64_t out_dim() const { return out_dim_; }
@@ -56,29 +66,9 @@ class Mlp : public Module {
 
   /// The first layer reads the column blocks (Linear::Forward).
   Var Forward(const std::vector<ColBlock>& blocks) const;
-  std::vector<Var> Parameters() const override;
 
  private:
   std::vector<Linear> layers_;
-};
-
-/// The two-layer scorer used by TGN-family models to merge a pair of node
-/// embeddings into an edge logit: h = ReLU([a ; b] W1 + b1); y = h W2 + b2.
-class MergeLayer : public Module {
- public:
-  MergeLayer(int64_t dim_a, int64_t dim_b, int64_t hidden, int64_t out,
-             Rng& rng);
-
-  /// fc2(relu(fc1([a | b]))) over column blocks whose widths sum to
-  /// dim_a + dim_b. The first layer is Linear::Forward(blocks), so no
-  /// concatenation is built and a gathered block's half of it is computed
-  /// once per distinct row.
-  Var Forward(const std::vector<ColBlock>& blocks) const;
-  std::vector<Var> Parameters() const override;
-
- private:
-  Linear fc1_;
-  Linear fc2_;
 };
 
 /// Vanilla RNN cell: h' = tanh(x Wx + h Wh + b), x given as column blocks.
@@ -87,7 +77,6 @@ class RnnCell : public Module {
   RnnCell(int64_t input_dim, int64_t hidden_dim, Rng& rng);
 
   Var Forward(const std::vector<ColBlock>& x, const Var& h) const;
-  std::vector<Var> Parameters() const override;
 
   int64_t hidden_dim() const { return hidden_dim_; }
 
@@ -107,7 +96,6 @@ class GruCell : public Module {
   /// h-side projections and the reset gate are skipped, since each would
   /// compute only zeros.
   Var Forward(const std::vector<ColBlock>& x, const Var& h) const;
-  std::vector<Var> Parameters() const override;
 
   int64_t hidden_dim() const { return hidden_dim_; }
 
@@ -131,7 +119,6 @@ class TimeEncoder : public Module {
   /// its bits) is encoded once, so equal deltas share one row.
   std::shared_ptr<const GatheredRows> EncodeRows(
       const std::vector<float>& dt) const;
-  std::vector<Var> Parameters() const override;
 
   int64_t dim() const { return dim_; }
 
@@ -156,7 +143,6 @@ class MultiHeadAttention : public Module {
   Var Forward(const std::vector<ColBlock>& queries,
               const std::vector<ColBlock>& keys, const Tensor& mask,
               int64_t num_keys) const;
-  std::vector<Var> Parameters() const override;
 
   int64_t model_dim() const { return model_dim_; }
 

@@ -46,9 +46,9 @@ inline bool ExactlyEqual(double a, double b) {
 #pragma GCC diagnostic pop
 }
 
-/// Exactly zero is a meaningful sentinel in sparse kernels (a gradient that
-/// was never touched); use this named predicate instead of a bare `== 0.0f`
-/// so the intent is visible.
+/// Exactly zero is a meaningful sentinel in sparse kernels (a weight or a
+/// gradient entry that adds nothing); use this named predicate instead of a
+/// bare `== 0.0f` so the intent is visible.
 inline bool IsExactlyZero(double v) { return ExactlyEqual(v, 0.0); }
 
 /// Bounds-checked narrowing of 64-bit node/edge ids to the 32-bit storage

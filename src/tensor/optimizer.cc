@@ -57,7 +57,6 @@ void Adam::Step() {
   const float bias2 = 1.0f - std::pow(beta2_, static_cast<float>(t_));
   for (size_t i = 0; i < params_.size(); ++i) {
     VarNode& p = *params_[i];
-    if (p.grad.size() != p.value.size()) continue;  // never touched
     Tensor& m = m_[i];
     Tensor& v = v_[i];
     for (int64_t j = 0; j < p.value.size(); ++j) {
@@ -134,7 +133,6 @@ bool ParamsFinite(const std::vector<Var>& params) {
 
 bool GradsFinite(const std::vector<Var>& params) {
   for (const Var& p : params) {
-    if (p->grad.size() != p->value.size()) continue;  // never touched
     if (!AllFinite(p->grad)) return false;
   }
   return true;
@@ -143,7 +141,6 @@ bool GradsFinite(const std::vector<Var>& params) {
 void ClipGradNorm(const std::vector<Var>& params, float max_norm) {
   double total = 0.0;
   for (const Var& p : params) {
-    if (p->grad.size() != p->value.size()) continue;
     for (int64_t j = 0; j < p->grad.size(); ++j) {
       total += static_cast<double>(p->grad.at(j)) * p->grad.at(j);
     }
@@ -151,10 +148,7 @@ void ClipGradNorm(const std::vector<Var>& params, float max_norm) {
   const double norm = std::sqrt(total);
   if (norm <= max_norm || IsExactlyZero(norm)) return;
   const float scale = max_norm / static_cast<float>(norm);
-  for (const Var& p : params) {
-    if (p->grad.size() != p->value.size()) continue;
-    p->grad.Scale(scale);
-  }
+  for (const Var& p : params) p->grad.Scale(scale);
 }
 
 }  // namespace benchtemp::tensor

@@ -56,8 +56,7 @@ bool AllFinite(const Tensor& t);
 /// checks this after each optimizer step.
 bool ParamsFinite(const std::vector<Var>& params);
 
-/// True when every accumulated gradient entry is finite (parameters whose
-/// gradient buffer was never touched are skipped, matching Step()).
+/// True when every accumulated gradient entry is finite.
 bool GradsFinite(const std::vector<Var>& params);
 
 }  // namespace benchtemp::tensor

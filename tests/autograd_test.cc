@@ -52,6 +52,16 @@ SummedRows IdentityRows(const Var& x) {
   return ProjectRows({x}, Constant(std::move(identity)));
 }
 
+/// `x`'s rows as summed rows of one dense term and no bias: Attention
+/// reads x itself, with no projection, and its gradient reaches x.
+SummedRows PlainRows(const Var& x) {
+  SummedRows rows;
+  rows.tables = x;
+  rows.terms.push_back({0, nullptr});
+  rows.rows = x->value.rows();
+  return rows;
+}
+
 /// The width of AttentionWeights' one head: 1/sqrt(16) = 0.25 is exact.
 constexpr int64_t kProbeWidth = 16;
 
@@ -68,7 +78,7 @@ Var AttentionWeights(const Var& scores, const Tensor& mask, int64_t k) {
   for (int64_t r = 0; r < n; ++r) values.at(r, r % k) = 1.0f;
   return Attention(Constant(std::move(q)),
                    ProjectRows({scores}, Constant(std::move(first))),
-                   DenseRows(Constant(std::move(values))), mask, k, 1);
+                   PlainRows(Constant(std::move(values))), mask, k, 1);
 }
 
 TEST(AutogradTest, AddBackward) {
@@ -214,7 +224,7 @@ TEST(AutogradTest, AttentionZerosMaskedKeys) {
   Var q = Parameter(Tensor::Randn({2, 4}, rng));
   Var keys = Parameter(Tensor::Randn({6, 4}, rng));
   Var values = Parameter(Tensor::Randn({6, 4}, rng));
-  Var out = Attention(q, IdentityRows(keys), DenseRows(values), mask, 3, 2);
+  Var out = Attention(q, IdentityRows(keys), PlainRows(values), mask, 3, 2);
   Backward(Sum(Mul(out, Constant(Tensor::Randn({2, 4}, rng)))));
   for (int64_t c = 0; c < 4; ++c) {
     EXPECT_TRUE(IsExactlyZero(out->value.at(1, c))) << c;
@@ -261,7 +271,7 @@ TEST(AutogradTest, AttentionBackward) {
   const Tensor ones = Tensor::Ones({2, k});
   auto loss = [&] {
     return Sum(Tanh(
-        Attention(q, IdentityRows(keys), DenseRows(values), ones, k, 2)));
+        Attention(q, IdentityRows(keys), PlainRows(values), ones, k, 2)));
   };
   CheckGradient(q, loss);
   CheckGradient(keys, loss);
@@ -274,12 +284,12 @@ TEST(AutogradTest, BatchWeightedSumBackward) {
   Var w = Parameter(Tensor::Randn({2, k}, rng));
   Var values = Parameter(Tensor::Randn({2 * k, 4}, rng));
   auto loss = [&] {
-    return Sum(Sigmoid(BatchWeightedSum(w, DenseRows(values), k)));
+    return Sum(Sigmoid(BatchWeightedSum(w, values, k)));
   };
   CheckGradient(w, loss);
   CheckGradient(values, loss);
 
-  const Tensor out = BatchWeightedSum(w, DenseRows(values), k)->value;
+  const Tensor out = BatchWeightedSum(w, values, k)->value;
   ASSERT_EQ(out.shape(), (std::vector<int64_t>{2, 4}));
   for (int64_t i = 0; i < 2; ++i) {
     for (int64_t c = 0; c < 4; ++c) {
@@ -754,7 +764,7 @@ TEST(AutogradTest, AttentionHeadWindowsGradcheck) {
   Tensor mask = Tensor::Ones({b, k});
   mask.at(2, 1) = 0.0f;
   auto attend = [&] {
-    return Attention(q, IdentityRows(keys), DenseRows(values), mask, k, heads);
+    return Attention(q, IdentityRows(keys), PlainRows(values), mask, k, heads);
   };
   auto loss = [&] { return Sum(Tanh(attend())); };
   CheckGradient(q, loss);
@@ -840,7 +850,7 @@ TEST(AutogradTest, AttentionHeadCountNotDividingWidthIsFatal) {
   const Tensor mask = Tensor::Ones({2, 2});
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   for (const int64_t heads : {3, 0}) {
-    EXPECT_DEATH((void)Attention(q, IdentityRows(keys), DenseRows(keys), mask,
+    EXPECT_DEATH((void)Attention(q, IdentityRows(keys), PlainRows(keys), mask,
                                  2, heads),
                  "Attention: num_heads must divide the query width");
   }

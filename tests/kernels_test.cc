@@ -351,8 +351,8 @@ TEST_F(KernelsTest, ProjectMatchesPlainLoopsBitwise) {
     for (const auto& [name, blocks, trainable] : cases) {
       int64_t width = 0;
       for (const ColBlock& b : blocks) width += b.cols();
-      // Output widths with and without a scalar column tail (1 is
-      // MergeLayer's fc2), each with and without a bias; the dense case
+      // Output widths with and without a scalar column tail (1 is the
+      // predictor's fc2), each with and without a bias; the dense case
       // without one skips the row pass.
       for (const int64_t m : {24, 7, 1}) {
         for (const bool with_bias : {true, false}) {
@@ -1103,7 +1103,8 @@ TEST_F(KernelsTest, TrainingGoldenAucApAndFlopsPerModel) {
 
 TEST_F(KernelsTest, CheckpointResumeByteIdenticalWithArenaAndCheck) {
   // Arena on + tape validator on: a crash/resume cycle must still replay
-  // the exact trajectory (PR2's grad-buffer pre-allocation contract).
+  // the exact trajectory (parameter grads are created with the parameters
+  // on the heap, so no arena span outlives a batch).
   kernels::SetArenaEnabledForTest(true);
   tensor::debug_check::SetEnabledForTest(true);
   const graph::TemporalGraph g = MatrixGraph();

@@ -21,10 +21,12 @@
 #include "models/tgat.h"
 #include "models/tgn.h"
 #include "obs/metrics.h"
+#include "robustness/checkpoint.h"
 #include "tensor/debug_check.h"
 #include "tensor/kernels/arena.h"
 #include "tensor/modules.h"
 #include "tensor/optimizer.h"
+#include "tensor/serialize.h"
 
 namespace benchtemp::models {
 namespace {
@@ -220,6 +222,33 @@ INSTANTIATE_TEST_SUITE_P(
       std::string name = ModelKindName(info.param);
       return name == "TeMP" ? "TeMP_" : name;  // avoid case-only collision
     });
+
+TEST(ModelsTest, ParameterSnapshotGolden) {
+  // The parameter list is the checkpoint's parameter and Adam layout and
+  // ClipGradNorm's summation order: a reordered, forgotten or doubly
+  // listed module changes these bytes.
+  const std::pair<ModelKind, uint64_t> golden[] = {
+      {ModelKind::kJodie, 10461447607020777854ull},
+      {ModelKind::kDyRep, 918018605751714764ull},
+      {ModelKind::kTgn, 8635216191840201611ull},
+      {ModelKind::kTgat, 8177641539511633066ull},
+      {ModelKind::kCawn, 13096572242911511023ull},
+      {ModelKind::kNeurTw, 6518002730739790291ull},
+      {ModelKind::kNat, 2874189348007183746ull},
+      {ModelKind::kTemp, 3338106986045653715ull},
+      {ModelKind::kEdgeBank, 5027589047073761478ull},
+      {ModelKind::kMotifJoint, 17968952021215919447ull},
+  };
+  TemporalGraph g = MakeGraph();
+  for (const auto& [kind, fnv] : golden) {
+    SCOPED_TRACE(ModelKindName(kind));
+    auto model = CreateModel(kind, &g, SmallConfig(), 40);
+    const std::vector<Var> params = model->Parameters();
+    EXPECT_EQ(std::set<Var>(params.begin(), params.end()).size(),
+              params.size());
+    EXPECT_EQ(robustness::Fnv1a64(tensor::SnapshotParameters(params)), fnv);
+  }
+}
 
 TEST(FactoryTest, NamesRoundTrip) {
   for (ModelKind kind : PaperModels()) {
@@ -784,7 +813,7 @@ TEST(DistinctKeysTest, TgatMatchesDenseComposition) {
   }
 }
 
-/// The first-layer node of a MergeLayer logit node: the logits are
+/// The first-layer node of a predictor's logit node: the logits are
 /// fc2 = Project({Relu(fc1)}, W2, b2), whose parents are {W2, Relu, b2}.
 const tensor::VarNode* FirstLayerOf(const Var& logits) {
   if (std::string(logits->op) != "Project") return nullptr;
@@ -792,7 +821,7 @@ const tensor::VarNode* FirstLayerOf(const Var& logits) {
   return std::string(relu->op) == "Relu" ? relu->parents[0].get() : nullptr;
 }
 
-/// The source-embedding operand of a MergeLayer logit node: the first
+/// The source-embedding operand of a predictor's logit node: the first
 /// layer's parents are {W, src block, dst block, bias}, and a gathered
 /// source block's parent is its table.
 const tensor::VarNode* SourceNodeOf(const Var& logits) {
@@ -1100,7 +1129,7 @@ TEST_P(RankedPassTest, MatchesDenseTiling) {
   for (size_t i = 0; i < srcs.size(); ++i) {
     tile.insert(tile.end(), k, static_cast<int64_t>(i));
   }
-  // MergeLayer::Parameters() close every model's list: fc1's weight and
+  // The predictor's parameters close every model's list: fc1's weight and
   // bias, then fc2's.
   ASSERT_GE(params.size(), 4u);
   const Var* fc = params.data() + params.size() - 4;
@@ -1336,8 +1365,7 @@ class DenseWalkCawn : public Cawn {
     tensor::Tensor pool({static_cast<int64_t>(groups.size()), walks});
     pool.Fill(1.0f / static_cast<float>(walks));
     return score_head_.Forward(
-        {BatchWeightedSum(tensor::Constant(std::move(pool)),
-                          tensor::DenseRows(hidden), walks)});
+        {BatchWeightedSum(tensor::Constant(std::move(pool)), hidden, walks)});
   }
 };
 

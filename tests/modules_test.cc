@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <functional>
 #include <set>
 #include <string>
@@ -258,12 +259,14 @@ TEST(ModulesTest, TimeEncoderDistinguishesDeltas) {
   EXPECT_GT(diff, 0.1f);
 }
 
-TEST(ModulesTest, MergeLayerShape) {
+TEST(ModulesTest, MlpOverTwoBlocksShape) {
+  // The predictor's shape: two embeddings' blocks in, one logit out.
   Rng rng(7);
-  MergeLayer merge(4, 6, 8, 1, rng);
+  Mlp merge({4 + 6, 8, 1}, rng);
   Var out = merge.Forward({Constant(Tensor::Randn({3, 4}, rng)),
                            Constant(Tensor::Randn({3, 6}, rng))});
   EXPECT_EQ(out->value.shape(), (std::vector<int64_t>{3, 1}));
+  EXPECT_EQ(merge.Parameters().size(), 4u);
 }
 
 TEST(ModulesTest, AttentionShapeAndMasking) {
@@ -428,10 +431,10 @@ TEST(ModulesTest, AttentionHeadConstraintEnforced) {
   EXPECT_DEATH(MultiHeadAttention(4, 4, 9, 2, rng), "num_heads");
 }
 
-TEST(ModulesTest, ParameterCount) {
+TEST(ModulesTest, ParameterBytes) {
   Rng rng(11);
   Linear layer(3, 2, rng);
-  EXPECT_EQ(layer.ParameterCount(), 3 * 2 + 2);
+  EXPECT_EQ(layer.ParameterBytes(), (3 * 2 + 2) * 4);
 }
 
 TEST(OptimizerTest, AdamConvergesOnQuadratic) {
@@ -462,6 +465,47 @@ TEST(OptimizerTest, ClipGradNormNoOpBelowThreshold) {
   Backward(loss);
   ClipGradNorm({x}, 5.0f);
   EXPECT_NEAR(x->grad.at(0), 0.6f, 1e-4f);
+}
+
+TEST(OptimizerTest, ParameterOutsideTheLossIsLeftExactlyAlone) {
+  // A parameter no loss reaches (like NAT's embedding head under link
+  // prediction) holds a zero gradient: Adam keeps its value bits and its
+  // zero moments, and GradsFinite and ClipGradNorm act as if it were not
+  // listed.
+  const Tensor init = Tensor::FromVector({3}, {0.5f, -1.5f, 2.0f});
+  const Tensor idle_init = Tensor::FromVector({2}, {-0.0f, 3.0f});
+  Var alone = Parameter(init);
+  Var with = Parameter(init);
+  Var idle = Parameter(idle_init);
+  Adam opt_alone({alone}, 0.1f);
+  Adam opt_with({with, idle}, 0.1f);
+  const auto step = [](const Var& p, Adam& opt,
+                       const std::vector<Var>& params) {
+    opt.ZeroGrad();
+    Backward(Sum(Mul(p, p)));
+    const bool finite = GradsFinite(params);
+    ClipGradNorm(params, 0.5f);  // the gradient norm is above 0.5
+    opt.Step();
+    return finite;
+  };
+  const auto same_bits = [](const Tensor& a, const Tensor& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(),
+                       static_cast<size_t>(a.size()) * sizeof(float)) == 0;
+  };
+  for (int s = 0; s < 4; ++s) {
+    const bool finite_alone = step(alone, opt_alone, {alone});
+    EXPECT_EQ(step(with, opt_with, {with, idle}), finite_alone) << s;
+    EXPECT_TRUE(same_bits(with->grad, alone->grad)) << s;
+    EXPECT_TRUE(same_bits(with->value, alone->value)) << s;
+    EXPECT_TRUE(same_bits(idle->value, idle_init)) << s;
+  }
+  // The idle parameter's two moments close the state blob: 2 x 2 floats.
+  const std::string state = opt_with.SnapshotState();
+  const size_t moment_bytes = 2 * 2 * sizeof(float);
+  ASSERT_GT(state.size(), moment_bytes);
+  EXPECT_EQ(state.substr(state.size() - moment_bytes),
+            std::string(moment_bytes, '\0'));
 }
 
 }  // namespace

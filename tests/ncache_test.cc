@@ -1,6 +1,10 @@
 #include "models/ncache.h"
 
+#include <vector>
+
 #include <gtest/gtest.h>
+
+#include "models/model.h"
 
 namespace benchtemp::models {
 namespace {
@@ -71,6 +75,33 @@ TEST(NCacheTableTest, ResetClears) {
   table.Observe(0, 5, rng);
   table.Reset();
   for (float f : table.JointFeatures(0, 5)) EXPECT_FLOAT_EQ(f, 0.0f);
+}
+
+TEST(NCacheTableTest, BatchApiMatchesPerEventAndPerPairCalls) {
+  // ObserveBatch draws as the Observe loop does, and JointFeatureBlock's
+  // row i is JointFeatures(srcs[i], dsts[i]).
+  Batch batch;
+  batch.srcs = {0, 1, 2, 0, 3, 1, 2, 0};
+  batch.dsts = {5, 5, 6, 6, 5, 7, 5, 7};
+  NCacheTable batched(10, 4), single(10, 4);
+  tensor::Rng batched_rng(6), single_rng(6);
+  batched.ObserveBatch(batch, batched_rng);
+  for (size_t i = 0; i < batch.srcs.size(); ++i) {
+    single.Observe(batch.srcs[i], batch.dsts[i], single_rng);
+  }
+  const std::vector<int32_t> us = {0, 1, 5, 2, 9, 0};
+  const std::vector<int32_t> vs = {1, 5, 6, 0, 3, 7};
+  const tensor::Tensor block = batched.JointFeatureBlock(us, vs);
+  ASSERT_EQ(block.shape(), (std::vector<int64_t>{
+                               6, NCacheTable::kJointFeatureDim}));
+  for (size_t i = 0; i < us.size(); ++i) {
+    const std::vector<float> want = single.JointFeatures(us[i], vs[i]);
+    for (int64_t c = 0; c < NCacheTable::kJointFeatureDim; ++c) {
+      EXPECT_FLOAT_EQ(block.at(static_cast<int64_t>(i), c),
+                      want[static_cast<size_t>(c)])
+          << i << ", " << c;
+    }
+  }
 }
 
 TEST(NCacheTableTest, SizeBytesScalesWithNodes) {
