@@ -47,8 +47,9 @@ Var Jodie::ComputeEmbeddings(const std::vector<int32_t>& nodes,
   const double mean_gap = graph_->MeanEventGap();
   Var dt = DeltaTimeColumn(nodes, ts);
   Var dt_scaled = ScalarMul(dt, static_cast<float>(1.0 / (mean_gap * 100.0)));
-  Var mm = Project({dt_scaled}, projection_);
-  return output_.Forward({Mul(memory, ScalarAdd(mm, 1.0f))});
+  Var ones = tensor::Constant(Tensor::Ones({1, config_.embedding_dim}));
+  Var drift = Project({dt_scaled}, projection_, ones);
+  return output_.Forward({Mul(memory, drift)});
 }
 
 }  // namespace benchtemp::models

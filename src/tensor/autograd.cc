@@ -149,51 +149,26 @@ void ZeroGrad(const std::vector<Var>& params) {
 Var Add(const Var& a, const Var& b) {
   const Tensor& av = a->value;
   const Tensor& bv = b->value;
-  if (av.SameShape(bv) || av.size() == bv.size()) {
-    Tensor out = kernels::NewTensor(av.shape());
-    const float* ap = av.data();
-    const float* bp = bv.data();
-    float* op = out.data();
-    kernels::CountFlops(out.size());
-    runtime::ParallelFor(0, out.size(), kElementwiseGrain,
-                         [&](int64_t lo, int64_t hi) {
-                           kernels::AddOut(op + lo, ap + lo, bp + lo, hi - lo);
-                         });
-    return MakeNode("Add", std::move(out), {a, b}, [](VarNode& self) {
-      for (int i = 0; i < 2; ++i) {
-        VarNode& p = *self.parents[i];
-        if (!p.requires_grad) continue;
-        float* gp = p.EnsureGrad().data();
-        const float* sg = self.grad.data();
-        runtime::ParallelFor(0, self.grad.size(), kElementwiseGrain,
-                             [&](int64_t lo, int64_t hi) {
-                               kernels::Add(gp + lo, sg + lo, hi - lo);
-                             });
-      }
-    });
-  }
-  CheckOrDie(IsRowBroadcast(av, bv), "Add: incompatible shapes");
-  const int64_t n = av.rows(), d = av.cols();
+  CheckOrDie(av.size() == bv.size(), "Add: incompatible shapes");
   Tensor out = kernels::NewTensor(av.shape());
-  {
-    const float* ap = av.data();
-    const float* bp = bv.data();
-    float* op = out.data();
-    for (int64_t r = 0; r < n; ++r) {
-      kernels::AddOut(op + r * d, ap + r * d, bp, d);
-    }
-  }
-  return MakeNode("Add", std::move(out), {a, b}, [n, d](VarNode& self) {
-    VarNode& pa = *self.parents[0];
-    VarNode& pb = *self.parents[1];
-    const float* sg = self.grad.data();
-    if (pa.requires_grad) {
-      kernels::Add(pa.EnsureGrad().data(), sg, self.grad.size());
-    }
-    if (pb.requires_grad) {
-      // Column reduction over rows, in fixed ascending row order.
-      float* gb = pb.EnsureGrad().data();
-      for (int64_t r = 0; r < n; ++r) kernels::Add(gb, sg + r * d, d);
+  const float* ap = av.data();
+  const float* bp = bv.data();
+  float* op = out.data();
+  kernels::CountFlops(out.size());
+  runtime::ParallelFor(0, out.size(), kElementwiseGrain,
+                       [&](int64_t lo, int64_t hi) {
+                         kernels::AddOut(op + lo, ap + lo, bp + lo, hi - lo);
+                       });
+  return MakeNode("Add", std::move(out), {a, b}, [](VarNode& self) {
+    for (int i = 0; i < 2; ++i) {
+      VarNode& p = *self.parents[i];
+      if (!p.requires_grad) continue;
+      float* gp = p.EnsureGrad().data();
+      const float* sg = self.grad.data();
+      runtime::ParallelFor(0, self.grad.size(), kElementwiseGrain,
+                           [&](int64_t lo, int64_t hi) {
+                             kernels::Add(gp + lo, sg + lo, hi - lo);
+                           });
     }
   });
 }
@@ -275,16 +250,6 @@ Var ScalarMul(const Var& a, float s) {
     if (!p.requires_grad) return;
     kernels::Axpy(p.EnsureGrad().data(), s, self.grad.data(),
                   self.grad.size());
-  });
-}
-
-Var ScalarAdd(const Var& a, float s) {
-  Tensor out = kernels::NewTensor(a->value.shape());
-  kernels::AddScalarOut(out.data(), s, a->value.data(), out.size());
-  return MakeNode("ScalarAdd", std::move(out), {a}, [](VarNode& self) {
-    VarNode& p = *self.parents[0];
-    if (!p.requires_grad) return;
-    kernels::Add(p.EnsureGrad().data(), self.grad.data(), self.grad.size());
   });
 }
 

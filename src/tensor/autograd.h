@@ -63,16 +63,13 @@ void ZeroGrad(const std::vector<Var>& params);
 // Elementwise and broadcast arithmetic.
 // ---------------------------------------------------------------------------
 
-/// a + b. Supports equal shapes, and row-broadcast where b is [1, d] (or a
-/// rank-1 [d]) added to every row of a [n, d] tensor.
+/// Elementwise a + b for equal-sized a and b.
 Var Add(const Var& a, const Var& b);
 /// Elementwise a * b. Supports equal shapes and column-broadcast where b is
 /// [n, 1] scaling each row of a [n, d] tensor.
 Var Mul(const Var& a, const Var& b);
 /// a * s for a compile-time constant scalar s.
 Var ScalarMul(const Var& a, float s);
-/// a + s.
-Var ScalarAdd(const Var& a, float s);
 /// (1 - w) * a + w * b for equal-sized a and b. `w` is either a's shape or
 /// an [n, 1] constant weighting each row of a [n, d] a. Bit-identical to
 /// Add(Mul(a, 1 - w), Mul(b, w)) built from the eager ops, in one node.
@@ -135,7 +132,7 @@ struct ColBlock {
 /// row's projection, so its work scales with U rather than n; its table
 /// receives dU · W_sliceᵀ, where dU sums dOut over the rows sharing a slot.
 /// An optional [1, m] `bias` is added to every row after the gathered
-/// terms, bit-identical to Add(Project(blocks, weight), bias) in one node.
+/// terms; it receives dOut's rows summed in ascending row order.
 Var Project(const std::vector<ColBlock>& blocks, const Var& weight,
             const Var& bias = nullptr);
 

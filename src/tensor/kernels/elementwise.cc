@@ -124,9 +124,6 @@ void MulOut(float* y, const float* a, const float* b, int64_t n) {
 void ScaleOut(float* y, float s, const float* x, int64_t n) {
   for (int64_t i = 0; i < n; ++i) y[i] = s * x[i];
 }
-void AddScalarOut(float* y, float s, const float* x, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) y[i] = x[i] + s;
-}
 
 void SigmoidForward(const float* x, float* y, int64_t n) {
   for (int64_t i = 0; i < n; ++i) y[i] = StableSigmoid(x[i]);

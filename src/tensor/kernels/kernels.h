@@ -125,7 +125,6 @@ void ScatterRowTerms(const GradRowTerm* terms, int64_t t, float* bias,
 void AddOut(float* y, const float* a, const float* b, int64_t n);  // y=a+b
 void MulOut(float* y, const float* a, const float* b, int64_t n);  // y=a*b
 void ScaleOut(float* y, float s, const float* x, int64_t n);       // y=s*x
-void AddScalarOut(float* y, float s, const float* x, int64_t n);   // y=x+s
 
 /// y[i] = sigmoid(x[i]) (numerically stable two-branch form).
 void SigmoidForward(const float* x, float* y, int64_t n);

@@ -90,15 +90,6 @@ TEST(AutogradTest, AddBackward) {
   CheckGradient(b, loss);
 }
 
-TEST(AutogradTest, AddRowBroadcastBackward) {
-  Rng rng(2);
-  Var a = Parameter(Tensor::Randn({5, 3}, rng));
-  Var bias = Parameter(Tensor::Randn({1, 3}, rng));
-  auto loss = [&] { return Sum(Tanh(Add(a, bias))); };
-  CheckGradient(bias, loss);
-  CheckGradient(a, loss);
-}
-
 TEST(AutogradTest, MulColumnBroadcastBackward) {
   Rng rng(3);
   Var a = Parameter(Tensor::Randn({4, 3}, rng));
@@ -420,6 +411,7 @@ TEST(AutogradTest, LerpFullWeightMatchesEagerBitwise) {
   const Tensor ga = Tensor::Randn({33, 11}, rng);
   const Tensor gb = Tensor::Randn({33, 11}, rng);
   const Tensor gw = Tensor::Randn({33, 11}, rng);
+  const Tensor ones = Tensor::Ones({33, 11});
   std::vector<OpRun> runs;
   for (const bool one_node : {true, false}) {
     Var av = ParameterWithGrad(a, ga);
@@ -427,7 +419,7 @@ TEST(AutogradTest, LerpFullWeightMatchesEagerBitwise) {
     Var wv = ParameterWithGrad(w, gw);
     runs.push_back(RunOp({av, bv, wv}, g, [&] {
       if (one_node) return Lerp(av, bv, wv);
-      Var one_minus_w = ScalarAdd(ScalarMul(wv, -1.0f), 1.0f);
+      Var one_minus_w = Add(ScalarMul(wv, -1.0f), Constant(ones));
       return Add(Mul(one_minus_w, av), Mul(wv, bv));
     }));
     if (one_node) {
@@ -448,6 +440,7 @@ TEST(AutogradTest, LerpColumnWeightMatchesEagerBitwise) {
   const Tensor gb = Tensor::Randn({29, 7}, rng);
   Tensor mask({29, 1});
   for (int64_t r = 0; r < 29; ++r) mask.at(r) = rng.UniformInt(2) ? 1.0f : 0.0f;
+  const Tensor ones = Tensor::Ones({29, 1});
   for (const Tensor& w : {mask, UnitWeights({29, 1}, rng)}) {
     std::vector<OpRun> runs;
     for (const bool one_node : {true, false}) {
@@ -456,7 +449,7 @@ TEST(AutogradTest, LerpColumnWeightMatchesEagerBitwise) {
       Var wv = Constant(w);
       runs.push_back(RunOp({av, bv}, g, [&] {
         if (one_node) return Lerp(av, bv, wv);
-        Var one_minus_w = ScalarAdd(ScalarMul(wv, -1.0f), 1.0f);
+        Var one_minus_w = Add(ScalarMul(wv, -1.0f), Constant(ones));
         return Add(Mul(av, one_minus_w), Mul(bv, wv));
       }));
     }
@@ -679,42 +672,6 @@ TEST(AutogradTest, ProjectRowsOfGradcheck) {
   for (int64_t j = 0; j < table->value.cols(); ++j) {
     EXPECT_TRUE(IsExactlyZero(table->grad.at(3, j))) << "column " << j;
   }
-}
-
-/// Project's bias operand over a dense, a trainable gathered and a
-/// constant gathered block, every trainable parent starting from a
-/// non-zero prior gradient: one node, bit for bit the eager Add after it.
-TEST(AutogradTest, ProjectBiasMatchesAddOfProjectBitwise) {
-  Rng rng(62);
-  const std::vector<int32_t> slot = {2, 0, 2, 4, 1, 0, 2, 3, 3};
-  const int64_t n = static_cast<int64_t>(slot.size()), m = 7;
-  const Tensor a = Tensor::Randn({n, 3}, rng);
-  const Tensor table = Tensor::Randn({5, 4}, rng);
-  const auto consts =
-      Rows(Tensor::Randn({6, 2}, rng), {5, 5, 1, 0, 1, 5, 3, 0, 2});
-  const Tensor w = Tensor::Randn({3 + 4 + 2, m}, rng, 0.3f);
-  const Tensor b = Tensor::Randn({1, m}, rng);
-  const Tensor g = Tensor::Randn({n, m}, rng);
-  const Tensor ga = Tensor::Randn(a.shape(), rng);
-  const Tensor gt = Tensor::Randn(table.shape(), rng);
-  const Tensor gw = Tensor::Randn(w.shape(), rng);
-  const Tensor gb = Tensor::Randn(b.shape(), rng);
-  std::vector<OpRun> runs;
-  for (const bool one_node : {true, false}) {
-    Var av = ParameterWithGrad(a, ga);
-    Var tv = ParameterWithGrad(table, gt);
-    Var wv = ParameterWithGrad(w, gw);
-    Var bv = ParameterWithGrad(b, gb);
-    const std::vector<ColBlock> blocks = {av, RowsOf(tv, slot), consts};
-    runs.push_back(RunOp({av, tv, wv, bv}, g, [&] {
-      return one_node ? Project(blocks, wv, bv) : Add(Project(blocks, wv), bv);
-    }));
-    if (one_node) {
-      EXPECT_EQ(Project(blocks, wv, bv)->parents,
-                (std::vector<Var>{wv, av, tv, consts->table, bv}));
-    }
-  }
-  ExpectSameRun(runs[0], runs[1]);
 }
 
 TEST(AutogradTest, ProjectBiasGradcheck) {

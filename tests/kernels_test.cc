@@ -295,25 +295,34 @@ ProjectReferenceRun ProjectReference(const std::vector<ColBlock>& blocks,
 }
 
 /// Runs Project(blocks, w, bias) forward and backward under dOut = a
-/// random g and expects its value and the gradients of w, the bias and
-/// every `trainable` block value to match ProjectReference bit for bit.
+/// random g, every gradient starting from a random prior, and expects its
+/// value and the gradients of w, the bias (its last parent) and every
+/// `trainable` block value to match ProjectReference bit for bit.
 void ExpectProjectMatchesReference(const std::vector<ColBlock>& blocks,
                                    const Var& w, const Var& bias,
                                    const std::vector<Var>& trainable,
                                    tensor::Rng& rng, const std::string& where) {
   const Tensor g = Tensor::Randn({blocks[0].rows(), w->value.cols()}, rng);
-  for (const Var& v : trainable) v->grad = Tensor();
+  std::vector<Var> grads = trainable;
+  grads.push_back(w);
+  if (bias != nullptr) grads.push_back(bias);
+  ProjectReferenceRun prior;
+  for (const Var& v : grads) {
+    v->grad = Tensor::Randn(v->value.shape(), rng);
+    prior.grads.emplace_back(v.get(), v->grad);
+  }
   Var out = tensor::Project(blocks, w, bias);
+  if (bias != nullptr) {
+    EXPECT_EQ(out->parents.back(), bias) << where;
+  }
   // Sum(out * g) hands Project exactly g as its output gradient.
   tensor::Backward(tensor::Sum(tensor::Mul(out, tensor::Constant(g))));
-  ProjectReferenceRun want = ProjectReference(blocks, w, bias, g);
+  ProjectReferenceRun want =
+      ProjectReference(blocks, w, bias, g, std::move(prior));
   const auto bits = [](const Tensor& t) {
     return BitsOf(std::vector<float>(t.data(), t.data() + t.size()));
   };
   EXPECT_EQ(bits(out->value), bits(want.out)) << where << " forward";
-  std::vector<Var> grads = trainable;
-  grads.push_back(w);
-  if (bias != nullptr) grads.push_back(bias);
   for (size_t i = 0; i < grads.size(); ++i) {
     EXPECT_EQ(bits(grads[i]->grad), bits(want.GradOf(grads[i])))
         << where << " grad " << i;
@@ -677,11 +686,6 @@ TEST_F(KernelsTest, ElementwiseMatchNaiveReferences) {
       kernels::ScaleOut(got.data(), s, a.data(), n);
       for (size_t i = 0; i < x.size(); ++i) want[i] = s * a[i];
       EXPECT_EQ(BitsOf(got), BitsOf(want)) << "ScaleOut";
-
-      reset();
-      kernels::AddScalarOut(got.data(), s, a.data(), n);
-      for (size_t i = 0; i < x.size(); ++i) want[i] = a[i] + s;
-      EXPECT_EQ(BitsOf(got), BitsOf(want)) << "AddScalarOut";
 
       reset();
       kernels::SigmoidForward(a.data(), got.data(), n);

@@ -18,9 +18,12 @@
 //
 // Exit 0 only when every iteration resumed byte-identically, btfsck
 // detected every injected corruption, and at least one resume recovered
-// through generation fallback (robustness.ckpt_fallbacks > 0).
+// through generation fallback (robustness.ckpt_fallbacks > 0). Exit 2,
+// before any run, on bad usage or an --epochs too small for the latest
+// kill probe the planned iterations inject.
 #include <sys/wait.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -86,6 +89,27 @@ bool ReadBenchArtifact(const std::string& dir, std::string* out) {
   return false;
 }
 
+/// The faults of iteration `i`, derived from SplitMix64(seed, i).
+struct IterationPlan {
+  uint64_t stream;  // the corruption seed
+  int mode;         // 0 = kill, 1 = torn write, 2 = byte flip
+  uint64_t corrupt_epoch;
+  uint64_t kill_probe;
+};
+
+IterationPlan PlanIteration(uint64_t seed, int i) {
+  const uint64_t stream = benchtemp::tensor::SplitMix64(seed, i);
+  const int mode = i % 3;
+  // Checkpoint commit probe indices: each epoch save advances
+  // crash_checkpoint by 2 (generation rename, then lineage-manifest
+  // rename) and the corruption sites by 1 (generation commit only).
+  const uint64_t corrupt_epoch = 1 + stream % 2;      // epoch 1 or 2
+  const uint64_t kill_probe =
+      mode == 0 ? 4 + stream % 2                       // epoch 2's commits
+                : 2 * (corrupt_epoch + 1);             // next epoch's commit
+  return {stream, mode, corrupt_epoch, kill_probe};
+}
+
 /// Counter value out of a metrics JSON export; -1 when absent.
 long long CounterFromJson(const std::string& json, const std::string& name) {
   const std::string needle = "\"" + name + "\":";
@@ -131,6 +155,24 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  // Epoch e commits crash_checkpoint probes 2e and 2e + 1, so a kill
+  // probe p fires only in a job of at least p / 2 + 1 epochs; with fewer
+  // the job would end first and its iteration would look like a failed
+  // resume.
+  uint64_t max_probe = 0;
+  for (int i = 0; i < opt.iterations; ++i) {
+    max_probe = std::max(max_probe, PlanIteration(opt.seed, i).kill_probe);
+  }
+  const int min_epochs = static_cast<int>(max_probe / 2 + 1);
+  if (opt.epochs < min_epochs) {
+    std::fprintf(stderr,
+                 "btchaos: --epochs %d ends the job before kill probe %llu; "
+                 "these iterations need --epochs %d or more\n",
+                 opt.epochs, static_cast<unsigned long long>(max_probe),
+                 min_epochs);
+    return 2;
+  }
+
   std::error_code ec;
   fs::remove_all(opt.workdir, ec);
   fs::create_directories(opt.workdir, ec);
@@ -162,15 +204,8 @@ int main(int argc, char** argv) {
   int corruptions_injected = 0;
   int corruptions_detected = 0;
   for (int i = 0; i < opt.iterations; ++i) {
-    const uint64_t stream = benchtemp::tensor::SplitMix64(opt.seed, i);
-    const int mode = i % 3;  // 0 = kill, 1 = torn write, 2 = byte flip
-    // Checkpoint commit probe indices: each epoch save advances
-    // crash_checkpoint by 2 (generation rename, then lineage-manifest
-    // rename) and the corruption sites by 1 (generation commit only).
-    const uint64_t corrupt_epoch = 1 + stream % 2;      // epoch 1 or 2
-    const uint64_t kill_probe =
-        mode == 0 ? 4 + stream % 2                       // epoch 2's commits
-                  : 2 * (corrupt_epoch + 1);             // next epoch's commit
+    const auto [stream, mode, corrupt_epoch, kill_probe] =
+        PlanIteration(opt.seed, i);
     std::string faults;
     if (mode == 1) {
       faults = "torn_checkpoint@" + std::to_string(corrupt_epoch) + ":1:0:" +
