@@ -24,16 +24,9 @@ int main() {
     for (double q : quantiles) {
       std::vector<double> aucs;
       for (int run = 0; run < grid.runs; ++run) {
-        core::LinkPredictionJob job;
-        job.graph = &g;
-        job.num_users =
-            spec->config.num_items > 0 ? spec->config.num_users : 0;
-        job.kind = models::ModelKind::kTemp;
-        job.model_config =
-            bench::ModelConfigFor(models::ModelKind::kTemp, *spec, grid);
+        core::LinkPredictionJob job = bench::LpJob(
+            *spec, g, models::ModelKind::kTemp, grid, 9000 + run);
         job.model_config.temp_reference_quantile = q;
-        job.train_config = bench::TrainConfigFor(models::ModelKind::kTemp,
-                                                 grid, 9000 + run);
         aucs.push_back(core::RunLinkPrediction(job).test[0].auc);
       }
       std::printf("%12.4f", core::Summarize(aucs).mean);

@@ -155,6 +155,41 @@ inline core::TrainConfig TrainConfigFor(models::ModelKind kind,
   return tc;
 }
 
+/// The catalog job of one (model, dataset) cell: a bipartite dataset's
+/// user block, the grid's model and training configs. A bench then sets
+/// only the field it studies.
+template <typename Job>
+Job CatalogJob(const datagen::DatasetSpec& spec, const graph::TemporalGraph& g,
+               models::ModelKind kind, const GridConfig& grid, uint64_t seed) {
+  Job job;
+  job.graph = &g;
+  job.num_users = spec.config.num_items > 0 ? spec.config.num_users : 0;
+  job.kind = kind;
+  job.model_config = ModelConfigFor(kind, spec, grid);
+  job.train_config = TrainConfigFor(kind, grid, seed);
+  return job;
+}
+
+inline core::LinkPredictionJob LpJob(const datagen::DatasetSpec& spec,
+                                     const graph::TemporalGraph& g,
+                                     models::ModelKind kind,
+                                     const GridConfig& grid, uint64_t seed) {
+  return CatalogJob<core::LinkPredictionJob>(spec, g, kind, grid, seed);
+}
+
+/// The node-classification job also pretrains the walk models for one
+/// epoch and every other model for three.
+inline core::NodeClassificationJob NcJob(const datagen::DatasetSpec& spec,
+                                         const graph::TemporalGraph& g,
+                                         models::ModelKind kind,
+                                         const GridConfig& grid,
+                                         uint64_t seed) {
+  core::NodeClassificationJob job =
+      CatalogJob<core::NodeClassificationJob>(spec, g, kind, grid, seed);
+  job.pretrain_epochs = IsWalkModel(kind) ? 1 : 3;
+  return job;
+}
+
 /// Appends one link-prediction job's efficiency to the metrics registry's
 /// run records (the `runs` rows of BENCH_<name>.json) when collection is on.
 inline void AppendRunRecord(models::ModelKind kind,
@@ -195,12 +230,7 @@ inline AggregatedLp RunAggregatedLp(
   AggregatedLp agg;
   std::vector<double> auc[4], ap[4];
   for (int run = 0; run < grid.runs; ++run) {
-    core::LinkPredictionJob job;
-    job.graph = &g;
-    job.num_users = spec.config.num_items > 0 ? spec.config.num_users : 0;
-    job.kind = kind;
-    job.model_config = ModelConfigFor(kind, spec, grid);
-    job.train_config = TrainConfigFor(kind, grid, 1000 + 13 * run);
+    core::LinkPredictionJob job = LpJob(spec, g, kind, grid, 1000 + 13 * run);
     job.train_config.deadline = deadline;
     if (!checkpoint_prefix.empty()) {
       job.train_config.checkpoint_path =
@@ -224,6 +254,110 @@ inline AggregatedLp RunAggregatedLp(
     agg.ap[s] = core::Summarize(ap[s]);
   }
   return agg;
+}
+
+/// Aggregated (mean ± std over runs) node-classification outcome.
+struct AggregatedNc {
+  core::MeanStd auc, accuracy, precision, recall, f1;
+  std::string annotation;
+  /// Efficiency of the last run.
+  core::EfficiencyStats efficiency;
+};
+
+/// Runs `grid.runs` node-classification jobs, run r on seed
+/// `first_seed + seed_step * r`. A failed run (annotation "*" or "x")
+/// ends the aggregate with its annotation and no metrics.
+inline AggregatedNc RunAggregatedNc(const datagen::DatasetSpec& spec,
+                                    const graph::TemporalGraph& g,
+                                    models::ModelKind kind,
+                                    const GridConfig& grid,
+                                    uint64_t first_seed, uint64_t seed_step) {
+  AggregatedNc agg;
+  std::vector<double> auc, accuracy, precision, recall, f1;
+  for (int run = 0; run < grid.runs; ++run) {
+    const core::NodeClassificationResult result = core::RunNodeClassification(
+        NcJob(spec, g, kind, grid, first_seed + seed_step * run));
+    if (!result.annotation.empty()) {
+      agg.annotation = result.annotation;
+      return agg;
+    }
+    auc.push_back(result.test_auc);
+    accuracy.push_back(result.accuracy);
+    precision.push_back(result.precision_weighted);
+    recall.push_back(result.recall_weighted);
+    f1.push_back(result.f1_weighted);
+    agg.efficiency = result.efficiency;
+  }
+  agg.auc = core::Summarize(auc);
+  agg.accuracy = core::Summarize(accuracy);
+  agg.precision = core::Summarize(precision);
+  agg.recall = core::Summarize(recall);
+  agg.f1 = core::Summarize(f1);
+  return agg;
+}
+
+/// One job's efficiency cells, as every efficiency table prints them.
+struct EfficiencyCells {
+  std::string runtime;     // seconds per epoch
+  std::string epochs;      // epochs to convergence, "x" when not converged
+  std::string ram;         // peak RSS, GB
+  std::string state;       // model state + parameters, MB
+  std::string throughput;  // training events per second
+};
+
+/// Formats `eff`; a job that could not run (annotation "*") reads "*" in
+/// every cell.
+inline EfficiencyCells FormatEfficiency(const core::EfficiencyStats& eff,
+                                        const std::string& annotation) {
+  if (annotation == "*") return {"*", "*", "*", "*", "*"};
+  const auto format = [](const char* spec, double value) {
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), spec, value);
+    return std::string(buf);
+  };
+  EfficiencyCells cells;
+  cells.runtime = format("%.4g", eff.seconds_per_epoch);
+  cells.epochs = eff.converged ? std::to_string(eff.best_epoch + 1) : "x";
+  cells.ram = format("%.2f", eff.max_rss_gb);
+  cells.state =
+      format("%.4g", static_cast<double>(eff.state_bytes +
+                                         eff.parameter_bytes) /
+                         (1024.0 * 1024.0));
+  cells.throughput = format("%.0f", eff.train_events_per_second);
+  return cells;
+}
+
+/// One dataset's efficiency cells, one per model.
+struct EfficiencyRow {
+  std::string dataset;
+  std::vector<EfficiencyCells> cells;
+};
+
+/// One block of an efficiency table: its title and the cell it shows.
+struct EfficiencyBlock {
+  const char* title;
+  std::string EfficiencyCells::*field;
+};
+
+/// Prints each block after a blank line: a "=== title ===" line, a header
+/// with a column per model, then the block's cell of each row.
+inline void PrintEfficiencyBlocks(const std::vector<models::ModelKind>& kinds,
+                                  const std::vector<EfficiencyRow>& rows,
+                                  const std::vector<EfficiencyBlock>& blocks) {
+  for (const EfficiencyBlock& block : blocks) {
+    std::printf("\n=== %s ===\n%-12s", block.title, "Dataset");
+    for (models::ModelKind kind : kinds) {
+      std::printf("%12s", models::ModelKindName(kind));
+    }
+    std::printf("\n");
+    for (const EfficiencyRow& row : rows) {
+      std::printf("%-12s", row.dataset.c_str());
+      for (const EfficiencyCells& cells : row.cells) {
+        std::printf("%12s", (cells.*block.field).c_str());
+      }
+      std::printf("\n");
+    }
+  }
 }
 
 /// Runs `fn(kinds[i], i)` for every model of a sweep concurrently on the

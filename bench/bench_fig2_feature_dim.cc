@@ -29,11 +29,7 @@ int main() {
     g.InitNodeFeatures(dim);
     std::printf("%-10lld", static_cast<long long>(dim));
     for (models::ModelKind kind : models::PaperModels()) {
-      core::LinkPredictionJob job;
-      job.graph = &g;
-      job.num_users = spec->config.num_users;
-      job.kind = kind;
-      job.model_config = bench::ModelConfigFor(kind, *spec, grid);
+      core::LinkPredictionJob job = bench::LpJob(*spec, g, kind, grid, 7);
       // Hidden widths scale with the feature dimension, mirroring the
       // reference configurations (d_n == d_time == model width), clamped so
       // the largest setting stays CPU-tractable.
@@ -41,7 +37,6 @@ int main() {
           std::min<int64_t>(std::max<int64_t>(dim / 2, 4), 48);
       job.model_config.time_dim =
           std::min<int64_t>(std::max<int64_t>(dim / 4, 4), 24);
-      job.train_config = bench::TrainConfigFor(kind, grid, 7);
       const core::LinkPredictionResult result = core::RunLinkPrediction(job);
       std::printf("%10.4f", result.test[0].auc);
       std::fflush(stdout);

@@ -29,7 +29,9 @@ int main() {
       for (int s = 0; s < 4; ++s) {
         std::printf("%14.4f", agg.auc[s].mean);
       }
-      std::printf("%10.3f\n", agg.efficiency.seconds_per_epoch);
+      std::printf("%10s\n",
+                  bench::FormatEfficiency(agg.efficiency, agg.annotation)
+                      .runtime.c_str());
       std::fflush(stdout);
     }
   }

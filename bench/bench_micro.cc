@@ -489,9 +489,7 @@ void BM_AttentionForwardBackward(benchmark::State& state) {
   // MemoryModel::MemoryRows: one gathered row per distinct node.
   const auto memory_rows = [&](const std::vector<int32_t>& ids) {
     tensor::Distinct<int32_t> distinct = tensor::Dedup(ids);
-    const std::vector<int64_t> rows(distinct.values.begin(),
-                                    distinct.values.end());
-    return tensor::RowsOf(tensor::GatherRows(memory, rows),
+    return tensor::RowsOf(tensor::GatherRows(memory, distinct.values),
                           std::move(distinct.slot));
   };
   int64_t arena_floats = 0;

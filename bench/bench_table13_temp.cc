@@ -25,12 +25,10 @@ int main() {
       std::printf("  %.4f±%.4f|%.4f", agg.auc[s].mean, agg.auc[s].std,
                   agg.ap[s].mean);
     }
-    std::printf("  [%.3fs/ep, %d ep, %.2fGB, %.3fMB]\n",
-                agg.efficiency.seconds_per_epoch,
-                agg.efficiency.best_epoch + 1, agg.efficiency.max_rss_gb,
-                static_cast<double>(agg.efficiency.state_bytes +
-                                    agg.efficiency.parameter_bytes) /
-                    (1024.0 * 1024.0));
+    const bench::EfficiencyCells eff =
+        bench::FormatEfficiency(agg.efficiency, agg.annotation);
+    std::printf("  [%ss/ep, %s ep, %sGB, %sMB]\n", eff.runtime.c_str(),
+                eff.epochs.c_str(), eff.ram.c_str(), eff.state.c_str());
     std::fflush(stdout);
   }
 
@@ -38,26 +36,14 @@ int main() {
   for (const char* name : {"Reddit", "Wikipedia", "MOOC"}) {
     const datagen::DatasetSpec* spec = datagen::FindDataset(name);
     graph::TemporalGraph g = bench::LoadBenchmark(*spec, grid);
-    std::vector<double> aucs;
-    core::EfficiencyStats eff;
-    for (int run = 0; run < grid.runs; ++run) {
-      core::NodeClassificationJob job;
-      job.graph = &g;
-      job.num_users = spec->config.num_users;
-      job.kind = models::ModelKind::kTemp;
-      job.model_config =
-          bench::ModelConfigFor(models::ModelKind::kTemp, *spec, grid);
-      job.train_config = bench::TrainConfigFor(models::ModelKind::kTemp,
-                                               grid, 3000 + run);
-      const core::NodeClassificationResult result =
-          core::RunNodeClassification(job);
-      aucs.push_back(result.test_auc);
-      eff = result.efficiency;
-    }
-    const core::MeanStd ms = core::Summarize(aucs);
-    std::printf("%-12s AUC %.4f±%.4f  [%.3fs/ep, %d ep, %.2fGB]\n", name,
-                ms.mean, ms.std, eff.seconds_per_epoch, eff.best_epoch + 1,
-                eff.max_rss_gb);
+    const bench::AggregatedNc agg =
+        bench::RunAggregatedNc(*spec, g, models::ModelKind::kTemp, grid,
+                               /*first_seed=*/3000, /*seed_step=*/1);
+    const bench::EfficiencyCells eff =
+        bench::FormatEfficiency(agg.efficiency, agg.annotation);
+    std::printf("%-12s AUC %.4f±%.4f%s  [%ss/ep, %s ep, %sGB]\n", name,
+                agg.auc.mean, agg.auc.std, agg.annotation.c_str(),
+                eff.runtime.c_str(), eff.epochs.c_str(), eff.ram.c_str());
   }
   std::printf(
       "\nExpected shape (paper): TeMP is competitive transductively, lags "

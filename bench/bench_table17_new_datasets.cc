@@ -19,10 +19,7 @@ int main() {
   for (models::ModelKind kind : models::PaperModels()) {
     model_names.push_back(models::ModelKindName(kind));
   }
-  struct EffCell {
-    std::string runtime, ram, state;
-  };
-  std::vector<std::vector<EffCell>> efficiency;
+  std::vector<bench::EfficiencyRow> efficiency;
 
   const std::vector<models::ModelKind> kinds = models::PaperModels();
   for (const datagen::DatasetSpec& spec :
@@ -39,26 +36,16 @@ int main() {
       std::fprintf(stderr, "done %s / %s\n", spec.name.c_str(),
                    models::ModelKindName(kind));
     });
-    efficiency.emplace_back();
+    bench::EfficiencyRow& row = efficiency.emplace_back();
+    row.dataset = spec.name;
     for (size_t i = 0; i < kinds.size(); ++i) {
       const bench::AggregatedLp& agg = aggs[i];
       bench::PushToLeaderboard(&auc_board, models::ModelKindName(kinds[i]),
                                spec.name, agg, "AUC");
       bench::PushToLeaderboard(&ap_board, models::ModelKindName(kinds[i]),
                                spec.name, agg, "AP");
-      char buf[64];
-      EffCell cell;
-      std::snprintf(buf, sizeof(buf), "%.3f",
-                    agg.efficiency.seconds_per_epoch);
-      cell.runtime = buf;
-      std::snprintf(buf, sizeof(buf), "%.2f", agg.efficiency.max_rss_gb);
-      cell.ram = buf;
-      std::snprintf(buf, sizeof(buf), "%.3f",
-                    static_cast<double>(agg.efficiency.state_bytes +
-                                        agg.efficiency.parameter_bytes) /
-                        (1024.0 * 1024.0));
-      cell.state = buf;
-      efficiency.back().push_back(cell);
+      row.cells.push_back(
+          bench::FormatEfficiency(agg.efficiency, agg.annotation));
     }
   }
 
@@ -92,15 +79,8 @@ int main() {
     graph::TemporalGraph g = bench::LoadBenchmark(*spec, grid);
     std::printf("%-12s", name);
     for (models::ModelKind kind : models::PaperModels()) {
-      core::NodeClassificationJob job;
-      job.graph = &g;
-      job.num_users = spec->config.num_users;
-      job.kind = kind;
-      job.model_config = bench::ModelConfigFor(kind, *spec, grid);
-      job.train_config = bench::TrainConfigFor(kind, grid, 4000);
-      job.pretrain_epochs = bench::IsWalkModel(kind) ? 1 : 3;
-      const core::NodeClassificationResult result =
-          core::RunNodeClassification(job);
+      const core::NodeClassificationResult result = core::RunNodeClassification(
+          bench::NcJob(*spec, g, kind, grid, /*seed=*/4000));
       std::printf("  %s=%.4f", models::ModelKindName(kind), result.test_auc);
       std::fflush(stdout);
     }
@@ -113,10 +93,9 @@ int main() {
     std::printf("%24s", model.c_str());
   }
   std::printf("\n(each cell: s/epoch | RAM GB | state MB)\n");
-  for (size_t d = 0; d < dataset_names.size(); ++d) {
-    std::printf("%-22s", dataset_names[d].c_str());
-    for (size_t m = 0; m < model_names.size(); ++m) {
-      const EffCell& cell = efficiency[d][m];
+  for (const bench::EfficiencyRow& row : efficiency) {
+    std::printf("%-22s", row.dataset.c_str());
+    for (const bench::EfficiencyCells& cell : row.cells) {
       std::printf("  %8s|%5s|%7s", cell.runtime.c_str(), cell.ram.c_str(),
                   cell.state.c_str());
     }

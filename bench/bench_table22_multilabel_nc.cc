@@ -17,28 +17,13 @@ int main() {
       "Model", "Accuracy", "Precision", "Recall", "F1");
 
   for (models::ModelKind kind : models::PaperModels()) {
-    std::vector<double> acc, precision, recall, f1;
-    for (int run = 0; run < grid.runs; ++run) {
-      core::NodeClassificationJob job;
-      job.graph = &g;
-      job.num_users = 0;
-      job.kind = kind;
-      job.model_config = bench::ModelConfigFor(kind, *spec, grid);
-      job.train_config = bench::TrainConfigFor(kind, grid, 5000 + run);
-      job.pretrain_epochs = bench::IsWalkModel(kind) ? 1 : 3;
-      const core::NodeClassificationResult result =
-          core::RunNodeClassification(job);
-      acc.push_back(result.accuracy);
-      precision.push_back(result.precision_weighted);
-      recall.push_back(result.recall_weighted);
-      f1.push_back(result.f1_weighted);
-    }
-    std::printf("%-10s %6.4f±%.4f %6.4f±%.4f %6.4f±%.4f %6.4f±%.4f\n",
-                models::ModelKindName(kind), core::Summarize(acc).mean,
-                core::Summarize(acc).std, core::Summarize(precision).mean,
-                core::Summarize(precision).std,
-                core::Summarize(recall).mean, core::Summarize(recall).std,
-                core::Summarize(f1).mean, core::Summarize(f1).std);
+    const bench::AggregatedNc agg = bench::RunAggregatedNc(
+        *spec, g, kind, grid, /*first_seed=*/5000, /*seed_step=*/1);
+    std::printf("%-10s %6.4f±%.4f %6.4f±%.4f %6.4f±%.4f %6.4f±%.4f%s\n",
+                models::ModelKindName(kind), agg.accuracy.mean,
+                agg.accuracy.std, agg.precision.mean, agg.precision.std,
+                agg.recall.mean, agg.recall.std, agg.f1.mean, agg.f1.std,
+                agg.annotation.c_str());
     std::fflush(stdout);
   }
   std::printf(

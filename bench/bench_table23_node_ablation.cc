@@ -21,18 +21,11 @@ int main() {
     for (const char* name : {"CanParl", "USLegis"}) {
       const datagen::DatasetSpec* spec = datagen::FindDataset(name);
       graph::TemporalGraph g = bench::LoadBenchmark(*spec, grid);
-      bench::GridConfig local = grid;
       std::vector<double> auc[4], ap[4];
       for (int run = 0; run < grid.runs; ++run) {
-        core::LinkPredictionJob job;
-        job.graph = &g;
-        job.num_users = 0;
-        job.kind = models::ModelKind::kNeurTw;
-        job.model_config =
-            bench::ModelConfigFor(models::ModelKind::kNeurTw, *spec, local);
+        core::LinkPredictionJob job = bench::LpJob(
+            *spec, g, models::ModelKind::kNeurTw, grid, 6000 + run);
         job.model_config.use_nodes = use_nodes;
-        job.train_config = bench::TrainConfigFor(models::ModelKind::kNeurTw,
-                                                 local, 6000 + run);
         const core::LinkPredictionResult result =
             core::RunLinkPrediction(job);
         for (int s = 0; s < 4; ++s) {

@@ -25,15 +25,8 @@ int main() {
       graph::TemporalGraph g = bench::LoadBenchmark(*spec, grid);
       std::vector<double> auc[4], ap[4];
       for (int run = 0; run < grid.runs; ++run) {
-        core::LinkPredictionJob job;
-        job.graph = &g;
-        job.num_users =
-            spec->config.num_items > 0 ? spec->config.num_users : 0;
-        job.kind = models::ModelKind::kNat;
-        job.model_config =
-            bench::ModelConfigFor(models::ModelKind::kNat, *spec, grid);
-        job.train_config =
-            bench::TrainConfigFor(models::ModelKind::kNat, grid, 8000 + run);
+        core::LinkPredictionJob job = bench::LpJob(
+            *spec, g, models::ModelKind::kNat, grid, 8000 + run);
         job.train_config.negative_sampling = mode;
         const core::LinkPredictionResult result =
             core::RunLinkPrediction(job);

@@ -21,78 +21,36 @@ int main() {
   }
   std::printf(
       "Table 4 / Table 11 reproduction: link-prediction efficiency\n"
-      "(CPU substitutions per DESIGN.md; paper ran 2x Xeon 8375C + 4090s)\n\n");
+      "(CPU substitutions per DESIGN.md; paper ran 2x Xeon 8375C + 4090s)\n");
 
-  struct Row {
-    std::string dataset;
-    std::string cells[7];
-  };
   const std::vector<models::ModelKind> kinds =
       bench::SelectedModels(models::PaperModels());
-  std::vector<Row> runtime, epochs, ram, state, throughput;
-
+  std::vector<bench::EfficiencyRow> rows;
   for (const datagen::DatasetSpec& spec :
        bench::SelectedDatasets(datagen::MainDatasets())) {
     graph::TemporalGraph g = bench::LoadBenchmark(spec, grid);
-    Row rt{spec.name, {}}, ep{spec.name, {}}, rm{spec.name, {}},
-        st{spec.name, {}}, tp{spec.name, {}};
-    for (size_t m = 0; m < kinds.size(); ++m) {
+    bench::EfficiencyRow& row = rows.emplace_back();
+    row.dataset = spec.name;
+    for (models::ModelKind kind : kinds) {
       const bench::AggregatedLp agg =
-          bench::RunAggregatedLp(spec, g, kinds[m], grid);
-      char buf[64];
-      if (agg.annotation == "*") {
-        rt.cells[m] = ep.cells[m] = rm.cells[m] = st.cells[m] =
-            tp.cells[m] = "*";
-        continue;
-      }
-      const core::EfficiencyStats& eff = agg.efficiency;
-      std::snprintf(buf, sizeof(buf), "%.4g", eff.seconds_per_epoch);
-      rt.cells[m] = buf;
-      if (eff.converged) {
-        std::snprintf(buf, sizeof(buf), "%d", eff.best_epoch + 1);
-        ep.cells[m] = buf;
-      } else {
-        ep.cells[m] = "x";  // did not converge within its epoch budget
-      }
-      std::snprintf(buf, sizeof(buf), "%.2f", eff.max_rss_gb);
-      rm.cells[m] = buf;
-      std::snprintf(buf, sizeof(buf), "%.4g",
-                    static_cast<double>(eff.state_bytes +
-                                        eff.parameter_bytes) /
-                        (1024.0 * 1024.0));
-      st.cells[m] = buf;
-      std::snprintf(buf, sizeof(buf), "%.0f", eff.train_events_per_second);
-      tp.cells[m] = buf;
-      std::fprintf(stderr, "done %s / %s\n", spec.name.c_str(),
-                   models::ModelKindName(kinds[m]));
+          bench::RunAggregatedLp(spec, g, kind, grid);
+      row.cells.push_back(
+          bench::FormatEfficiency(agg.efficiency, agg.annotation));
+      std::fprintf(stderr, "done %s / %s%s\n", spec.name.c_str(),
+                   models::ModelKindName(kind), agg.annotation.c_str());
     }
-    runtime.push_back(rt);
-    epochs.push_back(ep);
-    ram.push_back(rm);
-    state.push_back(st);
-    throughput.push_back(tp);
   }
 
-  auto print_block = [&](const char* title, const std::vector<Row>& rows) {
-    std::printf("=== %s ===\n%-12s", title, "Dataset");
-    for (models::ModelKind kind : kinds) {
-      std::printf("%12s", models::ModelKindName(kind));
-    }
-    std::printf("\n");
-    for (const Row& row : rows) {
-      std::printf("%-12s", row.dataset.c_str());
-      for (size_t m = 0; m < kinds.size(); ++m) {
-        std::printf("%12s", row.cells[m].c_str());
-      }
-      std::printf("\n");
-    }
-    std::printf("\n");
-  };
-  print_block("Runtime (seconds / epoch)", runtime);
-  print_block("Epochs to convergence (x = did not converge)", epochs);
-  print_block("RAM (GB, peak RSS)", ram);
-  print_block("Model state + parameters (MB) [GPU-memory proxy]", state);
-  print_block("Training throughput (events/s) [Table 11 GPU-util proxy]",
-              throughput);
+  bench::PrintEfficiencyBlocks(
+      kinds, rows,
+      {{"Runtime (seconds / epoch)", &bench::EfficiencyCells::runtime},
+       {"Epochs to convergence (x = did not converge)",
+        &bench::EfficiencyCells::epochs},
+       {"RAM (GB, peak RSS)", &bench::EfficiencyCells::ram},
+       {"Model state + parameters (MB) [GPU-memory proxy]",
+        &bench::EfficiencyCells::state},
+       {"Training throughput (events/s) [Table 11 GPU-util proxy]",
+        &bench::EfficiencyCells::throughput}});
+  std::printf("\n");
   return 0;
 }

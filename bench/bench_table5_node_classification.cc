@@ -13,78 +13,39 @@ int main() {
   std::printf(
       "Table 5 / Table 12 reproduction: dynamic node classification\n\n");
 
-  const auto& kinds = models::PaperModels();
+  const std::vector<models::ModelKind>& kinds = models::PaperModels();
   std::printf("%-12s", "Dataset");
   for (models::ModelKind kind : kinds) {
     std::printf("%18s", models::ModelKindName(kind));
   }
   std::printf("\n");
 
-  struct EffRow {
-    std::string dataset;
-    std::string runtime[7], epochs[7], ram[7], state[7];
-  };
-  std::vector<EffRow> efficiency;
-
+  std::vector<bench::EfficiencyRow> rows;
   for (const char* name : {"Reddit", "Wikipedia", "MOOC"}) {
     const datagen::DatasetSpec* spec = datagen::FindDataset(name);
     graph::TemporalGraph g = bench::LoadBenchmark(*spec, grid);
     std::printf("%-12s", name);
-    EffRow eff_row{name, {}, {}, {}, {}};
-    for (size_t m = 0; m < kinds.size(); ++m) {
-      std::vector<double> aucs;
-      core::EfficiencyStats eff;
-      for (int run = 0; run < grid.runs; ++run) {
-        core::NodeClassificationJob job;
-        job.graph = &g;
-        job.num_users = spec->config.num_users;
-        job.kind = kinds[m];
-        job.model_config = bench::ModelConfigFor(kinds[m], *spec, grid);
-        job.train_config = bench::TrainConfigFor(kinds[m], grid,
-                                                 2000 + 13 * run);
-        job.pretrain_epochs = bench::IsWalkModel(kinds[m]) ? 1 : 3;
-        const core::NodeClassificationResult result =
-            core::RunNodeClassification(job);
-        aucs.push_back(result.test_auc);
-        eff = result.efficiency;
-      }
-      const core::MeanStd ms = core::Summarize(aucs);
-      std::printf("   %.4f±%.4f", ms.mean, ms.std);
+    bench::EfficiencyRow& row = rows.emplace_back();
+    row.dataset = name;
+    for (models::ModelKind kind : kinds) {
+      const bench::AggregatedNc agg = bench::RunAggregatedNc(
+          *spec, g, kind, grid, /*first_seed=*/2000, /*seed_step=*/13);
+      std::printf("   %.4f±%.4f%s", agg.auc.mean, agg.auc.std,
+                  agg.annotation.c_str());
       std::fflush(stdout);
-      char buf[64];
-      std::snprintf(buf, sizeof(buf), "%.3f", eff.seconds_per_epoch);
-      eff_row.runtime[m] = buf;
-      std::snprintf(buf, sizeof(buf), "%d", eff.best_epoch + 1);
-      eff_row.epochs[m] = eff.converged ? buf : "x";
-      std::snprintf(buf, sizeof(buf), "%.2f", eff.max_rss_gb);
-      eff_row.ram[m] = buf;
-      std::snprintf(buf, sizeof(buf), "%.3f",
-                    static_cast<double>(eff.state_bytes +
-                                        eff.parameter_bytes) /
-                        (1024.0 * 1024.0));
-      eff_row.state[m] = buf;
+      row.cells.push_back(
+          bench::FormatEfficiency(agg.efficiency, agg.annotation));
     }
     std::printf("\n");
-    efficiency.push_back(eff_row);
   }
 
-  auto print_block = [&](const char* title, auto member) {
-    std::printf("\n=== %s (Table 12) ===\n%-12s", title, "Dataset");
-    for (models::ModelKind kind : kinds) {
-      std::printf("%12s", models::ModelKindName(kind));
-    }
-    std::printf("\n");
-    for (const EffRow& row : efficiency) {
-      std::printf("%-12s", row.dataset.c_str());
-      for (size_t m = 0; m < kinds.size(); ++m) {
-        std::printf("%12s", (row.*member)[m].c_str());
-      }
-      std::printf("\n");
-    }
-  };
-  print_block("Runtime (s/epoch)", &EffRow::runtime);
-  print_block("Epochs (decoder, to convergence)", &EffRow::epochs);
-  print_block("RAM (GB)", &EffRow::ram);
-  print_block("State+params (MB) [GPU-memory proxy]", &EffRow::state);
+  bench::PrintEfficiencyBlocks(
+      kinds, rows,
+      {{"Runtime (s/epoch) (Table 12)", &bench::EfficiencyCells::runtime},
+       {"Epochs (decoder, to convergence) (Table 12)",
+        &bench::EfficiencyCells::epochs},
+       {"RAM (GB) (Table 12)", &bench::EfficiencyCells::ram},
+       {"State+params (MB) [GPU-memory proxy] (Table 12)",
+        &bench::EfficiencyCells::state}});
   return 0;
 }

@@ -58,13 +58,8 @@ int main() {
       double ranked_eps = 0.0;
       double plain_eps = 0.0;
       for (int run = 0; run < grid.runs; ++run) {
-        core::LinkPredictionJob job;
-        job.graph = &g;
-        job.num_users =
-            spec.config.num_items > 0 ? spec.config.num_users : 0;
-        job.kind = kind;
-        job.model_config = bench::ModelConfigFor(kind, spec, grid);
-        job.train_config = bench::TrainConfigFor(kind, grid, 9000 + run);
+        core::LinkPredictionJob job =
+            bench::LpJob(spec, g, kind, grid, 9000 + run);
         job.train_config.mrr_k = k;
         job.train_config.mrr_historical_fraction = hist_frac;
         const core::LinkPredictionResult result =

@@ -112,15 +112,17 @@ Var MemoryModel::GatherMemory(const std::vector<int32_t>& nodes) const {
   // wrote the live rows into it), but only live rows carry gradients.
   const int64_t num_live = live_var_->value.rows();
   std::vector<int32_t> stale;
-  std::vector<int64_t> index;
+  std::vector<int32_t> index;
   index.reserve(nodes.size());
   for (const int32_t node : nodes) {
     const auto it =
         std::lower_bound(live_nodes_.begin(), live_nodes_.end(), node);
     if (it != live_nodes_.end() && *it == node) {
-      index.push_back(it - live_nodes_.begin());
+      index.push_back(
+          tensor::NarrowId(it - live_nodes_.begin(), "GatherMemory: row"));
     } else {
-      index.push_back(num_live + static_cast<int64_t>(stale.size()));
+      index.push_back(
+          tensor::NarrowId(num_live + std::ssize(stale), "GatherMemory: row"));
       stale.push_back(node);
     }
   }

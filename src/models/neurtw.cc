@@ -25,15 +25,16 @@ Var NeurTw::EvolveHidden(const tensor::Var& hidden,
   // Fixed-step Euler integration of dh/ds = g(h) ⊙ d(h) over the per-row
   // normalized interval (Eq. (6)'s change of variables): each Euler step
   // advances h by (gap / steps) * f(h). Gaps are clamped so extreme
-  // intervals cannot blow up the state.
+  // intervals cannot blow up the state. A row's step size fills the row,
+  // so each step is one same-size Mul.
   constexpr int64_t kOdeSteps = 3;  // Euler sub-steps
-  const int64_t rows = hidden->value.rows();
-  Tensor step_sizes({rows, 1});
+  const int64_t rows = hidden->value.rows(), width = hidden->value.cols();
+  Tensor step_sizes({rows, width});
   const float inv_steps = 1.0f / static_cast<float>(kOdeSteps);
   for (int64_t r = 0; r < rows; ++r) {
     const float gap = std::min(std::max(gaps[static_cast<size_t>(r)], 0.0f),
                                10.0f);
-    step_sizes.at(r) = gap * inv_steps;
+    std::fill_n(step_sizes.data() + r * width, width, gap * inv_steps);
   }
   Var dt = Constant(std::move(step_sizes));
   Var h = hidden;

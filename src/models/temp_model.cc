@@ -6,7 +6,6 @@
 namespace benchtemp::models {
 
 using graph::TemporalNeighbor;
-using tensor::Constant;
 using tensor::Tensor;
 using tensor::Var;
 
@@ -101,11 +100,11 @@ Var TempModel::ComputeEmbeddings(const std::vector<int32_t>& nodes,
 
   // (c) Two aggregation channels + own memory.
   Var nbr_memory = GatherMemory(flat_neighbors);
-  Var lpa = BatchWeightedSum(Constant(std::move(lpa_weights)), nbr_memory, k);
+  Var lpa = BatchWeightedSum(lpa_weights, nbr_memory, k);
   Var messages = Relu(message_proj_.Forward(
       {tensor::Rows(graph_->edge_features(), flat_edges),
        time_encoder_.EncodeRows(flat_dts)}));
-  Var mp = BatchWeightedSum(Constant(std::move(mp_weights)), messages, k);
+  Var mp = BatchWeightedSum(mp_weights, messages, k);
   Var own = GatherMemory(nodes);
   return Tanh(combine_.Forward({own, lpa, mp}));
 }

@@ -96,9 +96,7 @@ TgatPlan Tgat::Plan(const std::vector<int32_t>& nodes,
   plan.nodes = nodes;
   plan.ts = ts;
   plan.levels.resize(static_cast<size_t>(layers) + 1);
-  const std::vector<int32_t> top =
-      ListDistinct(&plan.levels.back(), layers > 0, nodes, ts);
-  plan.out_rows.assign(top.begin(), top.end());
+  plan.out_rows = ListDistinct(&plan.levels.back(), layers > 0, nodes, ts);
   for (int64_t l = layers; l >= 1; --l) {
     TgatPlan::Level& level = plan.levels[static_cast<size_t>(l)];
     level.nb = finder_->SampleNeighborhood(level.nodes, level.ts,

@@ -29,7 +29,7 @@ struct TgatPlan : public PreparedCall {
     std::vector<int32_t> nbr_rows;
   };
   /// Row of each query in the top level.
-  std::vector<int64_t> out_rows;
+  std::vector<int32_t> out_rows;
   /// Index l is layer l; `levels.back()` is the top layer.
   std::vector<Level> levels;
 };

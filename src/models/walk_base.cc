@@ -105,8 +105,7 @@ Var WalkModel::EncodeWalkGroups(
   // Mean-pool each group's walk encodings.
   Tensor pool_weights({num_groups, walks_per_group});
   pool_weights.Fill(1.0f / static_cast<float>(walks_per_group));
-  return BatchWeightedSum(Constant(std::move(pool_weights)), hidden,
-                          walks_per_group);
+  return BatchWeightedSum(pool_weights, hidden, walks_per_group);
 }
 
 namespace {

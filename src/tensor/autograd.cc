@@ -176,68 +176,37 @@ Var Add(const Var& a, const Var& b) {
 Var Mul(const Var& a, const Var& b) {
   const Tensor& av = a->value;
   const Tensor& bv = b->value;
-  if (av.size() == bv.size()) {
-    Tensor out = kernels::NewTensor(av.shape());
-    const float* ap = av.data();
-    const float* bp = bv.data();
-    float* op = out.data();
-    kernels::CountFlops(out.size());
-    runtime::ParallelFor(0, out.size(), kElementwiseGrain,
-                         [&](int64_t lo, int64_t hi) {
-                           kernels::MulOut(op + lo, ap + lo, bp + lo, hi - lo);
-                         });
-    return MakeNode("Mul", std::move(out), {a, b}, [](VarNode& self) {
-      VarNode& pa = *self.parents[0];
-      VarNode& pb = *self.parents[1];
-      const float* sg = self.grad.data();
-      if (pa.requires_grad) {
-        float* g = pa.EnsureGrad().data();
-        const float* other = pb.value.data();
-        runtime::ParallelFor(0, self.grad.size(), kElementwiseGrain,
-                             [&](int64_t lo, int64_t hi) {
-                               kernels::MulAdd(g + lo, sg + lo, other + lo,
-                                               hi - lo);
-                             });
-      }
-      if (pb.requires_grad) {
-        float* g = pb.EnsureGrad().data();
-        const float* other = pa.value.data();
-        runtime::ParallelFor(0, self.grad.size(), kElementwiseGrain,
-                             [&](int64_t lo, int64_t hi) {
-                               kernels::MulAdd(g + lo, sg + lo, other + lo,
-                                               hi - lo);
-                             });
-      }
-    });
-  }
-  const int64_t n = av.rows(), d = av.cols();
-  CheckOrDie(IsColBroadcast(av, bv), "Mul: incompatible shapes");
+  CheckOrDie(av.size() == bv.size(), "Mul: incompatible shapes");
   Tensor out = kernels::NewTensor(av.shape());
-  {
-    const float* ap = av.data();
-    const float* bp = bv.data();
-    float* op = out.data();
-    for (int64_t r = 0; r < n; ++r) {
-      kernels::ScaleOut(op + r * d, bp[r], ap + r * d, d);
-    }
-  }
-  return MakeNode("Mul", std::move(out), {a, b}, [n, d](VarNode& self) {
+  const float* ap = av.data();
+  const float* bp = bv.data();
+  float* op = out.data();
+  kernels::CountFlops(out.size());
+  runtime::ParallelFor(0, out.size(), kElementwiseGrain,
+                       [&](int64_t lo, int64_t hi) {
+                         kernels::MulOut(op + lo, ap + lo, bp + lo, hi - lo);
+                       });
+  return MakeNode("Mul", std::move(out), {a, b}, [](VarNode& self) {
     VarNode& pa = *self.parents[0];
     VarNode& pb = *self.parents[1];
     const float* sg = self.grad.data();
     if (pa.requires_grad) {
       float* g = pa.EnsureGrad().data();
-      const float* bp = pb.value.data();
-      for (int64_t r = 0; r < n; ++r) {
-        kernels::Axpy(g + r * d, bp[r], sg + r * d, d);
-      }
+      const float* other = pb.value.data();
+      runtime::ParallelFor(0, self.grad.size(), kElementwiseGrain,
+                           [&](int64_t lo, int64_t hi) {
+                             kernels::MulAdd(g + lo, sg + lo, other + lo,
+                                             hi - lo);
+                           });
     }
     if (pb.requires_grad) {
       float* g = pb.EnsureGrad().data();
-      const float* ap = pa.value.data();
-      for (int64_t r = 0; r < n; ++r) {
-        g[r] += kernels::Dot(sg + r * d, ap + r * d, d);
-      }
+      const float* other = pa.value.data();
+      runtime::ParallelFor(0, self.grad.size(), kElementwiseGrain,
+                           [&](int64_t lo, int64_t hi) {
+                             kernels::MulAdd(g + lo, sg + lo, other + lo,
+                                             hi - lo);
+                           });
     }
   });
 }
@@ -350,7 +319,7 @@ Var ConcatRows(const std::vector<Var>& parts) {
                   });
 }
 
-Var GatherRows(const Var& table, const std::vector<int64_t>& indices) {
+Var GatherRows(const Var& table, const std::vector<int32_t>& indices) {
   const Tensor& tv = table->value;
   CheckOrDie(tv.rank() == 2, "GatherRows: rank-2 table required");
   const int64_t d = tv.shape()[1];
@@ -1000,18 +969,17 @@ Var Attention(const Var& q, const SummedRows& keys, const SummedRows& values,
       });
 }
 
-Var BatchWeightedSum(const Var& w, const Var& values, int64_t num_keys) {
-  const Tensor& wv = w->value;
+Var BatchWeightedSum(const Tensor& w, const Var& values, int64_t num_keys) {
   const Tensor& vv = values->value;
-  CheckOrDie(wv.rank() == 2 && vv.rank() == 2,
+  CheckOrDie(w.rank() == 2 && vv.rank() == 2,
              "BatchWeightedSum: rank-2 required");
-  const int64_t b = wv.rows(), m = vv.cols();
-  CheckOrDie(wv.cols() == num_keys, "BatchWeightedSum: weight shape");
+  const int64_t b = w.rows(), m = vv.cols();
+  CheckOrDie(w.cols() == num_keys, "BatchWeightedSum: weight shape");
   CheckOrDie(vv.rows() == b * num_keys, "BatchWeightedSum: value shape");
   const int64_t grain = RowGrain(3 * num_keys * m);
   Tensor out = kernels::NewTensor({b, m});
   {
-    const float* wp = wv.data();
+    const float* wp = w.data();
     const float* vp = vv.data();
     float* op = out.data();
     kernels::CountFlops(2 * b * num_keys * m);
@@ -1025,25 +993,17 @@ Var BatchWeightedSum(const Var& w, const Var& values, int64_t num_keys) {
       }
     });
   }
+  // The backward pass reads the weights only when the values take a
+  // gradient.
+  Tensor weights = values->requires_grad ? w : Tensor();
   return MakeNode(
-      "BatchWeightedSum", std::move(out), {w, values},
-      [b, m, num_keys, grain](VarNode& self) {
-        VarNode& pw = *self.parents[0];
-        VarNode& pv = *self.parents[1];
-        const float* sg = self.grad.data();
-        const float* wp = pw.value.data();
-        if (pw.requires_grad) {
-          // Weight row i belongs to one chunk.
-          float* gw = pw.EnsureGrad().data();
-          const float* vp = pv.value.data();
-          runtime::ParallelFor(0, b, grain, [&](int64_t b0, int64_t b1) {
-            for (int64_t r = b0 * num_keys; r < b1 * num_keys; ++r) {
-              gw[r] += kernels::Dot(sg + r / num_keys * m, vp + r * m, m);
-            }
-          });
-        }
+      "BatchWeightedSum", std::move(out), {values},
+      [b, m, num_keys, weights = std::move(weights)](VarNode& self) {
+        VarNode& pv = *self.parents[0];
         if (!pv.requires_grad) return;
         // Each key's row adds weight * dOut, in ascending key order.
+        const float* sg = self.grad.data();
+        const float* wp = weights.data();
         float* gv = pv.EnsureGrad().data();
         for (int64_t r = 0; r < b * num_keys; ++r) {
           if (IsExactlyZero(wp[r])) continue;

@@ -65,8 +65,7 @@ void ZeroGrad(const std::vector<Var>& params);
 
 /// Elementwise a + b for equal-sized a and b.
 Var Add(const Var& a, const Var& b);
-/// Elementwise a * b. Supports equal shapes and column-broadcast where b is
-/// [n, 1] scaling each row of a [n, d] tensor.
+/// Elementwise a * b for equal-sized a and b.
 Var Mul(const Var& a, const Var& b);
 /// a * s for a compile-time constant scalar s.
 Var ScalarMul(const Var& a, float s);
@@ -83,7 +82,7 @@ Var Lerp(const Var& a, const Var& b, const Var& w);
 Var ConcatRows(const std::vector<Var>& parts);
 /// Gathers rows of `table` ([N, d]) at `indices` -> [n, d]; the backward pass
 /// scatter-adds into the table (embedding lookup).
-Var GatherRows(const Var& table, const std::vector<int64_t>& indices);
+Var GatherRows(const Var& table, const std::vector<int32_t>& indices);
 
 // ---------------------------------------------------------------------------
 // Projection over column blocks: the one matrix product on the tape.
@@ -208,8 +207,10 @@ Var SoftmaxCrossEntropy(const Var& logits, const std::vector<int64_t>& labels);
 Var Attention(const Var& q, const SummedRows& keys, const SummedRows& values,
               const Tensor& mask, int64_t num_keys, int64_t num_heads);
 /// out[b, :] = sum_k w[b, k] * values[b*K + k, :] -> [B, m], for w [B, K]
-/// and values [B*K, m] (mean pooling, TeMP's neighbour pools).
-Var BatchWeightedSum(const Var& w, const Var& values, int64_t num_keys);
+/// and values [B*K, m] (mean pooling, TeMP's neighbour pools). The weights
+/// are constants, as Attention's mask is, so only the values take a
+/// gradient.
+Var BatchWeightedSum(const Tensor& w, const Var& values, int64_t num_keys);
 
 }  // namespace benchtemp::tensor
 

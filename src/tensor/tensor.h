@@ -84,9 +84,6 @@ class Tensor {
   /// Multiplies every entry by `s`.
   void Scale(float s);
 
-  /// Returns true if shapes are identical.
-  bool SameShape(const Tensor& other) const { return shape_ == other.shape_; }
-
   /// True when the storage lives in a tape-scoped arena (test/debug
   /// introspection; such a tensor dies with its TapeScope).
   bool arena_backed() const { return data_ != nullptr && heap_.empty(); }

@@ -1,7 +1,8 @@
 // Tests of the bench-harness helpers (bench/bench_common.h): environment
 // knobs (the BENCHTEMP_METRICS switch and the strict numeric knobs among
-// them), dataset filtering, and the per-dataset model quirks the catalog
-// drives (TGAT's UNTrade window, NeurTW's overflow-safe bias).
+// them), dataset filtering, the per-dataset model quirks the catalog
+// drives (TGAT's UNTrade window, NeurTW's overflow-safe bias), the catalog
+// job builders, the run aggregators and the efficiency cells.
 
 #include <cstdlib>
 #include <string>
@@ -162,6 +163,88 @@ TEST(BenchHarnessTest, AggregatedLpPropagatesAnnotation) {
   const AggregatedLp agg =
       RunAggregatedLp(*untrade, g, models::ModelKind::kTgat, grid);
   EXPECT_EQ(agg.annotation, "*");  // the paper's UNTrade runtime error
+}
+
+TEST(BenchHarnessTest, JobsGiveOnlyBipartiteDatasetsAUserBlock) {
+  const GridConfig grid = DefaultGrid();
+  const graph::TemporalGraph g;
+  const datagen::DatasetSpec* mooc = datagen::FindDataset("MOOC");
+  const datagen::DatasetSpec* canparl = datagen::FindDataset("CanParl");
+  ASSERT_GT(mooc->config.num_items, 0);
+  ASSERT_EQ(canparl->config.num_items, 0);
+  for (const models::ModelKind kind :
+       {models::ModelKind::kJodie, models::ModelKind::kCawn}) {
+    EXPECT_EQ(LpJob(*mooc, g, kind, grid, 1).num_users,
+              mooc->config.num_users);
+    EXPECT_EQ(NcJob(*mooc, g, kind, grid, 1).num_users,
+              mooc->config.num_users);
+    EXPECT_EQ(LpJob(*canparl, g, kind, grid, 1).num_users, 0);
+    EXPECT_EQ(NcJob(*canparl, g, kind, grid, 1).num_users, 0);
+  }
+  const core::LinkPredictionJob job =
+      LpJob(*mooc, g, models::ModelKind::kTgn, grid, 42);
+  EXPECT_EQ(job.graph, &g);
+  EXPECT_EQ(job.kind, models::ModelKind::kTgn);
+  EXPECT_EQ(job.train_config.seed, 42u);
+}
+
+TEST(BenchHarnessTest, NcJobPretrainsWalkModelsForOneEpoch) {
+  const GridConfig grid = DefaultGrid();
+  const graph::TemporalGraph g;
+  const datagen::DatasetSpec* reddit = datagen::FindDataset("Reddit");
+  std::vector<models::ModelKind> kinds = models::PaperModels();
+  kinds.push_back(models::ModelKind::kTemp);  // Table 15's model
+  for (const models::ModelKind kind : kinds) {
+    EXPECT_EQ(NcJob(*reddit, g, kind, grid, 1).pretrain_epochs,
+              IsWalkModel(kind) ? 1 : 3)
+        << models::ModelKindName(kind);
+  }
+}
+
+TEST(BenchHarnessTest, EfficiencyCellsKeepFourDigitsAndMarkNoConvergence) {
+  core::EfficiencyStats eff;
+  eff.seconds_per_epoch = 0.0004;
+  eff.best_epoch = 2;
+  eff.converged = false;
+  eff.max_rss_gb = 0.0123;
+  eff.state_bytes = 3 * 1024 * 1024;
+  eff.parameter_bytes = 512 * 1024;
+  eff.train_events_per_second = 12345.6;
+  EfficiencyCells cells = FormatEfficiency(eff, "");
+  EXPECT_EQ(cells.runtime, "0.0004");
+  EXPECT_EQ(cells.epochs, "x");
+  EXPECT_EQ(cells.ram, "0.01");
+  EXPECT_EQ(cells.state, "3.5");
+  EXPECT_EQ(cells.throughput, "12346");
+  eff.seconds_per_epoch = 0.00041237;
+  eff.converged = true;
+  cells = FormatEfficiency(eff, "");
+  EXPECT_EQ(cells.runtime, "0.0004124");
+  EXPECT_EQ(cells.epochs, "3");
+  // A job that could not run has no efficiency to show.
+  cells = FormatEfficiency(eff, "*");
+  for (const std::string& cell : {cells.runtime, cells.epochs, cells.ram,
+                                  cells.state, cells.throughput}) {
+    EXPECT_EQ(cell, "*");
+  }
+}
+
+TEST(BenchHarnessTest, AggregatedNcPropagatesAnnotation) {
+  GridConfig grid = DefaultGrid();
+  grid.quick = true;
+  grid.runs = 2;
+  grid.max_epochs_fast = 1;
+  // UNTrade's TGAT window empties every neighbourhood (the paper's runtime
+  // error); labels let the node-classification pipeline start.
+  datagen::DatasetSpec untrade = *datagen::FindDataset("UNTrade");
+  untrade.config.label_classes = 2;
+  untrade.config.label_positive_rate = 0.05;
+  graph::TemporalGraph g = LoadBenchmark(untrade, grid);
+  const AggregatedNc agg = RunAggregatedNc(untrade, g, models::ModelKind::kTgat,
+                                           grid, /*first_seed=*/1,
+                                           /*seed_step=*/1);
+  EXPECT_EQ(agg.annotation, "*");
+  EXPECT_DOUBLE_EQ(agg.auc.mean, 0.0);  // a failed run reports no metrics
 }
 
 }  // namespace

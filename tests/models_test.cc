@@ -620,10 +620,6 @@ size_t ExpectGradsClose(const std::vector<Var>& got, size_t offset,
   return offset;
 }
 
-std::vector<int64_t> Widen(const std::vector<int32_t>& ids) {
-  return {ids.begin(), ids.end()};
-}
-
 /// TGN with the dense composition of its embedding beside its own, over
 /// copies of its attention and output modules.
 class DenseKeyTgn : public Tgn {
@@ -644,7 +640,7 @@ class DenseKeyTgn : public Tgn {
         {memory, time_encoder_.Encode(std::vector<float>(nodes.size()))},
         {GatherMemory(nb.flat_neighbors),
          tensor::GatherRows(tensor::Constant(graph_->edge_features()),
-                            Widen(nb.flat_edges)),
+                            nb.flat_edges),
          time_encoder_.Encode(nb.flat_dts)},
         nb.mask, k);
     return out.Forward({attended, memory});
@@ -732,16 +728,16 @@ Var DenseTgatEmbed(const TemporalGraph& g, const ModelConfig& config,
                    const std::vector<tensor::Linear>& layer_out) {
   Var h = feature_proj.Forward(
       {tensor::GatherRows(tensor::Constant(g.node_features()),
-                          Widen(plan.levels.front().nodes))});
+                          plan.levels.front().nodes)});
   for (size_t l = 1; l < plan.levels.size(); ++l) {
     const TgatPlan::Level& level = plan.levels[l];
     const graph::SampledNeighborhood& nb = level.nb;
-    Var self_prev = tensor::GatherRows(h, Widen(level.self_rows));
+    Var self_prev = tensor::GatherRows(h, level.self_rows);
     Var attended = layers[l - 1].Forward(
         {self_prev, encoder.Encode(std::vector<float>(level.nodes.size()))},
-        {tensor::GatherRows(h, Widen(level.nbr_rows)),
+        {tensor::GatherRows(h, level.nbr_rows),
          tensor::GatherRows(tensor::Constant(g.edge_features()),
-                            Widen(nb.flat_edges)),
+                            nb.flat_edges),
          encoder.Encode(nb.flat_dts)},
         nb.mask, config.num_neighbors);
     h = Relu(layer_out[l - 1].Forward({attended, self_prev}));
@@ -1125,9 +1121,9 @@ TEST_P(RankedPassTest, MatchesDenseTiling) {
   prime();
   Var src_emb = model->ComputeEmbeddings(srcs, ts);
   Var cand_emb = model->ComputeEmbeddings(candidates, cand_ts);
-  std::vector<int64_t> tile;
+  std::vector<int32_t> tile;
   for (size_t i = 0; i < srcs.size(); ++i) {
-    tile.insert(tile.end(), k, static_cast<int64_t>(i));
+    tile.insert(tile.end(), k, static_cast<int32_t>(i));
   }
   // The predictor's parameters close every model's list: fc1's weight and
   // bias, then fc2's.
@@ -1365,7 +1361,7 @@ class DenseWalkCawn : public Cawn {
     tensor::Tensor pool({static_cast<int64_t>(groups.size()), walks});
     pool.Fill(1.0f / static_cast<float>(walks));
     return score_head_.Forward(
-        {BatchWeightedSum(tensor::Constant(std::move(pool)), hidden, walks)});
+        {BatchWeightedSum(pool, hidden, walks)});
   }
 };
 
